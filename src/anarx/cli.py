@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 
@@ -92,14 +93,16 @@ def _cmd_bench(args) -> int:
 def _cmd_predict(args) -> int:
     forecaster = snapshot_load(args.snapshot)
     learn = not args.freeze
-    for line in sys.stdin:
+    for lineno, line in enumerate(sys.stdin, start=1):
         line = line.strip()
         if not line:
             continue
         try:
             value = float(line)
         except ValueError:
-            raise errors.ParseError(f"stdin: non-numeric value {line!r}") from None
+            raise errors.ParseError(f"stdin line {lineno}: non-numeric value {line!r}") from None
+        if not math.isfinite(value):
+            raise errors.ParseError(f"stdin line {lineno}: non-finite value {line!r}")
         pred = forecaster.step(value, learn=learn)
         print(repr(pred))
     return 0

@@ -107,6 +107,10 @@ class RlsLearner:
         w = state["w"] if weights is None else weights
         out = cls(w, alpha=state["alpha"], p0=state["p0"])
         out.P = np.asarray(state["P"], dtype=float)
+        if out.P.shape != (out.dim, out.dim):
+            raise DimensionMismatch(
+                f"covariance must have shape ({out.dim}, {out.dim}), got {out.P.shape}"
+            )
         return out
 
 

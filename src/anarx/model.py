@@ -18,14 +18,15 @@ Two training wirings exist:
 from __future__ import annotations
 
 import enum
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AnarxError
+from .errors import AnarxError, CorruptSnapshot, DegenerateActivation
 from .learning import learner_from_state, make_learner
-from .numerics import exact_sum, vdot
+from .numerics import exact_sum
 from .membership import GaussianGrid, KnotGrid, build_gaussian_grid, build_uniform_grid
 from .nodes import NeoFuzzyNode, WangMendelNode
 
@@ -110,7 +111,15 @@ class StepReport:
 
 
 class AnarxModel:
-    """Ordered pool of per-lag nodes with online learning."""
+    """Ordered pool of per-lag nodes with online learning.
+
+    All nodes share one grid pair, so every observed value is fuzzified
+    once, in :meth:`observe`, into a ring of regressor rows (row ``l - 1``
+    holds the value seen ``l`` steps ago) kept beside the value delay
+    lines. The pool's weights are one (n x dim) matrix ``W`` whose rows
+    are the node weight vectors, so evaluating every node is one
+    row-wise reduction of ``W`` against the ring.
+    """
 
     def __init__(
         self,
@@ -128,6 +137,12 @@ class AnarxModel:
         kinds = {type(node) for node in nodes}
         if len(kinds) != 1:
             raise ValueError("node pool must be homogeneous")
+        first = nodes[0]
+        if not all(
+            _same_grid(node.grid_y, first.grid_y) and _same_grid(node.grid_x, first.grid_x)
+            for node in nodes
+        ):
+            raise ValueError("nodes must share one grid pair")
         if mode not in ("nar", "narx"):
             raise ValueError(f"mode must be 'nar' or 'narx', got {mode!r}")
         if training not in ("stacked", "independent"):
@@ -143,14 +158,21 @@ class AnarxModel:
         self.delay_y = DelayLine(len(nodes))
         self.delay_x = DelayLine(len(nodes))
         self._contrib: deque = deque(maxlen=_CONTRIB_CAP)
+        self._ring = np.zeros((len(nodes), first.dim))
+        # lag of the newest row whose fuzzification failed, and why; the
+        # failure is raised when a forecast first reads that row
+        self._fault_lag = math.inf
+        self._fault = ""
         if training == "stacked":
-            self._init_stacked(preserve=True)
+            self.learners = None
+            self.stacked_learner = make_learner(
+                learner, np.concatenate([node.weights for node in nodes]), alpha=alpha, p0=p0
+            )
         else:
-            self.learners = [
-                make_learner(learner, node.weights, alpha=alpha, p0=p0)
-                for node in nodes
-            ]
             self.stacked_learner = None
+            self.W = np.array([node.weights for node in nodes])
+            self.learners = [make_learner(learner, row, alpha=alpha, p0=p0) for row in self.W]
+        self._bind_rows()
 
     # -- structure ---------------------------------------------------
 
@@ -158,34 +180,21 @@ class AnarxModel:
     def n(self) -> int:
         return len(self.nodes)
 
-    def _init_stacked(self, preserve: bool) -> None:
-        dims = [node.dim for node in self.nodes]
-        total = int(sum(dims))
-        w = np.zeros(total)
-        if preserve:
-            offset = 0
-            for node, dim in zip(self.nodes, dims):
-                w[offset : offset + dim] = node.weights
-                offset += dim
-        self.stacked_learner = make_learner(
-            self.learner_kind, w, alpha=self.alpha, p0=self.p0
-        )
-        self.learners = None
-        self._rebind_views()
+    def _bind_rows(self) -> None:
+        """Point node (and independent learner) weights at the rows of W.
 
-    def _rebind_views(self) -> None:
-        """Point node weight arrays at slices of the stacked weight vector."""
-        w = self.stacked_learner.w
-        offset = 0
-        for node in self.nodes:
-            node.weights = w[offset : offset + node.dim]
-            offset += node.dim
+        In stacked mode W is a view of the stacked learner's weight vector.
+        """
+        if self.training == "stacked":
+            self.W = self.stacked_learner.w.reshape(self.n, -1)
+        for i, node in enumerate(self.nodes):
+            node.weights = self.W[i]
+            if self.learners is not None:
+                self.learners[i].w = node.weights
 
     def _fresh_node(self):
         template = self.nodes[-1]
-        if isinstance(template, NeoFuzzyNode):
-            return NeoFuzzyNode(template.grid_y, template.grid_x)
-        return WangMendelNode(template.grid_y, template.grid_x)
+        return type(template)(template.grid_y, template.grid_x)
 
     def add_node(self) -> None:
         """Append node n+1 with zero weights and fresh learner state."""
@@ -193,13 +202,17 @@ class AnarxModel:
         self.nodes.append(node)
         if self.training == "stacked":
             self.stacked_learner.extend(node.dim)
-            self._rebind_views()
         else:
+            self.W = np.concatenate([self.W, node.weights[None, :]])
             self.learners.append(
-                make_learner(self.learner_kind, node.weights, alpha=self.alpha, p0=self.p0)
+                make_learner(self.learner_kind, self.W[-1], alpha=self.alpha, p0=self.p0)
             )
+        self._bind_rows()
         self.delay_y.ensure_capacity(self.n)
         self.delay_x.ensure_capacity(self.n)
+        extra = self.delay_y.capacity - len(self._ring)
+        if extra > 0:
+            self._ring = np.concatenate([self._ring, np.zeros((extra, node.dim))])
         self._contrib.clear()
 
     def remove_last_node(self) -> None:
@@ -208,9 +221,10 @@ class AnarxModel:
         node = self.nodes.pop()
         if self.training == "stacked":
             self.stacked_learner.truncate(self.stacked_learner.dim - node.dim)
-            self._rebind_views()
         else:
             self.learners.pop()
+            self.W = self.W[: self.n]
+        self._bind_rows()
         self._contrib.clear()
 
     def evolve(self, policy: EvolutionPolicy, window_rmse: float) -> StructureChange:
@@ -236,76 +250,81 @@ class AnarxModel:
 
     # -- evaluation ----------------------------------------------------
 
-    def _lag_pair(self, l: int):
-        y_lag = self.delay_y.lag(l)
-        if y_lag is None:
-            return None
-        if self.mode == "nar":
-            return y_lag, y_lag
-        x_lag = self.delay_x.lag(l)
-        if x_lag is None:
-            return None
-        return y_lag, x_lag
+    def _observed(self) -> int:
+        """Number of nodes whose lag is observed; raises if one of their
+        rows failed to fuzzify."""
+        m = min(self.n, len(self.delay_y))
+        if self._fault_lag <= m:
+            raise DegenerateActivation(self._fault)
+        return m
+
+    def _forecasts(self, m: int) -> np.ndarray:
+        # Each row reduction is numpy's pairwise sum over one contiguous
+        # row, the same arithmetic as a per-node vdot.
+        out = np.zeros(self.n)
+        out[:m] = np.multiply(self.W[:m], self._ring[:m]).sum(axis=1)
+        return out
 
     def node_forecasts(self) -> np.ndarray:
         """Every node's output at its lag; zero where the lag is unseen."""
-        out = np.zeros(self.n)
-        for i, node in enumerate(self.nodes):
-            pair = self._lag_pair(i + 1)
-            if pair is not None:
-                out[i] = node.forward(*pair)
-        return out
+        return self._forecasts(self._observed())
 
     def forward(self) -> float:
         """Additive model output at the current position in the stream."""
         return exact_sum(self.node_forecasts().tolist())
 
     def observe(self, y_new: float, x_new=None) -> None:
-        """Shift the delay lines without touching any weights."""
+        """Shift the delay lines and the regressor ring; no weight moves."""
+        x = None
         if self.mode == "narx":
             if x_new is None:
                 raise ValueError("narx mode needs the exogenous value")
             self.delay_x.push(x_new)
+            x = float(x_new)
         self.delay_y.push(y_new)
+        self._push_row(float(y_new), x)
+
+    def _push_row(self, y: float, x) -> None:
+        """Fuzzify one observation into ring row 0; ``x=None`` in NAR mode."""
+        ring = self._ring
+        ring[1:] = ring[:-1]
+        self._fault_lag += 1
+        try:
+            self.nodes[0].fuzzify(ring[0], y, x)
+        except DegenerateActivation as exc:
+            ring[0] = 0.0
+            self._fault_lag, self._fault = 1, str(exc)
+
+    def _rebuild_ring(self) -> None:
+        """Refill the ring from the delay lines, oldest value first."""
+        self._ring = np.zeros((self.delay_y.capacity, self.nodes[0].dim))
+        self._fault_lag = math.inf
+        ys = self.delay_y.snapshot()
+        xs = self.delay_x.snapshot() if self.mode == "narx" else [None] * len(ys)
+        for y, x in zip(reversed(ys), reversed(xs)):
+            self._push_row(y, x)
 
     # -- training --------------------------------------------------------
 
     def train_step(self, y_new: float, x_new=None) -> StepReport:
         """One online step: predict y_new, update weights, shift delays."""
-        regressors = []
-        node_preds = np.zeros(self.n)
-        for i, node in enumerate(self.nodes):
-            pair = self._lag_pair(i + 1)
-            if pair is None:
-                regressors.append(None)
-                continue
-            phi = node.regressor(*pair)
-            regressors.append(phi)
-            node_preds[i] = vdot(node.weights, phi)
+        m = self._observed()
+        node_preds = self._forecasts(m)
         prediction = exact_sum(node_preds.tolist())
         error = float(y_new) - prediction
 
-        skipped = [(i, "lag not observed yet") for i, r in enumerate(regressors) if r is None]
+        skipped = [(i, "lag not observed yet") for i in range(m, self.n)]
         if self.training == "stacked":
-            if any(phi is not None for phi in regressors):
-                stacked = np.concatenate(
-                    [
-                        phi if phi is not None else np.zeros(node.dim)
-                        for node, phi in zip(self.nodes, regressors)
-                    ]
-                )
+            if m:
+                # rows of unobserved lags are still zero
                 try:
-                    self.stacked_learner.step(stacked, y_new)
+                    self.stacked_learner.step(self._ring[: self.n].ravel(), y_new)
                 except AnarxError as exc:
-                    skipped.extend(
-                        (i, str(exc)) for i, phi in enumerate(regressors) if phi is not None
-                    )
+                    skipped.extend((i, str(exc)) for i in range(m))
         else:
-            for i, (learner, phi) in enumerate(zip(self.learners, regressors)):
-                if phi is None:
-                    continue
+            for i in range(m):
                 try:
-                    learner.step(phi, y_new)
+                    self.learners[i].step(self._ring[i], y_new)
                 except AnarxError as exc:
                     skipped.append((i, str(exc)))
 
@@ -345,17 +364,24 @@ class AnarxModel:
 
     @classmethod
     def from_state(cls, state: dict) -> "AnarxModel":
+        """Rebuild a model from :meth:`state_dict` output.
+
+        Raises CorruptSnapshot when the parts do not fit one pool: nodes
+        on different grids, or learner state shaped for another pool.
+        """
         node_kind = state["node_kind"]
-        nodes = []
-        for nd in state["nodes"]:
-            if node_kind == "neo_fuzzy":
-                gy = KnotGrid.from_dict(nd["grid_y"])
-                gx = KnotGrid.from_dict(nd["grid_x"])
-                nodes.append(NeoFuzzyNode(gy, gx, nd["weights"]))
-            else:
-                gy = GaussianGrid.from_dict(nd["grid_y"])
-                gx = GaussianGrid.from_dict(nd["grid_x"])
-                nodes.append(WangMendelNode(gy, gx, nd["weights"]))
+        if node_kind not in _NODE_TYPES:
+            raise CorruptSnapshot(f"unknown node kind {node_kind!r}")
+        grid_cls, node_cls = _NODE_TYPES[node_kind]
+        specs = state["nodes"]
+        if not specs:
+            raise CorruptSnapshot("snapshot holds no nodes")
+        gy_dict, gx_dict = specs[0]["grid_y"], specs[0]["grid_x"]
+        if any(nd["grid_y"] != gy_dict or nd["grid_x"] != gx_dict for nd in specs):
+            raise CorruptSnapshot("nodes do not share one grid pair")
+        gy = grid_cls.from_dict(gy_dict)
+        gx = gy if gx_dict == gy_dict else grid_cls.from_dict(gx_dict)
+        nodes = [node_cls(gy, gx, nd["weights"]) for nd in specs]
         model = cls(
             nodes,
             mode=state["mode"],
@@ -364,18 +390,47 @@ class AnarxModel:
             alpha=state["alpha"],
             p0=state["p0"],
         )
+        dim = nodes[0].dim
         if model.training == "stacked":
             restored = learner_from_state(state["stacked_state"])
+            if restored.dim != model.n * dim:
+                raise CorruptSnapshot(
+                    f"stacked weights have length {restored.dim}, "
+                    f"the pool needs {model.n} x {dim}"
+                )
             model.stacked_learner = restored
-            model._rebind_views()
         else:
-            model.learners = []
-            for node, ls in zip(model.nodes, state["learner_states"]):
-                node.weights[:] = np.asarray(ls["w"], dtype=float)
-                model.learners.append(learner_from_state(ls, node.weights))
+            learner_states = state["learner_states"]
+            if len(learner_states) != model.n:
+                raise CorruptSnapshot(
+                    f"{len(learner_states)} learner states for {model.n} nodes"
+                )
+            for i, ls in enumerate(learner_states):
+                if len(ls["w"]) != dim:
+                    raise CorruptSnapshot(
+                        f"learner {i} has {len(ls['w'])} weights, its node needs {dim}"
+                    )
+                model.W[i] = ls["w"]
+            model.learners = [
+                learner_from_state(ls, row) for ls, row in zip(learner_states, model.W)
+            ]
+        model._bind_rows()
         model.delay_y.restore(state["delay_y"])
         model.delay_x.restore(state["delay_x"])
+        if model.mode == "narx" and len(model.delay_x) != len(model.delay_y):
+            raise CorruptSnapshot("narx delay lines differ in length")
+        model._rebuild_ring()
         return model
+
+
+def _same_grid(a, b) -> bool:
+    return a is b or a.to_dict() == b.to_dict()
+
+
+_NODE_TYPES = {
+    NeoFuzzyNode.kind: (KnotGrid, NeoFuzzyNode),
+    WangMendelNode.kind: (GaussianGrid, WangMendelNode),
+}
 
 
 def build_anarx(

@@ -2,8 +2,10 @@
 
 Both node kinds expose the same two calls: ``regressor(y_lag, x_lag)``
 builds the fuzzified feature vector and ``forward(y_lag, x_lag)`` returns
-the dot product with the node's weights. Evaluation is pure given the
-weights; updating the weights of one node never touches another.
+the dot product with the node's weights. ``fuzzify`` writes the same
+vector into a caller's buffer; the model uses it to fill its regressor
+ring once per observed value. Evaluation is pure given the weights;
+updating the weights of one node never touches another.
 """
 
 from __future__ import annotations
@@ -44,10 +46,23 @@ class NeoFuzzyNode:
     def dim(self) -> int:
         return self.grid_y.h + self.grid_x.h
 
+    def fuzzify(self, out: np.ndarray, y_lag: float, x_lag: float | None = None) -> None:
+        """Write the regressor into ``out``.
+
+        ``x_lag=None`` feeds ``y_lag`` to both synapses (NAR); on a shared
+        grid its degrees are then evaluated once and copied.
+        """
+        hy = self.grid_y.h
+        out[:hy] = eval_bspline(self.grid_y, y_lag)
+        if x_lag is None and self.grid_x is self.grid_y:
+            out[hy:] = out[:hy]
+        else:
+            out[hy:] = eval_bspline(self.grid_x, y_lag if x_lag is None else x_lag)
+
     def regressor(self, y_lag: float, x_lag: float) -> np.ndarray:
-        return np.concatenate(
-            [eval_bspline(self.grid_y, y_lag), eval_bspline(self.grid_x, x_lag)]
-        )
+        out = np.empty(self.dim)
+        self.fuzzify(out, y_lag, x_lag)
+        return out
 
     def forward(self, y_lag: float, x_lag: float) -> float:
         return vdot(self.weights, self.regressor(y_lag, x_lag))
@@ -84,14 +99,28 @@ class WangMendelNode:
     def dim(self) -> int:
         return self.grid_y.h
 
-    def regressor(self, y_lag: float, x_lag: float) -> np.ndarray:
-        z = eval_gaussian(self.grid_y, y_lag) * eval_gaussian(self.grid_x, x_lag)
+    def fuzzify(self, out: np.ndarray, y_lag: float, x_lag: float | None = None) -> None:
+        """Write the normalized firing strengths into ``out``.
+
+        ``x_lag=None`` feeds ``y_lag`` to both inputs (NAR); on a shared
+        grid its degrees are then evaluated once and squared.
+        """
+        shared = x_lag is None and self.grid_x is self.grid_y
+        if x_lag is None:
+            x_lag = y_lag
+        dy = eval_gaussian(self.grid_y, y_lag)
+        z = dy * (dy if shared else eval_gaussian(self.grid_x, x_lag))
         total = float(z.sum())
         if total <= 0.0:
             raise DegenerateActivation(
                 f"all rule activations underflowed at ({y_lag}, {x_lag})"
             )
-        return z / total
+        np.divide(z, total, out=out)
+
+    def regressor(self, y_lag: float, x_lag: float) -> np.ndarray:
+        out = np.empty(self.dim)
+        self.fuzzify(out, y_lag, x_lag)
+        return out
 
     def forward(self, y_lag: float, x_lag: float) -> float:
         return vdot(self.weights, self.regressor(y_lag, x_lag))

@@ -12,7 +12,7 @@ import hashlib
 import json
 
 from .combiner import CombinerState
-from .errors import CorruptSnapshot, VersionMismatch
+from .errors import AnarxError, CorruptSnapshot, VersionMismatch
 from .model import AnarxModel
 from .pipeline import OnlineForecaster
 
@@ -65,8 +65,16 @@ def snapshot_load(path) -> OnlineForecaster:
         combiner = (
             CombinerState.from_state(payload["combiner"]) if payload.get("combiner") else None
         )
+        if combiner is not None and combiner.c.shape != (model.n,):
+            raise CorruptSnapshot(
+                f"combiner has shape {combiner.c.shape}, the pool has {model.n} nodes"
+            )
         scale = tuple(payload["scale"]) if payload.get("scale") else None
+        if scale is not None and len(scale) != 2:
+            raise CorruptSnapshot(f"scale must be (lo, hi), got {scale}")
         meta = payload.get("meta") or {}
-    except (KeyError, TypeError, ValueError) as exc:
+    except (LookupError, TypeError, ValueError, AnarxError) as exc:
+        # a checksummed payload that does not rebuild one consistent
+        # forecaster is corrupt, whatever check caught it
         raise CorruptSnapshot(f"{path}: malformed payload ({exc})") from None
     return OnlineForecaster(model, combiner, scale, meta)

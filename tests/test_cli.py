@@ -124,6 +124,40 @@ class TestPredictAndSnapshot:
         monkeypatch.setattr("sys.stdin", io.StringIO("1.0\nnot-a-number\n"))
         assert main(["predict", "--snapshot", str(snap)]) == 4
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_predict_rejects_non_finite(self, tmp_path, data_csv, config_file, capsys,
+                                        monkeypatch, bad):
+        snap = tmp_path / "model.json"
+        main(["snapshot", "save", "--config", str(config_file), "--data", str(data_csv),
+              "--out", str(snap)])
+        capsys.readouterr()
+        import io
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"100\n{bad}\n100\n100\n"))
+        assert main(["predict", "--snapshot", str(snap)]) == 4
+        out, err = capsys.readouterr()
+        assert len(out.splitlines()) == 1
+        assert "line 2" in err
+
+    def test_mis_shaped_snapshot_fails_on_load(self, tmp_path, data_csv, capsys, monkeypatch):
+        # a 3-entry combiner on a 2-node pool, re-checksummed
+        from anarx.snapshot import _checksum
+
+        cfg = tmp_path / "weighted.cfg"
+        cfg.write_text(CONFIG + "weighted = true\n")
+        snap = tmp_path / "model.json"
+        assert main(["snapshot", "save", "--config", str(cfg), "--data", str(data_csv),
+                     "--out", str(snap)]) == 0
+        doc = json.loads(snap.read_text())
+        doc["payload"]["combiner"]["c"].append(0.0)
+        doc["sha256"] = _checksum(doc["payload"])
+        snap.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["snapshot", "show", "--snapshot", str(snap)]) == 10
+        assert "integrity: ok" not in capsys.readouterr().out
+        import io
+        monkeypatch.setattr("sys.stdin", io.StringIO("610.0\n"))
+        assert main(["predict", "--snapshot", str(snap)]) == 10
+
     def test_corrupt_snapshot_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "model.json"
         bad.write_text("{ truncated")

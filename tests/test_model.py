@@ -1,9 +1,13 @@
 import copy
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anarx import (
+    AnarxModel,
     DelayLine,
     EvolutionPolicy,
     KwhLearner,
@@ -12,6 +16,7 @@ from anarx import (
     build_anarx,
     build_uniform_grid,
 )
+from anarx.errors import DegenerateActivation
 
 
 class TestDelayLine:
@@ -292,3 +297,90 @@ class TestEvolve:
                     assert m.stacked_learner.dim == sum(nd.dim for nd in m.nodes)
                 assert m.delay_y.capacity >= m.n
                 assert np.isfinite(m.forward())
+
+
+class TestArrayPool:
+    """The ring and weight-matrix evaluation against per-node evaluation."""
+
+    @staticmethod
+    def per_node_forecasts(m):
+        out = []
+        for l, node in enumerate(m.nodes, start=1):
+            y_lag = m.delay_y.lag(l)
+            x_lag = y_lag if m.mode == "nar" else m.delay_x.lag(l)
+            out.append(0.0 if y_lag is None else node.forward(y_lag, x_lag))
+        return np.array(out)
+
+    @staticmethod
+    def assert_weights_shared(m):
+        # learners update the same memory the nodes and W read
+        if m.training == "stacked":
+            assert np.array_equal(
+                m.stacked_learner.w, np.concatenate([nd.weights for nd in m.nodes])
+            )
+        else:
+            assert len(m.learners) == m.n
+            for ln, nd in zip(m.learners, m.nodes):
+                assert np.array_equal(ln.w, nd.weights)
+        assert np.array_equal(m.W, np.array([nd.weights for nd in m.nodes]))
+
+    values = st.floats(-0.5, 1.5, allow_nan=False)
+    ops = st.one_of(
+        st.tuples(st.sampled_from(["train", "observe"]), values, values),
+        st.tuples(st.sampled_from(["add", "remove", "round_trip"])),
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        node_kind=st.sampled_from(["neo_fuzzy", "wang_mendel"]),
+        mode=st.sampled_from(["nar", "narx"]),
+        training=st.sampled_from(["stacked", "independent"]),
+        learner=st.sampled_from(["rls", "kwh", "adaptive"]),
+        n=st.integers(1, 3),
+        ops=st.lists(ops, max_size=40),
+    )
+    def test_forecasts_equal_node_forward_bit_for_bit(
+        self, node_kind, mode, training, learner, n, ops
+    ):
+        m = build_anarx(n, 3, 0.0, 1.0, node_kind=node_kind, mode=mode,
+                        training=training, learner=learner,
+                        alpha=0.9 if learner == "adaptive" else 1.0)
+        for op in ops:
+            if op[0] == "train":
+                m.train_step(op[1], op[2])  # NAR mode ignores x
+            elif op[0] == "observe":
+                m.observe(op[1], op[2])
+            elif op[0] == "add" and m.n < 5:
+                m.add_node()
+            elif op[0] == "remove" and m.n > 1:
+                m.remove_last_node()
+            elif op[0] == "round_trip":
+                m = AnarxModel.from_state(json.loads(json.dumps(m.state_dict())))
+            assert m.node_forecasts().tobytes() == self.per_node_forecasts(m).tobytes()
+            self.assert_weights_shared(m)
+
+    def test_loaded_nodes_share_one_grid(self):
+        m = small_model(n=3)
+        m2 = AnarxModel.from_state(json.loads(json.dumps(m.state_dict())))
+        grid = m2.nodes[0].grid_y
+        assert all(nd.grid_y is grid and nd.grid_x is grid for nd in m2.nodes)
+
+    def test_nodes_on_different_grids_rejected(self):
+        a = NeoFuzzyNode(build_uniform_grid(0.0, 1.0, 3, 2), build_uniform_grid(0.0, 1.0, 3, 2))
+        b = NeoFuzzyNode(build_uniform_grid(0.0, 2.0, 3, 2), build_uniform_grid(0.0, 1.0, 3, 2))
+        with pytest.raises(ValueError):
+            AnarxModel([a, b])
+
+    def test_degenerate_row_raises_while_a_node_reads_it(self):
+        m = build_anarx(2, 4, 0.0, 1.0, node_kind="wang_mendel", learner="kwh")
+        m.train_step(0.5)
+        m.train_step(1e9)  # underflows every rule; nothing reads it yet
+        for _ in range(2):
+            with pytest.raises(DegenerateActivation):
+                m.node_forecasts()
+            with pytest.raises(DegenerateActivation):
+                m.train_step(0.5)
+            m.observe(0.5)
+        # the value has moved past the last node's lag
+        assert np.isfinite(m.node_forecasts()).all()
+        m.train_step(0.5)

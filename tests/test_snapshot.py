@@ -6,6 +6,7 @@ import pytest
 from anarx import RunConfig, SeriesFrame, snapshot_load, snapshot_save
 from anarx.errors import CorruptSnapshot, VersionMismatch
 from anarx.pipeline import build_forecaster
+from anarx.snapshot import _checksum
 
 
 def trained_forecaster(weighted=False, learner="adaptive"):
@@ -111,3 +112,47 @@ def test_round_trip_after_structure_changes(tmp_path):
     out1 = [fc.step(float(v)) for v in stream]
     out2 = [fc2.step(float(v)) for v in stream]
     assert out1 == out2
+
+
+def _drop_last(values):
+    del values[-1]
+
+
+def _shrink_stacked(model):
+    # consistent learner state, but one weight short of the pool
+    st = model["stacked_state"]
+    del st["w"][-1]
+    del st["P"][-1]
+    for row in st["P"]:
+        del row[-1]
+
+
+def _other_grid(model):
+    grid = model["nodes"][1]["grid_y"]
+    grid["knots"] = [2.0 * k for k in grid["knots"]]
+    grid["hi"] = 2.0 * grid["hi"]
+
+
+@pytest.mark.parametrize("weighted,learner,tamper", [
+    (True, "adaptive", lambda p: p["combiner"]["c"].append(0.0)),
+    (False, "rls", lambda p: _drop_last(p["model"]["nodes"][0]["weights"])),
+    (False, "rls", lambda p: _shrink_stacked(p["model"])),
+    (False, "rls", lambda p: _drop_last(p["model"]["stacked_state"]["P"])),
+    (True, "rls", lambda p: _drop_last(p["model"]["learner_states"][1]["P"])),
+    (True, "adaptive", lambda p: _drop_last(p["model"]["learner_states"])),
+    (True, "adaptive", lambda p: p["model"]["learner_states"].append(
+        p["model"]["learner_states"][0])),
+    (True, "kwh", lambda p: _drop_last(p["model"]["learner_states"][0]["w"])),
+    (False, "kwh", lambda p: _other_grid(p["model"])),
+    (False, "kwh", lambda p: p["scale"].append(1.0)),
+])
+def test_shape_mismatch_with_valid_checksum_is_corrupt(tmp_path, weighted, learner, tamper):
+    fc = trained_forecaster(weighted=weighted, learner=learner)
+    path = tmp_path / "model.json"
+    snapshot_save(fc, path)
+    doc = json.loads(path.read_text())
+    tamper(doc["payload"])
+    doc["sha256"] = _checksum(doc["payload"])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CorruptSnapshot):
+        snapshot_load(path)
