@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import math
 import os
 import sys
 
@@ -101,9 +100,10 @@ def _cmd_predict(args) -> int:
             value = float(line)
         except ValueError:
             raise errors.ParseError(f"stdin line {lineno}: non-numeric value {line!r}") from None
-        if not math.isfinite(value):
-            raise errors.ParseError(f"stdin line {lineno}: non-finite value {line!r}")
-        pred = forecaster.step(value, learn=learn)
+        try:
+            pred = forecaster.step(value, learn=learn)
+        except errors.AnarxError as exc:
+            raise type(exc)(f"stdin line {lineno}: {exc}") from exc
         print(repr(pred))
     return 0
 

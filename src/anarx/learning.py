@@ -46,8 +46,15 @@ class RlsLearner:
 
     ``alpha`` in (0, 1] is the forgetting factor; alpha = 1 recovers
     ordinary recursive least squares. ``P`` starts as ``p0 * I`` (diffuse
-    prior) and is re-symmetrized after every update to keep long streams
-    from drifting off the symmetric cone.
+    prior) and is updated in place.
+
+    ``P`` stays exactly symmetric by construction, so it is never
+    re-symmetrized. The rank-1 downdate subtracts ``a_i * a_j / d`` from
+    ``P_ij`` and ``a_j * a_i / d`` from ``P_ji``; IEEE multiplication
+    commutes, so both entries change by the same bits, and dividing both
+    by ``alpha`` keeps them equal. ``extend`` and ``truncate`` only add
+    or drop matching rows and columns, and ``from_state`` rejects a
+    ``P`` that is not finite and exactly symmetric.
     """
 
     kind = "rls"
@@ -74,8 +81,8 @@ class RlsLearner:
         denom = self.alpha + vdot(phi, Pphi)
         self.w += Pphi * (error / denom)
         self.P -= np.outer(Pphi, Pphi) / denom
-        self.P /= self.alpha
-        self.P = 0.5 * (self.P + self.P.T)
+        if self.alpha != 1.0:
+            self.P /= self.alpha
         return StepResult(prediction, error)
 
     def extend(self, extra: int) -> None:
@@ -111,6 +118,9 @@ class RlsLearner:
             raise DimensionMismatch(
                 f"covariance must have shape ({out.dim}, {out.dim}), got {out.P.shape}"
             )
+        if not (np.isfinite(out.P).all() and np.array_equal(out.P, out.P.T)):
+            # every saved P is symmetric (see the class docstring)
+            raise DimensionMismatch("covariance must be finite and exactly symmetric")
         return out
 
 

@@ -275,12 +275,20 @@ class OnlineForecaster:
 
     def step(self, y_raw: float, learn: bool = True) -> float:
         """Predict the incoming raw value, then absorb it. Returns the
-        prediction in raw units."""
+        prediction in raw units.
+
+        A non-finite ``y_raw`` raises ParseError and a non-finite
+        prediction raises NumericalDivergence, both before any state moves.
+        """
+        if not math.isfinite(y_raw):
+            raise ParseError(f"non-finite input value {y_raw!r}")
         forecasts = self.model.node_forecasts()
         if self.combiner is not None:
             pred = self.combiner.combine(forecasts)
         else:
             pred = exact_sum(forecasts.tolist())
+        if not math.isfinite(pred):
+            raise NumericalDivergence("prediction is no longer finite")
         y = self._to_model_units(y_raw)
         if learn:
             self.model.train_step(y)

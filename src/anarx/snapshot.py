@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 
 from .combiner import CombinerState
 from .errors import AnarxError, CorruptSnapshot, VersionMismatch
@@ -38,9 +39,18 @@ def snapshot_save(forecaster: OnlineForecaster, path) -> None:
         "payload": payload,
         "sha256": _checksum(payload),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    # write beside the target and rename over it, so a save that fails
+    # partway leaves the previous file as it was
+    tmp = f"{os.fspath(path)}.{os.urandom(8).hex()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            json.dump(doc, fh, indent=1)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def snapshot_load(path) -> OnlineForecaster:

@@ -1,8 +1,14 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anarx import AdaptiveLearner, KwhLearner, RlsLearner, make_learner
 from anarx.errors import DimensionMismatch, ZeroGain, ZeroRegressor
+from anarx.learning import StepResult
+from anarx.numerics import matvec, vdot
 
 from conftest import ols_fit
 
@@ -75,6 +81,20 @@ class TestRls:
             rls.step(rng.normal(size=4), rng.normal())
         assert np.array_equal(rls.P, rls.P.T)
 
+    @pytest.mark.parametrize("bad", ["asymmetric", "nan", "inf"])
+    def test_from_state_rejects_asymmetric_or_non_finite_P(self, bad):
+        rng = np.random.default_rng(4)
+        rls = RlsLearner(np.zeros(3), alpha=0.95, p0=10.0)
+        for _ in range(20):
+            rls.step(rng.normal(size=3), rng.normal())
+        state = rls.state_dict()
+        if bad == "asymmetric":
+            state["P"][0][2] += 1e-9
+        else:
+            state["P"][1][1] = float(bad)
+        with pytest.raises(DimensionMismatch):
+            RlsLearner.from_state(state)
+
     def test_dimension_mismatch(self):
         rls = RlsLearner(np.zeros(3))
         with pytest.raises(DimensionMismatch):
@@ -85,6 +105,78 @@ class TestRls:
             RlsLearner(np.zeros(2), alpha=0.0)
         with pytest.raises(ValueError):
             RlsLearner(np.zeros(2), alpha=1.2)
+
+
+class _ResymmetrizingRls(RlsLearner):
+    """Reference: the update as first written, which divided by alpha on
+    every step and then re-symmetrized P."""
+
+    def step(self, phi, y):
+        phi = np.asarray(phi, dtype=float)
+        prediction = vdot(self.w, phi)
+        error = float(y) - prediction
+        Pphi = matvec(self.P, phi)
+        denom = self.alpha + vdot(phi, Pphi)
+        self.w += Pphi * (error / denom)
+        self.P -= np.outer(Pphi, Pphi) / denom
+        self.P /= self.alpha
+        self.P = 0.5 * (self.P + self.P.T)
+        return StepResult(prediction, error)
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@st.composite
+def _regressor(draw, dim):
+    # dense, or spline-like: a few nonzero memberships in [0, 1]
+    if draw(st.booleans()):
+        return np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim)))
+    phi = np.zeros(dim)
+    idx = draw(st.lists(st.integers(0, dim - 1), min_size=1, max_size=4, unique=True))
+    phi[idx] = draw(st.lists(st.floats(0.0, 1.0), min_size=len(idx), max_size=len(idx)))
+    return phi
+
+
+class TestRlsSymmetricUpdate:
+    """The in-place update matches the re-symmetrizing one bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        dim=st.integers(1, 40),
+        alpha=st.one_of(st.just(1.0), st.floats(0.8, 0.999)),
+        p0=st.sampled_from([1.0, 100.0, 1e4]),
+        ops=st.lists(st.sampled_from(["step"] * 6 + ["extend", "truncate", "round_trip"]),
+                     max_size=30),
+    )
+    def test_matches_resymmetrizing_reference(self, data, dim, alpha, p0, ops):
+        w0 = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)))
+        new = RlsLearner(w0.copy(), alpha=alpha, p0=p0)
+        ref = _ResymmetrizingRls(w0.copy(), alpha=alpha, p0=p0)
+        for op in ops:
+            if op == "step":
+                phi = data.draw(_regressor(new.dim))
+                y = data.draw(st.floats(-10.0, 10.0))
+                P = new.P
+                got = new.step(phi, y)
+                want = ref.step(phi, y)
+                assert new.P is P
+                assert _bits([got.prediction, got.error]) == _bits([want.prediction, want.error])
+            elif op == "extend" and new.dim < 48:
+                extra = data.draw(st.integers(1, 8))
+                new.extend(extra)
+                ref.extend(extra)
+            elif op == "truncate" and new.dim > 1:
+                keep = data.draw(st.integers(1, new.dim - 1))
+                new.truncate(keep)
+                ref.truncate(keep)
+            elif op == "round_trip":
+                new = RlsLearner.from_state(json.loads(json.dumps(new.state_dict())))
+            assert _bits(new.w) == _bits(ref.w)
+            assert _bits(new.P) == _bits(ref.P)
+            assert np.array_equal(new.P, new.P.T)
 
 
 class TestKwh:

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from anarx import RunConfig, SeriesFrame, load_csv, normalize_minmax, run_experiment
-from anarx.errors import DegenerateRange, EmptySeries, ParseError
+from anarx.errors import DegenerateRange, EmptySeries, NumericalDivergence, ParseError
 from anarx.model import EvolutionPolicy
-from anarx.pipeline import denormalize, parse_config_text
+from anarx.pipeline import build_forecaster, denormalize, parse_config_text
 
 
 class TestLoadCsv:
@@ -288,3 +288,41 @@ class TestRunExperiment:
         lines = report.steps_csv().splitlines()
         assert lines[0] == "k,y,y_hat,error,n_active,c_1,c_2"
         assert len(lines) == 61
+
+
+class TestOnlineForecasterStep:
+    @staticmethod
+    def weighted_forecaster():
+        series = SeriesFrame(np.sin(np.arange(400) / 5.0) * 2.0 + 6.0)
+        cfg = RunConfig(n_nodes=2, h=4, train_len=300, test_len=100, weighted=True,
+                        learner="adaptive", alpha=0.9)
+        _, fc = build_forecaster(series, cfg)
+        return series.values, fc
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_input_rejected_and_state_kept(self, bad):
+        values, fc = self.weighted_forecaster()
+        _, twin = self.weighted_forecaster()
+        for v in values[:200]:
+            fc.step(float(v))
+            twin.step(float(v))
+        with pytest.raises(ParseError):
+            fc.step(bad)
+        with pytest.raises(ParseError):
+            fc.step(bad, learn=False)
+        out = [fc.step(float(v)) for v in values[200:260]]
+        assert out == [twin.step(float(v)) for v in values[200:260]]
+        assert all(np.isfinite(out))
+
+    def test_non_finite_prediction_raises(self):
+        # the wind-up case of test_rls_windup_fails_loudly, on the step path
+        from anarx.datasets import synthetic_load_series
+
+        series = synthetic_load_series(n=3000, seed=3)
+        cfg = RunConfig(n_nodes=2, h=9, train_len=2500, test_len=500,
+                        learner="rls", alpha=0.62)
+        _, fc = build_forecaster(series, cfg)
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericalDivergence):
+                for v in series.values:
+                    fc.step(float(v))

@@ -114,6 +114,18 @@ def test_round_trip_after_structure_changes(tmp_path):
     assert out1 == out2
 
 
+def _tampered_snapshot(tmp_path, weighted, learner, tamper):
+    """Save a trained forecaster, tamper with its payload, re-checksum."""
+    fc = trained_forecaster(weighted=weighted, learner=learner)
+    path = tmp_path / "model.json"
+    snapshot_save(fc, path)
+    doc = json.loads(path.read_text())
+    tamper(doc["payload"])
+    doc["sha256"] = _checksum(doc["payload"])
+    path.write_text(json.dumps(doc))
+    return path
+
+
 def _drop_last(values):
     del values[-1]
 
@@ -147,12 +159,34 @@ def _other_grid(model):
     (False, "kwh", lambda p: p["scale"].append(1.0)),
 ])
 def test_shape_mismatch_with_valid_checksum_is_corrupt(tmp_path, weighted, learner, tamper):
-    fc = trained_forecaster(weighted=weighted, learner=learner)
-    path = tmp_path / "model.json"
-    snapshot_save(fc, path)
-    doc = json.loads(path.read_text())
-    tamper(doc["payload"])
-    doc["sha256"] = _checksum(doc["payload"])
-    path.write_text(json.dumps(doc))
+    path = _tampered_snapshot(tmp_path, weighted, learner, tamper)
     with pytest.raises(CorruptSnapshot):
         snapshot_load(path)
+
+
+def _nudge_off_diagonal(P):
+    # one ulp on one side of the diagonal
+    P[0][1] = float(np.nextafter(P[0][1], np.inf))
+
+
+@pytest.mark.parametrize("weighted,learner,tamper", [
+    (False, "rls", lambda p: _nudge_off_diagonal(p["model"]["stacked_state"]["P"])),
+    (True, "rls", lambda p: _nudge_off_diagonal(p["model"]["learner_states"][1]["P"])),
+])
+def test_asymmetric_covariance_with_valid_checksum_is_corrupt(tmp_path, weighted, learner, tamper):
+    path = _tampered_snapshot(tmp_path, weighted, learner, tamper)
+    with pytest.raises(CorruptSnapshot):
+        snapshot_load(path)
+
+
+def test_failed_save_keeps_previous_file(tmp_path):
+    fc = trained_forecaster()
+    path = tmp_path / "model.json"
+    snapshot_save(fc, path)
+    before = path.read_bytes()
+    fc.meta["note"] = object()  # not JSON-serializable: fails partway
+    with pytest.raises(TypeError):
+        snapshot_save(fc, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+    snapshot_load(path)
