@@ -18,7 +18,7 @@ import os
 import sys
 
 from . import errors
-from .pipeline import load_config, load_csv, run_experiment, build_forecaster
+from .pipeline import load_config, load_csv, run_experiment
 from .snapshot import snapshot_load, snapshot_save
 
 log = logging.getLogger("anarx")
@@ -111,13 +111,8 @@ def _cmd_predict(args) -> int:
 def _cmd_snapshot_save(args) -> int:
     config = load_config(args.config)
     series = load_csv(args.data, _column_arg(args.column))
-    run_len = config.train_len + config.test_len
-    _, forecaster = build_forecaster(series, config)
-    for k in range(run_len):
-        forecaster.step(
-            float(series.values[k]), learn=(k < config.train_len) or not config.freeze_test
-        )
-    snapshot_save(forecaster, args.out)
+    # the forecaster `bench` streams, so both build the same model
+    snapshot_save(run_experiment(series, config).forecaster, args.out)
     print(f"snapshot written to {args.out}", file=sys.stderr)
     return 0
 
@@ -131,6 +126,10 @@ def _cmd_snapshot_show(args) -> int:
     if forecaster.combiner is not None:
         print(f"c: {forecaster.combiner.c.tolist()}")
     print(f"scale: {forecaster.scale}")
+    if forecaster.evolution is None:
+        print("evolution: off")
+    else:
+        print(f"evolution: {forecaster.evolution}, learned steps: {forecaster.learned_steps}")
     print("integrity: ok")
     return 0
 

@@ -98,16 +98,25 @@ class StructureChange(enum.Enum):
 class StepReport:
     """Per-step result of :meth:`AnarxModel.train_step`.
 
-    ``prediction`` is the additive model output from pre-update weights;
-    ``node_predictions`` holds the individual node outputs that summed to
-    it (zeros for nodes whose lag is not observed yet). ``skipped`` lists
-    (node index, reason) for nodes whose update failed or was deferred.
+    ``node_predictions`` holds the node outputs from pre-update weights
+    (zeros for nodes whose lag is not observed yet); ``prediction`` is
+    their additive sum and ``error`` is ``y`` minus it. ``skipped`` lists
+    (node index, reason) for nodes whose update failed or was deferred:
+    ``"lag not observed yet"``, or the learner error as
+    ``"<class name>: <message>"``.
     """
 
-    prediction: float
-    error: float
+    y: float
     node_predictions: np.ndarray
     skipped: list = field(default_factory=list)
+
+    @property
+    def prediction(self) -> float:
+        return exact_sum(self.node_predictions.tolist())
+
+    @property
+    def error(self) -> float:
+        return self.y - self.prediction
 
 
 class AnarxModel:
@@ -306,12 +315,13 @@ class AnarxModel:
 
     # -- training --------------------------------------------------------
 
-    def train_step(self, y_new: float, x_new=None) -> StepReport:
-        """One online step: predict y_new, update weights, shift delays."""
+    def train_step(self, y_new: float, x_new=None, forecasts=None) -> StepReport:
+        """One online step: predict y_new, update weights, shift delays.
+
+        A caller that has :meth:`node_forecasts` here passes it as ``forecasts``.
+        """
         m = self._observed()
-        node_preds = self._forecasts(m)
-        prediction = exact_sum(node_preds.tolist())
-        error = float(y_new) - prediction
+        node_preds = self._forecasts(m) if forecasts is None else forecasts
 
         skipped = [(i, "lag not observed yet") for i in range(m, self.n)]
         if self.training == "stacked":
@@ -320,17 +330,17 @@ class AnarxModel:
                 try:
                     self.stacked_learner.step(self._ring[: self.n].ravel(), y_new)
                 except AnarxError as exc:
-                    skipped.extend((i, str(exc)) for i in range(m))
+                    skipped.extend((i, f"{type(exc).__name__}: {exc}") for i in range(m))
         else:
             for i in range(m):
                 try:
                     self.learners[i].step(self._ring[i], y_new)
                 except AnarxError as exc:
-                    skipped.append((i, str(exc)))
+                    skipped.append((i, f"{type(exc).__name__}: {exc}"))
 
         self.observe(y_new, x_new)
         self._contrib.append(node_preds.copy())
-        return StepReport(prediction, error, node_preds, skipped)
+        return StepReport(float(y_new), node_preds, skipped)
 
     # -- bookkeeping -----------------------------------------------------
 

@@ -3,22 +3,34 @@
 The payload is plain JSON (floats round-trip exactly through repr), the
 checksum covers the canonical payload encoding, and the version tag is
 checked before anything is rebuilt. A loaded forecaster reproduces the
-saved one bit for bit on any subsequent input sequence.
+saved one bit for bit on any subsequent input sequence, structure
+changes included.
+
+Version 2 adds ``"evolution"``: null when evolution is off, otherwise
+the controller (policy, error window, long-run squared-error sum,
+learned-step count) and the last ``window`` rows of the model's node
+contribution history, which is all :meth:`AnarxModel.evolve` reads.
+Version 1 files load with evolution off.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
+from itertools import islice
+
+import numpy as np
 
 from .combiner import CombinerState
 from .errors import AnarxError, CorruptSnapshot, VersionMismatch
-from .model import AnarxModel
+from .model import AnarxModel, EvolutionPolicy
 from .pipeline import OnlineForecaster
 
 FORMAT = "anarx-snapshot"
-VERSION = 1
+VERSION = 2
+READABLE = (1, 2)
 
 
 def _checksum(payload: dict) -> str:
@@ -32,6 +44,7 @@ def snapshot_save(forecaster: OnlineForecaster, path) -> None:
         "combiner": forecaster.combiner.state_dict() if forecaster.combiner else None,
         "scale": list(forecaster.scale) if forecaster.scale else None,
         "meta": forecaster.meta,
+        "evolution": _evolution_state(forecaster),
     }
     doc = {
         "format": FORMAT,
@@ -61,9 +74,10 @@ def snapshot_load(path) -> OnlineForecaster:
         raise CorruptSnapshot(f"{path}: not valid snapshot JSON ({exc})") from None
     if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise VersionMismatch(f"{path}: not a {FORMAT} file")
-    if doc.get("version") != VERSION:
+    version = doc.get("version")
+    if version not in READABLE:
         raise VersionMismatch(
-            f"{path}: snapshot version {doc.get('version')!r}, expected {VERSION}"
+            f"{path}: snapshot version {version!r}, expected one of {READABLE}"
         )
     payload = doc.get("payload")
     if not isinstance(payload, dict) or "sha256" not in doc:
@@ -83,8 +97,60 @@ def snapshot_load(path) -> OnlineForecaster:
         if scale is not None and len(scale) != 2:
             raise CorruptSnapshot(f"scale must be (lo, hi), got {scale}")
         meta = payload.get("meta") or {}
+        evolution = payload["evolution"] if version >= 2 else None
+        forecaster = OnlineForecaster(
+            model, combiner, scale, meta,
+            evolution=None if evolution is None else _policy(evolution["policy"]),
+        )
+        if evolution is not None:
+            _restore_evolution(forecaster, evolution)
     except (LookupError, TypeError, ValueError, AnarxError) as exc:
         # a checksummed payload that does not rebuild one consistent
         # forecaster is corrupt, whatever check caught it
         raise CorruptSnapshot(f"{path}: malformed payload ({exc})") from None
-    return OnlineForecaster(model, combiner, scale, meta)
+    return forecaster
+
+
+def _evolution_state(forecaster: OnlineForecaster) -> dict | None:
+    policy = forecaster.evolution
+    if policy is None:
+        return None
+    window = forecaster.err_window.maxlen
+    contrib = forecaster.model._contrib
+    return {
+        "policy": policy if policy == "auto" else vars(policy).copy(),
+        "err_window": list(forecaster.err_window),
+        "long_run_sq": forecaster.long_run_sq,
+        "learned_steps": forecaster.learned_steps,
+        "contrib": [row.tolist() for row in islice(contrib, max(0, len(contrib) - window), None)],
+    }
+
+
+def _policy(state):
+    return "auto" if state == "auto" else EvolutionPolicy(**state)
+
+
+def _restore_evolution(forecaster: OnlineForecaster, state: dict) -> None:
+    """Refill a loaded forecaster's controller; raise CorruptSnapshot for
+    a state that no forecaster could have saved."""
+    window = [float(v) for v in state["err_window"]]
+    long_run_sq = float(state["long_run_sq"])
+    learned_steps = state["learned_steps"]
+    rows = [np.array(row, dtype=float) for row in state["contrib"]]
+    maxlen = forecaster.err_window.maxlen
+    n = forecaster.model.n
+    if len(window) > maxlen or len(rows) > maxlen:
+        raise CorruptSnapshot(
+            f"{len(window)} window errors and {len(rows)} contribution rows, "
+            f"the policy window is {maxlen}"
+        )
+    if not all(math.isfinite(v) and v >= 0.0 for v in [long_run_sq, *window]):
+        raise CorruptSnapshot("squared errors must be finite and nonnegative")
+    if type(learned_steps) is not int or learned_steps < len(window):
+        raise CorruptSnapshot(f"learned step count {learned_steps!r} does not cover the window")
+    if not all(row.shape == (n,) and np.isfinite(row).all() for row in rows):
+        raise CorruptSnapshot(f"contribution rows must be {n} finite values, one per node")
+    forecaster.err_window.extend(window)
+    forecaster.long_run_sq = long_run_sq
+    forecaster.learned_steps = learned_steps
+    forecaster.model._contrib.extend(rows)

@@ -165,3 +165,44 @@ class TestPredictAndSnapshot:
 
     def test_missing_snapshot_exit_code(self, tmp_path):
         assert main(["predict", "--snapshot", str(tmp_path / "none.json")]) == 3
+
+
+class TestEvolution:
+    def test_snapshot_save_keeps_the_structure_bench_reports(self, tmp_path, data_csv, capsys):
+        cfg = tmp_path / "evolving.cfg"
+        cfg.write_text(CONFIG + "weighted = true\nevolution = auto\n")
+        out_json = tmp_path / "report.json"
+        snap = tmp_path / "model.json"
+        assert main(["bench", "--config", str(cfg), "--data", str(data_csv),
+                     "--out-json", str(out_json)]) == 0
+        assert main(["snapshot", "save", "--config", str(cfg), "--data", str(data_csv),
+                     "--out", str(snap)]) == 0
+        capsys.readouterr()
+        assert main(["snapshot", "show", "--snapshot", str(snap)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        extras = json.loads(out_json.read_text())["extras"]
+        assert extras["structure_events"]
+        nodes = next(line for line in lines if line.startswith("nodes: "))
+        assert nodes.split()[1] == str(extras["final_n"])
+        assert "evolution: auto, learned steps: 400" in lines
+
+    def test_show_prints_evolution_off(self, tmp_path, data_csv, config_file, capsys):
+        snap = tmp_path / "model.json"
+        assert main(["snapshot", "save", "--config", str(config_file),
+                     "--data", str(data_csv), "--out", str(snap)]) == 0
+        capsys.readouterr()
+        assert main(["snapshot", "show", "--snapshot", str(snap)]) == 0
+        assert "evolution: off" in capsys.readouterr().out.splitlines()
+
+    def test_show_prints_explicit_policy(self, tmp_path, data_csv, capsys):
+        cfg = tmp_path / "policy.cfg"
+        cfg.write_text(CONFIG + "evolution = true\nevolution_window = 30\n")
+        snap = tmp_path / "model.json"
+        assert main(["snapshot", "save", "--config", str(cfg), "--data", str(data_csv),
+                     "--out", str(snap)]) == 0
+        capsys.readouterr()
+        assert main(["snapshot", "show", "--snapshot", str(snap)]) == 0
+        line = next(line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("evolution: "))
+        assert line.startswith("evolution: EvolutionPolicy(window=30,")
+        assert line.endswith("learned steps: 400")

@@ -5,18 +5,27 @@ The references in ``perfbench/reference/`` are the first round of the
 ``load_weighted`` and ``rls_wide`` workloads at their default seed 7:
 ``run_experiment`` over ``synthetic_load_series(n=train_len + test_len,
 seed=7)``. They are read here, never written.
+
+The evolving references in ``tests/reference/`` pin structural evolution
+the same way: ``y_hat``, ``error``, ``n_active`` and the structure events
+of the shipped load configs run with evolution on. Re-record them after a
+deliberate change with ``python tests/test_golden.py --record``.
 """
 
+import dataclasses
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from anarx.datasets import synthetic_load_series
-from anarx.pipeline import load_config, run_experiment
+from anarx.model import EvolutionPolicy
+from anarx.pipeline import build_forecaster, denormalize, load_config, run_experiment
 
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE_DIR = ROOT / "perfbench" / "reference"
+EVOLVING_DIR = Path(__file__).resolve().parent / "reference"
 
 
 @pytest.mark.parametrize("name,config_path", [
@@ -31,3 +40,95 @@ def test_y_hat_stream_matches_reference(name, config_path):
         expected = ref["y_hat"]
     y_hat = np.array([s.y_hat for s in report.steps])
     assert np.array_equal(y_hat, expected), float(np.max(np.abs(y_hat - expected)))
+
+
+POLICY = EvolutionPolicy(window=50, add_threshold=0.06, remove_threshold=0.03, n_max=4)
+
+# name -> (shipped config, evolution setting)
+EVOLVING = {
+    "load_weighted_auto": ("load_weighted", "auto"),
+    "load_plain_auto": ("load_plain", "auto"),
+    "load_weighted_policy": ("load_weighted", POLICY),
+    "load_plain_policy": ("load_plain", POLICY),
+}
+
+
+def evolving_config(name):
+    cfg_name, evolution = EVOLVING[name]
+    config = load_config(ROOT / "configs" / f"{cfg_name}.cfg")
+    return dataclasses.replace(config, evolution=evolution)
+
+
+def golden_series(config):
+    return synthetic_load_series(n=config.train_len + config.test_len, seed=7)
+
+
+def evolving_streams(name) -> dict:
+    config = evolving_config(name)
+    report = run_experiment(golden_series(config), config)
+    events = report.extras["structure_events"]
+    return {
+        "y_hat": np.array([s.y_hat for s in report.steps]),
+        "error": np.array([s.error for s in report.steps]),
+        "n_active": np.array([s.n_active for s in report.steps]),
+        "event_k": np.array([k for k, _, _ in events], dtype=int),
+        "event_kind": np.array([kind for _, kind, _ in events], dtype=str),
+        "event_n": np.array([n for _, _, n in events], dtype=int),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(EVOLVING))
+def test_evolving_streams_match_reference(name):
+    got = evolving_streams(name)
+    with np.load(EVOLVING_DIR / f"{name}.npz") as ref:
+        expected = {key: ref[key] for key in ref.files}
+    assert set(expected) == set(got)
+    kinds = set(expected["event_kind"].tolist())
+    assert kinds == {"added", "removed"}
+    for key, want in expected.items():
+        assert np.array_equal(got[key], want), key
+
+
+STEP_PATH_CONFIGS = {
+    "load_weighted": ROOT / "configs" / "load_weighted.cfg",
+    "load_plain": ROOT / "configs" / "load_plain.cfg",
+    "sunspot_weighted": ROOT / "configs" / "sunspot_weighted.cfg",
+    "sunspot_plain": ROOT / "configs" / "sunspot_plain.cfg",
+    "rls_wide": ROOT / "perfbench" / "configs" / "rls_wide.cfg",
+}
+
+
+@pytest.mark.parametrize("name", sorted(STEP_PATH_CONFIGS) + sorted(EVOLVING))
+def test_step_path_matches_run_experiment(name):
+    if name in EVOLVING:
+        config = evolving_config(name)
+    else:
+        config = load_config(STEP_PATH_CONFIGS[name])
+    series = golden_series(config)
+    report = run_experiment(series, config)
+    _, fc = build_forecaster(series, config)
+    preds = [
+        fc.step(v, learn=(k < config.train_len) or not config.freeze_test)
+        for k, v in enumerate(series.values.tolist())
+    ]
+    lo, hi = fc.scale
+    assert preds == denormalize([s.y_hat for s in report.steps], lo, hi).tolist()
+    done = report.forecaster
+    assert fc.model.state_dict() == done.model.state_dict()
+    if config.weighted:
+        assert fc.combiner.state_dict() == done.combiner.state_dict()
+    else:
+        assert fc.combiner is None and done.combiner is None
+
+
+def _record() -> None:
+    EVOLVING_DIR.mkdir(exist_ok=True)
+    for name in sorted(EVOLVING):
+        np.savez_compressed(EVOLVING_DIR / f"{name}.npz", **evolving_streams(name))
+        print(f"wrote {EVOLVING_DIR / name}.npz")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: python tests/test_golden.py --record")
+    _record()

@@ -194,6 +194,38 @@ class TestTrainStep:
         rmse = float(np.sqrt(np.mean(np.square(errors[-100:]))))
         assert rmse <= 0.1 * float(np.std(targets))
 
+    @pytest.mark.parametrize("training,learner", [
+        ("stacked", "rls"), ("independent", "adaptive"), ("independent", "kwh"),
+    ])
+    def test_handed_forecasts_give_the_same_report(self, training, learner):
+        # the step hands train_step the forecasts it already computed
+        rng = np.random.default_rng(9)
+        own = small_model(n=3, training=training, learner=learner)
+        handed = small_model(n=3, training=training, learner=learner)
+        for y in rng.uniform(0, 1, 60).tolist():
+            a = own.train_step(y)
+            b = handed.train_step(y, forecasts=handed.node_forecasts())
+            assert (a.prediction, a.error, a.skipped) == (b.prediction, b.error, b.skipped)
+            assert np.array_equal(a.node_predictions, b.node_predictions)
+        assert np.array_equal(own.W, handed.W)
+
+    def test_learner_failure_is_skipped_with_its_class_name(self, monkeypatch):
+        from anarx.errors import ZeroRegressor
+
+        m = small_model(n=2, training="stacked", learner="kwh")
+        for y in (0.2, 0.4):
+            m.train_step(y)
+
+        def fail(phi, y):
+            raise ZeroRegressor("squared regressor norm 0.0 below 1e-12")
+
+        monkeypatch.setattr(m.stacked_learner, "step", fail)
+        report = m.train_step(0.3)
+        assert report.skipped == [
+            (0, "ZeroRegressor: squared regressor norm 0.0 below 1e-12"),
+            (1, "ZeroRegressor: squared regressor norm 0.0 below 1e-12"),
+        ]
+
     def test_narx_mode_requires_x(self):
         m = build_anarx(2, 3, 0.0, 1.0, mode="narx", training="stacked", learner="kwh")
         with pytest.raises(ValueError):

@@ -1,3 +1,6 @@
+import json
+import logging
+
 import numpy as np
 import pytest
 
@@ -314,6 +317,22 @@ class TestOnlineForecasterStep:
         assert out == [twin.step(float(v)) for v in values[200:260]]
         assert all(np.isfinite(out))
 
+    def test_value_overflowing_model_units_rejected_and_state_kept(self):
+        # finite in raw units, infinite once divided by hi - lo = 0.4
+        series = SeriesFrame(np.sin(np.arange(400) / 5.0) * 0.2 + 6.0)
+        cfg = RunConfig(n_nodes=2, h=4, train_len=300, test_len=100, weighted=True,
+                        learner="adaptive", alpha=0.9)
+        values = series.values
+        _, fc = build_forecaster(series, cfg)
+        _, twin = build_forecaster(series, cfg)
+        for v in values[:50]:
+            fc.step(float(v))
+            twin.step(float(v))
+        with pytest.raises(ParseError):
+            fc.step(1.7e308)
+        out = [fc.step(float(v)) for v in values[50:80]]
+        assert out == [twin.step(float(v)) for v in values[50:80]]
+
     def test_non_finite_prediction_raises(self):
         # the wind-up case of test_rls_windup_fails_loudly, on the step path
         from anarx.datasets import synthetic_load_series
@@ -326,3 +345,82 @@ class TestOnlineForecasterStep:
             with pytest.raises(NumericalDivergence):
                 for v in series.values:
                     fc.step(float(v))
+
+
+class TestSkippedNodeUpdates:
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_warmup_skips_n_times_n_plus_1_over_2(self, n, weighted):
+        # step k (k < n) learns before lags k+1..n are observed
+        series = SeriesFrame(np.sin(np.arange(80) / 4.0) + 2.0)
+        cfg = RunConfig(n_nodes=n, h=3, train_len=60, test_len=20,
+                        learner="adaptive", alpha=0.9, weighted=weighted)
+        report = run_experiment(series, cfg)
+        expected = {"lag not observed yet": n * (n + 1) // 2}
+        assert report.extras["skipped_node_updates"] == expected
+        assert report.forecaster.skipped_updates == expected
+        assert json.loads(report.to_json())["extras"]["skipped_node_updates"] == expected
+
+    def test_frozen_steps_skip_nothing(self):
+        series = SeriesFrame(np.sin(np.arange(80) / 4.0) + 2.0)
+        cfg = RunConfig(n_nodes=3, h=3, train_len=2, test_len=78, freeze_test=True,
+                        learner="adaptive", alpha=0.9)
+        report = run_experiment(series, cfg)
+        # only the two learned steps skip: 3 + 2 node updates
+        assert report.extras["skipped_node_updates"] == {"lag not observed yet": 5}
+
+    def test_learner_errors_count_by_class_name(self, monkeypatch):
+        from anarx.errors import ZeroRegressor
+
+        series = SeriesFrame(np.sin(np.arange(80) / 4.0) + 2.0)
+        cfg = RunConfig(n_nodes=2, h=3, train_len=80, test_len=0, learner="kwh")
+        _, fc = build_forecaster(series, cfg)
+        for v in series.values[:10]:
+            fc.step(float(v))
+
+        def fail(phi, y):
+            raise ZeroRegressor("squared regressor norm 0.0 below 1e-12")
+
+        monkeypatch.setattr(fc.model.stacked_learner, "step", fail)
+        fc.step(float(series.values[10]))
+        fc.step(float(series.values[11]), learn=False)
+        assert fc.skipped_updates == {"lag not observed yet": 3, "ZeroRegressor": 2}
+
+    def test_info_line_carries_the_total(self, caplog):
+        series = SeriesFrame(np.sin(np.arange(80) / 4.0) + 2.0)
+        cfg = RunConfig(n_nodes=3, h=3, train_len=60, test_len=20,
+                        learner="adaptive", alpha=0.9)
+        with caplog.at_level(logging.INFO, logger="anarx"):
+            run_experiment(series, cfg)
+        assert "skipped_node_updates=6" in caplog.text
+
+
+class TestReportForecaster:
+    def test_report_carries_the_streamed_forecaster(self):
+        series = SeriesFrame(np.sin(np.arange(120) / 4.0) + 2.0)
+        cfg = RunConfig(n_nodes=2, h=3, train_len=100, test_len=20, weighted=True,
+                        learner="adaptive", alpha=0.9)
+        report = run_experiment(series, cfg)
+        fc = report.forecaster
+        assert fc.model.n == report.extras["final_n"]
+        assert tuple(fc.combiner.c.tolist()) == report.steps[-1].c
+        assert "forecaster" not in report.summary_dict()
+        assert "forecaster" not in json.loads(report.to_json())
+
+    def test_structure_events_follow_the_pool_size(self):
+        rng = np.random.default_rng(4)
+        series = SeriesFrame(rng.uniform(0, 1, 400))
+        policy = EvolutionPolicy(window=50, add_threshold=0.05, remove_threshold=0.01, n_max=4)
+        cfg = RunConfig(n_nodes=1, h=3, train_len=300, test_len=100,
+                        learner="adaptive", alpha=0.9, evolution=policy)
+        report = run_experiment(series, cfg)
+        n_after = {k: n for k, _, n in report.extras["structure_events"]}
+        for prev, s in zip(report.steps, report.steps[1:]):
+            # n_active is the pool that made the prediction
+            assert s.n_active == n_after.get(prev.k, prev.n_active)
+
+    def test_rejects_unknown_evolution_setting(self):
+        from anarx import OnlineForecaster, build_anarx
+
+        with pytest.raises(ValueError):
+            OnlineForecaster(build_anarx(1, 3, 0.0, 1.0), evolution=True)

@@ -1,40 +1,54 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from anarx import RunConfig, SeriesFrame, snapshot_load, snapshot_save
+from anarx import OnlineForecaster, RunConfig, SeriesFrame, snapshot_load, snapshot_save
 from anarx.errors import CorruptSnapshot, VersionMismatch
 from anarx.pipeline import build_forecaster
 from anarx.snapshot import _checksum
 
 
-def trained_forecaster(weighted=False, learner="adaptive"):
+def trained_forecaster(weighted=False, learner="adaptive", evolution=None, steps=250):
     rng = np.random.default_rng(0)
     series = SeriesFrame(np.sin(np.arange(300) / 6.0) * 3.0 + rng.normal(0, 0.2, 300) + 8.0)
     cfg = RunConfig(n_nodes=2, h=4, train_len=250, test_len=50,
                     learner=learner, alpha=0.9 if learner != "kwh" else 1.0,
-                    weighted=weighted)
+                    weighted=weighted, evolution=evolution)
     work, fc = build_forecaster(series, cfg)
-    for k in range(250):
+    for k in range(steps):
         fc.step(float(series.values[k]))
     return fc
 
 
-@pytest.mark.parametrize("weighted,learner", [
-    (False, "rls"), (False, "kwh"), (True, "adaptive"),
+def _step_with_n(fc, stream):
+    """(prediction, pool size after the step) for every value."""
+    return [(fc.step(float(v)), fc.model.n) for v in stream]
+
+
+@pytest.mark.parametrize("weighted,learner,evolution,steps", [
+    pytest.param(False, "rls", None, 250, id="False-rls"),
+    pytest.param(False, "kwh", None, 250, id="False-kwh"),
+    pytest.param(True, "adaptive", None, 250, id="True-adaptive"),
+    # saved 78 steps into a refill of the error window; grows at step 41
+    pytest.param(True, "adaptive", "auto", 200, id="True-adaptive-auto"),
 ])
-def test_round_trip_identical_predictions(tmp_path, weighted, learner):
-    fc = trained_forecaster(weighted=weighted, learner=learner)
+def test_round_trip_identical_predictions(tmp_path, weighted, learner, evolution, steps):
+    fc = trained_forecaster(weighted=weighted, learner=learner, evolution=evolution, steps=steps)
+    if evolution is not None:
+        assert 0 < len(fc.err_window) < fc.err_window.maxlen
     path = tmp_path / "model.json"
     snapshot_save(fc, path)
     fc2 = snapshot_load(path)
 
     rng = np.random.default_rng(1)
     stream = rng.uniform(5.0, 11.0, 100)
-    out1 = [fc.step(float(v)) for v in stream]
-    out2 = [fc2.step(float(v)) for v in stream]
+    out1 = _step_with_n(fc, stream)
+    out2 = _step_with_n(fc2, stream)
     assert out1 == out2
+    if evolution is not None:
+        assert len({n for _, n in out1}) > 1
 
 
 def test_round_trip_preserves_learning_state(tmp_path):
@@ -114,9 +128,9 @@ def test_round_trip_after_structure_changes(tmp_path):
     assert out1 == out2
 
 
-def _tampered_snapshot(tmp_path, weighted, learner, tamper):
+def _tampered_snapshot(tmp_path, weighted, learner, tamper, **kwargs):
     """Save a trained forecaster, tamper with its payload, re-checksum."""
-    fc = trained_forecaster(weighted=weighted, learner=learner)
+    fc = trained_forecaster(weighted=weighted, learner=learner, **kwargs)
     path = tmp_path / "model.json"
     snapshot_save(fc, path)
     doc = json.loads(path.read_text())
@@ -190,3 +204,92 @@ def test_failed_save_keeps_previous_file(tmp_path):
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
     snapshot_load(path)
+
+
+def test_evolving_round_trip_continues_structure_changes(tmp_path):
+    # the load_weighted config with evolution = auto, saved 60 steps in;
+    # the continuation prunes at step 101, reading the node contributions
+    # of steps 2..101, most of them saved with the snapshot, and later grows
+    from anarx.datasets import synthetic_load_series
+    from anarx.pipeline import load_config
+
+    config = load_config(Path(__file__).resolve().parent.parent / "configs" / "load_weighted.cfg")
+    config.evolution = "auto"
+    values = synthetic_load_series(n=config.train_len + config.test_len, seed=7).values
+    _, fc = build_forecaster(SeriesFrame(values), config)
+    for v in values[:60]:
+        fc.step(float(v))
+    assert 0 < len(fc.err_window) < fc.err_window.maxlen
+    path = tmp_path / "model.json"
+    snapshot_save(fc, path)
+    fc2 = snapshot_load(path)
+    assert fc2.evolution == "auto" and fc2.learned_steps == fc.learned_steps == 60
+
+    out1 = _step_with_n(fc, values[60:2600])
+    out2 = _step_with_n(fc2, values[60:2600])
+    assert out1 == out2
+    ns = [n for _, n in out1]
+    assert any(b > a for a, b in zip(ns, ns[1:])) and any(b < a for a, b in zip(ns, ns[1:]))
+
+
+@pytest.mark.parametrize("evolution", [None, "auto"])
+def test_version_1_loads_with_evolution_off(tmp_path, evolution):
+    fc = trained_forecaster(weighted=True, evolution=evolution, steps=200)
+    path = tmp_path / "model.json"
+    snapshot_save(fc, path)
+    doc = json.loads(path.read_text())
+    del doc["payload"]["evolution"]
+    doc["version"] = 1
+    doc["sha256"] = _checksum(doc["payload"])
+    path.write_text(json.dumps(doc))
+    loaded = snapshot_load(path)
+    assert loaded.evolution is None
+
+    # an evolution-off forecaster predicts on the state it was given,
+    # as the version-1 step did
+    twin = OnlineForecaster(fc.model, fc.combiner, fc.scale)
+    stream = np.random.default_rng(1).uniform(5.0, 11.0, 100)
+    out1 = _step_with_n(loaded, stream)
+    assert out1 == _step_with_n(twin, stream)
+    assert {n for _, n in out1} == {fc.model.n}
+
+
+def _evolving_snapshot(tmp_path, tamper):
+    return _tampered_snapshot(tmp_path, True, "adaptive", tamper,
+                              evolution="auto", steps=200)
+
+
+@pytest.mark.parametrize("tamper", [
+    # a window longer than the policy window
+    lambda e: e["err_window"].extend([0.0] * 100),
+    # squared errors that no stream gives
+    lambda e: e.update(long_run_sq=float("nan")),
+    lambda e: e.update(long_run_sq=float("inf")),
+    lambda e: e.update(long_run_sq=-1.0),
+    # contribution rows of the wrong width
+    lambda e: e["contrib"][0].append(0.0),
+    lambda e: _drop_last(e["contrib"][-1]),
+    # fewer learned steps than window entries, or not a count
+    lambda e: e.update(learned_steps=3),
+    lambda e: e.update(learned_steps=300.0),
+    # invalid policies
+    lambda e: e.update(policy="manual"),
+    lambda e: e.update(policy={"window": 100, "add_threshold": 0.01, "remove_threshold": 0.1}),
+    lambda e: e.update(policy={"window": 0}),
+    lambda e: e.update(policy={"window": 100, "stride": 2}),
+    lambda e: e.pop("policy"),
+])
+def test_malformed_evolution_block_is_corrupt(tmp_path, capsys, tamper):
+    from anarx.cli import main
+
+    path = _evolving_snapshot(tmp_path, lambda p: tamper(p["evolution"]))
+    with pytest.raises(CorruptSnapshot):
+        snapshot_load(path)
+    assert main(["snapshot", "show", "--snapshot", str(path)]) == 10
+    assert "integrity: ok" not in capsys.readouterr().out
+
+
+def test_missing_evolution_block_in_version_2_is_corrupt(tmp_path):
+    path = _evolving_snapshot(tmp_path, lambda p: p.pop("evolution"))
+    with pytest.raises(CorruptSnapshot):
+        snapshot_load(path)
