@@ -68,8 +68,6 @@ def _column_arg(value: str | None):
 
 def _cmd_bench(args) -> int:
     config = load_config(args.config)
-    if args.freeze_test:
-        config.freeze_test = True
     series = load_csv(args.data, _column_arg(args.column))
     report = run_experiment(series, config)
     text = report.to_json()
@@ -147,9 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--column", default=None, help="column name or index (default: first)")
     bench.add_argument("--out-json", default=None, help="write the JSON summary here")
     bench.add_argument("--out-csv", default=None, help="write per-step records here")
-    bench.add_argument(
-        "--freeze-test", action="store_true", help="disable learning on the test segment"
-    )
     bench.set_defaults(func=_cmd_bench)
 
     predict = sub.add_parser("predict", help="stream stdin values, one prediction per line")

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import enum
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,9 +28,6 @@ from .learning import learner_from_state, make_learner
 from .numerics import exact_sum
 from .membership import GaussianGrid, KnotGrid, build_gaussian_grid, build_uniform_grid
 from .nodes import NeoFuzzyNode, WangMendelNode
-
-# Upper bound on retained per-node contribution history for evolution stats.
-_CONTRIB_CAP = 4096
 
 
 class DelayLine:
@@ -166,7 +162,6 @@ class AnarxModel:
         self.p0 = float(p0)
         self.delay_y = DelayLine(len(nodes))
         self.delay_x = DelayLine(len(nodes))
-        self._contrib: deque = deque(maxlen=_CONTRIB_CAP)
         self._ring = np.zeros((len(nodes), first.dim))
         # lag of the newest row whose fuzzification failed, and why; the
         # failure is raised when a forecast first reads that row
@@ -222,7 +217,6 @@ class AnarxModel:
         extra = self.delay_y.capacity - len(self._ring)
         if extra > 0:
             self._ring = np.concatenate([self._ring, np.zeros((extra, node.dim))])
-        self._contrib.clear()
 
     def remove_last_node(self) -> None:
         if self.n <= 1:
@@ -234,22 +228,25 @@ class AnarxModel:
             self.learners.pop()
             self.W = self.W[: self.n]
         self._bind_rows()
-        self._contrib.clear()
 
-    def evolve(self, policy: EvolutionPolicy, window_rmse: float) -> StructureChange:
+    def evolve(self, policy: EvolutionPolicy, window_rmse: float, contributions) -> StructureChange:
         """Apply at most one structural change based on recent error level.
 
-        Growth needs only the error signal; pruning additionally requires
-        the last node's recent mean |contribution| to be the smallest in
-        the pool, measured over the policy window since the last change.
+        ``contributions`` holds one row of node forecasts per learned step
+        since the last structure change, oldest first; the caller keeps it
+        (:class:`~anarx.pipeline.OnlineForecaster` in its contribution
+        window) and clears it on a change. Growth needs only the error
+        signal; pruning additionally requires at least ``policy.window``
+        rows and the last node's mean |contribution| over the last
+        ``policy.window`` of them to be the smallest in the pool.
         """
         if window_rmse > policy.add_threshold and self.n < policy.n_max:
             self.add_node()
             return StructureChange.ADDED
         if window_rmse < policy.remove_threshold and self.n > policy.n_min:
-            if len(self._contrib) >= policy.window:
+            if len(contributions) >= policy.window:
                 recent = np.abs(
-                    np.asarray(list(self._contrib)[-policy.window :], dtype=float)
+                    np.asarray(list(contributions)[-policy.window :], dtype=float)
                 )
                 means = recent.mean(axis=0)
                 if int(np.argmin(means)) == self.n - 1:
@@ -339,7 +336,6 @@ class AnarxModel:
                     skipped.append((i, f"{type(exc).__name__}: {exc}"))
 
         self.observe(y_new, x_new)
-        self._contrib.append(node_preds.copy())
         return StepReport(float(y_new), node_preds, skipped)
 
     # -- bookkeeping -----------------------------------------------------
@@ -377,7 +373,8 @@ class AnarxModel:
         """Rebuild a model from :meth:`state_dict` output.
 
         Raises CorruptSnapshot when the parts do not fit one pool: nodes
-        on different grids, or learner state shaped for another pool.
+        on different grids, learner state shaped for another pool, or node
+        weights that differ from the learner weights that replace them.
         """
         node_kind = state["node_kind"]
         if node_kind not in _NODE_TYPES:
@@ -425,6 +422,12 @@ class AnarxModel:
                 learner_from_state(ls, row) for ls, row in zip(learner_states, model.W)
             ]
         model._bind_rows()
+        for i, (nd, row) in enumerate(zip(specs, model.W)):
+            # comparing lists is the fast path; array_equal lets nan match nan
+            if nd["weights"] != row.tolist() and not np.array_equal(
+                nd["weights"], row, equal_nan=True
+            ):
+                raise CorruptSnapshot(f"node {i} weights differ from its learner weights")
         model.delay_y.restore(state["delay_y"])
         model.delay_x.restore(state["delay_x"])
         if model.mode == "narx" and len(model.delay_x) != len(model.delay_y):

@@ -253,8 +253,10 @@ class OnlineForecaster:
 
     ``evolution`` is None (off), ``"auto"`` (thresholds at 1.5x/0.75x of
     the long-run RMSE) or an :class:`EvolutionPolicy`. The controller
-    sees learned steps only: ``err_window`` holds the squared errors of
-    the last ``window`` of them since the last structure change,
+    sees learned steps only and holds all evolution state: for the last
+    ``window`` of them since the last structure change, ``err_window``
+    holds the squared errors and ``contrib_window`` the node forecasts
+    that :meth:`AnarxModel.evolve` reads to choose a node to prune;
     ``long_run_sq`` sums the squared errors of all ``learned_steps``.
     ``degenerate_steps`` counts skipped combiner updates,
     ``skipped_updates`` skipped node updates by reason.
@@ -272,6 +274,7 @@ class OnlineForecaster:
         self.evolution = evolution
         window = evolution.window if isinstance(evolution, EvolutionPolicy) else AUTO_WINDOW
         self.err_window: deque = deque(maxlen=window)
+        self.contrib_window: deque = deque(maxlen=window)
         self.long_run_sq = 0.0
         self.learned_steps = 0
         self.degenerate_steps = 0
@@ -323,16 +326,18 @@ class OnlineForecaster:
             except DegenerateStep:
                 self.degenerate_steps += 1
         if self.evolution is not None:
-            self._evolve(y - pred)
+            self._evolve(y - pred, forecasts)
         return pred
 
-    def _evolve(self, err: float) -> None:
-        """Record a learned step's error; with a full window, maybe evolve."""
+    def _evolve(self, err: float, forecasts: np.ndarray) -> None:
+        """Record a learned step's error and node forecasts; with a full
+        window, maybe evolve."""
         sq = err * err
         self.long_run_sq += sq
         self.learned_steps += 1
         window = self.err_window
         window.append(sq)
+        self.contrib_window.append(forecasts)
         if len(window) < window.maxlen:
             return
         policy = self.evolution
@@ -347,10 +352,12 @@ class OnlineForecaster:
             )
         # summed oldest first on every step; a running sum would round
         # differently and could move a structure change
-        change = self.model.evolve(policy, math.sqrt(sum(window) / window.maxlen))
+        rmse = math.sqrt(sum(window) / window.maxlen)
+        change = self.model.evolve(policy, rmse, self.contrib_window)
         if change is StructureChange.NONE:
             return
         window.clear()
+        self.contrib_window.clear()
         if self.combiner is not None:
             if change is StructureChange.ADDED:
                 self.combiner.extend(1)

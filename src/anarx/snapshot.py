@@ -7,10 +7,11 @@ saved one bit for bit on any subsequent input sequence, structure
 changes included.
 
 Version 2 adds ``"evolution"``: null when evolution is off, otherwise
-the controller (policy, error window, long-run squared-error sum,
-learned-step count) and the last ``window`` rows of the model's node
-contribution history, which is all :meth:`AnarxModel.evolve` reads.
-Version 1 files load with evolution off.
+the forecaster's evolution controller, which holds all evolution state:
+the policy, the error window, the contribution window (``"contrib"``,
+the node forecasts :meth:`AnarxModel.evolve` reads), the long-run
+squared-error sum and the learned-step count. Version 1 files load with
+evolution off.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import hashlib
 import json
 import math
 import os
-from itertools import islice
 
 import numpy as np
 
@@ -115,14 +115,12 @@ def _evolution_state(forecaster: OnlineForecaster) -> dict | None:
     policy = forecaster.evolution
     if policy is None:
         return None
-    window = forecaster.err_window.maxlen
-    contrib = forecaster.model._contrib
     return {
         "policy": policy if policy == "auto" else vars(policy).copy(),
         "err_window": list(forecaster.err_window),
         "long_run_sq": forecaster.long_run_sq,
         "learned_steps": forecaster.learned_steps,
-        "contrib": [row.tolist() for row in islice(contrib, max(0, len(contrib) - window), None)],
+        "contrib": [row.tolist() for row in forecaster.contrib_window],
     }
 
 
@@ -153,4 +151,4 @@ def _restore_evolution(forecaster: OnlineForecaster, state: dict) -> None:
     forecaster.err_window.extend(window)
     forecaster.long_run_sq = long_run_sq
     forecaster.learned_steps = learned_steps
-    forecaster.model._contrib.extend(rows)
+    forecaster.contrib_window.extend(rows)

@@ -271,13 +271,17 @@ class TestCriterion6EvolutionSafety:
             model = build_anarx(2, 4, 0.0, 1.0, q=2, training=training,
                                 learner="adaptive", alpha=0.9)
             combiner = CombinerState(2)
+            contrib = []
             for k in range(5000):
+                contrib.append(model.node_forecasts())
                 model.train_step(float(rng.uniform(0, 1)))
                 if rng.uniform() < 0.03:
                     forecasts = model.node_forecasts()
                     pred_before = model.forward()
                     comb_before = combiner.combine(forecasts)
-                    change = model.evolve(policy, float(rng.uniform(0, 1)))
+                    change = model.evolve(policy, float(rng.uniform(0, 1)), contrib)
+                    if change is not StructureChange.NONE:
+                        contrib.clear()
                     if change is StructureChange.ADDED:
                         combiner.extend(1)
                         assert model.forward() == pred_before

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -165,6 +167,32 @@ class TestPredictAndSnapshot:
 
     def test_missing_snapshot_exit_code(self, tmp_path):
         assert main(["predict", "--snapshot", str(tmp_path / "none.json")]) == 3
+
+    def test_freeze_test_in_config_gives_bench_and_snapshot_save_one_model(
+            self, tmp_path, data_csv, capsys):
+        cfg = tmp_path / "frozen.cfg"
+        cfg.write_text(CONFIG + "weighted = true\nfreeze_test = true\n")
+        out_csv = tmp_path / "steps.csv"
+        snap = tmp_path / "model.json"
+        assert main(["bench", "--config", str(cfg), "--data", str(data_csv),
+                     "--out-csv", str(out_csv)]) == 0
+        assert main(["snapshot", "save", "--config", str(cfg), "--data", str(data_csv),
+                     "--out", str(snap)]) == 0
+        capsys.readouterr()
+        assert main(["snapshot", "show", "--snapshot", str(snap)]) == 0
+        c_line = next(line for line in capsys.readouterr().out.splitlines()
+                      if line.startswith("c: "))
+        saved_c = json.loads(c_line[len("c: "):])
+        rows = list(csv.DictReader(io.StringIO(out_csv.read_text())))
+        c_cols = [key for key in rows[0] if key.startswith("c_")]
+        last_c = [float(rows[-1][key]) for key in c_cols]
+        assert last_c == saved_c
+        # frozen test segment: the combiner no longer moves after training
+        assert last_c == [float(rows[300][key]) for key in c_cols]
+        # the config key is the one way to freeze the test segment
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--config", str(cfg), "--data", str(data_csv), "--freeze-test"])
+        assert exc.value.code == 2
 
 
 class TestEvolution:

@@ -242,16 +242,20 @@ class TestEvolve:
         return EvolutionPolicy(**base)
 
     def warmed(self, n=2, training="stacked"):
+        """A model after 30 learned steps, and the node forecasts of each
+        step (the contributions evolve reads)."""
         m = small_model(n=n, training=training, learner="rls")
         rng = np.random.default_rng(7)
+        contrib = []
         for y in rng.uniform(0, 1, 30):
+            contrib.append(m.node_forecasts())
             m.train_step(float(y))
-        return m
+        return m, contrib
 
     def test_between_thresholds_no_change(self):
-        m = self.warmed()
+        m, contrib = self.warmed()
         before = [node.weights.copy() for node in m.nodes]
-        change = m.evolve(self.policy(), 0.3)
+        change = m.evolve(self.policy(), 0.3, contrib)
         assert change is StructureChange.NONE
         assert m.n == 2
         for node, w in zip(m.nodes, before):
@@ -259,11 +263,11 @@ class TestEvolve:
 
     def test_add_keeps_prediction(self):
         for training in ("stacked", "independent"):
-            m = self.warmed(training=training)
+            m, contrib = self.warmed(training=training)
             m.observe(0.33)
             pred_before = m.forward()
             old = [node.weights.copy() for node in m.nodes]
-            change = m.evolve(self.policy(), 0.9)
+            change = m.evolve(self.policy(), 0.9, contrib)
             assert change is StructureChange.ADDED
             assert m.n == 3
             assert np.array_equal(m.nodes[2].weights, np.zeros(m.nodes[2].dim))
@@ -272,41 +276,43 @@ class TestEvolve:
                 assert np.array_equal(node.weights, w)
 
     def test_add_respects_n_max(self):
-        m = self.warmed()
-        assert m.evolve(self.policy(n_max=2), 0.9) is StructureChange.NONE
+        m, contrib = self.warmed()
+        assert m.evolve(self.policy(n_max=2), 0.9, contrib) is StructureChange.NONE
 
     def test_remove_changes_output_by_contribution(self):
-        m = self.warmed(n=3)
+        m, _ = self.warmed(n=3)
         # make node 3 clearly the weakest contributor over the window
         m.nodes[2].weights[:] = 0.0
-        m._contrib.clear()
+        contrib = []
         rng = np.random.default_rng(8)
         for y in rng.uniform(0.2, 0.8, 10):
+            contrib.append(m.node_forecasts())
             m.train_step(float(y))
             m.nodes[2].weights[:] = 0.0
         contribution = m.node_forecasts()[2]
         pred_before = m.forward()
-        change = m.evolve(self.policy(window=5), 0.01)
+        change = m.evolve(self.policy(window=5), 0.01, contrib)
         assert change is StructureChange.REMOVED
         assert m.n == 2
         assert abs(m.forward() - (pred_before - contribution)) <= 1e-12
 
     def test_remove_needs_weakest_last_node(self):
-        m = self.warmed(n=2)
+        m, _ = self.warmed(n=2)
         # node 2 dominates, node 1 silent: last node is not the weakest
         m.nodes[0].weights[:] = 0.0
         m.nodes[1].weights[:] = 1.0
-        m._contrib.clear()
+        contrib = []
         rng = np.random.default_rng(9)
         for y in rng.uniform(0.2, 0.8, 10):
+            contrib.append(m.node_forecasts())
             m.train_step(float(y))
             m.nodes[0].weights[:] = 0.0
             m.nodes[1].weights[:] = 1.0
-        assert m.evolve(self.policy(window=5), 0.01) is StructureChange.NONE
+        assert m.evolve(self.policy(window=5), 0.01, contrib) is StructureChange.NONE
 
     def test_remove_respects_n_min(self):
-        m = self.warmed(n=1)
-        assert m.evolve(self.policy(n_min=1, window=1), 0.0) is StructureChange.NONE
+        m, contrib = self.warmed(n=1)
+        assert m.evolve(self.policy(n_min=1, window=1), 0.0, contrib) is StructureChange.NONE
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
@@ -319,10 +325,13 @@ class TestEvolve:
         for training in ("stacked", "independent"):
             m = small_model(n=2, training=training, learner="adaptive", alpha=0.9)
             policy = self.policy(window=3, n_max=5)
+            contrib = []
             for k in range(2000):
+                contrib.append(m.node_forecasts())
                 m.train_step(float(rng.uniform(0, 1)))
                 if rng.uniform() < 0.05:
-                    m.evolve(policy, float(rng.uniform(0, 1)))
+                    if m.evolve(policy, float(rng.uniform(0, 1)), contrib) is not StructureChange.NONE:
+                        contrib.clear()
                 if training == "independent":
                     assert len(m.learners) == m.n
                 else:

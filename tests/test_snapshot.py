@@ -3,8 +3,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from anarx import OnlineForecaster, RunConfig, SeriesFrame, snapshot_load, snapshot_save
+from anarx import (
+    EvolutionPolicy,
+    OnlineForecaster,
+    RunConfig,
+    SeriesFrame,
+    snapshot_load,
+    snapshot_save,
+)
+from anarx.datasets import synthetic_load_series
 from anarx.errors import CorruptSnapshot, VersionMismatch
 from anarx.pipeline import build_forecaster
 from anarx.snapshot import _checksum
@@ -193,6 +203,26 @@ def test_asymmetric_covariance_with_valid_checksum_is_corrupt(tmp_path, weighted
         snapshot_load(path)
 
 
+def _overwrite_node_weights(model):
+    # the node copy of the weights; the learner copy is left as saved
+    weights = model["nodes"][0]["weights"]
+    weights[:] = [999.0] * len(weights)
+
+
+@pytest.mark.parametrize("weighted,learner", [(False, "rls"), (True, "adaptive")],
+                         ids=["stacked-rls", "independent-adaptive"])
+def test_node_weights_differing_from_learner_weights_are_corrupt(
+        tmp_path, capsys, weighted, learner):
+    from anarx.cli import main
+
+    path = _tampered_snapshot(tmp_path, weighted, learner,
+                              lambda p: _overwrite_node_weights(p["model"]))
+    with pytest.raises(CorruptSnapshot, match="node 0 weights"):
+        snapshot_load(path)
+    assert main(["snapshot", "show", "--snapshot", str(path)]) == 10
+    assert "integrity: ok" not in capsys.readouterr().out
+
+
 def test_failed_save_keeps_previous_file(tmp_path):
     fc = trained_forecaster()
     path = tmp_path / "model.json"
@@ -293,3 +323,47 @@ def test_missing_evolution_block_in_version_2_is_corrupt(tmp_path):
     path = _evolving_snapshot(tmp_path, lambda p: p.pop("evolution"))
     with pytest.raises(CorruptSnapshot):
         snapshot_load(path)
+
+
+PROPERTY_SERIES = synthetic_load_series(n=400, seed=7)
+
+# windows of 5-20 learned steps with thresholds that, on this series,
+# both grow and prune the pool within a few hundred steps
+small_policies = st.builds(
+    lambda window, add, remove: EvolutionPolicy(
+        window=window, add_threshold=add, remove_threshold=remove, n_max=5),
+    st.integers(5, 20), st.floats(0.07, 0.1), st.floats(0.03, 0.045),
+)
+
+# learn/frozen blocks, at most 400 steps in all
+learn_patterns = st.lists(
+    st.tuples(st.sampled_from([True, True, False]), st.integers(1, 80)), min_size=1, max_size=10,
+).map(lambda blocks: [learn for learn, size in blocks for _ in range(size)][:400])
+
+
+def _continue(fc, values, pattern):
+    """(prediction, pool size after the step) for every value."""
+    return [(fc.step(float(v), learn=learn), fc.model.n) for v, learn in zip(values, pattern)]
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(weighted=st.booleans(), evolution=st.one_of(st.just("auto"), small_policies),
+       pattern=learn_patterns, data=st.data())
+def test_evolving_round_trip_property(tmp_path, weighted, evolution, pattern, data):
+    save_at = data.draw(st.integers(0, len(pattern)), label="save_at")
+    values = PROPERTY_SERIES.values
+    cfg = RunConfig(n_nodes=2, h=6, train_len=300, test_len=100, learner="adaptive",
+                    alpha=0.9, weighted=weighted, evolution=evolution)
+    _, fc = build_forecaster(PROPERTY_SERIES, cfg)
+    _continue(fc, values[:save_at], pattern[:save_at])
+    path = tmp_path / "model.json"
+    snapshot_save(fc, path)
+    fc2 = snapshot_load(path)
+
+    rest = (values[save_at : len(pattern)], pattern[save_at:])
+    assert _continue(fc, *rest) == _continue(fc2, *rest)
+    if weighted:
+        assert fc.combiner.c.tolist() == fc2.combiner.c.tolist()
+    assert list(fc.err_window) == list(fc2.err_window)
+    assert [row.tolist() for row in fc.contrib_window] == [row.tolist() for row in fc2.contrib_window]
+    assert (fc.long_run_sq, fc.learned_steps) == (fc2.long_run_sq, fc2.learned_steps)
