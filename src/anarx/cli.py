@@ -17,6 +17,8 @@ import logging
 import os
 import sys
 
+import numpy as np
+
 from . import errors
 from .pipeline import load_config, load_csv, run_experiment
 from .snapshot import snapshot_load, snapshot_save
@@ -124,12 +126,34 @@ def _cmd_snapshot_show(args) -> int:
     if forecaster.combiner is not None:
         print(f"c: {forecaster.combiner.c.tolist()}")
     print(f"scale: {forecaster.scale}")
+    health = _learner_health(model)
+    if health:
+        print(f"learner health: {health}")
     if forecaster.evolution is None:
         print("evolution: off")
     else:
         print(f"evolution: {forecaster.evolution}, learned steps: {forecaster.learned_steps}")
     print("integrity: ok")
     return 0
+
+
+def _learner_health(model) -> str:
+    """RLS ``trace(P)`` and largest diagonal entry of ``P`` (wind-up shows
+    as growth), or the adaptive gain ``r``; min/max over the independent
+    learners. Empty for KWH, which keeps no gain state."""
+    learners = [model.stacked_learner] if model.training == "stacked" else model.learners
+    if model.learner_kind == "rls":
+        stats = {
+            "trace(P)": [float(np.trace(ln.P)) for ln in learners],
+            "max diag(P)": [float(ln.P.diagonal().max()) for ln in learners],
+        }
+    elif model.learner_kind == "adaptive":
+        stats = {"r": [ln.r for ln in learners]}
+    else:
+        return ""
+    if len(learners) == 1:
+        return ", ".join(f"{name} {v[0]!r}" for name, v in stats.items())
+    return ", ".join(f"{name} min {min(v)!r} max {max(v)!r}" for name, v in stats.items())
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -50,6 +50,13 @@ class ParseError(AnarxError):
     """CSV content could not be parsed; message carries the offending row."""
 
 
+class ConfigError(ParseError, ValueError):
+    """A run configuration is invalid; the message names the key.
+
+    Also a ValueError, the type invalid settings raised before it existed.
+    """
+
+
 class EmptySeries(AnarxError):
     """Series has fewer than two finite values."""
 

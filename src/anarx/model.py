@@ -1,4 +1,4 @@
-"""Additive per-lag model: delay lines, a node pool, and online training.
+"""Additive per-lag model: a delay line, a node pool, and online training.
 
 The model output is the sum of the node outputs, node ``l`` fed with the
 values observed ``l`` steps ago. Nodes are tuned while the stream runs,
@@ -118,10 +118,10 @@ class StepReport:
 class AnarxModel:
     """Ordered pool of per-lag nodes with online learning.
 
-    All nodes share one grid pair, so every observed value is fuzzified
-    once, in :meth:`observe`, into a ring of regressor rows (row ``l - 1``
-    holds the value seen ``l`` steps ago) kept beside the value delay
-    lines. The pool's weights are one (n x dim) matrix ``W`` whose rows
+    All nodes share one grid, so every observed value is fuzzified once,
+    in :meth:`observe`, into a ring of regressor rows (row ``l - 1`` holds
+    the value seen ``l`` steps ago) kept beside the value delay line.
+    The pool's weights are one (n x dim) matrix ``W`` whose rows
     are the node weight vectors, so evaluating every node is one
     row-wise reduction of ``W`` against the ring.
     """
@@ -130,7 +130,6 @@ class AnarxModel:
         self,
         nodes,
         *,
-        mode: str = "nar",
         training: str = "stacked",
         learner: str = "rls",
         alpha: float = 1.0,
@@ -143,25 +142,18 @@ class AnarxModel:
         if len(kinds) != 1:
             raise ValueError("node pool must be homogeneous")
         first = nodes[0]
-        if not all(
-            _same_grid(node.grid_y, first.grid_y) and _same_grid(node.grid_x, first.grid_x)
-            for node in nodes
-        ):
-            raise ValueError("nodes must share one grid pair")
-        if mode not in ("nar", "narx"):
-            raise ValueError(f"mode must be 'nar' or 'narx', got {mode!r}")
+        if not all(_same_grid(node.grid, first.grid) for node in nodes):
+            raise ValueError("nodes must share one grid")
         if training not in ("stacked", "independent"):
             raise ValueError(
                 f"training must be 'stacked' or 'independent', got {training!r}"
             )
         self.nodes = nodes
-        self.mode = mode
         self.training = training
         self.learner_kind = learner
         self.alpha = float(alpha)
         self.p0 = float(p0)
         self.delay_y = DelayLine(len(nodes))
-        self.delay_x = DelayLine(len(nodes))
         self._ring = np.zeros((len(nodes), first.dim))
         # lag of the newest row whose fuzzification failed, and why; the
         # failure is raised when a forecast first reads that row
@@ -169,13 +161,13 @@ class AnarxModel:
         self._fault = ""
         if training == "stacked":
             self.learners = None
-            self.stacked_learner = make_learner(
-                learner, np.concatenate([node.weights for node in nodes]), alpha=alpha, p0=p0
+            self.stacked_learner = self._make_learner(
+                np.concatenate([node.weights for node in nodes])
             )
         else:
             self.stacked_learner = None
             self.W = np.array([node.weights for node in nodes])
-            self.learners = [make_learner(learner, row, alpha=alpha, p0=p0) for row in self.W]
+            self.learners = [self._make_learner(row) for row in self.W]
         self._bind_rows()
 
     # -- structure ---------------------------------------------------
@@ -184,10 +176,18 @@ class AnarxModel:
     def n(self) -> int:
         return len(self.nodes)
 
+    def _make_learner(self, weights):
+        # A node fits the sum of its ``synapses`` tied weight vectors (see
+        # NeoFuzzyNode). Each has the prior p0 * I, so the sum has
+        # synapses * p0 * I; RLS on the sum then matches RLS on the tied
+        # vectors. Stacked ``extend`` reuses the learner's p0.
+        return make_learner(self.learner_kind, weights, alpha=self.alpha,
+                            p0=self.nodes[0].synapses * self.p0)
+
     def _bind_rows(self) -> None:
         """Point node (and independent learner) weights at the rows of W.
 
-        In stacked mode W is a view of the stacked learner's weight vector.
+        In stacked training W is a view of the stacked learner's weight vector.
         """
         if self.training == "stacked":
             self.W = self.stacked_learner.w.reshape(self.n, -1)
@@ -198,7 +198,7 @@ class AnarxModel:
 
     def _fresh_node(self):
         template = self.nodes[-1]
-        return type(template)(template.grid_y, template.grid_x)
+        return type(template)(template.grid)
 
     def add_node(self) -> None:
         """Append node n+1 with zero weights and fresh learner state."""
@@ -208,12 +208,9 @@ class AnarxModel:
             self.stacked_learner.extend(node.dim)
         else:
             self.W = np.concatenate([self.W, node.weights[None, :]])
-            self.learners.append(
-                make_learner(self.learner_kind, self.W[-1], alpha=self.alpha, p0=self.p0)
-            )
+            self.learners.append(self._make_learner(self.W[-1]))
         self._bind_rows()
         self.delay_y.ensure_capacity(self.n)
-        self.delay_x.ensure_capacity(self.n)
         extra = self.delay_y.capacity - len(self._ring)
         if extra > 0:
             self._ring = np.concatenate([self._ring, np.zeros((extra, node.dim))])
@@ -279,41 +276,33 @@ class AnarxModel:
         """Additive model output at the current position in the stream."""
         return exact_sum(self.node_forecasts().tolist())
 
-    def observe(self, y_new: float, x_new=None) -> None:
-        """Shift the delay lines and the regressor ring; no weight moves."""
-        x = None
-        if self.mode == "narx":
-            if x_new is None:
-                raise ValueError("narx mode needs the exogenous value")
-            self.delay_x.push(x_new)
-            x = float(x_new)
+    def observe(self, y_new: float) -> None:
+        """Shift the delay line and the regressor ring; no weight moves."""
         self.delay_y.push(y_new)
-        self._push_row(float(y_new), x)
+        self._push_row(float(y_new))
 
-    def _push_row(self, y: float, x) -> None:
-        """Fuzzify one observation into ring row 0; ``x=None`` in NAR mode."""
+    def _push_row(self, y: float) -> None:
+        """Fuzzify one observation into ring row 0."""
         ring = self._ring
         ring[1:] = ring[:-1]
         self._fault_lag += 1
         try:
-            self.nodes[0].fuzzify(ring[0], y, x)
+            self.nodes[0].fuzzify(ring[0], y)
         except DegenerateActivation as exc:
             ring[0] = 0.0
             self._fault_lag, self._fault = 1, str(exc)
 
     def _rebuild_ring(self) -> None:
-        """Refill the ring from the delay lines, oldest value first."""
+        """Refill the ring from the delay line, oldest value first."""
         self._ring = np.zeros((self.delay_y.capacity, self.nodes[0].dim))
         self._fault_lag = math.inf
-        ys = self.delay_y.snapshot()
-        xs = self.delay_x.snapshot() if self.mode == "narx" else [None] * len(ys)
-        for y, x in zip(reversed(ys), reversed(xs)):
-            self._push_row(y, x)
+        for y in reversed(self.delay_y.snapshot()):
+            self._push_row(y)
 
     # -- training --------------------------------------------------------
 
-    def train_step(self, y_new: float, x_new=None, forecasts=None) -> StepReport:
-        """One online step: predict y_new, update weights, shift delays.
+    def train_step(self, y_new: float, forecasts=None) -> StepReport:
+        """One online step: predict y_new, update weights, shift the delay line.
 
         A caller that has :meth:`node_forecasts` here passes it as ``forecasts``.
         """
@@ -335,32 +324,26 @@ class AnarxModel:
                 except AnarxError as exc:
                     skipped.append((i, f"{type(exc).__name__}: {exc}"))
 
-        self.observe(y_new, x_new)
+        self.observe(y_new)
         return StepReport(float(y_new), node_preds, skipped)
 
     # -- bookkeeping -----------------------------------------------------
 
     def parameter_count(self) -> int:
-        return int(sum(node.dim for node in self.nodes))
+        """Weights in the paper's convention: ``synapses`` h-wide vectors
+        per node. The fitted weights are ``W.size``."""
+        return self.nodes[0].synapses * self.W.size
 
     def state_dict(self) -> dict:
         state = {
-            "mode": self.mode,
             "training": self.training,
             "learner": self.learner_kind,
             "alpha": self.alpha,
             "p0": self.p0,
             "node_kind": self.nodes[0].kind,
-            "nodes": [
-                {
-                    "grid_y": node.grid_y.to_dict(),
-                    "grid_x": node.grid_x.to_dict(),
-                    "weights": node.weights.tolist(),
-                }
-                for node in self.nodes
-            ],
+            "grid": self.nodes[0].grid.to_dict(),
+            "n_nodes": self.n,
             "delay_y": self.delay_y.snapshot(),
-            "delay_x": self.delay_x.snapshot(),
         }
         if self.training == "stacked":
             state["stacked_state"] = self.stacked_learner.state_dict()
@@ -372,32 +355,22 @@ class AnarxModel:
     def from_state(cls, state: dict) -> "AnarxModel":
         """Rebuild a model from :meth:`state_dict` output.
 
-        Raises CorruptSnapshot when the parts do not fit one pool: nodes
-        on different grids, learner state shaped for another pool, or node
-        weights that differ from the learner weights that replace them.
+        Raises CorruptSnapshot when the learner state is shaped for
+        another pool.
         """
         node_kind = state["node_kind"]
         if node_kind not in _NODE_TYPES:
             raise CorruptSnapshot(f"unknown node kind {node_kind!r}")
         grid_cls, node_cls = _NODE_TYPES[node_kind]
-        specs = state["nodes"]
-        if not specs:
-            raise CorruptSnapshot("snapshot holds no nodes")
-        gy_dict, gx_dict = specs[0]["grid_y"], specs[0]["grid_x"]
-        if any(nd["grid_y"] != gy_dict or nd["grid_x"] != gx_dict for nd in specs):
-            raise CorruptSnapshot("nodes do not share one grid pair")
-        gy = grid_cls.from_dict(gy_dict)
-        gx = gy if gx_dict == gy_dict else grid_cls.from_dict(gx_dict)
-        nodes = [node_cls(gy, gx, nd["weights"]) for nd in specs]
+        grid = grid_cls.from_dict(state["grid"])
         model = cls(
-            nodes,
-            mode=state["mode"],
+            [node_cls(grid) for _ in range(state["n_nodes"])],
             training=state["training"],
             learner=state["learner"],
             alpha=state["alpha"],
             p0=state["p0"],
         )
-        dim = nodes[0].dim
+        dim = grid.h
         if model.training == "stacked":
             restored = learner_from_state(state["stacked_state"])
             if restored.dim != model.n * dim:
@@ -422,16 +395,7 @@ class AnarxModel:
                 learner_from_state(ls, row) for ls, row in zip(learner_states, model.W)
             ]
         model._bind_rows()
-        for i, (nd, row) in enumerate(zip(specs, model.W)):
-            # comparing lists is the fast path; array_equal lets nan match nan
-            if nd["weights"] != row.tolist() and not np.array_equal(
-                nd["weights"], row, equal_nan=True
-            ):
-                raise CorruptSnapshot(f"node {i} weights differ from its learner weights")
         model.delay_y.restore(state["delay_y"])
-        model.delay_x.restore(state["delay_x"])
-        if model.mode == "narx" and len(model.delay_x) != len(model.delay_y):
-            raise CorruptSnapshot("narx delay lines differ in length")
         model._rebuild_ring()
         return model
 
@@ -454,7 +418,6 @@ def build_anarx(
     *,
     q: int = 2,
     node_kind: str = "neo_fuzzy",
-    mode: str = "nar",
     training: str = "stacked",
     learner: str = "rls",
     alpha: float = 1.0,
@@ -465,12 +428,10 @@ def build_anarx(
         raise ValueError(f"n_nodes must be positive, got {n_nodes}")
     if node_kind == "neo_fuzzy":
         grid = build_uniform_grid(lo, hi, h, q)
-        nodes = [NeoFuzzyNode(grid, grid) for _ in range(n_nodes)]
+        nodes = [NeoFuzzyNode(grid) for _ in range(n_nodes)]
     elif node_kind == "wang_mendel":
         grid = build_gaussian_grid(lo, hi, h)
-        nodes = [WangMendelNode(grid, grid) for _ in range(n_nodes)]
+        nodes = [WangMendelNode(grid) for _ in range(n_nodes)]
     else:
         raise ValueError(f"unknown node kind {node_kind!r}")
-    return AnarxModel(
-        nodes, mode=mode, training=training, learner=learner, alpha=alpha, p0=p0
-    )
+    return AnarxModel(nodes, training=training, learner=learner, alpha=alpha, p0=p0)

@@ -1,11 +1,15 @@
 """Per-lag fuzzy nodes, each reduced to a linear-in-weights regressor.
 
-Both node kinds expose the same two calls: ``regressor(y_lag, x_lag)``
-builds the fuzzified feature vector and ``forward(y_lag, x_lag)`` returns
-the dot product with the node's weights. ``fuzzify`` writes the same
-vector into a caller's buffer; the model uses it to fill its regressor
-ring once per observed value. Evaluation is pure given the weights;
-updating the weights of one node never touches another.
+Both node kinds expose the same two calls on the lagged value ``u``:
+``regressor(u)`` builds the fuzzified feature vector and ``forward(u)``
+returns the dot product with the node's weights. ``fuzzify`` writes the
+same vector into a caller's buffer; the model uses it to fill its
+regressor ring once per observed value. Evaluation is pure given the
+weights; updating the weights of one node never touches another.
+
+``synapses`` is the number of h-wide weight vectors the paper counts per
+node (``AnarxModel.parameter_count``); see :class:`NeoFuzzyNode` for why
+a node fits fewer.
 """
 
 from __future__ import annotations
@@ -17,55 +21,47 @@ from .membership import GaussianGrid, KnotGrid, eval_bspline, eval_gaussian
 from .numerics import vdot
 
 
-class NeoFuzzyNode:
-    """Two nonlinear synapses on B-spline grids, summed.
+def _weights(weights, dim: int) -> np.ndarray:
+    if weights is None:
+        return np.zeros(dim)
+    weights = np.ascontiguousarray(weights, dtype=float)
+    if weights.shape != (dim,):
+        raise DimensionMismatch(f"weights must have length {dim}, got {weights.shape}")
+    return weights
 
-    The regressor is the concatenation of the two degree vectors and the
-    weights follow the same ordering (all y-synapse weights first). The
-    output is piecewise polynomial in each input and exactly linear in the
-    weights.
+
+class NeoFuzzyNode:
+    """One nonlinear synapse on a B-spline grid.
+
+    The output is piecewise polynomial in the input and exactly linear in
+    the weights. The paper's node has a synapse per input, y and x; with
+    the lagged value fed to both, only the sum of their weight vectors
+    can be identified, so the node fits that sum as its one synapse (a
+    neo-fuzzy neuron has one synapse per input, and each lag is one).
     """
 
     kind = "neo_fuzzy"
+    synapses = 2
 
-    def __init__(self, grid_y: KnotGrid, grid_x: KnotGrid, weights=None) -> None:
-        self.grid_y = grid_y
-        self.grid_x = grid_x
-        dim = grid_y.h + grid_x.h
-        if weights is None:
-            weights = np.zeros(dim)
-        else:
-            weights = np.ascontiguousarray(weights, dtype=float)
-        if weights.shape != (dim,):
-            raise DimensionMismatch(
-                f"weights must have length {dim}, got {weights.shape}"
-            )
-        self.weights = weights
+    def __init__(self, grid: KnotGrid, weights=None) -> None:
+        self.grid = grid
+        self.weights = _weights(weights, grid.h)
 
     @property
     def dim(self) -> int:
-        return self.grid_y.h + self.grid_x.h
+        return self.grid.h
 
-    def fuzzify(self, out: np.ndarray, y_lag: float, x_lag: float | None = None) -> None:
-        """Write the regressor into ``out``.
+    def fuzzify(self, out: np.ndarray, u: float) -> None:
+        """Write the membership degrees of ``u`` into ``out``."""
+        out[:] = eval_bspline(self.grid, u)
 
-        ``x_lag=None`` feeds ``y_lag`` to both synapses (NAR); on a shared
-        grid its degrees are then evaluated once and copied.
-        """
-        hy = self.grid_y.h
-        out[:hy] = eval_bspline(self.grid_y, y_lag)
-        if x_lag is None and self.grid_x is self.grid_y:
-            out[hy:] = out[:hy]
-        else:
-            out[hy:] = eval_bspline(self.grid_x, y_lag if x_lag is None else x_lag)
-
-    def regressor(self, y_lag: float, x_lag: float) -> np.ndarray:
+    def regressor(self, u: float) -> np.ndarray:
         out = np.empty(self.dim)
-        self.fuzzify(out, y_lag, x_lag)
+        self.fuzzify(out, u)
         return out
 
-    def forward(self, y_lag: float, x_lag: float) -> float:
-        return vdot(self.weights, self.regressor(y_lag, x_lag))
+    def forward(self, u: float) -> float:
+        return vdot(self.weights, self.regressor(u))
 
 
 class WangMendelNode:
@@ -73,54 +69,34 @@ class WangMendelNode:
 
     Rule i pairs the i-th membership function of each input; its firing
     strength is the product of the two degrees, normalized over all rules.
-    The output is therefore a convex combination of the rule weights.
+    Both inputs are the lagged value, so a rule fires with its squared
+    degree. The output is a convex combination of the rule weights.
     """
 
     kind = "wang_mendel"
+    synapses = 1
 
-    def __init__(self, grid_y: GaussianGrid, grid_x: GaussianGrid, weights=None) -> None:
-        if grid_y.h != grid_x.h:
-            raise DimensionMismatch(
-                f"rule pairing needs equal grid sizes, got {grid_y.h} and {grid_x.h}"
-            )
-        self.grid_y = grid_y
-        self.grid_x = grid_x
-        if weights is None:
-            weights = np.zeros(grid_y.h)
-        else:
-            weights = np.ascontiguousarray(weights, dtype=float)
-        if weights.shape != (grid_y.h,):
-            raise DimensionMismatch(
-                f"weights must have length {grid_y.h}, got {weights.shape}"
-            )
-        self.weights = weights
+    def __init__(self, grid: GaussianGrid, weights=None) -> None:
+        self.grid = grid
+        self.weights = _weights(weights, grid.h)
 
     @property
     def dim(self) -> int:
-        return self.grid_y.h
+        return self.grid.h
 
-    def fuzzify(self, out: np.ndarray, y_lag: float, x_lag: float | None = None) -> None:
-        """Write the normalized firing strengths into ``out``.
-
-        ``x_lag=None`` feeds ``y_lag`` to both inputs (NAR); on a shared
-        grid its degrees are then evaluated once and squared.
-        """
-        shared = x_lag is None and self.grid_x is self.grid_y
-        if x_lag is None:
-            x_lag = y_lag
-        dy = eval_gaussian(self.grid_y, y_lag)
-        z = dy * (dy if shared else eval_gaussian(self.grid_x, x_lag))
+    def fuzzify(self, out: np.ndarray, u: float) -> None:
+        """Write the normalized firing strengths at ``u`` into ``out``."""
+        d = eval_gaussian(self.grid, u)
+        z = d * d
         total = float(z.sum())
         if total <= 0.0:
-            raise DegenerateActivation(
-                f"all rule activations underflowed at ({y_lag}, {x_lag})"
-            )
+            raise DegenerateActivation(f"all rule activations underflowed at {u}")
         np.divide(z, total, out=out)
 
-    def regressor(self, y_lag: float, x_lag: float) -> np.ndarray:
+    def regressor(self, u: float) -> np.ndarray:
         out = np.empty(self.dim)
-        self.fuzzify(out, y_lag, x_lag)
+        self.fuzzify(out, u)
         return out
 
-    def forward(self, y_lag: float, x_lag: float) -> float:
-        return vdot(self.weights, self.regressor(y_lag, x_lag))
+    def forward(self, u: float) -> float:
+        return vdot(self.weights, self.regressor(u))

@@ -18,12 +18,14 @@ import os
 import time
 from collections import Counter, deque
 from dataclasses import dataclass, field, fields
+from typing import NoReturn
 
 import numpy as np
 
 from .combiner import CombinerState
 from .errors import (
     AnarxError,
+    ConfigError,
     DegenerateRange,
     DegenerateStep,
     EmptySeries,
@@ -134,6 +136,18 @@ def denormalize(values, lo: float, hi: float):
     return np.asarray(values, dtype=float) * (hi - lo) + lo
 
 
+_CHOICES = {
+    "node_kind": ("neo_fuzzy", "wang_mendel"),
+    "learner": ("rls", "kwh", "adaptive"),
+    "training": ("stacked", "independent"),
+    "normalization": ("minmax", "none"),
+}
+
+
+def _invalid(key: str, message: str) -> NoReturn:
+    raise ConfigError(f"config key {key!r}: {message}")
+
+
 @dataclass
 class RunConfig:
     """Everything needed to rerun one benchmark deterministically."""
@@ -157,26 +171,25 @@ class RunConfig:
     eta_lambda: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.node_kind not in ("neo_fuzzy", "wang_mendel"):
-            raise ValueError(f"unknown node_kind {self.node_kind!r}")
-        if self.learner not in ("rls", "kwh", "adaptive"):
-            raise ValueError(f"unknown learner {self.learner!r}")
-        if self.normalization not in ("minmax", "none"):
-            raise ValueError(f"unknown normalization {self.normalization!r}")
         if self.training is None:
             self.training = "independent" if self.weighted else "stacked"
-        if self.training not in ("stacked", "independent"):
-            raise ValueError(f"unknown training {self.training!r}")
+        for key, allowed in _CHOICES.items():
+            if getattr(self, key) not in allowed:
+                _invalid(key, f"expected one of {allowed}, got {getattr(self, key)!r}")
         if isinstance(self.evolution, str) and self.evolution != "auto":
-            raise ValueError(f"evolution must be None, 'auto', or a policy, got {self.evolution!r}")
-        if self.n_nodes < 1 or self.h < 1 or self.q < 1:
-            raise ValueError("n_nodes, h, q must be positive")
-        if self.train_len < 1 or self.test_len < 0:
-            raise ValueError("train_len must be positive and test_len nonnegative")
+            _invalid("evolution", f"expected off, 'auto' or a policy, got {self.evolution!r}")
+        for key in ("n_nodes", "h", "q", "train_len"):
+            if getattr(self, key) < 1:
+                _invalid(key, f"must be positive, got {getattr(self, key)}")
+        if self.test_len < 0:
+            _invalid("test_len", f"must be nonnegative, got {self.test_len}")
+        # q is the B-spline order, which only neo-fuzzy grids use
+        if self.node_kind == "neo_fuzzy" and self.q > self.h:
+            _invalid("q", f"spline order {self.q} exceeds h = {self.h}")
         if self.learner == "rls" and not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"rls needs alpha in (0, 1], got {self.alpha}")
+            _invalid("alpha", f"rls needs alpha in (0, 1], got {self.alpha}")
         if self.learner == "adaptive" and not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"adaptive needs alpha in [0, 1], got {self.alpha}")
+            _invalid("alpha", f"adaptive needs alpha in [0, 1], got {self.alpha}")
 
     def to_dict(self) -> dict:
         d = {}
@@ -378,9 +391,9 @@ def _fit_grid_range(segment: np.ndarray) -> tuple:
 def build_forecaster(series: SeriesFrame, config: RunConfig) -> tuple:
     """Prepare the model-units series and a fresh forecaster for it."""
     if config.train_len + config.test_len > len(series):
-        raise ValueError(
-            f"train_len + test_len = {config.train_len + config.test_len} exceeds "
-            f"series length {len(series)}"
+        raise ConfigError(
+            f"config keys 'train_len', 'test_len': train_len + test_len = "
+            f"{config.train_len + config.test_len} exceeds series length {len(series)}"
         )
     scale = None
     if config.normalization == "minmax":
@@ -397,7 +410,6 @@ def build_forecaster(series: SeriesFrame, config: RunConfig) -> tuple:
         grid_hi,
         q=config.q,
         node_kind=config.node_kind,
-        mode="nar",
         training=config.training,
         learner=config.learner,
         alpha=config.alpha,
@@ -445,7 +457,8 @@ def run_experiment(series: SeriesFrame, config: RunConfig) -> ForecastReport:
         rmse_test = 0.0
     wall = time.perf_counter() - t0
 
-    parameter_count = model.parameter_count() + (model.n if combiner is not None else 0)
+    combiner_weights = model.n if combiner is not None else 0
+    parameter_count = model.parameter_count() + combiner_weights
     skipped = dict(forecaster.skipped_updates)
     extras = {
         "series_name": series.name,
@@ -454,7 +467,11 @@ def run_experiment(series: SeriesFrame, config: RunConfig) -> ForecastReport:
         "structure_events": structure_events,
         "final_n": model.n,
         "normalization_lo_hi": list(forecaster.scale) if forecaster.scale else None,
-        "note_parameter_count": "membership weights plus combiner weights when weighted",
+        "free_parameters": model.W.size + combiner_weights,
+        "note_parameter_count": (
+            "membership weights in the paper's convention (2h per neo-fuzzy node) plus "
+            "combiner weights when weighted; free_parameters counts the weights fitted"
+        ),
     }
     log.info(
         "%s: rmse_train=%.6f rmse_test=%.6f params=%d skipped_node_updates=%d wall=%.3fs",
@@ -516,10 +533,9 @@ def parse_config_text(text: str) -> RunConfig:
         elif key.startswith("evolution_"):
             sub = key[len("evolution_") :]
             if sub not in _EVOLUTION_KEYS:
-                raise ParseError(f"unknown evolution key {key!r}")
-            evolution_kwargs[sub] = (
-                int(value) if sub in ("window", "n_min", "n_max") else float(value)
-            )
+                raise ConfigError(f"unknown evolution key {key!r}")
+            cast = int if sub in ("window", "n_min", "n_max") else float
+            evolution_kwargs[sub] = _parse_num(cast, value, key)
         elif key in ints:
             kwargs[key] = _parse_num(int, value, key)
         elif key in floats:
@@ -529,23 +545,29 @@ def parse_config_text(text: str) -> RunConfig:
         elif key in ("node_kind", "learner", "training", "normalization"):
             kwargs[key] = value
         else:
-            raise ParseError(f"unknown config key {key!r}")
+            raise ConfigError(f"unknown config key {key!r}")
     if evolution_on:
         # explicit thresholds make a fixed policy; otherwise they track
         # the long-run RMSE during the run
-        kwargs["evolution"] = (
-            EvolutionPolicy(**evolution_kwargs) if evolution_kwargs else "auto"
-        )
+        kwargs["evolution"] = _policy(evolution_kwargs) if evolution_kwargs else "auto"
     try:
         return RunConfig(**kwargs)
     except TypeError as exc:
-        raise ParseError(f"incomplete config: {exc}") from None
+        raise ConfigError(f"incomplete config: {exc}") from None
+
+
+def _policy(kwargs: dict) -> EvolutionPolicy:
+    try:
+        return EvolutionPolicy(**kwargs)
+    except ValueError as exc:
+        keys = ", ".join(f"evolution_{k}" for k in kwargs)
+        raise ConfigError(f"config keys {keys}: {exc}") from None
 
 
 def _parse_bool(value: str, key: str) -> bool:
     v = value.lower()
     if v not in _BOOL:
-        raise ParseError(f"config key {key!r}: expected boolean, got {value!r}")
+        raise ConfigError(f"config key {key!r}: expected boolean, got {value!r}")
     return _BOOL[v]
 
 
@@ -553,7 +575,7 @@ def _parse_num(cast, value: str, key: str):
     try:
         return cast(value)
     except ValueError:
-        raise ParseError(f"config key {key!r}: bad number {value!r}") from None
+        raise ConfigError(f"config key {key!r}: bad number {value!r}") from None
 
 
 def load_config(path) -> RunConfig:

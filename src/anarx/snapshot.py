@@ -6,12 +6,17 @@ checked before anything is rebuilt. A loaded forecaster reproduces the
 saved one bit for bit on any subsequent input sequence, structure
 changes included.
 
-Version 2 adds ``"evolution"``: null when evolution is off, otherwise
-the forecaster's evolution controller, which holds all evolution state:
-the policy, the error window, the contribution window (``"contrib"``,
-the node forecasts :meth:`AnarxModel.evolve` reads), the long-run
-squared-error sum and the learned-step count. Version 1 files load with
-evolution off.
+Every number is stored once. The model holds one grid for the pool,
+the node count, the delay line and the learner state, whose weights are
+the node weights. ``"evolution"`` is null when evolution is off,
+otherwise the forecaster's evolution controller, which holds all
+evolution state: the policy, the error window, the contribution window
+(``"contrib"``, the node forecasts :meth:`AnarxModel.evolve` reads), the
+long-run squared-error sum and the learned-step count.
+
+Version 3 fits one h-wide synapse per neo-fuzzy node. Versions 1 and 2
+stored two tied synapses per node, and their covariance does not
+collapse exactly in floating point, so they raise VersionMismatch.
 """
 
 from __future__ import annotations
@@ -29,8 +34,8 @@ from .model import AnarxModel, EvolutionPolicy
 from .pipeline import OnlineForecaster
 
 FORMAT = "anarx-snapshot"
-VERSION = 2
-READABLE = (1, 2)
+VERSION = 3
+READABLE = (3,)
 
 
 def _checksum(payload: dict) -> str:
@@ -75,6 +80,11 @@ def snapshot_load(path) -> OnlineForecaster:
     if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise VersionMismatch(f"{path}: not a {FORMAT} file")
     version = doc.get("version")
+    if version in (1, 2):
+        raise VersionMismatch(
+            f"{path}: snapshot version {version} uses the two-synapse node layout "
+            f"and cannot be loaded; re-run `anarx snapshot save` to write version {VERSION}"
+        )
     if version not in READABLE:
         raise VersionMismatch(
             f"{path}: snapshot version {version!r}, expected one of {READABLE}"
@@ -97,7 +107,7 @@ def snapshot_load(path) -> OnlineForecaster:
         if scale is not None and len(scale) != 2:
             raise CorruptSnapshot(f"scale must be (lo, hi), got {scale}")
         meta = payload.get("meta") or {}
-        evolution = payload["evolution"] if version >= 2 else None
+        evolution = payload["evolution"]
         forecaster = OnlineForecaster(
             model, combiner, scale, meta,
             evolution=None if evolution is None else _policy(evolution["policy"]),

@@ -62,19 +62,16 @@ def ols_fit(X, y, ridge=0.0):
     return np.linalg.solve(G, X.T @ y)
 
 
+# one h = 4 synapse per lag node
 PLANTED_W = {
-    "y1": np.array([0.01, 0.985, 0.4975, 0.01]),
-    "x1": np.zeros(4),
-    "y2": np.array([0.001, 0.004, 0.002, 0.003]),
-    "x2": np.array([0.0, 0.002, -0.001, 0.001]),
+    1: np.array([0.01, 0.985, 0.4975, 0.01]),
+    2: np.array([0.001, 0.006, 0.001, 0.004]),
 }
 
 
 def planted_nodes():
     grid = build_uniform_grid(0.0, 1.0, 4, 2)
-    n1 = NeoFuzzyNode(grid, grid, np.concatenate([PLANTED_W["y1"], PLANTED_W["x1"]]))
-    n2 = NeoFuzzyNode(grid, grid, np.concatenate([PLANTED_W["y2"], PLANTED_W["x2"]]))
-    return n1, n2
+    return NeoFuzzyNode(grid, PLANTED_W[1]), NeoFuzzyNode(grid, PLANTED_W[2])
 
 
 def planted_nar_series(length):
@@ -87,7 +84,7 @@ def planted_nar_series(length):
     n1, n2 = planted_nodes()
     values = [0.0, 1.0]
     for _ in range(length - 2):
-        y = n1.forward(values[-1], values[-1]) + n2.forward(values[-2], values[-2])
+        y = n1.forward(values[-1]) + n2.forward(values[-2])
         values.append(y)
     arr = np.asarray(values)
     assert arr[2:].min() > 0.0 and arr[2:].max() < 1.0

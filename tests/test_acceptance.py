@@ -153,32 +153,6 @@ class TestCriterion4Oracles:
             f"test rmse {report.rmse_test:.2e} <= 1e-6",
         )
 
-    def test_planted_model_narx_variant(self):
-        # same oracle through the exogenous-input wiring; uniform random x
-        # keeps every synapse block persistently excited
-        rng = np.random.default_rng(5)
-        grid = build_uniform_grid(0.0, 1.0, 4, 2)
-        from anarx import NeoFuzzyNode
-
-        n1 = NeoFuzzyNode(grid, grid, rng.uniform(-0.15, 0.35, 8))
-        n2 = NeoFuzzyNode(grid, grid, rng.uniform(-0.15, 0.25, 8))
-        ys = [0.4, 0.55]
-        xs = [float(v) for v in rng.uniform(0, 1, 2)]
-        Y, X = [], []
-        for _ in range(3000):
-            x_new = float(rng.uniform(0, 1))
-            y_new = n1.forward(ys[-1], xs[-1]) + n2.forward(ys[-2], xs[-2]) + 0.25
-            assert 0.0 <= y_new <= 1.0
-            Y.append(y_new)
-            X.append(x_new)
-            ys.append(y_new)
-            xs.append(x_new)
-        model = build_anarx(2, 4, 0.0, 1.0, q=2, mode="narx", training="stacked",
-                            learner="rls", alpha=1.0)
-        errors = [model.train_step(y, x).error for y, x in zip(Y, X)]
-        rmse = float(np.sqrt(np.mean(np.square(errors[-500:]))))
-        assert rmse <= 1e-6
-
 
 class TestCriterion5Identities:
     def test_unity_partition(self):

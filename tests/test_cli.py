@@ -7,6 +7,7 @@ import pytest
 
 from anarx.cli import main
 from anarx.datasets import synthetic_load_series
+from anarx.snapshot import snapshot_load
 
 
 CONFIG = """
@@ -66,6 +67,27 @@ class TestBench:
         bad.write_text("nonsense = 1\n")
         code = main(["bench", "--config", str(bad), "--data", str(data_csv)])
         assert code == 4
+
+    @pytest.mark.parametrize("lines,named", [
+        ("learner = bogus", "'learner'"),
+        ("training = bogus", "'training'"),
+        ("normalization = zscore", "'normalization'"),
+        ("alpha = 2", "'alpha'"),
+        ("n_nodes = 0", "'n_nodes'"),
+        ("q = 12", "'q'"),
+        ("h = 1", "exceeds h = 1"),
+        ("evolution_window = x", "'evolution_window'"),
+        ("evolution = true\nevolution_window = 0", "evolution_window"),
+        # 400 + 100 values asked of a 450-value series
+        ("train_len = 400", "'train_len', 'test_len'"),
+    ])
+    def test_invalid_setting_exits_4_naming_the_key(self, tmp_path, data_csv, capsys,
+                                                     lines, named):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(CONFIG + lines + "\n")
+        assert main(["bench", "--config", str(bad), "--data", str(data_csv)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: config key") and named in err
 
     def test_unknown_flag_is_usage_error(self, data_csv, config_file):
         with pytest.raises(SystemExit) as exc:
@@ -234,3 +256,43 @@ class TestEvolution:
                     if line.startswith("evolution: "))
         assert line.startswith("evolution: EvolutionPolicy(window=30,")
         assert line.endswith("learned steps: 400")
+
+
+class TestLearnerHealth:
+    def show(self, tmp_path, data_csv, capsys, extra):
+        cfg = tmp_path / "health.cfg"
+        cfg.write_text(CONFIG + extra)
+        snap = tmp_path / "model.json"
+        assert main(["snapshot", "save", "--config", str(cfg), "--data", str(data_csv),
+                     "--out", str(snap)]) == 0
+        capsys.readouterr()
+        assert main(["snapshot", "show", "--snapshot", str(snap)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        health = [line for line in lines if line.startswith("learner health: ")]
+        return snapshot_load(snap).model, health
+
+    def test_stacked_rls_prints_trace_and_largest_diagonal(self, tmp_path, data_csv, capsys):
+        model, health = self.show(tmp_path, data_csv, capsys, "learner = rls\nalpha = 1.0\n")
+        P = model.stacked_learner.P
+        assert health == [f"learner health: trace(P) {float(np.trace(P))!r}, "
+                          f"max diag(P) {float(P.diagonal().max())!r}"]
+
+    def test_independent_rls_prints_min_and_max_over_nodes(self, tmp_path, data_csv, capsys):
+        model, health = self.show(tmp_path, data_csv, capsys,
+                                  "learner = rls\nalpha = 1.0\nweighted = true\n")
+        traces = [float(np.trace(ln.P)) for ln in model.learners]
+        diags = [float(ln.P.diagonal().max()) for ln in model.learners]
+        assert traces[0] != traces[1]
+        assert health == [f"learner health: trace(P) min {min(traces)!r} max {max(traces)!r}, "
+                          f"max diag(P) min {min(diags)!r} max {max(diags)!r}"]
+
+    def test_adaptive_prints_gain(self, tmp_path, data_csv, capsys):
+        model, health = self.show(tmp_path, data_csv, capsys, "weighted = true\n")
+        r = [ln.r for ln in model.learners]
+        assert health == [f"learner health: r min {min(r)!r} max {max(r)!r}"]
+        model, health = self.show(tmp_path, data_csv, capsys, "")
+        assert health == [f"learner health: r {model.stacked_learner.r!r}"]
+
+    def test_kwh_prints_no_health_line(self, tmp_path, data_csv, capsys):
+        _, health = self.show(tmp_path, data_csv, capsys, "learner = kwh\nalpha = 1.0\n")
+        assert health == []

@@ -1,15 +1,19 @@
 """Golden prediction streams: the per-step y_hat of two configs must
-reproduce the benchmark's stored references bit for bit.
+reproduce stored references bit for bit.
 
 The references in ``perfbench/reference/`` are the first round of the
 ``load_weighted`` and ``rls_wide`` workloads at their default seed 7:
 ``run_experiment`` over ``synthetic_load_series(n=train_len + test_len,
-seed=7)``. They are read here, never written.
+seed=7)``. They are read here, never written. ``load_weighted`` must
+match its reference exactly. ``rls_wide`` must match its own reference in
+``tests/reference/`` exactly, and the benchmark's within the benchmark's
+own tolerance, so a drift the benchmark would reject fails here first.
 
 The evolving references in ``tests/reference/`` pin structural evolution
 the same way: ``y_hat``, ``error``, ``n_active`` and the structure events
-of the shipped load configs run with evolution on. Re-record them after a
-deliberate change with ``python tests/test_golden.py --record``.
+of the shipped load configs run with evolution on. Re-record every file
+in ``tests/reference/`` after a deliberate change with
+``python tests/test_golden.py --record``.
 """
 
 import dataclasses
@@ -24,22 +28,37 @@ from anarx.model import EvolutionPolicy
 from anarx.pipeline import build_forecaster, denormalize, load_config, run_experiment
 
 ROOT = Path(__file__).resolve().parent.parent
-REFERENCE_DIR = ROOT / "perfbench" / "reference"
-EVOLVING_DIR = Path(__file__).resolve().parent / "reference"
+BENCH_REFERENCE_DIR = ROOT / "perfbench" / "reference"
+REFERENCE_DIR = Path(__file__).resolve().parent / "reference"
+BENCH_TOL = 1e-9  # REF_TOL in perfbench/run.py
+
+RLS_WIDE = ROOT / "perfbench" / "configs" / "rls_wide.cfg"
+
+
+def y_hat_stream(config_path):
+    config = load_config(config_path)
+    report = run_experiment(golden_series(config), config)
+    return np.array([s.y_hat for s in report.steps])
 
 
 @pytest.mark.parametrize("name,config_path", [
     ("load_weighted", ROOT / "configs" / "load_weighted.cfg"),
-    ("rls_wide", ROOT / "perfbench" / "configs" / "rls_wide.cfg"),
+    ("rls_wide", RLS_WIDE),
 ])
 def test_y_hat_stream_matches_reference(name, config_path):
-    config = load_config(config_path)
-    series = synthetic_load_series(n=config.train_len + config.test_len, seed=7)
-    report = run_experiment(series, config)
-    with np.load(REFERENCE_DIR / f"{name}.npz") as ref:
-        expected = ref["y_hat"]
-    y_hat = np.array([s.y_hat for s in report.steps])
-    assert np.array_equal(y_hat, expected), float(np.max(np.abs(y_hat - expected)))
+    y_hat = y_hat_stream(config_path)
+    with np.load(BENCH_REFERENCE_DIR / f"{name}.npz") as ref:
+        bench = ref["y_hat"]
+    if name == "rls_wide":
+        # the benchmark's reference predates the one-synapse change, which
+        # moved this stream by 1.1e-11
+        with np.load(REFERENCE_DIR / f"{name}.npz") as ref:
+            own = ref["y_hat"]
+        assert np.array_equal(y_hat, own), float(np.max(np.abs(y_hat - own)))
+        assert bench.shape == y_hat.shape
+        assert float(np.max(np.abs(y_hat - bench))) <= BENCH_TOL
+    else:
+        assert np.array_equal(y_hat, bench), float(np.max(np.abs(y_hat - bench)))
 
 
 POLICY = EvolutionPolicy(window=50, add_threshold=0.06, remove_threshold=0.03, n_max=4)
@@ -80,7 +99,7 @@ def evolving_streams(name) -> dict:
 @pytest.mark.parametrize("name", sorted(EVOLVING))
 def test_evolving_streams_match_reference(name):
     got = evolving_streams(name)
-    with np.load(EVOLVING_DIR / f"{name}.npz") as ref:
+    with np.load(REFERENCE_DIR / f"{name}.npz") as ref:
         expected = {key: ref[key] for key in ref.files}
     assert set(expected) == set(got)
     kinds = set(expected["event_kind"].tolist())
@@ -94,7 +113,7 @@ STEP_PATH_CONFIGS = {
     "load_plain": ROOT / "configs" / "load_plain.cfg",
     "sunspot_weighted": ROOT / "configs" / "sunspot_weighted.cfg",
     "sunspot_plain": ROOT / "configs" / "sunspot_plain.cfg",
-    "rls_wide": ROOT / "perfbench" / "configs" / "rls_wide.cfg",
+    "rls_wide": RLS_WIDE,
 }
 
 
@@ -122,10 +141,12 @@ def test_step_path_matches_run_experiment(name):
 
 
 def _record() -> None:
-    EVOLVING_DIR.mkdir(exist_ok=True)
-    for name in sorted(EVOLVING):
-        np.savez_compressed(EVOLVING_DIR / f"{name}.npz", **evolving_streams(name))
-        print(f"wrote {EVOLVING_DIR / name}.npz")
+    REFERENCE_DIR.mkdir(exist_ok=True)
+    streams = {name: evolving_streams(name) for name in sorted(EVOLVING)}
+    streams["rls_wide"] = {"y_hat": y_hat_stream(RLS_WIDE)}
+    for name, arrays in streams.items():
+        np.savez_compressed(REFERENCE_DIR / f"{name}.npz", **arrays)
+        print(f"wrote {REFERENCE_DIR / name}.npz")
 
 
 if __name__ == "__main__":

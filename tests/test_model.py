@@ -47,24 +47,23 @@ class TestDelayLine:
         assert dl.lag(3) == 1.0
 
 
-def small_model(n=2, training="stacked", learner="kwh", h=3, mode="nar", alpha=1.0):
-    return build_anarx(n, h, 0.0, 1.0, q=2, training=training, learner=learner,
-                       mode=mode, alpha=alpha)
+def small_model(n=2, training="stacked", learner="kwh", h=3, alpha=1.0):
+    return build_anarx(n, h, 0.0, 1.0, q=2, training=training, learner=learner, alpha=alpha)
 
 
 class TestForward:
     def test_single_node_equals_node_forward(self):
         m = small_model(n=1)
         m.observe(0.4)
-        m.nodes[0].weights[:] = np.arange(6) * 0.1
-        assert m.forward() == m.nodes[0].forward(0.4, 0.4)
+        m.nodes[0].weights[:] = np.arange(3) * 0.1
+        assert m.forward() == m.nodes[0].forward(0.4)
 
     def test_two_constant_nodes_add(self):
         m = small_model(n=2)
         m.observe(0.3)
         m.observe(0.6)
-        m.nodes[0].weights[:] = np.concatenate([np.full(3, 0.3), np.zeros(3)])
-        m.nodes[1].weights[:] = np.concatenate([np.full(3, 0.5), np.zeros(3)])
+        m.nodes[0].weights[:] = 0.3
+        m.nodes[1].weights[:] = 0.5
         assert abs(m.forward() - 0.8) <= 1e-12
 
     def test_zero_weights_zero_output(self):
@@ -92,7 +91,7 @@ class TestForward:
             m.observe(v)
         assert abs(m.forward() - m.node_forecasts().sum()) <= 1e-12
         manual = sum(
-            node.forward(m.delay_y.lag(l), m.delay_y.lag(l))
+            node.forward(m.delay_y.lag(l))
             for l, node in enumerate(m.nodes, start=1)
         )
         assert abs(m.forward() - manual) <= 1e-12
@@ -103,14 +102,13 @@ class TestTrainStep:
         rng = np.random.default_rng(1)
         series = rng.uniform(0, 1, 60)
         m = small_model(n=1, training="stacked", learner="kwh")
-        grid = m.nodes[0].grid_y
-        ref_node = NeoFuzzyNode(grid, grid)
+        ref_node = NeoFuzzyNode(m.nodes[0].grid)
         ref = KwhLearner(ref_node.weights)
         prev = None
         for y in series:
             rep = m.train_step(float(y))
             if prev is not None:
-                ref.step(ref_node.regressor(prev, prev), float(y))
+                ref.step(ref_node.regressor(prev), float(y))
             prev = float(y)
             assert np.max(np.abs(m.nodes[0].weights - ref_node.weights)) <= 1e-15
 
@@ -124,24 +122,20 @@ class TestTrainStep:
             lags = [m.delay_y.lag(1), m.delay_y.lag(2)]
             m.train_step(float(y))
             for node, lag in zip(m.nodes, lags):
-                assert abs(float(y) - node.forward(lag, lag)) <= 1e-10
+                assert abs(float(y) - node.forward(lag)) <= 1e-10
 
     def test_stacked_matches_concatenated_regression_oracle(self):
         rng = np.random.default_rng(3)
         m = small_model(n=2, training="stacked", learner="kwh", h=4)
-        w_ref = np.zeros(16)
+        w_ref = np.zeros(8)
         series = rng.uniform(0, 1, 80)
         hist = []
         for y in series:
             y = float(y)
             # oracle: independently coded single-regression projection
             if len(hist) >= 1:
-                phi1 = m.nodes[0].regressor(hist[-1], hist[-1])
-                phi2 = (
-                    m.nodes[1].regressor(hist[-2], hist[-2])
-                    if len(hist) >= 2
-                    else np.zeros(8)
-                )
+                phi1 = m.nodes[0].regressor(hist[-1])
+                phi2 = m.nodes[1].regressor(hist[-2]) if len(hist) >= 2 else np.zeros(4)
                 phi = np.concatenate([phi1, phi2])
                 w_ref = w_ref + (y - w_ref @ phi) / (phi @ phi) * phi
             m.train_step(y)
@@ -157,7 +151,7 @@ class TestTrainStep:
         before = [node.weights.copy() for node in m.nodes]
         states_before = [copy.deepcopy(ln.state_dict()) for ln in m.learners]
         # update only node 2 by hand
-        phi = m.nodes[1].regressor(0.5, 0.5)
+        phi = m.nodes[1].regressor(0.5)
         m.learners[1].step(phi, 0.9)
         assert np.array_equal(m.nodes[0].weights, before[0])
         assert np.array_equal(m.nodes[2].weights, before[2])
@@ -178,14 +172,16 @@ class TestTrainStep:
         # linear-in-regressor target: last-100 RMSE well under target std
         rng = np.random.default_rng(6)
         grid = build_uniform_grid(0.0, 1.0, 4, 2)
-        tgt1 = NeoFuzzyNode(grid, grid, rng.uniform(-0.1, 0.3, 8))
-        tgt2 = NeoFuzzyNode(grid, grid, rng.uniform(-0.1, 0.2, 8))
+        # each target sums two tied synapses of 4 weights
+        w1, w2 = rng.uniform(-0.1, 0.3, 8), rng.uniform(-0.1, 0.2, 8)
+        tgt1 = NeoFuzzyNode(grid, w1[:4] + w1[4:])
+        tgt2 = NeoFuzzyNode(grid, w2[:4] + w2[4:])
         m = small_model(n=2, training="stacked", learner="rls", h=4)
         y1, y2 = 0.5, 0.4
         errors = []
         targets = []
         for k in range(1000):
-            y = tgt1.forward(y1, y1) + tgt2.forward(y2, y2) + 0.2
+            y = tgt1.forward(y1) + tgt2.forward(y2) + 0.2
             y = min(max(y, 0.0), 1.0)
             rep = m.train_step(y)
             errors.append(rep.error)
@@ -225,14 +221,6 @@ class TestTrainStep:
             (0, "ZeroRegressor: squared regressor norm 0.0 below 1e-12"),
             (1, "ZeroRegressor: squared regressor norm 0.0 below 1e-12"),
         ]
-
-    def test_narx_mode_requires_x(self):
-        m = build_anarx(2, 3, 0.0, 1.0, mode="narx", training="stacked", learner="kwh")
-        with pytest.raises(ValueError):
-            m.train_step(0.5)
-        m.train_step(0.5, 0.2)
-        m.train_step(0.6, 0.1)
-        assert m.delay_x.lag(2) == 0.2
 
 
 class TestEvolve:
@@ -348,8 +336,7 @@ class TestArrayPool:
         out = []
         for l, node in enumerate(m.nodes, start=1):
             y_lag = m.delay_y.lag(l)
-            x_lag = y_lag if m.mode == "nar" else m.delay_x.lag(l)
-            out.append(0.0 if y_lag is None else node.forward(y_lag, x_lag))
+            out.append(0.0 if y_lag is None else node.forward(y_lag))
         return np.array(out)
 
     @staticmethod
@@ -367,30 +354,29 @@ class TestArrayPool:
 
     values = st.floats(-0.5, 1.5, allow_nan=False)
     ops = st.one_of(
-        st.tuples(st.sampled_from(["train", "observe"]), values, values),
+        st.tuples(st.sampled_from(["train", "observe"]), values),
         st.tuples(st.sampled_from(["add", "remove", "round_trip"])),
     )
 
     @settings(max_examples=150, deadline=None)
     @given(
         node_kind=st.sampled_from(["neo_fuzzy", "wang_mendel"]),
-        mode=st.sampled_from(["nar", "narx"]),
         training=st.sampled_from(["stacked", "independent"]),
         learner=st.sampled_from(["rls", "kwh", "adaptive"]),
         n=st.integers(1, 3),
         ops=st.lists(ops, max_size=40),
     )
     def test_forecasts_equal_node_forward_bit_for_bit(
-        self, node_kind, mode, training, learner, n, ops
+        self, node_kind, training, learner, n, ops
     ):
-        m = build_anarx(n, 3, 0.0, 1.0, node_kind=node_kind, mode=mode,
+        m = build_anarx(n, 3, 0.0, 1.0, node_kind=node_kind,
                         training=training, learner=learner,
                         alpha=0.9 if learner == "adaptive" else 1.0)
         for op in ops:
             if op[0] == "train":
-                m.train_step(op[1], op[2])  # NAR mode ignores x
+                m.train_step(op[1])
             elif op[0] == "observe":
-                m.observe(op[1], op[2])
+                m.observe(op[1])
             elif op[0] == "add" and m.n < 5:
                 m.add_node()
             elif op[0] == "remove" and m.n > 1:
@@ -403,12 +389,12 @@ class TestArrayPool:
     def test_loaded_nodes_share_one_grid(self):
         m = small_model(n=3)
         m2 = AnarxModel.from_state(json.loads(json.dumps(m.state_dict())))
-        grid = m2.nodes[0].grid_y
-        assert all(nd.grid_y is grid and nd.grid_x is grid for nd in m2.nodes)
+        grid = m2.nodes[0].grid
+        assert all(nd.grid is grid for nd in m2.nodes)
 
     def test_nodes_on_different_grids_rejected(self):
-        a = NeoFuzzyNode(build_uniform_grid(0.0, 1.0, 3, 2), build_uniform_grid(0.0, 1.0, 3, 2))
-        b = NeoFuzzyNode(build_uniform_grid(0.0, 2.0, 3, 2), build_uniform_grid(0.0, 1.0, 3, 2))
+        a = NeoFuzzyNode(build_uniform_grid(0.0, 1.0, 3, 2))
+        b = NeoFuzzyNode(build_uniform_grid(0.0, 2.0, 3, 2))
         with pytest.raises(ValueError):
             AnarxModel([a, b])
 

@@ -15,149 +15,151 @@ from anarx.errors import DegenerateActivation, DimensionMismatch
 
 @pytest.fixture
 def neo3():
-    grid = build_uniform_grid(0.0, 1.0, 3, 2)
-    return NeoFuzzyNode(grid, grid)
+    return NeoFuzzyNode(build_uniform_grid(0.0, 1.0, 3, 2))
 
 
 class TestNeoFuzzy:
     def test_regressor_concatenation(self, neo3):
-        phi = neo3.regressor(0.25, 1.0)
-        assert np.allclose(phi, [0.5, 0.5, 0.0, 0.0, 0.0, 1.0], atol=1e-15)
+        # the paper's two tied synapses see concat(phi, phi); the node's
+        # one synapse fits the sum of their weights and gives the same output
+        phi = neo3.regressor(0.25)
+        assert np.allclose(phi, [0.5, 0.5, 0.0], atol=1e-15)
+        w_y, w_x = np.array([0.3, -0.2, 0.9]), np.array([0.1, 0.4, -0.5])
+        node = NeoFuzzyNode(neo3.grid, w_y + w_x)
+        rng = np.random.default_rng(3)
+        for u in rng.uniform(0, 1, 50):
+            phi = node.regressor(u)
+            tied = float(np.concatenate([w_y, w_x]) @ np.concatenate([phi, phi]))
+            assert abs(node.forward(u) - tied) <= 1e-12
 
-    def test_peak_inputs_give_two_unit_entries(self, neo3):
-        phi = neo3.regressor(0.5, 0.0)
-        assert np.allclose(phi, [0, 1, 0, 1, 0, 0], atol=1e-15)
-        assert int((phi != 0).sum()) == 2
+    def test_peak_input_gives_one_unit_entry(self, neo3):
+        phi = neo3.regressor(0.5)
+        assert np.allclose(phi, [0, 1, 0], atol=1e-15)
+        assert int((phi != 0).sum()) == 1
 
-    def test_regressor_sums_to_two_in_range(self, neo3):
+    def test_regressor_is_unity_partition_in_range(self, neo3):
         rng = np.random.default_rng(0)
-        for y, x in rng.uniform(0, 1, size=(200, 2)):
-            assert abs(neo3.regressor(y, x).sum() - 2.0) <= 1e-12
+        for u in rng.uniform(0, 1, 200):
+            phi = neo3.regressor(u)
+            assert abs(phi.sum() - 1.0) <= 1e-12
+            assert np.all(phi >= 0.0)
 
     def test_zero_weights_zero_output(self, neo3):
         for u in (0.0, 0.3, 0.9):
-            assert neo3.forward(u, 1 - u) == 0.0
+            assert neo3.forward(u) == 0.0
 
     def test_peak_weights_reproduce_identity(self):
         grid = build_uniform_grid(0.0, 1.0, 5, 2)
-        peaks = np.unique(grid.knots)
-        node = NeoFuzzyNode(grid, grid, np.concatenate([peaks, np.zeros(5)]))
+        node = NeoFuzzyNode(grid, np.unique(grid.knots))
         for u in np.linspace(0, 1, 41):
-            assert abs(node.forward(u, 0.77) - u) <= 1e-12
+            assert abs(node.forward(u) - u) <= 1e-12
 
     def test_constant_weights_sum(self, neo3):
-        node = NeoFuzzyNode(neo3.grid_y, neo3.grid_x,
-                            np.concatenate([np.full(3, 0.4), np.full(3, -0.15)]))
+        # tied constant synapses 0.4 and -0.15 collapse to their sum
+        node = NeoFuzzyNode(neo3.grid, np.full(3, 0.4) + np.full(3, -0.15))
         rng = np.random.default_rng(5)
-        for y, x in rng.uniform(0, 1, size=(50, 2)):
-            assert abs(node.forward(y, x) - 0.25) <= 1e-12
+        for u in rng.uniform(0, 1, 50):
+            assert abs(node.forward(u) - 0.25) <= 1e-12
 
     def test_linearity_in_weights(self):
         rng = np.random.default_rng(9)
-        grid_y = build_uniform_grid(-1.0, 1.0, 6, 3)
-        grid_x = build_uniform_grid(0.0, 2.0, 4, 2)
-        w = rng.normal(size=10)
-        node = NeoFuzzyNode(grid_y, grid_x, w)
-        for y, x in zip(rng.uniform(-1, 1, 100), rng.uniform(0, 2, 100)):
-            phi = np.concatenate([eval_bspline(grid_y, y), eval_bspline(grid_x, x)])
-            assert abs(node.forward(y, x) - float(w @ phi)) <= 1e-12
+        grid = build_uniform_grid(-1.0, 1.0, 6, 3)
+        w = rng.normal(size=6)
+        node = NeoFuzzyNode(grid, w)
+        for u in rng.uniform(-1, 1, 100):
+            assert abs(node.forward(u) - float(w @ eval_bspline(grid, u))) <= 1e-12
 
     def test_output_bound(self):
         rng = np.random.default_rng(2)
         grid = build_uniform_grid(0.0, 1.0, 7, 2)
-        w = rng.normal(size=14)
-        node = NeoFuzzyNode(grid, grid, w)
-        bound = np.abs(w[:7]).sum() + np.abs(w[7:]).sum()
-        for y, x in rng.uniform(-1, 2, size=(100, 2)):
-            assert abs(node.forward(y, x)) <= bound + 1e-12
+        w = rng.normal(size=7)
+        node = NeoFuzzyNode(grid, w)
+        bound = np.abs(w).sum()
+        for u in rng.uniform(-1, 2, 100):
+            assert abs(node.forward(u)) <= bound + 1e-12
 
     def test_continuity_for_q2(self):
         rng = np.random.default_rng(4)
         grid = build_uniform_grid(0.0, 1.0, 5, 2)
-        w = rng.normal(size=10)
-        node = NeoFuzzyNode(grid, grid, w)
-        # Lipschitz constant: max adjacent weight gap over knot spacing, per synapse
+        w = rng.normal(size=5)
+        node = NeoFuzzyNode(grid, w)
+        # Lipschitz constant: max adjacent weight gap over knot spacing
         spacing = 0.25
-        lip = (np.abs(np.diff(w[:5])).max() + np.abs(np.diff(w[5:])).max()) / spacing
+        lip = np.abs(np.diff(w)).max() / spacing
         for u in rng.uniform(0, 1, 300):
             du = 1e-6
-            a = node.forward(u, 0.5)
-            b = node.forward(min(u + du, 1.0), 0.5)
+            a = node.forward(u)
+            b = node.forward(min(u + du, 1.0))
             assert abs(b - a) <= lip * du + 1e-12
 
     def test_weight_length_checked(self, neo3):
         with pytest.raises(DimensionMismatch):
-            NeoFuzzyNode(neo3.grid_y, neo3.grid_x, np.zeros(5))
+            NeoFuzzyNode(neo3.grid, np.zeros(5))
 
 
 class TestWangMendel:
     def test_single_rule_normalizes_to_one(self):
-        grid = build_gaussian_grid(0.0, 1.0, 1)
-        node = WangMendelNode(grid, grid)
-        assert np.array_equal(node.regressor(0.3, 0.9), [1.0])
+        node = WangMendelNode(build_gaussian_grid(0.0, 1.0, 1))
+        assert np.array_equal(node.regressor(0.3), [1.0])
 
     def test_regressor_sums_to_one(self):
-        grid = build_gaussian_grid(0.0, 1.0, 4)
-        node = WangMendelNode(grid, grid)
+        node = WangMendelNode(build_gaussian_grid(0.0, 1.0, 4))
         rng = np.random.default_rng(8)
-        for y, x in rng.uniform(-0.5, 1.5, size=(100, 2)):
-            phi = node.regressor(y, x)
+        for u in rng.uniform(-0.5, 1.5, 100):
+            phi = node.regressor(u)
             assert abs(phi.sum() - 1.0) <= 1e-12
             assert np.all(phi >= 0.0)
 
     def test_matching_centers_dominate(self):
         grid = build_gaussian_grid(0.0, 1.0, 3)
-        node = WangMendelNode(grid, grid)
-        phi = node.regressor(grid.centers[1], grid.centers[1])
+        node = WangMendelNode(grid)
+        phi = node.regressor(grid.centers[1])
         assert np.argmax(phi) == 1
         assert phi[1] > phi[0] and phi[1] > phi[2]
 
     def test_two_rule_symmetry(self):
-        grid = GaussianGrid([0.0, 1.0], [0.5, 0.5])
-        node = WangMendelNode(grid, grid, [0.0, 1.0])
-        phi = node.regressor(0.5, 0.5)
+        node = WangMendelNode(GaussianGrid([0.0, 1.0], [0.5, 0.5]), [0.0, 1.0])
+        phi = node.regressor(0.5)
         assert np.allclose(phi, [0.5, 0.5])
-        assert abs(node.forward(0.5, 0.5) - 0.5) <= 1e-15
+        assert abs(node.forward(0.5) - 0.5) <= 1e-15
 
     def test_equal_weights_passthrough(self):
-        grid = build_gaussian_grid(0.0, 1.0, 5)
-        node = WangMendelNode(grid, grid, np.full(5, 0.37))
+        node = WangMendelNode(build_gaussian_grid(0.0, 1.0, 5), np.full(5, 0.37))
         rng = np.random.default_rng(1)
-        for y, x in rng.uniform(0, 1, size=(50, 2)):
-            assert abs(node.forward(y, x) - 0.37) <= 1e-12
+        for u in rng.uniform(0, 1, 50):
+            assert abs(node.forward(u) - 0.37) <= 1e-12
 
     def test_zero_weights(self):
-        grid = build_gaussian_grid(0.0, 1.0, 5)
-        node = WangMendelNode(grid, grid)
-        assert node.forward(0.5, 0.5) == 0.0
+        node = WangMendelNode(build_gaussian_grid(0.0, 1.0, 5))
+        assert node.forward(0.5) == 0.0
 
     def test_output_within_weight_hull(self):
         rng = np.random.default_rng(12)
-        grid = build_gaussian_grid(-1.0, 1.0, 6)
         w = rng.normal(size=6)
-        node = WangMendelNode(grid, grid, w)
-        for y, x in rng.uniform(-1.5, 1.5, size=(200, 2)):
-            out = node.forward(y, x)
+        node = WangMendelNode(build_gaussian_grid(-1.0, 1.0, 6), w)
+        for u in rng.uniform(-1.5, 1.5, 200):
+            out = node.forward(u)
             assert w.min() - 1e-12 <= out <= w.max() + 1e-12
 
     def test_linearity_in_weights(self):
         rng = np.random.default_rng(13)
         grid = build_gaussian_grid(0.0, 1.0, 4)
         w = rng.normal(size=4)
-        node = WangMendelNode(grid, grid, w)
-        for y, x in rng.uniform(0, 1, size=(100, 2)):
-            z = eval_gaussian(grid, y) * eval_gaussian(grid, x)
+        node = WangMendelNode(grid, w)
+        for u in rng.uniform(0, 1, 100):
+            # both rule inputs are the lagged value
+            z = eval_gaussian(grid, u) * eval_gaussian(grid, u)
             phi = z / z.sum()
-            assert abs(node.forward(y, x) - float(w @ phi)) <= 1e-12
+            assert abs(node.forward(u) - float(w @ phi)) <= 1e-12
 
     def test_degenerate_activation(self):
-        grid = GaussianGrid([0.0, 1e-3], [1e-3, 1e-3])
-        node = WangMendelNode(grid, grid)
+        node = WangMendelNode(GaussianGrid([0.0, 1e-3], [1e-3, 1e-3]))
         with pytest.raises(DegenerateActivation):
-            node.regressor(1e6, -1e6)
+            node.regressor(1e6)
         with pytest.raises(DegenerateActivation):
-            node.forward(1e6, -1e6)
+            node.forward(1e6)
 
     def test_rule_count_must_match(self):
+        # one weight per rule
         with pytest.raises(DimensionMismatch):
-            WangMendelNode(build_gaussian_grid(0, 1, 3), build_gaussian_grid(0, 1, 4))
+            WangMendelNode(build_gaussian_grid(0, 1, 3), np.zeros(4))

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from anarx import (
     EvolutionPolicy,
-    OnlineForecaster,
     RunConfig,
     SeriesFrame,
     snapshot_load,
@@ -90,7 +89,7 @@ def test_checksum_tamper_detected(tmp_path):
     path = tmp_path / "model.json"
     snapshot_save(fc, path)
     doc = json.loads(path.read_text())
-    doc["payload"]["model"]["nodes"][0]["weights"][0] += 1.0
+    doc["payload"]["model"]["stacked_state"]["w"][0] += 1.0
     path.write_text(json.dumps(doc))
     with pytest.raises(CorruptSnapshot):
         snapshot_load(path)
@@ -163,15 +162,16 @@ def _shrink_stacked(model):
         del row[-1]
 
 
-def _other_grid(model):
-    grid = model["nodes"][1]["grid_y"]
-    grid["knots"] = [2.0 * k for k in grid["knots"]]
-    grid["hi"] = 2.0 * grid["hi"]
+def _narrower_grid(model):
+    # a valid grid with one basis function fewer than the weights need
+    grid = model["grid"]
+    grid["h"] -= 1
+    del grid["knots"][2]
 
 
 @pytest.mark.parametrize("weighted,learner,tamper", [
     (True, "adaptive", lambda p: p["combiner"]["c"].append(0.0)),
-    (False, "rls", lambda p: _drop_last(p["model"]["nodes"][0]["weights"])),
+    (False, "rls", lambda p: p["model"].update(n_nodes=3)),
     (False, "rls", lambda p: _shrink_stacked(p["model"])),
     (False, "rls", lambda p: _drop_last(p["model"]["stacked_state"]["P"])),
     (True, "rls", lambda p: _drop_last(p["model"]["learner_states"][1]["P"])),
@@ -179,7 +179,7 @@ def _other_grid(model):
     (True, "adaptive", lambda p: p["model"]["learner_states"].append(
         p["model"]["learner_states"][0])),
     (True, "kwh", lambda p: _drop_last(p["model"]["learner_states"][0]["w"])),
-    (False, "kwh", lambda p: _other_grid(p["model"])),
+    (False, "kwh", lambda p: _narrower_grid(p["model"])),
     (False, "kwh", lambda p: p["scale"].append(1.0)),
 ])
 def test_shape_mismatch_with_valid_checksum_is_corrupt(tmp_path, weighted, learner, tamper):
@@ -203,24 +203,35 @@ def test_asymmetric_covariance_with_valid_checksum_is_corrupt(tmp_path, weighted
         snapshot_load(path)
 
 
-def _overwrite_node_weights(model):
-    # the node copy of the weights; the learner copy is left as saved
-    weights = model["nodes"][0]["weights"]
-    weights[:] = [999.0] * len(weights)
-
-
-@pytest.mark.parametrize("weighted,learner", [(False, "rls"), (True, "adaptive")],
-                         ids=["stacked-rls", "independent-adaptive"])
-def test_node_weights_differing_from_learner_weights_are_corrupt(
-        tmp_path, capsys, weighted, learner):
+@pytest.mark.parametrize("version", [1, 2])
+def test_two_synapse_versions_raise_version_mismatch(tmp_path, capsys, version):
     from anarx.cli import main
 
-    path = _tampered_snapshot(tmp_path, weighted, learner,
-                              lambda p: _overwrite_node_weights(p["model"]))
-    with pytest.raises(CorruptSnapshot, match="node 0 weights"):
+    fc = trained_forecaster()
+    path = tmp_path / "model.json"
+    snapshot_save(fc, path)
+    doc = json.loads(path.read_text())
+    doc["version"] = version
+    path.write_text(json.dumps(doc))
+    with pytest.raises(VersionMismatch, match=f"version {version} uses the two-synapse"):
         snapshot_load(path)
-    assert main(["snapshot", "show", "--snapshot", str(path)]) == 10
-    assert "integrity: ok" not in capsys.readouterr().out
+    assert main(["snapshot", "show", "--snapshot", str(path)]) == 9
+    captured = capsys.readouterr()
+    assert "integrity: ok" not in captured.out
+    assert "re-run `anarx snapshot save`" in captured.err
+
+
+def test_model_state_holds_one_grid_and_each_weight_once(tmp_path):
+    fc = trained_forecaster(weighted=True)
+    path = tmp_path / "model.json"
+    snapshot_save(fc, path)
+    model = json.loads(path.read_text())["payload"]["model"]
+    # the learner states are the only copy of the weights
+    assert sorted(model) == sorted([
+        "training", "learner", "alpha", "p0", "node_kind", "grid", "n_nodes", "delay_y",
+        "learner_states",
+    ])
+    assert [len(ls["w"]) for ls in model["learner_states"]] == [4, 4]
 
 
 def test_failed_save_keeps_previous_file(tmp_path):
@@ -260,28 +271,6 @@ def test_evolving_round_trip_continues_structure_changes(tmp_path):
     assert out1 == out2
     ns = [n for _, n in out1]
     assert any(b > a for a, b in zip(ns, ns[1:])) and any(b < a for a, b in zip(ns, ns[1:]))
-
-
-@pytest.mark.parametrize("evolution", [None, "auto"])
-def test_version_1_loads_with_evolution_off(tmp_path, evolution):
-    fc = trained_forecaster(weighted=True, evolution=evolution, steps=200)
-    path = tmp_path / "model.json"
-    snapshot_save(fc, path)
-    doc = json.loads(path.read_text())
-    del doc["payload"]["evolution"]
-    doc["version"] = 1
-    doc["sha256"] = _checksum(doc["payload"])
-    path.write_text(json.dumps(doc))
-    loaded = snapshot_load(path)
-    assert loaded.evolution is None
-
-    # an evolution-off forecaster predicts on the state it was given,
-    # as the version-1 step did
-    twin = OnlineForecaster(fc.model, fc.combiner, fc.scale)
-    stream = np.random.default_rng(1).uniform(5.0, 11.0, 100)
-    out1 = _step_with_n(loaded, stream)
-    assert out1 == _step_with_n(twin, stream)
-    assert {n for _, n in out1} == {fc.model.n}
 
 
 def _evolving_snapshot(tmp_path, tamper):
