@@ -203,22 +203,42 @@ def test_asymmetric_covariance_with_valid_checksum_is_corrupt(tmp_path, weighted
         snapshot_load(path)
 
 
-@pytest.mark.parametrize("version", [1, 2])
-def test_two_synapse_versions_raise_version_mismatch(tmp_path, capsys, version):
+def _assert_two_synapse_version_rejected(path, capsys, version):
     from anarx.cli import main
 
-    fc = trained_forecaster()
-    path = tmp_path / "model.json"
-    snapshot_save(fc, path)
-    doc = json.loads(path.read_text())
-    doc["version"] = version
-    path.write_text(json.dumps(doc))
     with pytest.raises(VersionMismatch, match=f"version {version} uses the two-synapse"):
         snapshot_load(path)
     assert main(["snapshot", "show", "--snapshot", str(path)]) == 9
     captured = capsys.readouterr()
     assert "integrity: ok" not in captured.out
     assert "re-run `anarx snapshot save`" in captured.err
+
+
+def _relabel(path, version, drop_evolution=False):
+    doc = json.loads(path.read_text())
+    if drop_evolution:
+        del doc["payload"]["evolution"]
+    doc["version"] = version
+    doc["sha256"] = _checksum(doc["payload"])
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("weighted,learner", [(False, "rls"), (True, "adaptive")],
+                         ids=["stacked-rls", "independent-adaptive"])
+def test_version_2_raises_version_mismatch(tmp_path, capsys, weighted, learner):
+    path = tmp_path / "model.json"
+    snapshot_save(trained_forecaster(weighted=weighted, learner=learner), path)
+    _relabel(path, 2)
+    _assert_two_synapse_version_rejected(path, capsys, 2)
+
+
+@pytest.mark.parametrize("evolution", [None, "auto"])
+def test_version_1_raises_version_mismatch(tmp_path, capsys, evolution):
+    # a version-1 file has no evolution block
+    path = tmp_path / "model.json"
+    snapshot_save(trained_forecaster(weighted=True, evolution=evolution, steps=200), path)
+    _relabel(path, 1, drop_evolution=True)
+    _assert_two_synapse_version_rejected(path, capsys, 1)
 
 
 def test_model_state_holds_one_grid_and_each_weight_once(tmp_path):
