@@ -8,7 +8,7 @@ ensemble. Ships a benchmarking CLI (``anarx``).
 
 from .combiner import CombinerState, ErrorCorrelation, batch_solve
 from .errors import AnarxError
-from .learning import AdaptiveLearner, KwhLearner, RlsLearner, StepResult, make_learner
+from .learning import AdaptiveLearner, KwhLearner, RlsLearner, make_learner
 from .membership import (
     GaussianGrid,
     KnotGrid,
@@ -57,7 +57,6 @@ __all__ = [
     "RunConfig",
     "SeriesFrame",
     "StepReport",
-    "StepResult",
     "StructureChange",
     "WangMendelNode",
     "batch_solve",

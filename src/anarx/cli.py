@@ -139,19 +139,20 @@ def _cmd_snapshot_show(args) -> int:
 
 def _learner_health(model) -> str:
     """RLS ``trace(P)`` and largest diagonal entry of ``P`` (wind-up shows
-    as growth), or the adaptive gain ``r``; min/max over the independent
-    learners. Empty for KWH, which keeps no gain state."""
-    learners = [model.stacked_learner] if model.training == "stacked" else model.learners
+    as growth), or the adaptive gain ``r``; min/max over the learner's
+    rows when it has several (independent training). Empty for KWH,
+    which keeps no gain state."""
+    learner = model.learner
     if model.learner_kind == "rls":
         stats = {
-            "trace(P)": [float(np.trace(ln.P)) for ln in learners],
-            "max diag(P)": [float(ln.P.diagonal().max()) for ln in learners],
+            "trace(P)": np.trace(learner.P, axis1=1, axis2=2).tolist(),
+            "max diag(P)": learner.P.diagonal(axis1=1, axis2=2).max(axis=1).tolist(),
         }
     elif model.learner_kind == "adaptive":
-        stats = {"r": [ln.r for ln in learners]}
+        stats = {"r": learner.r.tolist()}
     else:
         return ""
-    if len(learners) == 1:
+    if len(learner.w) == 1:
         return ", ".join(f"{name} {v[0]!r}" for name, v in stats.items())
     return ", ".join(f"{name} min {min(v)!r} max {max(v)!r}" for name, v in stats.items())
 

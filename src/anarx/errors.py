@@ -27,11 +27,19 @@ class DimensionMismatch(AnarxError):
 
 
 class ZeroRegressor(AnarxError):
-    """Regressor norm is below the regularization threshold."""
+    """Regressor norm is below the regularization threshold.
+
+    Learners mask such a row instead of raising; the class name labels
+    the skipped update.
+    """
 
 
 class ZeroGain(AnarxError):
-    """Scalar gain accumulator is below the regularization threshold."""
+    """Scalar gain accumulator is below the regularization threshold.
+
+    Learners mask such a row instead of raising; the class name labels
+    the skipped update.
+    """
 
 
 class SingularCorrelation(AnarxError):

@@ -1,9 +1,24 @@
-"""Recursive estimators for linear-in-parameter models.
+"""Recursive estimators for linear-in-parameter models, batched by row.
 
-Three online learners share one protocol: ``step(phi, y)`` computes the
-prediction with the current weights, then updates the weights in place
-and returns a :class:`StepResult`. The weight array is never rebound, so
-a node that holds (a view of) the same array sees every update.
+Each learner owns a 2-d weight block ``w`` of shape (rows, cols) and fits
+every row as its own linear model against a shared target.
+``step(Phi, y)`` takes one regressor per row for the first
+``k = len(Phi) <= rows`` rows, predicts each with the row's current
+weights, and updates those rows in place; rows ``[k:]`` and their state
+are not touched. A row whose update would divide by a squared regressor
+norm or gain at or below ``EPS_REG`` is masked: its weights stay as they
+were, and ``step`` returns it as ``(row, "<error class>: <message>")``
+in the list of skipped rows, which is empty when every row updated.
+
+``step`` never rebinds ``w`` or the per-row state, so a caller holding
+views of them sees every update. ``resize(rows, cols)`` reallocates: it
+keeps the overlapping block and gives new coordinates zero weight and
+fresh state. ``row_state(i)`` and ``load_row(i, state)`` save and
+restore one row.
+
+Every reduction is numpy's pairwise sum over a contiguous last axis, so
+each row of a batched learner computes bit for bit what a one-row
+learner computes on the same inputs.
 
 * :class:`RlsLearner` - exponentially weighted recursive least squares.
 * :class:`KwhLearner` - normalized one-step projection; the a-posteriori
@@ -14,225 +29,212 @@ a node that holds (a view of) the same array sees every update.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionMismatch, ZeroGain, ZeroRegressor
-from .numerics import EPS_REG, matvec, vdot
+from .numerics import EPS_REG
 
 
-@dataclass
-class StepResult:
-    """Outcome of one learning step.
+def _resized(old: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """Copy the overlapping corner of ``old`` into ``new``; return ``new``."""
+    corner = tuple(slice(min(a, b)) for a, b in zip(old.shape, new.shape))
+    new[corner] = old[corner]
+    return new
 
-    ``prediction`` uses the pre-update weights, so ``error`` is the
-    innovation y - w'phi that drove the update.
+
+class _RowBlock:
+    """The weight block the learners share, and its bookkeeping.
+
+    ``params`` names the constructor settings a learner kind takes
+    besides the weights; they are its :meth:`settings`.
     """
 
-    prediction: float
-    error: float
+    params: tuple = ()
+
+    def __init__(self, weights) -> None:
+        self.w = np.ascontiguousarray(weights, dtype=float)
+        if self.w.ndim != 2:
+            raise DimensionMismatch(f"weights must be a (rows, cols) block, got {self.w.shape}")
+
+    def _regressors(self, Phi) -> np.ndarray:
+        Phi = np.asarray(Phi, dtype=float)
+        rows, cols = self.w.shape
+        if Phi.ndim != 2 or Phi.shape[1] != cols or len(Phi) > rows:
+            raise DimensionMismatch(
+                f"regressors must have shape (k <= {rows}, {cols}), got {Phi.shape}"
+            )
+        return Phi
+
+    @staticmethod
+    def _project(w, Phi, error, gain, exc, what: str) -> list:
+        """Add ``error / gain * Phi`` to each row of ``w`` whose gain is
+        above ``EPS_REG``; return the other rows as skipped."""
+        # the check runs on Python floats: cheaper than numpy calls for
+        # the few rows of a pool
+        skipped = [(i, f"{exc.__name__}: {what} {g} below {EPS_REG}")
+                   for i, g in enumerate(gain.tolist()) if g <= EPS_REG]
+        if not skipped:
+            w += (error / gain)[:, None] * Phi
+        else:
+            ok = ~(gain <= EPS_REG)
+            w[ok] += (error[ok] / gain[ok])[:, None] * Phi[ok]
+        return skipped
+
+    def resize(self, rows: int, cols: int) -> None:
+        self.w = _resized(self.w, np.zeros((rows, cols)))
+
+    def settings(self) -> dict:
+        return {"kind": self.kind, **{name: getattr(self, name) for name in self.params}}
+
+    def row_state(self, i: int) -> dict:
+        return {**self.settings(), "w": self.w[i].tolist()}
+
+    def load_row(self, i: int, state: dict) -> None:
+        """Restore row ``i`` from :meth:`row_state` output; the caller
+        checks that the state's settings are this learner's."""
+        w = np.asarray(state["w"], dtype=float)
+        if w.shape != self.w.shape[1:]:
+            raise DimensionMismatch(
+                f"row {i} has weights of shape {w.shape}, the learner needs {self.w.shape[1:]}"
+            )
+        self.w[i] = w
 
 
-def _check_phi(phi, m: int) -> np.ndarray:
-    phi = np.asarray(phi, dtype=float)
-    if phi.shape != (m,):
-        raise DimensionMismatch(f"regressor must have shape ({m},), got {phi.shape}")
-    return phi
-
-
-class RlsLearner:
+class RlsLearner(_RowBlock):
     """Recursive least squares with exponential forgetting.
 
     ``alpha`` in (0, 1] is the forgetting factor; alpha = 1 recovers
-    ordinary recursive least squares. ``P`` starts as ``p0 * I`` (diffuse
-    prior) and is updated in place.
+    ordinary recursive least squares. Each row's covariance ``P[i]``
+    starts as ``p0 * I`` (diffuse prior) and is updated in place.
 
     ``P`` stays exactly symmetric by construction, so it is never
     re-symmetrized. The rank-1 downdate subtracts ``a_i * a_j / d`` from
     ``P_ij`` and ``a_j * a_i / d`` from ``P_ji``; IEEE multiplication
     commutes, so both entries change by the same bits, and dividing both
-    by ``alpha`` keeps them equal. ``extend`` and ``truncate`` only add
-    or drop matching rows and columns, and ``from_state`` rejects a
-    ``P`` that is not finite and exactly symmetric.
+    by ``alpha`` keeps them equal. ``resize`` only adds or drops matching
+    rows and columns, and ``load_row`` rejects a ``P`` that is not
+    finite and exactly symmetric.
     """
 
     kind = "rls"
+    params = ("alpha", "p0")
 
     def __init__(self, weights, alpha: float = 1.0, p0: float = 1e4) -> None:
         if not 0.0 < alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {alpha}")
         if p0 <= 0.0:
             raise ValueError(f"p0 must be positive, got {p0}")
-        self.w = np.ascontiguousarray(weights, dtype=float)
+        super().__init__(weights)
         self.alpha = float(alpha)
         self.p0 = float(p0)
-        self.P = p0 * np.eye(self.w.size)
+        self.P = self._prior(*self.w.shape)
 
-    @property
-    def dim(self) -> int:
-        return self.w.size
+    def _prior(self, rows: int, cols: int) -> np.ndarray:
+        """``p0 * I`` for every row."""
+        P = np.zeros((rows, cols, cols))
+        P.reshape(rows, -1)[:, :: cols + 1] = self.p0  # the diagonals
+        return P
 
-    def step(self, phi, y: float) -> StepResult:
-        phi = _check_phi(phi, self.w.size)
-        prediction = vdot(self.w, phi)
-        error = float(y) - prediction
-        Pphi = matvec(self.P, phi)
-        denom = self.alpha + vdot(phi, Pphi)
-        self.w += Pphi * (error / denom)
-        self.P -= np.outer(Pphi, Pphi) / denom
+    def step(self, Phi, y: float) -> list:
+        Phi = self._regressors(Phi)
+        k = len(Phi)
+        w, P = self.w[:k], self.P[:k]
+        error = float(y) - (w * Phi).sum(axis=1)
+        Pphi = (P * Phi[:, None, :]).sum(axis=2)
+        denom = self.alpha + (Phi * Pphi).sum(axis=1)
+        w += Pphi * (error / denom)[:, None]
+        # divided in place: a fresh (k, cols, cols) array would cost more
+        # in page faults than the arithmetic
+        outer = Pphi[:, :, None] * Pphi[:, None, :]
+        outer /= denom[:, None, None]
+        P -= outer
         if self.alpha != 1.0:
-            self.P /= self.alpha
-        return StepResult(prediction, error)
+            P /= self.alpha
+        return []
 
-    def extend(self, extra: int) -> None:
-        """Append ``extra`` zero weights with a fresh diffuse prior block."""
-        old = self.w.size
-        w = np.zeros(old + extra)
-        w[:old] = self.w
-        P = self.p0 * np.eye(old + extra)
-        P[:old, :old] = self.P
-        self.w = w
-        self.P = P
+    def resize(self, rows: int, cols: int) -> None:
+        super().resize(rows, cols)
+        self.P = _resized(self.P, self._prior(rows, cols))
 
-    def truncate(self, keep: int) -> None:
-        """Drop all state beyond the first ``keep`` coordinates."""
-        self.w = np.ascontiguousarray(self.w[:keep])
-        self.P = np.ascontiguousarray(self.P[:keep, :keep])
+    def row_state(self, i: int) -> dict:
+        return {**super().row_state(i), "P": self.P[i].tolist()}
 
-    def state_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "alpha": self.alpha,
-            "p0": self.p0,
-            "w": self.w.tolist(),
-            "P": self.P.tolist(),
-        }
-
-    @classmethod
-    def from_state(cls, state: dict, weights=None) -> "RlsLearner":
-        w = state["w"] if weights is None else weights
-        out = cls(w, alpha=state["alpha"], p0=state["p0"])
-        out.P = np.asarray(state["P"], dtype=float)
-        if out.P.shape != (out.dim, out.dim):
-            raise DimensionMismatch(
-                f"covariance must have shape ({out.dim}, {out.dim}), got {out.P.shape}"
-            )
-        if not (np.isfinite(out.P).all() and np.array_equal(out.P, out.P.T)):
+    def load_row(self, i: int, state: dict) -> None:
+        P = np.asarray(state["P"], dtype=float)
+        cols = self.w.shape[1]
+        if P.shape != (cols, cols):
+            raise DimensionMismatch(f"covariance must have shape ({cols}, {cols}), got {P.shape}")
+        if not (np.isfinite(P).all() and np.array_equal(P, P.T)):
             # every saved P is symmetric (see the class docstring)
             raise DimensionMismatch("covariance must be finite and exactly symmetric")
-        return out
+        super().load_row(i, state)
+        self.P[i] = P
 
 
-class KwhLearner:
+class KwhLearner(_RowBlock):
     """Normalized gradient step: project onto the newest sample's hyperplane."""
 
     kind = "kwh"
 
-    def __init__(self, weights) -> None:
-        self.w = np.ascontiguousarray(weights, dtype=float)
-
-    @property
-    def dim(self) -> int:
-        return self.w.size
-
-    def step(self, phi, y: float) -> StepResult:
-        phi = _check_phi(phi, self.w.size)
-        prediction = vdot(self.w, phi)
-        error = float(y) - prediction
-        norm2 = vdot(phi, phi)
-        if norm2 <= EPS_REG:
-            raise ZeroRegressor(f"squared regressor norm {norm2} below {EPS_REG}")
-        self.w += (error / norm2) * phi
-        return StepResult(prediction, error)
-
-    def extend(self, extra: int) -> None:
-        old = self.w.size
-        w = np.zeros(old + extra)
-        w[:old] = self.w
-        self.w = w
-
-    def truncate(self, keep: int) -> None:
-        self.w = np.ascontiguousarray(self.w[:keep])
-
-    def state_dict(self) -> dict:
-        return {"kind": self.kind, "w": self.w.tolist()}
-
-    @classmethod
-    def from_state(cls, state: dict, weights=None) -> "KwhLearner":
-        return cls(state["w"] if weights is None else weights)
+    def step(self, Phi, y: float) -> list:
+        Phi = self._regressors(Phi)
+        w = self.w[: len(Phi)]
+        error = float(y) - (w * Phi).sum(axis=1)
+        norm2 = (Phi * Phi).sum(axis=1)
+        return self._project(w, Phi, error, norm2, ZeroRegressor, "squared regressor norm")
 
 
-class AdaptiveLearner:
-    """Projection with a leaky accumulator gain.
+class AdaptiveLearner(_RowBlock):
+    """Projection with a leaky accumulator gain per row.
 
     The gain update runs first: r <- alpha * r + |phi|^2, and the new r
     divides the innovation. With alpha = 0 every step reduces to the
-    normalized projection; with r(0) = 0 the first step does too,
-    whatever alpha is. Larger alpha smooths the gain and filters noise at
-    the cost of slower tracking.
+    normalized projection; from r = 0 (where every row starts) the first
+    step does too, whatever alpha is. Larger alpha smooths the gain and
+    filters noise at the cost of slower tracking.
     """
 
     kind = "adaptive"
+    params = ("alpha",)
 
-    def __init__(self, weights, alpha: float = 0.9, r0: float = 0.0) -> None:
+    def __init__(self, weights, alpha: float = 0.9) -> None:
         if not 0.0 <= alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-        if r0 < 0.0:
-            raise ValueError(f"r0 must be nonnegative, got {r0}")
-        self.w = np.ascontiguousarray(weights, dtype=float)
+        super().__init__(weights)
         self.alpha = float(alpha)
-        self.r = float(r0)
+        self.r = np.zeros(len(self.w))
 
-    @property
-    def dim(self) -> int:
-        return self.w.size
+    def step(self, Phi, y: float) -> list:
+        Phi = self._regressors(Phi)
+        k = len(Phi)
+        w, r = self.w[:k], self.r[:k]
+        error = float(y) - (w * Phi).sum(axis=1)
+        # on a few rows this beats r *= alpha; r += ..., whose in-place
+        # multiply by a Python float is a slow numpy call
+        r[:] = self.alpha * r + (Phi * Phi).sum(axis=1)
+        return self._project(w, Phi, error, r, ZeroGain, "gain accumulator")
 
-    def step(self, phi, y: float) -> StepResult:
-        phi = _check_phi(phi, self.w.size)
-        prediction = vdot(self.w, phi)
-        error = float(y) - prediction
-        self.r = self.alpha * self.r + vdot(phi, phi)
-        if self.r <= EPS_REG:
-            raise ZeroGain(f"gain accumulator {self.r} below {EPS_REG}")
-        self.w += (error / self.r) * phi
-        return StepResult(prediction, error)
+    def resize(self, rows: int, cols: int) -> None:
+        super().resize(rows, cols)
+        self.r = _resized(self.r, np.zeros(rows))
 
-    def extend(self, extra: int) -> None:
-        old = self.w.size
-        w = np.zeros(old + extra)
-        w[:old] = self.w
-        self.w = w
+    def row_state(self, i: int) -> dict:
+        return {**self.settings(), "r": float(self.r[i]), "w": self.w[i].tolist()}
 
-    def truncate(self, keep: int) -> None:
-        self.w = np.ascontiguousarray(self.w[:keep])
-
-    def state_dict(self) -> dict:
-        return {"kind": self.kind, "alpha": self.alpha, "r": self.r, "w": self.w.tolist()}
-
-    @classmethod
-    def from_state(cls, state: dict, weights=None) -> "AdaptiveLearner":
-        out = cls(state["w"] if weights is None else weights, alpha=state["alpha"])
-        out.r = float(state["r"])
-        return out
+    def load_row(self, i: int, state: dict) -> None:
+        r = float(state["r"])
+        super().load_row(i, state)
+        self.r[i] = r
 
 
-LEARNERS = {"rls": RlsLearner, "kwh": KwhLearner, "adaptive": AdaptiveLearner}
+LEARNERS = {cls.kind: cls for cls in (RlsLearner, KwhLearner, AdaptiveLearner)}
 
 
 def make_learner(kind: str, weights, alpha: float = 1.0, p0: float = 1e4):
-    """Build a learner over ``weights`` (mutated in place by every step)."""
-    if kind == "rls":
-        return RlsLearner(weights, alpha=alpha, p0=p0)
-    if kind == "kwh":
-        return KwhLearner(weights)
-    if kind == "adaptive":
-        return AdaptiveLearner(weights, alpha=alpha)
-    raise ValueError(f"unknown learner kind {kind!r}")
-
-
-def learner_from_state(state: dict, weights=None):
-    kind = state.get("kind")
+    """Build a learner over the (rows, cols) block ``weights``, which
+    every step updates in place; each kind takes the settings it uses."""
     if kind not in LEARNERS:
         raise ValueError(f"unknown learner kind {kind!r}")
-    return LEARNERS[kind].from_state(state, weights)
+    cls = LEARNERS[kind]
+    given = {"alpha": alpha, "p0": p0}
+    return cls(weights, **{name: given[name] for name in cls.params})

@@ -5,14 +5,16 @@ values observed ``l`` steps ago. Nodes are tuned while the stream runs,
 and the pool itself can grow or shrink without disturbing the surviving
 nodes.
 
-Two training wirings exist:
+The pool has one row-batched learner (see :mod:`anarx.learning`), and
+the training wiring only sets the shape of its weight block:
 
-* ``stacked`` - one learner over the concatenated regressor, so all node
-  weights are fit jointly against the stream value (the additive output
-  is linear in every weight, making this a single linear regression).
-* ``independent`` - each node's learner fits that node alone against the
-  stream value, turning every node into a standalone one-step predictor;
-  this is the wiring the weighted ensemble builds on.
+* ``stacked`` - one row over the concatenated node weights, fit against
+  the stream value on the concatenated regressor, so all node weights
+  are fit jointly (the additive output is linear in every weight, making
+  this a single linear regression).
+* ``independent`` - one row per node, each fit alone against the stream
+  value, turning every node into a standalone one-step predictor; this
+  is the wiring the weighted ensemble builds on.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AnarxError, CorruptSnapshot, DegenerateActivation
-from .learning import learner_from_state, make_learner
+from .errors import CorruptSnapshot, DegenerateActivation
+from .learning import make_learner
 from .numerics import exact_sum
 from .membership import GaussianGrid, KnotGrid, build_gaussian_grid, build_uniform_grid
 from .nodes import NeoFuzzyNode, WangMendelNode
@@ -123,7 +125,8 @@ class AnarxModel:
     the value seen ``l`` steps ago) kept beside the value delay line.
     The pool's weights are one (n x dim) matrix ``W`` whose rows
     are the node weight vectors, so evaluating every node is one
-    row-wise reduction of ``W`` against the ring.
+    row-wise reduction of ``W`` against the ring. ``W`` is a view of the
+    one ``learner``'s weight block, shaped by :meth:`_learner_shape`.
     """
 
     def __init__(
@@ -159,15 +162,16 @@ class AnarxModel:
         # failure is raised when a forecast first reads that row
         self._fault_lag = math.inf
         self._fault = ""
-        if training == "stacked":
-            self.learners = None
-            self.stacked_learner = self._make_learner(
-                np.concatenate([node.weights for node in nodes])
-            )
-        else:
-            self.stacked_learner = None
-            self.W = np.array([node.weights for node in nodes])
-            self.learners = [self._make_learner(row) for row in self.W]
+        # A node fits the sum of its ``synapses`` tied weight vectors (see
+        # NeoFuzzyNode). Each has the prior p0 * I, so the sum has
+        # synapses * p0 * I; RLS on the sum then matches RLS on the tied
+        # vectors.
+        self.learner = make_learner(
+            learner,
+            np.array([node.weights for node in nodes]).reshape(self._learner_shape()),
+            alpha=self.alpha,
+            p0=first.synapses * self.p0,
+        )
         self._bind_rows()
 
     # -- structure ---------------------------------------------------
@@ -176,25 +180,17 @@ class AnarxModel:
     def n(self) -> int:
         return len(self.nodes)
 
-    def _make_learner(self, weights):
-        # A node fits the sum of its ``synapses`` tied weight vectors (see
-        # NeoFuzzyNode). Each has the prior p0 * I, so the sum has
-        # synapses * p0 * I; RLS on the sum then matches RLS on the tied
-        # vectors. Stacked ``extend`` reuses the learner's p0.
-        return make_learner(self.learner_kind, weights, alpha=self.alpha,
-                            p0=self.nodes[0].synapses * self.p0)
+    def _learner_shape(self) -> tuple:
+        """(rows, cols) of the learner's weight block: one row over all
+        node weights in stacked training, one row per node in independent."""
+        h = self.nodes[0].dim
+        return (1, self.n * h) if self.training == "stacked" else (self.n, h)
 
     def _bind_rows(self) -> None:
-        """Point node (and independent learner) weights at the rows of W.
-
-        In stacked training W is a view of the stacked learner's weight vector.
-        """
-        if self.training == "stacked":
-            self.W = self.stacked_learner.w.reshape(self.n, -1)
-        for i, node in enumerate(self.nodes):
-            node.weights = self.W[i]
-            if self.learners is not None:
-                self.learners[i].w = node.weights
+        """Point W and the node weights at the learner's weight block."""
+        self.W = self.learner.w.reshape(self.n, -1)
+        for node, row in zip(self.nodes, self.W):
+            node.weights = row
 
     def _fresh_node(self):
         template = self.nodes[-1]
@@ -204,11 +200,7 @@ class AnarxModel:
         """Append node n+1 with zero weights and fresh learner state."""
         node = self._fresh_node()
         self.nodes.append(node)
-        if self.training == "stacked":
-            self.stacked_learner.extend(node.dim)
-        else:
-            self.W = np.concatenate([self.W, node.weights[None, :]])
-            self.learners.append(self._make_learner(self.W[-1]))
+        self.learner.resize(*self._learner_shape())
         self._bind_rows()
         self.delay_y.ensure_capacity(self.n)
         extra = self.delay_y.capacity - len(self._ring)
@@ -218,12 +210,8 @@ class AnarxModel:
     def remove_last_node(self) -> None:
         if self.n <= 1:
             raise ValueError("cannot remove the only node")
-        node = self.nodes.pop()
-        if self.training == "stacked":
-            self.stacked_learner.truncate(self.stacked_learner.dim - node.dim)
-        else:
-            self.learners.pop()
-            self.W = self.W[: self.n]
+        self.nodes.pop()
+        self.learner.resize(*self._learner_shape())
         self._bind_rows()
 
     def evolve(self, policy: EvolutionPolicy, window_rmse: float, contributions) -> StructureChange:
@@ -310,19 +298,16 @@ class AnarxModel:
         node_preds = self._forecasts(m) if forecasts is None else forecasts
 
         skipped = [(i, "lag not observed yet") for i in range(m, self.n)]
-        if self.training == "stacked":
-            if m:
-                # rows of unobserved lags are still zero
-                try:
-                    self.stacked_learner.step(self._ring[: self.n].ravel(), y_new)
-                except AnarxError as exc:
-                    skipped.extend((i, f"{type(exc).__name__}: {exc}") for i in range(m))
-        else:
-            for i in range(m):
-                try:
-                    self.learners[i].step(self._ring[i], y_new)
-                except AnarxError as exc:
-                    skipped.append((i, f"{type(exc).__name__}: {exc}"))
+        # A learner row spans ``span`` nodes: all n in stacked training,
+        # where ring rows of unobserved lags are still zero, one in
+        # independent. Rows with an observed node learn; a skipped row
+        # skips its observed nodes.
+        rows, cols = self.learner.w.shape
+        span = self.n // rows
+        k = -(-m // span)
+        Phi = self._ring[: self.n].reshape(rows, cols)[:k]
+        for row, reason in self.learner.step(Phi, y_new):
+            skipped.extend((i, reason) for i in range(row * span, min(row * span + span, m)))
 
         self.observe(y_new)
         return StepReport(float(y_new), node_preds, skipped)
@@ -345,18 +330,21 @@ class AnarxModel:
             "n_nodes": self.n,
             "delay_y": self.delay_y.snapshot(),
         }
+        rows = [self.learner.row_state(i) for i in range(len(self.learner.w))]
         if self.training == "stacked":
-            state["stacked_state"] = self.stacked_learner.state_dict()
+            state["stacked_state"] = rows[0]
         else:
-            state["learner_states"] = [ln.state_dict() for ln in self.learners]
+            state["learner_states"] = rows
         return state
 
     @classmethod
     def from_state(cls, state: dict) -> "AnarxModel":
         """Rebuild a model from :meth:`state_dict` output.
 
-        Raises CorruptSnapshot when the learner state is shaped for
-        another pool.
+        Raises CorruptSnapshot when the learner state does not match the
+        model: another row count, or settings (kind, alpha, p0) other
+        than those the model builds its learner with; and
+        DimensionMismatch when a row is shaped for another pool.
         """
         node_kind = state["node_kind"]
         if node_kind not in _NODE_TYPES:
@@ -370,31 +358,18 @@ class AnarxModel:
             alpha=state["alpha"],
             p0=state["p0"],
         )
-        dim = grid.h
-        if model.training == "stacked":
-            restored = learner_from_state(state["stacked_state"])
-            if restored.dim != model.n * dim:
+        learner = model.learner
+        rows = [state["stacked_state"]] if model.training == "stacked" else state["learner_states"]
+        if len(rows) != len(learner.w):
+            raise CorruptSnapshot(f"{len(rows)} learner states for {len(learner.w)} learner rows")
+        settings = learner.settings()
+        for i, row in enumerate(rows):
+            saved = {key: row[key] for key in settings if key in row}
+            if saved != settings:
                 raise CorruptSnapshot(
-                    f"stacked weights have length {restored.dim}, "
-                    f"the pool needs {model.n} x {dim}"
+                    f"learner state {i} has settings {saved}, the model builds {settings}"
                 )
-            model.stacked_learner = restored
-        else:
-            learner_states = state["learner_states"]
-            if len(learner_states) != model.n:
-                raise CorruptSnapshot(
-                    f"{len(learner_states)} learner states for {model.n} nodes"
-                )
-            for i, ls in enumerate(learner_states):
-                if len(ls["w"]) != dim:
-                    raise CorruptSnapshot(
-                        f"learner {i} has {len(ls['w'])} weights, its node needs {dim}"
-                    )
-                model.W[i] = ls["w"]
-            model.learners = [
-                learner_from_state(ls, row) for ls, row in zip(learner_states, model.W)
-            ]
-        model._bind_rows()
+            learner.load_row(i, row)
         model.delay_y.restore(state["delay_y"])
         model._rebuild_ring()
         return model

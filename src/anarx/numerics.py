@@ -25,11 +25,6 @@ def vdot(a, b) -> float:
     return float(np.multiply(a, b).sum())
 
 
-def matvec(M, v) -> np.ndarray:
-    """Bit-reproducible matrix-vector product (row-wise reductions)."""
-    return np.multiply(M, v).sum(axis=1)
-
-
 def exact_sum(values) -> float:
     """Correctly rounded sum; invariant to appending zero terms.
 

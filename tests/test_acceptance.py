@@ -122,10 +122,10 @@ class TestCriterion4Oracles:
             n = int(rng.integers(m + 1, 51))
             X = rng.normal(size=(n, m))
             y = rng.normal(size=n)
-            rls = RlsLearner(np.zeros(m), alpha=1.0, p0=1e8)
+            rls = RlsLearner(np.zeros((1, m)), alpha=1.0, p0=1e8)
             for phi, t in zip(X, y):
-                rls.step(phi, t)
-            worst = max(worst, float(np.max(np.abs(rls.w - ols_fit(X, y)))))
+                rls.step(phi[None, :], t)
+            worst = max(worst, float(np.max(np.abs(rls.w[0] - ols_fit(X, y)))))
         assert worst <= 1e-5
         _report("criterion 4a (RLS vs OLS)", f"max weight deviation {worst:.2e} <= 1e-5")
 
@@ -166,32 +166,32 @@ class TestCriterion5Identities:
 
     def test_kaczmarz_zero_aposteriori(self):
         rng = np.random.default_rng(1)
-        kwh = KwhLearner(np.zeros(6))
+        kwh = KwhLearner(np.zeros((1, 6)))
         worst = 0.0
         for _ in range(500):
             phi = rng.normal(size=6)
             y = rng.normal()
-            kwh.step(phi, y)
-            worst = max(worst, abs(y - kwh.w @ phi) / (1.0 + abs(y)))
+            kwh.step(phi[None, :], y)
+            worst = max(worst, abs(y - kwh.w[0] @ phi) / (1.0 + abs(y)))
         assert worst <= 1e-10
         _report("criterion 5 (Kaczmarz a-posteriori)", f"max residual {worst:.2e} <= 1e-10")
 
     def test_adaptive_coincides_with_kaczmarz(self):
         rng = np.random.default_rng(2)
-        # first step, alpha = 1, r0 = 0
-        phi, y = rng.normal(size=4), rng.normal()
-        ad = AdaptiveLearner(np.zeros(4), alpha=1.0, r0=0.0)
-        kw = KwhLearner(np.zeros(4))
+        # first step, alpha = 1, r = 0
+        phi, y = rng.normal(size=(1, 4)), rng.normal()
+        ad = AdaptiveLearner(np.zeros((1, 4)), alpha=1.0)
+        kw = KwhLearner(np.zeros((1, 4)))
         ad.step(phi, y)
         kw.step(phi, y)
         first_gap = float(np.max(np.abs(ad.w - kw.w)))
         assert first_gap <= 1e-10
         # every step at alpha = 0
-        ad0 = AdaptiveLearner(np.zeros(4), alpha=0.0)
-        kw0 = KwhLearner(np.zeros(4))
+        ad0 = AdaptiveLearner(np.zeros((1, 4)), alpha=0.0)
+        kw0 = KwhLearner(np.zeros((1, 4)))
         all_gap = 0.0
         for _ in range(300):
-            phi, y = rng.normal(size=4), rng.normal()
+            phi, y = rng.normal(size=(1, 4)), rng.normal()
             ad0.step(phi, y)
             kw0.step(phi, y)
             all_gap = max(all_gap, float(np.max(np.abs(ad0.w - kw0.w))))
@@ -265,10 +265,8 @@ class TestCriterion6EvolutionSafety:
                     elif change is StructureChange.REMOVED:
                         combiner.truncate(model.n)
                 # invariants after every step
-                if training == "independent":
-                    assert len(model.learners) == model.n
-                else:
-                    assert model.stacked_learner.dim == sum(nd.dim for nd in model.nodes)
+                assert model.learner.w.size == sum(nd.dim for nd in model.nodes)
+                assert len(model.learner.w) == (model.n if training == "independent" else 1)
                 assert combiner.n == model.n
                 assert model.delay_y.capacity >= model.n
                 assert 1 <= model.n <= 8

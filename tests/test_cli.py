@@ -273,25 +273,29 @@ class TestLearnerHealth:
 
     def test_stacked_rls_prints_trace_and_largest_diagonal(self, tmp_path, data_csv, capsys):
         model, health = self.show(tmp_path, data_csv, capsys, "learner = rls\nalpha = 1.0\n")
-        P = model.stacked_learner.P
+        assert model.learner.P.shape[0] == 1
+        P = model.learner.P[0]
         assert health == [f"learner health: trace(P) {float(np.trace(P))!r}, "
                           f"max diag(P) {float(P.diagonal().max())!r}"]
 
     def test_independent_rls_prints_min_and_max_over_nodes(self, tmp_path, data_csv, capsys):
         model, health = self.show(tmp_path, data_csv, capsys,
                                   "learner = rls\nalpha = 1.0\nweighted = true\n")
-        traces = [float(np.trace(ln.P)) for ln in model.learners]
-        diags = [float(ln.P.diagonal().max()) for ln in model.learners]
+        assert model.learner.P.shape[0] == model.n == 2
+        traces = [float(np.trace(P)) for P in model.learner.P]
+        diags = [float(P.diagonal().max()) for P in model.learner.P]
         assert traces[0] != traces[1]
         assert health == [f"learner health: trace(P) min {min(traces)!r} max {max(traces)!r}, "
                           f"max diag(P) min {min(diags)!r} max {max(diags)!r}"]
 
     def test_adaptive_prints_gain(self, tmp_path, data_csv, capsys):
         model, health = self.show(tmp_path, data_csv, capsys, "weighted = true\n")
-        r = [ln.r for ln in model.learners]
+        r = model.learner.r.tolist()
+        assert len(r) == model.n == 2
         assert health == [f"learner health: r min {min(r)!r} max {max(r)!r}"]
         model, health = self.show(tmp_path, data_csv, capsys, "")
-        assert health == [f"learner health: r {model.stacked_learner.r!r}"]
+        assert model.learner.r.shape == (1,)
+        assert health == [f"learner health: r {float(model.learner.r[0])!r}"]
 
     def test_kwh_prints_no_health_line(self, tmp_path, data_csv, capsys):
         _, health = self.show(tmp_path, data_csv, capsys, "learner = kwh\nalpha = 1.0\n")

@@ -7,27 +7,37 @@ from hypothesis import strategies as st
 
 from anarx import (
     AdaptiveLearner,
+    AnarxModel,
     KwhLearner,
     RlsLearner,
+    build_anarx,
     build_uniform_grid,
     eval_bspline,
     make_learner,
 )
-from anarx.errors import DimensionMismatch, ZeroGain, ZeroRegressor
-from anarx.learning import StepResult
-from anarx.numerics import matvec, vdot
+from anarx.errors import DimensionMismatch
+from anarx.numerics import EPS_REG, vdot
 
 from conftest import ols_fit
 
 
+def row(*values):
+    """One regressor as a (1, cols) block."""
+    return np.array([values], dtype=float)
+
+
+def predict(learner, phi) -> float:
+    """Row-0 prediction with the current weights."""
+    return vdot(learner.w[0], phi)
+
+
 class TestRls:
     def test_hand_example(self):
-        rls = RlsLearner(np.zeros(2), alpha=1.0, p0=1.0)
-        res = rls.step([1.0, 0.0], 2.0)
-        assert res.prediction == 0.0
-        assert res.error == 2.0
-        assert np.allclose(rls.w, [1.0, 0.0])
-        assert np.allclose(rls.P, [[0.5, 0.0], [0.0, 1.0]])
+        rls = RlsLearner(np.zeros((1, 2)), alpha=1.0, p0=1.0)
+        assert predict(rls, [1.0, 0.0]) == 0.0
+        assert rls.step(row(1.0, 0.0), 2.0) == []
+        assert np.allclose(rls.w, [[1.0, 0.0]])
+        assert np.allclose(rls.P, [[[0.5, 0.0], [0.0, 1.0]]])
 
     def test_matches_ols_small_batch(self):
         # well-conditioned samples; the diffuse-prior bias scales with
@@ -35,11 +45,11 @@ class TestRls:
         # this tolerance
         X = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         y = np.array([1.0, 2.0, 0.5])
-        rls = RlsLearner(np.zeros(2), alpha=1.0, p0=1e6)
+        rls = RlsLearner(np.zeros((1, 2)), alpha=1.0, p0=1e6)
         for phi, t in zip(X, y):
-            rls.step(phi, t)
+            rls.step(phi[None, :], t)
         w_ols = np.linalg.lstsq(X, y, rcond=None)[0]
-        assert np.max(np.abs(rls.w - w_ols)) <= 1e-6
+        assert np.max(np.abs(rls.w[0] - w_ols)) <= 1e-6
 
     def test_ols_oracle_many_problems(self):
         rng = np.random.default_rng(42)
@@ -48,18 +58,17 @@ class TestRls:
             n = int(rng.integers(m + 1, 51))
             X = rng.normal(size=(n, m))
             y = rng.normal(size=n)
-            rls = RlsLearner(np.zeros(m), alpha=1.0, p0=1e8)
+            rls = RlsLearner(np.zeros((1, m)), alpha=1.0, p0=1e8)
             for phi, t in zip(X, y):
-                rls.step(phi, t)
-            assert np.max(np.abs(rls.w - ols_fit(X, y))) <= 1e-5
+                rls.step(phi[None, :], t)
+            assert np.max(np.abs(rls.w[0] - ols_fit(X, y))) <= 1e-5
 
     def test_zero_innovation_leaves_w_updates_P(self):
-        rls = RlsLearner(np.array([1.0, -2.0]), alpha=1.0, p0=10.0)
+        rls = RlsLearner(np.array([[1.0, -2.0]]), alpha=1.0, p0=10.0)
         P_before = rls.P.copy()
         phi = np.array([0.5, 0.25])
-        res = rls.step(phi, float(np.multiply(rls.w, phi).sum()))
-        assert res.error == 0.0
-        assert np.array_equal(rls.w, [1.0, -2.0])
+        rls.step(phi[None, :], predict(rls, phi))
+        assert np.array_equal(rls.w, [[1.0, -2.0]])
         assert not np.allclose(rls.P, P_before)
 
     def test_exponential_forgetting_tracks_regime_switch(self):
@@ -72,10 +81,10 @@ class TestRls:
         y += 0.01 * rng.normal(size=2 * n_each)
         finals = {}
         for alpha in (1.0, 0.95):
-            rls = RlsLearner(np.zeros(m), alpha=alpha, p0=1e4)
+            rls = RlsLearner(np.zeros((1, m)), alpha=alpha, p0=1e4)
             for phi, t in zip(X, y):
-                rls.step(phi, t)
-            finals[alpha] = rls.w.copy()
+                rls.step(phi[None, :], t)
+            finals[alpha] = rls.w[0].copy()
         w_b_ols = ols_fit(X[n_each:], y[n_each:])
         d_forget = np.linalg.norm(finals[0.95] - w_b_ols)
         d_full = np.linalg.norm(finals[1.0] - w_b_ols)
@@ -83,56 +92,111 @@ class TestRls:
 
     def test_P_stays_symmetric(self):
         rng = np.random.default_rng(3)
-        rls = RlsLearner(np.zeros(4), alpha=0.97, p0=100.0)
+        rls = RlsLearner(np.zeros((3, 4)), alpha=0.97, p0=100.0)
         for _ in range(500):
-            rls.step(rng.normal(size=4), rng.normal())
-        assert np.array_equal(rls.P, rls.P.T)
+            rls.step(rng.normal(size=(3, 4)), rng.normal())
+        assert np.array_equal(rls.P, rls.P.transpose(0, 2, 1))
 
     @pytest.mark.parametrize("bad", ["asymmetric", "nan", "inf"])
     def test_from_state_rejects_asymmetric_or_non_finite_P(self, bad):
+        # the restore path of a stacked RLS pool checks the one covariance
         rng = np.random.default_rng(4)
-        rls = RlsLearner(np.zeros(3), alpha=0.95, p0=10.0)
-        for _ in range(20):
-            rls.step(rng.normal(size=3), rng.normal())
-        state = rls.state_dict()
+        m = build_anarx(1, 3, 0.0, 1.0, training="stacked", learner="rls", alpha=0.95, p0=5.0)
+        for y in rng.uniform(0.0, 1.0, 20).tolist():
+            m.train_step(y)
+        state = json.loads(json.dumps(m.state_dict()))
+        P = state["stacked_state"]["P"]
         if bad == "asymmetric":
-            state["P"][0][2] += 1e-9
+            P[0][2] += 1e-9
         else:
-            state["P"][1][1] = float(bad)
+            P[1][1] = float(bad)
         with pytest.raises(DimensionMismatch):
-            RlsLearner.from_state(state)
+            AnarxModel.from_state(state)
 
     def test_dimension_mismatch(self):
-        rls = RlsLearner(np.zeros(3))
+        rls = RlsLearner(np.zeros((2, 3)))
+        for bad in (row(1.0, 2.0), np.zeros((3, 3)), np.zeros(3)):
+            with pytest.raises(DimensionMismatch):
+                rls.step(bad, 0.5)
         with pytest.raises(DimensionMismatch):
-            rls.step([1.0, 2.0], 0.5)
+            RlsLearner(np.zeros(3))
 
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
-            RlsLearner(np.zeros(2), alpha=0.0)
+            RlsLearner(np.zeros((1, 2)), alpha=0.0)
         with pytest.raises(ValueError):
-            RlsLearner(np.zeros(2), alpha=1.2)
+            RlsLearner(np.zeros((1, 2)), alpha=1.2)
 
 
-class _ResymmetrizingRls(RlsLearner):
-    """Reference: the update as first written, which divided by alpha on
-    every step and then re-symmetrized P."""
+class _RowReference:
+    """One learner row computed as the per-node learners did: 1-d
+    weights, a scalar gain, vdot, a row-wise matrix-vector product and
+    np.outer, and a skip reason where the update would divide by a
+    vanishing norm or gain."""
+
+    def __init__(self, kind, w, alpha, p0):
+        self.kind, self.alpha, self.p0 = kind, alpha, p0
+        self.w = np.array(w, dtype=float)
+        self.P = p0 * np.eye(self.w.size)
+        self.r = 0.0
 
     def step(self, phi, y):
-        phi = np.asarray(phi, dtype=float)
-        prediction = vdot(self.w, phi)
-        error = float(y) - prediction
-        Pphi = matvec(self.P, phi)
+        error = float(y) - vdot(self.w, phi)
+        if self.kind == "rls":
+            self._rls_update(phi, error)
+            return None
+        if self.kind == "kwh":
+            gain, what = vdot(phi, phi), "ZeroRegressor: squared regressor norm"
+        else:
+            self.r = self.alpha * self.r + vdot(phi, phi)
+            gain, what = self.r, "ZeroGain: gain accumulator"
+        if gain <= EPS_REG:
+            return f"{what} {gain} below {EPS_REG}"
+        self.w += (error / gain) * phi
+        return None
+
+    def _rls_update(self, phi, error):
+        Pphi = np.multiply(self.P, phi).sum(axis=1)
+        denom = self.alpha + vdot(phi, Pphi)
+        self.w += Pphi * (error / denom)
+        self.P -= np.outer(Pphi, Pphi) / denom
+        if self.alpha != 1.0:
+            self.P /= self.alpha
+
+    def resize(self, cols):
+        keep = min(cols, self.w.size)
+        w = np.zeros(cols)
+        w[:keep] = self.w[:keep]
+        P = self.p0 * np.eye(cols)
+        P[:keep, :keep] = self.P[:keep, :keep]
+        self.w, self.P = w, P
+
+
+class _ResymmetrizingRls(_RowReference):
+    """Reference: the RLS update as first written, which divided by
+    alpha on every step and then re-symmetrized P."""
+
+    def _rls_update(self, phi, error):
+        Pphi = np.multiply(self.P, phi).sum(axis=1)
         denom = self.alpha + vdot(phi, Pphi)
         self.w += Pphi * (error / denom)
         self.P -= np.outer(Pphi, Pphi) / denom
         self.P /= self.alpha
         self.P = 0.5 * (self.P + self.P.T)
-        return StepResult(prediction, error)
 
 
 def _bits(x) -> bytes:
     return np.asarray(x, dtype=float).tobytes()
+
+
+def _round_trip(learner):
+    """A fresh learner of the same settings, restored row by row from JSON."""
+    given = learner.settings()
+    fresh = make_learner(given["kind"], np.zeros(learner.w.shape),
+                         alpha=given.get("alpha", 1.0), p0=given.get("p0", 1e4))
+    for i in range(len(learner.w)):
+        fresh.load_row(i, json.loads(json.dumps(learner.row_state(i))))
+    return fresh
 
 
 @st.composite
@@ -155,152 +219,243 @@ class TestRlsSymmetricUpdate:
         dim=st.integers(1, 40),
         alpha=st.one_of(st.just(1.0), st.floats(0.8, 0.999)),
         p0=st.sampled_from([1.0, 100.0, 1e4]),
-        ops=st.lists(st.sampled_from(["step"] * 6 + ["extend", "truncate", "round_trip"]),
+        ops=st.lists(st.sampled_from(["step"] * 6 + ["grow", "shrink", "round_trip"]),
                      max_size=30),
     )
     def test_matches_resymmetrizing_reference(self, data, dim, alpha, p0, ops):
         w0 = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)))
-        new = RlsLearner(w0.copy(), alpha=alpha, p0=p0)
-        ref = _ResymmetrizingRls(w0.copy(), alpha=alpha, p0=p0)
+        new = RlsLearner(w0[None, :].copy(), alpha=alpha, p0=p0)
+        ref = _ResymmetrizingRls("rls", w0, alpha, p0)
         for op in ops:
+            cols = new.w.shape[1]
             if op == "step":
-                phi = data.draw(_regressor(new.dim))
+                phi = data.draw(_regressor(cols))
                 y = data.draw(st.floats(-10.0, 10.0))
                 P = new.P
-                got = new.step(phi, y)
-                want = ref.step(phi, y)
+                assert new.step(phi[None, :], y) == []
+                ref.step(phi, y)
                 assert new.P is P
-                assert _bits([got.prediction, got.error]) == _bits([want.prediction, want.error])
-            elif op == "extend" and new.dim < 48:
-                extra = data.draw(st.integers(1, 8))
-                new.extend(extra)
-                ref.extend(extra)
-            elif op == "truncate" and new.dim > 1:
-                keep = data.draw(st.integers(1, new.dim - 1))
-                new.truncate(keep)
-                ref.truncate(keep)
+            elif op == "grow" and cols < 48:
+                cols += data.draw(st.integers(1, 8))
+                new.resize(1, cols)
+                ref.resize(cols)
+            elif op == "shrink" and cols > 1:
+                cols = data.draw(st.integers(1, cols - 1))
+                new.resize(1, cols)
+                ref.resize(cols)
             elif op == "round_trip":
-                new = RlsLearner.from_state(json.loads(json.dumps(new.state_dict())))
-            assert _bits(new.w) == _bits(ref.w)
-            assert _bits(new.P) == _bits(ref.P)
-            assert np.array_equal(new.P, new.P.T)
+                new = _round_trip(new)
+            assert _bits(new.w[0]) == _bits(ref.w)
+            assert _bits(new.P[0]) == _bits(ref.P)
+            assert np.array_equal(new.P[0], new.P[0].T)
+
+
+_ALPHAS = {
+    "rls": st.one_of(st.just(1.0), st.floats(0.8, 0.999)),
+    "kwh": st.just(1.0),
+    "adaptive": st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+}
+
+
+@st.composite
+def _block(draw, rows, cols):
+    """Regressors for ``rows`` rows; some rows zero, so KWH and (at
+    alpha = 0 or from r = 0) adaptive mask them."""
+    return np.array([
+        np.zeros(cols) if draw(st.integers(0, 4)) == 0 else draw(_regressor(cols))
+        for _ in range(rows)
+    ]).reshape(rows, cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    kind=st.sampled_from(["rls", "kwh", "adaptive"]),
+    rows=st.integers(1, 4),
+    cols=st.integers(1, 12),
+    p0=st.sampled_from([1.0, 100.0, 1e4]),
+    ops=st.lists(st.sampled_from(["step"] * 6 + ["resize", "round_trip"]), max_size=25),
+)
+def test_batched_learner_is_rows_of_single_learners(data, kind, rows, cols, p0, ops):
+    # One learner over a (rows, cols) block steps, masks, resizes and
+    # restores each row exactly as a separate per-row learner would.
+    alpha = data.draw(_ALPHAS[kind], label="alpha")
+    w0 = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=rows * cols,
+                                     max_size=rows * cols))).reshape(rows, cols)
+    batched = make_learner(kind, w0.copy(), alpha=alpha, p0=p0)
+    refs = [_RowReference(kind, w, alpha, p0) for w in w0]
+    for op in ops:
+        rows, cols = batched.w.shape
+        if op == "step":
+            k = data.draw(st.integers(0, rows), label="k")
+            Phi = data.draw(_block(k, cols), label="Phi")
+            y = data.draw(st.floats(-10.0, 10.0), label="y")
+            skipped = batched.step(Phi, y)
+            want = [(i, reason) for i, reason in
+                    ((i, refs[i].step(phi, y)) for i, phi in enumerate(Phi)) if reason]
+            assert skipped == want
+        elif op == "resize":
+            rows = data.draw(st.integers(1, 5), label="rows")
+            cols = data.draw(st.integers(1, 14), label="cols")
+            batched.resize(rows, cols)
+            refs = refs[:rows] + [_RowReference(kind, np.zeros(cols), alpha, p0)
+                                  for _ in range(rows - len(refs))]
+            for ref in refs:
+                ref.resize(cols)
+        else:
+            batched = _round_trip(batched)
+        assert batched.w.shape == (len(refs), cols)
+        for i, ref in enumerate(refs):
+            assert _bits(batched.w[i]) == _bits(ref.w)
+            if kind == "rls":
+                assert _bits(batched.P[i]) == _bits(ref.P)
+            if kind == "adaptive":
+                assert _bits(batched.r[i]) == _bits(ref.r)
 
 
 class TestKwh:
     def test_hand_example(self):
-        kwh = KwhLearner(np.zeros(2))
-        res = kwh.step([1.0, 0.0], 2.0)
-        assert np.allclose(kwh.w, [2.0, 0.0])
-        assert res.error == 2.0
+        kwh = KwhLearner(np.zeros((1, 2)))
+        assert 2.0 - predict(kwh, [1.0, 0.0]) == 2.0
+        kwh.step(row(1.0, 0.0), 2.0)
+        assert np.allclose(kwh.w, [[2.0, 0.0]])
 
     def test_repeat_sample_no_change(self):
-        kwh = KwhLearner(np.zeros(2))
-        kwh.step([1.0, 0.0], 2.0)
+        kwh = KwhLearner(np.zeros((1, 2)))
+        kwh.step(row(1.0, 0.0), 2.0)
         w = kwh.w.copy()
-        kwh.step([1.0, 0.0], 2.0)
+        kwh.step(row(1.0, 0.0), 2.0)
         assert np.array_equal(kwh.w, w)
 
     def test_zero_innovation_no_change(self):
         rng = np.random.default_rng(1)
-        kwh = KwhLearner(rng.normal(size=4))
+        kwh = KwhLearner(rng.normal(size=(1, 4)))
         phi = rng.normal(size=4)
         w = kwh.w.copy()
-        kwh.step(phi, float(np.multiply(w, phi).sum()))
+        kwh.step(phi[None, :], predict(kwh, phi))
         assert np.array_equal(kwh.w, w)
 
     def test_zero_aposteriori_error(self):
         rng = np.random.default_rng(2)
-        kwh = KwhLearner(np.zeros(5))
+        kwh = KwhLearner(np.zeros((3, 5)))
         for _ in range(200):
-            phi = rng.normal(size=5)
+            Phi = rng.normal(size=(3, 5))
             y = rng.normal()
-            kwh.step(phi, y)
-            assert abs(y - kwh.w @ phi) <= 1e-10 * (1.0 + abs(y))
+            kwh.step(Phi, y)
+            assert np.all(np.abs(y - (kwh.w * Phi).sum(axis=1)) <= 1e-10 * (1.0 + abs(y)))
 
-    def test_zero_regressor_raises(self):
-        kwh = KwhLearner(np.zeros(3))
-        with pytest.raises(ZeroRegressor):
-            kwh.step(np.zeros(3), 1.0)
+    def test_zero_regressor_row_is_skipped(self):
+        # row 1 has a zero regressor: it is masked and named, row 0 learns
+        kwh = KwhLearner(np.ones((3, 3)))
+        skipped = kwh.step(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), 5.0)
+        assert skipped == [(1, f"ZeroRegressor: squared regressor norm 0.0 below {EPS_REG}")]
+        assert kwh.w.tolist() == [[5.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]
 
 
 class TestAdaptive:
     def test_first_step_equals_kwh_when_alpha1_r0(self):
         rng = np.random.default_rng(5)
-        phi = rng.normal(size=4)
+        phi = rng.normal(size=(1, 4))
         y = rng.normal()
-        ad = AdaptiveLearner(np.zeros(4), alpha=1.0, r0=0.0)
-        kw = KwhLearner(np.zeros(4))
+        ad = AdaptiveLearner(np.zeros((1, 4)), alpha=1.0)
+        assert ad.r.tolist() == [0.0]
+        kw = KwhLearner(np.zeros((1, 4)))
         ad.step(phi, y)
         kw.step(phi, y)
         assert np.max(np.abs(ad.w - kw.w)) <= 1e-15
 
     def test_alpha0_always_kwh(self):
         rng = np.random.default_rng(6)
-        ad = AdaptiveLearner(np.zeros(3), alpha=0.0)
-        kw = KwhLearner(np.zeros(3))
+        ad = AdaptiveLearner(np.zeros((1, 3)), alpha=0.0)
+        kw = KwhLearner(np.zeros((1, 3)))
         for _ in range(100):
-            phi = rng.normal(size=3)
+            phi = rng.normal(size=(1, 3))
             y = rng.normal()
             ad.step(phi, y)
             kw.step(phi, y)
             assert np.max(np.abs(ad.w - kw.w)) <= 1e-12
 
     def test_gain_recursion_hand_example(self):
-        ad = AdaptiveLearner(np.zeros(2), alpha=0.5, r0=4.0)
-        ad.step([1.0, 1.0], 0.0)
-        assert ad.r == 4.0
+        ad = AdaptiveLearner(np.zeros((1, 2)), alpha=0.5)
+        ad.r[:] = 4.0
+        ad.step(row(1.0, 1.0), 0.0)
+        assert ad.r.tolist() == [4.0]
 
     def test_gain_updated_before_weights(self):
-        # one step from r0=0, alpha=0.5: divisor must be the fresh r = |phi|^2
-        ad = AdaptiveLearner(np.zeros(2), alpha=0.5, r0=0.0)
-        ad.step([2.0, 0.0], 4.0)
-        assert np.allclose(ad.w, [2.0, 0.0])
+        # one step from r = 0, alpha = 0.5: divisor must be the fresh r = |phi|^2
+        ad = AdaptiveLearner(np.zeros((1, 2)), alpha=0.5)
+        ad.step(row(2.0, 0.0), 4.0)
+        assert np.allclose(ad.w, [[2.0, 0.0]])
 
     def test_zero_innovation_no_change(self):
         rng = np.random.default_rng(7)
-        ad = AdaptiveLearner(rng.normal(size=3), alpha=0.8, r0=1.0)
+        ad = AdaptiveLearner(rng.normal(size=(1, 3)), alpha=0.8)
+        ad.r[:] = 1.0
         phi = rng.normal(size=3)
         w = ad.w.copy()
-        ad.step(phi, float(np.multiply(w, phi).sum()))
+        ad.step(phi[None, :], predict(ad, phi))
         assert np.array_equal(ad.w, w)
 
-    def test_zero_gain_raises(self):
-        ad = AdaptiveLearner(np.zeros(2), alpha=0.0, r0=0.0)
-        with pytest.raises(ZeroGain):
-            ad.step(np.zeros(2), 1.0)
+    def test_zero_gain_row_is_skipped(self):
+        # the gain moves before the check; a masked row keeps its weights,
+        # and the row past k keeps its gain
+        ad = AdaptiveLearner(np.ones((3, 2)), alpha=0.0)
+        ad.r[:] = 7.0
+        skipped = ad.step(np.array([[0.0, 0.0], [1.0, 0.0]]), 3.0)
+        assert skipped == [(0, f"ZeroGain: gain accumulator 0.0 below {EPS_REG}")]
+        assert ad.r.tolist() == [0.0, 1.0, 7.0]
+        assert ad.w.tolist() == [[1.0, 1.0], [3.0, 1.0], [1.0, 1.0]]
 
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
-            AdaptiveLearner(np.zeros(2), alpha=-0.1)
+            AdaptiveLearner(np.zeros((1, 2)), alpha=-0.1)
         with pytest.raises(ValueError):
-            AdaptiveLearner(np.zeros(2), alpha=1.1)
+            AdaptiveLearner(np.zeros((1, 2)), alpha=1.1)
 
 
 class TestCommon:
     def test_error_equals_y_minus_prediction(self):
+        # every kind moves the weights by the innovation y - w'phi of the
+        # pre-update weights: none when it is zero, and for a zero-start
+        # projection exactly onto the sample's hyperplane
         rng = np.random.default_rng(11)
         for kind in ("rls", "kwh", "adaptive"):
-            learner = make_learner(kind, rng.normal(size=3), alpha=0.9)
+            learner = make_learner(kind, rng.normal(size=(1, 3)), alpha=0.9)
             phi = rng.normal(size=3)
-            y = rng.normal()
-            pred_manual = float(np.multiply(learner.w, phi).sum())
-            res = learner.step(phi, y)
-            assert res.prediction == pred_manual
-            assert res.error == y - pred_manual
+            w = learner.w.copy()
+            learner.step(phi[None, :], predict(learner, phi))
+            assert np.array_equal(learner.w, w), kind
+            y = predict(learner, phi) + 1.0
+            learner.step(phi[None, :], y)
+            assert not np.array_equal(learner.w, w), kind
+        for kind in ("kwh", "adaptive"):
+            learner = make_learner(kind, np.zeros((1, 3)), alpha=0.9)
+            learner.step(phi[None, :], 2.5)
+            assert abs(predict(learner, phi) - 2.5) <= 1e-12
 
     def test_weights_updated_in_place(self):
-        weights = np.zeros(3)
+        weights = np.zeros((2, 3))
         for kind in ("rls", "kwh", "adaptive"):
             weights[:] = 0.0
             learner = make_learner(kind, weights, alpha=1.0)
             assert learner.w is weights
-            learner.step([1.0, 0.5, 0.0], 1.0)
+            learner.step(row(1.0, 0.5, 0.0), 1.0)
             assert learner.w is weights
-            assert np.any(weights != 0.0)
+            assert np.any(weights[0] != 0.0)
+            # only the rows handed a regressor move
+            assert np.all(weights[1] == 0.0)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            make_learner("sgd", np.zeros(2))
+            make_learner("sgd", np.zeros((1, 2)))
+
+    def test_make_learner_passes_each_kind_its_settings(self):
+        assert make_learner("rls", np.zeros((1, 2)), alpha=0.9, p0=3.0).settings() == {
+            "kind": "rls", "alpha": 0.9, "p0": 3.0}
+        assert make_learner("kwh", np.zeros((1, 2)), alpha=0.9, p0=3.0).settings() == {
+            "kind": "kwh"}
+        assert make_learner("adaptive", np.zeros((1, 2)), alpha=0.9, p0=3.0).settings() == {
+            "kind": "adaptive", "alpha": 0.9}
 
 
 # worst gaps seen over 300 random draws: 7.2e-16 (adaptive, kwh), 7.5e-12 (rls);
@@ -329,10 +484,13 @@ def test_one_synapse_learns_as_two_tied_synapses(kind, h, p0, adaptive_alpha, st
     x = rng.uniform(0.0, 1.0, steps)
     y = np.sin(6.0 * x) + rng.normal(0.0, 0.1, steps)
     alpha = adaptive_alpha if kind == "adaptive" else 1.0
-    tied = make_learner(kind, np.zeros(2 * h), alpha=alpha, p0=p0)
-    one = make_learner(kind, np.zeros(h), alpha=alpha, p0=2.0 * p0)
+    tied = make_learner(kind, np.zeros((1, 2 * h)), alpha=alpha, p0=p0)
+    one = make_learner(kind, np.zeros((1, h)), alpha=alpha, p0=2.0 * p0)
     for xk, yk in zip(x.tolist(), y.tolist()):
         mu = eval_bspline(grid, xk)
-        a = tied.step(np.concatenate([mu, mu]), yk)
-        b = one.step(mu, yk)
-        assert abs(a.prediction - b.prediction) <= COLLAPSE_TOL[kind]
+        tied_phi = np.concatenate([mu, mu])
+        a = predict(tied, tied_phi)
+        b = predict(one, mu)
+        tied.step(tied_phi[None, :], yk)
+        one.step(mu[None, :], yk)
+        assert abs(a - b) <= COLLAPSE_TOL[kind]

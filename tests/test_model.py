@@ -103,12 +103,13 @@ class TestTrainStep:
         series = rng.uniform(0, 1, 60)
         m = small_model(n=1, training="stacked", learner="kwh")
         ref_node = NeoFuzzyNode(m.nodes[0].grid)
-        ref = KwhLearner(ref_node.weights)
+        ref = KwhLearner(ref_node.weights[None, :])
+        ref_node.weights = ref.w[0]
         prev = None
         for y in series:
             rep = m.train_step(float(y))
             if prev is not None:
-                ref.step(ref_node.regressor(prev), float(y))
+                ref.step(ref_node.regressor(prev)[None, :], float(y))
             prev = float(y)
             assert np.max(np.abs(m.nodes[0].weights - ref_node.weights)) <= 1e-15
 
@@ -149,15 +150,18 @@ class TestTrainStep:
         for y in rng.uniform(0, 1, 10):
             m.train_step(float(y))
         before = [node.weights.copy() for node in m.nodes]
-        states_before = [copy.deepcopy(ln.state_dict()) for ln in m.learners]
-        # update only node 2 by hand
+        states_before = [copy.deepcopy(m.learner.row_state(i)) for i in range(3)]
+        # step only row 1 (node 2) of the batched learner by hand; row 0
+        # gets a zero-innovation regressor, row 2 none
         phi = m.nodes[1].regressor(0.5)
-        m.learners[1].step(phi, 0.9)
+        zero = np.zeros_like(phi)
+        assert m.learner.step(np.array([zero, phi]), 0.9) == []
         assert np.array_equal(m.nodes[0].weights, before[0])
         assert np.array_equal(m.nodes[2].weights, before[2])
         assert not np.array_equal(m.nodes[1].weights, before[1])
-        assert m.learners[0].state_dict() == states_before[0]
-        assert m.learners[2].state_dict() == states_before[2]
+        assert m.learner.row_state(0) == states_before[0]
+        assert m.learner.row_state(2) == states_before[2]
+        assert m.learner.row_state(1)["P"] != states_before[1]["P"]
 
     def test_warmup_determinism(self):
         rng = np.random.default_rng(5)
@@ -206,21 +210,39 @@ class TestTrainStep:
         assert np.array_equal(own.W, handed.W)
 
     def test_learner_failure_is_skipped_with_its_class_name(self, monkeypatch):
-        from anarx.errors import ZeroRegressor
+        from anarx import learning
 
-        m = small_model(n=2, training="stacked", learner="kwh")
+        m = small_model(n=3, training="stacked", learner="kwh")
         for y in (0.2, 0.4):
             m.train_step(y)
-
-        def fail(phi, y):
-            raise ZeroRegressor("squared regressor norm 0.0 below 1e-12")
-
-        monkeypatch.setattr(m.stacked_learner, "step", fail)
+        # the stacked row's norm is now below the threshold: every observed
+        # node is skipped, after the unobserved one, and no weight moves
+        monkeypatch.setattr(learning, "EPS_REG", 10.0)
+        W = m.W.copy()
         report = m.train_step(0.3)
-        assert report.skipped == [
-            (0, "ZeroRegressor: squared regressor norm 0.0 below 1e-12"),
-            (1, "ZeroRegressor: squared regressor norm 0.0 below 1e-12"),
-        ]
+        reason = report.skipped[1][1]
+        assert reason.startswith("ZeroRegressor: squared regressor norm ")
+        assert reason.endswith(" below 10.0")
+        assert report.skipped == [(2, "lag not observed yet"), (0, reason), (1, reason)]
+        assert np.array_equal(m.W, W)
+
+    def test_masked_row_skips_only_its_node_in_independent_mode(self, monkeypatch):
+        from anarx import learning
+
+        # on the knots 0, 0.5, 1 the value 0.0 has squared membership norm
+        # 1.0 and 0.25 has 0.5; with the threshold between them only node 2,
+        # which reads 0.25, is masked
+        m = small_model(n=2, training="independent", learner="adaptive", alpha=0.0)
+        m.train_step(0.25)
+        m.train_step(0.0)
+        monkeypatch.setattr(learning, "EPS_REG", 0.75)
+        W, r = m.W.copy(), m.learner.r.copy()
+        report = m.train_step(0.6)
+        assert report.skipped == [(1, "ZeroGain: gain accumulator 0.5 below 0.75")]
+        assert not np.array_equal(m.W[0], W[0])
+        assert np.array_equal(m.W[1], W[1])
+        # alpha = 0: each gain is the row's squared norm, masked or not
+        assert m.learner.r.tolist() == [1.0, 0.5] != r.tolist()
 
 
 class TestEvolve:
@@ -320,10 +342,8 @@ class TestEvolve:
                 if rng.uniform() < 0.05:
                     if m.evolve(policy, float(rng.uniform(0, 1)), contrib) is not StructureChange.NONE:
                         contrib.clear()
-                if training == "independent":
-                    assert len(m.learners) == m.n
-                else:
-                    assert m.stacked_learner.dim == sum(nd.dim for nd in m.nodes)
+                assert m.learner.w.size == sum(nd.dim for nd in m.nodes)
+                assert len(m.learner.w) == (m.n if training == "independent" else 1)
                 assert m.delay_y.capacity >= m.n
                 assert np.isfinite(m.forward())
 
@@ -341,16 +361,14 @@ class TestArrayPool:
 
     @staticmethod
     def assert_weights_shared(m):
-        # learners update the same memory the nodes and W read
-        if m.training == "stacked":
-            assert np.array_equal(
-                m.stacked_learner.w, np.concatenate([nd.weights for nd in m.nodes])
-            )
-        else:
-            assert len(m.learners) == m.n
-            for ln, nd in zip(m.learners, m.nodes):
-                assert np.array_equal(ln.w, nd.weights)
-        assert np.array_equal(m.W, np.array([nd.weights for nd in m.nodes]))
+        # the learner updates the same memory the nodes and W read
+        rows = 1 if m.training == "stacked" else m.n
+        assert m.learner.w.shape == (rows, m.n * m.nodes[0].dim // rows)
+        assert np.shares_memory(m.W, m.learner.w)
+        for nd, row in zip(m.nodes, m.W):
+            assert np.shares_memory(nd.weights, m.learner.w)
+            assert np.array_equal(nd.weights, row)
+        assert np.array_equal(m.learner.w.ravel(), np.concatenate([nd.weights for nd in m.nodes]))
 
     values = st.floats(-0.5, 1.5, allow_nan=False)
     ops = st.one_of(

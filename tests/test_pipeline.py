@@ -370,7 +370,7 @@ class TestSkippedNodeUpdates:
         assert report.extras["skipped_node_updates"] == {"lag not observed yet": 5}
 
     def test_learner_errors_count_by_class_name(self, monkeypatch):
-        from anarx.errors import ZeroRegressor
+        from anarx import learning
 
         series = SeriesFrame(np.sin(np.arange(80) / 4.0) + 2.0)
         cfg = RunConfig(n_nodes=2, h=3, train_len=80, test_len=0, learner="kwh")
@@ -378,10 +378,8 @@ class TestSkippedNodeUpdates:
         for v in series.values[:10]:
             fc.step(float(v))
 
-        def fail(phi, y):
-            raise ZeroRegressor("squared regressor norm 0.0 below 1e-12")
-
-        monkeypatch.setattr(fc.model.stacked_learner, "step", fail)
+        # every squared regressor norm is now below the threshold
+        monkeypatch.setattr(learning, "EPS_REG", 10.0)
         fc.step(float(series.values[10]))
         fc.step(float(series.values[11]), learn=False)
         assert fc.skipped_updates == {"lag not observed yet": 3, "ZeroRegressor": 2}

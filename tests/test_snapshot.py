@@ -65,13 +65,14 @@ def test_round_trip_preserves_learning_state(tmp_path):
     path = tmp_path / "model.json"
     snapshot_save(fc, path)
     fc2 = snapshot_load(path)
-    a = fc.model.stacked_learner
-    b = fc2.model.stacked_learner
+    a = fc.model.learner
+    b = fc2.model.learner
+    assert a.w.shape == b.w.shape == (1, 8)
     assert np.array_equal(a.w, b.w)
     assert np.array_equal(a.P, b.P)
-    assert a.alpha == b.alpha
-    # node views re-established over the restored weight vector
-    assert fc2.model.nodes[0].weights.base is b.w
+    assert a.settings() == b.settings()
+    # node views re-established over the restored weight block
+    assert all(np.shares_memory(nd.weights, b.w) for nd in fc2.model.nodes)
 
 
 def test_truncated_file_is_corrupt(tmp_path):
@@ -201,6 +202,40 @@ def test_asymmetric_covariance_with_valid_checksum_is_corrupt(tmp_path, weighted
     path = _tampered_snapshot(tmp_path, weighted, learner, tamper)
     with pytest.raises(CorruptSnapshot):
         snapshot_load(path)
+
+
+def _learner_states(model):
+    """The saved learner rows, whichever key the training wiring uses."""
+    return [model["stacked_state"]] if "stacked_state" in model else model["learner_states"]
+
+
+def _as_kwh(model):
+    # a well-formed KWH row in place of the model's own learner kind
+    rows = _learner_states(model)
+    rows[-1].clear()
+    rows[-1].update(kind="kwh", w=[0.5] * 8 if len(rows) == 1 else [0.5] * 4)
+
+
+def _other_alpha(model):
+    _learner_states(model)[-1]["alpha"] = 0.5
+
+
+@pytest.mark.parametrize("weighted,learner", [(False, "rls"), (True, "adaptive")],
+                         ids=["stacked-rls", "independent-adaptive"])
+@pytest.mark.parametrize("tamper", [_as_kwh, _other_alpha], ids=["wrong-kind", "wrong-alpha"])
+def test_learner_settings_other_than_the_model_are_corrupt(
+        tmp_path, capsys, weighted, learner, tamper):
+    # the model builds its learner from its own learner/alpha/p0; a saved
+    # row that names another kind or alpha would be taken silently
+    from anarx.cli import main
+
+    path = _tampered_snapshot(tmp_path, weighted, learner, lambda p: tamper(p["model"]))
+    with pytest.raises(CorruptSnapshot, match="settings"):
+        snapshot_load(path)
+    assert main(["snapshot", "show", "--snapshot", str(path)]) == 10
+    captured = capsys.readouterr()
+    assert "integrity: ok" not in captured.out
+    assert "learner state" in captured.err
 
 
 def _assert_two_synapse_version_rejected(path, capsys, version):
