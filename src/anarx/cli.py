@@ -36,8 +36,8 @@ EXIT_CODES = [
     (errors.CorruptSnapshot, 10),
     (errors.SingularCorrelation, 11),
     (errors.DimensionMismatch, 12),
-    (errors.ZeroRegressor, 13),
-    (errors.ZeroGain, 14),
+    # 13 and 14 are retired and not reused: they were ZeroRegressor and
+    # ZeroGain, which the learners no longer raise (they mask the row)
     (errors.DegenerateActivation, 15),
     (errors.DegenerateStep, 16),
     (errors.NumericalDivergence, 17),

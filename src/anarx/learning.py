@@ -16,9 +16,11 @@ keeps the overlapping block and gives new coordinates zero weight and
 fresh state. ``row_state(i)`` and ``load_row(i, state)`` save and
 restore one row.
 
-Every reduction is numpy's pairwise sum over a contiguous last axis, so
-each row of a batched learner computes bit for bit what a one-row
-learner computes on the same inputs.
+KWH and the adaptive learner reduce with numpy's pairwise sum over a
+contiguous last axis. RLS sums ``P phi`` and ``phi'P phi`` left to
+right over the regressor's support, which gives the bits a sum over
+every column gives. Either way each row of a batched learner computes
+bit for bit what a one-row learner computes on the same inputs.
 
 * :class:`RlsLearner` - exponentially weighted recursive least squares.
 * :class:`KwhLearner` - normalized one-step projection; the a-posteriori
@@ -29,9 +31,11 @@ learner computes on the same inputs.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import DimensionMismatch, ZeroGain, ZeroRegressor
+from .errors import DimensionMismatch, NumericalDivergence, ZeroGain, ZeroRegressor
 from .numerics import EPS_REG
 
 
@@ -107,13 +111,29 @@ class RlsLearner(_RowBlock):
     ordinary recursive least squares. Each row's covariance ``P[i]``
     starts as ``p0 * I`` (diffuse prior) and is updated in place.
 
+    A step costs what the regressors' support costs plus one rank-1
+    downdate. ``P phi`` is the sum of the rows ``phi_j * P[j]`` over the
+    columns ``j`` that any row of the block fires, added left to right
+    from zero (``P`` is symmetric, so its rows are its columns), and
+    ``denom = alpha + phi'P phi`` is a left-to-right sum too. A column
+    where a row's regressor is zero adds exact zeros, which leave a
+    left-to-right sum as it is, so each row gets the bits of a sum over
+    every column. With ``b = P phi / sqrt(denom)`` the downdate is
+    ``P -= b b'``, then ``P /= alpha``.
+
     ``P`` stays exactly symmetric by construction, so it is never
-    re-symmetrized. The rank-1 downdate subtracts ``a_i * a_j / d`` from
-    ``P_ij`` and ``a_j * a_i / d`` from ``P_ji``; IEEE multiplication
-    commutes, so both entries change by the same bits, and dividing both
-    by ``alpha`` keeps them equal. ``resize`` only adds or drops matching
-    rows and columns, and ``load_row`` rejects a ``P`` that is not
-    finite and exactly symmetric.
+    re-symmetrized. The downdate subtracts ``b_i * b_j`` from ``P_ij``
+    and ``b_j * b_i`` from ``P_ji``; IEEE multiplication commutes, so
+    both entries change by the same bits, and dividing both by ``alpha``
+    keeps them equal. ``resize`` only adds or drops matching rows and
+    columns, and ``load_row`` rejects a ``P`` that is not finite and
+    exactly symmetric.
+
+    ``denom`` is positive while ``P`` is positive definite. When a row's
+    ``denom`` is not positive and finite (``P`` lost definiteness to
+    rounding, or wound up to overflow), ``step`` raises
+    NumericalDivergence naming the row before any weight or covariance
+    moves, so the square root never turns it into nan in ``P``.
     """
 
     kind = "rls"
@@ -139,15 +159,26 @@ class RlsLearner(_RowBlock):
         Phi = self._regressors(Phi)
         k = len(Phi)
         w, P = self.w[:k], self.P[:k]
-        error = float(y) - (w * Phi).sum(axis=1)
-        Pphi = (P * Phi[:, None, :]).sum(axis=2)
-        denom = self.alpha + (Phi * Pphi).sum(axis=1)
+        error = float(y) - np.add.reduce(w * Phi, axis=1)
+        # the columns any row fires; a reduce over the middle axis adds
+        # whole rows in order (at cols = 1 there is one term at most)
+        nz = np.logical_or.reduce(Phi, axis=0).nonzero()[0]
+        G = P.take(nz, axis=1)
+        G *= Phi.take(nz, axis=1)[:, :, None]
+        Pphi = np.add.reduce(G, axis=1, initial=0.0)
+        # freed before the downdate's (k, cols, cols) product: with both
+        # alive at full support, glibc hands heap pages back and faults
+        # them in again on every step
+        del G
+        denom = np.add.accumulate(Phi * Pphi, axis=1)[:, -1] + self.alpha
+        for i, d in enumerate(denom.tolist()):
+            if not 0.0 < d < math.inf:
+                raise NumericalDivergence(
+                    f"RLS row {i}: alpha + phi'P phi = {d} is not positive and finite"
+                )
         w += Pphi * (error / denom)[:, None]
-        # divided in place: a fresh (k, cols, cols) array would cost more
-        # in page faults than the arithmetic
-        outer = Pphi[:, :, None] * Pphi[:, None, :]
-        outer /= denom[:, None, None]
-        P -= outer
+        b = Pphi / np.sqrt(denom)[:, None]
+        P -= b[:, :, None] * b[:, None, :]
         if self.alpha != 1.0:
             P /= self.alpha
         return []

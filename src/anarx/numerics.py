@@ -5,8 +5,9 @@ alignment, so the same values in a differently allocated array can give
 answers that differ in the last ulp. Snapshots promise bit-identical
 predictions after a round-trip, and structure changes reallocate weight
 storage, so every hot-path contraction goes through elementwise multiply
-plus numpy's pairwise sum, whose result depends only on operand values
-and lengths.
+plus a numpy sum whose result depends only on operand values and
+lengths: the pairwise sum over a contiguous last axis, or, in the RLS
+step, a left-to-right sum over the regressor's support.
 """
 
 from __future__ import annotations

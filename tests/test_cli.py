@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from anarx.cli import main
+from anarx import errors
+from anarx.cli import EXIT_CODES, _exit_code, main
 from anarx.datasets import synthetic_load_series
 from anarx.snapshot import snapshot_load
 
@@ -35,6 +36,32 @@ def config_file(tmp_path):
     p = tmp_path / "bench.cfg"
     p.write_text(CONFIG)
     return p
+
+
+def test_exit_code_mapping_is_pinned():
+    # codes are stable per category; 13 and 14 (ZeroRegressor, ZeroGain)
+    # are retired and stay unused
+    assert [(etype.__name__, code) for etype, code in EXIT_CODES] == [
+        ("FileNotFoundError", 3),
+        ("ParseError", 4),
+        ("EmptySeries", 5),
+        ("DegenerateRange", 6),
+        ("InvalidRange", 7),
+        ("InvalidOrder", 8),
+        ("VersionMismatch", 9),
+        ("CorruptSnapshot", 10),
+        ("SingularCorrelation", 11),
+        ("DimensionMismatch", 12),
+        ("DegenerateActivation", 15),
+        ("DegenerateStep", 16),
+        ("NumericalDivergence", 17),
+        ("AnarxError", 20),
+        ("ValueError", 21),
+    ]
+    assert _exit_code(errors.ConfigError("x")) == 4
+    assert _exit_code(errors.ZeroRegressor("x")) == 20
+    assert _exit_code(errors.ZeroGain("x")) == 20
+    assert _exit_code(RuntimeError("x")) == 70
 
 
 class TestBench:

@@ -50,8 +50,8 @@ def test_y_hat_stream_matches_reference(name, config_path):
     with np.load(BENCH_REFERENCE_DIR / f"{name}.npz") as ref:
         bench = ref["y_hat"]
     if name == "rls_wide":
-        # the benchmark's reference predates the one-synapse change, which
-        # moved this stream by 1.1e-11
+        # the benchmark's reference predates the one-synapse change and the
+        # support-sum RLS step, which moved this stream by 1.2e-11 in all
         with np.load(REFERENCE_DIR / f"{name}.npz") as ref:
             own = ref["y_hat"]
         assert np.array_equal(y_hat, own), float(np.max(np.abs(y_hat - own)))

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from anarx import (
     eval_bspline,
     make_learner,
 )
-from anarx.errors import DimensionMismatch
+from anarx.errors import DimensionMismatch, NumericalDivergence
 from anarx.numerics import EPS_REG, vdot
 
 from conftest import ols_fit
@@ -130,9 +131,10 @@ class TestRls:
 
 class _RowReference:
     """One learner row computed as the per-node learners did: 1-d
-    weights, a scalar gain, vdot, a row-wise matrix-vector product and
-    np.outer, and a skip reason where the update would divide by a
-    vanishing norm or gain."""
+    weights, a scalar gain, vdot, and a skip reason where the update
+    would divide by a vanishing norm or gain. RLS sums ``P phi`` and
+    ``phi'P phi`` left to right over every column, from zero, and
+    downdates with np.outer."""
 
     def __init__(self, kind, w, alpha, p0):
         self.kind, self.alpha, self.p0 = kind, alpha, p0
@@ -155,11 +157,23 @@ class _RowReference:
         self.w += (error / gain) * phi
         return None
 
-    def _rls_update(self, phi, error):
-        Pphi = np.multiply(self.P, phi).sum(axis=1)
-        denom = self.alpha + vdot(phi, Pphi)
+    def _gain(self, phi, error):
+        """Move ``w``; return ``b = P phi / sqrt(denom)``."""
+        Pphi = np.zeros(self.w.size)
+        for j, p in enumerate(phi):
+            Pphi += p * self.P[j]
+        total = 0.0
+        for p, q in zip(phi, Pphi):
+            total += p * q
+        denom = self.alpha + total
+        if not 0.0 < denom < math.inf:
+            raise NumericalDivergence(f"denominator {denom}")
         self.w += Pphi * (error / denom)
-        self.P -= np.outer(Pphi, Pphi) / denom
+        return Pphi / math.sqrt(denom)
+
+    def _rls_update(self, phi, error):
+        b = self._gain(phi, error)
+        self.P -= np.outer(b, b)
         if self.alpha != 1.0:
             self.P /= self.alpha
 
@@ -173,14 +187,12 @@ class _RowReference:
 
 
 class _ResymmetrizingRls(_RowReference):
-    """Reference: the RLS update as first written, which divided by
-    alpha on every step and then re-symmetrized P."""
+    """Reference: the RLS downdate followed, as first written, by a
+    divide by alpha on every step and a re-symmetrization of P."""
 
     def _rls_update(self, phi, error):
-        Pphi = np.multiply(self.P, phi).sum(axis=1)
-        denom = self.alpha + vdot(phi, Pphi)
-        self.w += Pphi * (error / denom)
-        self.P -= np.outer(Pphi, Pphi) / denom
+        b = self._gain(phi, error)
+        self.P -= np.outer(b, b)
         self.P /= self.alpha
         self.P = 0.5 * (self.P + self.P.T)
 
@@ -248,6 +260,77 @@ class TestRlsSymmetricUpdate:
             assert _bits(new.w[0]) == _bits(ref.w)
             assert _bits(new.P[0]) == _bits(ref.P)
             assert np.array_equal(new.P[0], new.P[0].T)
+
+
+@st.composite
+def _sparse_block(draw, rows, cols):
+    """k <= rows regressor rows (k = 0 included), each row zero or firing
+    its own set of columns, from one to all, with values of either sign."""
+    k = draw(st.integers(0, rows), label="k")
+    Phi = np.zeros((k, cols))
+    for i in range(k):
+        idx = draw(st.lists(st.integers(0, cols - 1), max_size=cols, unique=True))
+        Phi[i, idx] = draw(st.lists(st.floats(-2.0, 2.0), min_size=len(idx), max_size=len(idx)))
+    return Phi
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    rows=st.integers(1, 4),
+    cols=st.one_of(st.just(1), st.integers(2, 20)),
+    alpha=st.one_of(st.just(1.0), st.floats(0.8, 0.999)),
+    p0=st.sampled_from([1.0, 100.0, 1e4]),
+    steps=st.integers(1, 12),
+)
+def test_rls_exact_zero_columns_change_no_bit(data, rows, cols, alpha, p0, steps):
+    # The step sums over the columns the block fires; a reference that
+    # sums every column left to right gives the same bits, whatever the
+    # rows' supports, including none and a single column.
+    w0 = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=rows * cols,
+                                     max_size=rows * cols))).reshape(rows, cols)
+    rls = RlsLearner(w0.copy(), alpha=alpha, p0=p0)
+    refs = [_RowReference("rls", w, alpha, p0) for w in w0]
+    for _ in range(steps):
+        Phi = data.draw(_sparse_block(rows, cols), label="Phi")
+        y = data.draw(st.floats(-10.0, 10.0), label="y")
+        assert rls.step(Phi, y) == []
+        for ref, phi in zip(refs, Phi):
+            ref.step(phi, y)
+        for i, ref in enumerate(refs):
+            assert _bits(rls.w[i]) == _bits(ref.w)
+            assert _bits(rls.P[i]) == _bits(ref.P)
+        assert _bits(rls.P) == _bits(rls.P.transpose(0, 2, 1))
+
+
+class TestRlsDivergence:
+    """A step whose alpha + phi'P phi is not positive and finite raises
+    before any weight or covariance moves."""
+
+    @pytest.mark.parametrize("alpha,diag", [
+        (0.9, -3.0),            # P indefinite: the denominator is negative
+        (1.0, -1.0),            # ... or exactly zero
+        (1.0, float("inf")),    # P overflowed
+        (1.0, float("nan")),
+    ])
+    def test_row_is_named_and_nothing_moves(self, alpha, diag):
+        rls = RlsLearner(np.ones((2, 3)), alpha=alpha, p0=1.0)
+        rls.P[1, 1, 1] = diag
+        w, P = _bits(rls.w), _bits(rls.P)
+        with pytest.raises(NumericalDivergence, match="RLS row 1"):
+            rls.step(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), 2.0)
+        assert _bits(rls.w) == w
+        assert _bits(rls.P) == P
+
+    def test_quiet_coordinate_keeps_its_overflow_until_excited(self):
+        # a coordinate the regressor never fires is not read by the step
+        rls = RlsLearner(np.zeros((1, 2)), alpha=1.0, p0=3.0)
+        rls.P[0, 1, 1] = float("inf")
+        rls.step(row(1.0, 0.0), 1.0)
+        assert rls.P[0].tolist() == [[0.75, 0.0], [0.0, float("inf")]]
+        with pytest.raises(NumericalDivergence):
+            rls.step(row(1.0, 1.0), 1.0)
+        assert not np.isnan(rls.P).any()
 
 
 _ALPHAS = {

@@ -346,6 +346,26 @@ class TestOnlineForecasterStep:
                 for v in series.values:
                     fc.step(float(v))
 
+    def test_indefinite_covariance_raises_before_state_moves(self):
+        # a covariance that is no longer positive definite ends the step
+        # path in NumericalDivergence and leaves no nan behind
+        from anarx.datasets import synthetic_load_series
+
+        series = synthetic_load_series(n=400, seed=3)
+        cfg = RunConfig(n_nodes=2, h=9, train_len=300, test_len=100,
+                        learner="rls", alpha=0.99)
+        _, fc = build_forecaster(series, cfg)
+        for v in series.values[:50]:
+            fc.step(float(v))
+        learner = fc.model.learner
+        learner.P *= -1e6  # negative definite: alpha + phi'P phi < 0
+        w, P = learner.w.copy(), learner.P.copy()
+        with pytest.raises(NumericalDivergence, match="RLS row 0"):
+            fc.step(float(series.values[50]))
+        assert np.array_equal(learner.w, w)
+        assert np.array_equal(learner.P, P)
+        assert np.isfinite(learner.P).all()
+
 
 class TestSkippedNodeUpdates:
     @pytest.mark.parametrize("n", [1, 3, 5])
