@@ -6,14 +6,25 @@ that agreeing forecasts pass through unchanged. Three routes to the
 optimum are provided: a closed-form batch solve on the accumulated error
 correlation matrix, a fixed-rate primal-dual iteration, and the same
 iteration with the per-step optimal primal rate.
+
+The per-step methods work on n scalars, so they run on Python floats:
+``c`` and the forecasts are read out as lists once per call, every sum
+over the pool is ``math.fsum`` (correctly rounded, so a zero-weight node
+joining moves nothing), and ``c`` is written back into its numpy array.
+Each expression keeps the operand order of the element-wise numpy form,
+``c_i + rate * (2 v f_i - lam)``, and a Python float operation is the
+binary64 operation numpy applies per element, so the bits are the same.
 """
 
 from __future__ import annotations
 
+from math import fsum
+from operator import mul
+
 import numpy as np
 
 from .errors import DegenerateStep, SingularCorrelation
-from .numerics import EPS_REG, exact_dot, exact_sum
+from .numerics import EPS_REG
 
 # Condition-number gate before the ridge fallback kicks in.
 COND_LIMIT = 1e12
@@ -99,7 +110,8 @@ class CombinerState:
     """Ensemble weights, multiplier, and its learning rate.
 
     Starts at the uniform unbiased point c = (1/n, ..., 1/n), lam = 0.
-    ``combine`` is pure; the two step methods mutate the state in place.
+    ``combine`` is pure; the two step methods mutate the state in place
+    (``c`` keeps its array, so a view of it sees every step).
     """
 
     def __init__(self, n: int, eta_lambda: float = 0.1) -> None:
@@ -116,15 +128,14 @@ class CombinerState:
         return self.c.size
 
     def combine(self, forecasts) -> float:
-        f = np.asarray(forecasts, dtype=float)
-        return exact_dot(self.c, f)
+        c, f = self._operands(forecasts)
+        return fsum(map(mul, c, f))
 
     def arrow_hurwicz_step(self, forecasts, y: float, eta_c: float) -> None:
         """Fixed-rate saddle-point iteration: descend in c, ascend in lam."""
-        f = np.asarray(forecasts, dtype=float)
-        v = float(y) - exact_dot(self.c, f)
-        self.c += eta_c * (2.0 * v * f - self.lam)
-        self.lam += self.eta_lambda * (exact_sum(self.c.tolist()) - 1.0)
+        c, f = self._operands(forecasts)
+        v = float(y) - fsum(map(mul, c, f))
+        self._move([ci + eta_c * (2.0 * v * fi - self.lam) for ci, fi in zip(c, f)])
 
     def optimal_step(self, forecasts, y: float) -> None:
         """Saddle-point iteration with the error-minimizing primal rate.
@@ -134,14 +145,28 @@ class CombinerState:
         multiplier is still updated, c is left alone, and DegenerateStep
         is raised so callers can count the skip.
         """
-        f = np.asarray(forecasts, dtype=float)
-        v = float(y) - exact_dot(self.c, f)
-        denom = 2.0 * v * exact_dot(f, f) - self.lam * exact_sum(f.tolist())
+        c, f = self._operands(forecasts)
+        v = float(y) - fsum(map(mul, c, f))
+        denom = 2.0 * v * fsum(map(mul, f, f)) - self.lam * fsum(f)
         if abs(denom) <= EPS_REG:
-            self.lam += self.eta_lambda * (exact_sum(self.c.tolist()) - 1.0)
+            self.lam += self.eta_lambda * (fsum(c) - 1.0)
             raise DegenerateStep(f"step denominator {denom} below {EPS_REG}")
-        self.c += (v / denom) * (2.0 * v * f - self.lam)
-        self.lam += self.eta_lambda * (exact_sum(self.c.tolist()) - 1.0)
+        rate = v / denom
+        self._move([ci + rate * (2.0 * v * fi - self.lam) for ci, fi in zip(c, f)])
+
+    def _operands(self, forecasts) -> tuple:
+        """``c`` and the forecasts as lists of Python floats."""
+        f = np.asarray(forecasts, dtype=float).tolist()
+        c = self.c.tolist()
+        if len(f) != len(c):
+            raise ValueError(f"forecast vector must have length {len(c)}, got {len(f)}")
+        return c, f
+
+    def _move(self, c: list) -> None:
+        """Store the new weights ``c``, then move the multiplier up the
+        constraint residual sum(c) - 1."""
+        self.c[:] = c
+        self.lam += self.eta_lambda * (fsum(c) - 1.0)
 
     def extend(self, extra: int = 1) -> None:
         """New nodes join with zero weight, preserving sum(c)."""

@@ -2,13 +2,16 @@
 
 Each learner owns a 2-d weight block ``w`` of shape (rows, cols) and fits
 every row as its own linear model against a shared target.
-``step(Phi, y)`` takes one regressor per row for the first
+``step(Phi, y, pred=None)`` takes one regressor per row for the first
 ``k = len(Phi) <= rows`` rows, predicts each with the row's current
-weights, and updates those rows in place; rows ``[k:]`` and their state
-are not touched. A row whose update would divide by a squared regressor
-norm or gain at or below ``EPS_REG`` is masked: its weights stay as they
-were, and ``step`` returns it as ``(row, "<error class>: <message>")``
-in the list of skipped rows, which is empty when every row updated.
+weights (:meth:`predict`), and updates those rows in place; rows
+``[k:]`` and their state are not touched. A caller that already holds
+those k predictions, computed as :meth:`predict` computes them, passes
+them as ``pred`` so they are not computed twice. A row whose update
+would divide by a squared regressor norm or gain at or below
+``EPS_REG`` is masked: its weights stay as they were, and ``step``
+returns it as ``(row, "<error class>: <message>")`` in the list of
+skipped rows, which is empty when every row updated.
 
 ``step`` never rebinds ``w`` or the per-row state, so a caller holding
 views of them sees every update. ``resize(rows, cols)`` reallocates: it
@@ -59,6 +62,15 @@ class _RowBlock:
         self.w = np.ascontiguousarray(weights, dtype=float)
         if self.w.ndim != 2:
             raise DimensionMismatch(f"weights must be a (rows, cols) block, got {self.w.shape}")
+
+    def predict(self, Phi) -> np.ndarray:
+        """Each of the first ``len(Phi)`` rows' prediction on its regressor."""
+        return np.add.reduce(self.w[: len(Phi)] * Phi, axis=1)
+
+    def _errors(self, Phi, y: float, pred) -> np.ndarray:
+        """``y`` minus the rows' predictions: ``pred`` when the caller has
+        them, else :meth:`predict`."""
+        return float(y) - (self.predict(Phi) if pred is None else pred)
 
     def _regressors(self, Phi) -> np.ndarray:
         Phi = np.asarray(Phi, dtype=float)
@@ -155,11 +167,11 @@ class RlsLearner(_RowBlock):
         P.reshape(rows, -1)[:, :: cols + 1] = self.p0  # the diagonals
         return P
 
-    def step(self, Phi, y: float) -> list:
+    def step(self, Phi, y: float, pred=None) -> list:
         Phi = self._regressors(Phi)
         k = len(Phi)
         w, P = self.w[:k], self.P[:k]
-        error = float(y) - np.add.reduce(w * Phi, axis=1)
+        error = self._errors(Phi, y, pred)
         # the columns any row fires; a reduce over the middle axis adds
         # whole rows in order (at cols = 1 there is one term at most)
         nz = np.logical_or.reduce(Phi, axis=0).nonzero()[0]
@@ -207,11 +219,11 @@ class KwhLearner(_RowBlock):
 
     kind = "kwh"
 
-    def step(self, Phi, y: float) -> list:
+    def step(self, Phi, y: float, pred=None) -> list:
         Phi = self._regressors(Phi)
         w = self.w[: len(Phi)]
-        error = float(y) - (w * Phi).sum(axis=1)
-        norm2 = (Phi * Phi).sum(axis=1)
+        error = self._errors(Phi, y, pred)
+        norm2 = np.add.reduce(Phi * Phi, axis=1)
         return self._project(w, Phi, error, norm2, ZeroRegressor, "squared regressor norm")
 
 
@@ -235,14 +247,14 @@ class AdaptiveLearner(_RowBlock):
         self.alpha = float(alpha)
         self.r = np.zeros(len(self.w))
 
-    def step(self, Phi, y: float) -> list:
+    def step(self, Phi, y: float, pred=None) -> list:
         Phi = self._regressors(Phi)
         k = len(Phi)
         w, r = self.w[:k], self.r[:k]
-        error = float(y) - (w * Phi).sum(axis=1)
+        error = self._errors(Phi, y, pred)
         # on a few rows this beats r *= alpha; r += ..., whose in-place
         # multiply by a Python float is a slow numpy call
-        r[:] = self.alpha * r + (Phi * Phi).sum(axis=1)
+        r[:] = self.alpha * r + np.add.reduce(Phi * Phi, axis=1)
         return self._project(w, Phi, error, r, ZeroGain, "gain accumulator")
 
     def resize(self, rows: int, cols: int) -> None:

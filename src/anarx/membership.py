@@ -2,11 +2,14 @@
 
 Two grid families are provided: B-spline bases on a clamped knot vector
 (compact support, unity partition) and Gaussian bells (infinite support,
-no gaps). A grid is immutable after construction; evaluation is pure, so
-grids can be shared freely across nodes and threads.
+no gaps). A grid is immutable after construction and evaluation writes
+nothing but its result, so grids can be shared freely across nodes and
+threads.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
 
 import numpy as np
 
@@ -20,10 +23,11 @@ class KnotGrid:
     times at each end with ``h - q`` strictly increasing interior knots in
     between, so exactly ``h`` basis functions span the interval. For q = 2
     the basis is the familiar set of triangular hats with peaks at the
-    distinct knot values.
+    distinct knot values. ``knot_list`` holds the same knots as Python
+    floats, for the per-value span search and recurrence.
     """
 
-    __slots__ = ("lo", "hi", "h", "q", "knots")
+    __slots__ = ("lo", "hi", "h", "q", "knots", "knot_list")
 
     def __init__(self, lo: float, hi: float, h: int, q: int, knots) -> None:
         lo = float(lo)
@@ -50,6 +54,7 @@ class KnotGrid:
         self.q = int(q)
         self.knots = knots
         self.knots.setflags(write=False)
+        self.knot_list = knots.tolist()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"KnotGrid(lo={self.lo}, hi={self.hi}, h={self.h}, q={self.q})"
@@ -142,13 +147,18 @@ def build_gaussian_grid(lo: float, hi: float, h: int) -> GaussianGrid:
     return GaussianGrid(centers, np.full(h, spacing))
 
 
-def eval_bspline(grid: KnotGrid, u: float) -> np.ndarray:
-    """All ``h`` order-q basis values at ``u``.
+def eval_bspline(grid: KnotGrid, u: float, out: np.ndarray | None = None) -> np.ndarray:
+    """All ``h`` order-q basis values at ``u``, written into ``out`` (a
+    new array when None) and returned.
 
     Inputs outside [lo, hi] are clamped to the nearest boundary first, so
-    the result always sums to one. At most ``q`` entries are nonzero.
+    the result always sums to one. At most ``q`` entries are nonzero;
+    every other entry of ``out`` is set to zero. The span search and the
+    recurrence run on Python floats, which is the binary64 arithmetic
+    numpy's scalars do, so the values are those of the same recurrence on
+    numpy scalars, bit for bit.
     """
-    t = grid.knots
+    t = grid.knot_list
     h = grid.h
     q = grid.q
     u = float(u)
@@ -158,17 +168,16 @@ def eval_bspline(grid: KnotGrid, u: float) -> np.ndarray:
         u = grid.hi
 
     # Knot span: rightmost j with t[j] <= u, restricted to nonempty spans.
-    j = int(np.searchsorted(t, u, side="right")) - 1
+    j = bisect_right(t, u) - 1
     if j > h - 1:
         j = h - 1
     elif j < q - 1:
         j = q - 1
 
     # Triangular recurrence over the q basis functions alive on span j.
-    vals = np.zeros(q)
-    vals[0] = 1.0
-    left = np.empty(q)
-    right = np.empty(q)
+    vals = [1.0] + [0.0] * (q - 1)
+    left = [0.0] * q
+    right = [0.0] * q
     for r in range(1, q):
         left[r] = u - t[j + 1 - r]
         right[r] = t[j + r] - u
@@ -179,7 +188,10 @@ def eval_bspline(grid: KnotGrid, u: float) -> np.ndarray:
             saved = left[r - i] * share
         vals[r] = saved
 
-    out = np.zeros(h)
+    if out is None:
+        out = np.zeros(h)
+    else:
+        out.fill(0.0)
     out[j - q + 1 : j + 1] = vals
     return out
 

@@ -252,8 +252,11 @@ class AnarxModel:
     def _forecasts(self, m: int) -> np.ndarray:
         # Each row reduction is numpy's pairwise sum over one contiguous
         # row, the same arithmetic as a per-node vdot.
-        out = np.zeros(self.n)
-        out[:m] = np.multiply(self.W[:m], self._ring[:m]).sum(axis=1)
+        observed = np.add.reduce(np.multiply(self.W[:m], self._ring[:m]), axis=1)
+        if m == len(self.W):
+            return observed
+        out = np.zeros(len(self.W))
+        out[:m] = observed
         return out
 
     def node_forecasts(self) -> np.ndarray:
@@ -292,21 +295,31 @@ class AnarxModel:
     def train_step(self, y_new: float, forecasts=None) -> StepReport:
         """One online step: predict y_new, update weights, shift the delay line.
 
-        A caller that has :meth:`node_forecasts` here passes it as ``forecasts``.
+        A caller that has :meth:`node_forecasts` here passes it as
+        ``forecasts``; that call has made the check :meth:`_observed`
+        makes, so it is not made again.
         """
-        m = self._observed()
-        node_preds = self._forecasts(m) if forecasts is None else forecasts
+        n = len(self.nodes)
+        if forecasts is None:
+            m = self._observed()
+            node_preds = self._forecasts(m)
+        else:
+            m = min(n, len(self.delay_y))
+            node_preds = forecasts
 
-        skipped = [(i, "lag not observed yet") for i in range(m, self.n)]
+        skipped = [(i, "lag not observed yet") for i in range(m, n)]
         # A learner row spans ``span`` nodes: all n in stacked training,
         # where ring rows of unobserved lags are still zero, one in
         # independent. Rows with an observed node learn; a skipped row
-        # skips its observed nodes.
-        rows, cols = self.learner.w.shape
-        span = self.n // rows
+        # skips its observed nodes. A one-node row predicts its node's
+        # forecast, bit for bit, so the learner is handed those.
+        learner = self.learner
+        rows, cols = learner.w.shape
+        span = n // rows
         k = -(-m // span)
-        Phi = self._ring[: self.n].reshape(rows, cols)[:k]
-        for row, reason in self.learner.step(Phi, y_new):
+        Phi = self._ring[:n].reshape(rows, cols)[:k]
+        pred = node_preds[:k] if span == 1 else learner.predict(Phi)
+        for row, reason in learner.step(Phi, y_new, pred):
             skipped.extend((i, reason) for i in range(row * span, min(row * span + span, m)))
 
         self.observe(y_new)

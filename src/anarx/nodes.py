@@ -53,7 +53,7 @@ class NeoFuzzyNode:
 
     def fuzzify(self, out: np.ndarray, u: float) -> None:
         """Write the membership degrees of ``u`` into ``out``."""
-        out[:] = eval_bspline(self.grid, u)
+        eval_bspline(self.grid, u, out)
 
     def regressor(self, u: float) -> np.ndarray:
         out = np.empty(self.dim)

@@ -4,10 +4,19 @@ BLAS dot/gemv kernels choose vectorization strategies from pointer
 alignment, so the same values in a differently allocated array can give
 answers that differ in the last ulp. Snapshots promise bit-identical
 predictions after a round-trip, and structure changes reallocate weight
-storage, so every hot-path contraction goes through elementwise multiply
-plus a numpy sum whose result depends only on operand values and
-lengths: the pairwise sum over a contiguous last axis, or, in the RLS
-step, a left-to-right sum over the regressor's support.
+storage, so every hot-path contraction over weights goes through
+elementwise multiply plus a numpy sum whose result depends only on
+operand values and lengths: the pairwise sum over a contiguous last
+axis, or, in the RLS step, a left-to-right sum over the regressor's
+support.
+
+The per-step work on a handful of scalars runs on Python floats instead:
+the B-spline recurrence of one value (``membership.eval_bspline``) and
+the combiner's sums and updates over the n node forecasts. A Python
+float operation is the IEEE binary64 operation numpy applies element by
+element, and ``math.fsum`` of the same products is the same correctly
+rounded sum, so as long as every expression keeps its operand order the
+bits are those of the numpy form.
 """
 
 from __future__ import annotations
@@ -35,8 +44,3 @@ def exact_sum(values) -> float:
     """
     return math.fsum(values)
 
-
-def exact_dot(a, b) -> float:
-    """Correctly rounded inner product; used where the operand length
-    tracks the (mutable) node pool size."""
-    return math.fsum(np.multiply(a, b).tolist())

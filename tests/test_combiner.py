@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from anarx import CombinerState, ErrorCorrelation, batch_solve
 from anarx.errors import DegenerateStep, SingularCorrelation
+from anarx.numerics import EPS_REG
 
 
 class TestAccumulate:
@@ -237,3 +240,114 @@ class TestOnlineToBatch:
     )
     def test_time_average_approaches_batch(self, seed, n, diag_boost):
         assert self._stream_gap(seed, n, diag_boost) <= 0.05
+
+
+def exact_dot(a, b):
+    return math.fsum(np.multiply(a, b).tolist())
+
+
+class NumpyCombiner:
+    """The combiner's per-step arithmetic on numpy arrays, as it ran
+    before it moved to Python floats: the reference the float form must
+    match bit for bit. ``extend`` and ``truncate`` are copied too, so the
+    two states never share an array."""
+
+    def __init__(self, c, lam, eta_lambda):
+        self.c = np.array(c, dtype=float)
+        self.lam = lam
+        self.eta_lambda = eta_lambda
+
+    def combine(self, f):
+        return exact_dot(self.c, f)
+
+    def arrow_hurwicz_step(self, f, y, eta_c):
+        v = float(y) - exact_dot(self.c, f)
+        self.c += eta_c * (2.0 * v * f - self.lam)
+        self.lam += self.eta_lambda * (math.fsum(self.c.tolist()) - 1.0)
+
+    def optimal_step(self, f, y):
+        """Returns False where CombinerState raises DegenerateStep."""
+        v = float(y) - exact_dot(self.c, f)
+        denom = 2.0 * v * exact_dot(f, f) - self.lam * math.fsum(f.tolist())
+        if abs(denom) <= EPS_REG:
+            self.lam += self.eta_lambda * (math.fsum(self.c.tolist()) - 1.0)
+            return False
+        self.c += (v / denom) * (2.0 * v * f - self.lam)
+        self.lam += self.eta_lambda * (math.fsum(self.c.tolist()) - 1.0)
+        return True
+
+    def extend(self, extra):
+        self.c = np.concatenate([self.c, np.zeros(extra)])
+
+    def truncate(self, keep):
+        c = np.ascontiguousarray(self.c[:keep])
+        total = float(c.sum())
+        if abs(total) > EPS_REG:
+            c /= total
+        else:
+            c = np.full(keep, 1.0 / keep)
+        self.c = c
+
+
+def same_state(cs, ref):
+    return cs.c.tobytes() == ref.c.tobytes() and cs.lam == ref.lam
+
+
+class TestFloatArithmetic:
+    """The float combiner reproduces the numpy arithmetic bit for bit."""
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_steps_match_numpy_reference(self, n):
+        rng = np.random.default_rng(100 + n)
+        cs = CombinerState(n, eta_lambda=0.3)
+        ref = NumpyCombiner(cs.c, cs.lam, cs.eta_lambda)
+        steps = 0
+        for k in range(300):
+            if k == 100:
+                cs.extend(1)
+                ref.extend(1)
+            elif k == 200:
+                cs.truncate(n)
+                ref.truncate(n)
+            f = rng.normal(size=cs.n)
+            y = float(rng.normal())
+            assert cs.combine(f) == ref.combine(f)
+            if k % 3 == 0:
+                eta_c = float(rng.uniform(0.0, 0.2))
+                cs.arrow_hurwicz_step(f, y, eta_c)
+                ref.arrow_hurwicz_step(f, y, eta_c)
+            else:
+                steps += ref.optimal_step(f, y)
+                cs.optimal_step(f, y)
+            assert same_state(cs, ref), k
+        assert steps > 150
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 10])
+    def test_degenerate_step_matches_numpy_reference(self, n):
+        rng = np.random.default_rng(200 + n)
+        cs = CombinerState(n, eta_lambda=0.5)
+        cs.c = rng.normal(size=n)
+        cs.lam = 0.25
+        ref = NumpyCombiner(cs.c, cs.lam, cs.eta_lambda)
+        c0 = cs.c.copy()
+        zero = np.zeros(n)
+        for _ in range(3):
+            y = float(rng.normal())
+            with pytest.raises(DegenerateStep):
+                cs.optimal_step(zero, y)
+            assert not ref.optimal_step(zero, y)
+            assert same_state(cs, ref)
+        assert cs.c.tobytes() == c0.tobytes()
+        assert cs.lam != 0.25
+
+    def test_forecast_length_must_match(self):
+        cs = CombinerState(3)
+        c0 = cs.c.copy()
+        for f in ([1.0], [1.0, 2.0], [1.0, 2.0, 3.0, 4.0]):
+            with pytest.raises(ValueError):
+                cs.combine(f)
+            with pytest.raises(ValueError):
+                cs.optimal_step(f, 1.0)
+            with pytest.raises(ValueError):
+                cs.arrow_hurwicz_step(f, 1.0, eta_c=0.1)
+        assert cs.c.tobytes() == c0.tobytes() and cs.lam == 0.0

@@ -9,6 +9,12 @@ match its reference exactly. ``rls_wide`` must match its own reference in
 ``tests/reference/`` exactly, and the benchmark's within the benchmark's
 own tolerance, so a drift the benchmark would reject fails here first.
 
+``perfbench/reference/serve_stream.npz`` pins the ``predict`` path the
+same way: the shipped weighted config trained by ``step`` on a prefix,
+saved and loaded again, then stepped through the rest of the series in
+blocks that alternate learning and frozen prediction. It must match
+exactly too.
+
 The evolving references in ``tests/reference/`` pin structural evolution
 the same way: ``y_hat``, ``error``, ``n_active`` and the structure events
 of the shipped load configs run with evolution on. Re-record every file
@@ -23,9 +29,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from anarx import membership, nodes
 from anarx.datasets import synthetic_load_series
 from anarx.model import EvolutionPolicy
 from anarx.pipeline import build_forecaster, denormalize, load_config, run_experiment
+from anarx.snapshot import snapshot_load, snapshot_save
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH_REFERENCE_DIR = ROOT / "perfbench" / "reference"
@@ -59,6 +67,51 @@ def test_y_hat_stream_matches_reference(name, config_path):
         assert float(np.max(np.abs(y_hat - bench))) <= BENCH_TOL
     else:
         assert np.array_equal(y_hat, bench), float(np.max(np.abs(y_hat - bench)))
+
+
+SERVE_BLOCK = 200  # Serve.BLOCK in perfbench/workloads.py
+
+
+def test_serve_stream_matches_reference(tmp_path):
+    config = load_config(ROOT / "configs" / "load_weighted.cfg")
+    series = synthetic_load_series(n=config.train_len + config.test_len, seed=7)
+    values = series.values.tolist()
+    _, fc = build_forecaster(series, config)
+    for v in values[: config.train_len]:
+        fc.step(v, learn=True)
+    snapshot_save(fc, tmp_path / "model.json")
+    fc = snapshot_load(tmp_path / "model.json")
+    stream = values[config.train_len :]
+    y_hat = np.array([
+        fc.step(v, learn=(k // SERVE_BLOCK) % 2 == 0) for k, v in enumerate(stream)
+    ])
+    with np.load(BENCH_REFERENCE_DIR / "serve_stream.npz") as ref:
+        want = ref["y_hat"]
+    assert np.array_equal(y_hat, want), float(np.max(np.abs(y_hat - want)))
+
+
+@pytest.mark.parametrize("name", ["load_weighted", "load_plain"])
+@pytest.mark.parametrize("learn", [True, False])
+def test_one_membership_call_per_step(name, learn, monkeypatch):
+    config = load_config(ROOT / "configs" / f"{name}.cfg")
+    series = golden_series(config)
+    work, fc = build_forecaster(series, config)
+    values = work.values.tolist()
+    for v in values[:50]:
+        fc.advance(v)
+    calls = []
+    original = membership.eval_bspline
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    # every name the library reaches it through, as the benchmark's
+    # tracer patches it
+    monkeypatch.setattr(membership, "eval_bspline", counted)
+    monkeypatch.setattr(nodes, "eval_bspline", counted)
+    fc.advance(values[50], learn)
+    assert len(calls) == 1
 
 
 POLICY = EvolutionPolicy(window=50, add_threshold=0.06, remove_threshold=0.03, n_max=4)

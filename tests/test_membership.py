@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anarx import (
     GaussianGrid,
@@ -135,6 +137,97 @@ class TestEvalBspline:
             design = BSpline.design_matrix(us, grid.knots, q - 1).toarray()
             ours = np.array([eval_bspline(grid, u) for u in us])
             assert np.max(np.abs(ours - design)) <= 1e-12
+
+
+def numpy_span(grid, u):
+    """``u`` clamped to the grid, and the knot span ``j`` whose basis
+    functions ``j - q + 1 .. j`` are alive there."""
+    t = grid.knots
+    h = grid.h
+    q = grid.q
+    u = float(u)
+    if u < grid.lo:
+        u = grid.lo
+    elif u > grid.hi:
+        u = grid.hi
+    j = int(np.searchsorted(t, u, side="right")) - 1
+    if j > h - 1:
+        j = h - 1
+    elif j < q - 1:
+        j = q - 1
+    return u, j
+
+
+def numpy_bspline(grid, u):
+    """The B-spline recurrence on numpy arrays and scalars, as
+    ``eval_bspline`` computed it before it moved to Python floats: the
+    reference its float form must match bit for bit."""
+    t = grid.knots
+    h = grid.h
+    q = grid.q
+    u, j = numpy_span(grid, u)
+    vals = np.zeros(q)
+    vals[0] = 1.0
+    left = np.empty(q)
+    right = np.empty(q)
+    for r in range(1, q):
+        left[r] = u - t[j + 1 - r]
+        right[r] = t[j + r] - u
+        saved = 0.0
+        for i in range(r):
+            share = vals[i] / (right[i + 1] + left[r - i])
+            vals[i] = saved + right[i + 1] * share
+            saved = left[r - i] * share
+        vals[r] = saved
+    out = np.zeros(h)
+    out[j - q + 1 : j + 1] = vals
+    return out
+
+
+@st.composite
+def grid_and_point(draw):
+    """A uniform grid, q in 1..4 and h up to 30, and a point inside it,
+    outside it, on one of its knots, or at either end."""
+    q = draw(st.integers(1, 4))
+    h = draw(st.integers(q, 30))
+    lo = draw(st.floats(-1e3, 1e3))
+    width = draw(st.floats(1e-3, 1e3))
+    grid = build_uniform_grid(lo, lo + width, h, q)
+    where = draw(st.sampled_from(["inside", "below", "above", "knot", "lo", "hi"]))
+    if where == "inside":
+        u = draw(st.floats(grid.lo, grid.hi))
+    elif where == "below":
+        u = draw(st.floats(max_value=grid.lo, allow_nan=False))
+    elif where == "above":
+        u = draw(st.floats(min_value=grid.hi, allow_nan=False))
+    elif where == "knot":
+        u = draw(st.sampled_from(grid.knots.tolist()))
+    else:
+        u = getattr(grid, where)
+    return grid, u
+
+
+class TestFloatRecurrence:
+    @settings(max_examples=400, deadline=None)
+    @given(grid_and_point())
+    def test_matches_numpy_recurrence_bit_for_bit(self, case):
+        grid, u = case
+        assert eval_bspline(grid, u).tobytes() == numpy_bspline(grid, u).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(grid_and_point(), st.floats(allow_nan=True, allow_infinity=True))
+    def test_out_row_is_overwritten(self, case, garbage):
+        grid, u = case
+        # a stale ring row: the last value's degrees, then garbage
+        row = eval_bspline(grid, grid.hi)
+        row[::2] = garbage
+        got = eval_bspline(grid, u, row)
+        assert got is row
+        assert row.tobytes() == numpy_bspline(grid, u).tobytes()
+        _, j = numpy_span(grid, u)
+        outside = np.concatenate([row[: j - grid.q + 1], row[j + 1 :]])
+        assert outside.tobytes() == np.zeros(grid.h - grid.q).tobytes()
+        assert abs(row.sum() - 1.0) <= 1e-12
 
 
 class TestGaussian:
