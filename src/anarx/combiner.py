@@ -137,16 +137,18 @@ class CombinerState:
         v = float(y) - fsum(map(mul, c, f))
         self._move([ci + eta_c * (2.0 * v * fi - self.lam) for ci, fi in zip(c, f)])
 
-    def optimal_step(self, forecasts, y: float) -> None:
+    def optimal_step(self, forecasts, y: float, pred: float | None = None) -> None:
         """Saddle-point iteration with the error-minimizing primal rate.
 
         With lam = 0 the c-update is exactly the normalized projection
         onto the newest sample. When the rate denominator vanishes the
         multiplier is still updated, c is left alone, and DegenerateStep
-        is raised so callers can count the skip.
+        is raised so callers can count the skip. A caller that holds
+        ``combine(forecasts)`` for the current ``c`` passes it as
+        ``pred``, so it is not summed again.
         """
         c, f = self._operands(forecasts)
-        v = float(y) - fsum(map(mul, c, f))
+        v = float(y) - (fsum(map(mul, c, f)) if pred is None else pred)
         denom = 2.0 * v * fsum(map(mul, f, f)) - self.lam * fsum(f)
         if abs(denom) <= EPS_REG:
             self.lam += self.eta_lambda * (fsum(c) - 1.0)
@@ -156,7 +158,7 @@ class CombinerState:
 
     def _operands(self, forecasts) -> tuple:
         """``c`` and the forecasts as lists of Python floats."""
-        f = np.asarray(forecasts, dtype=float).tolist()
+        f = [float(v) for v in forecasts]
         c = self.c.tolist()
         if len(f) != len(c):
             raise ValueError(f"forecast vector must have length {len(c)}, got {len(f)}")

@@ -147,16 +147,23 @@ def build_gaussian_grid(lo: float, hi: float, h: int) -> GaussianGrid:
     return GaussianGrid(centers, np.full(h, spacing))
 
 
-def eval_bspline(grid: KnotGrid, u: float, out: np.ndarray | None = None) -> np.ndarray:
-    """All ``h`` order-q basis values at ``u``, written into ``out`` (a
-    new array when None) and returned.
+def eval_bspline(grid: KnotGrid, u: float) -> tuple:
+    """The support of the ``h`` order-q basis values at ``u``:
+    ``(start, values)``, the first of the ``q`` basis functions alive on
+    ``u``'s knot span and their values, as Python floats. Every other
+    basis value is zero.
 
     Inputs outside [lo, hi] are clamped to the nearest boundary first, so
-    the result always sums to one. At most ``q`` entries are nonzero;
-    every other entry of ``out`` is set to zero. The span search and the
-    recurrence run on Python floats, which is the binary64 arithmetic
-    numpy's scalars do, so the values are those of the same recurrence on
-    numpy scalars, bit for bit.
+    the values always sum to one; for q >= 2 one of them is zero when
+    ``u`` sits on a knot. The span search and the recurrence run on
+    Python floats, which is the binary64 arithmetic numpy's scalars do,
+    so the values are those of the same recurrence on numpy scalars, bit
+    for bit.
+
+    Callers sum over the support left to right (see
+    :mod:`anarx.numerics`): for q = 2 that is bit for bit numpy's
+    pairwise sum over the dense h-wide row, for q >= 3 it is the
+    contract.
     """
     t = grid.knot_list
     h = grid.h
@@ -187,13 +194,7 @@ def eval_bspline(grid: KnotGrid, u: float, out: np.ndarray | None = None) -> np.
             vals[i] = saved + right[i + 1] * share
             saved = left[r - i] * share
         vals[r] = saved
-
-    if out is None:
-        out = np.zeros(h)
-    else:
-        out.fill(0.0)
-    out[j - q + 1 : j + 1] = vals
-    return out
+    return j - q + 1, vals
 
 
 def eval_gaussian(grid: GaussianGrid, u: float) -> np.ndarray:

@@ -27,9 +27,13 @@ import numpy as np
 
 from .errors import CorruptSnapshot, DegenerateActivation
 from .learning import make_learner
-from .numerics import exact_sum
+from .numerics import exact_sum, support_dot
 from .membership import GaussianGrid, KnotGrid, build_gaussian_grid, build_uniform_grid
 from .nodes import NeoFuzzyNode, WangMendelNode
+
+
+# the ring entry of a lag not seen yet, or whose value failed to fuzzify
+_UNSEEN = (0, ())
 
 
 class DelayLine:
@@ -96,8 +100,8 @@ class StructureChange(enum.Enum):
 class StepReport:
     """Per-step result of :meth:`AnarxModel.train_step`.
 
-    ``node_predictions`` holds the node outputs from pre-update weights
-    (zeros for nodes whose lag is not observed yet); ``prediction`` is
+    ``node_predictions`` holds the node outputs from pre-update weights as
+    a list (zeros for nodes whose lag is not observed yet); ``prediction`` is
     their additive sum and ``error`` is ``y`` minus it. ``skipped`` lists
     (node index, reason) for nodes whose update failed or was deferred:
     ``"lag not observed yet"``, or the learner error as
@@ -105,12 +109,12 @@ class StepReport:
     """
 
     y: float
-    node_predictions: np.ndarray
+    node_predictions: list
     skipped: list = field(default_factory=list)
 
     @property
     def prediction(self) -> float:
-        return exact_sum(self.node_predictions.tolist())
+        return exact_sum(self.node_predictions)
 
     @property
     def error(self) -> float:
@@ -121,12 +125,14 @@ class AnarxModel:
     """Ordered pool of per-lag nodes with online learning.
 
     All nodes share one grid, so every observed value is fuzzified once,
-    in :meth:`observe`, into a ring of regressor rows (row ``l - 1`` holds
-    the value seen ``l`` steps ago) kept beside the value delay line.
-    The pool's weights are one (n x dim) matrix ``W`` whose rows
-    are the node weight vectors, so evaluating every node is one
-    row-wise reduction of ``W`` against the ring. ``W`` is a view of the
-    one ``learner``'s weight block, shaped by :meth:`_learner_shape`.
+    in :meth:`observe`, into a ring of supports (entry ``l - 1`` holds the
+    support of the value seen ``l`` steps ago, ``(0, ())`` before it is
+    seen) kept beside the value delay line. The pool's weights are one
+    (n x dim) matrix ``W`` whose rows are the node weight vectors; node
+    ``l`` forecasts the sum of its fired weights times the support of lag
+    ``l`` (see :mod:`anarx.numerics`). ``W`` is a view of the one
+    ``learner``'s weight block, shaped by :meth:`_learner_shape`, and a
+    learner row takes its nodes' supports as its regressor's blocks.
     """
 
     def __init__(
@@ -157,7 +163,7 @@ class AnarxModel:
         self.alpha = float(alpha)
         self.p0 = float(p0)
         self.delay_y = DelayLine(len(nodes))
-        self._ring = np.zeros((len(nodes), first.dim))
+        self._ring = [_UNSEEN] * len(nodes)
         # lag of the newest row whose fuzzification failed, and why; the
         # failure is raised when a forecast first reads that row
         self._fault_lag = math.inf
@@ -189,6 +195,8 @@ class AnarxModel:
     def _bind_rows(self) -> None:
         """Point W and the node weights at the learner's weight block."""
         self.W = self.learner.w.reshape(self.n, -1)
+        # W's items as Python floats, node after node
+        self._flat = memoryview(self.W.reshape(-1))
         for node, row in zip(self.nodes, self.W):
             node.weights = row
 
@@ -203,9 +211,7 @@ class AnarxModel:
         self.learner.resize(*self._learner_shape())
         self._bind_rows()
         self.delay_y.ensure_capacity(self.n)
-        extra = self.delay_y.capacity - len(self._ring)
-        if extra > 0:
-            self._ring = np.concatenate([self._ring, np.zeros((extra, node.dim))])
+        self._ring += [_UNSEEN] * (self.delay_y.capacity - len(self._ring))
 
     def remove_last_node(self) -> None:
         if self.n <= 1:
@@ -249,23 +255,21 @@ class AnarxModel:
             raise DegenerateActivation(self._fault)
         return m
 
-    def _forecasts(self, m: int) -> np.ndarray:
-        # Each row reduction is numpy's pairwise sum over one contiguous
-        # row, the same arithmetic as a per-node vdot.
-        observed = np.add.reduce(np.multiply(self.W[:m], self._ring[:m]), axis=1)
-        if m == len(self.W):
-            return observed
-        out = np.zeros(len(self.W))
-        out[:m] = observed
-        return out
+    def _forecasts(self) -> list:
+        # node l's support sum is node.forward of the lag's value, bit for
+        # bit; an unseen lag's support is empty and sums to zero
+        w, h = self._flat, self.W.shape[1]
+        return [support_dot(w, l * h + start, values)
+                for l, (start, values) in enumerate(self._ring[: self.n])]
 
-    def node_forecasts(self) -> np.ndarray:
+    def node_forecasts(self) -> list:
         """Every node's output at its lag; zero where the lag is unseen."""
-        return self._forecasts(self._observed())
+        self._observed()
+        return self._forecasts()
 
     def forward(self) -> float:
         """Additive model output at the current position in the stream."""
-        return exact_sum(self.node_forecasts().tolist())
+        return exact_sum(self.node_forecasts())
 
     def observe(self, y_new: float) -> None:
         """Shift the delay line and the regressor ring; no weight moves."""
@@ -273,19 +277,19 @@ class AnarxModel:
         self._push_row(float(y_new))
 
     def _push_row(self, y: float) -> None:
-        """Fuzzify one observation into ring row 0."""
+        """Fuzzify one observation into ring entry 0."""
         ring = self._ring
-        ring[1:] = ring[:-1]
         self._fault_lag += 1
         try:
-            self.nodes[0].fuzzify(ring[0], y)
+            ring.insert(0, self.nodes[0].fuzzify(y))
         except DegenerateActivation as exc:
-            ring[0] = 0.0
+            ring.insert(0, _UNSEEN)
             self._fault_lag, self._fault = 1, str(exc)
+        ring.pop()
 
     def _rebuild_ring(self) -> None:
         """Refill the ring from the delay line, oldest value first."""
-        self._ring = np.zeros((self.delay_y.capacity, self.nodes[0].dim))
+        self._ring = [_UNSEEN] * self.delay_y.capacity
         self._fault_lag = math.inf
         for y in reversed(self.delay_y.snapshot()):
             self._push_row(y)
@@ -302,24 +306,27 @@ class AnarxModel:
         n = len(self.nodes)
         if forecasts is None:
             m = self._observed()
-            node_preds = self._forecasts(m)
+            node_preds = self._forecasts()
         else:
             m = min(n, len(self.delay_y))
             node_preds = forecasts
 
         skipped = [(i, "lag not observed yet") for i in range(m, n)]
         # A learner row spans ``span`` nodes: all n in stacked training,
-        # where ring rows of unobserved lags are still zero, one in
-        # independent. Rows with an observed node learn; a skipped row
-        # skips its observed nodes. A one-node row predicts its node's
-        # forecast, bit for bit, so the learner is handed those.
+        # where the supports of unobserved lags are still empty, one in
+        # independent. Its regressor's blocks are those nodes' supports.
+        # Rows with an observed node learn; a skipped row skips its
+        # observed nodes. A one-node row predicts its node's forecast,
+        # bit for bit, so the learner is handed those.
         learner = self.learner
-        rows, cols = learner.w.shape
-        span = n // rows
-        k = -(-m // span)
-        Phi = self._ring[:n].reshape(rows, cols)[:k]
-        pred = node_preds[:k] if span == 1 else learner.predict(Phi)
-        for row, reason in learner.step(Phi, y_new, pred):
+        span = n // len(learner.w)
+        if span == 1:
+            rows = [[support] for support in self._ring[:m]]
+            pred = node_preds[:m]
+        else:
+            rows = [self._ring[:n]] if m else []
+            pred = learner.predict(rows)
+        for row, reason in learner.step(rows, y_new, pred):
             skipped.extend((i, reason) for i in range(row * span, min(row * span + span, m)))
 
         self.observe(y_new)

@@ -1,11 +1,17 @@
 """Per-lag fuzzy nodes, each reduced to a linear-in-weights regressor.
 
-Both node kinds expose the same two calls on the lagged value ``u``:
-``regressor(u)`` builds the fuzzified feature vector and ``forward(u)``
-returns the dot product with the node's weights. ``fuzzify`` writes the
-same vector into a caller's buffer; the model uses it to fill its
-regressor ring once per observed value. Evaluation is pure given the
-weights; updating the weights of one node never touches another.
+Both node kinds expose the same calls on the lagged value ``u``:
+``fuzzify(u)`` returns the support of the fuzzified feature vector,
+``(start, values)`` (see :mod:`anarx.numerics`); ``regressor(u)`` is the
+dense h-wide vector it stands for; ``forward(u)`` is the node output,
+the weights times the support's values summed left to right from zero
+(:func:`~anarx.numerics.support_dot`), the sum the model's forecasts
+make. A neo-fuzzy support holds the q fired B-spline values, so for
+q = 2 the output is bit for bit numpy's pairwise sum over the dense row;
+a Wang-Mendel support holds all h firing strengths. The model keeps one
+support per observed value in its regressor ring. Evaluation is pure
+given the weights; updating the weights of one node never touches
+another.
 
 ``synapses`` is the number of h-wide weight vectors the paper counts per
 node (``AnarxModel.parameter_count``); see :class:`NeoFuzzyNode` for why
@@ -18,7 +24,7 @@ import numpy as np
 
 from .errors import DegenerateActivation, DimensionMismatch
 from .membership import GaussianGrid, KnotGrid, eval_bspline, eval_gaussian
-from .numerics import vdot
+from .numerics import dense, support_dot
 
 
 def _weights(weights, dim: int) -> np.ndarray:
@@ -51,17 +57,15 @@ class NeoFuzzyNode:
     def dim(self) -> int:
         return self.grid.h
 
-    def fuzzify(self, out: np.ndarray, u: float) -> None:
-        """Write the membership degrees of ``u`` into ``out``."""
-        eval_bspline(self.grid, u, out)
+    def fuzzify(self, u: float) -> tuple:
+        """The support of the membership degrees of ``u``: q values."""
+        return eval_bspline(self.grid, u)
 
     def regressor(self, u: float) -> np.ndarray:
-        out = np.empty(self.dim)
-        self.fuzzify(out, u)
-        return out
+        return dense([self.fuzzify(u)], self.dim)
 
     def forward(self, u: float) -> float:
-        return vdot(self.weights, self.regressor(u))
+        return support_dot(self.weights, *self.fuzzify(u))
 
 
 class WangMendelNode:
@@ -84,19 +88,17 @@ class WangMendelNode:
     def dim(self) -> int:
         return self.grid.h
 
-    def fuzzify(self, out: np.ndarray, u: float) -> None:
-        """Write the normalized firing strengths at ``u`` into ``out``."""
+    def fuzzify(self, u: float) -> tuple:
+        """The normalized firing strengths at ``u``: all h, from column 0."""
         d = eval_gaussian(self.grid, u)
         z = d * d
         total = float(z.sum())
         if total <= 0.0:
             raise DegenerateActivation(f"all rule activations underflowed at {u}")
-        np.divide(z, total, out=out)
+        return 0, (z / total).tolist()
 
     def regressor(self, u: float) -> np.ndarray:
-        out = np.empty(self.dim)
-        self.fuzzify(out, u)
-        return out
+        return dense([self.fuzzify(u)], self.dim)
 
     def forward(self, u: float) -> float:
-        return vdot(self.weights, self.regressor(u))
+        return support_dot(self.weights, *self.fuzzify(u))

@@ -1,22 +1,31 @@
-"""Alignment-stable contractions for the streaming math.
+"""Summation order of the streaming math, and its bit contract.
 
-BLAS dot/gemv kernels choose vectorization strategies from pointer
-alignment, so the same values in a differently allocated array can give
-answers that differ in the last ulp. Snapshots promise bit-identical
-predictions after a round-trip, and structure changes reallocate weight
-storage, so every hot-path contraction over weights goes through
-elementwise multiply plus a numpy sum whose result depends only on
-operand values and lengths: the pairwise sum over a contiguous last
-axis, or, in the RLS step, a left-to-right sum over the regressor's
-support.
+A neo-fuzzy node's B-spline memberships have compact support: a value
+fires only q of a grid's h functions, so the step works on supports. A
+support is ``(start, values)``: the first fired column and the fired
+membership values as Python floats, zero everywhere else. B-spline
+supports hold q values; a Wang-Mendel support holds all h, from column 0.
 
-The per-step work on a handful of scalars runs on Python floats instead:
-the B-spline recurrence of one value (``membership.eval_bspline``) and
-the combiner's sums and updates over the n node forecasts. A Python
-float operation is the IEEE binary64 operation numpy applies element by
-element, and ``math.fsum`` of the same products is the same correctly
-rounded sum, so as long as every expression keeps its operand order the
-bits are those of the numpy form.
+Every sum over one support runs left to right from zero on Python floats
+(:func:`support_dot`): a node forecast, and in independent training a
+learner row's squared norm. A Python float operation is the IEEE
+binary64 operation numpy applies per element, so with two fired values
+(q = 2, every shipped config) the result is bit for bit numpy's pairwise
+sum over the dense h-wide row: each partial sum of a row with two
+nonzero terms a and b is 0, a, b or a + b, whatever the order. For
+q >= 3 and for Wang-Mendel the left-to-right order is the contract.
+
+A row that spans several supports (the one row of stacked training)
+reduces its dense row, the supports scattered into zeros (:func:`dense`),
+with numpy's pairwise sum over the contiguous row: its prediction and
+its squared norm. That sum depends only on the values and the row
+length, not on pointer alignment as BLAS dot/gemv kernels do, so a
+reallocated weight block predicts the same bits. RLS sums ``P phi`` and
+``phi'P phi`` left to right over the support columns.
+
+The combiner's sums over the n node forecasts use ``math.fsum`` of the
+same products (correctly rounded, so a zero-weight node joining moves
+nothing), and every expression keeps its operand order.
 """
 
 from __future__ import annotations
@@ -30,9 +39,29 @@ import numpy as np
 EPS_REG = 1e-12
 
 
-def vdot(a, b) -> float:
-    """Bit-reproducible inner product of two 1-d float arrays."""
-    return float(np.multiply(a, b).sum())
+def support_dot(w, start: int, values) -> float:
+    """``w[start + j] * values[j]`` summed over j, left to right from zero."""
+    acc = 0.0
+    for v in values:
+        acc += w[start] * v
+        start += 1
+    return acc
+
+
+def dense(blocks, cols: int) -> np.ndarray:
+    """The row of ``cols`` columns that ``len(blocks)`` equal-width blocks
+    make, each given by its support ``(start, values)``."""
+    row = np.zeros(cols)
+    items = memoryview(row)  # a few item writes beat a slice from a list
+    width = cols // len(blocks)
+    offset = 0
+    for start, values in blocks:
+        c = offset + start
+        for v in values:
+            items[c] = v
+            c += 1
+        offset += width
+    return row
 
 
 def exact_sum(values) -> float:
@@ -43,4 +72,3 @@ def exact_sum(values) -> float:
     (its association depends on the length).
     """
     return math.fsum(values)
-

@@ -323,7 +323,7 @@ class OnlineForecaster:
         the prediction."""
         model, combiner = self.model, self.combiner
         forecasts = model.node_forecasts()
-        pred = combiner.combine(forecasts) if combiner is not None else exact_sum(forecasts.tolist())
+        pred = combiner.combine(forecasts) if combiner is not None else exact_sum(forecasts)
         if not math.isfinite(pred):
             # typical cause: covariance wind-up of forgetting-factor RLS
             # under locally excited regressors
@@ -335,14 +335,14 @@ class OnlineForecaster:
             self.skipped_updates[reason.partition(":")[0]] += 1
         if combiner is not None:
             try:
-                combiner.optimal_step(forecasts, y)
+                combiner.optimal_step(forecasts, y, pred)
             except DegenerateStep:
                 self.degenerate_steps += 1
         if self.evolution is not None:
             self._evolve(y - pred, forecasts)
         return pred
 
-    def _evolve(self, err: float, forecasts: np.ndarray) -> None:
+    def _evolve(self, err: float, forecasts: list) -> None:
         """Record a learned step's error and node forecasts; with a full
         window, maybe evolve."""
         sq = err * err

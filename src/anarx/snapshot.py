@@ -130,7 +130,7 @@ def _evolution_state(forecaster: OnlineForecaster) -> dict | None:
         "err_window": list(forecaster.err_window),
         "long_run_sq": forecaster.long_run_sq,
         "learned_steps": forecaster.learned_steps,
-        "contrib": [row.tolist() for row in forecaster.contrib_window],
+        "contrib": [list(row) for row in forecaster.contrib_window],
     }
 
 
@@ -161,4 +161,4 @@ def _restore_evolution(forecaster: OnlineForecaster, state: dict) -> None:
     forecaster.err_window.extend(window)
     forecaster.long_run_sq = long_run_sq
     forecaster.learned_steps = learned_steps
-    forecaster.contrib_window.extend(rows)
+    forecaster.contrib_window.extend(row.tolist() for row in rows)

@@ -1,13 +1,15 @@
 """Shared independent oracles and planted-data builders.
 
 Everything here is deliberately written without calling the package's
-own evaluation paths, so tests compare two separately coded routes.
+own evaluation paths, so tests compare two separately coded routes. The
+two adapters between the dense and the support form (:func:`basis`,
+:func:`supports`) are the exception: they only move values around.
 """
 
 import numpy as np
 import pytest
 
-from anarx import NeoFuzzyNode, build_uniform_grid
+from anarx import NeoFuzzyNode, build_uniform_grid, eval_bspline
 from anarx.pipeline import SeriesFrame
 
 
@@ -37,6 +39,27 @@ def naive_basis_vector(grid, u):
         u = grid.hi - 1e-12 * max(1.0, abs(grid.hi))
     t = grid.knots
     return np.array([naive_bspline(u, grid.q - 1, i, t) for i in range(grid.h)])
+
+
+def basis(grid, u):
+    """All h basis values at ``u``: ``eval_bspline``'s support scattered
+    into a zero row."""
+    start, values = eval_bspline(grid, u)
+    out = np.zeros(grid.h)
+    out[start : start + len(values)] = values
+    return out
+
+
+def supports(Phi):
+    """Learner rows for a dense (k, cols) regressor block: each row is one
+    block, its support running from its first to its last nonzero column
+    (empty for a zero row)."""
+    rows = []
+    for phi in np.asarray(Phi, dtype=float):
+        nz = np.flatnonzero(phi)
+        start, stop = (int(nz[0]), int(nz[-1]) + 1) if nz.size else (0, 0)
+        rows.append([(start, phi[start:stop].tolist())])
+    return rows
 
 
 def triangular_hats(peaks, u):

@@ -20,13 +20,12 @@ from anarx import (
     batch_solve,
     build_anarx,
     build_uniform_grid,
-    eval_bspline,
     run_experiment,
 )
 from anarx.datasets import load_sunspots, sunspot_path, synthetic_load_series
 from anarx.errors import DegenerateStep
 
-from conftest import ols_fit
+from conftest import basis, ols_fit, supports
 
 SUNSPOT_MISSING = sunspot_path() is None
 SUNSPOT_REASON = (
@@ -124,7 +123,7 @@ class TestCriterion4Oracles:
             y = rng.normal(size=n)
             rls = RlsLearner(np.zeros((1, m)), alpha=1.0, p0=1e8)
             for phi, t in zip(X, y):
-                rls.step(phi[None, :], t)
+                rls.step(supports(phi[None, :]), t)
             worst = max(worst, float(np.max(np.abs(rls.w[0] - ols_fit(X, y)))))
         assert worst <= 1e-5
         _report("criterion 4a (RLS vs OLS)", f"max weight deviation {worst:.2e} <= 1e-5")
@@ -160,7 +159,7 @@ class TestCriterion5Identities:
         for h, q in [(3, 1), (4, 2), (9, 2), (6, 3), (8, 4)]:
             grid = build_uniform_grid(-1.0, 2.0, h, q)
             for u in np.linspace(-1.0, 2.0, 2001):
-                worst = max(worst, abs(eval_bspline(grid, u).sum() - 1.0))
+                worst = max(worst, abs(basis(grid, u).sum() - 1.0))
         assert worst <= 1e-12
         _report("criterion 5 (unity partition)", f"max |sum - 1| = {worst:.2e} <= 1e-12")
 
@@ -171,7 +170,7 @@ class TestCriterion5Identities:
         for _ in range(500):
             phi = rng.normal(size=6)
             y = rng.normal()
-            kwh.step(phi[None, :], y)
+            kwh.step(supports(phi[None, :]), y)
             worst = max(worst, abs(y - kwh.w[0] @ phi) / (1.0 + abs(y)))
         assert worst <= 1e-10
         _report("criterion 5 (Kaczmarz a-posteriori)", f"max residual {worst:.2e} <= 1e-10")
@@ -182,8 +181,8 @@ class TestCriterion5Identities:
         phi, y = rng.normal(size=(1, 4)), rng.normal()
         ad = AdaptiveLearner(np.zeros((1, 4)), alpha=1.0)
         kw = KwhLearner(np.zeros((1, 4)))
-        ad.step(phi, y)
-        kw.step(phi, y)
+        ad.step(supports(phi), y)
+        kw.step(supports(phi), y)
         first_gap = float(np.max(np.abs(ad.w - kw.w)))
         assert first_gap <= 1e-10
         # every step at alpha = 0
@@ -192,8 +191,8 @@ class TestCriterion5Identities:
         all_gap = 0.0
         for _ in range(300):
             phi, y = rng.normal(size=(1, 4)), rng.normal()
-            ad0.step(phi, y)
-            kw0.step(phi, y)
+            ad0.step(supports(phi), y)
+            kw0.step(supports(phi), y)
             all_gap = max(all_gap, float(np.max(np.abs(ad0.w - kw0.w))))
         assert all_gap <= 1e-10
         _report(

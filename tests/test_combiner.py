@@ -318,7 +318,12 @@ class TestFloatArithmetic:
                 ref.arrow_hurwicz_step(f, y, eta_c)
             else:
                 steps += ref.optimal_step(f, y)
-                cs.optimal_step(f, y)
+                # every other one gets, as the forecaster hands it, the
+                # list of forecasts and the prediction combine made
+                if k % 3 == 1:
+                    cs.optimal_step(f.tolist(), y, cs.combine(f.tolist()))
+                else:
+                    cs.optimal_step(f, y)
             assert same_state(cs, ref), k
         assert steps > 150
 

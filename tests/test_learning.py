@@ -17,19 +17,28 @@ from anarx import (
     make_learner,
 )
 from anarx.errors import DimensionMismatch, NumericalDivergence
-from anarx.numerics import EPS_REG, vdot
+from anarx.numerics import EPS_REG
 
-from conftest import ols_fit
+from conftest import ols_fit, supports
 
 
 def row(*values):
-    """One regressor as a (1, cols) block."""
-    return np.array([values], dtype=float)
+    """One regressor as the learner rows of a (1, cols) block."""
+    return supports([values])
+
+
+def dot(a, b) -> float:
+    """Inner product summed left to right from zero over every column,
+    the bits a one-block row's support sum gives."""
+    total = 0.0
+    for x, z in zip(np.asarray(a, dtype=float).tolist(), np.asarray(b, dtype=float).tolist()):
+        total += x * z
+    return total
 
 
 def predict(learner, phi) -> float:
     """Row-0 prediction with the current weights."""
-    return vdot(learner.w[0], phi)
+    return dot(learner.w[0], phi)
 
 
 class TestRls:
@@ -48,7 +57,7 @@ class TestRls:
         y = np.array([1.0, 2.0, 0.5])
         rls = RlsLearner(np.zeros((1, 2)), alpha=1.0, p0=1e6)
         for phi, t in zip(X, y):
-            rls.step(phi[None, :], t)
+            rls.step(supports(phi[None, :]), t)
         w_ols = np.linalg.lstsq(X, y, rcond=None)[0]
         assert np.max(np.abs(rls.w[0] - w_ols)) <= 1e-6
 
@@ -61,14 +70,14 @@ class TestRls:
             y = rng.normal(size=n)
             rls = RlsLearner(np.zeros((1, m)), alpha=1.0, p0=1e8)
             for phi, t in zip(X, y):
-                rls.step(phi[None, :], t)
+                rls.step(supports(phi[None, :]), t)
             assert np.max(np.abs(rls.w[0] - ols_fit(X, y))) <= 1e-5
 
     def test_zero_innovation_leaves_w_updates_P(self):
         rls = RlsLearner(np.array([[1.0, -2.0]]), alpha=1.0, p0=10.0)
         P_before = rls.P.copy()
         phi = np.array([0.5, 0.25])
-        rls.step(phi[None, :], predict(rls, phi))
+        rls.step(supports(phi[None, :]), predict(rls, phi))
         assert np.array_equal(rls.w, [[1.0, -2.0]])
         assert not np.allclose(rls.P, P_before)
 
@@ -84,7 +93,7 @@ class TestRls:
         for alpha in (1.0, 0.95):
             rls = RlsLearner(np.zeros((1, m)), alpha=alpha, p0=1e4)
             for phi, t in zip(X, y):
-                rls.step(phi[None, :], t)
+                rls.step(supports(phi[None, :]), t)
             finals[alpha] = rls.w[0].copy()
         w_b_ols = ols_fit(X[n_each:], y[n_each:])
         d_forget = np.linalg.norm(finals[0.95] - w_b_ols)
@@ -95,7 +104,7 @@ class TestRls:
         rng = np.random.default_rng(3)
         rls = RlsLearner(np.zeros((3, 4)), alpha=0.97, p0=100.0)
         for _ in range(500):
-            rls.step(rng.normal(size=(3, 4)), rng.normal())
+            rls.step(supports(rng.normal(size=(3, 4))), rng.normal())
         assert np.array_equal(rls.P, rls.P.transpose(0, 2, 1))
 
     @pytest.mark.parametrize("bad", ["asymmetric", "nan", "inf"])
@@ -116,7 +125,10 @@ class TestRls:
 
     def test_dimension_mismatch(self):
         rls = RlsLearner(np.zeros((2, 3)))
-        for bad in (row(1.0, 2.0), np.zeros((3, 3)), np.zeros(3)):
+        # a support that runs past its row, more rows than the block has,
+        # blocks that do not split the row's columns, a row of no blocks
+        for bad in ([[(2, [1.0, 2.0])]], supports(np.ones((3, 3))),
+                    [[(0, [1.0]), (0, [1.0])]], [[]]):
             with pytest.raises(DimensionMismatch):
                 rls.step(bad, 0.5)
         with pytest.raises(DimensionMismatch):
@@ -131,10 +143,12 @@ class TestRls:
 
 class _RowReference:
     """One learner row computed as the per-node learners did: 1-d
-    weights, a scalar gain, vdot, and a skip reason where the update
-    would divide by a vanishing norm or gain. RLS sums ``P phi`` and
-    ``phi'P phi`` left to right over every column, from zero, and
-    downdates with np.outer."""
+    weights, a scalar gain, dense sums left to right from zero over every
+    column, and a skip reason where the update would divide by a
+    vanishing norm or gain. KWH and adaptive move the weights from the
+    first to the last nonzero column. RLS sums ``P phi`` and ``phi'P phi``
+    left to right over every column, from zero, and downdates with
+    np.outer."""
 
     def __init__(self, kind, w, alpha, p0):
         self.kind, self.alpha, self.p0 = kind, alpha, p0
@@ -143,18 +157,24 @@ class _RowReference:
         self.r = 0.0
 
     def step(self, phi, y):
-        error = float(y) - vdot(self.w, phi)
+        error = float(y) - dot(self.w, phi)
         if self.kind == "rls":
             self._rls_update(phi, error)
             return None
         if self.kind == "kwh":
-            gain, what = vdot(phi, phi), "ZeroRegressor: squared regressor norm"
+            gain, what = dot(phi, phi), "ZeroRegressor: squared regressor norm"
         else:
-            self.r = self.alpha * self.r + vdot(phi, phi)
+            self.r = self.alpha * self.r + dot(phi, phi)
             gain, what = self.r, "ZeroGain: gain accumulator"
         if gain <= EPS_REG:
             return f"{what} {gain} below {EPS_REG}"
-        self.w += (error / gain) * phi
+        # only the support ``supports`` hands the learner moves: a -0.0
+        # weight outside it stays -0.0, where adding 0 * rate would make
+        # it +0.0
+        nz = np.flatnonzero(phi)
+        if nz.size:
+            span = slice(nz[0], nz[-1] + 1)
+            self.w[span] += (error / gain) * phi[span]
         return None
 
     def _gain(self, phi, error):
@@ -244,7 +264,7 @@ class TestRlsSymmetricUpdate:
                 phi = data.draw(_regressor(cols))
                 y = data.draw(st.floats(-10.0, 10.0))
                 P = new.P
-                assert new.step(phi[None, :], y) == []
+                assert new.step(supports(phi[None, :]), y) == []
                 ref.step(phi, y)
                 assert new.P is P
             elif op == "grow" and cols < 48:
@@ -294,7 +314,7 @@ def test_rls_exact_zero_columns_change_no_bit(data, rows, cols, alpha, p0, steps
     for _ in range(steps):
         Phi = data.draw(_sparse_block(rows, cols), label="Phi")
         y = data.draw(st.floats(-10.0, 10.0), label="y")
-        assert rls.step(Phi, y) == []
+        assert rls.step(supports(Phi), y) == []
         for ref, phi in zip(refs, Phi):
             ref.step(phi, y)
         for i, ref in enumerate(refs):
@@ -318,7 +338,7 @@ class TestRlsDivergence:
         rls.P[1, 1, 1] = diag
         w, P = _bits(rls.w), _bits(rls.P)
         with pytest.raises(NumericalDivergence, match="RLS row 1"):
-            rls.step(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), 2.0)
+            rls.step(supports([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), 2.0)
         assert _bits(rls.w) == w
         assert _bits(rls.P) == P
 
@@ -373,7 +393,7 @@ def test_batched_learner_is_rows_of_single_learners(data, kind, rows, cols, p0, 
             k = data.draw(st.integers(0, rows), label="k")
             Phi = data.draw(_block(k, cols), label="Phi")
             y = data.draw(st.floats(-10.0, 10.0), label="y")
-            skipped = batched.step(Phi, y)
+            skipped = batched.step(supports(Phi), y)
             want = [(i, reason) for i, reason in
                     ((i, refs[i].step(phi, y)) for i, phi in enumerate(Phi)) if reason]
             assert skipped == want
@@ -415,7 +435,7 @@ class TestKwh:
         kwh = KwhLearner(rng.normal(size=(1, 4)))
         phi = rng.normal(size=4)
         w = kwh.w.copy()
-        kwh.step(phi[None, :], predict(kwh, phi))
+        kwh.step(supports(phi[None, :]), predict(kwh, phi))
         assert np.array_equal(kwh.w, w)
 
     def test_zero_aposteriori_error(self):
@@ -424,13 +444,13 @@ class TestKwh:
         for _ in range(200):
             Phi = rng.normal(size=(3, 5))
             y = rng.normal()
-            kwh.step(Phi, y)
+            kwh.step(supports(Phi), y)
             assert np.all(np.abs(y - (kwh.w * Phi).sum(axis=1)) <= 1e-10 * (1.0 + abs(y)))
 
     def test_zero_regressor_row_is_skipped(self):
         # row 1 has a zero regressor: it is masked and named, row 0 learns
         kwh = KwhLearner(np.ones((3, 3)))
-        skipped = kwh.step(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), 5.0)
+        skipped = kwh.step(supports([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), 5.0)
         assert skipped == [(1, f"ZeroRegressor: squared regressor norm 0.0 below {EPS_REG}")]
         assert kwh.w.tolist() == [[5.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]
 
@@ -443,8 +463,8 @@ class TestAdaptive:
         ad = AdaptiveLearner(np.zeros((1, 4)), alpha=1.0)
         assert ad.r.tolist() == [0.0]
         kw = KwhLearner(np.zeros((1, 4)))
-        ad.step(phi, y)
-        kw.step(phi, y)
+        ad.step(supports(phi), y)
+        kw.step(supports(phi), y)
         assert np.max(np.abs(ad.w - kw.w)) <= 1e-15
 
     def test_alpha0_always_kwh(self):
@@ -454,8 +474,8 @@ class TestAdaptive:
         for _ in range(100):
             phi = rng.normal(size=(1, 3))
             y = rng.normal()
-            ad.step(phi, y)
-            kw.step(phi, y)
+            ad.step(supports(phi), y)
+            kw.step(supports(phi), y)
             assert np.max(np.abs(ad.w - kw.w)) <= 1e-12
 
     def test_gain_recursion_hand_example(self):
@@ -476,7 +496,7 @@ class TestAdaptive:
         ad.r[:] = 1.0
         phi = rng.normal(size=3)
         w = ad.w.copy()
-        ad.step(phi[None, :], predict(ad, phi))
+        ad.step(supports(phi[None, :]), predict(ad, phi))
         assert np.array_equal(ad.w, w)
 
     def test_zero_gain_row_is_skipped(self):
@@ -484,7 +504,7 @@ class TestAdaptive:
         # and the row past k keeps its gain
         ad = AdaptiveLearner(np.ones((3, 2)), alpha=0.0)
         ad.r[:] = 7.0
-        skipped = ad.step(np.array([[0.0, 0.0], [1.0, 0.0]]), 3.0)
+        skipped = ad.step(supports([[0.0, 0.0], [1.0, 0.0]]), 3.0)
         assert skipped == [(0, f"ZeroGain: gain accumulator 0.0 below {EPS_REG}")]
         assert ad.r.tolist() == [0.0, 1.0, 7.0]
         assert ad.w.tolist() == [[1.0, 1.0], [3.0, 1.0], [1.0, 1.0]]
@@ -506,14 +526,14 @@ class TestCommon:
             learner = make_learner(kind, rng.normal(size=(1, 3)), alpha=0.9)
             phi = rng.normal(size=3)
             w = learner.w.copy()
-            learner.step(phi[None, :], predict(learner, phi))
+            learner.step(supports(phi[None, :]), predict(learner, phi))
             assert np.array_equal(learner.w, w), kind
             y = predict(learner, phi) + 1.0
-            learner.step(phi[None, :], y)
+            learner.step(supports(phi[None, :]), y)
             assert not np.array_equal(learner.w, w), kind
         for kind in ("kwh", "adaptive"):
             learner = make_learner(kind, np.zeros((1, 3)), alpha=0.9)
-            learner.step(phi[None, :], 2.5)
+            learner.step(supports(phi[None, :]), 2.5)
             assert abs(predict(learner, phi) - 2.5) <= 1e-12
 
     def test_weights_updated_in_place(self):
@@ -570,10 +590,14 @@ def test_one_synapse_learns_as_two_tied_synapses(kind, h, p0, adaptive_alpha, st
     tied = make_learner(kind, np.zeros((1, 2 * h)), alpha=alpha, p0=p0)
     one = make_learner(kind, np.zeros((1, h)), alpha=alpha, p0=2.0 * p0)
     for xk, yk in zip(x.tolist(), y.tolist()):
-        mu = eval_bspline(grid, xk)
+        support = eval_bspline(grid, xk)
+        mu = np.zeros(h)
+        mu[support[0] : support[0] + q] = support[1]
         tied_phi = np.concatenate([mu, mu])
         a = predict(tied, tied_phi)
         b = predict(one, mu)
-        tied.step(tied_phi[None, :], yk)
-        one.step(mu[None, :], yk)
+        # the tied row is a stacked row of two blocks, the one synapse a
+        # one-block row
+        tied.step([[support, support]], yk)
+        one.step([[support]], yk)
         assert abs(a - b) <= COLLAPSE_TOL[kind]

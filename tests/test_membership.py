@@ -13,7 +13,7 @@ from anarx import (
 )
 from anarx.errors import InvalidOrder, InvalidRange
 
-from conftest import naive_basis_vector, triangular_hats
+from conftest import basis, naive_basis_vector, triangular_hats
 
 
 class TestBuildUniformGrid:
@@ -62,32 +62,32 @@ class TestEvalBspline:
     def test_order1_indicator(self):
         grid = build_uniform_grid(0.0, 1.0, 2, 1)
         assert np.allclose(np.unique(grid.knots), [0.0, 0.5, 1.0])
-        assert np.array_equal(eval_bspline(grid, 0.25), [1.0, 0.0])
-        assert np.array_equal(eval_bspline(grid, 0.75), [0.0, 1.0])
+        assert np.array_equal(basis(grid, 0.25), [1.0, 0.0])
+        assert np.array_equal(basis(grid, 0.75), [0.0, 1.0])
         # half-open bins: 0.5 belongs to the second bin
-        assert np.array_equal(eval_bspline(grid, 0.5), [0.0, 1.0])
+        assert np.array_equal(basis(grid, 0.5), [0.0, 1.0])
         # right boundary closed so the partition holds at hi
-        assert np.array_equal(eval_bspline(grid, 1.0), [0.0, 1.0])
+        assert np.array_equal(basis(grid, 1.0), [0.0, 1.0])
 
     def test_hat_at_peak(self):
         grid = build_uniform_grid(0.0, 1.0, 3, 2)
-        assert np.allclose(eval_bspline(grid, 0.5), [0.0, 1.0, 0.0], atol=1e-15)
+        assert np.allclose(basis(grid, 0.5), [0.0, 1.0, 0.0], atol=1e-15)
 
     def test_hat_between_peaks(self):
         grid = build_uniform_grid(0.0, 1.0, 3, 2)
-        assert np.allclose(eval_bspline(grid, 0.25), [0.5, 0.5, 0.0], atol=1e-15)
+        assert np.allclose(basis(grid, 0.25), [0.5, 0.5, 0.0], atol=1e-15)
 
     def test_out_of_range_clamps(self):
         grid = build_uniform_grid(0.0, 1.0, 4, 2)
-        assert np.allclose(eval_bspline(grid, -3.0), eval_bspline(grid, 0.0))
-        assert np.allclose(eval_bspline(grid, 42.0), eval_bspline(grid, 1.0))
-        assert abs(eval_bspline(grid, 7.0).sum() - 1.0) < 1e-12
+        assert np.allclose(basis(grid, -3.0), basis(grid, 0.0))
+        assert np.allclose(basis(grid, 42.0), basis(grid, 1.0))
+        assert abs(basis(grid, 7.0).sum() - 1.0) < 1e-12
 
     def test_unity_partition_dense_sweep(self):
         for h, q in [(3, 1), (4, 2), (9, 2), (6, 3), (7, 4), (5, 5)]:
             grid = build_uniform_grid(-1.5, 2.5, h, q)
             for u in np.linspace(-1.5, 2.5, 1001):
-                assert abs(eval_bspline(grid, u).sum() - 1.0) <= 1e-12
+                assert abs(basis(grid, u).sum() - 1.0) <= 1e-12
 
     def test_unity_partition_random_points(self):
         rng = np.random.default_rng(101)
@@ -97,7 +97,7 @@ class TestEvalBspline:
             lo, width = rng.normal(0, 5), rng.uniform(0.5, 10)
             grid = build_uniform_grid(lo, lo + width, h, q)
             for u in rng.uniform(lo - width, lo + 2 * width, 20):
-                d = eval_bspline(grid, u)
+                d = basis(grid, u)
                 assert abs(d.sum() - 1.0) <= 1e-12
                 assert np.all(d >= 0.0) and np.all(d <= 1.0)
 
@@ -106,7 +106,7 @@ class TestEvalBspline:
         for h, q in [(3, 1), (6, 2), (8, 3), (9, 4)]:
             grid = build_uniform_grid(0.0, 1.0, h, q)
             for u in rng.uniform(-0.2, 1.2, 200):
-                assert int((eval_bspline(grid, u) != 0.0).sum()) <= q
+                assert int((basis(grid, u) != 0.0).sum()) <= q
 
     def test_order2_matches_independent_hat_evaluator(self):
         rng = np.random.default_rng(21)
@@ -115,7 +115,7 @@ class TestEvalBspline:
             peaks = np.unique(grid.knots)
             for u in rng.uniform(-2.3, 1.3, 1100):
                 want = triangular_hats(peaks, u)
-                got = eval_bspline(grid, u)
+                got = basis(grid, u)
                 assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_matches_naive_recursion_any_order(self):
@@ -124,7 +124,7 @@ class TestEvalBspline:
             grid = build_uniform_grid(0.0, 2.0, h, q)
             for u in rng.uniform(0.0, 2.0, 200):
                 want = naive_basis_vector(grid, u)
-                got = eval_bspline(grid, u)
+                got = basis(grid, u)
                 assert np.max(np.abs(got - want)) <= 1e-9
 
     def test_matches_scipy_design_matrix(self):
@@ -135,7 +135,7 @@ class TestEvalBspline:
             grid = build_uniform_grid(-1.0, 3.0, h, q)
             us = rng.uniform(-1.0, 3.0, 300)
             design = BSpline.design_matrix(us, grid.knots, q - 1).toarray()
-            ours = np.array([eval_bspline(grid, u) for u in us])
+            ours = np.array([basis(grid, u) for u in us])
             assert np.max(np.abs(ours - design)) <= 1e-12
 
 
@@ -212,22 +212,23 @@ class TestFloatRecurrence:
     @given(grid_and_point())
     def test_matches_numpy_recurrence_bit_for_bit(self, case):
         grid, u = case
-        assert eval_bspline(grid, u).tobytes() == numpy_bspline(grid, u).tobytes()
+        assert basis(grid, u).tobytes() == numpy_bspline(grid, u).tobytes()
 
     @settings(max_examples=200, deadline=None)
-    @given(grid_and_point(), st.floats(allow_nan=True, allow_infinity=True))
-    def test_out_row_is_overwritten(self, case, garbage):
+    @given(grid_and_point())
+    def test_support_is_the_span(self, case):
+        # the support is the q basis functions alive on u's knot span, as
+        # Python floats that sum to one; every other value is zero
         grid, u = case
-        # a stale ring row: the last value's degrees, then garbage
-        row = eval_bspline(grid, grid.hi)
-        row[::2] = garbage
-        got = eval_bspline(grid, u, row)
-        assert got is row
-        assert row.tobytes() == numpy_bspline(grid, u).tobytes()
+        start, values = eval_bspline(grid, u)
         _, j = numpy_span(grid, u)
-        outside = np.concatenate([row[: j - grid.q + 1], row[j + 1 :]])
+        assert start == j - grid.q + 1
+        assert len(values) == grid.q
+        assert all(type(v) is float for v in values)
+        assert abs(sum(values) - 1.0) <= 1e-12
+        row = numpy_bspline(grid, u)
+        outside = np.concatenate([row[:start], row[start + grid.q :]])
         assert outside.tobytes() == np.zeros(grid.h - grid.q).tobytes()
-        assert abs(row.sum() - 1.0) <= 1e-12
 
 
 class TestGaussian:

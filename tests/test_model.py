@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 
 import numpy as np
 import pytest
@@ -17,6 +18,11 @@ from anarx import (
     build_uniform_grid,
 )
 from anarx.errors import DegenerateActivation
+from anarx.numerics import EPS_REG
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
 
 
 class TestDelayLine:
@@ -80,7 +86,7 @@ class TestForward:
         m.observe(0.5)
         assert m.forward() == 0.0  # only node 1 active, zero weights
         f = m.node_forecasts()
-        assert f.shape == (3,) and f[1] == 0.0 and f[2] == 0.0
+        assert len(f) == 3 and f[1] == 0.0 and f[2] == 0.0
 
     def test_additivity_matches_individual_queries(self):
         rng = np.random.default_rng(0)
@@ -89,7 +95,7 @@ class TestForward:
             node.weights[:] = rng.normal(size=node.dim)
         for v in rng.uniform(0, 1, 5):
             m.observe(v)
-        assert abs(m.forward() - m.node_forecasts().sum()) <= 1e-12
+        assert abs(m.forward() - sum(m.node_forecasts())) <= 1e-12
         manual = sum(
             node.forward(m.delay_y.lag(l))
             for l, node in enumerate(m.nodes, start=1)
@@ -109,7 +115,7 @@ class TestTrainStep:
         for y in series:
             rep = m.train_step(float(y))
             if prev is not None:
-                ref.step(ref_node.regressor(prev)[None, :], float(y))
+                ref.step([[ref_node.fuzzify(prev)]], float(y))
             prev = float(y)
             assert np.max(np.abs(m.nodes[0].weights - ref_node.weights)) <= 1e-15
 
@@ -153,9 +159,7 @@ class TestTrainStep:
         states_before = [copy.deepcopy(m.learner.row_state(i)) for i in range(3)]
         # step only row 1 (node 2) of the batched learner by hand; row 0
         # gets a zero-innovation regressor, row 2 none
-        phi = m.nodes[1].regressor(0.5)
-        zero = np.zeros_like(phi)
-        assert m.learner.step(np.array([zero, phi]), 0.9) == []
+        assert m.learner.step([[(0, [])], [m.nodes[1].fuzzify(0.5)]], 0.9) == []
         assert np.array_equal(m.nodes[0].weights, before[0])
         assert np.array_equal(m.nodes[2].weights, before[2])
         assert not np.array_equal(m.nodes[1].weights, before[1])
@@ -348,6 +352,56 @@ class TestEvolve:
                 assert np.isfinite(m.forward())
 
 
+def _dense_regressors(m):
+    """Each node's h-wide regressor, built from the delay line; zero where
+    the lag is unseen."""
+    h = m.nodes[0].dim
+    return np.array([np.zeros(h) if m.delay_y.lag(l) is None else node.regressor(m.delay_y.lag(l))
+                     for l, node in enumerate(m.nodes, start=1)])
+
+
+def _dense_step(m, y):
+    """What ``m.train_step(y)`` makes of the pool's weights (and r, P) in
+    the dense form, as copies: numpy's pairwise sum over each dense row
+    for the predictions and squared norms, the update on every column,
+    and RLS sums left to right over every column from zero."""
+    learner = m.learner
+    rows, cols = learner.w.shape
+    span = m.n // rows
+    k = -(-min(m.n, len(m.delay_y)) // span)
+    Phi = _dense_regressors(m).reshape(rows, cols)[:k]
+    w = learner.w.copy()
+    error = float(y) - np.add.reduce(w[:k] * Phi, axis=1)
+    out = {"w": w}
+    if learner.kind == "rls":
+        P = learner.P.copy()
+        for i, phi in enumerate(Phi):
+            Pphi = np.zeros(cols)
+            for j, p in enumerate(phi.tolist()):
+                Pphi += p * P[i, j]
+            total = 0.0
+            for p, q in zip(phi.tolist(), Pphi.tolist()):
+                total += p * q
+            denom = learner.alpha + total
+            w[i] += Pphi * (error[i] / denom)
+            b = Pphi / math.sqrt(denom)
+            P[i] -= np.outer(b, b)
+        if learner.alpha != 1.0:
+            P[:k] /= learner.alpha
+        out["P"] = P
+        return out
+    gain = np.add.reduce(Phi * Phi, axis=1)
+    if learner.kind == "adaptive":
+        r = learner.r.copy()
+        r[:k] = learner.alpha * r[:k] + gain
+        gain = r[:k]
+        out["r"] = r
+    for i in range(k):
+        if gain[i] > EPS_REG:
+            w[i] += (error[i] / gain[i]) * Phi[i]
+    return out
+
+
 class TestArrayPool:
     """The ring and weight-matrix evaluation against per-node evaluation."""
 
@@ -376,23 +430,53 @@ class TestArrayPool:
         st.tuples(st.sampled_from(["add", "remove", "round_trip"])),
     )
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(
-        node_kind=st.sampled_from(["neo_fuzzy", "wang_mendel"]),
+        kind=st.sampled_from([("neo_fuzzy", 2), ("neo_fuzzy", 3), ("wang_mendel", None)]),
+        h=st.sampled_from([3, 9]),
         training=st.sampled_from(["stacked", "independent"]),
         learner=st.sampled_from(["rls", "kwh", "adaptive"]),
         n=st.integers(1, 3),
         ops=st.lists(ops, max_size=40),
     )
     def test_forecasts_equal_node_forward_bit_for_bit(
-        self, node_kind, training, learner, n, ops
+        self, kind, h, training, learner, n, ops
     ):
-        m = build_anarx(n, 3, 0.0, 1.0, node_kind=node_kind,
-                        training=training, learner=learner,
-                        alpha=0.9 if learner == "adaptive" else 1.0)
+        # The pool's support sums equal node.forward for every node kind
+        # and order. For q = 2 they, and every weight the learner moves,
+        # also equal the dense form's bits, in both trainings.
+        node_kind, q = kind
+        self.run_ops(build_anarx(n, h, 0.0, 1.0, q=q or 2, node_kind=node_kind,
+                                 training=training, learner=learner,
+                                 alpha=0.9 if learner == "adaptive" else 1.0),
+                     ops, dense=q == 2)
+
+    @pytest.mark.parametrize("training", ["stacked", "independent"])
+    @pytest.mark.parametrize("learner", ["rls", "kwh", "adaptive"])
+    def test_q2_pool_equals_dense_form_on_a_stream(self, training, learner):
+        # generic values, where the order of a sum over three or more
+        # nonzero terms shows in its last bits (hypothesis favours round
+        # ones), through growth and pruning
+        rng = np.random.default_rng(17)
+        ops = [("train", v) for v in rng.uniform(-0.2, 1.2, 200).tolist()]
+        for at, op in ((40, ("add",)), (80, ("observe", 0.3)), (120, ("add",)), (160, ("remove",))):
+            ops.insert(at, op)
+        self.run_ops(build_anarx(2, 9, 0.0, 1.0, training=training, learner=learner,
+                                 alpha=0.9 if learner == "adaptive" else 1.0), ops, dense=True)
+
+    def run_ops(self, m, ops, dense):
         for op in ops:
             if op[0] == "train":
+                if dense:
+                    assert _bits(m.node_forecasts()) == _bits(
+                        np.add.reduce(m.W * _dense_regressors(m), axis=1))
+                    want = _dense_step(m, op[1])
                 m.train_step(op[1])
+                if dense:
+                    assert _bits(m.learner.w) == _bits(want["w"])
+                    for name in ("r", "P"):
+                        if name in want:
+                            assert _bits(getattr(m.learner, name)) == _bits(want[name])
             elif op[0] == "observe":
                 m.observe(op[1])
             elif op[0] == "add" and m.n < 5:
@@ -401,7 +485,7 @@ class TestArrayPool:
                 m.remove_last_node()
             elif op[0] == "round_trip":
                 m = AnarxModel.from_state(json.loads(json.dumps(m.state_dict())))
-            assert m.node_forecasts().tobytes() == self.per_node_forecasts(m).tobytes()
+            assert _bits(m.node_forecasts()) == _bits(self.per_node_forecasts(m))
             self.assert_weights_shared(m)
 
     def test_loaded_nodes_share_one_grid(self):
@@ -429,3 +513,24 @@ class TestArrayPool:
         # the value has moved past the last node's lag
         assert np.isfinite(m.node_forecasts()).all()
         m.train_step(0.5)
+
+    def test_degenerate_row_survives_growth_and_a_round_trip(self):
+        # the ring grows with the pool, and a loaded model rebuilds the
+        # failed row at the same lag: it raises until the value has moved
+        # past the last node, then forecasts as the original does
+        m = build_anarx(2, 4, 0.0, 1.0, node_kind="wang_mendel", learner="kwh",
+                        training="independent")
+        for y in (0.2, 0.5, 0.7):
+            m.train_step(y)
+        m.observe(1e9)
+        m.add_node()
+        for _ in range(m.n):
+            m = AnarxModel.from_state(json.loads(json.dumps(m.state_dict())))
+            with pytest.raises(DegenerateActivation):
+                m.node_forecasts()
+            m.observe(0.5)
+        loaded = AnarxModel.from_state(json.loads(json.dumps(m.state_dict())))
+        assert _bits(loaded.node_forecasts()) == _bits(m.node_forecasts())
+        m.train_step(0.4)
+        loaded.train_step(0.4)
+        assert _bits(loaded.W) == _bits(m.W)

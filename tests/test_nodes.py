@@ -7,10 +7,11 @@ from anarx import (
     WangMendelNode,
     build_gaussian_grid,
     build_uniform_grid,
-    eval_bspline,
     eval_gaussian,
 )
 from anarx.errors import DegenerateActivation, DimensionMismatch
+
+from conftest import basis
 
 
 @pytest.fixture
@@ -67,7 +68,7 @@ class TestNeoFuzzy:
         w = rng.normal(size=6)
         node = NeoFuzzyNode(grid, w)
         for u in rng.uniform(-1, 1, 100):
-            assert abs(node.forward(u) - float(w @ eval_bspline(grid, u))) <= 1e-12
+            assert abs(node.forward(u) - float(w @ basis(grid, u))) <= 1e-12
 
     def test_output_bound(self):
         rng = np.random.default_rng(2)
@@ -163,3 +164,23 @@ class TestWangMendel:
         # one weight per rule
         with pytest.raises(DimensionMismatch):
             WangMendelNode(build_gaussian_grid(0, 1, 3), np.zeros(4))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: NeoFuzzyNode(build_uniform_grid(0.0, 1.0, 9, 3)),
+    lambda: NeoFuzzyNode(build_uniform_grid(0.0, 1.0, 9, 4)),
+    lambda: WangMendelNode(build_gaussian_grid(0.0, 1.0, 9)),
+])
+def test_forward_sums_the_support_left_to_right(make):
+    # the summation contract for q >= 3 and Wang-Mendel: the products of
+    # the fired weights, added left to right from zero
+    rng = np.random.default_rng(3)
+    node = make()
+    node.weights[:] = rng.normal(size=node.dim)
+    for u in rng.uniform(0.0, 1.0, 200).tolist():
+        start, values = node.fuzzify(u)
+        total = 0.0
+        for w, v in zip(node.weights[start:].tolist(), values):
+            total += w * v
+        assert node.forward(u) == total
+        assert np.array_equal(node.regressor(u)[start : start + len(values)], values)

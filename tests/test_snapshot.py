@@ -409,5 +409,5 @@ def test_evolving_round_trip_property(tmp_path, weighted, evolution, pattern, da
     if weighted:
         assert fc.combiner.c.tolist() == fc2.combiner.c.tolist()
     assert list(fc.err_window) == list(fc2.err_window)
-    assert [row.tolist() for row in fc.contrib_window] == [row.tolist() for row in fc2.contrib_window]
+    assert list(fc.contrib_window) == list(fc2.contrib_window)
     assert (fc.long_run_sq, fc.learned_steps) == (fc2.long_run_sq, fc2.learned_steps)
