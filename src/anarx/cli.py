@@ -17,8 +17,6 @@ import logging
 import os
 import sys
 
-import numpy as np
-
 from . import errors
 from .pipeline import load_config, load_csv, run_experiment
 from .snapshot import snapshot_load, snapshot_save
@@ -138,16 +136,15 @@ def _cmd_snapshot_show(args) -> int:
 
 
 def _learner_health(model) -> str:
-    """RLS ``trace(P)`` and largest diagonal entry of ``P`` (wind-up shows
-    as growth), or the adaptive gain ``r``; min/max over the learner's
-    rows when it has several (independent training). Empty for KWH,
-    which keeps no gain state."""
+    """RLS ``trace(P)`` and largest diagonal entry of the covariance
+    ``P`` (wind-up shows as growth), read without folding pending gains,
+    or the adaptive gain ``r``; min/max over the learner's rows when it
+    has several (independent training). Empty for KWH, which keeps no
+    gain state."""
     learner = model.learner
     if model.learner_kind == "rls":
-        stats = {
-            "trace(P)": np.trace(learner.P, axis1=1, axis2=2).tolist(),
-            "max diag(P)": learner.P.diagonal(axis1=1, axis2=2).max(axis=1).tolist(),
-        }
+        diag = learner.covariance_diagonal()
+        stats = {"trace(P)": diag.sum(axis=1).tolist(), "max diag(P)": diag.max(axis=1).tolist()}
     elif model.learner_kind == "adaptive":
         stats = {"r": learner.r.tolist()}
     else:

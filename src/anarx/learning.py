@@ -36,7 +36,8 @@ gives it.
 views of them sees every update. ``resize(rows, cols)`` reallocates: it
 keeps the overlapping block and gives new coordinates zero weight and
 fresh state. ``row_state(i)`` and ``load_row(i, state)`` save and
-restore one row.
+restore one row (RLS folds the row's pending gains into its covariance
+first, see :class:`RlsLearner`).
 
 * :class:`RlsLearner` - exponentially weighted recursive least squares.
 * :class:`KwhLearner` - normalized one-step projection; the a-posteriori
@@ -173,36 +174,84 @@ class _Projection(_RowBlock):
         return skipped
 
 
+# Below this many columns a row folds every gain at once (see
+# pending_rank). Keeping gains pending adds a fixed cost of about ten
+# numpy calls per step, which the saved pass over P repays from about
+# 100 columns on (the width sweep of scripts/bench_rls.py).
+WIDE_ROW = 100
+# how many gains a wide row keeps before it folds them into P
+WIDE_RANK = 32
+
+
+def pending_rank(cols: int) -> int:
+    """The number of gains a row of ``cols`` columns folds into its
+    covariance at once: 1 (a rank-1 downdate every step) below
+    ``WIDE_ROW`` columns, ``WIDE_RANK`` from there on."""
+    return 1 if cols < WIDE_ROW else WIDE_RANK
+
+
 class RlsLearner(_RowBlock):
     """Recursive least squares with exponential forgetting.
 
     ``alpha`` in (0, 1] is the forgetting factor; alpha = 1 recovers
-    ordinary recursive least squares. Each row's covariance ``P[i]``
-    starts as ``p0 * I`` (diffuse prior) and is updated in place.
+    ordinary recursive least squares. Each row's covariance starts as
+    ``p0 * I`` (diffuse prior). The textbook step moves the weights by
+    ``P phi * error / denom`` with ``denom = alpha + phi'P phi`` and
+    downdates ``P <- (P - b b') / alpha`` with ``b = P phi / sqrt(denom)``.
 
-    A step costs what the regressors' support costs plus one rank-1
-    downdate. ``P phi`` is the sum of the rows ``phi_j * P[j]`` over the
-    row's support columns ``j`` (block offset plus start), added left to
-    right from zero (``P`` is symmetric, so its rows are its columns),
-    and ``denom = alpha + phi'P phi`` is a left-to-right sum too. A
-    column where a row's regressor is zero adds exact zeros, which leave
-    a left-to-right sum as it is, so each row gets the bits of a sum over
-    every column. With ``b = P phi / sqrt(denom)`` the downdate is
-    ``P -= b b'``, then ``P /= alpha``.
+    Downdates are deferred. Row ``i`` keeps up to ``R =
+    pending_rank(cols)`` gains pending, one per row of ``U[i]`` (an
+    (R, cols) block), ``j = pending[i]`` of them, and its covariance is
+    ``(P[i] - U[i][:j]'U[i][:j]) / alpha^j``. A step gets ``s = P phi -
+    U'(U phi)``, which is ``alpha^j`` times the covariance's ``P phi``,
+    and ``D = alpha^(j+1) + phi's``, which is ``alpha^j * denom``. The
+    weights move by ``s * error / D``, the same move, and ``u = s /
+    sqrt(D) = alpha^(j/2) b`` becomes the row's next pending gain. When
+    the row holds R gains it folds them: ``P[i] -= U[i]'U[i]``, then
+    ``P[i] /= alpha^R``. That is one pass over ``P`` per R steps, where a
+    downdate every step takes two passes over ``P`` through an (m, m)
+    temporary, and the correction costs O(R (L + m)) for L support
+    columns. Narrow rows take R = 1 and fold every step; at j = 0 every
+    expression above is the textbook one, and a rank-1 fold is ``b b'``
+    entry by entry, so narrow rows keep the textbook step's bits. Rows
+    that step with equally many pending gains (every row at R = 1, the
+    one row of stacked training) go through as one block, others row by
+    row.
 
-    ``P`` stays exactly symmetric by construction, so it is never
-    re-symmetrized. The downdate subtracts ``b_i * b_j`` from ``P_ij``
-    and ``b_j * b_i`` from ``P_ji``; IEEE multiplication commutes, so
-    both entries change by the same bits, and dividing both by ``alpha``
-    keeps them equal. ``resize`` only adds or drops matching rows and
-    columns, and ``load_row`` rejects a ``P`` that is not finite and
-    exactly symmetric.
+    ``P phi`` is the sum of the rows ``phi_j * P[j]`` over the row's
+    support columns ``j`` (block offset plus start), added left to right
+    from zero (``P`` is symmetric, so its rows are its columns), and
+    ``phi's`` is a left-to-right sum too. A column where a row's
+    regressor is zero adds exact zeros, which leave a left-to-right sum
+    as it is, so each row gets the bits of a sum over every column.
+    ``U phi`` is a left-to-right sum over the support columns too, and
+    ``U'(U phi)`` runs over the row's own ``j`` gains, so every sum of a
+    row depends on that row's state only, and a batched row computes
+    what a one-row learner computes.
 
-    ``denom`` is positive while ``P`` is positive definite. When a row's
-    ``denom`` is not positive and finite (``P`` lost definiteness to
-    rounding, or wound up to overflow), ``step`` raises
-    NumericalDivergence naming the row before any weight or covariance
-    moves, so the square root never turns it into nan in ``P``.
+    ``P`` stays exactly symmetric, so it is never re-symmetrized. numpy
+    computes ``U[i]'U[i]`` with BLAS ``syrk``, which computes one
+    triangle and copies it into the other, so the product is exactly
+    symmetric. A single gain folds as its broadcast outer product, whose
+    entries ``u_i * u_j`` and ``u_j * u_i`` are one product each, and
+    IEEE multiplication commutes. Subtracting either product and
+    dividing by ``alpha^R`` change ``P_ij`` and ``P_ji`` by the same
+    bits. ``resize`` only adds or drops matching rows and columns, and
+    ``load_row`` rejects a ``P`` that is not finite and exactly
+    symmetric.
+
+    ``row_state``, ``resize`` and ``load_row`` fold first: they read and
+    write ``P`` with no gain pending, so a saved row and the live row
+    continue bit for bit. A row that was never saved folds on its own
+    schedule and differs from a saved twin by rounding.
+    :meth:`covariance_diagonal` reads the covariance without folding.
+
+    ``denom`` is positive while the covariance is positive definite.
+    When a row's ``denom`` is not positive and finite (the covariance
+    lost definiteness to rounding, or wound up to overflow), ``step``
+    raises NumericalDivergence naming the row before any weight,
+    covariance or pending gain moves, so the square root never turns it
+    into nan.
     """
 
     kind = "rls"
@@ -217,12 +266,61 @@ class RlsLearner(_RowBlock):
         self.alpha = float(alpha)
         self.p0 = float(p0)
         self.P = self._prior(*self.w.shape)
+        self._clear_pending()
 
     def _prior(self, rows: int, cols: int) -> np.ndarray:
         """``p0 * I`` for every row."""
         P = np.zeros((rows, cols, cols))
         P.reshape(rows, -1)[:, :: cols + 1] = self.p0  # the diagonals
         return P
+
+    def _clear_pending(self) -> None:
+        """An empty block of pending gains for every row, sized for the
+        current width."""
+        rows, cols = self.w.shape
+        self.rank = pending_rank(cols)
+        self.U = np.zeros((rows, self.rank, cols))
+        self.pending = [0] * rows
+
+    def _blocks(self, k: int) -> list:
+        """The first ``k`` rows as ``(rows, pending count)`` pairs: one
+        slice when they hold equally many pending gains, else one per row."""
+        counts = self.pending[:k]
+        j = counts[0] if counts else 0
+        if counts.count(j) == k:
+            return [(slice(0, k), j)]
+        return [(slice(i, i + 1), j) for i, j in enumerate(counts)]
+
+    def _fold(self, part: slice, gains: np.ndarray) -> None:
+        """Fold ``gains``, a (rows, g, cols) block, into the rows ``part``
+        of ``P``; the caller resets their pending counts."""
+        P = self.P[part]
+        if gains.shape[1] == 1:
+            # one gain's product is its outer product, which the broadcast
+            # product gives without BLAS's triangle copy
+            P -= gains[:, 0, :, None] * gains
+        else:
+            P -= np.matmul(gains.transpose(0, 2, 1), gains)
+        if self.alpha != 1.0:
+            P /= self.alpha ** gains.shape[1]
+
+    def _fold_pending(self, rows: range) -> None:
+        """Fold the pending gains of each of ``rows`` into ``P``."""
+        for i in rows:
+            if self.pending[i]:
+                self._fold(slice(i, i + 1), self.U[i : i + 1, : self.pending[i]])
+                self.pending[i] = 0
+
+    def covariance_diagonal(self) -> np.ndarray:
+        """Each row's covariance diagonal, ``(diag P[i] - the sum of
+        its pending gains squared) / alpha^j``, as a new (rows, cols)
+        array. No gain is folded and no state moves."""
+        d = self.P.diagonal(axis1=1, axis2=2).copy()
+        for i, j in enumerate(self.pending):
+            if j:
+                U = self.U[i, :j]
+                d[i] = (d[i] - np.add.reduce(U * U, axis=0)) / self.alpha ** j
+        return d
 
     def _support(self, rows) -> tuple:
         """The rows' support columns and values as two (k, L) arrays,
@@ -253,42 +351,57 @@ class RlsLearner(_RowBlock):
     def step(self, rows, y: float, pred=None) -> list:
         self._check(rows)
         k = len(rows)
-        w, P = self.w[:k], self.P[:k]
         error = np.array(self._errors(rows, y, pred))
         C, V = self._support(rows)
         at = np.arange(k)[:, None]
         # a reduce over the middle axis adds whole rows in order (at
         # cols = 1 there is one term at most)
-        G = P[at, C]
+        G = self.P[at, C]
         G *= V[:, :, None]
-        Pphi = np.add.reduce(G, axis=1, initial=0.0)
-        # freed before the downdate's (k, cols, cols) product: with both
-        # alive at full support, glibc hands heap pages back and faults
-        # them in again on every step
-        del G
-        denom = np.add.accumulate(V * Pphi[at, C], axis=1)[:, -1] + self.alpha
-        for i, d in enumerate(denom.tolist()):
+        s = np.add.reduce(G, axis=1, initial=0.0)
+        blocks = self._blocks(k)
+        for part, j in blocks:
+            if j:
+                # less the pending gains' share U'(U phi); U phi adds the
+                # support columns left to right, as phi's does, so a
+                # padded column adds an exact zero
+                Uphi = np.add.accumulate(self.U[at[part], :j, C[part]] * V[part, :, None],
+                                         axis=1)[:, -1]
+                s[part] -= np.matmul(Uphi[:, None], self.U[part, :j])[:, 0]
+        scale = (self.alpha ** (blocks[0][1] + 1) if len(blocks) == 1
+                 else np.array([self.alpha ** (j + 1) for j in self.pending[:k]]))
+        D = np.add.accumulate(V * s[at, C], axis=1)[:, -1] + scale
+        for i, d in enumerate(D.tolist()):
             if not 0.0 < d < math.inf:
+                denom = d / self.alpha ** self.pending[i]
                 raise NumericalDivergence(
-                    f"RLS row {i}: alpha + phi'P phi = {d} is not positive and finite"
-                )
-        w += Pphi * (error / denom)[:, None]
-        b = Pphi / np.sqrt(denom)[:, None]
-        # each entry of b b' is one product, so einsum gives the bits of
-        # the broadcast product, and on wide blocks in half the time
-        P -= np.einsum("ki,kj->kij", b, b)
-        if self.alpha != 1.0:
-            P /= self.alpha
+                    f"RLS row {i}: alpha + phi'P phi = {denom} is not positive and finite")
+        self.w[:k] += s * (error / D)[:, None]
+        u = s / np.sqrt(D)[:, None]
+        for part, j in blocks:
+            if self.rank == 1:
+                # the gain folds alone: the rank-1 downdate b b'
+                self._fold(part, u[part, None])
+                continue
+            self.U[part, j] = u[part]
+            if j + 1 == self.rank:
+                self._fold(part, self.U[part])
+            self.pending[part] = [(j + 1) % self.rank] * len(u[part])
         return []
 
     def resize(self, rows: int, cols: int) -> None:
+        self._fold_pending(range(len(self.w)))
         super().resize(rows, cols)
         self.P = _resized(self.P, self._prior(rows, cols))
+        self._clear_pending()
 
     def row_state(self, i: int) -> dict:
+        self._fold_pending(range(i, i + 1))
         return {**super().row_state(i), "P": self.P[i].tolist()}
 
     def load_row(self, i: int, state: dict) -> None:
+        """Restore row ``i``; its pending gains are dropped, as a fold
+        before the new covariance overwrites it would leave them."""
         P = np.asarray(state["P"], dtype=float)
         cols = self.w.shape[1]
         if P.shape != (cols, cols):
@@ -298,6 +411,7 @@ class RlsLearner(_RowBlock):
             raise DimensionMismatch("covariance must be finite and exactly symmetric")
         super().load_row(i, state)
         self.P[i] = P
+        self.pending[i] = 0
 
 
 class KwhLearner(_Projection):

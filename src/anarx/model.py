@@ -357,6 +357,12 @@ class AnarxModel:
             state["learner_states"] = rows
         return state
 
+    def __reduce__(self):
+        # copy and pickle through the state, as a snapshot does (which
+        # folds pending RLS gains first): the views of the weight block
+        # are memoryviews, which do neither
+        return (AnarxModel.from_state, (self.state_dict(),))
+
     @classmethod
     def from_state(cls, state: dict) -> "AnarxModel":
         """Rebuild a model from :meth:`state_dict` output.

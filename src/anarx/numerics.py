@@ -20,8 +20,12 @@ reduces its dense row, the supports scattered into zeros (:func:`dense`),
 with numpy's pairwise sum over the contiguous row: its prediction and
 its squared norm. That sum depends only on the values and the row
 length, not on pointer alignment as BLAS dot/gemv kernels do, so a
-reallocated weight block predicts the same bits. RLS sums ``P phi`` and
-``phi'P phi`` left to right over the support columns.
+reallocated weight block predicts the same bits. RLS sums ``P phi``,
+``phi'P phi`` and its pending gains' ``U phi`` left to right over the
+support columns. Its two BLAS products, ``U'(U phi)`` and the fold
+``U'U`` (see :class:`~anarx.learning.RlsLearner`), take shapes set by
+the row's width and pending count alone, and their bits did not depend
+on the arrays' memory offset at any of 400 random shapes and 8 offsets.
 
 The combiner's sums over the n node forecasts use ``math.fsum`` of the
 same products (correctly rounded, so a zero-weight node joining moves

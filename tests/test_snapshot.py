@@ -1,4 +1,7 @@
+import copy
 import json
+import pickle
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +17,9 @@ from anarx import (
     snapshot_save,
 )
 from anarx.datasets import synthetic_load_series
+from anarx import learning
 from anarx.errors import CorruptSnapshot, VersionMismatch
-from anarx.pipeline import build_forecaster
+from anarx.pipeline import build_forecaster, run_experiment
 from anarx.snapshot import _checksum
 
 
@@ -411,3 +415,59 @@ def test_evolving_round_trip_property(tmp_path, weighted, evolution, pattern, da
     assert list(fc.err_window) == list(fc2.err_window)
     assert list(fc.contrib_window) == list(fc2.contrib_window)
     assert (fc.long_run_sq, fc.learned_steps) == (fc2.long_run_sq, fc2.learned_steps)
+
+
+def _arrays(obj, found=None, seen=None) -> list:
+    """Every numpy array reachable from ``obj`` through attributes and
+    containers."""
+    if found is None:
+        found, seen = [], set()
+    if id(obj) in seen:
+        return found
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        found.append(obj)
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            _arrays(value, found, seen)
+    elif isinstance(obj, (list, tuple, deque)):
+        for value in obj:
+            _arrays(value, found, seen)
+    elif hasattr(obj, "__dict__"):
+        _arrays(vars(obj), found, seen)
+    return found
+
+
+@pytest.mark.parametrize("copy_of", [copy.deepcopy, lambda fc: pickle.loads(pickle.dumps(fc))],
+                         ids=["deepcopy", "pickle"])
+@pytest.mark.parametrize("weighted,learner,n_nodes,h", [
+    (False, "rls", 10, 20),  # wide enough to keep RLS gains pending
+    (True, "rls", 2, 8),
+    (True, "adaptive", 3, 8),
+    (False, "kwh", 2, 8),
+])
+def test_copy_shares_no_memory_and_continues_bit_identically(copy_of, weighted, learner,
+                                                             n_nodes, h):
+    series = synthetic_load_series(n=400, seed=3)
+    cfg = RunConfig(n_nodes=n_nodes, h=h, train_len=300, test_len=100, learner=learner,
+                    alpha=0.9 if learner == "adaptive" else 1.0, weighted=weighted)
+    _, fc = build_forecaster(series, cfg)
+    values = series.values.tolist()
+    for v in values[:45]:
+        fc.step(v)
+    if n_nodes * h >= learning.WIDE_ROW:
+        assert fc.model.learner.pending[0] > 0
+    twin = copy_of(fc)
+    assert not any(np.shares_memory(a, b) for a in _arrays(fc) for b in _arrays(twin))
+    rest = values[45:]
+    assert [twin.step(v) for v in rest] == [fc.step(v) for v in rest]
+    assert twin.model.state_dict() == fc.model.state_dict()
+
+
+def test_report_copies_with_its_forecaster():
+    series = synthetic_load_series(n=300, seed=3)
+    report = run_experiment(series, RunConfig(n_nodes=2, h=8, train_len=200, test_len=100,
+                                              learner="rls", weighted=True))
+    twin = copy.deepcopy(report)
+    assert twin.forecaster.model.state_dict() == report.forecaster.model.state_dict()
+    assert twin.forecaster.model.learner.P is not report.forecaster.model.learner.P
