@@ -1,14 +1,24 @@
 #!/usr/bin/env python3
-"""Time RLS pools end to end and write ``BENCH_rls.json``.
+"""Time the step end to end and write ``BENCH_steps.json``.
 
 Each case is one ``run_experiment`` over a fixed-seed synthetic load
-series, and its cost is the run's wall time over its steps in µs/step.
-Every case runs ``--runs`` times (at least 5), the cases interleaved so
-that a slow spell of the machine reaches all of them, and the file gives
-the median and the interquartile range. BLAS runs on one thread.
+series as long as its config's train and test segments, and its cost is
+the run's wall time over its steps in µs/step. Every case runs
+``--runs`` times (at least 5), the cases interleaved so that a slow
+spell of the machine reaches all of them, and the file gives the median
+and the interquartile range. BLAS runs on one thread.
 
 Cases:
 
+* ``load_plain``: ``configs/load_plain.cfg``, stacked adaptive, 2 nodes
+  of h = 9;
+* ``sunspot_plain``: ``configs/sunspot_plain.cfg``, stacked adaptive,
+  2 nodes of h = 4, on the same synthetic series (the sunspot file needs
+  a download);
+* ``stacked_adaptive_n10_h9``: ``load_plain``'s config with 10 nodes;
+* ``load_weighted``: ``configs/load_weighted.cfg``, independent
+  adaptive with the weighted combiner; its rows hold one block each, so
+  it is the control for changes to how a row of several blocks sums;
 * ``rls_wide``: ``perfbench/configs/rls_wide.cfg``, stacked RLS over
   200 weights;
 * ``stacked_n2_h9``: stacked RLS, 2 nodes of h = 9;
@@ -24,7 +34,7 @@ with ``learning.pending_rank`` replaced for the run. It shows the width
 from which deferring the downdate pays, the break-even
 ``learning.WIDE_ROW``.
 
-    PYTHONPATH=src python3 scripts/bench_rls.py [--runs N] [--out BENCH_rls.json]
+    PYTHONPATH=src python3 scripts/bench.py [--runs N] [--out BENCH_steps.json]
 """
 
 import os
@@ -50,7 +60,17 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 SEED = 7
 WIDE = load_config(os.path.join(ROOT, "perfbench", "configs", "rls_wide.cfg"))
 SMALL = dict(train_len=3000, test_len=2000, learner="rls", alpha=1.0)
+
+
+def shipped(name: str):
+    return load_config(os.path.join(ROOT, "configs", f"{name}.cfg"))
+
+
 CASES = {
+    "load_plain": shipped("load_plain"),
+    "sunspot_plain": shipped("sunspot_plain"),
+    "stacked_adaptive_n10_h9": dataclasses.replace(shipped("load_plain"), n_nodes=10),
+    "load_weighted": shipped("load_weighted"),
     "rls_wide": WIDE,
     "stacked_n2_h9": RunConfig(n_nodes=2, h=9, **SMALL),
     "independent_n10_h9": RunConfig(n_nodes=10, h=9, weighted=True, **SMALL),
@@ -89,7 +109,7 @@ def with_rank(rank: int, config) -> tuple:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--runs", type=int, default=7, help="runs per case (at least 5)")
-    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_rls.json"))
+    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_steps.json"))
     args = parser.parse_args(argv)
     if args.runs < 5:
         parser.error("--runs must be at least 5")

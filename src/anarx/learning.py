@@ -21,16 +21,16 @@ its node's support as one block, and the row of stacked training one
 block per node. A step reads and writes only the columns the supports
 fire.
 
-The summation contract is that of :mod:`anarx.numerics`: a one-block
-row sums its prediction and its squared norm over the support, left to
-right from zero, which for two fired values is the bits of numpy's
-pairwise sum over the dense row; a row of several blocks reduces its
-dense row with numpy's pairwise sum. RLS sums ``P phi`` and
-``phi'P phi`` left to right over the support columns. Either way each
-row of a batched learner computes bit for bit what a one-row learner
-computes on the same inputs, and KWH and the adaptive learner add
-``error / gain * value`` to each fired weight, the bits a dense update
-gives it.
+The summation contract is that of :mod:`anarx.numerics`: a row sums
+its prediction and its squared norm over each block's support, left to
+right from zero, and adds the block sums with ``math.fsum``, as the
+model adds its node forecasts (a one-block row's sum is its block's). So
+the stacked row predicts the model output, and a one-node row its
+node's forecast, bit for bit. RLS sums ``P phi`` and ``phi'P phi`` left
+to right over the support columns. Each row of a batched learner
+computes bit for bit what a one-row learner computes on the same
+inputs, and KWH and the adaptive learner add ``error / gain * value``
+to each fired weight, the bits a dense update gives it.
 
 ``step`` never rebinds ``w`` or the per-row state, so a caller holding
 views of them sees every update. ``resize(rows, cols)`` reallocates: it
@@ -53,7 +53,7 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatch, NumericalDivergence, ZeroGain, ZeroRegressor
-from .numerics import EPS_REG, dense, support_dot
+from .numerics import EPS_REG, support_dot
 
 
 def _resized(old: np.ndarray, new: np.ndarray) -> np.ndarray:
@@ -87,11 +87,12 @@ class _RowBlock:
     def predict(self, rows) -> list:
         """Each of the first ``len(rows)`` rows' prediction on its regressor."""
         cols = self.w.shape[1]
-        return [
-            support_dot(self._flat, i * cols + row[0][0], row[0][1]) if len(row) == 1
-            else float(np.add.reduce(self.w[i] * dense(row, cols)))
-            for i, row in enumerate(rows)
-        ]
+        out = []
+        for i, row in enumerate(rows):
+            width = cols // len(row)
+            out.append(math.fsum([support_dot(self._flat, i * cols + b * width + start, values)
+                                  for b, (start, values) in enumerate(row)]))
+        return out
 
     def _errors(self, rows, y: float, pred) -> list:
         """``y`` minus the rows' predictions: ``pred`` when the caller has
@@ -142,12 +143,13 @@ class _Projection(_RowBlock):
     skipped with ``exc`` and ``what`` in its reason."""
 
     def _sq_norm(self, row) -> float:
-        """The row's squared regressor norm, summed as its prediction is."""
+        """The row's squared regressor norm, summed as :meth:`predict` sums
+        the prediction."""
+        # fsum of one block's sum returns it: a sum from zero is never -0.0
         if len(row) == 1:
             values = row[0][1]
             return support_dot(values, 0, values)
-        phi = dense(row, self.w.shape[1])
-        return float(np.add.reduce(phi * phi))
+        return math.fsum([support_dot(values, 0, values) for _, values in row])
 
     def _project(self, rows, y: float, pred) -> list:
         """The step: add ``error / gain * value`` to each fired weight of
@@ -177,7 +179,7 @@ class _Projection(_RowBlock):
 # Below this many columns a row folds every gain at once (see
 # pending_rank). Keeping gains pending adds a fixed cost of about ten
 # numpy calls per step, which the saved pass over P repays from about
-# 100 columns on (the width sweep of scripts/bench_rls.py).
+# 100 columns on (the width sweep of scripts/bench.py).
 WIDE_ROW = 100
 # how many gains a wide row keeps before it folds them into P
 WIDE_RANK = 32

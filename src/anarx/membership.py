@@ -160,10 +160,9 @@ def eval_bspline(grid: KnotGrid, u: float) -> tuple:
     so the values are those of the same recurrence on numpy scalars, bit
     for bit.
 
-    Callers sum over the support left to right (see
-    :mod:`anarx.numerics`): for q = 2 that is bit for bit numpy's
-    pairwise sum over the dense h-wide row, for q >= 3 it is the
-    contract.
+    Callers sum over the support left to right from zero, and add the
+    sums of several supports with ``math.fsum``: the one summation
+    order of :mod:`anarx.numerics`.
     """
     t = grid.knot_list
     h = grid.h

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import CorruptSnapshot, DegenerateActivation
 from .learning import make_learner
-from .numerics import exact_sum, support_dot
+from .numerics import support_dot
 from .membership import GaussianGrid, KnotGrid, build_gaussian_grid, build_uniform_grid
 from .nodes import NeoFuzzyNode, WangMendelNode
 
@@ -114,7 +114,7 @@ class StepReport:
 
     @property
     def prediction(self) -> float:
-        return exact_sum(self.node_predictions)
+        return math.fsum(self.node_predictions)
 
     @property
     def error(self) -> float:
@@ -269,7 +269,7 @@ class AnarxModel:
 
     def forward(self) -> float:
         """Additive model output at the current position in the stream."""
-        return exact_sum(self.node_forecasts())
+        return math.fsum(self.node_forecasts())
 
     def observe(self, y_new: float) -> None:
         """Shift the delay line and the regressor ring; no weight moves."""
@@ -316,16 +316,20 @@ class AnarxModel:
         # where the supports of unobserved lags are still empty, one in
         # independent. Its regressor's blocks are those nodes' supports.
         # Rows with an observed node learn; a skipped row skips its
-        # observed nodes. A one-node row predicts its node's forecast,
-        # bit for bit, so the learner is handed those.
+        # observed nodes. A row predicts the fsum of its nodes' forecasts
+        # (see anarx.numerics): its node's forecast for a one-node row,
+        # the model output for the stacked row. The learner is handed
+        # those, so it does not predict again.
         learner = self.learner
         span = n // len(learner.w)
         if span == 1:
             rows = [[support] for support in self._ring[:m]]
             pred = node_preds[:m]
+        elif m:
+            rows = [self._ring[:n]]
+            pred = [math.fsum(node_preds)]
         else:
-            rows = [self._ring[:n]] if m else []
-            pred = learner.predict(rows)
+            rows, pred = [], []
         for row, reason in learner.step(rows, y_new, pred):
             skipped.extend((i, reason) for i in range(row * span, min(row * span + span, m)))
 

@@ -3,15 +3,14 @@
 Both node kinds expose the same calls on the lagged value ``u``:
 ``fuzzify(u)`` returns the support of the fuzzified feature vector,
 ``(start, values)`` (see :mod:`anarx.numerics`); ``regressor(u)`` is the
-dense h-wide vector it stands for; ``forward(u)`` is the node output,
-the weights times the support's values summed left to right from zero
+dense h-wide vector it stands for, the support scattered into zeros;
+``forward(u)`` is the node output, the weights times the support's
+values summed left to right from zero
 (:func:`~anarx.numerics.support_dot`), the sum the model's forecasts
-make. A neo-fuzzy support holds the q fired B-spline values, so for
-q = 2 the output is bit for bit numpy's pairwise sum over the dense row;
-a Wang-Mendel support holds all h firing strengths. The model keeps one
-support per observed value in its regressor ring. Evaluation is pure
-given the weights; updating the weights of one node never touches
-another.
+make. A neo-fuzzy support holds the q fired B-spline values, a
+Wang-Mendel support all h firing strengths. The model keeps one support
+per observed value in its regressor ring. Evaluation is pure given the
+weights; updating the weights of one node never touches another.
 
 ``synapses`` is the number of h-wide weight vectors the paper counts per
 node (``AnarxModel.parameter_count``); see :class:`NeoFuzzyNode` for why
@@ -24,7 +23,7 @@ import numpy as np
 
 from .errors import DegenerateActivation, DimensionMismatch
 from .membership import GaussianGrid, KnotGrid, eval_bspline, eval_gaussian
-from .numerics import dense, support_dot
+from .numerics import support_dot
 
 
 def _weights(weights, dim: int) -> np.ndarray:
@@ -34,6 +33,14 @@ def _weights(weights, dim: int) -> np.ndarray:
     if weights.shape != (dim,):
         raise DimensionMismatch(f"weights must have length {dim}, got {weights.shape}")
     return weights
+
+
+def _scatter(support, dim: int) -> np.ndarray:
+    """The dense ``dim``-wide row that ``support`` stands for."""
+    start, values = support
+    row = np.zeros(dim)
+    row[start : start + len(values)] = values
+    return row
 
 
 class NeoFuzzyNode:
@@ -62,7 +69,7 @@ class NeoFuzzyNode:
         return eval_bspline(self.grid, u)
 
     def regressor(self, u: float) -> np.ndarray:
-        return dense([self.fuzzify(u)], self.dim)
+        return _scatter(self.fuzzify(u), self.dim)
 
     def forward(self, u: float) -> float:
         return support_dot(self.weights, *self.fuzzify(u))
@@ -98,7 +105,7 @@ class WangMendelNode:
         return 0, (z / total).tolist()
 
     def regressor(self, u: float) -> np.ndarray:
-        return dense([self.fuzzify(u)], self.dim)
+        return _scatter(self.fuzzify(u), self.dim)
 
     def forward(self, u: float) -> float:
         return support_dot(self.weights, *self.fuzzify(u))

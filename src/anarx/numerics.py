@@ -6,37 +6,36 @@ support is ``(start, values)``: the first fired column and the fired
 membership values as Python floats, zero everywhere else. B-spline
 supports hold q values; a Wang-Mendel support holds all h, from column 0.
 
-Every sum over one support runs left to right from zero on Python floats
-(:func:`support_dot`): a node forecast, and in independent training a
-learner row's squared norm. A Python float operation is the IEEE
-binary64 operation numpy applies per element, so with two fired values
-(q = 2, every shipped config) the result is bit for bit numpy's pairwise
-sum over the dense h-wide row: each partial sum of a row with two
-nonzero terms a and b is 0, a, b or a + b, whatever the order. For
-q >= 3 and for Wang-Mendel the left-to-right order is the contract.
+There is one summation order. Every sum over one support runs left to
+right from zero on Python floats (:func:`support_dot`): a node forecast,
+and the share of a learner row's prediction and squared norm that one
+block holds. A sum over several supports, the model output over its
+node forecasts and a learner row over its blocks (the one row of stacked
+training), adds their support sums with ``math.fsum``. That sum is
+correctly rounded, so it does not depend on the number of terms or
+their order, and a zero-weight node that joins the pool moves no bit of
+it. A row of one block is its support sum as it is: ``fsum`` of one
+term returns that term, except that it turns -0.0 into 0.0, and a sum
+from zero never is -0.0. The stacked row's prediction is therefore the
+model output, bit for bit.
 
-A row that spans several supports (the one row of stacked training)
-reduces its dense row, the supports scattered into zeros (:func:`dense`),
-with numpy's pairwise sum over the contiguous row: its prediction and
-its squared norm. That sum depends only on the values and the row
-length, not on pointer alignment as BLAS dot/gemv kernels do, so a
-reallocated weight block predicts the same bits. RLS sums ``P phi``,
-``phi'P phi`` and its pending gains' ``U phi`` left to right over the
-support columns. Its two BLAS products, ``U'(U phi)`` and the fold
-``U'U`` (see :class:`~anarx.learning.RlsLearner`), take shapes set by
-the row's width and pending count alone, and their bits did not depend
-on the arrays' memory offset at any of 400 random shapes and 8 offsets.
+A Python float operation is the IEEE binary64 operation numpy applies
+per element, so with two fired values (q = 2, every shipped config) a
+support sum is bit for bit numpy's pairwise sum over the dense h-wide
+row: each partial sum of a row with two nonzero terms a and b is 0, a,
+b or a + b, whatever the order.
 
-The combiner's sums over the n node forecasts use ``math.fsum`` of the
-same products (correctly rounded, so a zero-weight node joining moves
-nothing), and every expression keeps its operand order.
+RLS sums ``P phi``, ``phi'P phi`` and its pending gains' ``U phi`` left
+to right over the support columns of the whole row. Its two BLAS
+products, ``U'(U phi)`` and the fold ``U'U`` (see
+:class:`~anarx.learning.RlsLearner`), take shapes set by the row's width
+and pending count alone, and their bits did not depend on the arrays'
+memory offset at any of 400 random shapes and 8 offsets. The combiner's
+sums over the n node forecasts use ``math.fsum`` of the same products,
+and every expression keeps its operand order.
 """
 
 from __future__ import annotations
-
-import math
-
-import numpy as np
 
 # Guard for data-dependent divisors (squared norms, scalar gains,
 # step-size denominators).
@@ -50,29 +49,3 @@ def support_dot(w, start: int, values) -> float:
         acc += w[start] * v
         start += 1
     return acc
-
-
-def dense(blocks, cols: int) -> np.ndarray:
-    """The row of ``cols`` columns that ``len(blocks)`` equal-width blocks
-    make, each given by its support ``(start, values)``."""
-    row = np.zeros(cols)
-    items = memoryview(row)  # a few item writes beat a slice from a list
-    width = cols // len(blocks)
-    offset = 0
-    for start, values in blocks:
-        c = offset + start
-        for v in values:
-            items[c] = v
-            c += 1
-        offset += width
-    return row
-
-
-def exact_sum(values) -> float:
-    """Correctly rounded sum; invariant to appending zero terms.
-
-    Aggregations over the node pool must not move by an ulp when a
-    zero-weight node joins, which pairwise summation does not guarantee
-    (its association depends on the length).
-    """
-    return math.fsum(values)

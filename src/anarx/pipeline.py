@@ -33,7 +33,6 @@ from .errors import (
     ParseError,
 )
 from .model import AnarxModel, EvolutionPolicy, StructureChange, build_anarx
-from .numerics import exact_sum
 
 log = logging.getLogger("anarx")
 
@@ -323,7 +322,7 @@ class OnlineForecaster:
         the prediction."""
         model, combiner = self.model, self.combiner
         forecasts = model.node_forecasts()
-        pred = combiner.combine(forecasts) if combiner is not None else exact_sum(forecasts)
+        pred = combiner.combine(forecasts) if combiner is not None else math.fsum(forecasts)
         if not math.isfinite(pred):
             # typical cause: covariance wind-up of forgetting-factor RLS
             # under locally excited regressors

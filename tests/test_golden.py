@@ -59,8 +59,9 @@ def test_y_hat_stream_matches_reference(name, config_path):
         bench = ref["y_hat"]
     if name == "rls_wide":
         # the benchmark's reference predates the one-synapse change, the
-        # support-sum RLS step and the deferred downdate of wide rows,
-        # which left this stream 1.06e-11 from it
+        # support-sum RLS step, the deferred downdate of wide rows and the
+        # fsum of the stacked row's block sums, which left this stream
+        # 1.06e-11 from it
         with np.load(REFERENCE_DIR / f"{name}.npz") as ref:
             own = ref["y_hat"]
         assert np.array_equal(y_hat, own), float(np.max(np.abs(y_hat - own)))

@@ -360,18 +360,26 @@ def _dense_regressors(m):
                      for l, node in enumerate(m.nodes, start=1)])
 
 
+def _row_sums(X, span):
+    """Each row's sum over its ``span`` nodes: numpy's pairwise sum over
+    each node's dense columns, then ``math.fsum`` over the row's nodes."""
+    per_node = np.add.reduce(X.reshape(len(X), span, X.shape[1] // span), axis=2)
+    return np.array([math.fsum(sums) for sums in per_node.tolist()])
+
+
 def _dense_step(m, y):
     """What ``m.train_step(y)`` makes of the pool's weights (and r, P) in
-    the dense form, as copies: numpy's pairwise sum over each dense row
-    for the predictions and squared norms, the update on every column,
-    and RLS sums left to right over every column from zero."""
+    the dense form, as copies: the predictions and squared norms summed
+    pairwise over each node's dense row and with fsum over a row's
+    nodes, the update on every column, and RLS sums left to right over
+    every column from zero."""
     learner = m.learner
     rows, cols = learner.w.shape
     span = m.n // rows
     k = -(-min(m.n, len(m.delay_y)) // span)
     Phi = _dense_regressors(m).reshape(rows, cols)[:k]
     w = learner.w.copy()
-    error = float(y) - np.add.reduce(w[:k] * Phi, axis=1)
+    error = float(y) - _row_sums(w[:k] * Phi, span)
     out = {"w": w}
     if learner.kind == "rls":
         P = learner.P.copy()
@@ -390,7 +398,7 @@ def _dense_step(m, y):
             P[:k] /= learner.alpha
         out["P"] = P
         return out
-    gain = np.add.reduce(Phi * Phi, axis=1)
+    gain = _row_sums(Phi * Phi, span)
     if learner.kind == "adaptive":
         r = learner.r.copy()
         r[:k] = learner.alpha * r[:k] + gain
@@ -486,6 +494,9 @@ class TestArrayPool:
             elif op[0] == "round_trip":
                 m = AnarxModel.from_state(json.loads(json.dumps(m.state_dict())))
             assert _bits(m.node_forecasts()) == _bits(self.per_node_forecasts(m))
+            if m.training == "stacked":
+                # the stacked row predicts the model output, bit for bit
+                assert _bits(m.learner.predict([m._ring[: m.n]])) == _bits([m.forward()])
             self.assert_weights_shared(m)
 
     def test_loaded_nodes_share_one_grid(self):
