@@ -6,7 +6,7 @@ learners, optionally combined by a convexity-constrained adaptive
 ensemble. Ships a benchmarking CLI (``anarx``).
 """
 
-from .combiner import CombinerState, ErrorCorrelation, batch_solve
+from .combiner import CombinerState
 from .errors import AnarxError
 from .learning import AdaptiveLearner, KwhLearner, RlsLearner, make_learner
 from .membership import (
@@ -19,7 +19,6 @@ from .membership import (
 )
 from .model import (
     AnarxModel,
-    DelayLine,
     EvolutionPolicy,
     StepReport,
     StructureChange,
@@ -44,8 +43,6 @@ __all__ = [
     "AnarxError",
     "AnarxModel",
     "CombinerState",
-    "DelayLine",
-    "ErrorCorrelation",
     "EvolutionPolicy",
     "ForecastReport",
     "GaussianGrid",
@@ -59,7 +56,6 @@ __all__ = [
     "StepReport",
     "StructureChange",
     "WangMendelNode",
-    "batch_solve",
     "build_anarx",
     "build_gaussian_grid",
     "build_uniform_grid",

@@ -32,10 +32,10 @@ EXIT_CODES = [
     (errors.InvalidOrder, 8),
     (errors.VersionMismatch, 9),
     (errors.CorruptSnapshot, 10),
-    (errors.SingularCorrelation, 11),
+    # 11, 13 and 14 are retired and not reused: nothing on the online
+    # path raises a singular error correlation (11), and the learners
+    # count a vanishing regressor norm or gain (13, 14) as a skip
     (errors.DimensionMismatch, 12),
-    # 13 and 14 are retired and not reused: they were ZeroRegressor and
-    # ZeroGain, which the learners no longer raise (they mask the row)
     (errors.DegenerateActivation, 15),
     (errors.DegenerateStep, 16),
     (errors.NumericalDivergence, 17),

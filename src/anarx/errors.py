@@ -26,26 +26,6 @@ class DimensionMismatch(AnarxError):
     """Regressor length does not match the learner state."""
 
 
-class ZeroRegressor(AnarxError):
-    """Regressor norm is below the regularization threshold.
-
-    Learners mask such a row instead of raising; the class name labels
-    the skipped update.
-    """
-
-
-class ZeroGain(AnarxError):
-    """Scalar gain accumulator is below the regularization threshold.
-
-    Learners mask such a row instead of raising; the class name labels
-    the skipped update.
-    """
-
-
-class SingularCorrelation(AnarxError):
-    """Error-correlation matrix cannot be solved, even with ridge fallback."""
-
-
 class NumericalDivergence(AnarxError):
     """A prediction stopped being finite (e.g. covariance wind-up)."""
 

@@ -52,7 +52,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch, NumericalDivergence, ZeroGain, ZeroRegressor
+from .errors import DimensionMismatch, NumericalDivergence
 from .numerics import EPS_REG, support_dot
 
 
@@ -140,7 +140,7 @@ class _Projection(_RowBlock):
     """KWH and the adaptive learner: each row moves along its regressor
     by ``error / gain``, where the gain grows with the squared norm
     (:meth:`_gain`); a row whose gain is at or below ``EPS_REG`` is
-    skipped with ``exc`` and ``what`` in its reason."""
+    skipped with ``skip`` at the head of its reason."""
 
     def _sq_norm(self, row) -> float:
         """The row's squared regressor norm, summed as :meth:`predict` sums
@@ -162,7 +162,7 @@ class _Projection(_RowBlock):
         for i, (row, error) in enumerate(zip(rows, self._errors(rows, y, pred))):
             gain = self._gain(i, self._sq_norm(row))
             if gain <= EPS_REG:
-                skipped.append((i, f"{self.exc.__name__}: {self.what} {gain} below {EPS_REG}"))
+                skipped.append((i, f"{self.skip} {gain} below {EPS_REG}"))
                 continue
             rate = error / gain
             width = cols // len(row)
@@ -420,7 +420,7 @@ class KwhLearner(_Projection):
     """Normalized gradient step: project onto the newest sample's hyperplane."""
 
     kind = "kwh"
-    exc, what = ZeroRegressor, "squared regressor norm"
+    skip = "ZeroRegressor: squared regressor norm"
 
     def _gain(self, i: int, sq_norm: float) -> float:
         return sq_norm
@@ -441,7 +441,7 @@ class AdaptiveLearner(_Projection):
 
     kind = "adaptive"
     params = ("alpha",)
-    exc, what = ZeroGain, "gain accumulator"
+    skip = "ZeroGain: gain accumulator"
 
     def __init__(self, weights, alpha: float = 0.9) -> None:
         if not 0.0 <= alpha <= 1.0:

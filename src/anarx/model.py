@@ -36,41 +36,6 @@ from .nodes import NeoFuzzyNode, WangMendelNode
 _UNSEEN = (0, ())
 
 
-class DelayLine:
-    """Most-recent-first buffer of past observations."""
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.capacity = int(capacity)
-        self._buf: list[float] = []
-
-    def push(self, value: float) -> None:
-        self._buf.insert(0, float(value))
-        del self._buf[self.capacity :]
-
-    def lag(self, l: int):
-        """Value observed ``l`` steps ago, or None before it exists."""
-        if 1 <= l <= len(self._buf):
-            return self._buf[l - 1]
-        return None
-
-    def ensure_capacity(self, capacity: int) -> None:
-        if capacity > self.capacity:
-            self.capacity = int(capacity)
-
-    def __len__(self) -> int:
-        return len(self._buf)
-
-    def snapshot(self) -> list[float]:
-        return list(self._buf)
-
-    def restore(self, values) -> None:
-        self._buf = [float(v) for v in values]
-        self.ensure_capacity(len(self._buf))
-        del self._buf[self.capacity :]
-
-
 @dataclass
 class EvolutionPolicy:
     """Thresholds steering structural growth and pruning."""
@@ -127,12 +92,16 @@ class AnarxModel:
     All nodes share one grid, so every observed value is fuzzified once,
     in :meth:`observe`, into a ring of supports (entry ``l - 1`` holds the
     support of the value seen ``l`` steps ago, ``(0, ())`` before it is
-    seen) kept beside the value delay line. The pool's weights are one
-    (n x dim) matrix ``W`` whose rows are the node weight vectors; node
-    ``l`` forecasts the sum of its fired weights times the support of lag
-    ``l`` (see :mod:`anarx.numerics`). ``W`` is a view of the one
-    ``learner``'s weight block, shaped by :meth:`_learner_shape`, and a
-    learner row takes its nodes' supports as its regressor's blocks.
+    seen) kept beside the delay line ``delay_y``, the values themselves,
+    newest first. The ring's length is the delay capacity: it grows with
+    the pool and never shrinks, and ``delay_y`` is no longer than it.
+
+    The pool's weights are one (n x dim) matrix ``W`` whose rows are the
+    node weight vectors; node ``l`` forecasts the sum of its fired weights
+    times the support of lag ``l`` (see :mod:`anarx.numerics`). ``W`` is a
+    view of the one ``learner``'s weight block, shaped by
+    :meth:`_learner_shape`, and a learner row takes its nodes' supports as
+    its regressor's blocks.
     """
 
     def __init__(
@@ -162,7 +131,7 @@ class AnarxModel:
         self.learner_kind = learner
         self.alpha = float(alpha)
         self.p0 = float(p0)
-        self.delay_y = DelayLine(len(nodes))
+        self.delay_y: list = []
         self._ring = [_UNSEEN] * len(nodes)
         # lag of the newest row whose fuzzification failed, and why; the
         # failure is raised when a forecast first reads that row
@@ -210,8 +179,7 @@ class AnarxModel:
         self.nodes.append(node)
         self.learner.resize(*self._learner_shape())
         self._bind_rows()
-        self.delay_y.ensure_capacity(self.n)
-        self._ring += [_UNSEEN] * (self.delay_y.capacity - len(self._ring))
+        self._ring += [_UNSEEN] * (self.n - len(self._ring))
 
     def remove_last_node(self) -> None:
         if self.n <= 1:
@@ -273,8 +241,11 @@ class AnarxModel:
 
     def observe(self, y_new: float) -> None:
         """Shift the delay line and the regressor ring; no weight moves."""
-        self.delay_y.push(y_new)
-        self._push_row(float(y_new))
+        y = float(y_new)
+        delay = self.delay_y
+        delay.insert(0, y)
+        del delay[len(self._ring) :]
+        self._push_row(y)
 
     def _push_row(self, y: float) -> None:
         """Fuzzify one observation into ring entry 0."""
@@ -286,13 +257,6 @@ class AnarxModel:
             ring.insert(0, _UNSEEN)
             self._fault_lag, self._fault = 1, str(exc)
         ring.pop()
-
-    def _rebuild_ring(self) -> None:
-        """Refill the ring from the delay line, oldest value first."""
-        self._ring = [_UNSEEN] * self.delay_y.capacity
-        self._fault_lag = math.inf
-        for y in reversed(self.delay_y.snapshot()):
-            self._push_row(y)
 
     # -- training --------------------------------------------------------
 
@@ -352,7 +316,8 @@ class AnarxModel:
             "node_kind": self.nodes[0].kind,
             "grid": self.nodes[0].grid.to_dict(),
             "n_nodes": self.n,
-            "delay_y": self.delay_y.snapshot(),
+            "delay_y": list(self.delay_y),
+            "delay_capacity": len(self._ring),
         }
         rows = [self.learner.row_state(i) for i in range(len(self.learner.w))]
         if self.training == "stacked":
@@ -373,7 +338,8 @@ class AnarxModel:
 
         Raises CorruptSnapshot when the learner state does not match the
         model: another row count, or settings (kind, alpha, p0) other
-        than those the model builds its learner with; and
+        than those the model builds its learner with; when the delay
+        capacity is below the node count or the delay values; and
         DimensionMismatch when a row is shaped for another pool.
         """
         node_kind = state["node_kind"]
@@ -400,8 +366,20 @@ class AnarxModel:
                     f"learner state {i} has settings {saved}, the model builds {settings}"
                 )
             learner.load_row(i, row)
-        model.delay_y.restore(state["delay_y"])
-        model._rebuild_ring()
+        delay = [float(v) for v in state["delay_y"]]
+        least = max(model.n, len(delay))
+        # files written before the capacity was stored hold none
+        capacity = state.get("delay_capacity", least)
+        if type(capacity) is not int or capacity < least:
+            raise CorruptSnapshot(
+                f"delay capacity {capacity!r} is below the {model.n} nodes "
+                f"or the {len(delay)} delay values"
+            )
+        # refill the ring from the delay line, oldest value first
+        model._ring = [_UNSEEN] * capacity
+        for y in reversed(delay):
+            model._push_row(y)
+        model.delay_y = delay
         return model
 
 

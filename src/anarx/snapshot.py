@@ -7,12 +7,13 @@ saved one bit for bit on any subsequent input sequence, structure
 changes included.
 
 Every number is stored once. The model holds one grid for the pool,
-the node count, the delay line and the learner state, whose weights are
-the node weights. ``"evolution"`` is null when evolution is off,
-otherwise the forecaster's evolution controller, which holds all
-evolution state: the policy, the error window, the contribution window
-(``"contrib"``, the node forecasts :meth:`AnarxModel.evolve` reads), the
-long-run squared-error sum and the learned-step count.
+the node count, the delay line and its capacity, and the learner state,
+whose weights are the node weights. ``"evolution"`` is null when
+evolution is off, otherwise the forecaster's evolution controller, which
+holds all evolution state: the policy, the error window, the
+contribution window (``"contrib"``, the node forecasts
+:meth:`AnarxModel.evolve` reads), the long-run squared-error sum and the
+learned-step count.
 
 Version 3 fits one h-wide synapse per neo-fuzzy node. Versions 1 and 2
 stored two tied synapses per node, and their covariance does not
@@ -147,7 +148,9 @@ def _restore_evolution(forecaster: OnlineForecaster, state: dict) -> None:
     rows = [np.array(row, dtype=float) for row in state["contrib"]]
     maxlen = forecaster.err_window.maxlen
     n = forecaster.model.n
-    if len(window) > maxlen or len(rows) > maxlen:
+    # the forecaster appends to both windows on every learned step and
+    # clears both on a structure change
+    if len(rows) != len(window) or len(window) > maxlen:
         raise CorruptSnapshot(
             f"{len(window)} window errors and {len(rows)} contribution rows, "
             f"the policy window is {maxlen}"

@@ -85,6 +85,16 @@ def ols_fit(X, y, ridge=0.0):
     return np.linalg.solve(G, X.T @ y)
 
 
+def batch_optimum(R):
+    """Closed-form minimizer of c'Rc over sum(c) = 1, the reference for
+    the online combiner: ``c = R^-1 1 / s`` with ``s = 1'R^-1 1``, and
+    the multiplier ``lam = -2 / s`` of the stationarity condition
+    2Rc + lam 1 = 0. The optimum's value c'Rc is 1 / s."""
+    x = np.linalg.solve(np.asarray(R, dtype=float), np.ones(len(R)))
+    s = float(x.sum())
+    return x / s, -2.0 / s
+
+
 # one h = 4 synapse per lag node
 PLANTED_W = {
     1: np.array([0.01, 0.985, 0.4975, 0.01]),

@@ -1,10 +1,13 @@
+import ast
 import csv
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import anarx
 from anarx import errors
 from anarx.cli import EXIT_CODES, _exit_code, main
 from anarx.datasets import synthetic_load_series
@@ -39,8 +42,8 @@ def config_file(tmp_path):
 
 
 def test_exit_code_mapping_is_pinned():
-    # codes are stable per category; 13 and 14 (ZeroRegressor, ZeroGain)
-    # are retired and stay unused
+    # codes are stable per category; 11 (SingularCorrelation), 13 and 14
+    # (ZeroRegressor, ZeroGain) are retired and stay unused
     assert [(etype.__name__, code) for etype, code in EXIT_CODES] == [
         ("FileNotFoundError", 3),
         ("ParseError", 4),
@@ -50,7 +53,6 @@ def test_exit_code_mapping_is_pinned():
         ("InvalidOrder", 8),
         ("VersionMismatch", 9),
         ("CorruptSnapshot", 10),
-        ("SingularCorrelation", 11),
         ("DimensionMismatch", 12),
         ("DegenerateActivation", 15),
         ("DegenerateStep", 16),
@@ -59,9 +61,37 @@ def test_exit_code_mapping_is_pinned():
         ("ValueError", 21),
     ]
     assert _exit_code(errors.ConfigError("x")) == 4
-    assert _exit_code(errors.ZeroRegressor("x")) == 20
-    assert _exit_code(errors.ZeroGain("x")) == 20
+    assert _exit_code(errors.AnarxError("x")) == 20
     assert _exit_code(RuntimeError("x")) == 70
+
+
+def _raised_names() -> set:
+    """The name of every class a ``raise`` statement in the package
+    raises by name: ``raise X(...)``, ``raise X`` or ``raise mod.X(...)``."""
+    names = set()
+    for path in Path(anarx.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    names.add(exc.id)
+                elif isinstance(exc, ast.Attribute):
+                    names.add(exc.attr)
+    return names
+
+
+def test_every_error_class_is_raised_and_every_code_maps_one():
+    # an error class that nothing raises is only a label, and its exit
+    # code could never be seen; a class stays while it, or a class
+    # derived from it, is raised somewhere in the package
+    classes = [cls for cls in vars(errors).values()
+               if isinstance(cls, type) and issubclass(cls, errors.AnarxError)]
+    names = _raised_names()
+    raised = [cls for cls in classes if cls.__name__ in names]
+    live = {cls for cls in classes if any(issubclass(r, cls) for r in raised)}
+    assert sorted(cls.__name__ for cls in classes if cls not in live) == []
+    for etype, code in EXIT_CODES:
+        assert etype in live or not issubclass(etype, errors.AnarxError), (etype, code)
 
 
 class TestBench:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from anarx import (
     AnarxModel,
-    DelayLine,
     EvolutionPolicy,
     KwhLearner,
     NeoFuzzyNode,
@@ -17,7 +16,7 @@ from anarx import (
     build_anarx,
     build_uniform_grid,
 )
-from anarx.errors import DegenerateActivation
+from anarx.errors import CorruptSnapshot, DegenerateActivation
 from anarx.numerics import EPS_REG
 
 
@@ -25,36 +24,92 @@ def _bits(x) -> bytes:
     return np.asarray(x, dtype=float).tobytes()
 
 
-class TestDelayLine:
-    def test_lag_semantics(self):
-        dl = DelayLine(3)
-        assert dl.lag(1) is None
-        for v in (1.0, 2.0, 3.0):
-            dl.push(v)
-        assert dl.lag(1) == 3.0
-        assert dl.lag(2) == 2.0
-        assert dl.lag(3) == 1.0
-        dl.push(4.0)
-        assert dl.lag(1) == 4.0 and dl.lag(3) == 2.0
-
-    def test_capacity_trims(self):
-        dl = DelayLine(2)
-        for v in range(5):
-            dl.push(float(v))
-        assert len(dl) == 2
-        assert dl.lag(3) is None
-
-    def test_grow_capacity(self):
-        dl = DelayLine(1)
-        dl.push(1.0)
-        dl.ensure_capacity(3)
-        dl.push(2.0)
-        dl.push(3.0)
-        assert dl.lag(3) == 1.0
-
-
 def small_model(n=2, training="stacked", learner="kwh", h=3, alpha=1.0):
     return build_anarx(n, h, 0.0, 1.0, q=2, training=training, learner=learner, alpha=alpha)
+
+
+def _lag(m, l):
+    """The value ``m`` observed ``l`` steps ago, or None before it exists."""
+    return m.delay_y[l - 1] if l <= len(m.delay_y) else None
+
+
+class TestDelayLine:
+    """The model's delay line: the values newest first, no longer than the
+    ring, whose length grows with the pool and never shrinks."""
+
+    def test_lag_semantics(self):
+        m = small_model(n=3)
+        assert _lag(m, 1) is None
+        for v in (0.1, 0.2, 0.3):
+            m.observe(v)
+        assert [_lag(m, l) for l in (1, 2, 3)] == [0.3, 0.2, 0.1]
+        m.observe(0.4)
+        assert _lag(m, 1) == 0.4 and _lag(m, 3) == 0.2
+
+    def test_capacity_trims(self):
+        m = small_model(n=2)
+        for v in range(5):
+            m.observe(v / 5)
+        assert m.delay_y == [0.8, 0.6]
+        assert _lag(m, 3) is None
+
+    def test_grow_capacity(self):
+        m = small_model(n=1)
+        m.observe(0.1)
+        m.add_node()
+        m.add_node()
+        m.observe(0.2)
+        m.observe(0.3)
+        assert _lag(m, 3) == 0.1
+        # pruning keeps the capacity
+        m.remove_last_node()
+        m.observe(0.4)
+        assert m.delay_y == [0.4, 0.3, 0.2]
+
+    def test_round_trip_keeps_the_capacity_of_a_pruned_pool(self):
+        # the saved pool had three nodes; a regrown third node reads the
+        # lag the capacity kept, in the loaded copy as in the saved model
+        m = build_anarx(2, 5, 0, 1, training="independent", learner="adaptive")
+        m.train_step(0.3)
+        m.add_node()
+        m.train_step(0.7)
+        m.remove_last_node()
+        loaded = AnarxModel.from_state(json.loads(json.dumps(m.state_dict())))
+        for model in (m, loaded):
+            model.train_step(0.5)
+            model.train_step(0.9)
+            model.add_node()
+            assert model.train_step(0.4).skipped == []
+        assert _bits(loaded.node_forecasts()) == _bits(m.node_forecasts())
+        assert m.node_forecasts()[2] != 0.0
+
+    def test_state_without_capacity_loads_with_the_longest(self):
+        # a version-3 file from before the capacity was stored loads as
+        # it did then: the pruned pool's capacity of 4 is not known
+        m = small_model(n=3)
+        m.add_node()
+        m.remove_last_node()
+        for v in (0.2, 0.5):
+            m.observe(v)
+        for values, capacity in (([0.5, 0.2], 3), ([0.5, 0.2, 0.1, 0.7], 4)):
+            state = m.state_dict()
+            del state["delay_capacity"]
+            state["delay_y"] = values
+            loaded = AnarxModel.from_state(state)
+            assert loaded.delay_y == values and len(loaded._ring) == capacity
+
+    @pytest.mark.parametrize("capacity", [1, 2, 3.0, True, None])
+    def test_capacity_below_pool_or_values_is_corrupt(self, capacity):
+        m = small_model(n=2)
+        for v in (0.2, 0.5, 0.7):
+            m.add_node()
+            m.remove_last_node()
+            m.observe(v)
+        state = m.state_dict()
+        assert state["delay_capacity"] == 3 == len(state["delay_y"])
+        state["delay_capacity"] = capacity
+        with pytest.raises(CorruptSnapshot):
+            AnarxModel.from_state(state)
 
 
 class TestForward:
@@ -97,7 +152,7 @@ class TestForward:
             m.observe(v)
         assert abs(m.forward() - sum(m.node_forecasts())) <= 1e-12
         manual = sum(
-            node.forward(m.delay_y.lag(l))
+            node.forward(_lag(m, l))
             for l, node in enumerate(m.nodes, start=1)
         )
         assert abs(m.forward() - manual) <= 1e-12
@@ -126,7 +181,7 @@ class TestTrainStep:
         for y in series[:10]:
             m.train_step(float(y))
         for y in series[10:]:
-            lags = [m.delay_y.lag(1), m.delay_y.lag(2)]
+            lags = [_lag(m, 1), _lag(m, 2)]
             m.train_step(float(y))
             for node, lag in zip(m.nodes, lags):
                 assert abs(float(y) - node.forward(lag)) <= 1e-10
@@ -348,7 +403,7 @@ class TestEvolve:
                         contrib.clear()
                 assert m.learner.w.size == sum(nd.dim for nd in m.nodes)
                 assert len(m.learner.w) == (m.n if training == "independent" else 1)
-                assert m.delay_y.capacity >= m.n
+                assert len(m._ring) >= max(m.n, len(m.delay_y))
                 assert np.isfinite(m.forward())
 
 
@@ -356,7 +411,7 @@ def _dense_regressors(m):
     """Each node's h-wide regressor, built from the delay line; zero where
     the lag is unseen."""
     h = m.nodes[0].dim
-    return np.array([np.zeros(h) if m.delay_y.lag(l) is None else node.regressor(m.delay_y.lag(l))
+    return np.array([np.zeros(h) if _lag(m, l) is None else node.regressor(_lag(m, l))
                      for l, node in enumerate(m.nodes, start=1)])
 
 
@@ -417,7 +472,7 @@ class TestArrayPool:
     def per_node_forecasts(m):
         out = []
         for l, node in enumerate(m.nodes, start=1):
-            y_lag = m.delay_y.lag(l)
+            y_lag = _lag(m, l)
             out.append(0.0 if y_lag is None else node.forward(y_lag))
         return np.array(out)
 

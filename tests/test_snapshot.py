@@ -288,7 +288,7 @@ def test_model_state_holds_one_grid_and_each_weight_once(tmp_path):
     # the learner states are the only copy of the weights
     assert sorted(model) == sorted([
         "training", "learner", "alpha", "p0", "node_kind", "grid", "n_nodes", "delay_y",
-        "learner_states",
+        "delay_capacity", "learner_states",
     ])
     assert [len(ls["w"]) for ls in model["learner_states"]] == [4, 4]
 
@@ -356,6 +356,9 @@ def _evolving_snapshot(tmp_path, tamper):
     lambda e: e.update(policy={"window": 0}),
     lambda e: e.update(policy={"window": 100, "stride": 2}),
     lambda e: e.pop("policy"),
+    # windows of different lengths, which the forecaster fills and clears
+    # together
+    lambda e: e.update(contrib=e["contrib"][:3]),
 ])
 def test_malformed_evolution_block_is_corrupt(tmp_path, capsys, tamper):
     from anarx.cli import main
