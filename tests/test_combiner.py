@@ -238,3 +238,35 @@ class TestFloatArithmetic:
             with pytest.raises(ValueError):
                 cs.optimal_step(f, 1.0)
         assert cs.c.tobytes() == c0.tobytes() and cs.lam == 0.0
+
+
+class TestOnlineToBatch:
+    def _stream_gap(self, seed, n, diag_boost, steps=10000):
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(n, n))
+        Sigma = (A @ A.T) * 0.2 + np.diag(rng.uniform(0.3, 1.2, n)) * diag_boost
+        Sigma *= 0.36 / np.mean(np.diag(Sigma))
+        L = np.linalg.cholesky(Sigma)
+        cs = CombinerState(n, eta_lambda=0.1)
+        R = np.zeros((n, n))  # accumulated outer products of the node errors
+        tail = []
+        for k in range(steps):
+            y = 10.0 + 0.3 * rng.normal()
+            f = y - L @ rng.normal(size=n)
+            v = y - f
+            R += np.outer(v, v)
+            try:
+                cs.optimal_step(f, y)
+            except DegenerateStep:
+                pass
+            if k >= steps - steps // 5:
+                tail.append(cs.c.copy())
+        c_batch, _ = batch_optimum(R)
+        return float(np.max(np.abs(np.mean(tail, axis=0) - c_batch)))
+
+    @pytest.mark.parametrize(
+        "seed,n,diag_boost",
+        [(3, 2, 1.0), (4, 3, 1.0), (1, 3, 3.0)],
+    )
+    def test_time_average_approaches_batch(self, seed, n, diag_boost):
+        assert self._stream_gap(seed, n, diag_boost) <= 0.05
