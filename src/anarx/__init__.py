@@ -20,7 +20,6 @@ from .membership import (
 from .model import (
     AnarxModel,
     EvolutionPolicy,
-    StepReport,
     StructureChange,
     build_anarx,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "RlsLearner",
     "RunConfig",
     "SeriesFrame",
-    "StepReport",
     "StructureChange",
     "WangMendelNode",
     "build_anarx",

@@ -118,7 +118,7 @@ def _cmd_snapshot_save(args) -> int:
 def _cmd_snapshot_show(args) -> int:
     forecaster = snapshot_load(args.snapshot)
     model = forecaster.model
-    print(f"nodes: {model.n} ({model.nodes[0].kind})")
+    print(f"nodes: {model.n} ({model.node.kind})")
     print(f"training: {model.training}, learner: {model.learner_kind}, alpha: {model.alpha}")
     print(f"weighted: {forecaster.combiner is not None}")
     if forecaster.combiner is not None:

@@ -1,12 +1,11 @@
 """Additive per-lag model: a delay line, a node pool, and online training.
 
 The model output is the sum of the node outputs, node ``l`` fed with the
-values observed ``l`` steps ago. Nodes are tuned while the stream runs,
-and the pool itself can grow or shrink without disturbing the surviving
-nodes.
-
-The pool has one row-batched learner (see :mod:`anarx.learning`), and
-the training wiring only sets the shape of its weight block:
+values observed ``l`` steps ago. The pool is one grid, a node count and
+the weight block of one row-batched learner (see :mod:`anarx.learning`),
+whose weights are tuned while the stream runs; the pool itself can grow
+or shrink without disturbing the surviving nodes. The training wiring
+only sets the shape of the weight block:
 
 * ``stacked`` - one row over the concatenated node weights, fit against
   the stream value on the concatenated regressor, so all node weights
@@ -21,7 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,78 +60,53 @@ class StructureChange(enum.Enum):
     REMOVED = "removed"
 
 
-@dataclass
-class StepReport:
-    """Per-step result of :meth:`AnarxModel.train_step`.
-
-    ``node_predictions`` holds the node outputs from pre-update weights as
-    a list (zeros for nodes whose lag is not observed yet); ``prediction`` is
-    their additive sum and ``error`` is ``y`` minus it. ``skipped`` lists
-    (node index, reason) for nodes whose update failed or was deferred:
-    ``"lag not observed yet"``, or the learner error as
-    ``"<class name>: <message>"``.
-    """
-
-    y: float
-    node_predictions: list
-    skipped: list = field(default_factory=list)
-
-    @property
-    def prediction(self) -> float:
-        return math.fsum(self.node_predictions)
-
-    @property
-    def error(self) -> float:
-        return self.y - self.prediction
-
-
 class AnarxModel:
-    """Ordered pool of per-lag nodes with online learning.
+    """Ordered pool of ``n`` per-lag nodes on one grid, with online learning.
 
-    All nodes share one grid, so every observed value is fuzzified once,
-    in :meth:`observe`, into a ring of supports (entry ``l - 1`` holds the
-    support of the value seen ``l`` steps ago, ``(0, ())`` before it is
-    seen) kept beside the delay line ``delay_y``, the values themselves,
-    newest first. The ring's length is the delay capacity: it grows with
-    the pool and never shrinks, and ``delay_y`` is no longer than it.
+    The grid's type sets the node kind (:data:`_NODE_TYPES`); ``node`` is
+    one node on the grid, which fuzzifies values and gives the kind, the
+    width ``dim`` and the paper's ``synapses``. Every observed value is
+    fuzzified once, in :meth:`observe`, into a ring of supports (entry
+    ``l - 1`` holds the support of the value seen ``l`` steps ago,
+    ``(0, ())`` before it is seen) kept beside the delay line
+    ``delay_y``, the values themselves, newest first. The ring's length
+    is the delay capacity: it grows with the pool and never shrinks, and
+    ``delay_y`` is no longer than it.
 
-    The pool's weights are one (n x dim) matrix ``W`` whose rows are the
-    node weight vectors; node ``l`` forecasts the sum of its fired weights
-    times the support of lag ``l`` (see :mod:`anarx.numerics`). ``W`` is a
-    view of the one ``learner``'s weight block, shaped by
-    :meth:`_learner_shape`, and a learner row takes its nodes' supports as
-    its regressor's blocks.
+    The one ``learner``'s weight block, shaped by :meth:`_learner_shape`,
+    is the only copy of the pool's weights; ``W`` is its (n x dim) view,
+    row ``l`` the weights of the node at lag ``l + 1``. That node
+    forecasts the sum of its fired weights times the support of its lag
+    (see :mod:`anarx.numerics`), and a learner row takes its nodes'
+    supports as its regressor's blocks.
     """
 
     def __init__(
         self,
-        nodes,
+        grid,
+        n_nodes: int,
         *,
         training: str = "stacked",
         learner: str = "rls",
         alpha: float = 1.0,
         p0: float = 1e4,
     ) -> None:
-        nodes = list(nodes)
-        if not nodes:
-            raise ValueError("need at least one node")
-        kinds = {type(node) for node in nodes}
-        if len(kinds) != 1:
-            raise ValueError("node pool must be homogeneous")
-        first = nodes[0]
-        if not all(_same_grid(node.grid, first.grid) for node in nodes):
-            raise ValueError("nodes must share one grid")
+        if type(grid) not in _NODE_TYPES:
+            raise ValueError(f"no node kind is built on a {type(grid).__name__}")
+        if n_nodes < 1:
+            raise ValueError(f"n_nodes must be positive, got {n_nodes}")
         if training not in ("stacked", "independent"):
             raise ValueError(
                 f"training must be 'stacked' or 'independent', got {training!r}"
             )
-        self.nodes = nodes
+        self.node = _NODE_TYPES[type(grid)](grid)
+        self.n = n_nodes
         self.training = training
         self.learner_kind = learner
         self.alpha = float(alpha)
         self.p0 = float(p0)
         self.delay_y: list = []
-        self._ring = [_UNSEEN] * len(nodes)
+        self._ring = [_UNSEEN] * n_nodes
         # lag of the newest row whose fuzzification failed, and why; the
         # failure is raised when a forecast first reads that row
         self._fault_lag = math.inf
@@ -143,50 +117,35 @@ class AnarxModel:
         # vectors.
         self.learner = make_learner(
             learner,
-            np.array([node.weights for node in nodes]).reshape(self._learner_shape()),
+            np.zeros(self._learner_shape()),
             alpha=self.alpha,
-            p0=first.synapses * self.p0,
+            p0=self.node.synapses * self.p0,
         )
-        self._bind_rows()
 
     # -- structure ---------------------------------------------------
 
     @property
-    def n(self) -> int:
-        return len(self.nodes)
+    def W(self) -> np.ndarray:
+        """The node weights, one row per node: a view of the learner's block."""
+        return self.learner.w.reshape(self.n, -1)
 
     def _learner_shape(self) -> tuple:
         """(rows, cols) of the learner's weight block: one row over all
         node weights in stacked training, one row per node in independent."""
-        h = self.nodes[0].dim
+        h = self.node.dim
         return (1, self.n * h) if self.training == "stacked" else (self.n, h)
-
-    def _bind_rows(self) -> None:
-        """Point W and the node weights at the learner's weight block."""
-        self.W = self.learner.w.reshape(self.n, -1)
-        # W's items as Python floats, node after node
-        self._flat = memoryview(self.W.reshape(-1))
-        for node, row in zip(self.nodes, self.W):
-            node.weights = row
-
-    def _fresh_node(self):
-        template = self.nodes[-1]
-        return type(template)(template.grid)
 
     def add_node(self) -> None:
         """Append node n+1 with zero weights and fresh learner state."""
-        node = self._fresh_node()
-        self.nodes.append(node)
+        self.n += 1
         self.learner.resize(*self._learner_shape())
-        self._bind_rows()
         self._ring += [_UNSEEN] * (self.n - len(self._ring))
 
     def remove_last_node(self) -> None:
         if self.n <= 1:
             raise ValueError("cannot remove the only node")
-        self.nodes.pop()
+        self.n -= 1
         self.learner.resize(*self._learner_shape())
-        self._bind_rows()
 
     def evolve(self, policy: EvolutionPolicy, window_rmse: float, contributions) -> StructureChange:
         """Apply at most one structural change based on recent error level.
@@ -224,9 +183,10 @@ class AnarxModel:
         return m
 
     def _forecasts(self) -> list:
-        # node l's support sum is node.forward of the lag's value, bit for
-        # bit; an unseen lag's support is empty and sums to zero
-        w, h = self._flat, self.W.shape[1]
+        # node l's support sum is node.forward of the lag's value with
+        # W[l], bit for bit; an unseen lag's support is empty and sums to
+        # zero. The learner's flat view holds W row after row.
+        w, h = self.learner._flat, self.node.dim
         return [support_dot(w, l * h + start, values)
                 for l, (start, values) in enumerate(self._ring[: self.n])]
 
@@ -252,7 +212,7 @@ class AnarxModel:
         ring = self._ring
         self._fault_lag += 1
         try:
-            ring.insert(0, self.nodes[0].fuzzify(y))
+            ring.insert(0, self.node.fuzzify(y))
         except DegenerateActivation as exc:
             ring.insert(0, _UNSEEN)
             self._fault_lag, self._fault = 1, str(exc)
@@ -260,14 +220,19 @@ class AnarxModel:
 
     # -- training --------------------------------------------------------
 
-    def train_step(self, y_new: float, forecasts=None) -> StepReport:
-        """One online step: predict y_new, update weights, shift the delay line.
+    def train_step(self, y_new: float, forecasts=None) -> list:
+        """One online step: update the weights towards y_new, then shift
+        the delay line. The step's prediction is :meth:`forward` before it.
+
+        Returns (node index, reason) for each node whose update failed or
+        was deferred: ``"lag not observed yet"``, or the learner error as
+        ``"<class name>: <message>"``.
 
         A caller that has :meth:`node_forecasts` here passes it as
         ``forecasts``; that call has made the check :meth:`_observed`
         makes, so it is not made again.
         """
-        n = len(self.nodes)
+        n = self.n
         if forecasts is None:
             m = self._observed()
             node_preds = self._forecasts()
@@ -298,14 +263,14 @@ class AnarxModel:
             skipped.extend((i, reason) for i in range(row * span, min(row * span + span, m)))
 
         self.observe(y_new)
-        return StepReport(float(y_new), node_preds, skipped)
+        return skipped
 
     # -- bookkeeping -----------------------------------------------------
 
     def parameter_count(self) -> int:
         """Weights in the paper's convention: ``synapses`` h-wide vectors
         per node. The fitted weights are ``W.size``."""
-        return self.nodes[0].synapses * self.W.size
+        return self.node.synapses * self.W.size
 
     def state_dict(self) -> dict:
         state = {
@@ -313,8 +278,8 @@ class AnarxModel:
             "learner": self.learner_kind,
             "alpha": self.alpha,
             "p0": self.p0,
-            "node_kind": self.nodes[0].kind,
-            "grid": self.nodes[0].grid.to_dict(),
+            "node_kind": self.node.kind,
+            "grid": self.node.grid.to_dict(),
             "n_nodes": self.n,
             "delay_y": list(self.delay_y),
             "delay_capacity": len(self._ring),
@@ -328,8 +293,8 @@ class AnarxModel:
 
     def __reduce__(self):
         # copy and pickle through the state, as a snapshot does (which
-        # folds pending RLS gains first): the views of the weight block
-        # are memoryviews, which do neither
+        # folds pending RLS gains first): the learner's views of its
+        # weight block are memoryviews, which do neither
         return (AnarxModel.from_state, (self.state_dict(),))
 
     @classmethod
@@ -342,13 +307,13 @@ class AnarxModel:
         capacity is below the node count or the delay values; and
         DimensionMismatch when a row is shaped for another pool.
         """
+        grids = {node.kind: grid for grid, node in _NODE_TYPES.items()}
         node_kind = state["node_kind"]
-        if node_kind not in _NODE_TYPES:
+        if node_kind not in grids:
             raise CorruptSnapshot(f"unknown node kind {node_kind!r}")
-        grid_cls, node_cls = _NODE_TYPES[node_kind]
-        grid = grid_cls.from_dict(state["grid"])
         model = cls(
-            [node_cls(grid) for _ in range(state["n_nodes"])],
+            grids[node_kind].from_dict(state["grid"]),
+            state["n_nodes"],
             training=state["training"],
             learner=state["learner"],
             alpha=state["alpha"],
@@ -383,14 +348,8 @@ class AnarxModel:
         return model
 
 
-def _same_grid(a, b) -> bool:
-    return a is b or a.to_dict() == b.to_dict()
-
-
-_NODE_TYPES = {
-    NeoFuzzyNode.kind: (KnotGrid, NeoFuzzyNode),
-    WangMendelNode.kind: (GaussianGrid, WangMendelNode),
-}
+# the node kind each grid type builds
+_NODE_TYPES = {KnotGrid: NeoFuzzyNode, GaussianGrid: WangMendelNode}
 
 
 def build_anarx(
@@ -406,15 +365,11 @@ def build_anarx(
     alpha: float = 1.0,
     p0: float = 1e4,
 ) -> AnarxModel:
-    """Build a homogeneous pool of ``n_nodes`` zero-weight nodes on [lo, hi]."""
-    if n_nodes < 1:
-        raise ValueError(f"n_nodes must be positive, got {n_nodes}")
+    """Build a pool of ``n_nodes`` zero-weight nodes on one grid over [lo, hi]."""
     if node_kind == "neo_fuzzy":
         grid = build_uniform_grid(lo, hi, h, q)
-        nodes = [NeoFuzzyNode(grid) for _ in range(n_nodes)]
     elif node_kind == "wang_mendel":
         grid = build_gaussian_grid(lo, hi, h)
-        nodes = [WangMendelNode(grid) for _ in range(n_nodes)]
     else:
         raise ValueError(f"unknown node kind {node_kind!r}")
-    return AnarxModel(nodes, training=training, learner=learner, alpha=alpha, p0=p0)
+    return AnarxModel(grid, n_nodes, training=training, learner=learner, alpha=alpha, p0=p0)

@@ -42,11 +42,10 @@ AUTO_WINDOW = 100
 
 @dataclass
 class SeriesFrame:
-    """An ordered univariate series with an optional time axis."""
+    """An ordered univariate series."""
 
     values: np.ndarray
     name: str = "series"
-    timestamps: list | None = None
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=float)
@@ -128,7 +127,7 @@ def normalize_minmax(series: SeriesFrame, fit_range=None):
     if hi <= lo:
         raise DegenerateRange(f"constant fit segment (min == max == {lo})")
     scaled = (series.values - lo) / (hi - lo)
-    return SeriesFrame(scaled, name=series.name, timestamps=series.timestamps), lo, hi
+    return SeriesFrame(scaled, name=series.name), lo, hi
 
 
 def denormalize(values, lo: float, hi: float):
@@ -189,6 +188,8 @@ class RunConfig:
             _invalid("alpha", f"rls needs alpha in (0, 1], got {self.alpha}")
         if self.learner == "adaptive" and not 0.0 <= self.alpha <= 1.0:
             _invalid("alpha", f"adaptive needs alpha in [0, 1], got {self.alpha}")
+        if not self.eta_lambda > 0.0:
+            _invalid("eta_lambda", f"must be positive, got {self.eta_lambda}")
 
     def to_dict(self) -> dict:
         d = {}
@@ -212,7 +213,12 @@ class StepRecord:
 
 @dataclass
 class ForecastReport:
-    """Per-step records plus the summary a benchmark table needs."""
+    """Per-step records plus the summary a benchmark table needs.
+
+    ``forecaster`` is the forecaster that produced the steps, in its final
+    state. ``anarx snapshot save`` saves it, so the report keeps it alive
+    as long as the report lives.
+    """
 
     steps: list
     rmse_train: float
@@ -221,7 +227,6 @@ class ForecastReport:
     wall_time_s: float
     config: RunConfig
     extras: dict = field(default_factory=dict)
-    # the forecaster that produced the steps, in its final state
     forecaster: OnlineForecaster | None = field(default=None, repr=False, compare=False)
 
     def summary_dict(self) -> dict:
@@ -330,7 +335,7 @@ class OnlineForecaster:
         if not learn:
             model.observe(y)
             return pred
-        for _, reason in model.train_step(y, forecasts=forecasts).skipped:
+        for _, reason in model.train_step(y, forecasts=forecasts):
             self.skipped_updates[reason.partition(":")[0]] += 1
         if combiner is not None:
             try:

@@ -6,6 +6,8 @@ two adapters between the dense and the support form (:func:`basis`,
 :func:`supports`) are the exception: they only move values around.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,18 @@ def batch_optimum(R):
     x = np.linalg.solve(np.asarray(R, dtype=float), np.ones(len(R)))
     s = float(x.sum())
     return x / s, -2.0 / s
+
+
+def assert_one_weight_block(model):
+    """The pool's invariant: ``W`` is the learner's weight block seen as
+    one row per node, and the model output is the ``fsum`` of standalone
+    nodes on those rows, each fed the value its lag observed."""
+    assert np.shares_memory(model.W, model.learner.w)
+    assert model.W.shape == (model.n, model.node.dim)
+    node = type(model.node)
+    observed = min(model.n, len(model.delay_y))
+    assert model.forward() == math.fsum(
+        node(model.node.grid, model.W[l]).forward(model.delay_y[l]) for l in range(observed))
 
 
 # one h = 4 synapse per lag node

@@ -137,6 +137,8 @@ class TestBench:
         ("evolution = true\nevolution_window = 0", "evolution_window"),
         # 400 + 100 values asked of a 450-value series
         ("train_len = 400", "'train_len', 'test_len'"),
+        ("eta_lambda = 0", "'eta_lambda'"),
+        ("weighted = true\neta_lambda = 0", "'eta_lambda'"),
     ])
     def test_invalid_setting_exits_4_naming_the_key(self, tmp_path, data_csv, capsys,
                                                      lines, named):

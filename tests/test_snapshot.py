@@ -21,6 +21,7 @@ from anarx import learning
 from anarx.errors import CorruptSnapshot, VersionMismatch
 from anarx.pipeline import build_forecaster, run_experiment
 from anarx.snapshot import _checksum
+from conftest import assert_one_weight_block
 
 
 def trained_forecaster(weighted=False, learner="adaptive", evolution=None, steps=250):
@@ -75,8 +76,8 @@ def test_round_trip_preserves_learning_state(tmp_path):
     assert np.array_equal(a.w, b.w)
     assert np.array_equal(a.P, b.P)
     assert a.settings() == b.settings()
-    # node views re-established over the restored weight block
-    assert all(np.shares_memory(nd.weights, b.w) for nd in fc2.model.nodes)
+    # W is a view of the restored weight block, which the output reads
+    assert_one_weight_block(fc2.model)
 
 
 def test_truncated_file_is_corrupt(tmp_path):
@@ -191,6 +192,20 @@ def test_shape_mismatch_with_valid_checksum_is_corrupt(tmp_path, weighted, learn
     path = _tampered_snapshot(tmp_path, weighted, learner, tamper)
     with pytest.raises(CorruptSnapshot):
         snapshot_load(path)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_delay_value_that_is_not_finite_is_corrupt(tmp_path, capsys, value):
+    # a forecaster's step takes in no value that is not finite, so no
+    # saved one holds it; loaded, it would fail at the first step
+    from anarx.cli import main
+
+    path = _tampered_snapshot(tmp_path, False, "adaptive",
+                              lambda p: p["model"]["delay_y"].__setitem__(0, value), steps=50)
+    with pytest.raises(CorruptSnapshot, match="delay values must be finite"):
+        snapshot_load(path)
+    assert main(["snapshot", "show", "--snapshot", str(path)]) == 10
+    assert "integrity: ok" not in capsys.readouterr().out
 
 
 def _nudge_off_diagonal(P):
