@@ -557,10 +557,26 @@ class TestArrayPool:
                 assert _bits(m.learner.predict([m._ring[: m.n]])) == _bits([m.forward()])
             assert_one_weight_block(m)
 
-    def test_grid_of_unknown_type_rejected(self):
-        # the grid's type sets the node kind; a grid's dict is no grid
+    def test_loaded_nodes_share_one_grid(self):
+        m = small_model(n=3)
+        m.train_step(0.4)
+        m2 = AnarxModel.from_state(json.loads(json.dumps(m.state_dict())))
+        grid = m2.node.grid
+        assert grid.to_dict() == m.node.grid.to_dict()
+        assert_one_weight_block(m2)
+        m2.add_node()
+        assert m2.node.grid is grid
+        assert_one_weight_block(m2)
+
+    def test_nodes_on_different_grids_rejected(self):
+        # the grid's type sets the node kind; nodes on different grids,
+        # or a grid's dict, are no grid
         grid = build_uniform_grid(0.0, 1.0, 3, 2)
         assert AnarxModel(grid, 2).node.grid is grid
+        a = NeoFuzzyNode(grid)
+        b = NeoFuzzyNode(build_uniform_grid(0.0, 2.0, 3, 2))
+        with pytest.raises(ValueError, match="no node kind"):
+            AnarxModel([a, b], 2)
         with pytest.raises(ValueError, match="no node kind"):
             AnarxModel(grid.to_dict(), 2)
 
