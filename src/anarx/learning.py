@@ -202,43 +202,51 @@ class RlsLearner(_RowBlock):
     downdates ``P <- (P - b b') / alpha`` with ``b = P phi / sqrt(denom)``.
 
     Downdates are deferred. Row ``i`` keeps up to ``R =
-    pending_rank(cols)`` gains pending, one per row of ``U[i]`` (an
-    (R, cols) block), ``j = pending[i]`` of them, and its covariance is
-    ``(P[i] - U[i][:j]'U[i][:j]) / alpha^j``. A step gets ``s = P phi -
-    U'(U phi)``, which is ``alpha^j`` times the covariance's ``P phi``,
-    and ``D = alpha^(j+1) + phi's``, which is ``alpha^j * denom``. The
-    weights move by ``s * error / D``, the same move, and ``u = s /
-    sqrt(D) = alpha^(j/2) b`` becomes the row's next pending gain. When
-    the row holds R gains it folds them: ``P[i] -= U[i]'U[i]``, then
-    ``P[i] /= alpha^R``. That is one pass over ``P`` per R steps, where a
-    downdate every step takes two passes over ``P`` through an (m, m)
-    temporary, and the correction costs O(R (L + m)) for L support
-    columns. Narrow rows take R = 1 and fold every step; at j = 0 every
-    expression above is the textbook one, and a rank-1 fold is ``b b'``
-    entry by entry, so narrow rows keep the textbook step's bits. Rows
-    that step with equally many pending gains (every row at R = 1, the
-    one row of stacked training) go through as one block, others row by
-    row.
+    pending_rank(cols)`` gains pending, ``j = pending[i]`` of them, and
+    its covariance is ``(P[i] - U U') / alpha^j`` for the (cols, j) block
+    ``U`` of its pending gains. A step gets ``s = P phi - U(U'phi)``,
+    which is ``alpha^j`` times the covariance's ``P phi``, and ``D =
+    alpha^(j+1) + phi's``, which is ``alpha^j * denom``. The weights move
+    by ``s * error / D``, the same move, and ``u = s / sqrt(D) =
+    alpha^(j/2) b`` becomes the row's next pending gain. When the row
+    holds R gains it folds them: ``P[i] -= U U'``, then ``P[i] /=
+    alpha^R``. That is one pass over ``P`` per R steps, where a downdate
+    every step takes two passes over ``P`` through an (m, m) temporary,
+    and the correction costs O(R (L + m)) for L support columns. Narrow
+    rows take R = 1 and fold every step; at j = 0 every expression above
+    is the textbook one, and a rank-1 fold is ``b b'`` entry by entry,
+    so narrow rows keep the textbook step's bits. The rows of a step
+    share one gather and sum; rows that hold equally many pending gains
+    (every row at R = 1, the one row of stacked training) take their
+    correction and store as one block, others row by row.
 
-    ``P phi`` is the sum of the rows ``phi_j * P[j]`` over the row's
-    support columns ``j`` (block offset plus start), added left to right
-    from zero (``P`` is symmetric, so its rows are its columns), and
-    ``phi's`` is a left-to-right sum too. A column where a row's
-    regressor is zero adds exact zeros, which leave a left-to-right sum
-    as it is, so each row gets the bits of a sum over every column.
-    ``U phi`` is a left-to-right sum over the support columns too, and
-    ``U'(U phi)`` runs over the row's own ``j`` gains, so every sum of a
-    row depends on that row's state only, and a batched row computes
-    what a one-row learner computes.
+    Each row's covariance and its pending gains sit side by side in one
+    (rows, cols, cols + E) block ``A``: ``P`` is its view ``A[:, :,
+    :cols]`` and gain ``t`` is column ``cols + t``, with ``E = R`` on
+    rows that keep gains pending and ``E = 0`` at R = 1, where ``P`` is
+    all of ``A``. ``U`` is the (rows, E, cols) view of the gain columns,
+    one gain per row of it. A step gathers the support rows of ``A[:, :,
+    :cols + j]`` for the most gains ``j`` its rows hold, multiplies them
+    by ``phi`` and sums them, which gives ``P phi`` and ``U'phi``
+    together; a row holding fewer gains does not read the sums of its
+    stale columns. The sum adds the rows ``phi_c * A[c]`` over the row's
+    support columns ``c`` (block offset plus start) left to right from
+    zero (``P`` is symmetric, so its rows are its columns), and ``phi's``
+    is a left-to-right sum too. A column where a row's regressor is zero
+    adds exact zeros, which leave a left-to-right sum as it is, so each
+    row gets the bits of a sum over every column. ``U(U'phi)`` runs over
+    the row's own gains, so every sum of a row depends on that row's
+    state only, and a batched row computes what a one-row learner
+    computes.
 
     ``P`` stays exactly symmetric, so it is never re-symmetrized. numpy
-    computes ``U[i]'U[i]`` with BLAS ``syrk``, which computes one
-    triangle and copies it into the other, so the product is exactly
-    symmetric. A single gain folds as its broadcast outer product, whose
-    entries ``u_i * u_j`` and ``u_j * u_i`` are one product each, and
-    IEEE multiplication commutes. Subtracting either product and
-    dividing by ``alpha^R`` change ``P_ij`` and ``P_ji`` by the same
-    bits. ``resize`` only adds or drops matching rows and columns, and
+    computes ``U U'`` with BLAS ``syrk``, which computes one triangle and
+    copies it into the other, so the product is exactly symmetric. A
+    single gain folds as its broadcast outer product, whose entries
+    ``u_i * u_j`` and ``u_j * u_i`` are one product each, and IEEE
+    multiplication commutes. Subtracting either product and dividing by
+    ``alpha^R`` change ``P_ij`` and ``P_ji`` by the same bits.
+    ``resize`` only adds or drops matching rows and columns, and
     ``load_row`` rejects a ``P`` that is not finite and exactly
     symmetric.
 
@@ -267,21 +275,18 @@ class RlsLearner(_RowBlock):
         super().__init__(weights)
         self.alpha = float(alpha)
         self.p0 = float(p0)
-        self.P = self._prior(*self.w.shape)
-        self._clear_pending()
+        self._bind_prior(*self.w.shape)
 
-    def _prior(self, rows: int, cols: int) -> np.ndarray:
-        """``p0 * I`` for every row."""
-        P = np.zeros((rows, cols, cols))
-        P.reshape(rows, -1)[:, :: cols + 1] = self.p0  # the diagonals
-        return P
-
-    def _clear_pending(self) -> None:
-        """An empty block of pending gains for every row, sized for the
-        current width."""
-        rows, cols = self.w.shape
+    def _bind_prior(self, rows: int, cols: int) -> None:
+        """Bind a block ``A`` sized for the current width whose rows
+        hold ``p0 * I`` and no pending gain."""
         self.rank = pending_rank(cols)
-        self.U = np.zeros((rows, self.rank, cols))
+        width = cols + (self.rank if self.rank > 1 else 0)
+        A = np.zeros((rows, cols, width))
+        A.reshape(rows, -1)[:, :: width + 1] = self.p0  # the diagonals of P
+        self.A = A
+        self.P = A[:, :, :cols]
+        self.U = A[:, :, cols:].transpose(0, 2, 1)
         self.pending = [0] * rows
 
     def _blocks(self, k: int) -> list:
@@ -294,23 +299,24 @@ class RlsLearner(_RowBlock):
         return [(slice(i, i + 1), j) for i, j in enumerate(counts)]
 
     def _fold(self, part: slice, gains: np.ndarray) -> None:
-        """Fold ``gains``, a (rows, g, cols) block, into the rows ``part``
-        of ``P``; the caller resets their pending counts."""
+        """Fold ``gains``, a (rows, cols, g) block of gain columns, into
+        the rows ``part`` of ``P``; the caller resets their pending counts."""
         P = self.P[part]
-        if gains.shape[1] == 1:
+        if gains.shape[2] == 1:
             # one gain's product is its outer product, which the broadcast
             # product gives without BLAS's triangle copy
-            P -= gains[:, 0, :, None] * gains
+            P -= gains * gains.transpose(0, 2, 1)
         else:
-            P -= np.matmul(gains.transpose(0, 2, 1), gains)
+            P -= np.matmul(gains, gains.transpose(0, 2, 1))
         if self.alpha != 1.0:
-            P /= self.alpha ** gains.shape[1]
+            P /= self.alpha ** gains.shape[2]
 
     def _fold_pending(self, rows: range) -> None:
         """Fold the pending gains of each of ``rows`` into ``P``."""
+        cols = self.w.shape[1]
         for i in rows:
             if self.pending[i]:
-                self._fold(slice(i, i + 1), self.U[i : i + 1, : self.pending[i]])
+                self._fold(slice(i, i + 1), self.A[i : i + 1, :, cols : cols + self.pending[i]])
                 self.pending[i] = 0
 
     def covariance_diagonal(self) -> np.ndarray:
@@ -329,20 +335,23 @@ class RlsLearner(_RowBlock):
         L >= 1; a row firing fewer than L columns is padded with zero
         values at its first column (0 when it fires none)."""
         cols = self.w.shape[1]
-        C, V, ends = [], [], []
+        C, V, sizes = [], [], []
         for row in rows:
             width = cols // len(row)
             offset = 0
+            begin = len(V)
             for start, values in row:
-                C += range(offset + start, offset + start + len(values))
+                start += offset
+                C += range(start, start + len(values))
                 V += values
                 offset += width
-            ends.append(len(V))
-        sizes = [end - begin for begin, end in zip([0, *ends], ends)]
+            sizes.append(len(V) - begin)
         longest = max(sizes, default=0) or 1
         if sizes.count(longest) != len(sizes):
             padded_C, padded_V = [], []
-            for end, size in zip(ends, sizes):
+            end = 0
+            for size in sizes:
+                end += size
                 pad = longest - size
                 padded_C += C[end - size : end] + [C[end - size] if size else 0] * pad
                 padded_V += V[end - size : end] + [0.0] * pad
@@ -350,26 +359,32 @@ class RlsLearner(_RowBlock):
         return (np.array(C, dtype=np.intp).reshape(len(rows), longest),
                 np.array(V).reshape(len(rows), longest))
 
+    def _sums(self, at: np.ndarray, C: np.ndarray, V: np.ndarray, j: int) -> np.ndarray:
+        """Each of the rows ``at``'s ``P phi`` and the ``U'phi`` of its
+        first ``j`` gain columns side by side, a (k, cols + j) array, for
+        the supports ``C``, ``V`` (see :meth:`_support`)."""
+        # one gather of the support rows of P and of their gain columns; a
+        # reduce over the middle axis adds whole rows in order from zero
+        # (at cols = 1 with no gain pending there is one term at most)
+        G = self.A[at, C, : self.w.shape[1] + j]
+        G *= V[:, :, None]
+        return np.add.reduce(G, axis=1, initial=0.0)
+
     def step(self, rows, y: float, pred=None) -> list:
         self._check(rows)
         k = len(rows)
         error = np.array(self._errors(rows, y, pred))
         C, V = self._support(rows)
         at = np.arange(k)[:, None]
-        # a reduce over the middle axis adds whole rows in order (at
-        # cols = 1 there is one term at most)
-        G = self.P[at, C]
-        G *= V[:, :, None]
-        s = np.add.reduce(G, axis=1, initial=0.0)
         blocks = self._blocks(k)
+        cols = self.w.shape[1]
+        sums = self._sums(at, C, V, max(self.pending[:k], default=0))
+        s = sums[:, :cols]
         for part, j in blocks:
             if j:
-                # less the pending gains' share U'(U phi); U phi adds the
-                # support columns left to right, as phi's does, so a
-                # padded column adds an exact zero
-                Uphi = np.add.accumulate(self.U[at[part], :j, C[part]] * V[part, :, None],
-                                         axis=1)[:, -1]
-                s[part] -= np.matmul(Uphi[:, None], self.U[part, :j])[:, 0]
+                # less the pending gains' share U(U'phi)
+                s[part] -= np.matmul(self.A[part, :, cols : cols + j],
+                                     sums[part, cols : cols + j, None])[:, :, 0]
         scale = (self.alpha ** (blocks[0][1] + 1) if len(blocks) == 1
                  else np.array([self.alpha ** (j + 1) for j in self.pending[:k]]))
         D = np.add.accumulate(V * s[at, C], axis=1)[:, -1] + scale
@@ -380,22 +395,23 @@ class RlsLearner(_RowBlock):
                     f"RLS row {i}: alpha + phi'P phi = {denom} is not positive and finite")
         self.w[:k] += s * (error / D)[:, None]
         u = s / np.sqrt(D)[:, None]
+        if self.rank == 1:
+            # each gain folds alone: the rank-1 downdate b b'
+            self._fold(slice(0, k), u[:, :, None])
+            return []
         for part, j in blocks:
-            if self.rank == 1:
-                # the gain folds alone: the rank-1 downdate b b'
-                self._fold(part, u[part, None])
-                continue
-            self.U[part, j] = u[part]
+            self.A[part, :, cols + j] = u[part]
             if j + 1 == self.rank:
-                self._fold(part, self.U[part])
+                self._fold(part, self.A[part, :, cols:])
             self.pending[part] = [(j + 1) % self.rank] * len(u[part])
         return []
 
     def resize(self, rows: int, cols: int) -> None:
         self._fold_pending(range(len(self.w)))
+        P = self.P
         super().resize(rows, cols)
-        self.P = _resized(self.P, self._prior(rows, cols))
-        self._clear_pending()
+        self._bind_prior(rows, cols)
+        _resized(P, self.P)
 
     def row_state(self, i: int) -> dict:
         self._fold_pending(range(i, i + 1))

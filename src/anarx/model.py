@@ -220,7 +220,7 @@ class AnarxModel:
 
     # -- training --------------------------------------------------------
 
-    def train_step(self, y_new: float, forecasts=None) -> list:
+    def train_step(self, y_new: float, forecasts=None, output=None) -> list:
         """One online step: update the weights towards y_new, then shift
         the delay line. The step's prediction is :meth:`forward` before it.
 
@@ -230,7 +230,9 @@ class AnarxModel:
 
         A caller that has :meth:`node_forecasts` here passes it as
         ``forecasts``; that call has made the check :meth:`_observed`
-        makes, so it is not made again.
+        makes, so it is not made again. A caller that also has their
+        ``fsum``, the model output, passes it as ``output``, and the
+        stacked row takes it as its prediction.
         """
         n = self.n
         if forecasts is None:
@@ -256,7 +258,7 @@ class AnarxModel:
             pred = node_preds[:m]
         elif m:
             rows = [self._ring[:n]]
-            pred = [math.fsum(node_preds)]
+            pred = [math.fsum(node_preds) if output is None else output]
         else:
             rows, pred = [], []
         for row, reason in learner.step(rows, y_new, pred):

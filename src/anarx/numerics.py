@@ -25,9 +25,10 @@ support sum is bit for bit numpy's pairwise sum over the dense h-wide
 row: each partial sum of a row with two nonzero terms a and b is 0, a,
 b or a + b, whatever the order.
 
-RLS sums ``P phi``, ``phi'P phi`` and its pending gains' ``U phi`` left
-to right over the support columns of the whole row. Its two BLAS
-products, ``U'(U phi)`` and the fold ``U'U`` (see
+RLS sums ``P phi`` and its pending gains' ``U'phi`` in one pass, which
+reduces both from zero, left to right over the support columns of the
+whole row, and sums ``phi'P phi`` left to right too. Its two BLAS
+products, the correction ``U(U'phi)`` and the fold ``U U'`` (see
 :class:`~anarx.learning.RlsLearner`), take shapes set by the row's width
 and pending count alone, and their bits did not depend on the arrays'
 memory offset at any of 400 random shapes and 8 offsets. The combiner's

@@ -201,7 +201,7 @@ class RunConfig:
         return d
 
 
-@dataclass
+@dataclass(slots=True)
 class StepRecord:
     k: int
     y: float
@@ -335,7 +335,9 @@ class OnlineForecaster:
         if not learn:
             model.observe(y)
             return pred
-        for _, reason in model.train_step(y, forecasts=forecasts):
+        # a plain run's prediction is the model output the stacked row predicts
+        output = pred if combiner is None else None
+        for _, reason in model.train_step(y, forecasts, output):
             self.skipped_updates[reason.partition(":")[0]] += 1
         if combiner is not None:
             try:
@@ -440,16 +442,8 @@ def run_experiment(series: SeriesFrame, config: RunConfig) -> ForecastReport:
             pred = forecaster.advance(y, (k < config.train_len) or not config.freeze_test)
         except AnarxError as exc:
             raise type(exc)(f"step {k}: {exc}") from exc
-        steps.append(
-            StepRecord(
-                k=k,
-                y=y,
-                y_hat=pred,
-                error=y - pred,
-                n_active=n_active,
-                c=tuple(combiner.c.tolist()) if combiner is not None else None,
-            )
-        )
+        c = tuple(combiner.c.tolist()) if combiner is not None else None
+        steps.append(StepRecord(k, y, pred, y - pred, n_active, c))
         if model.n != n_active:
             structure_events.append((k, "added" if model.n > n_active else "removed", model.n))
 

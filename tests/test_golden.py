@@ -1,5 +1,6 @@
-"""Golden prediction streams: the per-step y_hat of two configs must
-reproduce stored references bit for bit.
+"""Golden prediction streams: the per-step y_hat of the benchmark's
+configs and of a narrow RLS pool must reproduce stored references bit
+for bit.
 
 The references in ``perfbench/reference/`` are the first round of the
 ``load_weighted`` and ``rls_wide`` workloads at their default seed 7:
@@ -8,6 +9,8 @@ seed=7)``. They are read here, never written. ``load_weighted`` must
 match its reference exactly. ``rls_wide`` must match its own reference in
 ``tests/reference/`` exactly, and the benchmark's within the benchmark's
 own tolerance, so a drift the benchmark would reject fails here first.
+``tests/reference/rls_stacked_n2_h9.npz`` pins a narrow RLS pool, whose
+row folds every gain at once, and must match exactly too.
 
 ``perfbench/reference/serve_stream.npz`` pins the ``predict`` path the
 same way: the shipped weighted config trained by ``step`` on a prefix,
@@ -32,7 +35,7 @@ import pytest
 from anarx import membership, nodes
 from anarx.datasets import synthetic_load_series
 from anarx.model import EvolutionPolicy
-from anarx.pipeline import build_forecaster, denormalize, load_config, run_experiment
+from anarx.pipeline import RunConfig, build_forecaster, denormalize, load_config, run_experiment
 from anarx.snapshot import snapshot_load, snapshot_save
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -41,10 +44,12 @@ REFERENCE_DIR = Path(__file__).resolve().parent / "reference"
 BENCH_TOL = 1e-9  # REF_TOL in perfbench/run.py
 
 RLS_WIDE = ROOT / "perfbench" / "configs" / "rls_wide.cfg"
+# a narrow RLS pool, the stacked_n2_h9 case of scripts/bench.py: its
+# rows fold every gain at once
+RLS_NARROW = RunConfig(n_nodes=2, h=9, train_len=3000, test_len=2000, learner="rls", alpha=1.0)
 
 
-def y_hat_stream(config_path):
-    config = load_config(config_path)
+def y_hat_stream(config):
     report = run_experiment(golden_series(config), config)
     return np.array([s.y_hat for s in report.steps])
 
@@ -54,14 +59,15 @@ def y_hat_stream(config_path):
     ("rls_wide", RLS_WIDE),
 ])
 def test_y_hat_stream_matches_reference(name, config_path):
-    y_hat = y_hat_stream(config_path)
+    y_hat = y_hat_stream(load_config(config_path))
     with np.load(BENCH_REFERENCE_DIR / f"{name}.npz") as ref:
         bench = ref["y_hat"]
     if name == "rls_wide":
         # the benchmark's reference predates the one-synapse change, the
-        # support-sum RLS step, the deferred downdate of wide rows and the
-        # fsum of the stacked row's block sums, which left this stream
-        # 1.06e-11 from it
+        # support-sum RLS step, the deferred downdate of wide rows, the
+        # fsum of the stacked row's block sums and the gain columns beside
+        # P (whose correction product rounds differently), which left this
+        # stream 1.06e-11 from it
         with np.load(REFERENCE_DIR / f"{name}.npz") as ref:
             own = ref["y_hat"]
         assert np.array_equal(y_hat, own), float(np.max(np.abs(y_hat - own)))
@@ -69,6 +75,13 @@ def test_y_hat_stream_matches_reference(name, config_path):
         assert float(np.max(np.abs(y_hat - bench))) <= BENCH_TOL
     else:
         assert np.array_equal(y_hat, bench), float(np.max(np.abs(y_hat - bench)))
+
+
+def test_narrow_rls_stream_matches_reference():
+    y_hat = y_hat_stream(RLS_NARROW)
+    with np.load(REFERENCE_DIR / "rls_stacked_n2_h9.npz") as ref:
+        want = ref["y_hat"]
+    assert np.array_equal(y_hat, want), float(np.max(np.abs(y_hat - want)))
 
 
 SERVE_BLOCK = 200  # Serve.BLOCK in perfbench/workloads.py
@@ -198,7 +211,8 @@ def test_step_path_matches_run_experiment(name):
 def _record() -> None:
     REFERENCE_DIR.mkdir(exist_ok=True)
     streams = {name: evolving_streams(name) for name in sorted(EVOLVING)}
-    streams["rls_wide"] = {"y_hat": y_hat_stream(RLS_WIDE)}
+    streams["rls_wide"] = {"y_hat": y_hat_stream(load_config(RLS_WIDE))}
+    streams["rls_stacked_n2_h9"] = {"y_hat": y_hat_stream(RLS_NARROW)}
     for name, arrays in streams.items():
         np.savez_compressed(REFERENCE_DIR / f"{name}.npz", **arrays)
         print(f"wrote {REFERENCE_DIR / name}.npz")

@@ -589,6 +589,63 @@ def test_covariance_diagonal_reads_without_folding(data, rows, cols, rank, steps
         assert np.all(np.abs(diag - folded) <= 1e-12 * stored[:, None])
 
 
+def _left_to_right(terms) -> float:
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    rows=st.integers(1, 4),
+    cols=st.integers(1, 12),
+    rank=_RANKS,
+    steps=st.integers(0, 20),
+    **_RLS,
+)
+def test_one_reduce_gives_p_phi_and_u_phi(data, rows, cols, rank, steps, alpha, p0):
+    # The one gather and reduce of a step gives each row's P phi and, over
+    # its pending gains, U'phi, bit for bit the left-to-right sums from
+    # zero over the row's support columns. Rows that fire fewer columns
+    # than the longest are padded, and steps of k < rows rows leave the
+    # rows with different pending counts.
+    with _rank(rank):
+        rls = RlsLearner(_w0(data, rows, cols), alpha=alpha, p0=p0)
+        for _ in range(steps):
+            Phi = data.draw(_sparse_block(rows, cols), label="Phi")
+            rls.step(supports(Phi), data.draw(st.floats(-10.0, 10.0), label="y"))
+        block = supports(data.draw(_sparse_block(rows, cols), label="Phi"))
+        C, V = rls._support(block)
+        k = len(block)
+        sums = rls._sums(np.arange(k)[:, None], C, V, max(rls.pending[:k], default=0))
+        for i, (start, values) in enumerate(row[0] for row in block):
+            j = rls.pending[i]
+            fired = list(enumerate(values, start))
+            want = [_left_to_right(v * rls.P[i, c, col] for c, v in fired) for col in range(cols)]
+            want += [_left_to_right(v * rls.U[i, t, c] for c, v in fired) for t in range(j)]
+            assert _bits(sums[i, : cols + j]) == _bits(want)
+
+
+def test_rank_one_rows_hold_no_gain_columns():
+    # A row that folds every gain at once keeps no gain column, so P is
+    # its whole, contiguous block; a wide row keeps WIDE_RANK gain columns
+    # beside P. Both start from p0 * I, and a resize across the width
+    # rebuilds the block.
+    narrow, wide, rank = learning.WIDE_ROW - 1, learning.WIDE_ROW, learning.WIDE_RANK
+    rls = RlsLearner(np.zeros((2, narrow)), p0=3.0)
+    assert rls.A.shape == (2, narrow, narrow) and rls.U.shape == (2, 0, narrow)
+    assert rls.P.flags.c_contiguous and np.shares_memory(rls.P, rls.A)
+    assert np.array_equal(rls.P, np.broadcast_to(3.0 * np.eye(narrow), rls.P.shape))
+    rls.resize(2, wide)
+    assert rls.A.shape == (2, wide, wide + rank) and rls.U.shape == (2, rank, wide)
+    assert np.array_equal(rls.P, np.broadcast_to(3.0 * np.eye(wide), rls.P.shape))
+    assert not rls.A[:, :, wide:].any()
+    rls.resize(3, narrow)
+    assert rls.A.shape == (3, narrow, narrow) and rls.P.flags.c_contiguous
+
+
 def test_narrow_rows_fold_every_step_and_wide_rows_defer():
     assert learning.pending_rank(learning.WIDE_ROW - 1) == 1
     assert learning.pending_rank(learning.WIDE_ROW) == learning.WIDE_RANK > 1

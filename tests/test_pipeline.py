@@ -1,5 +1,6 @@
 import json
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -365,6 +366,24 @@ class TestOnlineForecasterStep:
         assert np.array_equal(learner.w, w)
         assert np.array_equal(learner.P, P)
         assert np.isfinite(learner.P).all()
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_learned_step_adds_the_forecasts_once(self, weighted, monkeypatch):
+        # a plain step hands its prediction, the fsum of the node
+        # forecasts, to the stacked row; a weighted step's prediction is
+        # the combiner's (which sums through its own fsum), so the row
+        # adds the forecasts itself
+        series = SeriesFrame(np.sin(np.arange(400) / 5.0) * 2.0 + 6.0)
+        cfg = RunConfig(n_nodes=3, h=4, train_len=300, test_len=100, weighted=weighted,
+                        training="stacked", learner="rls")
+        _, fc = build_forecaster(series, cfg)
+        for v in series.values[:20]:
+            fc.step(float(v))
+        calls = []
+        fsum = math.fsum
+        monkeypatch.setattr(math, "fsum", lambda terms: calls.append(terms) or fsum(terms))
+        fc.step(float(series.values[20]))
+        assert len(calls) == 1
 
 
 class TestSkippedNodeUpdates:
