@@ -23,7 +23,13 @@ Cases:
   200 weights;
 * ``stacked_n2_h9``: stacked RLS, 2 nodes of h = 9;
 * ``independent_n10_h9``: independent RLS, 10 nodes of h = 9, weighted;
-* ``stacked_n10_h20_forget``: ``rls_wide``'s pool at alpha = 0.98.
+* ``stacked_n10_h20_forget``: ``rls_wide``'s pool at alpha = 0.98;
+* ``load_weighted_auto``, ``load_plain_auto``, ``load_weighted_policy``
+  and ``load_plain_policy``: the shipped load configs with evolution on,
+  at ``"auto"`` or at a fixed policy (window 50, thresholds 0.06 and
+  0.03, at most 4 nodes) that both grows and prunes. They are the
+  evolving golden streams of ``tests/test_golden.py``, and the cost of
+  evolution is their µs/step against their configs' with evolution off.
 
 Each case records a digest of its ŷ stream, so two files show whether
 two versions of the code predict the same bits.
@@ -54,12 +60,14 @@ import numpy as np
 
 from anarx import learning
 from anarx.datasets import synthetic_load_series
+from anarx.model import EvolutionPolicy
 from anarx.pipeline import RunConfig, load_config, run_experiment
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 SEED = 7
 WIDE = load_config(os.path.join(ROOT, "perfbench", "configs", "rls_wide.cfg"))
 SMALL = dict(train_len=3000, test_len=2000, learner="rls", alpha=1.0)
+POLICY = EvolutionPolicy(window=50, add_threshold=0.06, remove_threshold=0.03, n_max=4)
 
 
 def shipped(name: str):
@@ -75,6 +83,9 @@ CASES = {
     "stacked_n2_h9": RunConfig(n_nodes=2, h=9, **SMALL),
     "independent_n10_h9": RunConfig(n_nodes=10, h=9, weighted=True, **SMALL),
     "stacked_n10_h20_forget": dataclasses.replace(WIDE, alpha=0.98),
+    **{f"{name}_{label}": dataclasses.replace(shipped(name), evolution=evolution)
+       for label, evolution in (("auto", "auto"), ("policy", POLICY))
+       for name in ("load_weighted", "load_plain")},
 }
 SWEEP_H = 10
 SWEEP_NODES = (2, 4, 6, 8, 9, 10, 12, 15, 20)

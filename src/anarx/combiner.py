@@ -8,12 +8,15 @@ sample, with the error-minimizing primal rate of each step
 (:meth:`CombinerState.optimal_step`).
 
 The step works on n scalars, so it runs on Python floats:
-``c`` and the forecasts are read out as lists once per call, every sum
-over the pool is ``math.fsum`` (correctly rounded, so a zero-weight node
-joining moves nothing), and ``c`` is written back into its numpy array.
-Each expression keeps the operand order of the element-wise numpy form,
+``c`` is read out as a list once per call, the forecasts are taken as
+given (the model hands over a list of Python floats), every sum over the
+pool is ``math.fsum`` (correctly rounded, so a zero-weight node joining
+moves nothing), and ``c`` is written back into its numpy array. Each
+expression keeps the operand order of the element-wise numpy form,
 ``c_i + rate * (2 v f_i - lam)``, and a Python float operation is the
-binary64 operation numpy applies per element, so the bits are the same.
+binary64 operation numpy applies per element, so the bits are the same:
+forecasts passed as a list, a tuple or a numpy array give the same sums
+and the same new ``c``.
 """
 
 from __future__ import annotations
@@ -75,12 +78,11 @@ class CombinerState:
         self.lam += self.eta_lambda * (fsum(c) - 1.0)
 
     def _operands(self, forecasts) -> tuple:
-        """``c`` and the forecasts as lists of Python floats."""
-        f = [float(v) for v in forecasts]
+        """``c`` as a list of Python floats, and the forecasts as given."""
         c = self.c.tolist()
-        if len(f) != len(c):
-            raise ValueError(f"forecast vector must have length {len(c)}, got {len(f)}")
-        return c, f
+        if len(forecasts) != len(c):
+            raise ValueError(f"forecast vector must have length {len(c)}, got {len(forecasts)}")
+        return c, forecasts
 
     def extend(self, extra: int = 1) -> None:
         """New nodes join with zero weight, preserving sum(c)."""

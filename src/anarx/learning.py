@@ -94,12 +94,6 @@ class _RowBlock:
                                   for b, (start, values) in enumerate(row)]))
         return out
 
-    def _errors(self, rows, y: float, pred) -> list:
-        """``y`` minus the rows' predictions: ``pred`` when the caller has
-        them, else :meth:`predict`."""
-        y = float(y)
-        return [y - p for p in (self.predict(rows) if pred is None else pred)]
-
     def _check(self, rows) -> None:
         """Raise DimensionMismatch unless there are at most as many
         regressors as rows and each splits the columns into equal blocks
@@ -140,31 +134,40 @@ class _Projection(_RowBlock):
     """KWH and the adaptive learner: each row moves along its regressor
     by ``error / gain``, where the gain grows with the squared norm
     (:meth:`_gain`); a row whose gain is at or below ``EPS_REG`` is
-    skipped with ``skip`` at the head of its reason."""
+    skipped with ``skip`` at the head of its reason.
 
-    def _sq_norm(self, row) -> float:
-        """The row's squared regressor norm, summed as :meth:`predict` sums
-        the prediction."""
-        # fsum of one block's sum returns it: a sum from zero is never -0.0
-        if len(row) == 1:
-            values = row[0][1]
-            return support_dot(values, 0, values)
-        return math.fsum([support_dot(values, 0, values) for _, values in row])
+    After the shape check, :meth:`_project` takes each row in one loop:
+    its squared norm, summed as :meth:`predict` sums the prediction (left
+    to right from zero over one block, ``math.fsum`` of the block sums
+    over several), its gain, its error against ``pred``
+    (:meth:`predict` runs only when the caller passes none) and the
+    update of its fired weights.
+    """
 
     def _project(self, rows, y: float, pred) -> list:
         """The step: add ``error / gain * value`` to each fired weight of
         each row whose gain is above ``EPS_REG``; return the other rows as
         skipped."""
         self._check(rows)
+        if pred is None:
+            pred = self.predict(rows)
+        y = float(y)
         skipped = []
         w = self._flat
         cols = self.w.shape[1]
-        for i, (row, error) in enumerate(zip(rows, self._errors(rows, y, pred))):
-            gain = self._gain(i, self._sq_norm(row))
+        for i, row in enumerate(rows):
+            if len(row) == 1:
+                # fsum of one block's sum returns it: a sum from zero is never -0.0
+                sq_norm = 0.0
+                for v in row[0][1]:
+                    sq_norm += v * v
+            else:
+                sq_norm = math.fsum([support_dot(values, 0, values) for _, values in row])
+            gain = self._gain(i, sq_norm)
             if gain <= EPS_REG:
                 skipped.append((i, f"{self.skip} {gain} below {EPS_REG}"))
                 continue
-            rate = error / gain
+            rate = (y - pred[i]) / gain
             width = cols // len(row)
             offset = i * cols
             for start, values in row:
@@ -373,7 +376,9 @@ class RlsLearner(_RowBlock):
     def step(self, rows, y: float, pred=None) -> list:
         self._check(rows)
         k = len(rows)
-        error = np.array(self._errors(rows, y, pred))
+        if pred is None:
+            pred = self.predict(rows)
+        error = float(y) - np.array(pred, dtype=float)
         C, V = self._support(rows)
         at = np.arange(k)[:, None]
         blocks = self._blocks(k)

@@ -181,18 +181,18 @@ def eval_bspline(grid: KnotGrid, u: float) -> tuple:
         j = q - 1
 
     # Triangular recurrence over the q basis functions alive on span j.
-    vals = [1.0] + [0.0] * (q - 1)
-    left = [0.0] * q
-    right = [0.0] * q
+    vals = [1.0]
+    left = [0.0]
+    right = [0.0]
     for r in range(1, q):
-        left[r] = u - t[j + 1 - r]
-        right[r] = t[j + r] - u
+        left.append(u - t[j + 1 - r])
+        right.append(t[j + r] - u)
         saved = 0.0
         for i in range(r):
             share = vals[i] / (right[i + 1] + left[r - i])
             vals[i] = saved + right[i + 1] * share
             saved = left[r - i] * share
-        vals[r] = saved
+        vals.append(saved)
     return j - q + 1, vals
 
 

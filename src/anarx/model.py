@@ -100,6 +100,8 @@ class AnarxModel:
                 f"training must be 'stacked' or 'independent', got {training!r}"
             )
         self.node = _NODE_TYPES[type(grid)](grid)
+        # the node width, read once: the step reads it every time
+        self._dim = self.node.dim
         self.n = n_nodes
         self.training = training
         self.learner_kind = learner
@@ -132,7 +134,7 @@ class AnarxModel:
     def _learner_shape(self) -> tuple:
         """(rows, cols) of the learner's weight block: one row over all
         node weights in stacked training, one row per node in independent."""
-        h = self.node.dim
+        h = self._dim
         return (1, self.n * h) if self.training == "stacked" else (self.n, h)
 
     def add_node(self) -> None:
@@ -186,9 +188,13 @@ class AnarxModel:
         # node l's support sum is node.forward of the lag's value with
         # W[l], bit for bit; an unseen lag's support is empty and sums to
         # zero. The learner's flat view holds W row after row.
-        w, h = self.learner._flat, self.node.dim
-        return [support_dot(w, l * h + start, values)
-                for l, (start, values) in enumerate(self._ring[: self.n])]
+        w, h = self.learner._flat, self._dim
+        out = []
+        offset = 0
+        for start, values in self._ring[: self.n]:
+            out.append(support_dot(w, offset + start, values))
+            offset += h
+        return out
 
     def node_forecasts(self) -> list:
         """Every node's output at its lag; zero where the lag is unseen."""
@@ -242,7 +248,7 @@ class AnarxModel:
             m = min(n, len(self.delay_y))
             node_preds = forecasts
 
-        skipped = [(i, "lag not observed yet") for i in range(m, n)]
+        skipped = [(i, "lag not observed yet") for i in range(m, n)] if m < n else []
         # A learner row spans ``span`` nodes: all n in stacked training,
         # where the supports of unobserved lags are still empty, one in
         # independent. Its regressor's blocks are those nodes' supports.

@@ -229,6 +229,27 @@ class TestFloatArithmetic:
         assert cs.c.tobytes() == c0.tobytes()
         assert cs.lam != 0.25
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 10])
+    def test_forecast_container_does_not_move_a_bit(self, n):
+        # the forecasts are taken as given, so a list, a tuple and a numpy
+        # array of the same values give the same sums and the same state
+        rng = np.random.default_rng(300 + n)
+        kinds = (list, tuple, np.array)
+        states = [CombinerState(n, eta_lambda=0.3) for _ in kinds]
+        degenerate = 0
+        for k in range(200):
+            f = [0.0] * n if k % 40 == 39 else rng.normal(size=n).tolist()
+            y = float(rng.normal())
+            preds = [cs.combine(kind(f)) for kind, cs in zip(kinds, states)]
+            assert len({p.hex() for p in preds}) == 1, k
+            for kind, cs, pred in zip(kinds, states, preds):
+                try:
+                    cs.optimal_step(kind(f), y, pred if k % 2 else None)
+                except DegenerateStep:
+                    degenerate += 1
+            assert all(same_state(cs, states[0]) for cs in states[1:]), k
+        assert degenerate == 5 * len(kinds)
+
     def test_forecast_length_must_match(self):
         cs = CombinerState(3)
         c0 = cs.c.copy()

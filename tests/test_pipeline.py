@@ -1,13 +1,16 @@
 import json
 import logging
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from anarx import RunConfig, SeriesFrame, load_csv, normalize_minmax, run_experiment
+from anarx import RunConfig, SeriesFrame, load_csv, membership, normalize_minmax, run_experiment
+from anarx.combiner import CombinerState
 from anarx.errors import DegenerateRange, EmptySeries, NumericalDivergence, ParseError
-from anarx.model import EvolutionPolicy
+from anarx.learning import AdaptiveLearner, RlsLearner
+from anarx.model import AnarxModel, EvolutionPolicy
 from anarx.pipeline import build_forecaster, denormalize, parse_config_text
 
 
@@ -294,6 +297,17 @@ class TestRunExperiment:
         assert len(lines) == 61
 
 
+# The layer boundaries a step crosses, with the membership function. A
+# tracer that times the layers from outside the library wraps each in its
+# class's own namespace and counts steps by node_forecasts, so a step must
+# call every one of its kind once, node_forecasts first.
+STEP_BOUNDARIES = [
+    (AnarxModel, "node_forecasts"), (AnarxModel, "train_step"), (AnarxModel, "observe"),
+    (AdaptiveLearner, "step"), (RlsLearner, "step"),
+    (CombinerState, "combine"), (CombinerState, "optimal_step"),
+]
+
+
 class TestOnlineForecasterStep:
     @staticmethod
     def weighted_forecaster():
@@ -384,6 +398,47 @@ class TestOnlineForecasterStep:
         monkeypatch.setattr(math, "fsum", lambda terms: calls.append(terms) or fsum(terms))
         fc.step(float(series.values[20]))
         assert len(calls) == 1
+
+
+    @pytest.mark.parametrize("learner,weighted,learn,crossed", [
+        ("adaptive", True, True, ["AnarxModel.node_forecasts", "CombinerState.combine",
+                                  "AnarxModel.train_step", "AdaptiveLearner.step",
+                                  "AnarxModel.observe", "eval_bspline",
+                                  "CombinerState.optimal_step"]),
+        ("adaptive", True, False, ["AnarxModel.node_forecasts", "CombinerState.combine",
+                                   "AnarxModel.observe", "eval_bspline"]),
+        ("rls", False, True, ["AnarxModel.node_forecasts", "AnarxModel.train_step",
+                              "RlsLearner.step", "AnarxModel.observe", "eval_bspline"]),
+    ], ids=["learned_weighted", "frozen_weighted", "learned_stacked_rls"])
+    def test_step_crosses_every_layer_boundary_once(self, learner, weighted, learn, crossed,
+                                                     monkeypatch):
+        series = SeriesFrame(np.sin(np.arange(400) / 5.0) * 2.0 + 6.0)
+        cfg = RunConfig(n_nodes=2, h=8, train_len=300, test_len=100, weighted=weighted,
+                        training="independent" if weighted else "stacked", learner=learner)
+        work, fc = build_forecaster(series, cfg)
+        values = work.values.tolist()
+        for v in values[:20]:
+            fc.advance(v)
+        calls = []
+
+        def counted(name, original):
+            def boundary(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return boundary
+
+        for cls, attr in STEP_BOUNDARIES:
+            # a boundary is the class's own, not inherited
+            assert attr in vars(cls), (cls, attr)
+            monkeypatch.setattr(cls, attr, counted(f"{cls.__name__}.{attr}", vars(cls)[attr]))
+        fuzzify = membership.eval_bspline
+        for module in [m for n, m in sys.modules.items() if n.startswith("anarx.")]:
+            for attr, value in list(vars(module).items()):
+                if value is fuzzify:
+                    monkeypatch.setattr(module, attr, counted("eval_bspline", fuzzify))
+        fc.advance(values[20], learn)
+        assert calls[0] == "AnarxModel.node_forecasts"
+        assert sorted(calls) == sorted(crossed)
 
 
 class TestSkippedNodeUpdates:
