@@ -23,6 +23,10 @@ Cases:
   200 weights;
 * ``stacked_n2_h9``: stacked RLS, 2 nodes of h = 9;
 * ``independent_n10_h9``: independent RLS, 10 nodes of h = 9, weighted;
+* ``independent_n3_h100``: independent RLS, 3 nodes of h = 100,
+  weighted, 300 + 100 steps: wide rows that start learning on
+  successive steps and so hold different pending counts, each taking
+  its correction, gain store and fold on its own;
 * ``stacked_n10_h20_forget``: ``rls_wide``'s pool at alpha = 0.98;
 * ``load_weighted_auto``, ``load_plain_auto``, ``load_weighted_policy``
   and ``load_plain_policy``: the shipped load configs with evolution on,
@@ -82,6 +86,8 @@ CASES = {
     "rls_wide": WIDE,
     "stacked_n2_h9": RunConfig(n_nodes=2, h=9, **SMALL),
     "independent_n10_h9": RunConfig(n_nodes=10, h=9, weighted=True, **SMALL),
+    "independent_n3_h100": RunConfig(n_nodes=3, h=100, train_len=300, test_len=100,
+                                     learner="rls", weighted=True),
     "stacked_n10_h20_forget": dataclasses.replace(WIDE, alpha=0.98),
     **{f"{name}_{label}": dataclasses.replace(shipped(name), evolution=evolution)
        for label, evolution in (("auto", "auto"), ("policy", POLICY))

@@ -180,9 +180,11 @@ class _Projection(_RowBlock):
 
 
 # Below this many columns a row folds every gain at once (see
-# pending_rank). Keeping gains pending adds a fixed cost of about ten
-# numpy calls per step, which the saved pass over P repays from about
-# 100 columns on (the width sweep of scripts/bench.py).
+# pending_rank). Keeping gains pending adds a fixed cost per step, the
+# correction product and the gain store, which the saved pass over P
+# repays from 40-60 columns on (the width sweep of scripts/bench.py).
+# The threshold stays above that break-even: lowering it moves the bits
+# of the narrower pools, and no benchmark workload times one.
 WIDE_ROW = 100
 # how many gains a wide row keeps before it folds them into P
 WIDE_RANK = 32
@@ -218,29 +220,38 @@ class RlsLearner(_RowBlock):
     and the correction costs O(R (L + m)) for L support columns. Narrow
     rows take R = 1 and fold every step; at j = 0 every expression above
     is the textbook one, and a rank-1 fold is ``b b'`` entry by entry,
-    so narrow rows keep the textbook step's bits. The rows of a step
-    share one gather and sum; rows that hold equally many pending gains
-    (every row at R = 1, the one row of stacked training) take their
-    correction and store as one block, others row by row.
+    so narrow rows keep the textbook step's bits. One path serves one
+    row and k rows alike. The rows of a step share one gather and sum;
+    rows that hold equally many pending gains (every row at R = 1, the
+    one row of stacked training) take their correction and store as one
+    block, others row by row. The per-row scalars ``phi's``, ``D``,
+    ``error / D`` and ``sqrt(D)`` are Python floats, formed in one loop
+    over the rows, and one (k, 2) array of the last two moves the
+    weights (``s * (error / D)``) and forms the gains (``s / sqrt(D)``,
+    a division: ``s * (1 / sqrt(D))`` rounds differently). A step of no
+    rows moves nothing.
 
     Each row's covariance and its pending gains sit side by side in one
     (rows, cols, cols + E) block ``A``: ``P`` is its view ``A[:, :,
     :cols]`` and gain ``t`` is column ``cols + t``, with ``E = R`` on
     rows that keep gains pending and ``E = 0`` at R = 1, where ``P`` is
     all of ``A``. ``U`` is the (rows, E, cols) view of the gain columns,
-    one gain per row of it. A step gathers the support rows of ``A[:, :,
-    :cols + j]`` for the most gains ``j`` its rows hold, multiplies them
-    by ``phi`` and sums them, which gives ``P phi`` and ``U'phi``
-    together; a row holding fewer gains does not read the sums of its
-    stale columns. The sum adds the rows ``phi_c * A[c]`` over the row's
-    support columns ``c`` (block offset plus start) left to right from
-    zero (``P`` is symmetric, so its rows are its columns), and ``phi's``
-    is a left-to-right sum too. A column where a row's regressor is zero
-    adds exact zeros, which leave a left-to-right sum as it is, so each
-    row gets the bits of a sum over every column. ``U(U'phi)`` runs over
-    the row's own gains, so every sum of a row depends on that row's
-    state only, and a batched row computes what a one-row learner
-    computes.
+    one gain per row of it, and ``_A2`` is the (rows * cols, cols + E)
+    view of ``A`` that holds its rows one after another, so row ``i``'s
+    column ``c`` is row ``i * cols + c`` of ``_A2``. A step gathers the
+    support rows of ``_A2[:, :cols + j]`` for the most gains ``j`` its
+    rows hold, with one index, multiplies them by ``phi`` and sums them,
+    which gives ``P phi`` and ``U'phi`` together; a row holding fewer
+    gains does not read the sums of its stale columns. The sum adds the
+    rows ``phi_c * A[c]`` over the row's support columns ``c`` (block
+    offset plus start) left to right from zero (``P`` is symmetric, so
+    its rows are its columns), and ``phi's`` is a left-to-right sum from
+    zero too, to which ``alpha^(j+1)`` is added. A column where a row's
+    regressor is zero adds exact zeros, which leave a left-to-right sum
+    as it is, so each row gets the bits of a sum over every column.
+    ``U(U'phi)`` runs over the row's own gains, so every sum of a row
+    depends on that row's state only, and a batched row computes what a
+    one-row learner computes.
 
     ``P`` stays exactly symmetric, so it is never re-symmetrized. numpy
     computes ``U U'`` with BLAS ``syrk``, which computes one triangle and
@@ -288,18 +299,10 @@ class RlsLearner(_RowBlock):
         A = np.zeros((rows, cols, width))
         A.reshape(rows, -1)[:, :: width + 1] = self.p0  # the diagonals of P
         self.A = A
+        self._A2 = A.reshape(rows * cols, width)
         self.P = A[:, :, :cols]
         self.U = A[:, :, cols:].transpose(0, 2, 1)
         self.pending = [0] * rows
-
-    def _blocks(self, k: int) -> list:
-        """The first ``k`` rows as ``(rows, pending count)`` pairs: one
-        slice when they hold equally many pending gains, else one per row."""
-        counts = self.pending[:k]
-        j = counts[0] if counts else 0
-        if counts.count(j) == k:
-            return [(slice(0, k), j)]
-        return [(slice(i, i + 1), j) for i, j in enumerate(counts)]
 
     def _fold(self, part: slice, gains: np.ndarray) -> None:
         """Fold ``gains``, a (rows, cols, g) block of gain columns, into
@@ -335,13 +338,15 @@ class RlsLearner(_RowBlock):
 
     def _support(self, rows) -> tuple:
         """The rows' support columns and values as two (k, L) arrays,
-        L >= 1; a row firing fewer than L columns is padded with zero
-        values at its first column (0 when it fires none)."""
+        L >= 1. A column is a row of the 2-d view ``_A2`` of ``A``: row
+        ``i``'s column ``c`` is ``i * cols + c``. A row firing fewer than L
+        columns is padded with zero values at its first column (column 0
+        when it fires none)."""
         cols = self.w.shape[1]
         C, V, sizes = [], [], []
-        for row in rows:
+        for i, row in enumerate(rows):
             width = cols // len(row)
-            offset = 0
+            offset = i * cols
             begin = len(V)
             for start, values in row:
                 start += offset
@@ -353,58 +358,68 @@ class RlsLearner(_RowBlock):
         if sizes.count(longest) != len(sizes):
             padded_C, padded_V = [], []
             end = 0
-            for size in sizes:
+            for i, size in enumerate(sizes):
                 end += size
                 pad = longest - size
-                padded_C += C[end - size : end] + [C[end - size] if size else 0] * pad
+                padded_C += C[end - size : end] + [C[end - size] if size else i * cols] * pad
                 padded_V += V[end - size : end] + [0.0] * pad
             C, V = padded_C, padded_V
         return (np.array(C, dtype=np.intp).reshape(len(rows), longest),
                 np.array(V).reshape(len(rows), longest))
 
-    def _sums(self, at: np.ndarray, C: np.ndarray, V: np.ndarray, j: int) -> np.ndarray:
-        """Each of the rows ``at``'s ``P phi`` and the ``U'phi`` of its
-        first ``j`` gain columns side by side, a (k, cols + j) array, for
-        the supports ``C``, ``V`` (see :meth:`_support`)."""
+    def _gather(self, C: np.ndarray, V: np.ndarray, j: int) -> np.ndarray:
+        """Each row's ``P phi`` and the ``U'phi`` of its first ``j`` gain
+        columns side by side, a (k, cols + j) array, for the supports
+        ``C``, ``V`` (see :meth:`_support`)."""
         # one gather of the support rows of P and of their gain columns; a
         # reduce over the middle axis adds whole rows in order from zero
         # (at cols = 1 with no gain pending there is one term at most)
-        G = self.A[at, C, : self.w.shape[1] + j]
+        G = self._A2[C, : self.w.shape[1] + j]
         G *= V[:, :, None]
         return np.add.reduce(G, axis=1, initial=0.0)
 
     def step(self, rows, y: float, pred=None) -> list:
         self._check(rows)
+        if not rows:
+            return []
         k = len(rows)
         if pred is None:
             pred = self.predict(rows)
-        error = float(y) - np.array(pred, dtype=float)
-        C, V = self._support(rows)
-        at = np.arange(k)[:, None]
-        blocks = self._blocks(k)
         cols = self.w.shape[1]
-        sums = self._sums(at, C, V, max(self.pending[:k], default=0))
+        counts = self.pending[:k]
+        j = max(counts)
+        # rows holding equally many gains take the correction and the
+        # store as one block, other rows one by one
+        parts = ([(slice(0, k), j)] if counts.count(j) == k
+                 else [(slice(i, i + 1), c) for i, c in enumerate(counts)])
+        C, V = self._support(rows)
+        sums = self._gather(C, V, j)
         s = sums[:, :cols]
-        for part, j in blocks:
+        for part, j in parts:
             if j:
                 # less the pending gains' share U(U'phi)
                 s[part] -= np.matmul(self.A[part, :, cols : cols + j],
                                      sums[part, cols : cols + j, None])[:, :, 0]
-        scale = (self.alpha ** (blocks[0][1] + 1) if len(blocks) == 1
-                 else np.array([self.alpha ** (j + 1) for j in self.pending[:k]]))
-        D = np.add.accumulate(V * s[at, C], axis=1)[:, -1] + scale
-        for i, d in enumerate(D.tolist()):
+        # D, the rate and sqrt(D) of each row on Python floats
+        y = float(y)
+        scalars = []
+        for i, (values, s_at) in enumerate(zip(V.tolist(), s.ravel()[C].tolist())):
+            d = 0.0
+            for v, x in zip(values, s_at):
+                d += v * x
+            d += self.alpha ** (counts[i] + 1)
             if not 0.0 < d < math.inf:
-                denom = d / self.alpha ** self.pending[i]
-                raise NumericalDivergence(
-                    f"RLS row {i}: alpha + phi'P phi = {denom} is not positive and finite")
-        self.w[:k] += s * (error / D)[:, None]
-        u = s / np.sqrt(D)[:, None]
+                raise NumericalDivergence(f"RLS row {i}: alpha + phi'P phi = "
+                                          f"{d / self.alpha ** counts[i]} is not positive and finite")
+            scalars += ((y - pred[i]) / d, math.sqrt(d))
+        f = np.array(scalars).reshape(k, 2)
+        self.w[:k] += s * f[:, :1]
+        u = s / f[:, 1:]
         if self.rank == 1:
             # each gain folds alone: the rank-1 downdate b b'
             self._fold(slice(0, k), u[:, :, None])
             return []
-        for part, j in blocks:
+        for part, j in parts:
             self.A[part, :, cols + j] = u[part]
             if j + 1 == self.rank:
                 self._fold(part, self.A[part, :, cols:])

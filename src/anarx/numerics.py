@@ -25,15 +25,17 @@ support sum is bit for bit numpy's pairwise sum over the dense h-wide
 row: each partial sum of a row with two nonzero terms a and b is 0, a,
 b or a + b, whatever the order.
 
-RLS sums ``P phi`` and its pending gains' ``U'phi`` in one pass, which
-reduces both from zero, left to right over the support columns of the
-whole row, and sums ``phi'P phi`` left to right too. Its two BLAS
-products, the correction ``U(U'phi)`` and the fold ``U U'`` (see
-:class:`~anarx.learning.RlsLearner`), take shapes set by the row's width
-and pending count alone, and their bits did not depend on the arrays'
-memory offset at any of 400 random shapes and 8 offsets. The combiner's
-sums over the n node forecasts use ``math.fsum`` of the same products,
-and every expression keeps its operand order.
+RLS gathers the support rows of its covariance and pending gains with
+one index and sums ``P phi`` and ``U'phi`` in one reduce, from zero,
+left to right over the support columns of the whole row. ``phi'P phi``
+and the step's other per-row scalars are Python floats, and
+``phi'P phi`` is a left-to-right sum from zero, as a support sum is.
+Its two BLAS products, the correction ``U(U'phi)`` and the fold ``U U'``
+(see :class:`~anarx.learning.RlsLearner`), take shapes set by the row's
+width and pending count alone, and their bits did not depend on the
+arrays' memory offset at any of 400 random shapes and 8 offsets. The
+combiner's sums over the n node forecasts use ``math.fsum`` of the same
+products, and every expression keeps its operand order.
 """
 
 from __future__ import annotations

@@ -10,7 +10,12 @@ match its reference exactly. ``rls_wide`` must match its own reference in
 ``tests/reference/`` exactly, and the benchmark's within the benchmark's
 own tolerance, so a drift the benchmark would reject fails here first.
 ``tests/reference/rls_stacked_n2_h9.npz`` pins a narrow RLS pool, whose
-row folds every gain at once, and must match exactly too.
+row folds every gain at once, and must match exactly too. Two pools of
+independent RLS training, whose rows learn side by side in one step, are
+pinned the same way: ``rls_independent_n10_h9.npz``, ten narrow rows
+that fold every gain at once, and ``rls_independent_n3_h100.npz``, three
+wide rows that keep their gains pending at different counts, so each
+row's correction, gain store and fold run on its own.
 
 ``perfbench/reference/serve_stream.npz`` pins the ``predict`` path the
 same way: the shipped weighted config trained by ``step`` on a prefix,
@@ -47,6 +52,15 @@ RLS_WIDE = ROOT / "perfbench" / "configs" / "rls_wide.cfg"
 # a narrow RLS pool, the stacked_n2_h9 case of scripts/bench.py: its
 # rows fold every gain at once
 RLS_NARROW = RunConfig(n_nodes=2, h=9, train_len=3000, test_len=2000, learner="rls", alpha=1.0)
+# independent RLS pools, the independent_n10_h9 and independent_n3_h100
+# cases of scripts/bench.py: ten narrow rows, and three wide rows that
+# start learning on successive steps and so hold different pending counts
+RLS_INDEPENDENT = {
+    "rls_independent_n10_h9": RunConfig(n_nodes=10, h=9, train_len=3000, test_len=2000,
+                                        learner="rls", alpha=1.0, weighted=True),
+    "rls_independent_n3_h100": RunConfig(n_nodes=3, h=100, train_len=300, test_len=100,
+                                         learner="rls", alpha=1.0, weighted=True),
+}
 
 
 def y_hat_stream(config):
@@ -80,6 +94,14 @@ def test_y_hat_stream_matches_reference(name, config_path):
 def test_narrow_rls_stream_matches_reference():
     y_hat = y_hat_stream(RLS_NARROW)
     with np.load(REFERENCE_DIR / "rls_stacked_n2_h9.npz") as ref:
+        want = ref["y_hat"]
+    assert np.array_equal(y_hat, want), float(np.max(np.abs(y_hat - want)))
+
+
+@pytest.mark.parametrize("name", sorted(RLS_INDEPENDENT))
+def test_independent_rls_stream_matches_reference(name):
+    y_hat = y_hat_stream(RLS_INDEPENDENT[name])
+    with np.load(REFERENCE_DIR / f"{name}.npz") as ref:
         want = ref["y_hat"]
     assert np.array_equal(y_hat, want), float(np.max(np.abs(y_hat - want)))
 
@@ -213,6 +235,8 @@ def _record() -> None:
     streams = {name: evolving_streams(name) for name in sorted(EVOLVING)}
     streams["rls_wide"] = {"y_hat": y_hat_stream(load_config(RLS_WIDE))}
     streams["rls_stacked_n2_h9"] = {"y_hat": y_hat_stream(RLS_NARROW)}
+    for name, config in RLS_INDEPENDENT.items():
+        streams[name] = {"y_hat": y_hat_stream(config)}
     for name, arrays in streams.items():
         np.savez_compressed(REFERENCE_DIR / f"{name}.npz", **arrays)
         print(f"wrote {REFERENCE_DIR / name}.npz")

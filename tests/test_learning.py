@@ -337,20 +337,28 @@ class TestRlsDivergence:
     """A step whose alpha + phi'P phi is not positive and finite raises
     before any weight or covariance moves."""
 
-    @pytest.mark.parametrize("alpha,diag", [
-        (0.9, -3.0),            # P indefinite: the denominator is negative
-        (1.0, -1.0),            # ... or exactly zero
-        (1.0, float("inf")),    # P overflowed
-        (1.0, float("nan")),
+    @pytest.mark.parametrize("alpha,diag,cols", [
+        pytest.param(0.9, -3.0, 3, id="0.9--3.0"),  # P indefinite: the denominator is negative
+        pytest.param(1.0, -1.0, 3, id="1.0--1.0"),  # ... or exactly zero
+        pytest.param(1.0, float("inf"), 3, id="1.0-inf"),  # P overflowed
+        pytest.param(1.0, float("nan"), 3, id="1.0-nan"),
+        # a wide row that holds pending gains beside P
+        pytest.param(0.9, -3.0, learning.WIDE_ROW, id="0.9--3.0-wide"),
     ])
-    def test_row_is_named_and_nothing_moves(self, alpha, diag):
-        rls = RlsLearner(np.ones((2, 3)), alpha=alpha, p0=1.0)
+    def test_row_is_named_and_nothing_moves(self, alpha, diag, cols):
+        rls = RlsLearner(np.ones((2, cols)), alpha=alpha, p0=1.0)
+        if cols >= learning.WIDE_ROW:
+            # gains that leave column 1 of P as it is
+            for _ in range(3):
+                rls.step(supports(np.eye(2, cols, 2)), 2.0)
+            assert rls.pending == [3, 3]
         rls.P[1, 1, 1] = diag
-        w, P = _bits(rls.w), _bits(rls.P)
+        w, A, pending = _bits(rls.w), _bits(rls.A), list(rls.pending)
         with pytest.raises(NumericalDivergence, match="RLS row 1"):
-            rls.step(supports([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), 2.0)
+            rls.step(supports(np.eye(2, cols)), 2.0)
         assert _bits(rls.w) == w
-        assert _bits(rls.P) == P
+        assert _bits(rls.A) == A
+        assert rls.pending == pending
 
     def test_quiet_coordinate_keeps_its_overflow_until_excited(self):
         # a coordinate the regressor never fires is not read by the step
@@ -618,8 +626,7 @@ def test_one_reduce_gives_p_phi_and_u_phi(data, rows, cols, rank, steps, alpha, 
             rls.step(supports(Phi), data.draw(st.floats(-10.0, 10.0), label="y"))
         block = supports(data.draw(_sparse_block(rows, cols), label="Phi"))
         C, V = rls._support(block)
-        k = len(block)
-        sums = rls._sums(np.arange(k)[:, None], C, V, max(rls.pending[:k], default=0))
+        sums = rls._gather(C, V, max(rls.pending[: len(block)], default=0))
         for i, (start, values) in enumerate(row[0] for row in block):
             j = rls.pending[i]
             fired = list(enumerate(values, start))
@@ -788,6 +795,15 @@ class TestCommon:
             assert np.any(weights[0] != 0.0)
             # only the rows handed a regressor move
             assert np.all(weights[1] == 0.0)
+
+    @pytest.mark.parametrize("kind", ["rls", "kwh", "adaptive"])
+    def test_step_of_no_rows_moves_no_bit(self, kind):
+        # the model's first step hands the learner no regressor
+        learner = make_learner(kind, np.ones((2, 3)), alpha=0.9)
+        learner.step(row(1.0, 0.5, 0.0), 1.0)
+        state = json.dumps([learner.row_state(i) for i in range(2)])
+        assert learner.step([], 2.0) == []
+        assert json.dumps([learner.row_state(i) for i in range(2)]) == state
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
