@@ -4,9 +4,10 @@
 Each case is one ``run_experiment`` over a fixed-seed synthetic load
 series as long as its config's train and test segments, and its cost is
 the run's wall time over its steps in µs/step. Every case runs
-``--runs`` times (at least 5), the cases interleaved so that a slow
-spell of the machine reaches all of them, and the file gives the median
-and the interquartile range. BLAS runs on one thread.
+``--runs`` times (at least 5; the default 15 is what a committed file
+uses), the cases interleaved so that a slow spell of the machine
+reaches all of them, and the file gives the median and the
+interquartile range. BLAS runs on one thread.
 
 Cases:
 
@@ -25,8 +26,7 @@ Cases:
 * ``independent_n10_h9``: independent RLS, 10 nodes of h = 9, weighted;
 * ``independent_n3_h100``: independent RLS, 3 nodes of h = 100,
   weighted, 300 + 100 steps: wide rows that start learning on
-  successive steps and so hold different pending counts, each taking
-  its correction, gain store and fold on its own;
+  successive steps, so its first steps take the warm-up fold;
 * ``stacked_n10_h20_forget``: ``rls_wide``'s pool at alpha = 0.98;
 * ``load_weighted_auto``, ``load_plain_auto``, ``load_weighted_policy``
   and ``load_plain_policy``: the shipped load configs with evolution on,
@@ -37,12 +37,6 @@ Cases:
 
 Each case records a digest of its ŷ stream, so two files show whether
 two versions of the code predict the same bits.
-
-The width sweep runs stacked RLS pools of h = 10 and 2 to 20 nodes,
-2000 steps each, at each pending rank, 1 and ``learning.WIDE_RANK``,
-with ``learning.pending_rank`` replaced for the run. It shows the width
-from which deferring the downdate pays, the break-even
-``learning.WIDE_ROW``.
 
     PYTHONPATH=src python3 scripts/bench.py [--runs N] [--out BENCH_steps.json]
 """
@@ -62,7 +56,6 @@ import time
 
 import numpy as np
 
-from anarx import learning
 from anarx.datasets import synthetic_load_series
 from anarx.model import EvolutionPolicy
 from anarx.pipeline import RunConfig, load_config, run_experiment
@@ -93,9 +86,6 @@ CASES = {
        for label, evolution in (("auto", "auto"), ("policy", POLICY))
        for name in ("load_weighted", "load_plain")},
 }
-SWEEP_H = 10
-SWEEP_NODES = (2, 4, 6, 8, 9, 10, 12, 15, 20)
-SWEEP_LEN = dict(train_len=1200, test_len=800)
 
 
 def timed_run(config) -> tuple:
@@ -113,36 +103,20 @@ def spread(samples) -> dict:
     return {"median": round(median, 2), "iqr": round(q3 - q1, 2), "runs": len(samples)}
 
 
-def with_rank(rank: int, config) -> tuple:
-    """One timed run with every row folding ``rank`` gains at once."""
-    default = learning.pending_rank
-    learning.pending_rank = lambda cols: rank
-    try:
-        return timed_run(config)
-    finally:
-        learning.pending_rank = default
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--runs", type=int, default=7, help="runs per case (at least 5)")
+    parser.add_argument("--runs", type=int, default=15, help="runs per case (at least 5)")
     parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_steps.json"))
     args = parser.parse_args(argv)
     if args.runs < 5:
         parser.error("--runs must be at least 5")
 
-    sweep = {n * SWEEP_H: dataclasses.replace(WIDE, n_nodes=n, h=SWEEP_H, **SWEEP_LEN)
-             for n in SWEEP_NODES}
-    ranks = (1, learning.WIDE_RANK)
     times = {name: [] for name in CASES}
     digests = {}
-    sweep_times = {(cols, rank): [] for cols in sweep for rank in ranks}
     for _ in range(args.runs):
         for name, config in CASES.items():
             us, digests[name] = timed_run(config)
             times[name].append(us)
-        for (cols, rank), samples in sweep_times.items():
-            samples.append(with_rank(rank, sweep[cols])[0])
 
     result = {
         "python": platform.python_version(),
@@ -157,22 +131,12 @@ def main(argv=None) -> int:
             }
             for name in CASES
         },
-        "width_sweep": {
-            "h": SWEEP_H,
-            "wide_row": learning.WIDE_ROW,
-            "us_per_step": {
-                str(cols): {f"rank_{rank}": spread(sweep_times[cols, rank]) for rank in ranks}
-                for cols in sweep
-            },
-        },
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1)
         fh.write("\n")
     for name in CASES:
         print(f"{name}: {result['cases'][name]['us_per_step']}")
-    for cols, row in result["width_sweep"]["us_per_step"].items():
-        print(f"width {cols}: " + ", ".join(f"{k} {v['median']}" for k, v in row.items()))
     return 0
 
 

@@ -21,7 +21,7 @@ and the same new ``c``.
 
 from __future__ import annotations
 
-from math import fsum
+from math import fsum, isfinite
 from operator import mul
 
 import numpy as np
@@ -106,4 +106,6 @@ class CombinerState:
         out = cls(len(state["c"]), eta_lambda=state["eta_lambda"])
         out.c = np.asarray(state["c"], dtype=float)
         out.lam = float(state["lam"])
+        if not (np.isfinite(out.c).all() and isfinite(out.lam)):
+            raise ValueError("combiner weights and multiplier must be finite")
         return out

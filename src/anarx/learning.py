@@ -5,7 +5,8 @@ every row as its own linear model against a shared target.
 ``step(rows, y, pred=None)`` takes one regressor per row for the first
 ``k = len(rows) <= rows`` rows, predicts each with the row's current
 weights (:meth:`predict`), and updates those rows in place; rows
-``[k:]`` and their state are not touched. A caller that already holds
+``[k:]`` keep their weights and their state (RLS folds their pending
+gains into their covariance, see :class:`RlsLearner`). A caller that already holds
 those k predictions, computed as :meth:`predict` computes them, passes
 them as ``pred`` so they are not computed twice. A row whose update
 would divide by a squared regressor norm or gain at or below
@@ -28,16 +29,17 @@ model adds its node forecasts (a one-block row's sum is its block's). So
 the stacked row predicts the model output, and a one-node row its
 node's forecast, bit for bit. RLS sums ``P phi`` and ``phi'P phi`` left
 to right over the support columns. Each row of a batched learner
-computes bit for bit what a one-row learner computes on the same
-inputs, and KWH and the adaptive learner add ``error / gain * value``
-to each fired weight, the bits a dense update gives it.
+computes bit for bit what a one-row learner computes on the same inputs
+(an RLS row on a step of every row, see :class:`RlsLearner`), and KWH
+and the adaptive learner add ``error / gain * value`` to each fired
+weight, the bits a dense update gives it.
 
 ``step`` never rebinds ``w`` or the per-row state, so a caller holding
 views of them sees every update. ``resize(rows, cols)`` reallocates: it
 keeps the overlapping block and gives new coordinates zero weight and
 fresh state. ``row_state(i)`` and ``load_row(i, state)`` save and
-restore one row (RLS folds the row's pending gains into its covariance
-first, see :class:`RlsLearner`).
+restore one row (RLS first folds every row's pending gains into its
+covariance, see :class:`RlsLearner`).
 
 * :class:`RlsLearner` - exponentially weighted recursive least squares.
 * :class:`KwhLearner` - normalized one-step projection; the a-posteriori
@@ -127,6 +129,8 @@ class _RowBlock:
             raise DimensionMismatch(
                 f"row {i} has weights of shape {w.shape}, the learner needs {self.w.shape[1:]}"
             )
+        if not np.isfinite(w).all():
+            raise ValueError(f"row {i} has weights that are not finite")
         self.w[i] = w
 
 
@@ -179,22 +183,9 @@ class _Projection(_RowBlock):
         return skipped
 
 
-# Below this many columns a row folds every gain at once (see
-# pending_rank). Keeping gains pending adds a fixed cost per step, the
-# correction product and the gain store, which the saved pass over P
-# repays from 40-60 columns on (the width sweep of scripts/bench.py).
-# The threshold stays above that break-even: lowering it moves the bits
-# of the narrower pools, and no benchmark workload times one.
-WIDE_ROW = 100
-# how many gains a wide row keeps before it folds them into P
-WIDE_RANK = 32
-
-
-def pending_rank(cols: int) -> int:
-    """The number of gains a row of ``cols`` columns folds into its
-    covariance at once: 1 (a rank-1 downdate every step) below
-    ``WIDE_ROW`` columns, ``WIDE_RANK`` from there on."""
-    return 1 if cols < WIDE_ROW else WIDE_RANK
+# how many gains every row keeps pending before all rows fold them into
+# P at once (see RlsLearner)
+FOLD_RANK = 32
 
 
 class RlsLearner(_RowBlock):
@@ -206,69 +197,68 @@ class RlsLearner(_RowBlock):
     ``P phi * error / denom`` with ``denom = alpha + phi'P phi`` and
     downdates ``P <- (P - b b') / alpha`` with ``b = P phi / sqrt(denom)``.
 
-    Downdates are deferred. Row ``i`` keeps up to ``R =
-    pending_rank(cols)`` gains pending, ``j = pending[i]`` of them, and
-    its covariance is ``(P[i] - U U') / alpha^j`` for the (cols, j) block
-    ``U`` of its pending gains. A step gets ``s = P phi - U(U'phi)``,
-    which is ``alpha^j`` times the covariance's ``P phi``, and ``D =
-    alpha^(j+1) + phi's``, which is ``alpha^j * denom``. The weights move
-    by ``s * error / D``, the same move, and ``u = s / sqrt(D) =
-    alpha^(j/2) b`` becomes the row's next pending gain. When the row
-    holds R gains it folds them: ``P[i] -= U U'``, then ``P[i] /=
-    alpha^R``. That is one pass over ``P`` per R steps, where a downdate
-    every step takes two passes over ``P`` through an (m, m) temporary,
-    and the correction costs O(R (L + m)) for L support columns. Narrow
-    rows take R = 1 and fold every step; at j = 0 every expression above
-    is the textbook one, and a rank-1 fold is ``b b'`` entry by entry,
-    so narrow rows keep the textbook step's bits. One path serves one
-    row and k rows alike. The rows of a step share one gather and sum;
-    rows that hold equally many pending gains (every row at R = 1, the
-    one row of stacked training) take their correction and store as one
-    block, others row by row. The per-row scalars ``phi's``, ``D``,
-    ``error / D`` and ``sqrt(D)`` are Python floats, formed in one loop
-    over the rows, and one (k, 2) array of the last two moves the
-    weights (``s * (error / D)``) and forms the gains (``s / sqrt(D)``,
-    a division: ``s * (1 / sqrt(D))`` rounds differently). A step of no
-    rows moves nothing.
+    Downdates are deferred, on one schedule for every width and every
+    row count. The rows share one count, ``j = pending`` gains held, up
+    to ``R = FOLD_RANK``, and row ``i``'s covariance is ``(P[i] - U U') /
+    alpha^j`` for the (cols, j) block ``U`` of its pending gains. A step
+    gets ``s = P phi - U(U'phi)``, which is ``alpha^j`` times the
+    covariance's ``P phi``, and ``D = alpha^(j+1) + phi's``, which is
+    ``alpha^j * denom``. The weights move by ``s * error / D``, the same
+    move, and ``u = s / sqrt(D) = alpha^(j/2) b`` becomes the row's next
+    pending gain. When the rows hold R gains, every row folds them: ``P
+    -= U U'``, then ``P /= alpha^R``. That is one pass over ``P`` per R
+    steps, where a downdate every step takes two passes over ``P``
+    through an (m, m) temporary, and the correction costs O(R (L + m))
+    for L support columns. At R = 1 every expression above is the
+    textbook one, and the fold ``u u'`` is one product per entry, so the
+    step keeps the textbook step's bits.
 
-    Each row's covariance and its pending gains sit side by side in one
-    (rows, cols, cols + E) block ``A``: ``P`` is its view ``A[:, :,
-    :cols]`` and gain ``t`` is column ``cols + t``, with ``E = R`` on
-    rows that keep gains pending and ``E = 0`` at R = 1, where ``P`` is
-    all of ``A``. ``U`` is the (rows, E, cols) view of the gain columns,
-    one gain per row of it, and ``_A2`` is the (rows * cols, cols + E)
-    view of ``A`` that holds its rows one after another, so row ``i``'s
-    column ``c`` is row ``i * cols + c`` of ``_A2``. A step gathers the
-    support rows of ``_A2[:, :cols + j]`` for the most gains ``j`` its
-    rows hold, with one index, multiplies them by ``phi`` and sums them,
-    which gives ``P phi`` and ``U'phi`` together; a row holding fewer
-    gains does not read the sums of its stale columns. The sum adds the
-    rows ``phi_c * A[c]`` over the row's support columns ``c`` (block
-    offset plus start) left to right from zero (``P`` is symmetric, so
-    its rows are its columns), and ``phi's`` is a left-to-right sum from
-    zero too, to which ``alpha^(j+1)`` is added. A column where a row's
-    regressor is zero adds exact zeros, which leave a left-to-right sum
-    as it is, so each row gets the bits of a sum over every column.
-    ``U(U'phi)`` runs over the row's own gains, so every sum of a row
-    depends on that row's state only, and a batched row computes what a
-    one-row learner computes.
+    One path serves one row and k rows alike: the rows of a step share
+    one gather and sum, one correction product and one gain store. The
+    per-row scalars ``phi's``, ``D``, ``error / D`` and ``sqrt(D)`` are
+    Python floats, formed in one loop over the rows, and one (k, 2)
+    array of the last two moves the weights (``s * (error / D)``) and
+    forms the gains (``s / sqrt(D)``, a division: ``s * (1 / sqrt(D))``
+    rounds differently).
+
+    A step of k < rows rows happens only while lags are observed for the
+    first time after construction or a resize (the model's first step
+    has none). Such a warm-up step ends by folding every row, rows
+    ``[:k]`` their j + 1 gains and rows ``[k:]`` their j, so the rows
+    keep one count. On a step of all rows, each row computes bit for bit
+    what a one-row learner holding the same count computes; after a
+    warm-up step each row holds what that learner holds once it folds.
+
+    Each row's covariance and its gains sit side by side in one (rows,
+    cols, cols + R) block ``A``: ``P`` is its view ``A[:, :, :cols]`` and
+    gain ``t`` is column ``cols + t``. ``U`` is the (rows, R, cols) view
+    of the gain columns, one gain per row of it, and ``_A2`` is the (rows
+    * cols, cols + R) view of ``A`` that holds its rows one after another,
+    so row ``i``'s column ``c`` is row ``i * cols + c`` of ``_A2``. A step
+    gathers the support rows of ``_A2[:, :cols + j]`` with one index,
+    multiplies them by ``phi`` and sums them, which gives ``P phi`` and
+    ``U'phi`` together. The sum adds the rows ``phi_c * A[c]`` over the
+    row's support columns ``c`` (block offset plus start) left to right
+    from zero (``P`` is symmetric, so its rows are its columns), and
+    ``phi's`` is a left-to-right sum from zero too, to which
+    ``alpha^(j+1)`` is added. A column where a row's regressor is zero
+    adds exact zeros, which leave a left-to-right sum as it is, so each
+    row gets the bits of a sum over every column. ``U(U'phi)`` runs over
+    the row's own gains, so every sum of a row depends on that row's
+    state only.
 
     ``P`` stays exactly symmetric, so it is never re-symmetrized. numpy
     computes ``U U'`` with BLAS ``syrk``, which computes one triangle and
-    copies it into the other, so the product is exactly symmetric. A
-    single gain folds as its broadcast outer product, whose entries
-    ``u_i * u_j`` and ``u_j * u_i`` are one product each, and IEEE
-    multiplication commutes. Subtracting either product and dividing by
-    ``alpha^R`` change ``P_ij`` and ``P_ji`` by the same bits.
-    ``resize`` only adds or drops matching rows and columns, and
-    ``load_row`` rejects a ``P`` that is not finite and exactly
-    symmetric.
+    copies it into the other, so the product is exactly symmetric.
+    Subtracting it and dividing by a power of ``alpha`` change ``P_ij``
+    and ``P_ji`` by the same bits. ``resize`` only adds or drops matching
+    rows and columns, and ``load_row`` rejects a ``P`` that is not finite
+    and exactly symmetric.
 
-    ``row_state``, ``resize`` and ``load_row`` fold first: they read and
-    write ``P`` with no gain pending, so a saved row and the live row
-    continue bit for bit. A row that was never saved folds on its own
-    schedule and differs from a saved twin by rounding.
-    :meth:`covariance_diagonal` reads the covariance without folding.
+    ``row_state``, ``resize`` and ``load_row`` fold every row first: they
+    read and write ``P`` with no gain pending, so a saved learner and the
+    live one continue bit for bit. :meth:`covariance_diagonal` reads the
+    covariance without folding.
 
     ``denom`` is positive while the covariance is positive definite.
     When a row's ``denom`` is not positive and finite (the covariance
@@ -294,47 +284,37 @@ class RlsLearner(_RowBlock):
     def _bind_prior(self, rows: int, cols: int) -> None:
         """Bind a block ``A`` sized for the current width whose rows
         hold ``p0 * I`` and no pending gain."""
-        self.rank = pending_rank(cols)
-        width = cols + (self.rank if self.rank > 1 else 0)
+        width = cols + FOLD_RANK
         A = np.zeros((rows, cols, width))
         A.reshape(rows, -1)[:, :: width + 1] = self.p0  # the diagonals of P
         self.A = A
         self._A2 = A.reshape(rows * cols, width)
         self.P = A[:, :, :cols]
         self.U = A[:, :, cols:].transpose(0, 2, 1)
-        self.pending = [0] * rows
+        self.pending = 0
 
-    def _fold(self, part: slice, gains: np.ndarray) -> None:
-        """Fold ``gains``, a (rows, cols, g) block of gain columns, into
-        the rows ``part`` of ``P``; the caller resets their pending counts."""
-        P = self.P[part]
-        if gains.shape[2] == 1:
-            # one gain's product is its outer product, which the broadcast
-            # product gives without BLAS's triangle copy
-            P -= gains * gains.transpose(0, 2, 1)
-        else:
+    def _fold(self, part: slice, g: int) -> None:
+        """Fold the first ``g`` gains of the rows ``part`` into ``P``."""
+        if g:
+            cols = self.w.shape[1]
+            gains = self.A[part, :, cols : cols + g]
+            P = self.P[part]
             P -= np.matmul(gains, gains.transpose(0, 2, 1))
-        if self.alpha != 1.0:
-            P /= self.alpha ** gains.shape[2]
+            if self.alpha != 1.0:
+                P /= self.alpha ** g
 
-    def _fold_pending(self, rows: range) -> None:
-        """Fold the pending gains of each of ``rows`` into ``P``."""
-        cols = self.w.shape[1]
-        for i in rows:
-            if self.pending[i]:
-                self._fold(slice(i, i + 1), self.A[i : i + 1, :, cols : cols + self.pending[i]])
-                self.pending[i] = 0
+    def _fold_pending(self) -> None:
+        """Fold every row's pending gains into ``P``."""
+        self._fold(slice(None), self.pending)
+        self.pending = 0
 
     def covariance_diagonal(self) -> np.ndarray:
         """Each row's covariance diagonal, ``(diag P[i] - the sum of
         its pending gains squared) / alpha^j``, as a new (rows, cols)
         array. No gain is folded and no state moves."""
-        d = self.P.diagonal(axis1=1, axis2=2).copy()
-        for i, j in enumerate(self.pending):
-            if j:
-                U = self.U[i, :j]
-                d[i] = (d[i] - np.add.reduce(U * U, axis=0)) / self.alpha ** j
-        return d
+        U = self.U[:, : self.pending]
+        return ((self.P.diagonal(axis1=1, axis2=2) - np.add.reduce(U * U, axis=1))
+                / self.alpha ** self.pending)
 
     def _support(self, rows) -> tuple:
         """The rows' support columns and values as two (k, L) arrays,
@@ -380,66 +360,58 @@ class RlsLearner(_RowBlock):
 
     def step(self, rows, y: float, pred=None) -> list:
         self._check(rows)
-        if not rows:
-            return []
         k = len(rows)
         if pred is None:
             pred = self.predict(rows)
         cols = self.w.shape[1]
-        counts = self.pending[:k]
-        j = max(counts)
-        # rows holding equally many gains take the correction and the
-        # store as one block, other rows one by one
-        parts = ([(slice(0, k), j)] if counts.count(j) == k
-                 else [(slice(i, i + 1), c) for i, c in enumerate(counts)])
+        j = self.pending
         C, V = self._support(rows)
         sums = self._gather(C, V, j)
         s = sums[:, :cols]
-        for part, j in parts:
-            if j:
-                # less the pending gains' share U(U'phi)
-                s[part] -= np.matmul(self.A[part, :, cols : cols + j],
-                                     sums[part, cols : cols + j, None])[:, :, 0]
+        # less the pending gains' share U(U'phi), which at j = 0 is +0.0
+        # and so moves no bit
+        s -= np.matmul(self.A[:k, :, cols : cols + j], sums[:, cols:, None])[:, :, 0]
         # D, the rate and sqrt(D) of each row on Python floats
         y = float(y)
+        base = self.alpha ** (j + 1)  # D is alpha^(j+1) + phi's
         scalars = []
         for i, (values, s_at) in enumerate(zip(V.tolist(), s.ravel()[C].tolist())):
             d = 0.0
             for v, x in zip(values, s_at):
                 d += v * x
-            d += self.alpha ** (counts[i] + 1)
+            d += base
             if not 0.0 < d < math.inf:
                 raise NumericalDivergence(f"RLS row {i}: alpha + phi'P phi = "
-                                          f"{d / self.alpha ** counts[i]} is not positive and finite")
+                                          f"{d / self.alpha ** j} is not positive and finite")
             scalars += ((y - pred[i]) / d, math.sqrt(d))
         f = np.array(scalars).reshape(k, 2)
         self.w[:k] += s * f[:, :1]
-        u = s / f[:, 1:]
-        if self.rank == 1:
-            # each gain folds alone: the rank-1 downdate b b'
-            self._fold(slice(0, k), u[:, :, None])
-            return []
-        for part, j in parts:
-            self.A[part, :, cols + j] = u[part]
-            if j + 1 == self.rank:
-                self._fold(part, self.A[part, :, cols:])
-            self.pending[part] = [(j + 1) % self.rank] * len(u[part])
+        self.A[:k, :, cols + j] = s / f[:, 1:]
+        self.pending = j + 1
+        if k < len(self.w):
+            # a warm-up step: rows [k:] took no gain, and every row folds
+            # so that the rows keep one count
+            self._fold(slice(k), j + 1)
+            self._fold(slice(k, None), j)
+            self.pending = 0
+        elif self.pending == FOLD_RANK:
+            self._fold_pending()
         return []
 
     def resize(self, rows: int, cols: int) -> None:
-        self._fold_pending(range(len(self.w)))
+        self._fold_pending()
         P = self.P
         super().resize(rows, cols)
         self._bind_prior(rows, cols)
         _resized(P, self.P)
 
     def row_state(self, i: int) -> dict:
-        self._fold_pending(range(i, i + 1))
+        self._fold_pending()
         return {**super().row_state(i), "P": self.P[i].tolist()}
 
     def load_row(self, i: int, state: dict) -> None:
-        """Restore row ``i``; its pending gains are dropped, as a fold
-        before the new covariance overwrites it would leave them."""
+        """Restore row ``i``: every row folds its pending gains, then row
+        ``i``'s weights and covariance are overwritten."""
         P = np.asarray(state["P"], dtype=float)
         cols = self.w.shape[1]
         if P.shape != (cols, cols):
@@ -448,8 +420,8 @@ class RlsLearner(_RowBlock):
             # every saved P is symmetric (see the class docstring)
             raise DimensionMismatch("covariance must be finite and exactly symmetric")
         super().load_row(i, state)
+        self._fold_pending()
         self.P[i] = P
-        self.pending[i] = 0
 
 
 class KwhLearner(_Projection):
@@ -507,6 +479,8 @@ class AdaptiveLearner(_Projection):
 
     def load_row(self, i: int, state: dict) -> None:
         r = float(state["r"])
+        if not 0.0 <= r < math.inf:
+            raise ValueError(f"row {i} has gain {r}, which must be finite and nonnegative")
         super().load_row(i, state)
         self.r[i] = r
 

@@ -31,8 +31,11 @@ left to right over the support columns of the whole row. ``phi'P phi``
 and the step's other per-row scalars are Python floats, and
 ``phi'P phi`` is a left-to-right sum from zero, as a support sum is.
 Its two BLAS products, the correction ``U(U'phi)`` and the fold ``U U'``
-(see :class:`~anarx.learning.RlsLearner`), take shapes set by the row's
-width and pending count alone, and their bits did not depend on the
+(see :class:`~anarx.learning.RlsLearner`), each take the rows of a step
+in one call (the warm-up fold in two), which numpy runs as one product
+per row. A row's product takes a shape set by the row's width and the
+learner's one pending count alone, so each row gets the bits a one-row
+learner holding that count gets, and their bits did not depend on the
 arrays' memory offset at any of 400 random shapes and 8 offsets. The
 combiner's sums over the n node forecasts use ``math.fsum`` of the same
 products, and every expression keeps its operand order.

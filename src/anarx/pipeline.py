@@ -268,6 +268,8 @@ class OnlineForecaster:
     :meth:`step` in raw units): predict, check the prediction is finite,
     learn (or only observe when frozen), update the combiner, evolve.
 
+    ``scale`` is None (model units are raw units) or the min-max
+    normalization ``(lo, hi)``, two finite floats with lo < hi.
     ``evolution`` is None (off), ``"auto"`` (thresholds at 1.5x/0.75x of
     the long-run RMSE) or an :class:`EvolutionPolicy`. The controller
     sees learned steps only and holds all evolution state: for the last
@@ -284,6 +286,10 @@ class OnlineForecaster:
                  evolution: EvolutionPolicy | str | None = None) -> None:
         if not (evolution is None or evolution == "auto" or isinstance(evolution, EvolutionPolicy)):
             raise ValueError(f"evolution must be None, 'auto', or a policy, got {evolution!r}")
+        if scale is not None:
+            scale = tuple(map(float, scale))
+            if len(scale) != 2 or not -math.inf < scale[0] < scale[1] < math.inf:
+                raise ValueError(f"scale must be two finite floats lo < hi, got {scale}")
         self.model = model
         self.combiner = combiner
         self.scale = scale

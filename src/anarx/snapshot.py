@@ -108,9 +108,7 @@ def snapshot_load(path) -> OnlineForecaster:
             raise CorruptSnapshot(
                 f"combiner has shape {combiner.c.shape}, the pool has {model.n} nodes"
             )
-        scale = tuple(payload["scale"]) if payload.get("scale") else None
-        if scale is not None and len(scale) != 2:
-            raise CorruptSnapshot(f"scale must be (lo, hi), got {scale}")
+        scale = payload.get("scale") or None
         meta = payload.get("meta") or {}
         evolution = payload["evolution"]
         forecaster = OnlineForecaster(

@@ -6,12 +6,13 @@ two adapters between the dense and the support form (:func:`basis`,
 :func:`supports`) are the exception: they only move values around.
 """
 
+import contextlib
 import math
 
 import numpy as np
 import pytest
 
-from anarx import NeoFuzzyNode, build_uniform_grid, eval_bspline
+from anarx import NeoFuzzyNode, build_uniform_grid, eval_bspline, learning
 from anarx.pipeline import SeriesFrame
 
 
@@ -62,6 +63,16 @@ def supports(Phi):
         start, stop = (int(nz[0]), int(nz[-1]) + 1) if nz.size else (0, 0)
         rows.append([(start, phi[start:stop].tolist())])
     return rows
+
+
+@contextlib.contextmanager
+def fold_rank(rank):
+    """Every RLS learner built inside keeps up to ``rank`` gains pending
+    before it folds; at rank 1 each step folds its gain, the textbook
+    rank-1 downdate bit for bit."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(learning, "FOLD_RANK", rank)
+        yield
 
 
 def triangular_hats(peaks, u):

@@ -241,6 +241,23 @@ class TestPredictAndSnapshot:
         monkeypatch.setattr("sys.stdin", io.StringIO("610.0\n"))
         assert main(["predict", "--snapshot", str(snap)]) == 10
 
+    def test_predict_on_a_zero_width_scale_exits_10(self, tmp_path, data_csv, config_file,
+                                                   capsys, monkeypatch):
+        # a checksummed snapshot whose min-max scale has lo == hi fails on
+        # load as corrupt, not at its first step as an internal error
+        from anarx.snapshot import _checksum
+
+        snap = tmp_path / "model.json"
+        assert main(["snapshot", "save", "--config", str(config_file), "--data", str(data_csv),
+                     "--out", str(snap)]) == 0
+        doc = json.loads(snap.read_text())
+        doc["payload"]["scale"] = [1.0, 1.0]
+        doc["sha256"] = _checksum(doc["payload"])
+        snap.write_text(json.dumps(doc))
+        monkeypatch.setattr("sys.stdin", io.StringIO("610.0\n"))
+        assert main(["predict", "--snapshot", str(snap)]) == 10
+        assert capsys.readouterr().out == ""
+
     def test_corrupt_snapshot_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "model.json"
         bad.write_text("{ truncated")

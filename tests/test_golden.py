@@ -9,13 +9,13 @@ seed=7)``. They are read here, never written. ``load_weighted`` must
 match its reference exactly. ``rls_wide`` must match its own reference in
 ``tests/reference/`` exactly, and the benchmark's within the benchmark's
 own tolerance, so a drift the benchmark would reject fails here first.
-``tests/reference/rls_stacked_n2_h9.npz`` pins a narrow RLS pool, whose
-row folds every gain at once, and must match exactly too. Two pools of
-independent RLS training, whose rows learn side by side in one step, are
-pinned the same way: ``rls_independent_n10_h9.npz``, ten narrow rows
-that fold every gain at once, and ``rls_independent_n3_h100.npz``, three
-wide rows that keep their gains pending at different counts, so each
-row's correction, gain store and fold run on its own.
+``tests/reference/rls_stacked_n2_h9.npz`` pins a narrow RLS pool and
+must match exactly too. Two pools of independent RLS training, whose
+rows learn side by side in one step, are pinned the same way:
+``rls_independent_n10_h9.npz``, ten narrow rows, and
+``rls_independent_n3_h100.npz``, three wide rows. Their rows start
+learning on successive steps, so their first steps take the warm-up
+fold, and after it the rows share one pending count.
 
 ``perfbench/reference/serve_stream.npz`` pins the ``predict`` path the
 same way: the shipped weighted config trained by ``step`` on a prefix,
@@ -49,12 +49,11 @@ REFERENCE_DIR = Path(__file__).resolve().parent / "reference"
 BENCH_TOL = 1e-9  # REF_TOL in perfbench/run.py
 
 RLS_WIDE = ROOT / "perfbench" / "configs" / "rls_wide.cfg"
-# a narrow RLS pool, the stacked_n2_h9 case of scripts/bench.py: its
-# rows fold every gain at once
+# a narrow RLS pool, the stacked_n2_h9 case of scripts/bench.py
 RLS_NARROW = RunConfig(n_nodes=2, h=9, train_len=3000, test_len=2000, learner="rls", alpha=1.0)
 # independent RLS pools, the independent_n10_h9 and independent_n3_h100
-# cases of scripts/bench.py: ten narrow rows, and three wide rows that
-# start learning on successive steps and so hold different pending counts
+# cases of scripts/bench.py: ten narrow rows, and three wide rows, that
+# start learning on successive steps
 RLS_INDEPENDENT = {
     "rls_independent_n10_h9": RunConfig(n_nodes=10, h=9, train_len=3000, test_len=2000,
                                         learner="rls", alpha=1.0, weighted=True),

@@ -1,4 +1,3 @@
-import contextlib
 import json
 import math
 
@@ -21,7 +20,7 @@ from anarx import learning
 from anarx.errors import DimensionMismatch, NumericalDivergence
 from anarx.numerics import EPS_REG
 
-from conftest import ols_fit, supports
+from conftest import fold_rank, ols_fit, supports
 
 
 def row(*values):
@@ -49,7 +48,8 @@ class TestRls:
         assert predict(rls, [1.0, 0.0]) == 0.0
         assert rls.step(row(1.0, 0.0), 2.0) == []
         assert np.allclose(rls.w, [[1.0, 0.0]])
-        assert np.allclose(rls.P, [[[0.5, 0.0], [0.0, 1.0]]])
+        # reading the row folds its pending gain into P
+        assert np.allclose(rls.row_state(0)["P"], [[0.5, 0.0], [0.0, 1.0]])
 
     def test_matches_ols_small_batch(self):
         # well-conditioned samples; the diffuse-prior bias scales with
@@ -81,6 +81,7 @@ class TestRls:
         phi = np.array([0.5, 0.25])
         rls.step(supports(phi[None, :]), predict(rls, phi))
         assert np.array_equal(rls.w, [[1.0, -2.0]])
+        rls.row_state(0)
         assert not np.allclose(rls.P, P_before)
 
     def test_exponential_forgetting_tracks_regime_switch(self):
@@ -246,8 +247,7 @@ def _regressor(draw, dim):
 
 class TestRlsSymmetricUpdate:
     """The in-place update matches the re-symmetrizing one bit for bit
-    when every step folds its gain (R = 1); rows grow here past the width
-    from which they would keep gains pending."""
+    when every step folds its gain (R = 1)."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -259,8 +259,7 @@ class TestRlsSymmetricUpdate:
                      max_size=30),
     )
     def test_matches_resymmetrizing_reference(self, data, dim, alpha, p0, ops):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(learning, "pending_rank", lambda cols: 1)
+        with fold_rank(1):
             self.check(data, dim, alpha, p0, ops)
 
     @staticmethod
@@ -316,44 +315,44 @@ def _sparse_block(draw, rows, cols):
 def test_rls_exact_zero_columns_change_no_bit(data, rows, cols, alpha, p0, steps):
     # The step sums over the columns the block fires; a reference that
     # sums every column left to right gives the same bits, whatever the
-    # rows' supports, including none and a single column.
+    # rows' supports, including none and a single column. At rank 1 the
+    # reference is the textbook step.
     w0 = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=rows * cols,
                                      max_size=rows * cols))).reshape(rows, cols)
-    rls = RlsLearner(w0.copy(), alpha=alpha, p0=p0)
-    refs = [_RowReference("rls", w, alpha, p0) for w in w0]
-    for _ in range(steps):
-        Phi = data.draw(_sparse_block(rows, cols), label="Phi")
-        y = data.draw(st.floats(-10.0, 10.0), label="y")
-        assert rls.step(supports(Phi), y) == []
-        for ref, phi in zip(refs, Phi):
-            ref.step(phi, y)
-        for i, ref in enumerate(refs):
-            assert _bits(rls.w[i]) == _bits(ref.w)
-            assert _bits(rls.P[i]) == _bits(ref.P)
-        assert _bits(rls.P) == _bits(rls.P.transpose(0, 2, 1))
+    with fold_rank(1):
+        rls = RlsLearner(w0.copy(), alpha=alpha, p0=p0)
+        refs = [_RowReference("rls", w, alpha, p0) for w in w0]
+        for _ in range(steps):
+            Phi = data.draw(_sparse_block(rows, cols), label="Phi")
+            y = data.draw(st.floats(-10.0, 10.0), label="y")
+            assert rls.step(supports(Phi), y) == []
+            for ref, phi in zip(refs, Phi):
+                ref.step(phi, y)
+            for i, ref in enumerate(refs):
+                assert _bits(rls.w[i]) == _bits(ref.w)
+                assert _bits(rls.P[i]) == _bits(ref.P)
+            assert _bits(rls.P) == _bits(rls.P.transpose(0, 2, 1))
 
 
 class TestRlsDivergence:
     """A step whose alpha + phi'P phi is not positive and finite raises
-    before any weight or covariance moves."""
+    before any weight, covariance or pending gain moves."""
 
     @pytest.mark.parametrize("alpha,diag,cols", [
         pytest.param(0.9, -3.0, 3, id="0.9--3.0"),  # P indefinite: the denominator is negative
         pytest.param(1.0, -1.0, 3, id="1.0--1.0"),  # ... or exactly zero
         pytest.param(1.0, float("inf"), 3, id="1.0-inf"),  # P overflowed
         pytest.param(1.0, float("nan"), 3, id="1.0-nan"),
-        # a wide row that holds pending gains beside P
-        pytest.param(0.9, -3.0, learning.WIDE_ROW, id="0.9--3.0-wide"),
+        pytest.param(0.9, -3.0, 100, id="0.9--3.0-wide"),
     ])
     def test_row_is_named_and_nothing_moves(self, alpha, diag, cols):
         rls = RlsLearner(np.ones((2, cols)), alpha=alpha, p0=1.0)
-        if cols >= learning.WIDE_ROW:
-            # gains that leave column 1 of P as it is
-            for _ in range(3):
-                rls.step(supports(np.eye(2, cols, 2)), 2.0)
-            assert rls.pending == [3, 3]
+        # pending gains beside P that leave its column 1 as it is
+        for _ in range(3):
+            rls.step(supports(np.eye(2, cols, 2)), 2.0)
+        assert rls.pending == 3
         rls.P[1, 1, 1] = diag
-        w, A, pending = _bits(rls.w), _bits(rls.A), list(rls.pending)
+        w, A, pending = _bits(rls.w), _bits(rls.A), rls.pending
         with pytest.raises(NumericalDivergence, match="RLS row 1"):
             rls.step(supports(np.eye(2, cols)), 2.0)
         assert _bits(rls.w) == w
@@ -365,7 +364,7 @@ class TestRlsDivergence:
         rls = RlsLearner(np.zeros((1, 2)), alpha=1.0, p0=3.0)
         rls.P[0, 1, 1] = float("inf")
         rls.step(row(1.0, 0.0), 1.0)
-        assert rls.P[0].tolist() == [[0.75, 0.0], [0.0, float("inf")]]
+        assert rls.row_state(0)["P"] == [[0.75, 0.0], [0.0, float("inf")]]
         with pytest.raises(NumericalDivergence):
             rls.step(row(1.0, 1.0), 1.0)
         assert not np.isnan(rls.P).any()
@@ -400,52 +399,46 @@ def _block(draw, rows, cols):
 def test_batched_learner_is_rows_of_single_learners(data, kind, rows, cols, p0, ops):
     # One learner over a (rows, cols) block steps, masks, resizes and
     # restores each row exactly as a separate per-row learner would.
-    alpha = data.draw(_ALPHAS[kind], label="alpha")
-    w0 = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=rows * cols,
-                                     max_size=rows * cols))).reshape(rows, cols)
-    batched = make_learner(kind, w0.copy(), alpha=alpha, p0=p0)
-    refs = [_RowReference(kind, w, alpha, p0) for w in w0]
-    for op in ops:
-        rows, cols = batched.w.shape
-        if op == "step":
-            k = data.draw(st.integers(0, rows), label="k")
-            Phi = data.draw(_block(k, cols), label="Phi")
-            y = data.draw(st.floats(-10.0, 10.0), label="y")
-            skipped = batched.step(supports(Phi), y)
-            want = [(i, reason) for i, reason in
-                    ((i, refs[i].step(phi, y)) for i, phi in enumerate(Phi)) if reason]
-            assert skipped == want
-        elif op == "resize":
-            rows = data.draw(st.integers(1, 5), label="rows")
-            cols = data.draw(st.integers(1, 14), label="cols")
-            batched.resize(rows, cols)
-            refs = refs[:rows] + [_RowReference(kind, np.zeros(cols), alpha, p0)
-                                  for _ in range(rows - len(refs))]
-            for ref in refs:
-                ref.resize(cols)
-        else:
-            batched = _round_trip(batched)
-        assert batched.w.shape == (len(refs), cols)
-        for i, ref in enumerate(refs):
-            assert _bits(batched.w[i]) == _bits(ref.w)
-            if kind == "rls":
-                assert _bits(batched.P[i]) == _bits(ref.P)
-            if kind == "adaptive":
-                assert _bits(batched.r[i]) == _bits(ref.r)
-
-
-@contextlib.contextmanager
-def _rank(rank):
-    """Every RLS learner built inside keeps up to ``rank`` gains pending
-    per row, whatever its width."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(learning, "pending_rank", lambda cols: rank)
-        yield
+    # RLS folds every gain at once (rank 1), the textbook step the
+    # reference takes.
+    with fold_rank(1):
+        alpha = data.draw(_ALPHAS[kind], label="alpha")
+        w0 = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=rows * cols,
+                                         max_size=rows * cols))).reshape(rows, cols)
+        batched = make_learner(kind, w0.copy(), alpha=alpha, p0=p0)
+        refs = [_RowReference(kind, w, alpha, p0) for w in w0]
+        for op in ops:
+            rows, cols = batched.w.shape
+            if op == "step":
+                k = data.draw(st.integers(0, rows), label="k")
+                Phi = data.draw(_block(k, cols), label="Phi")
+                y = data.draw(st.floats(-10.0, 10.0), label="y")
+                skipped = batched.step(supports(Phi), y)
+                want = [(i, reason) for i, reason in
+                        ((i, refs[i].step(phi, y)) for i, phi in enumerate(Phi)) if reason]
+                assert skipped == want
+            elif op == "resize":
+                rows = data.draw(st.integers(1, 5), label="rows")
+                cols = data.draw(st.integers(1, 14), label="cols")
+                batched.resize(rows, cols)
+                refs = refs[:rows] + [_RowReference(kind, np.zeros(cols), alpha, p0)
+                                      for _ in range(rows - len(refs))]
+                for ref in refs:
+                    ref.resize(cols)
+            else:
+                batched = _round_trip(batched)
+            assert batched.w.shape == (len(refs), cols)
+            for i, ref in enumerate(refs):
+                assert _bits(batched.w[i]) == _bits(ref.w)
+                if kind == "rls":
+                    assert _bits(batched.P[i]) == _bits(ref.P)
+                if kind == "adaptive":
+                    assert _bits(batched.r[i]) == _bits(ref.r)
 
 
 def _row_bits(learner, i):
     """Every bit of RLS row ``i``'s state: weights, P, pending gains."""
-    j = learner.pending[i]
+    j = learner.pending
     return _bits(learner.w[i]), _bits(learner.P[i]), _bits(learner.U[i, :j]), j
 
 
@@ -468,10 +461,12 @@ def _w0(data, rows, cols):
     **_RLS,
 )
 def test_pending_rows_are_one_row_learners(data, rows, cols, rank, ops, alpha, p0):
-    # Each row of a batched learner keeps its own pending count through
-    # steps of k <= rows rows, folds, resizes and row round trips, and
-    # holds the bits a one-row learner holds; P stays exactly symmetric.
-    with _rank(rank):
+    # On a step of all rows, each row of a batched learner holds the bits
+    # of a one-row learner with the same pending count. A step of k < rows
+    # rows folds every row, so the rows keep one count, and leaves each
+    # row as its one-row learner is once that folds; so do resizes, reads
+    # and round trips. P stays exactly symmetric.
+    with fold_rank(rank):
         w0 = _w0(data, rows, cols)
         batched = RlsLearner(w0.copy(), alpha=alpha, p0=p0)
         singles = [RlsLearner(w[None, :].copy(), alpha=alpha, p0=p0) for w in w0]
@@ -483,6 +478,10 @@ def test_pending_rows_are_one_row_learners(data, rows, cols, rank, ops, alpha, p
                 assert batched.step(supports(Phi), y) == []
                 for single, phi in zip(singles, Phi):
                     single.step(supports(phi[None, :]), y)
+                if len(Phi) < rows:
+                    assert batched.pending == 0
+                    for single in singles:
+                        single.row_state(0)
             elif op == "resize":
                 rows = data.draw(st.integers(1, 5), label="rows")
                 cols = data.draw(st.integers(1, 14), label="cols")
@@ -494,7 +493,10 @@ def test_pending_rows_are_one_row_learners(data, rows, cols, rank, ops, alpha, p
             elif op == "read":
                 i = data.draw(st.integers(0, rows - 1), label="i")
                 assert batched.row_state(i) == singles[i].row_state(0)
-                assert batched.pending[i] == 0
+                # reading a row folds every row
+                assert batched.pending == 0
+                for single in singles:
+                    single.row_state(0)
             else:
                 batched = _round_trip(batched)
                 singles = [_round_trip(single) for single in singles]
@@ -517,7 +519,7 @@ def test_saved_mid_block_continues_as_the_live_learner(data, rows, cols, rank, b
                                                        alpha, p0):
     # saving folds the live rows, so the live and the loaded learner hold
     # the same state and stay bit-identical
-    with _rank(rank):
+    with fold_rank(rank):
         live = RlsLearner(_w0(data, rows, cols), alpha=alpha, p0=p0)
 
         def step(*learners):
@@ -529,7 +531,7 @@ def test_saved_mid_block_continues_as_the_live_learner(data, rows, cols, rank, b
         for _ in range(before):
             step(live)
         loaded = _round_trip(live)
-        assert live.pending == loaded.pending == [0] * rows
+        assert live.pending == loaded.pending == 0
         for _ in range(after + 1):
             for i in range(rows):
                 assert _row_bits(live, i) == _row_bits(loaded, i)
@@ -556,7 +558,7 @@ def test_pending_row_agrees_with_the_textbook_step(data, cols, rank, steps, alph
     # Deferring the downdate changes the rounding only: weights and the
     # folded covariance stay within PENDING_TOL, relative to the largest
     # entry, of the sequential rank-1 step.
-    with _rank(rank):
+    with fold_rank(rank):
         w0 = _w0(data, 1, cols)
         rls = RlsLearner(w0.copy(), alpha=alpha, p0=p0)
         ref = _RowReference("rls", w0[0], alpha, p0)
@@ -580,15 +582,15 @@ def test_pending_row_agrees_with_the_textbook_step(data, cols, rank, steps, alph
     **_RLS,
 )
 def test_covariance_diagonal_reads_without_folding(data, rows, cols, rank, steps, alpha, p0):
-    with _rank(rank):
+    with fold_rank(rank):
         rls = RlsLearner(_w0(data, rows, cols), alpha=alpha, p0=p0)
         for _ in range(steps):
             Phi = data.draw(_sparse_block(rows, cols), label="Phi")
             rls.step(supports(Phi), data.draw(st.floats(-10.0, 10.0), label="y"))
-        state = _bits(rls.w), _bits(rls.P), _bits(rls.U), list(rls.pending)
+        state = _bits(rls.w), _bits(rls.P), _bits(rls.U), rls.pending
         stored = np.abs(rls.P.diagonal(axis1=1, axis2=2)).max(axis=1)
         diag = rls.covariance_diagonal()
-        assert (_bits(rls.w), _bits(rls.P), _bits(rls.U), list(rls.pending)) == state
+        assert (_bits(rls.w), _bits(rls.P), _bits(rls.U), rls.pending) == state
         for i in range(rows):
             rls.row_state(i)
         # the read and the fold subtract the pending gains in another
@@ -615,53 +617,54 @@ def _left_to_right(terms) -> float:
 )
 def test_one_reduce_gives_p_phi_and_u_phi(data, rows, cols, rank, steps, alpha, p0):
     # The one gather and reduce of a step gives each row's P phi and, over
-    # its pending gains, U'phi, bit for bit the left-to-right sums from
+    # the pending gains, U'phi, bit for bit the left-to-right sums from
     # zero over the row's support columns. Rows that fire fewer columns
-    # than the longest are padded, and steps of k < rows rows leave the
-    # rows with different pending counts.
-    with _rank(rank):
+    # than the longest are padded.
+    with fold_rank(rank):
         rls = RlsLearner(_w0(data, rows, cols), alpha=alpha, p0=p0)
         for _ in range(steps):
             Phi = data.draw(_sparse_block(rows, cols), label="Phi")
             rls.step(supports(Phi), data.draw(st.floats(-10.0, 10.0), label="y"))
         block = supports(data.draw(_sparse_block(rows, cols), label="Phi"))
         C, V = rls._support(block)
-        sums = rls._gather(C, V, max(rls.pending[: len(block)], default=0))
+        j = rls.pending
+        sums = rls._gather(C, V, j)
         for i, (start, values) in enumerate(row[0] for row in block):
-            j = rls.pending[i]
             fired = list(enumerate(values, start))
             want = [_left_to_right(v * rls.P[i, c, col] for c, v in fired) for col in range(cols)]
             want += [_left_to_right(v * rls.U[i, t, c] for c, v in fired) for t in range(j)]
             assert _bits(sums[i, : cols + j]) == _bits(want)
 
 
-def test_rank_one_rows_hold_no_gain_columns():
-    # A row that folds every gain at once keeps no gain column, so P is
-    # its whole, contiguous block; a wide row keeps WIDE_RANK gain columns
-    # beside P. Both start from p0 * I, and a resize across the width
-    # rebuilds the block.
-    narrow, wide, rank = learning.WIDE_ROW - 1, learning.WIDE_ROW, learning.WIDE_RANK
-    rls = RlsLearner(np.zeros((2, narrow)), p0=3.0)
-    assert rls.A.shape == (2, narrow, narrow) and rls.U.shape == (2, 0, narrow)
-    assert rls.P.flags.c_contiguous and np.shares_memory(rls.P, rls.A)
-    assert np.array_equal(rls.P, np.broadcast_to(3.0 * np.eye(narrow), rls.P.shape))
-    rls.resize(2, wide)
-    assert rls.A.shape == (2, wide, wide + rank) and rls.U.shape == (2, rank, wide)
-    assert np.array_equal(rls.P, np.broadcast_to(3.0 * np.eye(wide), rls.P.shape))
-    assert not rls.A[:, :, wide:].any()
-    rls.resize(3, narrow)
-    assert rls.A.shape == (3, narrow, narrow) and rls.P.flags.c_contiguous
+def test_every_width_keeps_fold_rank_gain_columns():
+    # Rows of every width keep FOLD_RANK gain columns beside P, which
+    # starts from p0 * I, and a resize rebuilds the block.
+    rank = learning.FOLD_RANK
+    assert rank > 1
+    for rows, cols in ((3, 1), (2, 9), (3, 200)):
+        rls = RlsLearner(np.zeros((rows, cols)), p0=3.0)
+        assert rls.A.shape == (rows, cols, cols + rank) and rls.U.shape == (rows, rank, cols)
+        assert np.shares_memory(rls.P, rls.A) and np.shares_memory(rls.U, rls.A)
+        assert np.array_equal(rls.P, np.broadcast_to(3.0 * np.eye(cols), rls.P.shape))
+        assert not rls.A[:, :, cols:].any()
+    rls.resize(2, 9)
+    assert rls.A.shape == (2, 9, 9 + rank) and rls.pending == 0
+    assert np.array_equal(rls.P, np.broadcast_to(3.0 * np.eye(9), rls.P.shape))
 
 
-def test_narrow_rows_fold_every_step_and_wide_rows_defer():
-    assert learning.pending_rank(learning.WIDE_ROW - 1) == 1
-    assert learning.pending_rank(learning.WIDE_ROW) == learning.WIDE_RANK > 1
+def test_rows_share_one_pending_count():
+    # The rows share one pending count: a warm-up step of fewer rows folds
+    # every row, and steps of all rows then count up together.
+    rank = learning.FOLD_RANK
     rng = np.random.default_rng(5)
-    for cols, pending in ((learning.WIDE_ROW - 1, 0), (learning.WIDE_ROW, 3)):
-        rls = RlsLearner(np.zeros((2, cols)))
-        for _ in range(3):
-            rls.step(supports(rng.normal(size=(2, cols))), rng.normal())
-        assert rls.pending == [pending, pending]
+    for rows, cols in ((3, 1), (2, 9), (3, 200)):
+        rls = RlsLearner(np.zeros((rows, cols)))
+        for k in range(rows):
+            rls.step(supports(rng.normal(size=(k, cols))), rng.normal())
+            assert rls.pending == 0
+        for j in range(1, rank + 2):
+            rls.step(supports(rng.normal(size=(rows, cols))), rng.normal())
+            assert rls.pending == j % rank
 
 
 class TestKwh:

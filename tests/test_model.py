@@ -18,7 +18,7 @@ from anarx import (
 )
 from anarx.errors import CorruptSnapshot, DegenerateActivation
 from anarx.numerics import EPS_REG
-from conftest import assert_one_weight_block
+from conftest import assert_one_weight_block, fold_rank
 
 
 def _bits(x) -> bytes:
@@ -506,26 +506,30 @@ class TestArrayPool:
     ):
         # The pool's support sums equal node.forward for every node kind
         # and order. For q = 2 they, and every weight the learner moves,
-        # also equal the dense form's bits, in both trainings.
+        # also equal the dense form's bits, in both trainings; RLS runs at
+        # rank 1 there, the textbook step the dense form takes.
         node_kind, q = kind
-        self.run_ops(build_anarx(n, h, 0.0, 1.0, q=q or 2, node_kind=node_kind,
-                                 training=training, learner=learner,
-                                 alpha=0.9 if learner == "adaptive" else 1.0),
-                     ops, dense=q == 2)
+        with fold_rank(1):
+            self.run_ops(build_anarx(n, h, 0.0, 1.0, q=q or 2, node_kind=node_kind,
+                                     training=training, learner=learner,
+                                     alpha=0.9 if learner == "adaptive" else 1.0),
+                         ops, dense=q == 2)
 
     @pytest.mark.parametrize("training", ["stacked", "independent"])
     @pytest.mark.parametrize("learner", ["rls", "kwh", "adaptive"])
     def test_q2_pool_equals_dense_form_on_a_stream(self, training, learner):
         # generic values, where the order of a sum over three or more
         # nonzero terms shows in its last bits (hypothesis favours round
-        # ones), through growth, pruning, a round trip and a copy
+        # ones), through growth, pruning, a round trip and a copy; RLS at
+        # rank 1, the textbook step the dense form takes
         rng = np.random.default_rng(17)
         ops = [("train", v) for v in rng.uniform(-0.2, 1.2, 200).tolist()]
         for at, op in ((40, ("add",)), (80, ("observe", 0.3)), (100, ("round_trip",)),
                        (120, ("add",)), (140, ("deepcopy",)), (160, ("remove",))):
             ops.insert(at, op)
-        self.run_ops(build_anarx(2, 9, 0.0, 1.0, training=training, learner=learner,
-                                 alpha=0.9 if learner == "adaptive" else 1.0), ops, dense=True)
+        with fold_rank(1):
+            self.run_ops(build_anarx(2, 9, 0.0, 1.0, training=training, learner=learner,
+                                     alpha=0.9 if learner == "adaptive" else 1.0), ops, dense=True)
 
     def run_ops(self, m, ops, dense):
         assert_one_weight_block(m)

@@ -17,8 +17,7 @@ from anarx import (
     snapshot_save,
 )
 from anarx.datasets import synthetic_load_series
-from anarx import learning
-from anarx.errors import CorruptSnapshot, VersionMismatch
+from anarx.errors import AnarxError, CorruptSnapshot, VersionMismatch
 from anarx.pipeline import build_forecaster, run_experiment
 from anarx.snapshot import _checksum
 from conftest import assert_one_weight_block
@@ -37,8 +36,16 @@ def trained_forecaster(weighted=False, learner="adaptive", evolution=None, steps
 
 
 def _step_with_n(fc, stream):
-    """(prediction, pool size after the step) for every value."""
-    return [(fc.step(float(v)), fc.model.n) for v in stream]
+    """(prediction, pool size after the step) for every value up to the
+    first typed error, and that error's class and message (None if the
+    stream ran through)."""
+    out = []
+    for v in stream:
+        try:
+            out.append((fc.step(float(v)), fc.model.n))
+        except AnarxError as exc:
+            return out, (type(exc).__name__, str(exc))
+    return out, None
 
 
 @pytest.mark.parametrize("weighted,learner,evolution,steps", [
@@ -60,9 +67,12 @@ def test_round_trip_identical_predictions(tmp_path, weighted, learner, evolution
     stream = rng.uniform(5.0, 11.0, 100)
     out1 = _step_with_n(fc, stream)
     out2 = _step_with_n(fc2, stream)
+    # the live and the loaded forecaster predict alike and, where the
+    # stream winds a pool up (RLS at alpha 0.9), fail at the same step
+    # with the same error
     assert out1 == out2
     if evolution is not None:
-        assert len({n for _, n in out1}) > 1
+        assert len({n for _, n in out1[0]}) > 1
 
 
 def test_round_trip_preserves_learning_state(tmp_path):
@@ -223,6 +233,41 @@ def test_asymmetric_covariance_with_valid_checksum_is_corrupt(tmp_path, weighted
         snapshot_load(path)
 
 
+def _set(obj, key, value):
+    obj[key] = value
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("weighted,learner,tamper", [
+    # a zero-width scale divides by zero at the first step, an infinite
+    # one predicts +-inf
+    pytest.param(False, "kwh", lambda p: _set(p, "scale", [1.0, 1.0]), id="scale-zero-width"),
+    pytest.param(False, "kwh", lambda p: _set(p, "scale", [0.0, INF]), id="scale-inf"),
+    pytest.param(False, "kwh", lambda p: _set(p, "scale", [2.0, 1.0]), id="scale-reversed"),
+    # NaN weights, a NaN c and an infinite lam would make the first step
+    # raise NumericalDivergence, an infinite r would freeze its row, and
+    # no step makes r negative
+    pytest.param(False, "rls", lambda p: _set(p["model"]["stacked_state"]["w"], 0, NAN),
+                 id="rls-w-nan"),
+    pytest.param(True, "adaptive", lambda p: _set(p["model"]["learner_states"][1]["w"], 2, NAN),
+                 id="adaptive-w-nan"),
+    pytest.param(True, "adaptive", lambda p: _set(p["combiner"]["c"], 0, NAN),
+                 id="combiner-c-nan"),
+    pytest.param(True, "adaptive", lambda p: _set(p["combiner"], "lam", INF),
+                 id="combiner-lam-inf"),
+    pytest.param(True, "adaptive", lambda p: _set(p["model"]["learner_states"][0], "r", INF),
+                 id="adaptive-r-inf"),
+    pytest.param(True, "adaptive", lambda p: _set(p["model"]["learner_states"][0], "r", -1.0),
+                 id="adaptive-r-negative"),
+])
+def test_state_that_could_only_fail_later_is_corrupt(tmp_path, weighted, learner, tamper):
+    path = _tampered_snapshot(tmp_path, weighted, learner, tamper)
+    with pytest.raises(CorruptSnapshot):
+        snapshot_load(path)
+
+
 def _learner_states(model):
     """The saved learner rows, whichever key the training wiring uses."""
     return [model["stacked_state"]] if "stacked_state" in model else model["learner_states"]
@@ -342,8 +387,8 @@ def test_evolving_round_trip_continues_structure_changes(tmp_path):
 
     out1 = _step_with_n(fc, values[60:2600])
     out2 = _step_with_n(fc2, values[60:2600])
-    assert out1 == out2
-    ns = [n for _, n in out1]
+    assert out1 == out2 and out1[1] is None
+    ns = [n for _, n in out1[0]]
     assert any(b > a for a, b in zip(ns, ns[1:])) and any(b < a for a, b in zip(ns, ns[1:]))
 
 
@@ -459,7 +504,7 @@ def _arrays(obj, found=None, seen=None) -> list:
 @pytest.mark.parametrize("copy_of", [copy.deepcopy, lambda fc: pickle.loads(pickle.dumps(fc))],
                          ids=["deepcopy", "pickle"])
 @pytest.mark.parametrize("weighted,learner,n_nodes,h", [
-    (False, "rls", 10, 20),  # wide enough to keep RLS gains pending
+    (False, "rls", 10, 20),
     (True, "rls", 2, 8),
     (True, "adaptive", 3, 8),
     (False, "kwh", 2, 8),
@@ -473,8 +518,9 @@ def test_copy_shares_no_memory_and_continues_bit_identically(copy_of, weighted, 
     values = series.values.tolist()
     for v in values[:45]:
         fc.step(v)
-    if n_nodes * h >= learning.WIDE_ROW:
-        assert fc.model.learner.pending[0] > 0
+    if learner == "rls":
+        # the copy is taken with gains pending
+        assert fc.model.learner.pending > 0
     twin = copy_of(fc)
     assert not any(np.shares_memory(a, b) for a in _arrays(fc) for b in _arrays(twin))
     rest = values[45:]
