@@ -38,7 +38,20 @@ Cases:
 Each case records a digest of its ŷ stream, so two files show whether
 two versions of the code predict the same bits.
 
+With ``--snapshot`` the script times snapshots instead and writes
+``BENCH_snapshot.json``. Its cases are the final forecasters of
+``run_experiment`` on ``rls_wide`` (one RLS row of 200 weights, so its
+file is mostly the covariance) and on the shipped ``load_weighted``
+config (the small file ``predict`` loads). Each run saves the case's
+forecaster and loads the file again; each of the two samples is the
+fastest of ``REPEAT`` (5) back-to-back calls, so that a burst of the
+host slows one call and not the sample. The file gives the median and the
+interquartile range of ``save_ms`` and ``load_ms`` over the runs, the
+file size in bytes, and a digest of the next 50 predictions of the
+loaded forecaster.
+
     PYTHONPATH=src python3 scripts/bench.py [--runs N] [--out BENCH_steps.json]
+    PYTHONPATH=src python3 scripts/bench.py --snapshot [--runs N] [--out BENCH_snapshot.json]
 """
 
 import os
@@ -50,8 +63,10 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import platform
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -59,6 +74,7 @@ import numpy as np
 from anarx.datasets import synthetic_load_series
 from anarx.model import EvolutionPolicy
 from anarx.pipeline import RunConfig, load_config, run_experiment
+from anarx.snapshot import snapshot_load, snapshot_save
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 SEED = 7
@@ -88,6 +104,10 @@ CASES = {
 }
 
 
+SNAPSHOT_CASES = {"rls_wide": WIDE, "load_weighted": shipped("load_weighted")}
+REPEAT = 5  # back-to-back calls per snapshot sample, the fastest kept
+
+
 def timed_run(config) -> tuple:
     """(µs/step, ŷ digest) of one run."""
     series = synthetic_load_series(n=config.train_len + config.test_len, seed=SEED)
@@ -98,18 +118,83 @@ def timed_run(config) -> tuple:
     return elapsed * 1e6 / len(report.steps), hashlib.sha256(y_hat.tobytes()).hexdigest()
 
 
-def spread(samples) -> dict:
+def best_ms(call) -> float:
+    """The fastest of ``REPEAT`` back-to-back calls, in ms."""
+    best = math.inf
+    for _ in range(REPEAT):
+        start = time.perf_counter()
+        call()
+        best = min(best, time.perf_counter() - start)
+    return best * 1e3
+
+
+def spread(samples, digits: int = 2) -> dict:
     q1, median, q3 = np.percentile(samples, [25, 50, 75]).tolist()
-    return {"median": round(median, 2), "iqr": round(q3 - q1, 2), "runs": len(samples)}
+    return {"median": round(median, digits), "iqr": round(q3 - q1, digits), "runs": len(samples)}
+
+
+def environment() -> dict:
+    return {"python": platform.python_version(), "numpy": np.__version__, "blas_threads": 1,
+            "series_seed": SEED}
+
+
+def write(result: dict, path: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(result, fh, indent=1)
+        fh.write("\n")
+
+
+def snapshot_bench(runs: int, out: str) -> None:
+    forecasters, nexts = {}, {}
+    for name, config in SNAPSHOT_CASES.items():
+        series = synthetic_load_series(n=config.train_len + config.test_len, seed=SEED)
+        forecasters[name] = run_experiment(series, config).forecaster
+        nexts[name] = series.values[-50:].tolist()
+    samples = {name: {"save_ms": [], "load_ms": []} for name in SNAPSHOT_CASES}
+    sizes, digests = {}, {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for _ in range(runs):
+            for name, forecaster in forecasters.items():
+                path = os.path.join(tmp, f"{name}.json")
+                samples[name]["save_ms"].append(
+                    best_ms(lambda: snapshot_save(forecaster, path)))
+                samples[name]["load_ms"].append(best_ms(lambda: snapshot_load(path)))
+                sizes[name] = os.path.getsize(path)
+        for name in SNAPSHOT_CASES:
+            loaded = snapshot_load(os.path.join(tmp, f"{name}.json"))
+            y_hat = np.array([loaded.step(v) for v in nexts[name]])
+            digests[name] = hashlib.sha256(y_hat.tobytes()).hexdigest()
+    result = {
+        **environment(),
+        "repeat": REPEAT,
+        "cases": {
+            name: {
+                "config": SNAPSHOT_CASES[name].to_dict(),
+                "bytes": sizes[name],
+                **{key: spread(values, 4) for key, values in samples[name].items()},
+                "next_y_hat_sha256": digests[name],
+            }
+            for name in SNAPSHOT_CASES
+        },
+    }
+    write(result, out)
+    for name, case in result["cases"].items():
+        print(f"{name}: {case['bytes']} B, save {case['save_ms']}, load {case['load_ms']}")
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--runs", type=int, default=15, help="runs per case (at least 5)")
-    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_steps.json"))
+    parser.add_argument("--snapshot", action="store_true",
+                        help="time snapshot save and load instead of the step")
+    parser.add_argument("--out", default=None,
+                        help="output file (default BENCH_steps.json, or BENCH_snapshot.json)")
     args = parser.parse_args(argv)
     if args.runs < 5:
         parser.error("--runs must be at least 5")
+    if args.snapshot:
+        snapshot_bench(args.runs, args.out or os.path.join(ROOT, "BENCH_snapshot.json"))
+        return 0
 
     times = {name: [] for name in CASES}
     digests = {}
@@ -119,10 +204,7 @@ def main(argv=None) -> int:
             times[name].append(us)
 
     result = {
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "blas_threads": 1,
-        "series_seed": SEED,
+        **environment(),
         "cases": {
             name: {
                 "config": CASES[name].to_dict(),
@@ -132,9 +214,7 @@ def main(argv=None) -> int:
             for name in CASES
         },
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(result, fh, indent=1)
-        fh.write("\n")
+    write(result, args.out or os.path.join(ROOT, "BENCH_steps.json"))
     for name in CASES:
         print(f"{name}: {result['cases'][name]['us_per_step']}")
     return 0

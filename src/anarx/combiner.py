@@ -21,7 +21,7 @@ and the same new ``c``.
 
 from __future__ import annotations
 
-from math import fsum, isfinite
+from math import fsum, inf, isfinite
 from operator import mul
 
 import numpy as np
@@ -41,8 +41,8 @@ class CombinerState:
     def __init__(self, n: int, eta_lambda: float = 0.1) -> None:
         if n < 1:
             raise ValueError(f"need n >= 1, got {n}")
-        if eta_lambda <= 0.0:
-            raise ValueError(f"eta_lambda must be positive, got {eta_lambda}")
+        if not 0.0 < eta_lambda < inf:
+            raise ValueError(f"eta_lambda must be positive and finite, got {eta_lambda}")
         self.c = np.full(n, 1.0 / n)
         self.lam = 0.0
         self.eta_lambda = float(eta_lambda)

@@ -58,6 +58,12 @@ from .errors import DimensionMismatch, NumericalDivergence
 from .numerics import EPS_REG, support_dot
 
 
+def packed(P: np.ndarray) -> np.ndarray:
+    """The upper triangle of the square ``P``, row by row: each entry of
+    a symmetric ``P`` once, as a saved RLS row holds its covariance."""
+    return P[np.triu_indices(len(P))]
+
+
 def _resized(old: np.ndarray, new: np.ndarray) -> np.ndarray:
     """Copy the overlapping corner of ``old`` into ``new``; return ``new``."""
     corner = tuple(slice(min(a, b)) for a, b in zip(old.shape, new.shape))
@@ -252,8 +258,8 @@ class RlsLearner(_RowBlock):
     copies it into the other, so the product is exactly symmetric.
     Subtracting it and dividing by a power of ``alpha`` change ``P_ij``
     and ``P_ji`` by the same bits. ``resize`` only adds or drops matching
-    rows and columns, and ``load_row`` rejects a ``P`` that is not finite
-    and exactly symmetric.
+    rows and columns, and ``load_row`` writes the saved upper triangle
+    into both triangles.
 
     ``row_state``, ``resize`` and ``load_row`` fold every row first: they
     read and write ``P`` with no gain pending, so a saved learner and the
@@ -406,22 +412,29 @@ class RlsLearner(_RowBlock):
         _resized(P, self.P)
 
     def row_state(self, i: int) -> dict:
+        """Row ``i``'s weights and settings, and its covariance
+        :func:`packed`."""
         self._fold_pending()
-        return {**super().row_state(i), "P": self.P[i].tolist()}
+        return {**super().row_state(i), "P": packed(self.P[i]).tolist()}
 
     def load_row(self, i: int, state: dict) -> None:
         """Restore row ``i``: every row folds its pending gains, then row
-        ``i``'s weights and covariance are overwritten."""
-        P = np.asarray(state["P"], dtype=float)
+        ``i``'s weights and covariance are overwritten, the saved
+        triangle (see :func:`packed`) going into both triangles of ``P``."""
+        saved = np.asarray(state["P"], dtype=float)
         cols = self.w.shape[1]
-        if P.shape != (cols, cols):
-            raise DimensionMismatch(f"covariance must have shape ({cols}, {cols}), got {P.shape}")
-        if not (np.isfinite(P).all() and np.array_equal(P, P.T)):
-            # every saved P is symmetric (see the class docstring)
-            raise DimensionMismatch("covariance must be finite and exactly symmetric")
+        size = cols * (cols + 1) // 2
+        if saved.shape != (size,):
+            raise DimensionMismatch(
+                f"covariance must be the {size} entries of a packed triangle, got shape "
+                f"{saved.shape}")
+        if not np.isfinite(saved).all():
+            raise DimensionMismatch("covariance must be finite")
         super().load_row(i, state)
         self._fold_pending()
-        self.P[i] = P
+        upper = np.triu_indices(cols)
+        self.P[i][upper] = saved
+        self.P[i][upper[::-1]] = saved
 
 
 class KwhLearner(_Projection):

@@ -188,8 +188,8 @@ class RunConfig:
             _invalid("alpha", f"rls needs alpha in (0, 1], got {self.alpha}")
         if self.learner == "adaptive" and not 0.0 <= self.alpha <= 1.0:
             _invalid("alpha", f"adaptive needs alpha in [0, 1], got {self.alpha}")
-        if not self.eta_lambda > 0.0:
-            _invalid("eta_lambda", f"must be positive, got {self.eta_lambda}")
+        if not 0.0 < self.eta_lambda < math.inf:
+            _invalid("eta_lambda", f"must be positive and finite, got {self.eta_lambda}")
 
     def to_dict(self) -> dict:
         d = {}

@@ -1,23 +1,35 @@
 """Versioned, checksummed model snapshots.
 
-The payload is plain JSON (floats round-trip exactly through repr), the
-checksum covers the canonical payload encoding, and the version tag is
-checked before anything is rebuilt. A loaded forecaster reproduces the
-saved one bit for bit on any subsequent input sequence, structure
-changes included.
+A file is one JSON object written as the bytes
+``{"format":"anarx-snapshot","version":4,"sha256":"<hex>","payload":``,
+then the payload, then ``}`` and a newline. The payload is encoded
+once, compact and canonical (sorted keys, no spaces; floats round-trip
+exactly through repr), and ``sha256`` is the digest of those payload
+bytes as written. A load parses the file once, checks that it starts
+with the header its own ``sha256`` gives and ends with ``}`` and a
+newline, and hashes the bytes in between, so nothing is encoded again.
+A file that was re-dumped or pretty-printed, even to the same values,
+fails the checksum and is corrupt. The version tag is checked before
+anything is rebuilt. A loaded forecaster reproduces the saved one bit
+for bit on any subsequent input sequence, structure changes included.
 
 Every number is stored once. The model holds one grid for the pool,
 the node count, the delay line and its capacity, and the learner state,
-whose weights are the node weights. ``"evolution"`` is null when
+whose weights are the node weights and, for RLS, whose covariance ``P``
+is its packed upper triangle. ``"evolution"`` is null when
 evolution is off, otherwise the forecaster's evolution controller, which
 holds all evolution state: the policy, the error window, the
 contribution window (``"contrib"``, the node forecasts
 :meth:`AnarxModel.evolve` reads), the long-run squared-error sum and the
 learned-step count.
 
-Version 3 fits one h-wide synapse per neo-fuzzy node. Versions 1 and 2
-stored two tied synapses per node, and their covariance does not
-collapse exactly in floating point, so they raise VersionMismatch.
+Version 3 files still load. Their checksum covers the canonical
+encoding of the parsed payload, and they store each ``P`` whole; a
+``P`` that is not finite and exactly symmetric makes the file corrupt,
+and the others are packed before the one rebuild both versions share.
+Versions 1 and 2 stored two tied synapses per node, and their
+covariance does not collapse exactly in floating point, so they raise
+VersionMismatch.
 """
 
 from __future__ import annotations
@@ -31,41 +43,51 @@ import numpy as np
 
 from .combiner import CombinerState
 from .errors import AnarxError, CorruptSnapshot, VersionMismatch
+from .learning import packed
 from .model import AnarxModel, EvolutionPolicy
 from .pipeline import OnlineForecaster
 
 FORMAT = "anarx-snapshot"
-VERSION = 3
-READABLE = (3,)
+VERSION = 4
+READABLE = (3, 4)
+
+
+def _canonical(payload: dict) -> bytes:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("ascii")
 
 
 def _checksum(payload: dict) -> str:
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    """The version-3 checksum: the digest of the canonical re-encoding."""
+    return hashlib.sha256(_canonical(payload)).hexdigest()
+
+
+def _header(sha256: str) -> bytes:
+    return (f'{{"format":"{FORMAT}","version":{VERSION},'
+            f'"sha256":{json.dumps(sha256)},"payload":').encode("ascii")
+
+
+def _encode(payload: dict) -> bytes:
+    """The file that holds ``payload``: the header, which names the
+    digest of the payload bytes, those bytes, ``}`` and a newline."""
+    body = _canonical(payload)
+    return _header(hashlib.sha256(body).hexdigest()) + body + b"}\n"
 
 
 def snapshot_save(forecaster: OnlineForecaster, path) -> None:
-    payload = {
+    data = _encode({
         "model": forecaster.model.state_dict(),
         "combiner": forecaster.combiner.state_dict() if forecaster.combiner else None,
         "scale": list(forecaster.scale) if forecaster.scale else None,
         "meta": forecaster.meta,
         "evolution": _evolution_state(forecaster),
-    }
-    doc = {
-        "format": FORMAT,
-        "version": VERSION,
-        "payload": payload,
-        "sha256": _checksum(payload),
-    }
+    })
     # write beside the target and rename over it, so a save that fails
     # partway leaves the previous file as it was
     tmp = f"{os.fspath(path)}.{os.urandom(8).hex()}.tmp"
-    fh = open(tmp, "x", encoding="utf-8")
+    fh = open(tmp, "xb")
     try:
         with fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         os.remove(tmp)
@@ -73,9 +95,15 @@ def snapshot_save(forecaster: OnlineForecaster, path) -> None:
 
 
 def snapshot_load(path) -> OnlineForecaster:
+    return snapshot_read(path)[1]
+
+
+def snapshot_read(path) -> tuple:
+    """Load a snapshot: (its format version, the forecaster it holds)."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        doc = json.loads(data)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CorruptSnapshot(f"{path}: not valid snapshot JSON ({exc})") from None
     if not isinstance(doc, dict) or doc.get("format") != FORMAT:
@@ -90,12 +118,20 @@ def snapshot_load(path) -> OnlineForecaster:
         raise VersionMismatch(
             f"{path}: snapshot version {version!r}, expected one of {READABLE}"
         )
-    payload = doc.get("payload")
-    if not isinstance(payload, dict) or "sha256" not in doc:
+    payload, sha256 = doc.get("payload"), doc.get("sha256")
+    if not isinstance(payload, dict) or not isinstance(sha256, str):
         raise CorruptSnapshot(f"{path}: missing payload or checksum")
-    if _checksum(payload) != doc["sha256"]:
+    if version == 3:
+        intact = _checksum(payload) == sha256
+    else:
+        head = _header(sha256)
+        intact = (data.startswith(head) and data.endswith(b"}\n")
+                  and hashlib.sha256(data[len(head):-2]).hexdigest() == sha256)
+    if not intact:
         raise CorruptSnapshot(f"{path}: checksum mismatch")
     try:
+        if version == 3:
+            _pack_covariances(payload["model"])
         model = AnarxModel.from_state(payload["model"])
         # a bare model may hold any value it observed, but a forecaster's
         # step takes in only finite ones, so no saved forecaster holds another
@@ -121,7 +157,21 @@ def snapshot_load(path) -> OnlineForecaster:
         # a checksummed payload that does not rebuild one consistent
         # forecaster is corrupt, whatever check caught it
         raise CorruptSnapshot(f"{path}: malformed payload ({exc})") from None
-    return forecaster
+    return version, forecaster
+
+
+def _pack_covariances(model: dict) -> None:
+    """Give a version-3 model state the version-4 learner rows in place:
+    each RLS covariance, stored whole, becomes its packed upper triangle.
+    Raise CorruptSnapshot for one that is not finite and exactly
+    symmetric, which no learner saves."""
+    rows = [model["stacked_state"]] if model["training"] == "stacked" else model["learner_states"]
+    for row in rows:
+        if "P" in row:
+            P = np.array(row["P"], dtype=float)
+            if P.ndim != 2 or not (np.isfinite(P).all() and np.array_equal(P, P.T)):
+                raise CorruptSnapshot("covariance must be finite and exactly symmetric")
+            row["P"] = packed(P).tolist()
 
 
 def _evolution_state(forecaster: OnlineForecaster) -> dict | None:

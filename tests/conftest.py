@@ -120,6 +120,15 @@ def assert_one_weight_block(model):
         node(model.node.grid, model.W[l]).forward(model.delay_y[l]) for l in range(observed))
 
 
+def unpacked(triangle) -> list:
+    """The whole symmetric matrix, as lists, of the upper triangle an
+    RLS row state holds (``learning.packed``)."""
+    m = int(round((math.sqrt(8 * len(triangle) + 1) - 1) / 2))
+    P = np.zeros((m, m))
+    P[np.triu_indices(m)] = triangle
+    return (P + np.triu(P, 1).T).tolist()
+
+
 # one h = 4 synapse per lag node
 PLANTED_W = {
     1: np.array([0.01, 0.985, 0.4975, 0.01]),

@@ -139,6 +139,9 @@ class TestBench:
         ("train_len = 400", "'train_len', 'test_len'"),
         ("eta_lambda = 0", "'eta_lambda'"),
         ("weighted = true\neta_lambda = 0", "'eta_lambda'"),
+        # a multiplier rate that is not finite makes lam, and then c, inf or nan
+        ("weighted = true\neta_lambda = inf", "'eta_lambda'"),
+        ("weighted = true\neta_lambda = nan", "'eta_lambda'"),
     ])
     def test_invalid_setting_exits_4_naming_the_key(self, tmp_path, data_csv, capsys,
                                                      lines, named):
@@ -171,6 +174,8 @@ class TestPredictAndSnapshot:
         assert main(["snapshot", "show", "--snapshot", str(snap)]) == 0
         out = capsys.readouterr().out
         assert "nodes: 2" in out and "integrity: ok" in out
+        # the format is named last but one, so an old file shows as such
+        assert out.splitlines()[-2:] == ["format: v4", "integrity: ok"]
 
         import io
         monkeypatch.setattr("sys.stdin", io.StringIO("610.0\n640.0\n655.0\n"))
@@ -223,7 +228,7 @@ class TestPredictAndSnapshot:
 
     def test_mis_shaped_snapshot_fails_on_load(self, tmp_path, data_csv, capsys, monkeypatch):
         # a 3-entry combiner on a 2-node pool, re-checksummed
-        from anarx.snapshot import _checksum
+        from anarx.snapshot import _encode
 
         cfg = tmp_path / "weighted.cfg"
         cfg.write_text(CONFIG + "weighted = true\n")
@@ -232,8 +237,7 @@ class TestPredictAndSnapshot:
                      "--out", str(snap)]) == 0
         doc = json.loads(snap.read_text())
         doc["payload"]["combiner"]["c"].append(0.0)
-        doc["sha256"] = _checksum(doc["payload"])
-        snap.write_text(json.dumps(doc))
+        snap.write_bytes(_encode(doc["payload"]))
         capsys.readouterr()
         assert main(["snapshot", "show", "--snapshot", str(snap)]) == 10
         assert "integrity: ok" not in capsys.readouterr().out
@@ -245,15 +249,14 @@ class TestPredictAndSnapshot:
                                                    capsys, monkeypatch):
         # a checksummed snapshot whose min-max scale has lo == hi fails on
         # load as corrupt, not at its first step as an internal error
-        from anarx.snapshot import _checksum
+        from anarx.snapshot import _encode
 
         snap = tmp_path / "model.json"
         assert main(["snapshot", "save", "--config", str(config_file), "--data", str(data_csv),
                      "--out", str(snap)]) == 0
         doc = json.loads(snap.read_text())
         doc["payload"]["scale"] = [1.0, 1.0]
-        doc["sha256"] = _checksum(doc["payload"])
-        snap.write_text(json.dumps(doc))
+        snap.write_bytes(_encode(doc["payload"]))
         monkeypatch.setattr("sys.stdin", io.StringIO("610.0\n"))
         assert main(["predict", "--snapshot", str(snap)]) == 10
         assert capsys.readouterr().out == ""

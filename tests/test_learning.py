@@ -20,7 +20,7 @@ from anarx import learning
 from anarx.errors import DimensionMismatch, NumericalDivergence
 from anarx.numerics import EPS_REG
 
-from conftest import fold_rank, ols_fit, supports
+from conftest import fold_rank, ols_fit, supports, unpacked
 
 
 def row(*values):
@@ -48,8 +48,9 @@ class TestRls:
         assert predict(rls, [1.0, 0.0]) == 0.0
         assert rls.step(row(1.0, 0.0), 2.0) == []
         assert np.allclose(rls.w, [[1.0, 0.0]])
-        # reading the row folds its pending gain into P
-        assert np.allclose(rls.row_state(0)["P"], [[0.5, 0.0], [0.0, 1.0]])
+        # reading the row folds its pending gain into P, which it gives
+        # as the packed upper triangle
+        assert np.allclose(rls.row_state(0)["P"], [0.5, 0.0, 1.0])
 
     def test_matches_ols_small_batch(self):
         # well-conditioned samples; the diffuse-prior bias scales with
@@ -118,12 +119,26 @@ class TestRls:
         for y in rng.uniform(0.0, 1.0, 20).tolist():
             m.train_step(y)
         state = json.loads(json.dumps(m.state_dict()))
-        P = state["stacked_state"]["P"]
+        row = state["stacked_state"]
         if bad == "asymmetric":
-            P[0][2] += 1e-9
+            # the state holds the packed upper triangle; a whole P, even
+            # one off symmetric by a little, is not taken (a snapshot of
+            # the format that stored P whole checks its symmetry)
+            row["P"] = unpacked(row["P"])
+            row["P"][0][2] += 1e-9
         else:
-            P[1][1] = float(bad)
+            row["P"][3] = float(bad)  # P[1][1]
         with pytest.raises(DimensionMismatch):
+            AnarxModel.from_state(state)
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_from_state_rejects_packed_P_of_another_length(self, extra):
+        m = build_anarx(1, 3, 0.0, 1.0, training="stacked", learner="rls")
+        state = m.state_dict()
+        P = state["stacked_state"]["P"]
+        assert len(P) == 6
+        state["stacked_state"]["P"] = P[:-1] if extra < 0 else P + [0.0]
+        with pytest.raises(DimensionMismatch, match="the 6 entries of a packed triangle"):
             AnarxModel.from_state(state)
 
     def test_dimension_mismatch(self):
@@ -364,7 +379,7 @@ class TestRlsDivergence:
         rls = RlsLearner(np.zeros((1, 2)), alpha=1.0, p0=3.0)
         rls.P[0, 1, 1] = float("inf")
         rls.step(row(1.0, 0.0), 1.0)
-        assert rls.row_state(0)["P"] == [[0.75, 0.0], [0.0, float("inf")]]
+        assert rls.row_state(0)["P"] == [0.75, 0.0, float("inf")]
         with pytest.raises(NumericalDivergence):
             rls.step(row(1.0, 1.0), 1.0)
         assert not np.isnan(rls.P).any()

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import pickle
 from collections import deque
@@ -18,9 +19,10 @@ from anarx import (
 )
 from anarx.datasets import synthetic_load_series
 from anarx.errors import AnarxError, CorruptSnapshot, VersionMismatch
+from anarx.learning import packed
 from anarx.pipeline import build_forecaster, run_experiment
-from anarx.snapshot import _checksum
-from conftest import assert_one_weight_block
+from anarx.snapshot import _checksum, _encode
+from conftest import assert_one_weight_block, unpacked
 
 
 def trained_forecaster(weighted=False, learner="adaptive", evolution=None, steps=250):
@@ -159,9 +161,32 @@ def _tampered_snapshot(tmp_path, weighted, learner, tamper, **kwargs):
     path = tmp_path / "model.json"
     snapshot_save(fc, path)
     doc = json.loads(path.read_text())
+    # re-signing the payload as read writes the saved file again, so a
+    # load fails on the tamper, not on the signature
+    assert _encode(doc["payload"]) == path.read_bytes()
     tamper(doc["payload"])
-    doc["sha256"] = _checksum(doc["payload"])
-    path.write_text(json.dumps(doc))
+    path.write_bytes(_encode(doc["payload"]))
+    return path
+
+
+def _as_version_3(payload):
+    """A version-3 payload: each RLS covariance stored whole."""
+    for row in _learner_states(payload["model"]):
+        if "P" in row:
+            row["P"] = unpacked(row["P"])
+
+
+def _version_3_snapshot(tmp_path, fc, tamper=lambda p: None):
+    """``fc`` saved, rewritten as a version-3 file (its checksum over the
+    canonical payload), with ``tamper`` applied to the version-3
+    payload."""
+    path = tmp_path / "model.json"
+    snapshot_save(fc, path)
+    doc = json.loads(path.read_text())
+    _as_version_3(doc["payload"])
+    tamper(doc["payload"])
+    doc.update(version=3, sha256=_checksum(doc["payload"]))
+    path.write_text(json.dumps(doc, indent=1) + "\n")
     return path
 
 
@@ -173,9 +198,11 @@ def _shrink_stacked(model):
     # consistent learner state, but one weight short of the pool
     st = model["stacked_state"]
     del st["w"][-1]
-    del st["P"][-1]
-    for row in st["P"]:
+    P = unpacked(st["P"])
+    del P[-1]
+    for row in P:
         del row[-1]
+    st["P"] = packed(np.array(P)).tolist()
 
 
 def _narrower_grid(model):
@@ -228,8 +255,33 @@ def _nudge_off_diagonal(P):
     (True, "rls", lambda p: _nudge_off_diagonal(p["model"]["learner_states"][1]["P"])),
 ])
 def test_asymmetric_covariance_with_valid_checksum_is_corrupt(tmp_path, weighted, learner, tamper):
-    path = _tampered_snapshot(tmp_path, weighted, learner, tamper)
-    with pytest.raises(CorruptSnapshot):
+    # version 3 stored P whole; version 4 stores one triangle, which
+    # cannot be asymmetric
+    path = _version_3_snapshot(tmp_path, trained_forecaster(weighted=weighted, learner=learner),
+                               tamper)
+    with pytest.raises(CorruptSnapshot, match="exactly symmetric"):
+        snapshot_load(path)
+
+
+@pytest.mark.parametrize("weighted,learner", [(False, "rls"), (True, "rls"), (True, "adaptive")])
+def test_version_3_file_loads_and_continues_bit_for_bit(tmp_path, weighted, learner):
+    fc = trained_forecaster(weighted=weighted, learner=learner)
+    path = _version_3_snapshot(tmp_path, fc)
+    fc2 = snapshot_load(path)
+    stream = np.random.default_rng(1).uniform(5.0, 11.0, 100)
+    assert _step_with_n(fc, stream) == _step_with_n(fc2, stream)
+
+
+@pytest.mark.parametrize("tamper", [
+    pytest.param(lambda P: P.append(0.0), id="one-entry-long"),
+    pytest.param(_drop_last, id="one-entry-short"),
+    pytest.param(lambda P: P.__setitem__(slice(None), unpacked(P)), id="whole-matrix"),
+    pytest.param(lambda P: P.__setitem__(5, float("nan")), id="nan"),
+])
+def test_packed_covariance_of_the_wrong_length_or_not_finite_is_corrupt(tmp_path, tamper):
+    path = _tampered_snapshot(tmp_path, False, "rls",
+                              lambda p: tamper(p["model"]["stacked_state"]["P"]))
+    with pytest.raises(CorruptSnapshot, match="covariance must"):
         snapshot_load(path)
 
 
@@ -535,3 +587,107 @@ def test_report_copies_with_its_forecaster():
     twin = copy.deepcopy(report)
     assert twin.forecaster.model.state_dict() == report.forecaster.model.state_dict()
     assert twin.forecaster.model.learner.P is not report.forecaster.model.learner.P
+
+
+REFERENCE = Path(__file__).resolve().parent / "reference"
+
+
+@pytest.mark.parametrize("name", ["stacked_rls", "weighted_adaptive"])
+def test_committed_version_3_file_continues_bit_for_bit(capsys, name):
+    # written by the version-3 snapshot_save (commit 7bd67c5) 150 steps
+    # into synthetic_load_series(n=400, seed=7): stacked RLS at n = 2,
+    # h = 4, alpha = 0.99, and weighted independent adaptive at n = 3,
+    # h = 5, alpha = 0.9 with evolution "auto", which prunes a node in the
+    # continuation. Beside each, the next 100 values and the predictions
+    # the forecaster that version loaded made on them.
+    from anarx.cli import main
+
+    path = REFERENCE / f"snapshot_v3_{name}.json"
+    reference = json.loads((REFERENCE / f"snapshot_v3_{name}.next.json").read_text())
+    fc = snapshot_load(path)
+    assert [fc.step(v) for v in reference["values"]] == reference["predictions"]
+    assert main(["snapshot", "show", "--snapshot", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == ["format: v3", "integrity: ok"]
+
+
+def test_file_is_the_header_the_payload_bytes_and_a_newline(tmp_path):
+    path = tmp_path / "model.json"
+    snapshot_save(trained_forecaster(learner="rls"), path)
+    data = path.read_bytes()
+    doc = json.loads(data)
+    head = b'{"format":"anarx-snapshot","version":4,"sha256":"%s","payload":' % (
+        doc["sha256"].encode())
+    assert data.startswith(head) and data.endswith(b"}\n")
+    body = data[len(head):-2]
+    assert hashlib.sha256(body).hexdigest() == doc["sha256"]
+    assert body == json.dumps(doc["payload"], sort_keys=True, separators=(",", ":")).encode()
+    # P of the 8 weights is stored as its upper triangle, each entry once
+    assert len(doc["payload"]["model"]["stacked_state"]["P"]) == 8 * 9 // 2
+
+
+def _flip_a_payload_digit(data: bytes) -> bytes:
+    # a digit of the last number in the payload, so the file still parses
+    at = data.rindex(b'"meta"') - 2
+    while not data[at:at + 1].isdigit():
+        at -= 1
+    digit = b"1" if data[at:at + 1] != b"1" else b"2"
+    return data[:at] + digit + data[at + 1:]
+
+
+@pytest.mark.parametrize("rewrite", [
+    pytest.param(_flip_a_payload_digit, id="one-payload-byte"),
+    # the same values, encoded another way: the checksum covers the bytes
+    pytest.param(lambda data: (json.dumps(json.loads(data), indent=1) + "\n").encode(),
+                 id="pretty-printed"),
+    pytest.param(lambda data: json.dumps(json.loads(data)).encode(), id="re-dumped"),
+    pytest.param(lambda data: data.replace(b'"payload":', b'"payload": ', 1), id="one-space"),
+    pytest.param(lambda data: data[:-1], id="no-final-newline"),
+])
+def test_changed_bytes_fail_the_checksum(tmp_path, capsys, rewrite):
+    from anarx.cli import main
+
+    path = tmp_path / "model.json"
+    snapshot_save(trained_forecaster(weighted=True), path)
+    data = path.read_bytes()
+    changed = rewrite(data)
+    assert changed != data
+    json.loads(changed)  # still a snapshot document
+    path.write_bytes(changed)
+    with pytest.raises(CorruptSnapshot, match="checksum mismatch"):
+        snapshot_load(path)
+    assert main(["snapshot", "show", "--snapshot", str(path)]) == 10
+    assert "integrity: ok" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -0.1])
+def test_combiner_rate_that_is_not_positive_and_finite_is_corrupt(tmp_path, capsys, value):
+    # a NaN or infinite eta_lambda would make lam, and then the
+    # prediction, NaN at the first degenerate or learned step
+    from anarx.cli import main
+
+    path = _tampered_snapshot(tmp_path, True, "adaptive",
+                              lambda p: p["combiner"].__setitem__("eta_lambda", value), steps=50)
+    with pytest.raises(CorruptSnapshot, match="eta_lambda must be positive and finite"):
+        snapshot_load(path)
+    assert main(["snapshot", "show", "--snapshot", str(path)]) == 10
+    assert "integrity: ok" not in capsys.readouterr().out
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(learner=st.sampled_from(["rls", "kwh", "adaptive"]),
+       training=st.sampled_from(["stacked", "independent"]), weighted=st.booleans(),
+       n_nodes=st.integers(1, 3), steps=st.integers(0, 120))
+def test_round_trip_property(tmp_path, learner, training, weighted, n_nodes, steps):
+    values = PROPERTY_SERIES.values.tolist()
+    cfg = RunConfig(n_nodes=n_nodes, h=5, train_len=300, test_len=100, learner=learner,
+                    training=training, alpha=0.9 if learner == "adaptive" else 1.0,
+                    weighted=weighted)
+    _, fc = build_forecaster(PROPERTY_SERIES, cfg)
+    for v in values[:steps]:
+        fc.step(v)
+    path = tmp_path / "model.json"
+    snapshot_save(fc, path)
+    fc2 = snapshot_load(path)
+    rest = values[steps:steps + 60]
+    assert [fc2.step(v) for v in rest] == [fc.step(v) for v in rest]
+    assert fc2.model.state_dict() == fc.model.state_dict()
