@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """Time the step end to end and write ``BENCH_steps.json``.
 
-Each case is one ``run_experiment`` over a fixed-seed synthetic load
-series as long as its config's train and test segments, and its cost is
-the run's wall time over its steps in µs/step. Every case runs
-``--runs`` times (at least 5; the default 15 is what a committed file
-uses), the cases interleaved so that a slow spell of the machine
-reaches all of them, and the file gives the median and the
+Each case is ``run_experiment`` over a fixed-seed synthetic load series
+as long as its config's train and test segments, and its cost is a
+run's wall time over its steps in µs/step. A sample is the fastest of
+``REPEAT`` (5) back-to-back runs, so that a burst of the host slows one
+run and not the sample; the runs must all predict the same ŷ. Every
+case takes ``--runs`` samples (at least 5; the default 15 is what a
+committed file uses), the cases interleaved so that a slow spell of the
+machine reaches all of them, and the file gives the median and the
 interquartile range. BLAS runs on one thread.
 
 Cases:
@@ -105,17 +107,19 @@ CASES = {
 
 
 SNAPSHOT_CASES = {"rls_wide": WIDE, "load_weighted": shipped("load_weighted")}
-REPEAT = 5  # back-to-back calls per snapshot sample, the fastest kept
+REPEAT = 5  # back-to-back calls per sample, the fastest kept
 
 
 def timed_run(config) -> tuple:
-    """(µs/step, ŷ digest) of one run."""
+    """(µs/step, ŷ digest) of one sample, the fastest of ``REPEAT`` runs."""
     series = synthetic_load_series(n=config.train_len + config.test_len, seed=SEED)
-    start = time.perf_counter()
-    report = run_experiment(series, config)
-    elapsed = time.perf_counter() - start
-    y_hat = np.array([s.y_hat for s in report.steps])
-    return elapsed * 1e6 / len(report.steps), hashlib.sha256(y_hat.tobytes()).hexdigest()
+    reports = []
+    ms = best_ms(lambda: reports.append(run_experiment(series, config)))
+    digests = {hashlib.sha256(np.array([s.y_hat for s in r.steps]).tobytes()).hexdigest()
+               for r in reports}
+    if len(digests) != 1:
+        raise RuntimeError(f"{len(digests)} different ŷ streams in {REPEAT} runs of one config")
+    return ms * 1e3 / len(reports[0].steps), digests.pop()
 
 
 def best_ms(call) -> float:

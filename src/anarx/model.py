@@ -24,14 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CorruptSnapshot, DegenerateActivation
+from .errors import CorruptSnapshot
 from .learning import make_learner
 from .numerics import support_dot
 from .membership import GaussianGrid, KnotGrid, build_gaussian_grid, build_uniform_grid
 from .nodes import NeoFuzzyNode, WangMendelNode
 
 
-# the ring entry of a lag not seen yet, or whose value failed to fuzzify
+# the ring entry of a lag not seen yet
 _UNSEEN = (0, ())
 
 
@@ -66,12 +66,14 @@ class AnarxModel:
     The grid's type sets the node kind (:data:`_NODE_TYPES`); ``node`` is
     one node on the grid, which fuzzifies values and gives the kind, the
     width ``dim`` and the paper's ``synapses``. Every observed value is
-    fuzzified once, in :meth:`observe`, into a ring of supports (entry
-    ``l - 1`` holds the support of the value seen ``l`` steps ago,
-    ``(0, ())`` before it is seen) kept beside the delay line
-    ``delay_y``, the values themselves, newest first. The ring's length
-    is the delay capacity: it grows with the pool and never shrinks, and
-    ``delay_y`` is no longer than it.
+    fuzzified once, before any state moves, into a ring of supports
+    (entry ``l - 1`` holds the support of the value seen ``l`` steps
+    ago, ``(0, ())`` before it is seen) kept beside the delay line
+    ``delay_y``, the values themselves, newest first. A value no node
+    can fuzzify raises DegenerateActivation from the step that receives
+    it and enters neither. The ring's length is the delay capacity: it
+    grows with the pool and never shrinks, and ``delay_y`` is no longer
+    than it.
 
     The one ``learner``'s weight block, shaped by :meth:`_learner_shape`,
     is the only copy of the pool's weights; ``W`` is its (n x dim) view,
@@ -109,10 +111,6 @@ class AnarxModel:
         self.p0 = float(p0)
         self.delay_y: list = []
         self._ring = [_UNSEEN] * n_nodes
-        # lag of the newest row whose fuzzification failed, and why; the
-        # failure is raised when a forecast first reads that row
-        self._fault_lag = math.inf
-        self._fault = ""
         # A node fits the sum of its ``synapses`` tied weight vectors (see
         # NeoFuzzyNode). Each has the prior p0 * I, so the sum has
         # synapses * p0 * I; RLS on the sum then matches RLS on the tied
@@ -176,15 +174,8 @@ class AnarxModel:
 
     # -- evaluation ----------------------------------------------------
 
-    def _observed(self) -> int:
-        """Number of nodes whose lag is observed; raises if one of their
-        rows failed to fuzzify."""
-        m = min(self.n, len(self.delay_y))
-        if self._fault_lag <= m:
-            raise DegenerateActivation(self._fault)
-        return m
-
-    def _forecasts(self) -> list:
+    def node_forecasts(self) -> list:
+        """Every node's output at its lag; zero where the lag is unseen."""
         # node l's support sum is node.forward of the lag's value with
         # W[l], bit for bit; an unseen lag's support is empty and sums to
         # zero. The learner's flat view holds W row after row.
@@ -196,57 +187,47 @@ class AnarxModel:
             offset += h
         return out
 
-    def node_forecasts(self) -> list:
-        """Every node's output at its lag; zero where the lag is unseen."""
-        self._observed()
-        return self._forecasts()
-
     def forward(self) -> float:
         """Additive model output at the current position in the stream."""
         return math.fsum(self.node_forecasts())
 
-    def observe(self, y_new: float) -> None:
-        """Shift the delay line and the regressor ring; no weight moves."""
+    def observe(self, y_new: float, support=None) -> None:
+        """Shift the delay line and the regressor ring; no weight moves.
+
+        ``support`` is ``y_new`` fuzzified, from a caller that has it;
+        without it the value is fuzzified here, before anything moves.
+        """
         y = float(y_new)
+        if support is None:
+            support = self.node.fuzzify(y)
         delay = self.delay_y
         delay.insert(0, y)
         del delay[len(self._ring) :]
-        self._push_row(y)
-
-    def _push_row(self, y: float) -> None:
-        """Fuzzify one observation into ring entry 0."""
         ring = self._ring
-        self._fault_lag += 1
-        try:
-            ring.insert(0, self.node.fuzzify(y))
-        except DegenerateActivation as exc:
-            ring.insert(0, _UNSEEN)
-            self._fault_lag, self._fault = 1, str(exc)
+        ring.insert(0, support)
         ring.pop()
 
     # -- training --------------------------------------------------------
 
     def train_step(self, y_new: float, forecasts=None, output=None) -> list:
-        """One online step: update the weights towards y_new, then shift
-        the delay line. The step's prediction is :meth:`forward` before it.
+        """One online step: fuzzify y_new, update the weights towards it,
+        then shift the delay line. The step's prediction is
+        :meth:`forward` before it. A y_new no node can fuzzify raises
+        DegenerateActivation before any weight or lag moves.
 
         Returns (node index, reason) for each node whose update failed or
         was deferred: ``"lag not observed yet"``, or the learner error as
         ``"<class name>: <message>"``.
 
         A caller that has :meth:`node_forecasts` here passes it as
-        ``forecasts``; that call has made the check :meth:`_observed`
-        makes, so it is not made again. A caller that also has their
-        ``fsum``, the model output, passes it as ``output``, and the
-        stacked row takes it as its prediction.
+        ``forecasts``; a caller that also has their ``fsum``, the model
+        output, passes it as ``output``, and the stacked row takes it as
+        its prediction.
         """
+        support = self.node.fuzzify(float(y_new))
         n = self.n
-        if forecasts is None:
-            m = self._observed()
-            node_preds = self._forecasts()
-        else:
-            m = min(n, len(self.delay_y))
-            node_preds = forecasts
+        m = min(n, len(self.delay_y))
+        node_preds = self.node_forecasts() if forecasts is None else forecasts
 
         skipped = [(i, "lag not observed yet") for i in range(m, n)] if m < n else []
         # A learner row spans ``span`` nodes: all n in stacked training,
@@ -270,7 +251,7 @@ class AnarxModel:
         for row, reason in learner.step(rows, y_new, pred):
             skipped.extend((i, reason) for i in range(row * span, min(row * span + span, m)))
 
-        self.observe(y_new)
+        self.observe(y_new, support)
         return skipped
 
     # -- bookkeeping -----------------------------------------------------
@@ -312,8 +293,9 @@ class AnarxModel:
         Raises CorruptSnapshot when the learner state does not match the
         model: another row count, or settings (kind, alpha, p0) other
         than those the model builds its learner with; when the delay
-        capacity is below the node count or the delay values; and
-        DimensionMismatch when a row is shaped for another pool.
+        capacity is below the node count or the delay values;
+        DimensionMismatch when a row is shaped for another pool; and
+        DegenerateActivation when a delay value cannot be fuzzified.
         """
         grids = {node.kind: grid for grid, node in _NODE_TYPES.items()}
         node_kind = state["node_kind"]
@@ -348,11 +330,10 @@ class AnarxModel:
                 f"delay capacity {capacity!r} is below the {model.n} nodes "
                 f"or the {len(delay)} delay values"
             )
-        # refill the ring from the delay line, oldest value first
+        # refill the delay line and its ring, oldest value first
         model._ring = [_UNSEEN] * capacity
         for y in reversed(delay):
-            model._push_row(y)
-        model.delay_y = delay
+            model.observe(y)
         return model
 
 

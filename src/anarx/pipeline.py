@@ -17,7 +17,7 @@ import math
 import os
 import time
 from collections import Counter, deque
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import NoReturn
 
 import numpy as np
@@ -192,13 +192,7 @@ class RunConfig:
             _invalid("eta_lambda", f"must be positive and finite, got {self.eta_lambda}")
 
     def to_dict(self) -> dict:
-        d = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if f.name == "evolution" and isinstance(v, EvolutionPolicy):
-                v = vars(v).copy()
-            d[f.name] = v
-        return d
+        return asdict(self)
 
 
 @dataclass(slots=True)
@@ -319,9 +313,10 @@ class OnlineForecaster:
         """Predict the incoming raw value, then absorb it. Returns the
         prediction in raw units.
 
-        A ``y_raw`` that is not finite in model units raises ParseError
-        and a non-finite prediction raises NumericalDivergence, both
-        before any state moves.
+        A ``y_raw`` that is not finite in model units raises ParseError,
+        a non-finite prediction NumericalDivergence and a value no node
+        can fuzzify DegenerateActivation, each before any state moves, so
+        the next value steps as if this one had not come.
         """
         y = self._to_model_units(y_raw)
         if not math.isfinite(y):
@@ -502,7 +497,16 @@ def run_experiment(series: SeriesFrame, config: RunConfig) -> ForecastReport:
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
-_EVOLUTION_KEYS = ("window", "add_threshold", "remove_threshold", "n_min", "n_max")
+
+def _field_types(cls) -> dict:
+    """Each field's declared type, the first of its alternatives:
+    ``str | None`` reads as ``str``."""
+    return {f.name: f.type.partition(" |")[0] for f in fields(cls)}
+
+
+# the config keys and their types; ``evolution`` itself is read apart
+_RUN_TYPES = _field_types(RunConfig)
+_EVOLUTION_TYPES = _field_types(EvolutionPolicy)
 
 
 def parse_config_text(text: str) -> RunConfig:
@@ -522,9 +526,6 @@ def parse_config_text(text: str) -> RunConfig:
         key, _, value = line.partition("=")
         raw[key.strip()] = value.strip()
 
-    ints = {"n_nodes", "h", "q", "train_len", "test_len", "seed"}
-    floats = {"alpha", "eta_lambda"}
-    bools = {"weighted", "freeze_test"}
     kwargs: dict = {}
     evolution_kwargs: dict = {}
     evolution_on = False
@@ -533,21 +534,14 @@ def parse_config_text(text: str) -> RunConfig:
             if value.lower() == "auto":
                 evolution_on = True
             else:
-                evolution_on = _parse_bool(value, key)
+                evolution_on = _parse("bool", value, key)
         elif key.startswith("evolution_"):
             sub = key[len("evolution_") :]
-            if sub not in _EVOLUTION_KEYS:
+            if sub not in _EVOLUTION_TYPES:
                 raise ConfigError(f"unknown evolution key {key!r}")
-            cast = int if sub in ("window", "n_min", "n_max") else float
-            evolution_kwargs[sub] = _parse_num(cast, value, key)
-        elif key in ints:
-            kwargs[key] = _parse_num(int, value, key)
-        elif key in floats:
-            kwargs[key] = _parse_num(float, value, key)
-        elif key in bools:
-            kwargs[key] = _parse_bool(value, key)
-        elif key in ("node_kind", "learner", "training", "normalization"):
-            kwargs[key] = value
+            evolution_kwargs[sub] = _parse(_EVOLUTION_TYPES[sub], value, key)
+        elif key in _RUN_TYPES:
+            kwargs[key] = _parse(_RUN_TYPES[key], value, key)
         else:
             raise ConfigError(f"unknown config key {key!r}")
     if evolution_on:
@@ -568,16 +562,16 @@ def _policy(kwargs: dict) -> EvolutionPolicy:
         raise ConfigError(f"config keys {keys}: {exc}") from None
 
 
-def _parse_bool(value: str, key: str) -> bool:
-    v = value.lower()
-    if v not in _BOOL:
-        raise ConfigError(f"config key {key!r}: expected boolean, got {value!r}")
-    return _BOOL[v]
-
-
-def _parse_num(cast, value: str, key: str):
+def _parse(kind: str, value: str, key: str):
+    """``value`` read as a field of type ``kind``: str, bool, int or float."""
+    if kind == "str":
+        return value
+    if kind == "bool":
+        if value.lower() not in _BOOL:
+            raise ConfigError(f"config key {key!r}: expected boolean, got {value!r}")
+        return _BOOL[value.lower()]
     try:
-        return cast(value)
+        return int(value) if kind == "int" else float(value)
     except ValueError:
         raise ConfigError(f"config key {key!r}: bad number {value!r}") from None
 

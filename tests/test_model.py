@@ -584,37 +584,50 @@ class TestArrayPool:
         with pytest.raises(ValueError, match="no node kind"):
             AnarxModel(grid.to_dict(), 2)
 
-    def test_degenerate_row_raises_while_a_node_reads_it(self):
-        m = build_anarx(2, 4, 0.0, 1.0, node_kind="wang_mendel", learner="kwh")
-        m.train_step(0.5)
-        m.train_step(1e9)  # underflows every rule; nothing reads it yet
-        for _ in range(2):
-            with pytest.raises(DegenerateActivation):
-                m.node_forecasts()
-            with pytest.raises(DegenerateActivation):
-                m.train_step(0.5)
-            m.observe(0.5)
-        # the value has moved past the last node's lag
-        assert np.isfinite(m.node_forecasts()).all()
-        m.train_step(0.5)
+    @pytest.mark.parametrize("training", ["stacked", "independent"])
+    @pytest.mark.parametrize("learner", ["kwh", "rls", "adaptive"])
+    def test_unfuzzifiable_value_is_rejected_before_any_state_moves(self, learner, training):
+        # 1e9 underflows every Wang-Mendel rule: the learned and the frozen
+        # step that receive it raise and move nothing, and the model goes
+        # on as a twin that never saw it (both state dicts are taken at
+        # the same steps, since taking one folds pending RLS gains)
+        m, twin = (build_anarx(2, 4, 0.0, 1.0, node_kind="wang_mendel", learner=learner,
+                               training=training) for _ in range(2))
+        for y in (0.2, 0.5):
+            m.train_step(y)
+            twin.train_step(y)
+        before = json.dumps(m.state_dict())
+        twin.state_dict()
+        ring = list(m._ring)
+        for bad_step in (m.train_step, m.observe):
+            with pytest.raises(DegenerateActivation, match="underflowed at 1000000000.0"):
+                bad_step(1e9)
+            assert json.dumps(m.state_dict()) == before
+            assert m._ring == ring
+        for y in (0.7, 0.4, 0.9):
+            assert _bits(m.node_forecasts()) == _bits(twin.node_forecasts())
+            assert m.train_step(y) == twin.train_step(y)
+        assert _bits(m.W) == _bits(twin.W)
 
-    def test_degenerate_row_survives_growth_and_a_round_trip(self):
-        # the ring grows with the pool, and a loaded model rebuilds the
-        # failed row at the same lag: it raises until the value has moved
-        # past the last node, then forecasts as the original does
+    def test_unfuzzifiable_delay_value_fails_the_load(self):
+        # a loaded model fuzzifies its delay line again: after growth it
+        # forecasts and learns as the original does, and a delay value no
+        # node can fuzzify, at any lag, fails the rebuild
         m = build_anarx(2, 4, 0.0, 1.0, node_kind="wang_mendel", learner="kwh",
                         training="independent")
         for y in (0.2, 0.5, 0.7):
             m.train_step(y)
-        m.observe(1e9)
+        m.observe(0.9)
         m.add_node()
-        for _ in range(m.n):
-            m = AnarxModel.from_state(json.loads(json.dumps(m.state_dict())))
-            with pytest.raises(DegenerateActivation):
-                m.node_forecasts()
-            m.observe(0.5)
-        loaded = AnarxModel.from_state(json.loads(json.dumps(m.state_dict())))
+        state = json.loads(json.dumps(m.state_dict()))
+        loaded = AnarxModel.from_state(state)
+        assert loaded._ring == m._ring
         assert _bits(loaded.node_forecasts()) == _bits(m.node_forecasts())
         m.train_step(0.4)
         loaded.train_step(0.4)
         assert _bits(loaded.W) == _bits(m.W)
+        for lag in range(len(state["delay_y"])):
+            bad = copy.deepcopy(state)
+            bad["delay_y"][lag] = 1e9
+            with pytest.raises(DegenerateActivation, match="underflowed at 1000000000.0"):
+                AnarxModel.from_state(bad)

@@ -251,6 +251,8 @@ class TestRunExperiment:
         assert report.steps[-1].n_active == report.extras["final_n"]
 
     def test_module_errors_carry_step_index(self):
+        # the step that receives a value no node can fuzzify raises, under
+        # its own index, with the node's message
         from anarx.errors import DegenerateActivation
 
         values = np.concatenate([np.sin(np.arange(200) / 4.0) * 0.4 + 0.5, [1e9, 0.5]])
@@ -258,7 +260,8 @@ class TestRunExperiment:
                         node_kind="wang_mendel", learner="kwh", normalization="none")
         with pytest.raises(DegenerateActivation) as err:
             run_experiment(SeriesFrame(values), cfg)
-        assert "step 201" in str(err.value)
+        assert str(err.value) == "step 200: all rule activations underflowed at 1000000000.0"
+        assert type(err.value.__cause__) is DegenerateActivation
 
     def test_rls_windup_fails_loudly(self):
         # forgetting-factor RLS on locally excited spline regressors blows

@@ -18,19 +18,26 @@ from anarx import (
     snapshot_save,
 )
 from anarx.datasets import synthetic_load_series
-from anarx.errors import AnarxError, CorruptSnapshot, VersionMismatch
+from anarx.errors import (
+    AnarxError,
+    CorruptSnapshot,
+    DegenerateActivation,
+    ParseError,
+    VersionMismatch,
+)
 from anarx.learning import packed
 from anarx.pipeline import build_forecaster, run_experiment
 from anarx.snapshot import _checksum, _encode
 from conftest import assert_one_weight_block, unpacked
 
 
-def trained_forecaster(weighted=False, learner="adaptive", evolution=None, steps=250):
+def trained_forecaster(weighted=False, learner="adaptive", evolution=None, steps=250,
+                       node_kind="neo_fuzzy"):
     rng = np.random.default_rng(0)
     series = SeriesFrame(np.sin(np.arange(300) / 6.0) * 3.0 + rng.normal(0, 0.2, 300) + 8.0)
     cfg = RunConfig(n_nodes=2, h=4, train_len=250, test_len=50,
                     learner=learner, alpha=0.9 if learner != "kwh" else 1.0,
-                    weighted=weighted, evolution=evolution)
+                    weighted=weighted, evolution=evolution, node_kind=node_kind)
     work, fc = build_forecaster(series, cfg)
     for k in range(steps):
         fc.step(float(series.values[k]))
@@ -240,6 +247,21 @@ def test_delay_value_that_is_not_finite_is_corrupt(tmp_path, capsys, value):
     path = _tampered_snapshot(tmp_path, False, "adaptive",
                               lambda p: p["model"]["delay_y"].__setitem__(0, value), steps=50)
     with pytest.raises(CorruptSnapshot, match="delay values must be finite"):
+        snapshot_load(path)
+    assert main(["snapshot", "show", "--snapshot", str(path)]) == 10
+    assert "integrity: ok" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("lag", [0, 1])
+def test_delay_value_no_node_can_fuzzify_is_corrupt(tmp_path, capsys, lag):
+    # 1e9 underflows every Wang-Mendel rule, so no step takes it in;
+    # loaded, the model fuzzifies its delay line again and fails
+    from anarx.cli import main
+
+    path = _tampered_snapshot(tmp_path, False, "adaptive",
+                              lambda p: p["model"]["delay_y"].__setitem__(lag, 1e9),
+                              steps=50, node_kind="wang_mendel")
+    with pytest.raises(CorruptSnapshot, match="underflowed at 1000000000.0"):
         snapshot_load(path)
     assert main(["snapshot", "show", "--snapshot", str(path)]) == 10
     assert "integrity: ok" not in capsys.readouterr().out
@@ -691,3 +713,40 @@ def test_round_trip_property(tmp_path, learner, training, weighted, n_nodes, ste
     rest = values[steps:steps + 60]
     assert [fc2.step(v) for v in rest] == [fc.step(v) for v in rest]
     assert fc2.model.state_dict() == fc.model.state_dict()
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(node_kind=st.sampled_from(["neo_fuzzy", "wang_mendel"]),
+       learner=st.sampled_from(["rls", "kwh", "adaptive"]),
+       training=st.sampled_from(["stacked", "independent"]), weighted=st.booleans(),
+       learn=st.booleans(), steps=st.integers(0, 40), data=st.data())
+def test_rejected_value_moves_no_state_property(tmp_path, node_kind, learner, training, weighted,
+                                                learn, steps, data):
+    # a step that raises a typed error moves no state: the forecaster
+    # saves the same bytes, and goes on as a twin that never saw the
+    # value. Every Wang-Mendel rule underflows at +-1e9; a neo-fuzzy grid
+    # clamps it. Both are saved at the same step, since a save folds
+    # pending RLS gains.
+    bad = [NAN, INF, -INF] + ([1e9, -1e9] if node_kind == "wang_mendel" else [])
+    value = data.draw(st.sampled_from(bad), label="value")
+    error = DegenerateActivation if np.isfinite(value) else ParseError
+    values = PROPERTY_SERIES.values.tolist()
+    cfg = RunConfig(n_nodes=2, h=5, train_len=300, test_len=100, node_kind=node_kind,
+                    learner=learner, training=training,
+                    alpha=0.9 if learner == "adaptive" else 1.0, weighted=weighted)
+    fc, twin = (build_forecaster(PROPERTY_SERIES, cfg)[1] for _ in range(2))
+    for v in values[:steps]:
+        fc.step(v)
+        twin.step(v)
+    saved, twin_saved = tmp_path / "model.json", tmp_path / "twin.json"
+    snapshot_save(fc, saved)
+    snapshot_save(twin, twin_saved)
+    before = saved.read_bytes()
+    with pytest.raises(error):
+        fc.step(value, learn=learn)
+    snapshot_save(fc, saved)
+    assert saved.read_bytes() == before == twin_saved.read_bytes()
+    assert fc.skipped_updates == twin.skipped_updates
+    assert fc.degenerate_steps == twin.degenerate_steps
+    rest = values[steps:steps + 40]
+    assert [fc.step(v) for v in rest] == [twin.step(v) for v in rest]
