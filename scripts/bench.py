@@ -40,6 +40,18 @@ Cases:
 Each case records a digest of its ŷ stream, so two files show whether
 two versions of the code predict the same bits.
 
+With ``--against REV`` the script times this checkout's ``src/``
+against REV's, extracted with ``git archive`` into a temporary
+directory, and writes ``BENCH_ab.json``. Within a file, a slow phase of
+the host can move every sample of one case; a pair cancels it. Each of
+the ``--runs`` samples is a pair of fresh processes, one per tree, in
+alternating order; each process runs this script's cases once, each
+case the fastest of ``REPEAT`` runs, on that tree's library. Per case
+the file gives both trees' µs/step, the median and the range of the
+pair ratios (REV's µs/step over this tree's, above 1 where this tree is
+faster), in how many pairs this tree was faster, both ŷ digests, and the
+largest |Δŷ| when they differ. The file is a measurement, not a gate.
+
 With ``--snapshot`` the script times snapshots instead and writes
 ``BENCH_snapshot.json``. Its cases are the final forecasters of
 ``run_experiment`` on ``rls_wide`` (one RLS row of 200 weights, so its
@@ -54,6 +66,7 @@ loaded forecaster.
 
     PYTHONPATH=src python3 scripts/bench.py [--runs N] [--out BENCH_steps.json]
     PYTHONPATH=src python3 scripts/bench.py --snapshot [--runs N] [--out BENCH_snapshot.json]
+    PYTHONPATH=src python3 scripts/bench.py --against REV [--runs N] [--out BENCH_ab.json]
 """
 
 import os
@@ -64,10 +77,13 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 import argparse
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import platform
+import subprocess
 import sys
+import tarfile
 import tempfile
 import time
 
@@ -111,15 +127,18 @@ REPEAT = 5  # back-to-back calls per sample, the fastest kept
 
 
 def timed_run(config) -> tuple:
-    """(µs/step, ŷ digest) of one sample, the fastest of ``REPEAT`` runs."""
+    """(µs/step, ŷ) of one sample, the fastest of ``REPEAT`` runs."""
     series = synthetic_load_series(n=config.train_len + config.test_len, seed=SEED)
     reports = []
     ms = best_ms(lambda: reports.append(run_experiment(series, config)))
-    digests = {hashlib.sha256(np.array([s.y_hat for s in r.steps]).tobytes()).hexdigest()
-               for r in reports}
-    if len(digests) != 1:
-        raise RuntimeError(f"{len(digests)} different ŷ streams in {REPEAT} runs of one config")
-    return ms * 1e3 / len(reports[0].steps), digests.pop()
+    streams = [np.array([s.y_hat for s in r.steps]) for r in reports]
+    if len({digest(y_hat) for y_hat in streams}) != 1:
+        raise RuntimeError(f"different ŷ streams in {REPEAT} runs of one config")
+    return ms * 1e3 / len(streams[0]), streams[0]
+
+
+def digest(y_hat) -> str:
+    return hashlib.sha256(y_hat.tobytes()).hexdigest()
 
 
 def best_ms(call) -> float:
@@ -186,26 +205,93 @@ def snapshot_bench(runs: int, out: str) -> None:
         print(f"{name}: {case['bytes']} B, save {case['save_ms']}, load {case['load_ms']}")
 
 
+def sample(out: str) -> None:
+    """Run every case once and save its µs/step and ŷ to ``out`` (npz):
+    one process of an A/B pair."""
+    results = {name: timed_run(config) for name, config in CASES.items()}
+    np.savez(out, us=np.array([us for us, _ in results.values()]),
+             **{name: y_hat for name, (_, y_hat) in results.items()})
+
+
+# one A/B sample on the library first on PYTHONPATH: this script's cases,
+# saved to the file named by the first argument
+SAMPLE = "import sys; sys.path.insert(0, {scripts!r}); import bench; bench.sample(sys.argv[1])"
+
+
+def ab_bench(rev: str, runs: int, out: str) -> None:
+    commit = subprocess.run(["git", "-C", ROOT, "rev-parse", "--verify", f"{rev}^{{commit}}"],
+                            capture_output=True, text=True, check=True).stdout.strip()
+    code = SAMPLE.format(scripts=os.path.dirname(os.path.abspath(__file__)))
+    times = {tree: {name: [] for name in CASES} for tree in ("this", "against")}
+    streams = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(["git", "-C", ROOT, "archive", "--format=tar", commit, "src"],
+                                 capture_output=True, check=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(os.path.join(tmp, "against"), filter="data")
+        srcs = {"this": os.path.join(ROOT, "src"), "against": os.path.join(tmp, "against", "src")}
+        for k in range(runs):
+            for tree in (("this", "against") if k % 2 == 0 else ("against", "this")):
+                path = os.path.join(tmp, f"{tree}.npz")
+                subprocess.run([sys.executable, "-c", code, path], cwd=tmp, check=True,
+                               env={**os.environ, "PYTHONPATH": srcs[tree]})
+                with np.load(path) as saved:
+                    for name, us in zip(CASES, saved["us"].tolist()):
+                        times[tree][name].append(us)
+                        y_hat = saved[name]
+                        if streams.setdefault((tree, name), y_hat).tobytes() != y_hat.tobytes():
+                            raise RuntimeError(f"{tree}: {name} predicted two ŷ streams")
+    cases = {}
+    for name in CASES:
+        this, against = times["this"][name], times["against"][name]
+        ratios = [a / t for t, a in zip(this, against)]
+        y_this, y_against = streams["this", name], streams["against", name]
+        case = {
+            "us_per_step": {"this": spread(this), "against": spread(against)},
+            "pair_ratio": {"median": round(float(np.median(ratios)), 3),
+                           "min": round(min(ratios), 3), "max": round(max(ratios), 3)},
+            "faster_in": f"{sum(r > 1.0 for r in ratios)} of {runs}",
+            "y_hat_sha256": {"this": digest(y_this), "against": digest(y_against)},
+        }
+        if case["y_hat_sha256"]["this"] != case["y_hat_sha256"]["against"]:
+            case["max_abs_dy"] = (float(np.max(np.abs(y_this - y_against)))
+                                  if y_this.shape == y_against.shape else None)
+        cases[name] = case
+    write({**environment(), "repeat": REPEAT, "against": rev, "against_commit": commit,
+           "cases": cases}, out)
+    for name, case in cases.items():
+        print(f"{name}: ratio {case['pair_ratio']['median']}, faster in {case['faster_in']}"
+              + ("" if "max_abs_dy" not in case else f", max|dy| {case['max_abs_dy']}"))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--runs", type=int, default=15, help="runs per case (at least 5)")
     parser.add_argument("--snapshot", action="store_true",
                         help="time snapshot save and load instead of the step")
-    parser.add_argument("--out", default=None,
-                        help="output file (default BENCH_steps.json, or BENCH_snapshot.json)")
+    parser.add_argument("--against", metavar="REV",
+                        help="time this checkout's src/ against REV's in paired processes")
+    parser.add_argument("--out", default=None, help="output file (default BENCH_steps.json, "
+                        "BENCH_snapshot.json or BENCH_ab.json)")
     args = parser.parse_args(argv)
     if args.runs < 5:
         parser.error("--runs must be at least 5")
+    if args.snapshot and args.against:
+        parser.error("--snapshot and --against exclude each other")
     if args.snapshot:
         snapshot_bench(args.runs, args.out or os.path.join(ROOT, "BENCH_snapshot.json"))
+        return 0
+    if args.against:
+        ab_bench(args.against, args.runs, args.out or os.path.join(ROOT, "BENCH_ab.json"))
         return 0
 
     times = {name: [] for name in CASES}
     digests = {}
     for _ in range(args.runs):
         for name, config in CASES.items():
-            us, digests[name] = timed_run(config)
+            us, y_hat = timed_run(config)
             times[name].append(us)
+            digests[name] = digest(y_hat)
 
     result = {
         **environment(),

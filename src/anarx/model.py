@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CorruptSnapshot
+from .errors import CorruptSnapshot, ParseError
 from .learning import make_learner
 from .numerics import support_dot
 from .membership import GaussianGrid, KnotGrid, build_gaussian_grid, build_uniform_grid
@@ -69,9 +69,10 @@ class AnarxModel:
     fuzzified once, before any state moves, into a ring of supports
     (entry ``l - 1`` holds the support of the value seen ``l`` steps
     ago, ``(0, ())`` before it is seen) kept beside the delay line
-    ``delay_y``, the values themselves, newest first. A value no node
-    can fuzzify raises DegenerateActivation from the step that receives
-    it and enters neither. The ring's length is the delay capacity: it
+    ``delay_y``, the values themselves, newest first. A value that is
+    not finite raises ParseError, and one no node can fuzzify
+    DegenerateActivation, from the step that receives it, and it enters
+    neither. The ring's length is the delay capacity: it
     grows with the pool and never shrinks, and ``delay_y`` is no longer
     than it.
 
@@ -199,7 +200,7 @@ class AnarxModel:
         """
         y = float(y_new)
         if support is None:
-            support = self.node.fuzzify(y)
+            support = self._fuzzify(y)
         delay = self.delay_y
         delay.insert(0, y)
         del delay[len(self._ring) :]
@@ -207,13 +208,21 @@ class AnarxModel:
         ring.insert(0, support)
         ring.pop()
 
+    def _fuzzify(self, y: float) -> tuple:
+        """``y``'s support. A value that is not finite raises ParseError,
+        before anything moves: the clamps of the grids pass NaN through."""
+        if not math.isfinite(y):
+            raise ParseError(f"value {y!r} is not finite")
+        return self.node.fuzzify(y)
+
     # -- training --------------------------------------------------------
 
     def train_step(self, y_new: float, forecasts=None, output=None) -> list:
         """One online step: fuzzify y_new, update the weights towards it,
         then shift the delay line. The step's prediction is
-        :meth:`forward` before it. A y_new no node can fuzzify raises
-        DegenerateActivation before any weight or lag moves.
+        :meth:`forward` before it. A y_new that is not finite raises
+        ParseError, and one no node can fuzzify DegenerateActivation,
+        before any weight or lag moves.
 
         Returns (node index, reason) for each node whose update failed or
         was deferred: ``"lag not observed yet"``, or the learner error as
@@ -224,7 +233,7 @@ class AnarxModel:
         output, passes it as ``output``, and the stacked row takes it as
         its prediction.
         """
-        support = self.node.fuzzify(float(y_new))
+        support = self._fuzzify(float(y_new))
         n = self.n
         m = min(n, len(self.delay_y))
         node_preds = self.node_forecasts() if forecasts is None else forecasts
@@ -293,9 +302,10 @@ class AnarxModel:
         Raises CorruptSnapshot when the learner state does not match the
         model: another row count, or settings (kind, alpha, p0) other
         than those the model builds its learner with; when the delay
-        capacity is below the node count or the delay values;
-        DimensionMismatch when a row is shaped for another pool; and
-        DegenerateActivation when a delay value cannot be fuzzified.
+        capacity is below the node count or the delay values, or a
+        delay value is not finite; DimensionMismatch when a row is shaped
+        for another pool; and DegenerateActivation when a delay value
+        cannot be fuzzified.
         """
         grids = {node.kind: grid for grid, node in _NODE_TYPES.items()}
         node_kind = state["node_kind"]
@@ -322,6 +332,8 @@ class AnarxModel:
                 )
             learner.load_row(i, row)
         delay = [float(v) for v in state["delay_y"]]
+        if not all(map(math.isfinite, delay)):
+            raise CorruptSnapshot("delay values must be finite")
         least = max(model.n, len(delay))
         # files written before the capacity was stored hold none
         capacity = state.get("delay_capacity", least)

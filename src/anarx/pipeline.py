@@ -17,6 +17,7 @@ import math
 import os
 import time
 from collections import Counter, deque
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, fields
 from typing import NoReturn
 
@@ -192,7 +193,11 @@ class RunConfig:
             _invalid("eta_lambda", f"must be positive and finite, got {self.eta_lambda}")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # every other field is a scalar, which asdict would deep-copy
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        if isinstance(self.evolution, EvolutionPolicy):
+            d["evolution"] = asdict(self.evolution)
+        return d
 
 
 @dataclass(slots=True)
@@ -205,16 +210,43 @@ class StepRecord:
     c: tuple | None = None
 
 
+class StepRecords(Sequence):
+    """A run's per-step records, read-only, kept as columns.
+
+    ``y`` and ``y_hat`` hold step k's value and prediction in model
+    units, ``n_active`` the pool size that made the prediction, and
+    ``c``, on a weighted run only (None otherwise), the combiner's
+    weights after the step. Reading step k builds its
+    :class:`StepRecord`, with ``error = y - y_hat``.
+    """
+
+    def __init__(self, y: list, y_hat: list, n_active: list, c: list | None = None) -> None:
+        self.y, self.y_hat, self.n_active, self.c = y, y_hat, n_active, c
+
+    def __len__(self) -> int:
+        return len(self.y_hat)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[k] for k in range(*index.indices(len(self)))]
+        k = range(len(self))[index]
+        y, y_hat = self.y[k], self.y_hat[k]
+        c = None if self.c is None else tuple(self.c[k])
+        return StepRecord(k, y, y_hat, y - y_hat, self.n_active[k], c)
+
+
 @dataclass
 class ForecastReport:
     """Per-step records plus the summary a benchmark table needs.
 
-    ``forecaster`` is the forecaster that produced the steps, in its final
-    state. ``anarx snapshot save`` saves it, so the report keeps it alive
-    as long as the report lives.
+    ``steps`` is a read-only sequence of :class:`StepRecord`, a view
+    over the run's columns (:class:`StepRecords`). ``forecaster`` is the
+    forecaster that produced the steps, in its final state. ``anarx
+    snapshot save`` saves it, so the report keeps it alive as long as
+    the report lives.
     """
 
-    steps: list
+    steps: Sequence
     rmse_train: float
     rmse_test: float
     parameter_count: int
@@ -435,20 +467,26 @@ def run_experiment(series: SeriesFrame, config: RunConfig) -> ForecastReport:
     combiner = forecaster.combiner
     total = config.train_len + config.test_len
     structure_events = []
-    steps: list[StepRecord] = []
+    ys = work.values[:total].tolist()
+    y_hat, n_active_col = [], []
+    # the combiner binds a new weight list at each step, so a step's list
+    # is its record of c
+    c_col = [] if combiner is not None else None
 
-    for k, y in enumerate(work.values[:total].tolist()):
+    for k, y in enumerate(ys):
         n_active = model.n
         try:
             pred = forecaster.advance(y, (k < config.train_len) or not config.freeze_test)
         except AnarxError as exc:
             raise type(exc)(f"step {k}: {exc}") from exc
-        c = tuple(combiner.c.tolist()) if combiner is not None else None
-        steps.append(StepRecord(k, y, pred, y - pred, n_active, c))
+        y_hat.append(pred)
+        n_active_col.append(n_active)
+        if c_col is not None:
+            c_col.append(combiner._c)
         if model.n != n_active:
             structure_events.append((k, "added" if model.n > n_active else "removed", model.n))
 
-    errors = np.asarray([s.error for s in steps])
+    errors = np.asarray(ys) - np.asarray(y_hat)
     rmse_train = float(np.sqrt(np.mean(errors[: config.train_len] ** 2)))
     if config.test_len:
         rmse_test = float(np.sqrt(np.mean(errors[config.train_len : total] ** 2)))
@@ -482,7 +520,7 @@ def run_experiment(series: SeriesFrame, config: RunConfig) -> ForecastReport:
         wall,
     )
     return ForecastReport(
-        steps=steps,
+        steps=StepRecords(ys, y_hat, n_active_col, c_col),
         rmse_train=rmse_train,
         rmse_test=rmse_test,
         parameter_count=parameter_count,

@@ -133,10 +133,6 @@ def snapshot_read(path) -> tuple:
         if version == 3:
             _pack_covariances(payload["model"])
         model = AnarxModel.from_state(payload["model"])
-        # a bare model may hold any value it observed, but a forecaster's
-        # step takes in only finite ones, so no saved forecaster holds another
-        if not all(map(math.isfinite, model.delay_y)):
-            raise CorruptSnapshot("delay values must be finite")
         combiner = (
             CombinerState.from_state(payload["combiner"]) if payload.get("combiner") else None
         )

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -134,6 +135,40 @@ class TestCombinerState:
         cs.truncate(2)
         assert abs(cs.c.sum() - 1.0) <= 1e-12
         assert np.allclose(cs.c, [0.625, 0.375])
+
+    def test_weights_read_as_a_fresh_read_only_array(self):
+        cs = CombinerState(3)
+        c = cs.c
+        with pytest.raises(ValueError):
+            c[0] = 1.0
+        assert cs.c is not c
+        # an array read before a step keeps that step's weights
+        cs.optimal_step([1.0, 0.0, 2.0], 2.0)
+        assert c.tolist() == [1.0 / 3.0] * 3 != cs.c.tolist()
+
+    def test_weights_set_from_any_length_n_sequence(self):
+        cs = CombinerState(2)
+        for values in ([0.25, 0.75], (0.25, 0.75), np.array([0.25, 0.75])):
+            cs.c = values
+            assert cs.c.tolist() == [0.25, 0.75]
+        for bad in ([1.0], [0.1, 0.2, 0.7], [[0.5, 0.5]]):
+            with pytest.raises(ValueError):
+                cs.c = bad
+        assert cs.c.tolist() == [0.25, 0.75]
+
+    def test_state_round_trips(self):
+        rng = np.random.default_rng(6)
+        cs = CombinerState(3, eta_lambda=0.3)
+        for _ in range(20):
+            cs.optimal_step(rng.normal(size=3).tolist(), float(rng.normal()))
+        loaded = CombinerState.from_state(json.loads(json.dumps(cs.state_dict())))
+        assert loaded.state_dict() == cs.state_dict()
+        assert loaded.c.tobytes() == cs.c.tobytes()
+        f, y = rng.normal(size=3).tolist(), float(rng.normal())
+        assert loaded.combine(f) == cs.combine(f)
+        loaded.optimal_step(f, y)
+        cs.optimal_step(f, y)
+        assert loaded.state_dict() == cs.state_dict()
 
 
 def exact_dot(a, b):

@@ -28,9 +28,15 @@ the same way: ``y_hat``, ``error``, ``n_active`` and the structure events
 of the shipped load configs run with evolution on. Re-record every file
 in ``tests/reference/`` after a deliberate change with
 ``python tests/test_golden.py --record``.
+
+``REPORT_DIGESTS`` pins the report bytes ``bench`` writes, the per-step
+CSV and the JSON summary without its wall time, of the four shipped
+configs with evolution off, ``"auto"`` and a fixed policy. A deliberate
+change to them is recorded by hand in that table.
 """
 
 import dataclasses
+import hashlib
 import sys
 from pathlib import Path
 
@@ -159,6 +165,72 @@ EVOLVING = {
     "load_weighted_policy": ("load_weighted", POLICY),
     "load_plain_policy": ("load_plain", POLICY),
 }
+
+
+# sha256 of steps_csv() and of to_json(include_wall_time=False) for each
+# shipped config with evolution off, "auto" and POLICY, over the golden
+# series: the report bytes bench writes with --out-csv and --out-json
+REPORT_DIGESTS = {
+    ("load_plain", "off"): (
+        "f7bbc3f791a792dd29815f1f4a244c71a4a26a012fc5657271d799fb111197b7",
+        "c5eb0915355b414128e524d0f41f1a478f30abfbda859963d007eed49e191c70",
+    ),
+    ("load_plain", "auto"): (
+        "03159404045ab44a17cfa3b467a1b438b27d3a62308c6b1414134ce0e63e9179",
+        "33500e7390a9d053be3291027f7189d44232a104bf132371a7c6ca38df761e88",
+    ),
+    ("load_plain", "policy"): (
+        "732d54a969551cd83196fef881938460117c80871e506b45d7f07fbc86c65929",
+        "7830238ffee254a851756d7199221a3f25dc84d740838f5dc9caf1313ad115fb",
+    ),
+    ("load_weighted", "off"): (
+        "34e3603394bc7e09216dcbb654b81ea986e8acc920644264f5b8c0ebe97a6e52",
+        "42a61626ecead945eac52986b82de45fd4b02f006f999d4f657a2ce82e82a622",
+    ),
+    ("load_weighted", "auto"): (
+        "17683f85372129eee8ba1f01c40bb4786d58717b2e6f0f72232f3c7f83c690fc",
+        "5f6fbfecc7009ff6b5c95237160da305a080c15743f033e8dff2fe02ef3f05be",
+    ),
+    ("load_weighted", "policy"): (
+        "cf6261092b9b02b9a133cb0b9820566b3dc4555dcc122911db24c778e9af6da7",
+        "4a241f3ea637d10e233f8f5746a60b5e506c699a6380a2cfdaa693c8c1325c55",
+    ),
+    ("sunspot_plain", "off"): (
+        "2bc462ac9f54e08c3b8e8b6a524c20021e0270c56775646d0931ba674e3eafa0",
+        "d531eac343ca07547e7c44f810f510530e440fe4fdef11d94b753d1610b41663",
+    ),
+    ("sunspot_plain", "auto"): (
+        "eca5d5b8fa4b9123bfe6baf35b6d17303dc20ebb13a436c7b9516851b03d82b8",
+        "be8b2bd2e2ad1613094ae7ebb314d5425302e3543d02ea854c2c730257653390",
+    ),
+    ("sunspot_plain", "policy"): (
+        "3a34d67c768c961a5a64155a31af3c6f329eda4030996c1869a6e00c18cc4399",
+        "1b9a16b9248fc6ab7d2d583fcf5158411bc6110aa292992dabefff550322ede6",
+    ),
+    ("sunspot_weighted", "off"): (
+        "697c771ac40fbc0c9ddd2647a52eda3207ee08fea6eea8dee8e291f4b09f0428",
+        "d106dadc8946dc15a06d8554fc0dd60390d5bd1c4884dc67fc814dd1589313eb",
+    ),
+    ("sunspot_weighted", "auto"): (
+        "7c0c8132d05810315a1c8bf56afd0a9d2f39a10a7de4b1751ea5c61bf9af535b",
+        "17ccfb96dc3ebcaa9b83ed5410737736f35571c8070b164f6f0baf7430e7706c",
+    ),
+    ("sunspot_weighted", "policy"): (
+        "da750d73a7e526cadf5797a53861960c35d79c324cebd98b7f87db5780e250c6",
+        "537bd51a1487ea2febb40b72685f8795ae9093636ddada8577edd3bfc10acef8",
+    ),
+}
+EVOLUTION_SETTINGS = {"off": None, "auto": "auto", "policy": POLICY}
+
+
+@pytest.mark.parametrize("name,evolution", sorted(REPORT_DIGESTS))
+def test_report_bytes_match_recorded_digests(name, evolution):
+    config = dataclasses.replace(load_config(ROOT / "configs" / f"{name}.cfg"),
+                                 evolution=EVOLUTION_SETTINGS[evolution])
+    report = run_experiment(golden_series(config), config)
+    got = tuple(hashlib.sha256(text.encode()).hexdigest()
+                for text in (report.steps_csv(), report.to_json(include_wall_time=False)))
+    assert got == REPORT_DIGESTS[name, evolution]
 
 
 def evolving_config(name):

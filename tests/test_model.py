@@ -16,7 +16,7 @@ from anarx import (
     build_anarx,
     build_uniform_grid,
 )
-from anarx.errors import CorruptSnapshot, DegenerateActivation
+from anarx.errors import CorruptSnapshot, DegenerateActivation, ParseError
 from anarx.numerics import EPS_REG
 from conftest import assert_one_weight_block, fold_rank
 
@@ -90,15 +90,20 @@ class TestDelayLine:
         assert _bits(loaded.node_forecasts()) == _bits(m.node_forecasts())
         assert m.node_forecasts()[2] != 0.0
 
-    def test_value_that_is_not_finite_round_trips(self):
-        # the model holds whatever it observed; only a forecaster's step
-        # and its snapshot loader reject a value that is not finite
+    def test_value_that_is_not_finite_is_not_observed(self):
+        # the model observes no value that is not finite, so a state that
+        # holds one is corrupt
         m = small_model(n=2)
         m.observe(0.3)
-        m.observe(float("nan"))
-        loaded = AnarxModel.from_state(json.loads(json.dumps(m.state_dict())))
-        assert _bits(loaded.delay_y) == _bits(m.delay_y)
-        assert math.isnan(loaded.forward()) and math.isnan(m.forward())
+        state = json.loads(json.dumps(m.state_dict()))
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ParseError, match="not finite"):
+                m.observe(value)
+            assert m.delay_y == [0.3]
+            bad = copy.deepcopy(state)
+            bad["delay_y"].insert(0, value)
+            with pytest.raises(CorruptSnapshot, match="delay values must be finite"):
+                AnarxModel.from_state(bad)
 
     def test_state_without_capacity_loads_with_the_longest(self):
         # a version-3 file from before the capacity was stored loads as
@@ -608,6 +613,27 @@ class TestArrayPool:
             assert _bits(m.node_forecasts()) == _bits(twin.node_forecasts())
             assert m.train_step(y) == twin.train_step(y)
         assert _bits(m.W) == _bits(twin.W)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("learner", ["adaptive", "kwh", "rls"])
+    def test_value_that_is_not_finite_is_rejected_before_any_state_moves(self, learner, value):
+        # the grid's clamps pass NaN through, so without the check the
+        # weights would learn it; the step that receives such a value
+        # raises, and the model goes on as a twin that never saw it
+        m, twin = (build_anarx(2, 4, 0.0, 1.0, learner=learner) for _ in range(2))
+        for y in (0.3, 0.6):
+            m.train_step(y)
+            twin.train_step(y)
+        before = m.state_dict()
+        twin.state_dict()
+        for bad_step in (m.train_step, m.observe):
+            with pytest.raises(ParseError, match="not finite"):
+                bad_step(value)
+            assert m.state_dict() == before
+        for y in (0.4, 0.8, 0.1):
+            assert _bits(m.node_forecasts()) == _bits(twin.node_forecasts())
+            assert m.train_step(y) == twin.train_step(y)
+        assert m.state_dict() == twin.state_dict()
 
     def test_unfuzzifiable_delay_value_fails_the_load(self):
         # a loaded model fuzzifies its delay line again: after growth it

@@ -1,3 +1,4 @@
+import copy
 import json
 import logging
 import math
@@ -11,7 +12,7 @@ from anarx.combiner import CombinerState
 from anarx.errors import DegenerateRange, EmptySeries, NumericalDivergence, ParseError
 from anarx.learning import AdaptiveLearner, RlsLearner
 from anarx.model import AnarxModel, EvolutionPolicy
-from anarx.pipeline import build_forecaster, denormalize, parse_config_text
+from anarx.pipeline import StepRecord, build_forecaster, denormalize, parse_config_text
 
 
 class TestLoadCsv:
@@ -519,3 +520,55 @@ class TestReportForecaster:
 
         with pytest.raises(ValueError):
             OnlineForecaster(build_anarx(1, 3, 0.0, 1.0), evolution=True)
+
+
+class TestStepRecords:
+    """``report.steps`` is a read-only view over the run's columns: each
+    record equals the one the run would make at its step."""
+
+    CONFIG = RunConfig(n_nodes=1, h=3, train_len=300, test_len=100, learner="adaptive",
+                       alpha=0.9, weighted=True, evolution=EvolutionPolicy(
+                           window=50, add_threshold=0.05, remove_threshold=0.01, n_max=4))
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        series = SeriesFrame(np.random.default_rng(4).uniform(0, 1, 400))
+        report = run_experiment(series, self.CONFIG)
+        # the records as the step path makes them, with copies of c
+        work, fc = build_forecaster(series, self.CONFIG)
+        records = []
+        for k, y in enumerate(work.values.tolist()):
+            n_active = fc.model.n
+            pred = fc.advance(y)
+            records.append(StepRecord(k, y, pred, y - pred, n_active, tuple(fc.combiner.c.tolist())))
+        return series, report, records
+
+    def test_view_reads_as_the_records(self, run):
+        _, report, records = run
+        steps = report.steps
+        assert len({len(r.c) for r in records}) > 1  # the pool grew or shrank
+        assert len(steps) == len(records)
+        assert list(steps) == records
+        assert steps[-1] == records[-1] and steps[-len(records)] == records[0]
+        for index in (slice(None), slice(5, 50, 7), slice(-30, None), slice(None, None, -3),
+                      slice(500, 600)):
+            assert steps[index] == records[index], index
+        for k in (len(records), -len(records) - 1):
+            with pytest.raises(IndexError):
+                steps[k]
+        assert list(copy.deepcopy(steps)) == records
+        assert list(copy.deepcopy(report).steps) == records
+
+    def test_view_is_read_only(self, run):
+        _, report, _ = run
+        with pytest.raises(TypeError):
+            report.steps[0] = report.steps[1]
+
+    def test_record_c_keeps_its_step(self, run):
+        series, report, records = run
+        last = report.steps[-1]
+        fc = report.forecaster
+        for v in series.values[:50].tolist():
+            fc.step(v)
+        assert tuple(fc.combiner.c.tolist()) != last.c
+        assert report.steps[-1] == last == records[-1]
