@@ -25,7 +25,7 @@ from operator import mul
 
 import numpy as np
 
-from .errors import DegenerateStep
+from .errors import DegenerateStep, read_float, read_floats
 from .numerics import EPS_REG
 
 
@@ -115,9 +115,9 @@ class CombinerState:
 
     @classmethod
     def from_state(cls, state: dict) -> "CombinerState":
-        out = cls(len(state["c"]), eta_lambda=state["eta_lambda"])
-        out.c = state["c"]
-        out.lam = float(state["lam"])
+        out = cls(len(state["c"]), eta_lambda=read_float(state["eta_lambda"], "eta_lambda"))
+        out.c = read_floats(state["c"], "combiner weights")
+        out.lam = read_float(state["lam"], "lam")
         if not (all(map(isfinite, out._c)) and isfinite(out.lam)):
             raise ValueError("combiner weights and multiplier must be finite")
         return out

@@ -59,3 +59,19 @@ class VersionMismatch(AnarxError):
 
 class CorruptSnapshot(AnarxError):
     """Snapshot file is truncated, malformed, or fails its checksum."""
+
+
+def read_float(value, what: str) -> float:
+    """A number read from a saved state, as a float. Raises CorruptSnapshot
+    for anything no state saves as a number: a bool, a string, a list."""
+    if type(value) not in (int, float):
+        raise CorruptSnapshot(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def read_floats(values, what: str) -> list:
+    """A list of numbers read from a saved state, as floats. Raises
+    CorruptSnapshot unless ``values`` is a list of JSON numbers."""
+    if type(values) is not list or not {int, float}.issuperset(map(type, values)):
+        raise CorruptSnapshot(f"{what} must be a list of numbers")
+    return list(map(float, values))

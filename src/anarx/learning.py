@@ -54,7 +54,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch, NumericalDivergence
+from .errors import DimensionMismatch, NumericalDivergence, read_float, read_floats
 from .numerics import EPS_REG, support_dot
 
 
@@ -130,7 +130,7 @@ class _RowBlock:
     def load_row(self, i: int, state: dict) -> None:
         """Restore row ``i`` from :meth:`row_state` output; the caller
         checks that the state's settings are this learner's."""
-        w = np.asarray(state["w"], dtype=float)
+        w = np.array(read_floats(state["w"], f"row {i} weights"))
         if w.shape != self.w.shape[1:]:
             raise DimensionMismatch(
                 f"row {i} has weights of shape {w.shape}, the learner needs {self.w.shape[1:]}"
@@ -421,13 +421,13 @@ class RlsLearner(_RowBlock):
         """Restore row ``i``: every row folds its pending gains, then row
         ``i``'s weights and covariance are overwritten, the saved
         triangle (see :func:`packed`) going into both triangles of ``P``."""
-        saved = np.asarray(state["P"], dtype=float)
+        saved = state["P"]
         cols = self.w.shape[1]
         size = cols * (cols + 1) // 2
-        if saved.shape != (size,):
+        if len(saved) != size:
             raise DimensionMismatch(
-                f"covariance must be the {size} entries of a packed triangle, got shape "
-                f"{saved.shape}")
+                f"covariance must be the {size} entries of a packed triangle, got {len(saved)}")
+        saved = np.array(read_floats(saved, f"row {i} covariance"))
         if not np.isfinite(saved).all():
             raise DimensionMismatch("covariance must be finite")
         super().load_row(i, state)
@@ -491,7 +491,7 @@ class AdaptiveLearner(_Projection):
         return {**self.settings(), "r": float(self.r[i]), "w": self.w[i].tolist()}
 
     def load_row(self, i: int, state: dict) -> None:
-        r = float(state["r"])
+        r = read_float(state["r"], f"row {i} gain")
         if not 0.0 <= r < math.inf:
             raise ValueError(f"row {i} has gain {r}, which must be finite and nonnegative")
         super().load_row(i, state)

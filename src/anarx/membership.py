@@ -13,7 +13,7 @@ from bisect import bisect_right
 
 import numpy as np
 
-from .errors import InvalidOrder, InvalidRange
+from .errors import InvalidOrder, InvalidRange, read_float, read_floats
 
 
 class KnotGrid:
@@ -70,7 +70,8 @@ class KnotGrid:
 
     @classmethod
     def from_dict(cls, d: dict) -> "KnotGrid":
-        return cls(d["lo"], d["hi"], d["h"], d["q"], d["knots"])
+        return cls(read_float(d["lo"], "grid lo"), read_float(d["hi"], "grid hi"), d["h"], d["q"],
+                   read_floats(d["knots"], "knots"))
 
 
 class GaussianGrid:
@@ -106,7 +107,7 @@ class GaussianGrid:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GaussianGrid":
-        return cls(d["centers"], d["widths"])
+        return cls(read_floats(d["centers"], "centers"), read_floats(d["widths"], "widths"))
 
 
 def build_uniform_grid(lo: float, hi: float, h: int, q: int) -> KnotGrid:

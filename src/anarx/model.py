@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CorruptSnapshot, ParseError
+from .errors import CorruptSnapshot, ParseError, read_float, read_floats
 from .learning import make_learner
 from .numerics import support_dot
 from .membership import GaussianGrid, KnotGrid, build_gaussian_grid, build_uniform_grid
@@ -271,6 +271,10 @@ class AnarxModel:
         return self.node.synapses * self.W.size
 
     def state_dict(self) -> dict:
+        """The model's state, each number once: the grid of the pool, the
+        node count, the delay values and capacity, and the learner rows,
+        whose weights are the node weights and, for RLS, whose covariance
+        ``P`` is its packed upper triangle."""
         state = {
             "training": self.training,
             "learner": self.learner_kind,
@@ -316,8 +320,8 @@ class AnarxModel:
             state["n_nodes"],
             training=state["training"],
             learner=state["learner"],
-            alpha=state["alpha"],
-            p0=state["p0"],
+            alpha=read_float(state["alpha"], "alpha"),
+            p0=read_float(state["p0"], "p0"),
         )
         learner = model.learner
         rows = [state["stacked_state"]] if model.training == "stacked" else state["learner_states"]
@@ -331,7 +335,7 @@ class AnarxModel:
                     f"learner state {i} has settings {saved}, the model builds {settings}"
                 )
             learner.load_row(i, row)
-        delay = [float(v) for v in state["delay_y"]]
+        delay = read_floats(state["delay_y"], "delay values")
         if not all(map(math.isfinite, delay)):
             raise CorruptSnapshot("delay values must be finite")
         least = max(model.n, len(delay))

@@ -27,11 +27,14 @@ from .combiner import CombinerState
 from .errors import (
     AnarxError,
     ConfigError,
+    CorruptSnapshot,
     DegenerateRange,
     DegenerateStep,
     EmptySeries,
     NumericalDivergence,
     ParseError,
+    read_float,
+    read_floats,
 )
 from .model import AnarxModel, EvolutionPolicy, StructureChange, build_anarx
 
@@ -90,12 +93,12 @@ def load_csv(path, column=None) -> SeriesFrame:
             float(rows[0][idx])
         except (ValueError, IndexError):
             header = [cell.strip() for cell in rows[0]]
-            name = header[idx] if idx < len(header) else None
+            name = header[idx] if -len(header) <= idx < len(header) else None
             start = 1
 
     values = []
     for rownum, row in enumerate(rows[start:], start=start + 1):
-        if idx >= len(row):
+        if not -len(row) <= idx < len(row):
             raise ParseError(f"{path}: row {rownum} has no column {idx}")
         cell = row[idx].strip()
         try:
@@ -305,6 +308,11 @@ class OnlineForecaster:
     ``long_run_sq`` sums the squared errors of all ``learned_steps``.
     ``degenerate_steps`` counts skipped combiner updates,
     ``skipped_updates`` skipped node updates by reason.
+
+    The forecaster saves and restores itself, as its model and combiner
+    do: :meth:`state_dict` is the payload a snapshot stores, and
+    :meth:`from_state` rebuilds the forecaster from it. The two counters
+    are not saved.
     """
 
     def __init__(self, model: AnarxModel, combiner: CombinerState | None = None,
@@ -321,6 +329,9 @@ class OnlineForecaster:
         self.scale = scale
         self.meta = meta or {}
         self.evolution = evolution
+        # the policy evolve applies: under "auto" one policy, whose two
+        # thresholds each learned step sets from the long-run RMSE
+        self._policy = EvolutionPolicy(window=AUTO_WINDOW) if evolution == "auto" else evolution
         window = evolution.window if isinstance(evolution, EvolutionPolicy) else AUTO_WINDOW
         self.err_window: deque = deque(maxlen=window)
         self.contrib_window: deque = deque(maxlen=window)
@@ -392,20 +403,16 @@ class OnlineForecaster:
         self.contrib_window.append(forecasts)
         if len(window) < window.maxlen:
             return
-        policy = self.evolution
-        if policy == "auto":
+        if self.evolution == "auto":
             long_run_rmse = math.sqrt(self.long_run_sq / self.learned_steps)
             if long_run_rmse <= 0.0:
                 return
-            policy = EvolutionPolicy(
-                window=window.maxlen,
-                add_threshold=1.5 * long_run_rmse,
-                remove_threshold=0.75 * long_run_rmse,
-            )
+            self._policy.add_threshold = 1.5 * long_run_rmse
+            self._policy.remove_threshold = 0.75 * long_run_rmse
         # summed oldest first on every step; a running sum would round
         # differently and could move a structure change
         rmse = math.sqrt(sum(window) / window.maxlen)
-        change = self.model.evolve(policy, rmse, self.contrib_window)
+        change = self.model.evolve(self._policy, rmse, self.contrib_window)
         if change is StructureChange.NONE:
             return
         window.clear()
@@ -415,6 +422,78 @@ class OnlineForecaster:
                 self.combiner.extend(1)
             else:
                 self.combiner.truncate(self.model.n)
+
+    def state_dict(self) -> dict:
+        """The forecaster's state: its model and combiner (None on a
+        plain pool) as they save themselves, the scale, the meta and the
+        evolution controller, None when evolution is off, otherwise the
+        policy (``"auto"`` or the policy's fields), the error window, the
+        long-run squared-error sum, the learned-step count and the
+        contribution window (``"contrib"``)."""
+        evolution = self.evolution
+        if evolution is not None:
+            evolution = {
+                "policy": evolution if evolution == "auto" else vars(evolution).copy(),
+                "err_window": list(self.err_window),
+                "long_run_sq": self.long_run_sq,
+                "learned_steps": self.learned_steps,
+                "contrib": [list(row) for row in self.contrib_window],
+            }
+        return {
+            "model": self.model.state_dict(),
+            "combiner": self.combiner.state_dict() if self.combiner else None,
+            "scale": list(self.scale) if self.scale else None,
+            "meta": self.meta,
+            "evolution": evolution,
+        }
+
+    @classmethod
+    def from_state(cls, state: dict) -> "OnlineForecaster":
+        """Rebuild a forecaster from :meth:`state_dict` output.
+
+        Raises CorruptSnapshot for a state no forecaster could have
+        saved: a combiner sized for another pool; an error window and a
+        contribution window of different lengths, or longer than the
+        policy window; squared errors that are not finite and
+        nonnegative; a learned-step count that does not cover the
+        window; contribution rows that are not one finite value per
+        node; or a number that is not a JSON number. The model, the
+        combiner, the scale and the policy raise their own errors. The
+        forecaster keeps the state's ``meta`` dict itself, not a copy.
+        """
+        model = AnarxModel.from_state(state["model"])
+        combiner = CombinerState.from_state(state["combiner"]) if state.get("combiner") else None
+        if combiner is not None and combiner.n != model.n:
+            raise CorruptSnapshot(
+                f"combiner has shape {combiner.c.shape}, the pool has {model.n} nodes")
+        scale, saved = state.get("scale"), state["evolution"]
+        policy = None if saved is None else saved["policy"]
+        evolution = policy if saved is None or policy == "auto" else EvolutionPolicy(**policy)
+        forecaster = cls(model, combiner, None if scale is None else read_floats(scale, "scale"),
+                         state.get("meta"), evolution)
+        if saved is None:
+            return forecaster
+        window = read_floats(saved["err_window"], "error window")
+        long_run_sq = read_float(saved["long_run_sq"], "long-run squared error")
+        learned_steps = saved["learned_steps"]
+        if type(saved["contrib"]) is not list:
+            raise CorruptSnapshot("contribution window must be a list of rows")
+        rows = [read_floats(row, "contribution row") for row in saved["contrib"]]
+        # the forecaster appends to both windows on every learned step and
+        # clears both on a structure change
+        if len(rows) != len(window) or len(window) > forecaster.err_window.maxlen:
+            raise CorruptSnapshot(f"{len(window)} window errors and {len(rows)} contribution "
+                                  f"rows, the policy window is {forecaster.err_window.maxlen}")
+        if not all(math.isfinite(v) and v >= 0.0 for v in [long_run_sq, *window]):
+            raise CorruptSnapshot("squared errors must be finite and nonnegative")
+        if type(learned_steps) is not int or learned_steps < len(window):
+            raise CorruptSnapshot(f"learned step count {learned_steps!r} does not cover the window")
+        if not all(len(row) == model.n and all(map(math.isfinite, row)) for row in rows):
+            raise CorruptSnapshot(f"contribution rows must be {model.n} finite values, one per node")
+        forecaster.err_window.extend(window)
+        forecaster.contrib_window.extend(rows)
+        forecaster.long_run_sq, forecaster.learned_steps = long_run_sq, learned_steps
+        return forecaster
 
 
 def _fit_grid_range(segment: np.ndarray) -> tuple:

@@ -10,18 +10,15 @@ with the header its own ``sha256`` gives and ends with ``}`` and a
 newline, and hashes the bytes in between, so nothing is encoded again.
 A file that was re-dumped or pretty-printed, even to the same values,
 fails the checksum and is corrupt. The version tag is checked before
-anything is rebuilt. A loaded forecaster reproduces the saved one bit
-for bit on any subsequent input sequence, structure changes included.
+anything is rebuilt.
 
-Every number is stored once. The model holds one grid for the pool,
-the node count, the delay line and its capacity, and the learner state,
-whose weights are the node weights and, for RLS, whose covariance ``P``
-is its packed upper triangle. ``"evolution"`` is null when
-evolution is off, otherwise the forecaster's evolution controller, which
-holds all evolution state: the policy, the error window, the
-contribution window (``"contrib"``, the node forecasts
-:meth:`AnarxModel.evolve` reads), the long-run squared-error sum and the
-learned-step count.
+The payload is the forecaster's own state,
+:meth:`~anarx.pipeline.OnlineForecaster.state_dict`, and
+:meth:`~anarx.pipeline.OnlineForecaster.from_state` rebuilds the
+forecaster from it; this module holds the file format only. A payload
+that does not rebuild one consistent forecaster makes the file corrupt.
+A loaded forecaster reproduces the saved one bit for bit on any
+subsequent input sequence, structure changes included.
 
 Version 3 files still load. Their checksum covers the canonical
 encoding of the parsed payload, and they store each ``P`` whole; a
@@ -36,15 +33,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 
 import numpy as np
 
-from .combiner import CombinerState
-from .errors import AnarxError, CorruptSnapshot, VersionMismatch
+from .errors import AnarxError, CorruptSnapshot, VersionMismatch, read_floats
 from .learning import packed
-from .model import AnarxModel, EvolutionPolicy
 from .pipeline import OnlineForecaster
 
 FORMAT = "anarx-snapshot"
@@ -74,13 +68,7 @@ def _encode(payload: dict) -> bytes:
 
 
 def snapshot_save(forecaster: OnlineForecaster, path) -> None:
-    data = _encode({
-        "model": forecaster.model.state_dict(),
-        "combiner": forecaster.combiner.state_dict() if forecaster.combiner else None,
-        "scale": list(forecaster.scale) if forecaster.scale else None,
-        "meta": forecaster.meta,
-        "evolution": _evolution_state(forecaster),
-    })
+    data = _encode(forecaster.state_dict())
     # write beside the target and rename over it, so a save that fails
     # partway leaves the previous file as it was
     tmp = f"{os.fspath(path)}.{os.urandom(8).hex()}.tmp"
@@ -132,23 +120,7 @@ def snapshot_read(path) -> tuple:
     try:
         if version == 3:
             _pack_covariances(payload["model"])
-        model = AnarxModel.from_state(payload["model"])
-        combiner = (
-            CombinerState.from_state(payload["combiner"]) if payload.get("combiner") else None
-        )
-        if combiner is not None and combiner.c.shape != (model.n,):
-            raise CorruptSnapshot(
-                f"combiner has shape {combiner.c.shape}, the pool has {model.n} nodes"
-            )
-        scale = payload.get("scale") or None
-        meta = payload.get("meta") or {}
-        evolution = payload["evolution"]
-        forecaster = OnlineForecaster(
-            model, combiner, scale, meta,
-            evolution=None if evolution is None else _policy(evolution["policy"]),
-        )
-        if evolution is not None:
-            _restore_evolution(forecaster, evolution)
+        forecaster = OnlineForecaster.from_state(payload)
     except (LookupError, TypeError, ValueError, AnarxError) as exc:
         # a checksummed payload that does not rebuild one consistent
         # forecaster is corrupt, whatever check caught it
@@ -164,52 +136,8 @@ def _pack_covariances(model: dict) -> None:
     rows = [model["stacked_state"]] if model["training"] == "stacked" else model["learner_states"]
     for row in rows:
         if "P" in row:
-            P = np.array(row["P"], dtype=float)
+            P = np.array([read_floats(r, "covariance row") for r in row["P"]])
             if P.ndim != 2 or not (np.isfinite(P).all() and np.array_equal(P, P.T)):
                 raise CorruptSnapshot("covariance must be finite and exactly symmetric")
             row["P"] = packed(P).tolist()
 
-
-def _evolution_state(forecaster: OnlineForecaster) -> dict | None:
-    policy = forecaster.evolution
-    if policy is None:
-        return None
-    return {
-        "policy": policy if policy == "auto" else vars(policy).copy(),
-        "err_window": list(forecaster.err_window),
-        "long_run_sq": forecaster.long_run_sq,
-        "learned_steps": forecaster.learned_steps,
-        "contrib": [list(row) for row in forecaster.contrib_window],
-    }
-
-
-def _policy(state):
-    return "auto" if state == "auto" else EvolutionPolicy(**state)
-
-
-def _restore_evolution(forecaster: OnlineForecaster, state: dict) -> None:
-    """Refill a loaded forecaster's controller; raise CorruptSnapshot for
-    a state that no forecaster could have saved."""
-    window = [float(v) for v in state["err_window"]]
-    long_run_sq = float(state["long_run_sq"])
-    learned_steps = state["learned_steps"]
-    rows = [np.array(row, dtype=float) for row in state["contrib"]]
-    maxlen = forecaster.err_window.maxlen
-    n = forecaster.model.n
-    # the forecaster appends to both windows on every learned step and
-    # clears both on a structure change
-    if len(rows) != len(window) or len(window) > maxlen:
-        raise CorruptSnapshot(
-            f"{len(window)} window errors and {len(rows)} contribution rows, "
-            f"the policy window is {maxlen}"
-        )
-    if not all(math.isfinite(v) and v >= 0.0 for v in [long_run_sq, *window]):
-        raise CorruptSnapshot("squared errors must be finite and nonnegative")
-    if type(learned_steps) is not int or learned_steps < len(window):
-        raise CorruptSnapshot(f"learned step count {learned_steps!r} does not cover the window")
-    if not all(row.shape == (n,) and np.isfinite(row).all() for row in rows):
-        raise CorruptSnapshot(f"contribution rows must be {n} finite values, one per node")
-    forecaster.err_window.extend(window)
-    forecaster.long_run_sq = long_run_sq
-    forecaster.learned_steps = learned_steps
-    forecaster.contrib_window.extend(row.tolist() for row in rows)

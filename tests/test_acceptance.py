@@ -224,6 +224,9 @@ class TestCriterion5Identities:
             c, lam = batch_optimum(R)
             worst_kkt = max(worst_kkt, float(np.max(np.abs(2.0 * R @ c + lam))))
             worst_sum = max(worst_sum, abs(float(c.sum()) - 1.0))
+            # saddle value identity: c'Rc = 1/s = -lam/2
+            saddle = -0.5 * lam
+            assert abs(float(c @ R @ c) - saddle) <= 1e-10 * max(1.0, abs(saddle))
         assert worst_kkt <= 1e-10
         assert worst_sum <= 1e-10
         _report(

@@ -151,6 +151,25 @@ class TestBench:
         err = capsys.readouterr().err
         assert err.startswith("error: config key") and named in err
 
+    @pytest.mark.parametrize("column", ["1", "5", "-2", "-5"])
+    def test_column_outside_the_rows_exits_4_naming_it(self, data_csv, config_file, capsys,
+                                                       column):
+        # data_csv has one column: 0 and -1 are the only indices in it
+        code = main(["bench", "--config", str(config_file), "--data", str(data_csv),
+                     f"--column={column}"])
+        assert code == 4
+        assert f"row 2 has no column {column}" in capsys.readouterr().err
+
+    def test_negative_column_counts_from_the_last(self, data_csv, config_file, capsys):
+        reports = []
+        for column in ([], ["--column=-1"]):
+            assert main(["bench", "--config", str(config_file), "--data", str(data_csv),
+                         *column]) == 0
+            report = json.loads(capsys.readouterr().out)
+            report.pop("wall_time_s")
+            reports.append(report)
+        assert reports[0] == reports[1]
+
     def test_unknown_flag_is_usage_error(self, data_csv, config_file):
         with pytest.raises(SystemExit) as exc:
             main(["bench", "--config", str(config_file), "--data", str(data_csv), "--bogus"])

@@ -26,32 +26,6 @@ class TestBatchSolve:
         assert np.allclose(c, [0.75, 0.25])
         assert abs(float(c @ R @ c) - 0.75) <= 1e-12
 
-    def test_constraint_and_stationarity(self):
-        rng = np.random.default_rng(1)
-        for _ in range(30):
-            n = int(rng.integers(2, 6))
-            A = rng.normal(size=(n, n))
-            R = A @ A.T + 0.1 * np.eye(n)
-            c, lam = batch_optimum(R)
-            assert abs(c.sum() - 1.0) <= 1e-10
-            # KKT stationarity: 2Rc + lam*1 = 0
-            assert np.max(np.abs(2.0 * R @ c + lam)) <= 1e-8 * max(1.0, np.abs(R).max())
-            # saddle value identity: c'Rc = 1/s = -lam/2
-            saddle = -0.5 * lam
-            assert abs(float(c @ R @ c) - saddle) <= 1e-10 * max(1.0, abs(saddle))
-
-    def test_grid_search_oracle_n2(self):
-        rng = np.random.default_rng(2)
-        for _ in range(10):
-            A = rng.normal(size=(2, 2))
-            R = A @ A.T + 0.2 * np.eye(2)
-            c, _ = batch_optimum(R)
-            best = np.inf
-            for c1 in np.linspace(-2.0, 3.0, 20001):
-                cc = np.array([c1, 1.0 - c1])
-                best = min(best, float(cc @ R @ cc))
-            assert float(c @ R @ c) <= best + 1e-6
-
     def test_optimality_against_constraint_grid(self):
         rng = np.random.default_rng(3)
         for n in (3, 4, 5):

@@ -31,8 +31,10 @@ in ``tests/reference/`` after a deliberate change with
 
 ``REPORT_DIGESTS`` pins the report bytes ``bench`` writes, the per-step
 CSV and the JSON summary without its wall time, of the four shipped
-configs with evolution off, ``"auto"`` and a fixed policy. A deliberate
-change to them is recorded by hand in that table.
+configs with evolution off, ``"auto"`` and a fixed policy.
+``SNAPSHOT_DIGESTS`` pins the snapshot file bytes of the same runs'
+final forecasters, and of ``rls_wide``'s. A deliberate change to either
+is recorded by hand in its table.
 """
 
 import dataclasses
@@ -231,6 +233,38 @@ def test_report_bytes_match_recorded_digests(name, evolution):
     got = tuple(hashlib.sha256(text.encode()).hexdigest()
                 for text in (report.steps_csv(), report.to_json(include_wall_time=False)))
     assert got == REPORT_DIGESTS[name, evolution]
+
+
+# sha256 of the file snapshot_save writes of the final forecaster of each
+# run of REPORT_DIGESTS, and of rls_wide's run, over the golden series
+SNAPSHOT_DIGESTS = {
+    ("load_plain", "auto"): "a08c850fb969ea5a5af19ccb74c9beb19ca7e1532e8cc939714ab692ca3cae4c",
+    ("load_plain", "off"): "f97b3a4a152232493bba84dcf5467505a8924940b4d2f47d7a66d0ae974e9f24",
+    ("load_plain", "policy"): "2c0a5ef48e3878e9bc8fb03a26bb65c32dc80021a70229c80751e571342220b4",
+    ("load_weighted", "auto"): "b4745cd8ba2dfe90c463fd7b571bfc8e413050140ed1409f64e2a9d8d3c16392",
+    ("load_weighted", "off"): "487dda52218dd6b832ca570f3228de7ff1fa280a92b653a270ebfdd599318540",
+    ("load_weighted", "policy"): "c3d116cd4d1d333d2bd023f3c8351ca601dd5dba4a9f6b984aba22b3c8391cac",
+    ("rls_wide", "off"): "4249f19e9e1c21082f852e1e30986e7843f9c58a8dc7de926b3bedd0aa1be6b0",
+    ("sunspot_plain", "auto"): "858a8efaf57600741fef13d7ec3495aca8213a3d967f3ae15e5251bec11969f3",
+    ("sunspot_plain", "off"): "e9e945253121321ed1114405563b890890b3691c41ae6291fa513232a5039d60",
+    ("sunspot_plain", "policy"): "85f2941fa1f2fc3a1e495e16bc57b439be70a3996cb832df834d3fa1db4e0753",
+    ("sunspot_weighted", "auto"): "1871a10e6094885b94a9587781054612c955f3d3adcd3af86f9b58e398e4d0b3",
+    ("sunspot_weighted", "off"): "29ed605853d9a58770b81184a9cfd2606fedfd64026b1dadf84f122cb05e5216",
+    ("sunspot_weighted", "policy"): "65db322be489ddc539594ca6f7149d3786b83081a0b2949dbee855e6d7df3a56",
+}
+
+
+@pytest.mark.parametrize("name,evolution", sorted(SNAPSHOT_DIGESTS))
+def test_snapshot_bytes_match_recorded_digests(tmp_path, name, evolution):
+    path = RLS_WIDE if name == "rls_wide" else ROOT / "configs" / f"{name}.cfg"
+    config = dataclasses.replace(load_config(path), evolution=EVOLUTION_SETTINGS[evolution])
+    snapshot = tmp_path / "model.json"
+    snapshot_save(run_experiment(golden_series(config), config).forecaster, snapshot)
+    data = snapshot.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == SNAPSHOT_DIGESTS[name, evolution]
+    # the loaded forecaster saves the same bytes again
+    snapshot_save(snapshot_load(snapshot), snapshot)
+    assert snapshot.read_bytes() == data
 
 
 def evolving_config(name):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from anarx import (
     EvolutionPolicy,
+    OnlineForecaster,
     RunConfig,
     SeriesFrame,
     snapshot_load,
@@ -504,6 +505,32 @@ def test_malformed_evolution_block_is_corrupt(tmp_path, capsys, tamper):
     assert "integrity: ok" not in capsys.readouterr().out
 
 
+def _window_as_string(evolution):
+    evolution.update(err_window="0", contrib=evolution["contrib"][-1:])
+
+
+@pytest.mark.parametrize("tamper", [
+    # each would load as numbers: "12" as the delay values [1.0, 2.0],
+    # "0" as a window of one error, and a "0" in place of one number as 0.0
+    pytest.param(lambda p: _set(p["model"], "delay_y", "12"), id="delay_y"),
+    pytest.param(lambda p: _window_as_string(p["evolution"]), id="err_window"),
+    pytest.param(lambda p: _set(p["combiner"], "lam", "0"), id="lam"),
+    pytest.param(lambda p: _set(p["model"]["learner_states"][0], "r", "0"), id="r"),
+    pytest.param(lambda p: _set(p["evolution"], "long_run_sq", "0"), id="long_run_sq"),
+    pytest.param(lambda p: _set(p["scale"], 0, "0"), id="scale"),
+])
+def test_number_that_is_not_a_json_number_is_corrupt(tmp_path, capsys, tamper):
+    # no forecaster saves a string, or a bool, where its state holds a
+    # number, nor anything but a list where it holds a list
+    from anarx.cli import main
+
+    path = _evolving_snapshot(tmp_path, tamper)
+    with pytest.raises(CorruptSnapshot, match="must be a (number|list of numbers)"):
+        snapshot_load(path)
+    assert main(["snapshot", "show", "--snapshot", str(path)]) == 10
+    assert "integrity: ok" not in capsys.readouterr().out
+
+
 def test_missing_evolution_block_in_version_2_is_corrupt(tmp_path):
     path = _evolving_snapshot(tmp_path, lambda p: p.pop("evolution"))
     with pytest.raises(CorruptSnapshot):
@@ -600,6 +627,34 @@ def test_copy_shares_no_memory_and_continues_bit_identically(copy_of, weighted, 
     rest = values[45:]
     assert [twin.step(v) for v in rest] == [fc.step(v) for v in rest]
     assert twin.model.state_dict() == fc.model.state_dict()
+
+
+# the fixed policy of scripts/bench.py, which grows and prunes the pool
+BENCH_POLICY = EvolutionPolicy(window=50, add_threshold=0.06, remove_threshold=0.03, n_max=4)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(learner=st.sampled_from(["adaptive", "kwh", "rls"]), weighted=st.booleans(),
+       evolution=st.sampled_from([None, "auto", BENCH_POLICY]), prefix=st.integers(0, 360))
+def test_every_copy_continues_as_the_original_property(tmp_path, learner, weighted, evolution,
+                                                       prefix):
+    # a deepcopy, a rebuild from the state and a snapshot round trip each
+    # predict the next 40 values as the original does, structure changes
+    # and errors included
+    values = PROPERTY_SERIES.values.tolist()
+    cfg = RunConfig(n_nodes=2, h=6, train_len=300, test_len=100, learner=learner,
+                    alpha=0.9 if learner == "adaptive" else 1.0, weighted=weighted,
+                    evolution=evolution)
+    _, fc = build_forecaster(PROPERTY_SERIES, cfg)
+    for v in values[:prefix]:
+        fc.step(v)
+    path = tmp_path / "model.json"
+    snapshot_save(fc, path)
+    copies = [copy.deepcopy(fc), OnlineForecaster.from_state(fc.state_dict()), snapshot_load(path)]
+    rest = values[prefix:prefix + 40]
+    want = _step_with_n(fc, rest)
+    for twin in copies:
+        assert _step_with_n(twin, rest) == want
 
 
 def test_report_copies_with_its_forecaster():
