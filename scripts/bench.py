@@ -64,8 +64,19 @@ interquartile range of ``save_ms`` and ``load_ms`` over the runs, the
 file size in bytes, and a digest of the next 50 predictions of the
 loaded forecaster.
 
+With ``--setup`` the script times what a run does before its first
+step, ``load_csv`` and then ``build_forecaster``, and writes
+``BENCH_setup.json``. Its cases are the shipped ``load_weighted`` config
+on its 5000-row series and ``rls_wide`` on its 400-row series, each
+written as ``perfbench/workloads.py`` writes it: a ``load_mw`` header
+and one ``repr`` float a line. Each sample is the fastest of ``REPEAT``
+(5) back-to-back setups. The file gives the median and the interquartile
+range of ``setup_ms`` over the runs, and a digest of the values read, so
+two files show whether two versions parse the same bits.
+
     PYTHONPATH=src python3 scripts/bench.py [--runs N] [--out BENCH_steps.json]
     PYTHONPATH=src python3 scripts/bench.py --snapshot [--runs N] [--out BENCH_snapshot.json]
+    PYTHONPATH=src python3 scripts/bench.py --setup [--runs N] [--out BENCH_setup.json]
     PYTHONPATH=src python3 scripts/bench.py --against REV [--runs N] [--out BENCH_ab.json]
 """
 
@@ -91,7 +102,7 @@ import numpy as np
 
 from anarx.datasets import synthetic_load_series
 from anarx.model import EvolutionPolicy
-from anarx.pipeline import RunConfig, load_config, run_experiment
+from anarx.pipeline import RunConfig, build_forecaster, load_config, load_csv, run_experiment
 from anarx.snapshot import snapshot_load, snapshot_save
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
@@ -123,6 +134,7 @@ CASES = {
 
 
 SNAPSHOT_CASES = {"rls_wide": WIDE, "load_weighted": shipped("load_weighted")}
+SETUP_CASES = {"load_weighted": shipped("load_weighted"), "rls_wide": WIDE}
 REPEAT = 5  # back-to-back calls per sample, the fastest kept
 
 
@@ -205,6 +217,38 @@ def snapshot_bench(runs: int, out: str) -> None:
         print(f"{name}: {case['bytes']} B, save {case['save_ms']}, load {case['load_ms']}")
 
 
+def setup_bench(runs: int, out: str) -> None:
+    samples = {name: [] for name in SETUP_CASES}
+    paths, digests = {}, {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, config in SETUP_CASES.items():
+            paths[name] = os.path.join(tmp, f"{name}.csv")
+            series = synthetic_load_series(n=config.train_len + config.test_len, seed=SEED)
+            with open(paths[name], "w", encoding="utf-8") as fh:
+                fh.write("load_mw\n" + "".join(f"{v!r}\n" for v in series.values.tolist()))
+        for _ in range(runs):
+            for name, config in SETUP_CASES.items():
+                samples[name].append(
+                    best_ms(lambda: build_forecaster(load_csv(paths[name]), config)))
+        for name, path in paths.items():
+            digests[name] = digest(load_csv(path).values)
+    result = {
+        **environment(),
+        "repeat": REPEAT,
+        "cases": {
+            name: {
+                "config": SETUP_CASES[name].to_dict(),
+                "setup_ms": spread(samples[name], 4),
+                "values_sha256": digests[name],
+            }
+            for name in SETUP_CASES
+        },
+    }
+    write(result, out)
+    for name, case in result["cases"].items():
+        print(f"{name}: setup {case['setup_ms']}")
+
+
 def sample(out: str) -> None:
     """Run every case once and save its µs/step and ŷ to ``out`` (npz):
     one process of an A/B pair."""
@@ -267,17 +311,21 @@ def ab_bench(rev: str, runs: int, out: str) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--runs", type=int, default=15, help="runs per case (at least 5)")
-    parser.add_argument("--snapshot", action="store_true",
-                        help="time snapshot save and load instead of the step")
-    parser.add_argument("--against", metavar="REV",
-                        help="time this checkout's src/ against REV's in paired processes")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--snapshot", action="store_true",
+                      help="time snapshot save and load instead of the step")
+    mode.add_argument("--setup", action="store_true",
+                      help="time load_csv and build_forecaster instead of the step")
+    mode.add_argument("--against", metavar="REV",
+                      help="time this checkout's src/ against REV's in paired processes")
     parser.add_argument("--out", default=None, help="output file (default BENCH_steps.json, "
-                        "BENCH_snapshot.json or BENCH_ab.json)")
+                        "BENCH_snapshot.json, BENCH_setup.json or BENCH_ab.json)")
     args = parser.parse_args(argv)
     if args.runs < 5:
         parser.error("--runs must be at least 5")
-    if args.snapshot and args.against:
-        parser.error("--snapshot and --against exclude each other")
+    if args.setup:
+        setup_bench(args.runs, args.out or os.path.join(ROOT, "BENCH_setup.json"))
+        return 0
     if args.snapshot:
         snapshot_bench(args.runs, args.out or os.path.join(ROOT, "BENCH_snapshot.json"))
         return 0

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -52,6 +52,20 @@ class EvolutionPolicy:
             raise ValueError("need 1 <= n_min <= n_max")
         if not self.add_threshold > self.remove_threshold >= 0.0:
             raise ValueError("need add_threshold > remove_threshold >= 0")
+
+    @classmethod
+    def from_state(cls, state: dict) -> "EvolutionPolicy":
+        """The policy saved as its fields (``vars(policy)``). Raises
+        CorruptSnapshot unless ``state`` holds each field once, the window
+        and the node bounds as integers and the thresholds as numbers."""
+        if type(state) is not dict or state.keys() != {f.name for f in fields(cls)}:
+            raise CorruptSnapshot(f"evolution policy must hold a policy's fields, got {state!r}")
+        counts = {key: state[key] for key in ("window", "n_min", "n_max")}
+        if not all(type(v) is int for v in counts.values()):
+            raise CorruptSnapshot(f"policy window and node bounds must be integers, got {counts}")
+        return cls(add_threshold=read_float(state["add_threshold"], "add threshold"),
+                   remove_threshold=read_float(state["remove_threshold"], "remove threshold"),
+                   **counts)
 
 
 class StructureChange(enum.Enum):

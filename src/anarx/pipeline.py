@@ -9,6 +9,7 @@ segments, in the units the model was trained in.
 
 from __future__ import annotations
 
+import copy
 import csv
 import io
 import json
@@ -19,6 +20,8 @@ import time
 from collections import Counter, deque
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, fields
+from itertools import islice
+from operator import itemgetter
 from typing import NoReturn
 
 import numpy as np
@@ -68,13 +71,18 @@ class SeriesFrame:
 def load_csv(path, column=None) -> SeriesFrame:
     """Read one numeric column from a CSV file.
 
-    ``column`` may be a zero-based index, a header name, or None for the
-    first column. A header row is detected by the first row failing to
-    parse as a number. Row numbers in errors are 1-based file lines.
+    ``column`` may be a zero-based index (negative counts from the last
+    cell), a header name, or None for the first column. The file is
+    tokenized by :mod:`csv`, so a quoted cell may hold commas, and LF,
+    CRLF and CR line ends read alike. Rows whose cells are all blank are
+    skipped. A header row is detected by the first remaining row failing
+    to parse as a number in the chosen column; a named column always has
+    one. Each cell is parsed by ``float``, surrounding whitespace
+    allowed, and must be finite. Row numbers in errors are 1-based file
+    lines; a row whose quoted cell spans lines is cited by its last line.
     """
     with open(path, "r", newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh)]
-    rows = [row for row in rows if any(cell.strip() for cell in row)]
+        rows = list(_data_rows(csv.reader(fh)))
     if not rows:
         raise EmptySeries(f"{path}: no data rows")
 
@@ -85,10 +93,10 @@ def load_csv(path, column=None) -> SeriesFrame:
             raise ParseError(f"{path}: column {column!r} not found in header {header}")
         idx = header.index(column)
         start = 1
-        name = column
+        name, label = column, repr(column)
     else:
         idx = 0 if column is None else int(column)
-        name = None
+        name, label = None, idx
         try:
             float(rows[0][idx])
         except (ValueError, IndexError):
@@ -96,21 +104,41 @@ def load_csv(path, column=None) -> SeriesFrame:
             name = header[idx] if -len(header) <= idx < len(header) else None
             start = 1
 
-    values = []
-    for rownum, row in enumerate(rows[start:], start=start + 1):
-        if not -len(row) <= idx < len(row):
-            raise ParseError(f"{path}: row {rownum} has no column {idx}")
-        cell = row[idx].strip()
-        try:
-            v = float(cell)
-        except ValueError:
-            raise ParseError(f"{path}: non-numeric cell {cell!r} at row {rownum}") from None
-        if not math.isfinite(v):
-            raise ParseError(f"{path}: non-finite value at row {rownum}")
-        values.append(v)
+    try:
+        values = np.fromiter(map(float, map(str.strip, map(itemgetter(idx), rows[start:]))),
+                             float, len(rows) - start)
+        if not np.isfinite(values).all():
+            raise ValueError  # a value that is not finite is a bad row too
+    except (ValueError, IndexError):
+        raise _bad_row(path, idx, label, start) from None
     if len(values) < 2:
         raise EmptySeries(f"{path}: fewer than 2 data rows")
-    return SeriesFrame(np.asarray(values), name=name or os.path.splitext(os.path.basename(str(path)))[0])
+    return SeriesFrame(values, name=name or os.path.splitext(os.path.basename(str(path)))[0])
+
+
+def _data_rows(reader):
+    """The rows of a CSV reader that hold a cell other than whitespace."""
+    return (row for row in reader if row and (row[0].strip() or any(map(str.strip, row))))
+
+
+def _bad_row(path, idx: int, label, start: int) -> ParseError:
+    """The error for the first row after the ``start`` leading data rows
+    of ``path`` whose cell ``idx`` is missing, not a number or not finite.
+    The file is read again, so that each row comes with its file line."""
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        for row in islice(_data_rows(reader), start, None):
+            line = reader.line_num
+            if not -len(row) <= idx < len(row):
+                return ParseError(f"{path}: row {line} has no column {label}")
+            cell = row[idx].strip()
+            try:
+                v = float(cell)
+            except ValueError:
+                return ParseError(f"{path}: non-numeric cell {cell!r} at row {line}")
+            if not math.isfinite(v):
+                return ParseError(f"{path}: non-finite value at row {line}")
+    return ParseError(f"{path}: changed while it was read")
 
 
 def normalize_minmax(series: SeriesFrame, fit_range=None):
@@ -425,8 +453,8 @@ class OnlineForecaster:
 
     def state_dict(self) -> dict:
         """The forecaster's state: its model and combiner (None on a
-        plain pool) as they save themselves, the scale, the meta and the
-        evolution controller, None when evolution is off, otherwise the
+        plain pool) as they save themselves, the scale, a copy of the meta
+        and the evolution controller, None when evolution is off, otherwise the
         policy (``"auto"`` or the policy's fields), the error window, the
         long-run squared-error sum, the learned-step count and the
         contribution window (``"contrib"``)."""
@@ -443,7 +471,7 @@ class OnlineForecaster:
             "model": self.model.state_dict(),
             "combiner": self.combiner.state_dict() if self.combiner else None,
             "scale": list(self.scale) if self.scale else None,
-            "meta": self.meta,
+            "meta": copy.deepcopy(self.meta),
             "evolution": evolution,
         }
 
@@ -459,7 +487,8 @@ class OnlineForecaster:
         window; contribution rows that are not one finite value per
         node; or a number that is not a JSON number. The model, the
         combiner, the scale and the policy raise their own errors. The
-        forecaster keeps the state's ``meta`` dict itself, not a copy.
+        forecaster holds a copy of the state's ``meta``, so it shares
+        nothing with the forecaster that saved the state.
         """
         model = AnarxModel.from_state(state["model"])
         combiner = CombinerState.from_state(state["combiner"]) if state.get("combiner") else None
@@ -468,9 +497,10 @@ class OnlineForecaster:
                 f"combiner has shape {combiner.c.shape}, the pool has {model.n} nodes")
         scale, saved = state.get("scale"), state["evolution"]
         policy = None if saved is None else saved["policy"]
-        evolution = policy if saved is None or policy == "auto" else EvolutionPolicy(**policy)
+        evolution = (policy if saved is None or policy == "auto"
+                     else EvolutionPolicy.from_state(policy))
         forecaster = cls(model, combiner, None if scale is None else read_floats(scale, "scale"),
-                         state.get("meta"), evolution)
+                         copy.deepcopy(state.get("meta")), evolution)
         if saved is None:
             return forecaster
         window = read_floats(saved["err_window"], "error window")

@@ -7,13 +7,63 @@ two adapters between the dense and the support form (:func:`basis`,
 """
 
 import contextlib
+import csv
 import math
+import os
 
 import numpy as np
 import pytest
 
 from anarx import NeoFuzzyNode, build_uniform_grid, eval_bspline, learning
+from anarx.errors import EmptySeries, ParseError
 from anarx.pipeline import SeriesFrame
+
+
+def reference_load_csv(path, column=None):
+    """``load_csv`` one cell at a time: every row with a cell other than
+    whitespace is kept with its file line (the reader's ``line_num``
+    after the row), and the rows are parsed in order, the first bad one
+    raising."""
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, row) for row in reader if any(cell.strip() for cell in row)]
+    if not rows:
+        raise EmptySeries(f"{path}: no data rows")
+    first = rows[0][1]
+
+    start = 0
+    if isinstance(column, str):
+        header = [cell.strip() for cell in first]
+        if column not in header:
+            raise ParseError(f"{path}: column {column!r} not found in header {header}")
+        idx = header.index(column)
+        start = 1
+        name, label = column, repr(column)
+    else:
+        idx = 0 if column is None else int(column)
+        name, label = None, idx
+        try:
+            float(first[idx])
+        except (ValueError, IndexError):
+            header = [cell.strip() for cell in first]
+            name = header[idx] if -len(header) <= idx < len(header) else None
+            start = 1
+
+    values = []
+    for line, row in rows[start:]:
+        if not -len(row) <= idx < len(row):
+            raise ParseError(f"{path}: row {line} has no column {label}")
+        cell = row[idx].strip()
+        try:
+            v = float(cell)
+        except ValueError:
+            raise ParseError(f"{path}: non-numeric cell {cell!r} at row {line}") from None
+        if not math.isfinite(v):
+            raise ParseError(f"{path}: non-finite value at row {line}")
+        values.append(v)
+    if len(values) < 2:
+        raise EmptySeries(f"{path}: fewer than 2 data rows")
+    return SeriesFrame(np.asarray(values), name=name or os.path.splitext(os.path.basename(str(path)))[0])
 
 
 def naive_bspline(x, k, i, t):

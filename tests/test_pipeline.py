@@ -2,10 +2,13 @@ import copy
 import json
 import logging
 import math
+import re
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from anarx import RunConfig, SeriesFrame, load_csv, membership, normalize_minmax, run_experiment
 from anarx.combiner import CombinerState
@@ -13,6 +16,7 @@ from anarx.errors import DegenerateRange, EmptySeries, NumericalDivergence, Pars
 from anarx.learning import AdaptiveLearner, RlsLearner
 from anarx.model import AnarxModel, EvolutionPolicy
 from anarx.pipeline import StepRecord, build_forecaster, denormalize, parse_config_text
+from conftest import reference_load_csv
 
 
 class TestLoadCsv:
@@ -64,6 +68,87 @@ class TestLoadCsv:
         p.write_text("\n\n")
         with pytest.raises(EmptySeries):
             load_csv(p)
+
+    @pytest.mark.parametrize("text, column, message", [
+        # blank lines count, in every line ending
+        ("load\n1.0\n\n2.0\nabc\n", None, "non-numeric cell 'abc' at row 5"),
+        ("load\r\n1.0\r\n\r\n2.0\r\nabc\r\n", None, "non-numeric cell 'abc' at row 5"),
+        ("load\r1.0\r\r2.0\rabc\r", None, "non-numeric cell 'abc' at row 5"),
+        ("1.0\n\n2.0\n\nnan\n", None, "non-finite value at row 5"),
+        # as do whitespace-only rows and rows of empty cells
+        ("a,b\n1,2\n  ,  \n,,\n3\n", "b", "row 5 has no column 'b'"),
+        ("a,b\n1,2\n  ,  \n,,\n3\n", 1, "row 5 has no column 1"),
+        ("a,b\n1,2\n\n3\n", -2, "row 4 has no column -2"),
+        # and the lines inside a quoted cell; a row spanning lines is cited
+        # by its last
+        ('a,b\n"x\ny",1\n2,oops\n', "b", "non-numeric cell 'oops' at row 4"),
+        ('a,b\n1,2\n"x\ny",inf\n', "b", "non-finite value at row 4"),
+    ])
+    def test_error_rows_are_file_lines(self, tmp_path, text, column, message):
+        p = tmp_path / "v.csv"
+        p.write_bytes(text.encode())
+        with pytest.raises(ParseError, match=f"^{re.escape(str(p))}: {re.escape(message)}$"):
+            load_csv(p, column)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=st.data())
+    def test_matches_the_cell_by_cell_reference_property(self, tmp_path, case):
+        text, column = case.draw(csv_files())
+        p = tmp_path / "v.csv"
+        p.write_bytes(text.encode())
+        assert _outcome(load_csv, p, column) == _outcome(reference_load_csv, p, column)
+
+
+# padding that str.strip removes; float alone would take the first four
+# and reject the last two
+PADS = st.sampled_from(["", " ", "\t", "\u00a0", "\x1c", "\x1f"])
+NUMBERS = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                    st.integers(-10**6, 10**6).map(str),
+                    st.sampled_from(["1e3", ".5", "-0", "+2.", "1_000", "0.1E-2"]))
+BAD_CELLS = st.sampled_from(["abc", "", "nan", "-inf", "Infinity", "1e999", "1,5", "0x10", "--1",
+                             "2\n3", '"4"'])
+BLANK_LINES = st.sampled_from(["", "  ", ",,", " , ", "\t", '""'])
+
+
+@st.composite
+def csv_files(draw):
+    """CSV text with a header or none, data rows of one to three cells
+    (some short, some bad), blank lines and mixed line ends, and a
+    column to read by index, negative index or name."""
+    ncols = draw(st.integers(1, 3))
+    names = draw(st.lists(st.sampled_from(["load", "t", "Sunspots", "a b", "nan", "7"]),
+                          min_size=ncols, max_size=ncols, unique=True))
+
+    def cell(value):
+        text = draw(PADS) + value + draw(PADS)
+        if draw(st.booleans()) or any(c in text for c in ',"\n'):
+            text = '"' + text.replace('"', '""') + '"'
+        return text
+
+    lines = [",".join(map(cell, names))] if draw(st.booleans()) else []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            lines.append(draw(BLANK_LINES))
+            continue
+        width = ncols if kind > 1 else draw(st.integers(1, ncols))
+        lines.append(",".join(cell(draw(BAD_CELLS if draw(st.integers(0, 19)) == 0 else NUMBERS))
+                              for _ in range(width)))
+    text = "".join(line + draw(st.sampled_from(["\n", "\r\n", "\r"])) for line in lines)
+    column = draw(st.one_of(st.none(), st.integers(-ncols - 1, ncols),
+                            st.sampled_from(names + ["missing"])))
+    return text, column
+
+
+def _outcome(load, path, column):
+    """The values' bits and the frame's name, or the error's type and
+    message."""
+    try:
+        frame = load(path, column)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return frame.values.dtype, frame.values.tobytes(), frame.name
 
 
 class TestNormalize:

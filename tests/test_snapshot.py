@@ -467,6 +467,12 @@ def test_evolving_round_trip_continues_structure_changes(tmp_path):
     assert any(b > a for a, b in zip(ns, ns[1:])) and any(b < a for a, b in zip(ns, ns[1:]))
 
 
+def _policy(**fields):
+    """The saved fields of a fixed policy whose window holds the error
+    window of :func:`_evolving_snapshot`, with ``fields`` replaced."""
+    return {**vars(EvolutionPolicy(window=100)), **fields}
+
+
 def _evolving_snapshot(tmp_path, tamper):
     return _tampered_snapshot(tmp_path, True, "adaptive", tamper,
                               evolution="auto", steps=200)
@@ -494,6 +500,15 @@ def _evolving_snapshot(tmp_path, tamper):
     # windows of different lengths, which the forecaster fills and clears
     # together
     lambda e: e.update(contrib=e["contrib"][:3]),
+    # a fixed policy saves its thresholds as numbers and its window and
+    # node bounds as integers; a bool or a float count passes the policy's
+    # own comparisons
+    lambda e: e.update(policy=_policy(add_threshold=True, remove_threshold=False, n_max=10.0)),
+    lambda e: e.update(policy=_policy(n_max=4.0)),
+    lambda e: e.update(policy=_policy(n_min=True)),
+    lambda e: e.update(policy=_policy(window=100.0)),
+    lambda e: e.update(policy=_policy(add_threshold="0.06")),
+    lambda e: e.update(policy=_policy(remove_threshold=None)),
 ])
 def test_malformed_evolution_block_is_corrupt(tmp_path, capsys, tamper):
     from anarx.cli import main
@@ -503,6 +518,26 @@ def test_malformed_evolution_block_is_corrupt(tmp_path, capsys, tamper):
         snapshot_load(path)
     assert main(["snapshot", "show", "--snapshot", str(path)]) == 10
     assert "integrity: ok" not in capsys.readouterr().out
+
+
+def test_policy_round_trips_through_its_fields(tmp_path):
+    assert EvolutionPolicy.from_state(vars(BENCH_POLICY).copy()) == BENCH_POLICY
+    # the untampered fields of the malformed-policy cases load
+    path = _evolving_snapshot(tmp_path, lambda p: p["evolution"].update(policy=_policy()))
+    assert snapshot_load(path).evolution == EvolutionPolicy(window=100)
+    with pytest.raises(CorruptSnapshot, match="policy's fields"):
+        EvolutionPolicy.from_state({k: v for k, v in vars(BENCH_POLICY).items() if k != "n_min"})
+
+
+def test_saved_and_rebuilt_states_share_no_meta():
+    # as a deepcopy or a snapshot round trip shares none
+    fc = trained_forecaster(weighted=True)
+    state = fc.state_dict()
+    twins = [OnlineForecaster.from_state(state) for _ in range(2)]
+    for meta in [state["meta"], *(twin.meta for twin in twins)]:
+        assert meta == fc.meta and fc.meta["config"]
+        assert meta is not fc.meta and meta["config"] is not fc.meta["config"]
+    assert twins[0].meta["config"] is not twins[1].meta["config"]
 
 
 def _window_as_string(evolution):
