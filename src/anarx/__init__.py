@@ -13,7 +13,6 @@ from .membership import (
     GaussianGrid,
     KnotGrid,
     build_gaussian_grid,
-    build_uniform_grid,
     eval_bspline,
     eval_gaussian,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "WangMendelNode",
     "build_anarx",
     "build_gaussian_grid",
-    "build_uniform_grid",
     "eval_bspline",
     "eval_gaussian",
     "load_csv",

@@ -5,6 +5,8 @@ derives from :class:`AnarxError`, so callers (and the CLI) can map failure
 categories without string matching.
 """
 
+import numbers
+
 
 class AnarxError(Exception):
     """Base class for all engine errors."""
@@ -59,6 +61,12 @@ class VersionMismatch(AnarxError):
 
 class CorruptSnapshot(AnarxError):
     """Snapshot file is truncated, malformed, or fails its checksum."""
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer: an int or an integral numpy
+    scalar, and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def read_float(value, what: str) -> float:

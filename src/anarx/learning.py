@@ -280,8 +280,8 @@ class RlsLearner(_RowBlock):
     def __init__(self, weights, alpha: float = 1.0, p0: float = 1e4) -> None:
         if not 0.0 < alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        if p0 <= 0.0:
-            raise ValueError(f"p0 must be positive, got {p0}")
+        if not 0.0 < p0 < math.inf:
+            raise ValueError(f"p0 must be positive and finite, got {p0}")
         super().__init__(weights)
         self.alpha = float(alpha)
         self.p0 = float(p0)

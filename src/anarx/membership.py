@@ -9,54 +9,52 @@ threads.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 
 import numpy as np
 
-from .errors import InvalidOrder, InvalidRange, read_float, read_floats
+from .errors import CorruptSnapshot, InvalidOrder, InvalidRange, is_integer, read_float, read_floats
 
 
 class KnotGrid:
-    """Layout of ``h`` B-spline basis functions of order ``q`` on [lo, hi].
+    """``h`` B-spline basis functions of order ``q`` on [lo, hi].
 
-    The knot vector has length ``h + q``: the boundary value repeated ``q``
-    times at each end with ``h - q`` strictly increasing interior knots in
-    between, so exactly ``h`` basis functions span the interval. For q = 2
-    the basis is the familiar set of triangular hats with peaks at the
-    distinct knot values. ``knot_list`` holds the same knots as Python
-    floats, for the per-value span search and recurrence.
+    The knot vector has length ``h + q``: ``h - q + 2`` uniformly spaced
+    distinct values span [lo, hi], and each boundary is repeated ``q``
+    times in total, so exactly ``h`` basis functions span the interval.
+    For q = 2 the basis is the familiar set of triangular hats with peaks
+    at the distinct values, endpoints included; for q = 1 the interval
+    splits into ``h`` equal bins. ``knot_list`` holds the same knots as
+    Python floats, for the per-value span search and recurrence.
     """
 
     __slots__ = ("lo", "hi", "h", "q", "knots", "knot_list")
 
-    def __init__(self, lo: float, hi: float, h: int, q: int, knots) -> None:
+    def __init__(self, lo: float, hi: float, h: int, q: int) -> None:
         lo = float(lo)
         hi = float(hi)
-        if not lo < hi:
-            raise InvalidRange(f"need lo < hi, got lo={lo}, hi={hi}")
-        if q < 1 or q > h:
-            raise InvalidOrder(f"need 1 <= q <= h, got q={q}, h={h}")
-        knots = np.asarray(knots, dtype=float)
-        if knots.shape != (h + q,):
-            raise InvalidOrder(
-                f"knot vector must have length h + q = {h + q}, got {knots.shape}"
-            )
-        if knots[0] != lo or knots[-1] != hi:
-            raise InvalidRange("knot vector must start at lo and end at hi")
-        if np.any(np.diff(knots) < 0.0):
-            raise InvalidRange("knots must be nondecreasing")
-        interior = knots[q:h]
-        if interior.size and np.any(np.diff(np.concatenate(([lo], interior, [hi]))) <= 0.0):
-            raise InvalidRange("interior knots must be strictly increasing")
+        if not (lo < hi and math.isfinite(hi - lo)):
+            raise InvalidRange(f"need lo < hi a finite width apart, got lo={lo}, hi={hi}")
+        if not (is_integer(h) and is_integer(q) and 1 <= q <= h):
+            raise InvalidOrder(f"need integers 1 <= q <= h, got q={q!r}, h={h!r}")
+        h = int(h)
+        q = int(q)
+        knots = np.concatenate([np.full(q - 1, lo), np.linspace(lo, hi, h - q + 2),
+                                np.full(q - 1, hi)])
+        knot_list = knots.tolist()
+        distinct = knot_list[q - 1 : h + 1]
+        if not all(map(float.__lt__, distinct, distinct[1:])):
+            raise InvalidRange(f"[{lo}, {hi}] is too narrow for {h - q + 2} distinct knots")
+        knots.setflags(write=False)
         self.lo = lo
         self.hi = hi
-        self.h = int(h)
-        self.q = int(q)
+        self.h = h
+        self.q = q
         self.knots = knots
-        self.knots.setflags(write=False)
-        self.knot_list = knots.tolist()
+        self.knot_list = knot_list
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:
         return f"KnotGrid(lo={self.lo}, hi={self.hi}, h={self.h}, q={self.q})"
 
     def to_dict(self) -> dict:
@@ -70,8 +68,12 @@ class KnotGrid:
 
     @classmethod
     def from_dict(cls, d: dict) -> "KnotGrid":
-        return cls(read_float(d["lo"], "grid lo"), read_float(d["hi"], "grid hi"), d["h"], d["q"],
-                   read_floats(d["knots"], "knots"))
+        """The grid of the saved bounds, size and order. Raises
+        CorruptSnapshot unless the saved knots are that grid's."""
+        grid = cls(read_float(d["lo"], "grid lo"), read_float(d["hi"], "grid hi"), d["h"], d["q"])
+        if read_floats(d["knots"], "knots") != grid.knot_list:
+            raise CorruptSnapshot(f"saved knots are not those of {grid!r}")
+        return grid
 
 
 class GaussianGrid:
@@ -108,25 +110,6 @@ class GaussianGrid:
     @classmethod
     def from_dict(cls, d: dict) -> "GaussianGrid":
         return cls(read_floats(d["centers"], "centers"), read_floats(d["widths"], "widths"))
-
-
-def build_uniform_grid(lo: float, hi: float, h: int, q: int) -> KnotGrid:
-    """Clamped knot vector with uniformly spaced distinct knots.
-
-    ``h - q + 2`` distinct values span [lo, hi] and each boundary knot is
-    repeated ``q`` times in total, giving exactly ``h`` basis functions.
-    For q = 2 the basis peaks sit at the distinct values, endpoints
-    included; for q = 1 the interval splits into ``h`` equal bins.
-    """
-    lo = float(lo)
-    hi = float(hi)
-    if not lo < hi:
-        raise InvalidRange(f"need lo < hi, got lo={lo}, hi={hi}")
-    if q < 1 or q > h:
-        raise InvalidOrder(f"need 1 <= q <= h, got q={q}, h={h}")
-    distinct = np.linspace(lo, hi, h - q + 2)
-    knots = np.concatenate([np.full(q - 1, lo), distinct, np.full(q - 1, hi)])
-    return KnotGrid(lo, hi, h, q, knots)
 
 
 def build_gaussian_grid(lo: float, hi: float, h: int) -> GaussianGrid:
@@ -174,12 +157,11 @@ def eval_bspline(grid: KnotGrid, u: float) -> tuple:
     elif u > grid.hi:
         u = grid.hi
 
-    # Knot span: rightmost j with t[j] <= u, restricted to nonempty spans.
+    # Knot span: rightmost j with t[j] <= u. The first q knots are lo, so
+    # j >= q - 1; u == hi (and NaN) would take a span past the last basis.
     j = bisect_right(t, u) - 1
     if j > h - 1:
         j = h - 1
-    elif j < q - 1:
-        j = q - 1
 
     # Triangular recurrence over the q basis functions alive on span j.
     vals = [1.0]

@@ -24,10 +24,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import CorruptSnapshot, ParseError, read_float, read_floats
+from .errors import CorruptSnapshot, ParseError, is_integer, read_float, read_floats
 from .learning import make_learner
 from .numerics import support_dot
-from .membership import GaussianGrid, KnotGrid, build_gaussian_grid, build_uniform_grid
+from .membership import GaussianGrid, KnotGrid, build_gaussian_grid
 from .nodes import NeoFuzzyNode, WangMendelNode
 
 
@@ -46,6 +46,11 @@ class EvolutionPolicy:
     n_max: int = 10
 
     def __post_init__(self) -> None:
+        for key in ("window", "n_min", "n_max"):
+            value = getattr(self, key)
+            if not is_integer(value):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+            setattr(self, key, int(value))
         if self.window < 1:
             raise ValueError("window must be positive")
         if self.n_min > self.n_max or self.n_min < 1:
@@ -386,7 +391,7 @@ def build_anarx(
 ) -> AnarxModel:
     """Build a pool of ``n_nodes`` zero-weight nodes on one grid over [lo, hi]."""
     if node_kind == "neo_fuzzy":
-        grid = build_uniform_grid(lo, hi, h, q)
+        grid = KnotGrid(lo, hi, h, q)
     elif node_kind == "wang_mendel":
         grid = build_gaussian_grid(lo, hi, h)
     else:

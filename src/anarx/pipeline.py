@@ -36,6 +36,7 @@ from .errors import (
     EmptySeries,
     NumericalDivergence,
     ParseError,
+    is_integer,
     read_float,
     read_floats,
 )
@@ -72,7 +73,8 @@ def load_csv(path, column=None) -> SeriesFrame:
     """Read one numeric column from a CSV file.
 
     ``column`` may be a zero-based index (negative counts from the last
-    cell), a header name, or None for the first column. The file is
+    cell), a header name, or None for the first column; anything else
+    (a float, a bool) raises ParseError. The file is
     tokenized by :mod:`csv`, so a quoted cell may hold commas, and LF,
     CRLF and CR line ends read alike. Rows whose cells are all blank are
     skipped. A header row is detected by the first remaining row failing
@@ -81,6 +83,8 @@ def load_csv(path, column=None) -> SeriesFrame:
     allowed, and must be finite. Row numbers in errors are 1-based file
     lines; a row whose quoted cell spans lines is cited by its last line.
     """
+    if not (column is None or isinstance(column, str) or is_integer(column)):
+        raise ParseError(f"column must be a name or an integer index, got {column!r}")
     with open(path, "r", newline="", encoding="utf-8") as fh:
         rows = list(_data_rows(csv.reader(fh)))
     if not rows:
@@ -208,6 +212,11 @@ class RunConfig:
                 _invalid(key, f"expected one of {allowed}, got {getattr(self, key)!r}")
         if isinstance(self.evolution, str) and self.evolution != "auto":
             _invalid("evolution", f"expected off, 'auto' or a policy, got {self.evolution!r}")
+        for key in ("n_nodes", "h", "q", "train_len", "test_len"):
+            value = getattr(self, key)
+            if not is_integer(value):
+                _invalid(key, f"must be an integer, got {value!r}")
+            setattr(self, key, int(value))
         for key in ("n_nodes", "h", "q", "train_len"):
             if getattr(self, key) < 1:
                 _invalid(key, f"must be positive, got {getattr(self, key)}")
@@ -659,11 +668,13 @@ _EVOLUTION_TYPES = _field_types(EvolutionPolicy)
 def parse_config_text(text: str) -> RunConfig:
     """Parse a flat ``key = value`` file into a RunConfig.
 
-    Keys mirror the RunConfig field names; evolution policy fields are
-    flattened as ``evolution_window`` etc., gated by ``evolution = true``.
-    Lines starting with ``#`` and blank lines are ignored.
+    Keys mirror the RunConfig field names, each given once; evolution
+    policy fields are flattened as ``evolution_window`` etc., and only
+    ``evolution = true`` takes them. ``evolution = true`` without them
+    means ``auto``. Lines starting with ``#`` and blank lines are ignored.
     """
     raw: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -671,17 +682,18 @@ def parse_config_text(text: str) -> RunConfig:
         if "=" not in line:
             raise ParseError(f"config line {lineno}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
-        raw[key.strip()] = value.strip()
+        key = key.strip()
+        if key in lines:
+            raise ConfigError(f"config key {key!r} is given twice, on lines {lines[key]} and {lineno}")
+        raw[key] = value.strip()
+        lines[key] = lineno
 
     kwargs: dict = {}
     evolution_kwargs: dict = {}
-    evolution_on = False
+    evolution = False
     for key, value in raw.items():
         if key == "evolution":
-            if value.lower() == "auto":
-                evolution_on = True
-            else:
-                evolution_on = _parse("bool", value, key)
+            evolution = "auto" if value.lower() == "auto" else _parse("bool", value, key)
         elif key.startswith("evolution_"):
             sub = key[len("evolution_") :]
             if sub not in _EVOLUTION_TYPES:
@@ -691,10 +703,16 @@ def parse_config_text(text: str) -> RunConfig:
             kwargs[key] = _parse(_RUN_TYPES[key], value, key)
         else:
             raise ConfigError(f"unknown config key {key!r}")
-    if evolution_on:
-        # explicit thresholds make a fixed policy; otherwise they track
-        # the long-run RMSE during the run
-        kwargs["evolution"] = _policy(evolution_kwargs) if evolution_kwargs else "auto"
+    if evolution_kwargs:
+        # explicit fields make a fixed policy; under auto the thresholds
+        # track the long-run RMSE during the run
+        if evolution is not True:
+            keys = ", ".join(f"'evolution_{k}'" for k in evolution_kwargs)
+            raise ConfigError(f"config keys 'evolution', {keys}: only evolution = true "
+                              f"takes a fixed policy's fields")
+        kwargs["evolution"] = _policy(evolution_kwargs)
+    elif evolution:
+        kwargs["evolution"] = "auto"
     try:
         return RunConfig(**kwargs)
     except TypeError as exc:

@@ -14,7 +14,7 @@ import os
 import numpy as np
 import pytest
 
-from anarx import NeoFuzzyNode, build_uniform_grid, eval_bspline, learning
+from anarx import KnotGrid, NeoFuzzyNode, eval_bspline, learning
 from anarx.errors import EmptySeries, ParseError
 from anarx.pipeline import SeriesFrame
 
@@ -187,7 +187,7 @@ PLANTED_W = {
 
 
 def planted_nodes():
-    grid = build_uniform_grid(0.0, 1.0, 4, 2)
+    grid = KnotGrid(0.0, 1.0, 4, 2)
     return NeoFuzzyNode(grid, PLANTED_W[1]), NeoFuzzyNode(grid, PLANTED_W[2])
 
 

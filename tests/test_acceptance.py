@@ -11,13 +11,13 @@ import pytest
 from anarx import (
     CombinerState,
     EvolutionPolicy,
+    KnotGrid,
     KwhLearner,
     RlsLearner,
     AdaptiveLearner,
     RunConfig,
     StructureChange,
     build_anarx,
-    build_uniform_grid,
     run_experiment,
 )
 from anarx.datasets import load_sunspots, sunspot_path, synthetic_load_series
@@ -155,7 +155,7 @@ class TestCriterion5Identities:
     def test_unity_partition(self):
         worst = 0.0
         for h, q in [(3, 1), (4, 2), (9, 2), (6, 3), (8, 4)]:
-            grid = build_uniform_grid(-1.0, 2.0, h, q)
+            grid = KnotGrid(-1.0, 2.0, h, q)
             for u in np.linspace(-1.0, 2.0, 2001):
                 worst = max(worst, abs(basis(grid, u).sum() - 1.0))
         assert worst <= 1e-12

@@ -26,6 +26,14 @@ normalization = minmax
 """
 
 
+def config_with(lines: str) -> str:
+    """CONFIG with ``lines`` in place of its lines for the same keys: a
+    config file gives each key once."""
+    keys = {line.partition("=")[0].strip() for line in lines.splitlines()}
+    kept = [line for line in CONFIG.splitlines() if line.partition("=")[0].strip() not in keys]
+    return "\n".join(kept) + "\n" + lines
+
+
 @pytest.fixture
 def data_csv(tmp_path):
     series = synthetic_load_series(n=450, seed=1)
@@ -142,11 +150,17 @@ class TestBench:
         # a multiplier rate that is not finite makes lam, and then c, inf or nan
         ("weighted = true\neta_lambda = inf", "'eta_lambda'"),
         ("weighted = true\neta_lambda = nan", "'eta_lambda'"),
+        # policy fields are taken by evolution = true alone
+        ("evolution_window = 50", "'evolution', 'evolution_window'"),
+        ("evolution = false\nevolution_window = 50", "'evolution', 'evolution_window'"),
+        ("evolution = auto\nevolution_n_max = 4", "'evolution', 'evolution_n_max'"),
+        # CONFIG without its n_nodes line is 8 lines long
+        ("n_nodes = 3\nn_nodes = 4", "'n_nodes' is given twice, on lines 9 and 10"),
     ])
     def test_invalid_setting_exits_4_naming_the_key(self, tmp_path, data_csv, capsys,
                                                      lines, named):
         bad = tmp_path / "bad.cfg"
-        bad.write_text(CONFIG + lines + "\n")
+        bad.write_text(config_with(lines) + "\n")
         assert main(["bench", "--config", str(bad), "--data", str(data_csv)]) == 4
         err = capsys.readouterr().err
         assert err.startswith("error: config key") and named in err
@@ -359,7 +373,7 @@ class TestEvolution:
 class TestLearnerHealth:
     def show(self, tmp_path, data_csv, capsys, extra):
         cfg = tmp_path / "health.cfg"
-        cfg.write_text(CONFIG + extra)
+        cfg.write_text(config_with(extra))
         snap = tmp_path / "model.json"
         assert main(["snapshot", "save", "--config", str(cfg), "--data", str(data_csv),
                      "--out", str(snap)]) == 0

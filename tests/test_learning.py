@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from anarx import (
     AdaptiveLearner,
     AnarxModel,
+    KnotGrid,
     KwhLearner,
     RlsLearner,
     build_anarx,
-    build_uniform_grid,
     eval_bspline,
     make_learner,
 )
@@ -857,7 +857,7 @@ def test_one_synapse_learns_as_two_tied_synapses(kind, h, p0, adaptive_alpha, st
     # prior is the prior of the sum of the two, 2 * p0 * I. Forgetting-
     # factor RLS winds up on both sides alike and is not compared.
     q = data.draw(st.integers(1, min(h, 4)), label="q")
-    grid = build_uniform_grid(0.0, 1.0, h, q)
+    grid = KnotGrid(0.0, 1.0, h, q)
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.0, 1.0, steps)
     y = np.sin(6.0 * x) + rng.normal(0.0, 0.1, steps)

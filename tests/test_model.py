@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from anarx import (
     AnarxModel,
     EvolutionPolicy,
+    KnotGrid,
     KwhLearner,
     NeoFuzzyNode,
     StructureChange,
     build_anarx,
-    build_uniform_grid,
 )
 from anarx.errors import CorruptSnapshot, DegenerateActivation, ParseError
 from anarx.numerics import EPS_REG
@@ -254,7 +254,7 @@ class TestTrainStep:
     def test_stationary_planted_target_converges(self):
         # linear-in-regressor target: last-100 RMSE well under target std
         rng = np.random.default_rng(6)
-        grid = build_uniform_grid(0.0, 1.0, 4, 2)
+        grid = KnotGrid(0.0, 1.0, 4, 2)
         # each target sums two tied synapses of 4 weights
         w1, w2 = rng.uniform(-0.1, 0.3, 8), rng.uniform(-0.1, 0.2, 8)
         tgt1 = NeoFuzzyNode(grid, w1[:4] + w1[4:])
@@ -580,10 +580,10 @@ class TestArrayPool:
     def test_nodes_on_different_grids_rejected(self):
         # the grid's type sets the node kind; nodes on different grids,
         # or a grid's dict, are no grid
-        grid = build_uniform_grid(0.0, 1.0, 3, 2)
+        grid = KnotGrid(0.0, 1.0, 3, 2)
         assert AnarxModel(grid, 2).node.grid is grid
         a = NeoFuzzyNode(grid)
-        b = NeoFuzzyNode(build_uniform_grid(0.0, 2.0, 3, 2))
+        b = NeoFuzzyNode(KnotGrid(0.0, 2.0, 3, 2))
         with pytest.raises(ValueError, match="no node kind"):
             AnarxModel([a, b], 2)
         with pytest.raises(ValueError, match="no node kind"):

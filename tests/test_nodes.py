@@ -3,10 +3,10 @@ import pytest
 
 from anarx import (
     GaussianGrid,
+    KnotGrid,
     NeoFuzzyNode,
     WangMendelNode,
     build_gaussian_grid,
-    build_uniform_grid,
     eval_gaussian,
 )
 from anarx.errors import DegenerateActivation, DimensionMismatch
@@ -16,7 +16,7 @@ from conftest import basis
 
 @pytest.fixture
 def neo3():
-    return NeoFuzzyNode(build_uniform_grid(0.0, 1.0, 3, 2))
+    return NeoFuzzyNode(KnotGrid(0.0, 1.0, 3, 2))
 
 
 class TestNeoFuzzy:
@@ -50,7 +50,7 @@ class TestNeoFuzzy:
             assert neo3.forward(u) == 0.0
 
     def test_peak_weights_reproduce_identity(self):
-        grid = build_uniform_grid(0.0, 1.0, 5, 2)
+        grid = KnotGrid(0.0, 1.0, 5, 2)
         node = NeoFuzzyNode(grid, np.unique(grid.knots))
         for u in np.linspace(0, 1, 41):
             assert abs(node.forward(u) - u) <= 1e-12
@@ -64,7 +64,7 @@ class TestNeoFuzzy:
 
     def test_linearity_in_weights(self):
         rng = np.random.default_rng(9)
-        grid = build_uniform_grid(-1.0, 1.0, 6, 3)
+        grid = KnotGrid(-1.0, 1.0, 6, 3)
         w = rng.normal(size=6)
         node = NeoFuzzyNode(grid, w)
         for u in rng.uniform(-1, 1, 100):
@@ -72,7 +72,7 @@ class TestNeoFuzzy:
 
     def test_output_bound(self):
         rng = np.random.default_rng(2)
-        grid = build_uniform_grid(0.0, 1.0, 7, 2)
+        grid = KnotGrid(0.0, 1.0, 7, 2)
         w = rng.normal(size=7)
         node = NeoFuzzyNode(grid, w)
         bound = np.abs(w).sum()
@@ -81,7 +81,7 @@ class TestNeoFuzzy:
 
     def test_continuity_for_q2(self):
         rng = np.random.default_rng(4)
-        grid = build_uniform_grid(0.0, 1.0, 5, 2)
+        grid = KnotGrid(0.0, 1.0, 5, 2)
         w = rng.normal(size=5)
         node = NeoFuzzyNode(grid, w)
         # Lipschitz constant: max adjacent weight gap over knot spacing
@@ -167,8 +167,8 @@ class TestWangMendel:
 
 
 @pytest.mark.parametrize("make", [
-    lambda: NeoFuzzyNode(build_uniform_grid(0.0, 1.0, 9, 3)),
-    lambda: NeoFuzzyNode(build_uniform_grid(0.0, 1.0, 9, 4)),
+    lambda: NeoFuzzyNode(KnotGrid(0.0, 1.0, 9, 3)),
+    lambda: NeoFuzzyNode(KnotGrid(0.0, 1.0, 9, 4)),
     lambda: WangMendelNode(build_gaussian_grid(0.0, 1.0, 9)),
 ])
 def test_forward_sums_the_support_left_to_right(make):

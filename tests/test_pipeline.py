@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from anarx import RunConfig, SeriesFrame, load_csv, membership, normalize_minmax, run_experiment
 from anarx.combiner import CombinerState
-from anarx.errors import DegenerateRange, EmptySeries, NumericalDivergence, ParseError
+from anarx.errors import ConfigError, DegenerateRange, EmptySeries, NumericalDivergence, ParseError
 from anarx.learning import AdaptiveLearner, RlsLearner
 from anarx.model import AnarxModel, EvolutionPolicy
 from anarx.pipeline import StepRecord, build_forecaster, denormalize, parse_config_text
@@ -38,6 +38,18 @@ class TestLoadCsv:
         p.write_text("month,Sunspots\n1749-01,58.0\n1749-02,62.6\n")
         frame = load_csv(p, column="Sunspots")
         assert np.allclose(frame.values, [58.0, 62.6])
+
+    @pytest.mark.parametrize("column", [1.7, True, False, 1.0, [0]])
+    def test_column_that_is_not_a_name_or_an_integer(self, tmp_path, column):
+        p = tmp_path / "v.csv"
+        p.write_text("1,10\n2,20\n3,30\n")
+        with pytest.raises(ParseError, match=re.escape(repr(column))):
+            load_csv(p, column)
+
+    def test_integral_numpy_column(self, tmp_path):
+        p = tmp_path / "v.csv"
+        p.write_text("1,10\n2,20\n3,30\n")
+        assert np.array_equal(load_csv(p, np.int64(1)).values, [10.0, 20.0, 30.0])
 
     def test_missing_column_named(self, tmp_path):
         p = tmp_path / "v.csv"
@@ -188,6 +200,32 @@ class TestRunConfig:
             RunConfig(n_nodes=1, h=3, train_len=5, test_len=1, learner="rls", alpha=0.0)
         RunConfig(n_nodes=1, h=3, train_len=5, test_len=1, learner="adaptive", alpha=0.0)
 
+    @pytest.mark.parametrize("key,value", [
+        ("n_nodes", 2.5), ("n_nodes", True), ("h", 4.0), ("q", 2.0),
+        ("train_len", 100.0), ("test_len", True), ("test_len", np.float64(5.0)),
+    ])
+    def test_counts_are_integers(self, key, value):
+        settings = dict(n_nodes=2, h=4, q=2, train_len=10, test_len=5)
+        settings[key] = value
+        with pytest.raises(ConfigError, match=f"config key '{key}': must be an integer"):
+            RunConfig(**settings)
+
+    def test_integral_numpy_counts_are_stored_as_ints(self):
+        cfg = RunConfig(n_nodes=np.int64(2), h=np.int32(4), q=np.int8(2),
+                        train_len=np.int64(10), test_len=np.uint16(5),
+                        evolution=EvolutionPolicy(window=np.int64(20), n_max=np.int64(3)))
+        d = cfg.to_dict()
+        for key in ("n_nodes", "h", "q", "train_len", "test_len"):
+            assert type(d[key]) is int
+        assert all(type(d["evolution"][key]) is int for key in ("window", "n_min", "n_max"))
+        json.dumps(d)
+
+    @pytest.mark.parametrize("key,value", [("window", 2.5), ("window", True), ("n_max", 3.5),
+                                           ("n_min", 1.0)])
+    def test_policy_counts_are_integers(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            EvolutionPolicy(**{key: value})
+
     def test_split_must_fit_series(self):
         series = SeriesFrame(np.linspace(0, 1, 20))
         cfg = RunConfig(n_nodes=1, h=3, train_len=18, test_len=5)
@@ -223,6 +261,11 @@ class TestParseConfig:
         )
         assert isinstance(cfg.evolution, EvolutionPolicy)
         assert cfg.evolution.window == 20 and cfg.evolution.n_max == 5
+
+    def test_evolution_true_without_policy_fields_is_auto(self):
+        cfg = parse_config_text("n_nodes = 1\nh = 3\ntrain_len = 50\ntest_len = 10\n"
+                                "evolution = true\n")
+        assert cfg.evolution == "auto"
 
     def test_unknown_key(self):
         with pytest.raises(ParseError):

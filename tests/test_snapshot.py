@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from anarx import (
     EvolutionPolicy,
+    KnotGrid,
     OnlineForecaster,
     RunConfig,
     SeriesFrame,
@@ -232,6 +233,9 @@ def _narrower_grid(model):
     (True, "kwh", lambda p: _drop_last(p["model"]["learner_states"][0]["w"])),
     (False, "kwh", lambda p: _narrower_grid(p["model"])),
     (False, "kwh", lambda p: p["scale"].append(1.0)),
+    # the saved knots of the narrower grid match its four numbers, so
+    # the weights' shape is what rejects it
+    (False, "kwh", lambda p: p["model"].update(grid=KnotGrid(0.0, 1.0, 3, 2).to_dict())),
 ])
 def test_shape_mismatch_with_valid_checksum_is_corrupt(tmp_path, weighted, learner, tamper):
     path = _tampered_snapshot(tmp_path, weighted, learner, tamper)
@@ -315,6 +319,11 @@ def _set(obj, key, value):
 NAN, INF = float("nan"), float("inf")
 
 
+def _infinite_prior(payload):
+    payload["model"]["p0"] = INF
+    payload["model"]["stacked_state"]["p0"] = INF
+
+
 @pytest.mark.parametrize("weighted,learner,tamper", [
     # a zero-width scale divides by zero at the first step, an infinite
     # one predicts +-inf
@@ -336,11 +345,38 @@ NAN, INF = float("nan"), float("inf")
                  id="adaptive-r-inf"),
     pytest.param(True, "adaptive", lambda p: _set(p["model"]["learner_states"][0], "r", -1.0),
                  id="adaptive-r-negative"),
+    # an infinite RLS prior is the covariance of every node the pool
+    # grows, whose first step then raises NumericalDivergence
+    pytest.param(False, "rls", _infinite_prior, id="rls-p0-inf"),
 ])
 def test_state_that_could_only_fail_later_is_corrupt(tmp_path, weighted, learner, tamper):
     path = _tampered_snapshot(tmp_path, weighted, learner, tamper)
     with pytest.raises(CorruptSnapshot):
         snapshot_load(path)
+
+
+def _lo_infinite(grid):
+    grid["lo"] = -INF
+    grid["knots"][0] = -INF
+
+
+@pytest.mark.parametrize("weighted,learner,tamper", [
+    # a NaN knot breaks the unity partition of the inputs near it; an
+    # infinite bound with the knot at that end to match shifts every
+    # prediction
+    pytest.param(True, "adaptive", lambda p: _set(p["model"]["grid"]["knots"], 3, NAN),
+                 id="knot-nan"),
+    pytest.param(True, "adaptive", lambda p: _lo_infinite(p["model"]["grid"]), id="lo-infinite"),
+    pytest.param(False, "rls", _infinite_prior, id="rls-p0-inf"),
+])
+def test_grid_or_prior_no_run_builds_is_corrupt(tmp_path, capsys, weighted, learner, tamper):
+    from anarx.cli import main
+
+    path = _tampered_snapshot(tmp_path, weighted, learner, tamper)
+    with pytest.raises(CorruptSnapshot):
+        snapshot_load(path)
+    assert main(["snapshot", "show", "--snapshot", str(path)]) == 10
+    assert "integrity: ok" not in capsys.readouterr().out
 
 
 def _learner_states(model):
