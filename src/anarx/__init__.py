@@ -16,12 +16,7 @@ from .membership import (
     eval_bspline,
     eval_gaussian,
 )
-from .model import (
-    AnarxModel,
-    EvolutionPolicy,
-    StructureChange,
-    build_anarx,
-)
+from .model import AnarxModel, EvolutionPolicy, build_anarx
 from .nodes import NeoFuzzyNode, WangMendelNode
 from .pipeline import (
     ForecastReport,
@@ -51,7 +46,6 @@ __all__ = [
     "RlsLearner",
     "RunConfig",
     "SeriesFrame",
-    "StructureChange",
     "WangMendelNode",
     "build_anarx",
     "build_gaussian_grid",

@@ -5,7 +5,9 @@ derives from :class:`AnarxError`, so callers (and the CLI) can map failure
 categories without string matching.
 """
 
+import math
 import numbers
+from dataclasses import fields
 
 
 class AnarxError(Exception):
@@ -67,6 +69,36 @@ def is_integer(value) -> bool:
     """Whether ``value`` is an integer: an int or an integral numpy
     scalar, and not a bool."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_finite_real(value) -> bool:
+    """Whether ``value`` is a finite real number: an int, a float or a
+    real numpy scalar, and not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+# a declared field type: the test its values pass, their cast and its name
+_FIELD_KINDS = {
+    "int": (is_integer, int, "an integer"),
+    "float": (is_finite_real, float, "a finite number"),
+    "bool": (lambda v: type(v) is bool, bool, "a bool"),
+}
+
+
+def check_fields(obj, invalid) -> None:
+    """Cast each field of the dataclass ``obj`` declared ``int``,
+    ``float`` or ``bool`` to that type, or call ``invalid(name,
+    message)`` when its value is none of an integer, a finite real
+    number and a bool: an integral numpy scalar is an integer, a bool is
+    neither an integer nor a number, and NaN or Infinity, which no JSON
+    report can hold, is not a finite number."""
+    for f in fields(obj):
+        if f.type in _FIELD_KINDS:
+            test, cast, kind = _FIELD_KINDS[f.type]
+            value = getattr(obj, f.name)
+            if not test(value):
+                invalid(f.name, f"must be {kind}, got {value!r}")
+            setattr(obj, f.name, cast(value))
 
 
 def read_float(value, what: str) -> float:

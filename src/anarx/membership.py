@@ -88,6 +88,8 @@ class GaussianGrid:
             raise InvalidRange("centers must be a nonempty 1-d sequence")
         if widths.shape != centers.shape:
             raise InvalidRange("widths must match centers in length")
+        if not (np.all(np.isfinite(centers)) and np.all(np.isfinite(widths))):
+            raise InvalidRange("centers and widths must be finite")
         if centers.size > 1 and np.any(np.diff(centers) <= 0.0):
             raise InvalidRange("centers must be strictly increasing")
         if np.any(widths <= 0.0):

@@ -18,13 +18,12 @@ only sets the shape of the weight block:
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import CorruptSnapshot, ParseError, is_integer, read_float, read_floats
+from .errors import CorruptSnapshot, ParseError, check_fields, read_float, read_floats
 from .learning import make_learner
 from .numerics import support_dot
 from .membership import GaussianGrid, KnotGrid, build_gaussian_grid
@@ -33,6 +32,10 @@ from .nodes import NeoFuzzyNode, WangMendelNode
 
 # the ring entry of a lag not seen yet
 _UNSEEN = (0, ())
+
+
+def _invalid_policy(key: str, message: str):
+    raise ValueError(f"{key} {message}")
 
 
 @dataclass
@@ -46,11 +49,7 @@ class EvolutionPolicy:
     n_max: int = 10
 
     def __post_init__(self) -> None:
-        for key in ("window", "n_min", "n_max"):
-            value = getattr(self, key)
-            if not is_integer(value):
-                raise ValueError(f"{key} must be an integer, got {value!r}")
-            setattr(self, key, int(value))
+        check_fields(self, _invalid_policy)
         if self.window < 1:
             raise ValueError("window must be positive")
         if self.n_min > self.n_max or self.n_min < 1:
@@ -71,12 +70,6 @@ class EvolutionPolicy:
         return cls(add_threshold=read_float(state["add_threshold"], "add threshold"),
                    remove_threshold=read_float(state["remove_threshold"], "remove threshold"),
                    **counts)
-
-
-class StructureChange(enum.Enum):
-    NONE = "none"
-    ADDED = "added"
-    REMOVED = "removed"
 
 
 class AnarxModel:
@@ -167,8 +160,10 @@ class AnarxModel:
         self.n -= 1
         self.learner.resize(*self._learner_shape())
 
-    def evolve(self, policy: EvolutionPolicy, window_rmse: float, contributions) -> StructureChange:
-        """Apply at most one structural change based on recent error level.
+    def evolve(self, policy: EvolutionPolicy, window_rmse: float, contributions) -> None:
+        """Apply at most one structural change based on recent error level;
+        the pool size ``n`` tells which, if any: one more node was added,
+        one fewer removed.
 
         ``contributions`` holds one row of node forecasts per learned step
         since the last structure change, oldest first; the caller keeps it
@@ -180,17 +175,11 @@ class AnarxModel:
         """
         if window_rmse > policy.add_threshold and self.n < policy.n_max:
             self.add_node()
-            return StructureChange.ADDED
-        if window_rmse < policy.remove_threshold and self.n > policy.n_min:
-            if len(contributions) >= policy.window:
-                recent = np.abs(
-                    np.asarray(list(contributions)[-policy.window :], dtype=float)
-                )
-                means = recent.mean(axis=0)
-                if int(np.argmin(means)) == self.n - 1:
-                    self.remove_last_node()
-                    return StructureChange.REMOVED
-        return StructureChange.NONE
+        elif (window_rmse < policy.remove_threshold and self.n > policy.n_min
+              and len(contributions) >= policy.window):
+            recent = np.abs(np.asarray(list(contributions)[-policy.window :], dtype=float))
+            if int(np.argmin(recent.mean(axis=0))) == self.n - 1:
+                self.remove_last_node()
 
     # -- evaluation ----------------------------------------------------
 

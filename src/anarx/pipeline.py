@@ -36,16 +36,14 @@ from .errors import (
     EmptySeries,
     NumericalDivergence,
     ParseError,
+    check_fields,
     is_integer,
     read_float,
     read_floats,
 )
-from .model import AnarxModel, EvolutionPolicy, StructureChange, build_anarx
+from .model import AnarxModel, EvolutionPolicy, build_anarx
 
 log = logging.getLogger("anarx")
-
-# error window of evolution = "auto"
-AUTO_WINDOW = 100
 
 
 @dataclass
@@ -205,18 +203,14 @@ class RunConfig:
     eta_lambda: float = 0.1
 
     def __post_init__(self) -> None:
+        check_fields(self, _invalid)
         if self.training is None:
             self.training = "independent" if self.weighted else "stacked"
         for key, allowed in _CHOICES.items():
             if getattr(self, key) not in allowed:
                 _invalid(key, f"expected one of {allowed}, got {getattr(self, key)!r}")
-        if isinstance(self.evolution, str) and self.evolution != "auto":
+        if self.evolution not in (None, "auto") and not isinstance(self.evolution, EvolutionPolicy):
             _invalid("evolution", f"expected off, 'auto' or a policy, got {self.evolution!r}")
-        for key in ("n_nodes", "h", "q", "train_len", "test_len"):
-            value = getattr(self, key)
-            if not is_integer(value):
-                _invalid(key, f"must be an integer, got {value!r}")
-            setattr(self, key, int(value))
         for key in ("n_nodes", "h", "q", "train_len"):
             if getattr(self, key) < 1:
                 _invalid(key, f"must be positive, got {getattr(self, key)}")
@@ -229,8 +223,8 @@ class RunConfig:
             _invalid("alpha", f"rls needs alpha in (0, 1], got {self.alpha}")
         if self.learner == "adaptive" and not 0.0 <= self.alpha <= 1.0:
             _invalid("alpha", f"adaptive needs alpha in [0, 1], got {self.alpha}")
-        if not 0.0 < self.eta_lambda < math.inf:
-            _invalid("eta_lambda", f"must be positive and finite, got {self.eta_lambda}")
+        if self.eta_lambda <= 0.0:
+            _invalid("eta_lambda", f"must be positive, got {self.eta_lambda}")
 
     def to_dict(self) -> dict:
         # every other field is a scalar, which asdict would deep-copy
@@ -336,8 +330,9 @@ class OnlineForecaster:
 
     ``scale`` is None (model units are raw units) or the min-max
     normalization ``(lo, hi)``, two finite floats with lo < hi.
-    ``evolution`` is None (off), ``"auto"`` (thresholds at 1.5x/0.75x of
-    the long-run RMSE) or an :class:`EvolutionPolicy`. The controller
+    ``evolution`` is None (off), ``"auto"`` (the default
+    :class:`EvolutionPolicy`, its thresholds at 1.5x/0.75x of the
+    long-run RMSE) or an :class:`EvolutionPolicy`. The controller
     sees learned steps only and holds all evolution state: for the last
     ``window`` of them since the last structure change, ``err_window``
     holds the squared errors and ``contrib_window`` the node forecasts
@@ -366,10 +361,10 @@ class OnlineForecaster:
         self.scale = scale
         self.meta = meta or {}
         self.evolution = evolution
-        # the policy evolve applies: under "auto" one policy, whose two
-        # thresholds each learned step sets from the long-run RMSE
-        self._policy = EvolutionPolicy(window=AUTO_WINDOW) if evolution == "auto" else evolution
-        window = evolution.window if isinstance(evolution, EvolutionPolicy) else AUTO_WINDOW
+        # the policy evolve applies: under "auto" the default policy, whose
+        # two thresholds each learned step sets from the long-run RMSE
+        self._policy = EvolutionPolicy() if evolution == "auto" else evolution
+        window = self._policy.window if evolution is not None else None
         self.err_window: deque = deque(maxlen=window)
         self.contrib_window: deque = deque(maxlen=window)
         self.long_run_sq = 0.0
@@ -449,13 +444,14 @@ class OnlineForecaster:
         # summed oldest first on every step; a running sum would round
         # differently and could move a structure change
         rmse = math.sqrt(sum(window) / window.maxlen)
-        change = self.model.evolve(self._policy, rmse, self.contrib_window)
-        if change is StructureChange.NONE:
+        n = self.model.n
+        self.model.evolve(self._policy, rmse, self.contrib_window)
+        if self.model.n == n:
             return
         window.clear()
         self.contrib_window.clear()
         if self.combiner is not None:
-            if change is StructureChange.ADDED:
+            if self.model.n > n:
                 self.combiner.extend(1)
             else:
                 self.combiner.truncate(self.model.n)
@@ -710,21 +706,17 @@ def parse_config_text(text: str) -> RunConfig:
             keys = ", ".join(f"'evolution_{k}'" for k in evolution_kwargs)
             raise ConfigError(f"config keys 'evolution', {keys}: only evolution = true "
                               f"takes a fixed policy's fields")
-        kwargs["evolution"] = _policy(evolution_kwargs)
+        try:
+            kwargs["evolution"] = EvolutionPolicy(**evolution_kwargs)
+        except ValueError as exc:
+            keys = ", ".join(f"evolution_{k}" for k in evolution_kwargs)
+            raise ConfigError(f"config keys {keys}: {exc}") from None
     elif evolution:
         kwargs["evolution"] = "auto"
     try:
         return RunConfig(**kwargs)
     except TypeError as exc:
         raise ConfigError(f"incomplete config: {exc}") from None
-
-
-def _policy(kwargs: dict) -> EvolutionPolicy:
-    try:
-        return EvolutionPolicy(**kwargs)
-    except ValueError as exc:
-        keys = ", ".join(f"evolution_{k}" for k in kwargs)
-        raise ConfigError(f"config keys {keys}: {exc}") from None
 
 
 def _parse(kind: str, value: str, key: str):

@@ -150,6 +150,12 @@ class TestBench:
         # a multiplier rate that is not finite makes lam, and then c, inf or nan
         ("weighted = true\neta_lambda = inf", "'eta_lambda'"),
         ("weighted = true\neta_lambda = nan", "'eta_lambda'"),
+        # kwh reads no alpha, but the report writes it, and NaN or Infinity
+        # is not JSON
+        ("learner = kwh\nalpha = nan", "'alpha'"),
+        ("learner = kwh\nalpha = inf", "'alpha'"),
+        ("learner = kwh\nalpha = -inf", "'alpha'"),
+        ("evolution = true\nevolution_add_threshold = inf", "evolution_add_threshold"),
         # policy fields are taken by evolution = true alone
         ("evolution_window = 50", "'evolution', 'evolution_window'"),
         ("evolution = false\nevolution_window = 50", "'evolution', 'evolution_window'"),

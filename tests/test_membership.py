@@ -324,11 +324,19 @@ class TestGaussian:
         grid = build_gaussian_grid(0.0, 2.0, 5)
         assert np.allclose(grid.widths, 0.5)
 
-    def test_validation(self):
+    @pytest.mark.parametrize("centers,widths", [
+        ([0.0, 0.0], [1.0, 1.0]),
+        ([0.0, 1.0], [1.0, -1.0]),
+        # NaN compares false both ways, so it passes the ordering and sign tests
+        ([0.0, NAN], [1.0, 1.0]),
+        ([0.0, INF], [1.0, 1.0]),
+        ([-INF, 0.0], [1.0, 1.0]),
+        ([0.0, 1.0], [NAN, 1.0]),
+        ([0.0, 1.0], [1.0, INF]),
+    ])
+    def test_validation(self, centers, widths):
         with pytest.raises(InvalidRange):
-            GaussianGrid([0.0, 0.0], [1.0, 1.0])
-        with pytest.raises(InvalidRange):
-            GaussianGrid([0.0, 1.0], [1.0, -1.0])
+            GaussianGrid(centers, widths)
 
 
 class TestImmutability:

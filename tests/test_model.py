@@ -13,7 +13,6 @@ from anarx import (
     KnotGrid,
     KwhLearner,
     NeoFuzzyNode,
-    StructureChange,
     build_anarx,
 )
 from anarx.errors import CorruptSnapshot, DegenerateActivation, ParseError
@@ -341,8 +340,7 @@ class TestEvolve:
     def test_between_thresholds_no_change(self):
         m, contrib = self.warmed()
         before = m.W.copy()
-        change = m.evolve(self.policy(), 0.3, contrib)
-        assert change is StructureChange.NONE
+        assert m.evolve(self.policy(), 0.3, contrib) is None
         assert m.n == 2
         assert np.array_equal(m.W, before)
 
@@ -352,8 +350,7 @@ class TestEvolve:
             m.observe(0.33)
             pred_before = m.forward()
             old = m.W.copy()
-            change = m.evolve(self.policy(), 0.9, contrib)
-            assert change is StructureChange.ADDED
+            m.evolve(self.policy(), 0.9, contrib)
             assert m.n == 3
             assert np.array_equal(m.W[2], np.zeros(m.node.dim))
             assert m.forward() == pred_before
@@ -361,7 +358,8 @@ class TestEvolve:
 
     def test_add_respects_n_max(self):
         m, contrib = self.warmed()
-        assert m.evolve(self.policy(n_max=2), 0.9, contrib) is StructureChange.NONE
+        m.evolve(self.policy(n_max=2), 0.9, contrib)
+        assert m.n == 2
 
     def test_remove_changes_output_by_contribution(self):
         m, _ = self.warmed(n=3)
@@ -375,8 +373,7 @@ class TestEvolve:
             m.W[2] = 0.0
         contribution = m.node_forecasts()[2]
         pred_before = m.forward()
-        change = m.evolve(self.policy(window=5), 0.01, contrib)
-        assert change is StructureChange.REMOVED
+        m.evolve(self.policy(window=5), 0.01, contrib)
         assert m.n == 2
         assert abs(m.forward() - (pred_before - contribution)) <= 1e-12
 
@@ -392,17 +389,24 @@ class TestEvolve:
             m.train_step(float(y))
             m.W[0] = 0.0
             m.W[1] = 1.0
-        assert m.evolve(self.policy(window=5), 0.01, contrib) is StructureChange.NONE
+        m.evolve(self.policy(window=5), 0.01, contrib)
+        assert m.n == 2
 
     def test_remove_respects_n_min(self):
         m, contrib = self.warmed(n=1)
-        assert m.evolve(self.policy(n_min=1, window=1), 0.0, contrib) is StructureChange.NONE
+        m.evolve(self.policy(n_min=1, window=1), 0.0, contrib)
+        assert m.n == 1
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             EvolutionPolicy(add_threshold=0.1, remove_threshold=0.2)
         with pytest.raises(ValueError):
             EvolutionPolicy(n_min=3, n_max=2)
+        # a threshold that is not finite would be written into the report
+        for key, value in [("add_threshold", math.inf), ("add_threshold", "0.2"),
+                           ("remove_threshold", True), ("add_threshold", None)]:
+            with pytest.raises(ValueError, match=f"{key} must be a finite number"):
+                EvolutionPolicy(**{key: value})
 
     def test_structural_safety_fuzz(self):
         rng = np.random.default_rng(10)
@@ -414,7 +418,10 @@ class TestEvolve:
                 contrib.append(m.node_forecasts())
                 m.train_step(float(rng.uniform(0, 1)))
                 if rng.uniform() < 0.05:
-                    if m.evolve(policy, float(rng.uniform(0, 1)), contrib) is not StructureChange.NONE:
+                    n = m.n
+                    m.evolve(policy, float(rng.uniform(0, 1)), contrib)
+                    assert abs(m.n - n) <= 1
+                    if m.n != n:
                         contrib.clear()
                 assert m.learner.w.size == m.n * m.node.dim
                 assert len(m.learner.w) == (m.n if training == "independent" else 1)

@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from anarx import RunConfig, SeriesFrame, load_csv, membership, normalize_minmax, run_experiment
@@ -199,10 +199,41 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(n_nodes=1, h=3, train_len=5, test_len=1, learner="rls", alpha=0.0)
         RunConfig(n_nodes=1, h=3, train_len=5, test_len=1, learner="adaptive", alpha=0.0)
+        # kwh reads no alpha, but the report writes it: any finite value
+        RunConfig(n_nodes=1, h=3, train_len=5, test_len=1, learner="kwh", alpha=-7.0)
+        for alpha in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigError, match="config key 'alpha': must be a finite number"):
+                RunConfig(n_nodes=1, h=3, train_len=5, test_len=1, learner="kwh", alpha=alpha)
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("weighted", "false", "must be a bool"),
+        ("weighted", 1, "must be a bool"),
+        ("freeze_test", "true", "must be a bool"),
+        ("freeze_test", np.bool_(True), "must be a bool"),
+        ("evolution", True, "expected off, 'auto' or a policy"),
+        ("evolution", {"window": 50}, "expected off, 'auto' or a policy"),
+        ("alpha", "0.5", "must be a finite number"),
+        ("alpha", True, "must be a finite number"),
+        ("eta_lambda", "0.1", "must be a finite number"),
+        ("eta_lambda", False, "must be a finite number"),
+        ("eta_lambda", math.inf, "must be a finite number"),
+    ])
+    def test_settings_of_the_wrong_kind_are_rejected(self, key, value, message):
+        settings = dict(n_nodes=2, h=4, train_len=10, test_len=5, learner="adaptive", alpha=0.5)
+        settings[key] = value
+        with pytest.raises(ConfigError, match=f"config key '{key}': {message}"):
+            RunConfig(**settings)
+
+    def test_real_numbers_are_stored_as_floats(self):
+        cfg = RunConfig(n_nodes=2, h=4, train_len=10, test_len=5, learner="adaptive",
+                        alpha=np.float32(0.5), eta_lambda=1)
+        assert type(cfg.alpha) is float and type(cfg.eta_lambda) is float
+        json.dumps(cfg.to_dict())
 
     @pytest.mark.parametrize("key,value", [
         ("n_nodes", 2.5), ("n_nodes", True), ("h", 4.0), ("q", 2.0),
         ("train_len", 100.0), ("test_len", True), ("test_len", np.float64(5.0)),
+        ("seed", 0.5), ("seed", math.nan),
     ])
     def test_counts_are_integers(self, key, value):
         settings = dict(n_nodes=2, h=4, q=2, train_len=10, test_len=5)
@@ -274,6 +305,48 @@ class TestParseConfig:
     def test_bad_line(self):
         with pytest.raises(ParseError):
             parse_config_text("n_nodes 2\n")
+
+    # the numbers a config file may give, the ones that are not finite included
+    NUMBERS = ["0", "0.05", "0.5", "1", "2", "-1", "nan", "inf", "-inf"]
+    SERIES = SeriesFrame(np.sin(np.arange(80) / 5.0) + np.random.default_rng(5).normal(0, 0.1, 80))
+
+    @settings(max_examples=150, deadline=None)
+    @given(learner=st.sampled_from(["rls", "kwh", "adaptive"]), alpha=st.sampled_from(NUMBERS),
+           weighted=st.sampled_from(["true", "false"]),
+           freeze_test=st.sampled_from(["true", "false"]),
+           evolution=st.sampled_from([None, "false", "true", "auto"]),
+           policy=st.dictionaries(
+               st.sampled_from(["window", "add_threshold", "remove_threshold", "n_max"]),
+               st.sampled_from(["3", *NUMBERS]), max_size=3))
+    # kwh reads no alpha, and the report wrote a NaN one; an infinite
+    # threshold passed the policy's ordering check
+    @example(learner="kwh", alpha="nan", weighted="false", freeze_test="false", evolution=None,
+             policy={})
+    @example(learner="adaptive", alpha="0.5", weighted="true", freeze_test="false",
+             evolution="true", policy={"add_threshold": "inf"})
+    def test_every_accepted_config_gives_a_strict_json_report_property(
+            self, learner, alpha, weighted, freeze_test, evolution, policy):
+        lines = ["n_nodes = 2", "h = 4", "train_len = 60", "test_len = 20",
+                 f"learner = {learner}", f"alpha = {alpha}",
+                 f"weighted = {weighted}", f"freeze_test = {freeze_test}"]
+        if evolution is not None:
+            lines.append(f"evolution = {evolution}")
+        lines += [f"evolution_{key} = {value}" for key, value in policy.items()]
+        try:
+            config = parse_config_text("\n".join(lines))
+        except ConfigError:
+            return
+
+        def not_json(name):
+            raise AssertionError(f"the report holds {name}, which is not JSON")
+
+        try:
+            report = run_experiment(self.SERIES, config)
+        except NumericalDivergence:
+            # RLS with a small forgetting factor can wind up; the run ends
+            # in its typed error and writes no report
+            return
+        json.loads(report.to_json(), parse_constant=not_json)
 
 
 class TestRunExperiment:

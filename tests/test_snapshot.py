@@ -272,6 +272,20 @@ def test_delay_value_no_node_can_fuzzify_is_corrupt(tmp_path, capsys, lag):
     assert "integrity: ok" not in capsys.readouterr().out
 
 
+def test_gaussian_center_that_is_not_finite_is_corrupt(tmp_path, capsys):
+    # NaN passes the grid's ordering check; loaded, the grid would fail
+    # only at the first step
+    from anarx.cli import main
+
+    path = _tampered_snapshot(tmp_path, False, "adaptive",
+                              lambda p: p["model"]["grid"]["centers"].__setitem__(1, float("nan")),
+                              steps=50, node_kind="wang_mendel")
+    with pytest.raises(CorruptSnapshot, match="centers and widths must be finite"):
+        snapshot_load(path)
+    assert main(["snapshot", "show", "--snapshot", str(path)]) == 10
+    assert "integrity: ok" not in capsys.readouterr().out
+
+
 def _nudge_off_diagonal(P):
     # one ulp on one side of the diagonal
     P[0][1] = float(np.nextafter(P[0][1], np.inf))
