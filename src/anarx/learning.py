@@ -135,8 +135,6 @@ class _RowBlock:
             raise DimensionMismatch(
                 f"row {i} has weights of shape {w.shape}, the learner needs {self.w.shape[1:]}"
             )
-        if not np.isfinite(w).all():
-            raise ValueError(f"row {i} has weights that are not finite")
         self.w[i] = w
 
 
@@ -421,18 +419,13 @@ class RlsLearner(_RowBlock):
         """Restore row ``i``: every row folds its pending gains, then row
         ``i``'s weights and covariance are overwritten, the saved
         triangle (see :func:`packed`) going into both triangles of ``P``."""
-        saved = state["P"]
-        cols = self.w.shape[1]
-        size = cols * (cols + 1) // 2
-        if len(saved) != size:
-            raise DimensionMismatch(
-                f"covariance must be the {size} entries of a packed triangle, got {len(saved)}")
-        saved = np.array(read_floats(saved, f"row {i} covariance"))
-        if not np.isfinite(saved).all():
-            raise DimensionMismatch("covariance must be finite")
+        saved = np.array(read_floats(state["P"], f"row {i} covariance"))
+        upper = np.triu_indices(self.w.shape[1])
+        if len(saved) != len(upper[0]):
+            raise DimensionMismatch(f"covariance must be the {len(upper[0])} entries of a packed "
+                                    f"triangle, got {len(saved)}")
         super().load_row(i, state)
         self._fold_pending()
-        upper = np.triu_indices(cols)
         self.P[i][upper] = saved
         self.P[i][upper[::-1]] = saved
 
@@ -492,8 +485,8 @@ class AdaptiveLearner(_Projection):
 
     def load_row(self, i: int, state: dict) -> None:
         r = read_float(state["r"], f"row {i} gain")
-        if not 0.0 <= r < math.inf:
-            raise ValueError(f"row {i} has gain {r}, which must be finite and nonnegative")
+        if r < 0.0:
+            raise ValueError(f"row {i} has gain {r}, which must be nonnegative")
         super().load_row(i, state)
         self.r[i] = r
 

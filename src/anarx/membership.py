@@ -14,7 +14,8 @@ from bisect import bisect_right
 
 import numpy as np
 
-from .errors import CorruptSnapshot, InvalidOrder, InvalidRange, is_integer, read_float, read_floats
+from .errors import (CorruptSnapshot, InvalidOrder, InvalidRange, is_integer, read_count, read_float,
+                     read_floats)
 
 
 class KnotGrid:
@@ -70,8 +71,9 @@ class KnotGrid:
     def from_dict(cls, d: dict) -> "KnotGrid":
         """The grid of the saved bounds, size and order. Raises
         CorruptSnapshot unless the saved knots are that grid's."""
-        grid = cls(read_float(d["lo"], "grid lo"), read_float(d["hi"], "grid hi"), d["h"], d["q"])
-        if read_floats(d["knots"], "knots") != grid.knot_list:
+        grid = cls(read_float(d["lo"], "grid lo"), read_float(d["hi"], "grid hi"),
+                   read_count(d["h"], "grid size h", 1), read_count(d["q"], "spline order q", 1))
+        if read_floats(d["knots"], "saved knots") != grid.knot_list:
             raise CorruptSnapshot(f"saved knots are not those of {grid!r}")
         return grid
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import CorruptSnapshot, ParseError, check_fields, read_float, read_floats
+from .errors import CorruptSnapshot, ParseError, check_fields, read_count, read_float, read_floats
 from .learning import make_learner
 from .numerics import support_dot
 from .membership import GaussianGrid, KnotGrid, build_gaussian_grid
@@ -61,15 +61,13 @@ class EvolutionPolicy:
     def from_state(cls, state: dict) -> "EvolutionPolicy":
         """The policy saved as its fields (``vars(policy)``). Raises
         CorruptSnapshot unless ``state`` holds each field once, the window
-        and the node bounds as integers and the thresholds as numbers."""
+        and the node bounds as counts and the thresholds as numbers."""
         if type(state) is not dict or state.keys() != {f.name for f in fields(cls)}:
             raise CorruptSnapshot(f"evolution policy must hold a policy's fields, got {state!r}")
-        counts = {key: state[key] for key in ("window", "n_min", "n_max")}
-        if not all(type(v) is int for v in counts.values()):
-            raise CorruptSnapshot(f"policy window and node bounds must be integers, got {counts}")
-        return cls(add_threshold=read_float(state["add_threshold"], "add threshold"),
-                   remove_threshold=read_float(state["remove_threshold"], "remove threshold"),
-                   **counts)
+        return cls(**{key: read_count(state[key], f"policy {key}", 1)
+                      for key in ("window", "n_min", "n_max")},
+                   add_threshold=read_float(state["add_threshold"], "add threshold"),
+                   remove_threshold=read_float(state["remove_threshold"], "remove threshold"))
 
 
 class AnarxModel:
@@ -314,10 +312,11 @@ class AnarxModel:
         Raises CorruptSnapshot when the learner state does not match the
         model: another row count, or settings (kind, alpha, p0) other
         than those the model builds its learner with; when the delay
-        capacity is below the node count or the delay values, or a
-        delay value is not finite; DimensionMismatch when a row is shaped
-        for another pool; and DegenerateActivation when a delay value
-        cannot be fuzzified.
+        capacity is below the node count or the delay values; when a
+        saved number is not a finite JSON number or a saved count not an
+        integer in range (see :mod:`anarx.errors`); DimensionMismatch
+        when a row is shaped for another pool; and DegenerateActivation
+        when a delay value cannot be fuzzified.
         """
         grids = {node.kind: grid for grid, node in _NODE_TYPES.items()}
         node_kind = state["node_kind"]
@@ -325,7 +324,7 @@ class AnarxModel:
             raise CorruptSnapshot(f"unknown node kind {node_kind!r}")
         model = cls(
             grids[node_kind].from_dict(state["grid"]),
-            state["n_nodes"],
+            read_count(state["n_nodes"], "node count", 1),
             training=state["training"],
             learner=state["learner"],
             alpha=read_float(state["alpha"], "alpha"),
@@ -344,16 +343,10 @@ class AnarxModel:
                 )
             learner.load_row(i, row)
         delay = read_floats(state["delay_y"], "delay values")
-        if not all(map(math.isfinite, delay)):
-            raise CorruptSnapshot("delay values must be finite")
+        # the capacity covers the nodes and the delay values; files written
+        # before it was stored hold none
         least = max(model.n, len(delay))
-        # files written before the capacity was stored hold none
-        capacity = state.get("delay_capacity", least)
-        if type(capacity) is not int or capacity < least:
-            raise CorruptSnapshot(
-                f"delay capacity {capacity!r} is below the {model.n} nodes "
-                f"or the {len(delay)} delay values"
-            )
+        capacity = read_count(state.get("delay_capacity", least), "delay capacity", least)
         # refill the delay line and its ring, oldest value first
         model._ring = [_UNSEEN] * capacity
         for y in reversed(delay):

@@ -38,6 +38,7 @@ from .errors import (
     ParseError,
     check_fields,
     is_integer,
+    read_count,
     read_float,
     read_floats,
 )
@@ -209,6 +210,9 @@ class RunConfig:
         for key, allowed in _CHOICES.items():
             if getattr(self, key) not in allowed:
                 _invalid(key, f"expected one of {allowed}, got {getattr(self, key)!r}")
+        if self.training == "independent" and not self.weighted:
+            # each node fits the value alone, so their plain sum is about n times it
+            raise ConfigError("config keys 'weighted', 'training': independent needs weighted")
         if self.evolution not in (None, "auto") and not isinstance(self.evolution, EvolutionPolicy):
             _invalid("evolution", f"expected off, 'auto' or a policy, got {self.evolution!r}")
         for key in ("n_nodes", "h", "q", "train_len"):
@@ -359,6 +363,8 @@ class OnlineForecaster:
         self.model = model
         self.combiner = combiner
         self.scale = scale
+        # a prediction's raw value is pred * span + lo, the prediction itself without a scale
+        self._span, self._lo = (1.0, 0.0) if scale is None else (scale[1] - scale[0], scale[0])
         self.meta = meta or {}
         self.evolution = evolution
         # the policy evolve applies: under "auto" the default policy, whose
@@ -373,25 +379,22 @@ class OnlineForecaster:
         self.skipped_updates: Counter = Counter()
 
     def _to_model_units(self, v: float) -> float:
-        if self.scale is None:
-            return float(v)
-        lo, hi = self.scale
-        return (float(v) - lo) / (hi - lo)
+        # without a scale, (v - 0.0) / 1.0 is v, -0.0 included
+        return (float(v) - self._lo) / self._span
 
     def _to_raw_units(self, v: float) -> float:
-        if self.scale is None:
-            return float(v)
-        lo, hi = self.scale
-        return float(v) * (hi - lo) + lo
+        # without a scale, v * 1.0 + 0.0 would turn -0.0 into 0.0
+        return float(v) * self._span + self._lo if self.scale else float(v)
 
     def step(self, y_raw: float, learn: bool = True) -> float:
         """Predict the incoming raw value, then absorb it. Returns the
         prediction in raw units.
 
         A ``y_raw`` that is not finite in model units raises ParseError,
-        a non-finite prediction NumericalDivergence and a value no node
-        can fuzzify DegenerateActivation, each before any state moves, so
-        the next value steps as if this one had not come.
+        a prediction that is not finite in model or raw units
+        NumericalDivergence and a value no node can fuzzify
+        DegenerateActivation, each before any state moves, so the next
+        value steps as if this one had not come.
         """
         y = self._to_model_units(y_raw)
         if not math.isfinite(y):
@@ -400,29 +403,40 @@ class OnlineForecaster:
 
     def advance(self, y: float, learn: bool = True) -> float:
         """The step in model units: predict ``y``, then absorb it. Returns
-        the prediction."""
+        the prediction.
+
+        A sum that leaves the float range raises NumericalDivergence too,
+        possibly after the learner moved: ``math.fsum`` raises
+        OverflowError, or ValueError for inf - inf, where ``+`` would give
+        inf or NaN.
+        """
         model, combiner = self.model, self.combiner
-        forecasts = model.node_forecasts()
-        pred = combiner.combine(forecasts) if combiner is not None else math.fsum(forecasts)
-        if not math.isfinite(pred):
-            # typical cause: covariance wind-up of forgetting-factor RLS
-            # under locally excited regressors
-            raise NumericalDivergence("prediction is no longer finite")
-        if not learn:
-            model.observe(y)
+        try:
+            forecasts = model.node_forecasts()
+            pred = combiner.combine(forecasts) if combiner is not None else math.fsum(forecasts)
+            if not math.isfinite(pred * self._span + self._lo):
+                # typical cause: covariance wind-up of forgetting-factor RLS
+                # under locally excited regressors
+                raise NumericalDivergence("prediction is no longer finite")
+            if not learn:
+                model.observe(y)
+                return pred
+            # a plain run's prediction is the model output the stacked row predicts
+            output = pred if combiner is None else None
+            for _, reason in model.train_step(y, forecasts, output):
+                self.skipped_updates[reason.partition(":")[0]] += 1
+            if combiner is not None:
+                try:
+                    combiner.optimal_step(forecasts, y, pred)
+                except DegenerateStep:
+                    self.degenerate_steps += 1
+            if self.evolution is not None:
+                self._evolve(y - pred, forecasts)
             return pred
-        # a plain run's prediction is the model output the stacked row predicts
-        output = pred if combiner is None else None
-        for _, reason in model.train_step(y, forecasts, output):
-            self.skipped_updates[reason.partition(":")[0]] += 1
-        if combiner is not None:
-            try:
-                combiner.optimal_step(forecasts, y, pred)
-            except DegenerateStep:
-                self.degenerate_steps += 1
-        if self.evolution is not None:
-            self._evolve(y - pred, forecasts)
-        return pred
+        except (OverflowError, ValueError) as exc:
+            # the fsums of combine, train_step and optimal_step; nothing
+            # else in a step raises either from a state that loaded
+            raise NumericalDivergence(f"a sum is no longer finite ({exc})") from None
 
     def _evolve(self, err: float, forecasts: list) -> None:
         """Record a learned step's error and node forecasts; with a full
@@ -487,13 +501,13 @@ class OnlineForecaster:
         Raises CorruptSnapshot for a state no forecaster could have
         saved: a combiner sized for another pool; an error window and a
         contribution window of different lengths, or longer than the
-        policy window; squared errors that are not finite and
-        nonnegative; a learned-step count that does not cover the
-        window; contribution rows that are not one finite value per
-        node; or a number that is not a JSON number. The model, the
-        combiner, the scale and the policy raise their own errors. The
-        forecaster holds a copy of the state's ``meta``, so it shares
-        nothing with the forecaster that saved the state.
+        policy window; negative squared errors; a learned-step count that
+        does not cover the window; contribution rows that are not one
+        value per node; or a number that is not a finite JSON number, or
+        a count that is not an integer in range (see :mod:`anarx.errors`).
+        The model, the combiner, the scale and the policy raise their own
+        errors. The forecaster holds a copy of the state's ``meta``, so it
+        shares nothing with the forecaster that saved the state.
         """
         model = AnarxModel.from_state(state["model"])
         combiner = CombinerState.from_state(state["combiner"]) if state.get("combiner") else None
@@ -510,21 +524,18 @@ class OnlineForecaster:
             return forecaster
         window = read_floats(saved["err_window"], "error window")
         long_run_sq = read_float(saved["long_run_sq"], "long-run squared error")
-        learned_steps = saved["learned_steps"]
+        learned_steps = read_count(saved["learned_steps"], "learned step count", len(window))
         if type(saved["contrib"]) is not list:
             raise CorruptSnapshot("contribution window must be a list of rows")
         rows = [read_floats(row, "contribution row") for row in saved["contrib"]]
         # the forecaster appends to both windows on every learned step and
-        # clears both on a structure change
-        if len(rows) != len(window) or len(window) > forecaster.err_window.maxlen:
-            raise CorruptSnapshot(f"{len(window)} window errors and {len(rows)} contribution "
-                                  f"rows, the policy window is {forecaster.err_window.maxlen}")
-        if not all(math.isfinite(v) and v >= 0.0 for v in [long_run_sq, *window]):
-            raise CorruptSnapshot("squared errors must be finite and nonnegative")
-        if type(learned_steps) is not int or learned_steps < len(window):
-            raise CorruptSnapshot(f"learned step count {learned_steps!r} does not cover the window")
-        if not all(len(row) == model.n and all(map(math.isfinite, row)) for row in rows):
-            raise CorruptSnapshot(f"contribution rows must be {model.n} finite values, one per node")
+        # clears both on a structure change; a row holds one value per node
+        maxlen = forecaster.err_window.maxlen
+        if len(rows) != len(window) or len(window) > maxlen or any(len(r) != model.n for r in rows):
+            raise CorruptSnapshot(f"{len(window)} window errors and {len(rows)} contribution rows "
+                                  f"of {model.n} values, the policy window is {maxlen}")
+        if min([long_run_sq, *window]) < 0.0:
+            raise CorruptSnapshot("squared errors must be nonnegative")
         forecaster.err_window.extend(window)
         forecaster.contrib_window.extend(rows)
         forecaster.long_run_sq, forecaster.learned_steps = long_run_sq, learned_steps

@@ -22,8 +22,8 @@ subsequent input sequence, structure changes included.
 
 Version 3 files still load. Their checksum covers the canonical
 encoding of the parsed payload, and they store each ``P`` whole; a
-``P`` that is not finite and exactly symmetric makes the file corrupt,
-and the others are packed before the one rebuild both versions share.
+``P`` that is not exactly symmetric makes the file corrupt, and the
+others are packed before the one rebuild both versions share.
 Versions 1 and 2 stored two tied synapses per node, and their
 covariance does not collapse exactly in floating point, so they raise
 VersionMismatch.
@@ -92,7 +92,7 @@ def snapshot_read(path) -> tuple:
         with open(path, "rb") as fh:
             data = fh.read()
         doc = json.loads(data)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8 or an int of too many digits
         raise CorruptSnapshot(f"{path}: not valid snapshot JSON ({exc})") from None
     if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise VersionMismatch(f"{path}: not a {FORMAT} file")
@@ -131,13 +131,13 @@ def snapshot_read(path) -> tuple:
 def _pack_covariances(model: dict) -> None:
     """Give a version-3 model state the version-4 learner rows in place:
     each RLS covariance, stored whole, becomes its packed upper triangle.
-    Raise CorruptSnapshot for one that is not finite and exactly
-    symmetric, which no learner saves."""
+    Raise CorruptSnapshot for one that is not exactly symmetric, which
+    no learner saves."""
     rows = [model["stacked_state"]] if model["training"] == "stacked" else model["learner_states"]
     for row in rows:
         if "P" in row:
             P = np.array([read_floats(r, "covariance row") for r in row["P"]])
-            if P.ndim != 2 or not (np.isfinite(P).all() and np.array_equal(P, P.T)):
-                raise CorruptSnapshot("covariance must be finite and exactly symmetric")
+            if P.ndim != 2 or not np.array_equal(P, P.T):
+                raise CorruptSnapshot("covariance must be exactly symmetric")
             row["P"] = packed(P).tolist()
 

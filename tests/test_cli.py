@@ -1,17 +1,22 @@
 import ast
+import contextlib
 import csv
 import io
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import anarx
 from anarx import errors
 from anarx.cli import EXIT_CODES, _exit_code, main
 from anarx.datasets import synthetic_load_series
-from anarx.snapshot import snapshot_load
+from anarx.pipeline import load_config, load_csv, run_experiment
+from anarx.snapshot import snapshot_load, snapshot_save
 
 
 CONFIG = """
@@ -162,6 +167,12 @@ class TestBench:
         ("evolution = auto\nevolution_n_max = 4", "'evolution', 'evolution_n_max'"),
         # CONFIG without its n_nodes line is 8 lines long
         ("n_nodes = 3\nn_nodes = 4", "'n_nodes' is given twice, on lines 9 and 10"),
+        # counts no index can hold
+        pytest.param("n_nodes = " + "9" * 400, "'n_nodes'", id="n_nodes = 400 digits"),
+        pytest.param("evolution = true\nevolution_window = " + "9" * 400, "evolution_window",
+                     id="evolution_window = 400 digits"),
+        # plain independent training sums n nodes that each fit the value alone
+        ("weighted = false\ntraining = independent", "'weighted', 'training'"),
     ])
     def test_invalid_setting_exits_4_naming_the_key(self, tmp_path, data_csv, capsys,
                                                      lines, named):
@@ -418,3 +429,112 @@ class TestLearnerHealth:
     def test_kwh_prints_no_health_line(self, tmp_path, data_csv, capsys):
         _, health = self.show(tmp_path, data_csv, capsys, "learner = kwh\nalpha = 1.0\n")
         assert health == []
+
+
+# -- every entry point, one property -----------------------------------------
+
+BIG = "9" * 400  # a count no index can hold; read as a float, it is inf
+
+# config_texts draws a config that runs, and may replace one of its keys
+# with one of BAD_LINES, a value no run takes. Every drawn count is small
+# or too large for an index, so no draw allocates a large pool.
+PROPERTY_SERIES = synthetic_load_series(n=400, seed=1)
+ALPHAS = {"rls": ["1.0", "0.99"], "adaptive": ["0.9", "0.0", "1.0"], "kwh": ["1.0"]}
+POLICIES = ["auto", "false", "true\nevolution_window = 10\nevolution_n_max = 4\n"
+            "evolution_add_threshold = 0.06\nevolution_remove_threshold = 0.03"]
+BAD_LINES = [("n_nodes", BIG), ("n_nodes", "0"), ("h", BIG), ("alpha", "nan"),
+             ("alpha", "1e400"), ("alpha", BIG), ("train_len", BIG), ("test_len", BIG),
+             ("seed", BIG), ("eta_lambda", "inf"), ("training", "independent"),
+             ("evolution", "true\nevolution_window = " + BIG),
+             ("evolution", "true\nevolution_add_threshold = " + BIG)]
+STDIN_VALUES = st.lists(st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", BIG, "-" + BIG, "1e308", "x"]),
+    st.floats(0.0, 1000.0).map(repr)), max_size=8)
+
+
+@st.composite
+def config_texts(draw):
+    learner = draw(st.sampled_from(sorted(ALPHAS)))
+    h = draw(st.integers(2, 12))
+    length = draw(st.integers(20, len(PROPERTY_SERIES)))
+    test_len = draw(st.integers(0, length // 2))
+    keys = {
+        "n_nodes": str(draw(st.integers(1, 4))), "h": str(h), "q": str(draw(st.integers(1, 2))),
+        "learner": learner, "alpha": draw(st.sampled_from(ALPHAS[learner])),
+        "train_len": str(draw(st.integers(2, length - test_len))), "test_len": str(test_len),
+        "normalization": draw(st.sampled_from(["minmax", "none"])),
+        "freeze_test": draw(st.sampled_from(["true", "false"])),
+        "evolution": draw(st.sampled_from(POLICIES)),
+    }
+    training, weighted = draw(st.sampled_from(
+        [("stacked", "false"), ("stacked", "true"), ("independent", "true")]))
+    keys.update(training=training, weighted=weighted)
+    keys.update(draw(st.lists(st.sampled_from(BAD_LINES), max_size=1)))
+    return "\n".join(f"{key} = {value}" for key, value in keys.items()) + "\n", length
+
+
+def _reject_constant(name):
+    raise AssertionError(f"{name} in a report")
+
+
+def _run(argv, stdin=""):
+    """``main(argv)`` in-process: its exit code and what it printed."""
+    out = io.StringIO()
+    old = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    finally:
+        sys.stdin = old
+    return code, out.getvalue()
+
+
+TYPED_EXITS = {0} | {code for _, code in EXIT_CODES if code != 21}
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=config_texts(), stdin=STDIN_VALUES, freeze=st.booleans())
+def test_every_entry_point_gives_finite_output_or_a_typed_exit_property(tmp_path, config, stdin,
+                                                                         freeze):
+    # bench, snapshot save/show and predict each give finite output or
+    # exit with a typed code; a saved snapshot predicts as the report's
+    # forecaster continues
+    text, length = config
+    cfg, data, snap = tmp_path / "run.cfg", tmp_path / "series.csv", tmp_path / "model.json"
+    cfg.write_text(text)
+    data.write_text("\n".join(map(repr, PROPERTY_SERIES.values[:length].tolist())) + "\n")
+    snap.unlink(missing_ok=True)
+    code, report = _run(["bench", "--config", str(cfg), "--data", str(data),
+                         "--out-csv", str(tmp_path / "steps.csv")])
+    assert code in TYPED_EXITS
+    saved, _ = _run(["snapshot", "save", "--config", str(cfg), "--data", str(data),
+                     "--out", str(snap)])
+    # both build the same model from the same config
+    assert saved == code
+    if code:
+        return
+    json.loads(report, parse_constant=_reject_constant)
+    with open(tmp_path / "steps.csv", newline="") as fh:
+        assert all(np.isfinite(float(cell)) for row in list(csv.reader(fh))[1:]
+                   for cell in row[1:4])
+    assert _run(["snapshot", "show", "--snapshot", str(snap)])[0] == 0
+
+    # the report's forecaster saves the same bytes (a save folds pending
+    # RLS gains, in the saved forecaster too), then steps as predict steps it
+    forecaster = run_experiment(load_csv(data), load_config(cfg)).forecaster
+    snapshot_save(forecaster, tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == snap.read_bytes()
+    expected, expected_code = [], 0
+    for value in stdin:
+        try:
+            expected.append(repr(forecaster.step(float(value), learn=not freeze)))
+        except (ValueError, errors.AnarxError) as exc:
+            expected_code = _exit_code(exc if isinstance(exc, errors.AnarxError)
+                                       else errors.ParseError(str(exc)))
+            break
+    code, out = _run(["predict", "--snapshot", str(snap)] + ["--freeze"] * freeze,
+                     "".join(f"{value}\n" for value in stdin))
+    assert code in TYPED_EXITS
+    assert (code, out.splitlines()) == (expected_code, expected)
+    assert all(np.isfinite(float(line)) for line in expected)

@@ -17,7 +17,7 @@ from anarx import (
     make_learner,
 )
 from anarx import learning
-from anarx.errors import DimensionMismatch, NumericalDivergence
+from anarx.errors import CorruptSnapshot, DimensionMismatch, NumericalDivergence
 from anarx.numerics import EPS_REG
 
 from conftest import fold_rank, ols_fit, supports, unpacked
@@ -128,7 +128,8 @@ class TestRls:
             row["P"][0][2] += 1e-9
         else:
             row["P"][3] = float(bad)  # P[1][1]
-        with pytest.raises(DimensionMismatch):
+        # a whole P is not a list of numbers, and NaN or inf not a finite one
+        with pytest.raises(CorruptSnapshot):
             AnarxModel.from_state(state)
 
     @pytest.mark.parametrize("extra", [-1, 1])

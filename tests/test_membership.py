@@ -112,7 +112,7 @@ class TestKnotGridFromDict:
         d = KnotGrid(0.0, 1.0, 5, 2).to_dict()
         d[key] = value
         d["knots"][0 if key == "lo" else -1] = value
-        with pytest.raises(InvalidRange):
+        with pytest.raises(CorruptSnapshot, match=f"grid {key} must be a finite number"):
             KnotGrid.from_dict(d)
 
 

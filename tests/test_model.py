@@ -404,9 +404,12 @@ class TestEvolve:
             EvolutionPolicy(n_min=3, n_max=2)
         # a threshold that is not finite would be written into the report
         for key, value in [("add_threshold", math.inf), ("add_threshold", "0.2"),
-                           ("remove_threshold", True), ("add_threshold", None)]:
+                           ("remove_threshold", True), ("add_threshold", None),
+                           ("add_threshold", 10**400)]:
             with pytest.raises(ValueError, match=f"{key} must be a finite number"):
                 EvolutionPolicy(**{key: value})
+        with pytest.raises(ValueError, match="window must be an integer"):
+            EvolutionPolicy(window=10**400)
 
     def test_structural_safety_fuzz(self):
         rng = np.random.default_rng(10)

@@ -217,6 +217,10 @@ class TestRunConfig:
         ("eta_lambda", "0.1", "must be a finite number"),
         ("eta_lambda", False, "must be a finite number"),
         ("eta_lambda", math.inf, "must be a finite number"),
+        # ints no float can hold
+        pytest.param("alpha", 10**400, "must be a finite number", id="alpha-400-digits"),
+        pytest.param("eta_lambda", -10**400, "must be a finite number",
+                     id="eta_lambda-minus-400-digits"),
     ])
     def test_settings_of_the_wrong_kind_are_rejected(self, key, value, message):
         settings = dict(n_nodes=2, h=4, train_len=10, test_len=5, learner="adaptive", alpha=0.5)
@@ -234,6 +238,9 @@ class TestRunConfig:
         ("n_nodes", 2.5), ("n_nodes", True), ("h", 4.0), ("q", 2.0),
         ("train_len", 100.0), ("test_len", True), ("test_len", np.float64(5.0)),
         ("seed", 0.5), ("seed", math.nan),
+        # ints no index can hold
+        pytest.param("n_nodes", 10**400, id="n_nodes-400-digits"),
+        pytest.param("seed", -10**400, id="seed-minus-400-digits"),
     ])
     def test_counts_are_integers(self, key, value):
         settings = dict(n_nodes=2, h=4, q=2, train_len=10, test_len=5)
