@@ -19,7 +19,7 @@ import sys
 
 from . import errors
 from .pipeline import load_config, load_csv, run_experiment
-from .snapshot import snapshot_load, snapshot_read, snapshot_save
+from .snapshot import VERSION, snapshot_load, snapshot_save
 
 log = logging.getLogger("anarx")
 
@@ -116,7 +116,7 @@ def _cmd_snapshot_save(args) -> int:
 
 
 def _cmd_snapshot_show(args) -> int:
-    version, forecaster = snapshot_read(args.snapshot)
+    forecaster = snapshot_load(args.snapshot)
     model = forecaster.model
     print(f"nodes: {model.n} ({model.node.kind})")
     print(f"training: {model.training}, learner: {model.learner_kind}, alpha: {model.alpha}")
@@ -131,8 +131,7 @@ def _cmd_snapshot_show(args) -> int:
         print("evolution: off")
     else:
         print(f"evolution: {forecaster.evolution}, learned steps: {forecaster.learned_steps}")
-    # a file of an older readable format loads, and a save rewrites it
-    print(f"format: v{version}")
+    print(f"format: v{VERSION}")
     print("integrity: ok")
     return 0
 

@@ -310,30 +310,30 @@ class AnarxModel:
         """Rebuild a model from :meth:`state_dict` output.
 
         Raises CorruptSnapshot when the learner state does not match the
-        model: another row count, or settings (kind, alpha, p0) other
-        than those the model builds its learner with; when the delay
-        capacity is below the node count or the delay values; when a
-        saved number is not a finite JSON number or a saved count not an
-        integer in range (see :mod:`anarx.errors`); DimensionMismatch
-        when a row is shaped for another pool; and DegenerateActivation
-        when a delay value cannot be fuzzified.
+        model: rows for another node count (compared before the model is
+        built, so a forged count allocates nothing), or settings (kind,
+        alpha, p0) other than those the model builds its learner with;
+        when the delay capacity is below the node count or the delay
+        values; when a saved number is not a finite JSON number or a
+        saved count not an integer in range (see :mod:`anarx.errors`);
+        DimensionMismatch when a row is shaped for another pool; and
+        DegenerateActivation when a delay value cannot be fuzzified.
         """
         grids = {node.kind: grid for grid, node in _NODE_TYPES.items()}
         node_kind = state["node_kind"]
         if node_kind not in grids:
             raise CorruptSnapshot(f"unknown node kind {node_kind!r}")
-        model = cls(
-            grids[node_kind].from_dict(state["grid"]),
-            read_count(state["n_nodes"], "node count", 1),
-            training=state["training"],
-            learner=state["learner"],
-            alpha=read_float(state["alpha"], "alpha"),
-            p0=read_float(state["p0"], "p0"),
-        )
+        grid = grids[node_kind].from_dict(state["grid"])
+        n_nodes = read_count(state["n_nodes"], "node count", 1)
+        stacked = state["training"] == "stacked"
+        rows = [state["stacked_state"]] if stacked else state["learner_states"]
+        # the stacked row's width, or the independent row count, is the pool size
+        held = len(rows[0]["w"]) / grid.h if stacked else len(rows)
+        if held != n_nodes:
+            raise CorruptSnapshot(f"node count {n_nodes}, but the learner rows hold {held:g}")
+        model = cls(grid, n_nodes, training=state["training"], learner=state["learner"],
+                    alpha=read_float(state["alpha"], "alpha"), p0=read_float(state["p0"], "p0"))
         learner = model.learner
-        rows = [state["stacked_state"]] if model.training == "stacked" else state["learner_states"]
-        if len(rows) != len(learner.w):
-            raise CorruptSnapshot(f"{len(rows)} learner states for {len(learner.w)} learner rows")
         settings = learner.settings()
         for i, row in enumerate(rows):
             saved = {key: row[key] for key in settings if key in row}
@@ -343,10 +343,8 @@ class AnarxModel:
                 )
             learner.load_row(i, row)
         delay = read_floats(state["delay_y"], "delay values")
-        # the capacity covers the nodes and the delay values; files written
-        # before it was stored hold none
-        least = max(model.n, len(delay))
-        capacity = read_count(state.get("delay_capacity", least), "delay capacity", least)
+        # the capacity covers the nodes and the delay values
+        capacity = read_count(state["delay_capacity"], "delay capacity", max(model.n, len(delay)))
         # refill the delay line and its ring, oldest value first
         model._ring = [_UNSEEN] * capacity
         for y in reversed(delay):

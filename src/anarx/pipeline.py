@@ -391,10 +391,11 @@ class OnlineForecaster:
         prediction in raw units.
 
         A ``y_raw`` that is not finite in model units raises ParseError,
-        a prediction that is not finite in model or raw units
-        NumericalDivergence and a value no node can fuzzify
-        DegenerateActivation, each before any state moves, so the next
-        value steps as if this one had not come.
+        a prediction that is not finite in model or raw units, or in a
+        learned step of an evolving forecaster a squared error that
+        would make the long-run sum not finite, NumericalDivergence, and
+        a value no node can fuzzify DegenerateActivation, each before any
+        state moves, so the next value steps as if this one had not come.
         """
         y = self._to_model_units(y_raw)
         if not math.isfinite(y):
@@ -421,6 +422,11 @@ class OnlineForecaster:
             if not learn:
                 model.observe(y)
                 return pred
+            if self.evolution is not None:
+                sq = (y - pred) * (y - pred)
+                # an infinite error sum would save a file no load reads
+                if not math.isfinite(self.long_run_sq + sq):
+                    raise NumericalDivergence(f"squared error {sq!r} leaves the float range")
             # a plain run's prediction is the model output the stacked row predicts
             output = pred if combiner is None else None
             for _, reason in model.train_step(y, forecasts, output):
@@ -431,17 +437,16 @@ class OnlineForecaster:
                 except DegenerateStep:
                     self.degenerate_steps += 1
             if self.evolution is not None:
-                self._evolve(y - pred, forecasts)
+                self._evolve(sq, forecasts)
             return pred
         except (OverflowError, ValueError) as exc:
             # the fsums of combine, train_step and optimal_step; nothing
             # else in a step raises either from a state that loaded
             raise NumericalDivergence(f"a sum is no longer finite ({exc})") from None
 
-    def _evolve(self, err: float, forecasts: list) -> None:
-        """Record a learned step's error and node forecasts; with a full
-        window, maybe evolve."""
-        sq = err * err
+    def _evolve(self, sq: float, forecasts: list) -> None:
+        """Record a learned step's squared error and node forecasts; with
+        a full window, maybe evolve."""
         self.long_run_sq += sq
         self.learned_steps += 1
         window = self.err_window
@@ -583,6 +588,16 @@ def build_forecaster(series: SeriesFrame, config: RunConfig) -> tuple:
     return work, OnlineForecaster(model, combiner, scale, meta, evolution=config.evolution)
 
 
+def _rmse(ys: list, y_hat: list, segment: str) -> float:
+    """The RMSE of one segment; NumericalDivergence, naming the segment,
+    when an error, its square or their sum leaves the float range."""
+    with np.errstate(over="raise"):
+        try:
+            return float(np.sqrt(np.mean((np.asarray(ys) - np.asarray(y_hat)) ** 2)))
+        except FloatingPointError:
+            raise NumericalDivergence(f"the {segment} segment's RMSE is not finite") from None
+
+
 def run_experiment(series: SeriesFrame, config: RunConfig) -> ForecastReport:
     """Stream the series through a fresh forecaster per the benchmark
     protocol; the report carries that forecaster in its final state."""
@@ -611,12 +626,9 @@ def run_experiment(series: SeriesFrame, config: RunConfig) -> ForecastReport:
         if model.n != n_active:
             structure_events.append((k, "added" if model.n > n_active else "removed", model.n))
 
-    errors = np.asarray(ys) - np.asarray(y_hat)
-    rmse_train = float(np.sqrt(np.mean(errors[: config.train_len] ** 2)))
-    if config.test_len:
-        rmse_test = float(np.sqrt(np.mean(errors[config.train_len : total] ** 2)))
-    else:
-        rmse_test = 0.0
+    cut = config.train_len
+    rmse_train = _rmse(ys[:cut], y_hat[:cut], "training")
+    rmse_test = _rmse(ys[cut:], y_hat[cut:], "test") if config.test_len else 0.0
     wall = time.perf_counter() - t0
 
     combiner_weights = model.n if combiner is not None else 0

@@ -494,16 +494,18 @@ TYPED_EXITS = {0} | {code for _, code in EXIT_CODES if code != 21}
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(config=config_texts(), stdin=STDIN_VALUES, freeze=st.booleans())
+@given(config=config_texts(), stdin=STDIN_VALUES, freeze=st.booleans(),
+       scale=st.integers(0, 300).map(lambda k: 10.0 ** k))
 def test_every_entry_point_gives_finite_output_or_a_typed_exit_property(tmp_path, config, stdin,
-                                                                         freeze):
+                                                                         freeze, scale):
     # bench, snapshot save/show and predict each give finite output or
-    # exit with a typed code; a saved snapshot predicts as the report's
-    # forecaster continues
+    # exit with a typed code, on the series at any scale up to 1e300;
+    # a saved snapshot predicts as the report's forecaster continues
     text, length = config
     cfg, data, snap = tmp_path / "run.cfg", tmp_path / "series.csv", tmp_path / "model.json"
     cfg.write_text(text)
-    data.write_text("\n".join(map(repr, PROPERTY_SERIES.values[:length].tolist())) + "\n")
+    values = PROPERTY_SERIES.values[:length] * scale
+    data.write_text("\n".join(map(repr, values.tolist())) + "\n")
     snap.unlink(missing_ok=True)
     code, report = _run(["bench", "--config", str(cfg), "--data", str(data),
                          "--out-csv", str(tmp_path / "steps.csv")])

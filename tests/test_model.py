@@ -104,20 +104,21 @@ class TestDelayLine:
             with pytest.raises(CorruptSnapshot, match="delay values must be finite"):
                 AnarxModel.from_state(bad)
 
-    def test_state_without_capacity_loads_with_the_longest(self):
-        # a version-3 file from before the capacity was stored loads as
-        # it did then: the pruned pool's capacity of 4 is not known
-        m = small_model(n=3)
-        m.add_node()
-        m.remove_last_node()
-        for v in (0.2, 0.5):
-            m.observe(v)
-        for values, capacity in (([0.5, 0.2], 3), ([0.5, 0.2, 0.1, 0.7], 4)):
-            state = m.state_dict()
-            del state["delay_capacity"]
-            state["delay_y"] = values
-            loaded = AnarxModel.from_state(state)
-            assert loaded.delay_y == values and len(loaded._ring) == capacity
+    @pytest.mark.parametrize("training", ["stacked", "independent"])
+    @pytest.mark.parametrize("n_nodes", [1, 3, 10**9])
+    def test_node_count_the_rows_do_not_hold_is_corrupt_before_the_build(
+            self, monkeypatch, training, n_nodes):
+        # the saved rows fix the pool size; a forged count fails before
+        # the model, or its learner, allocates anything
+        state = small_model(n=2, training=training).state_dict()
+        state["n_nodes"] = n_nodes
+
+        def spy(*args, **kwargs):
+            raise AssertionError("the model was built")
+
+        monkeypatch.setattr(AnarxModel, "__init__", spy)
+        with pytest.raises(CorruptSnapshot, match=f"node count {n_nodes}, but"):
+            AnarxModel.from_state(state)
 
     @pytest.mark.parametrize("capacity", [1, 2, 3.0, True, None])
     def test_capacity_below_pool_or_values_is_corrupt(self, capacity):

@@ -472,6 +472,17 @@ class TestRunExperiment:
         assert str(err.value) == "step 200: all rule activations underflowed at 1000000000.0"
         assert type(err.value.__cause__) is DegenerateActivation
 
+    @pytest.mark.parametrize("segment,scale", [("training", [1e300, 1e300]), ("test", [1.0, 1e300])])
+    def test_rmse_past_the_float_range_raises_naming_the_segment(self, segment, scale):
+        # the errors are finite, their squares are not: no report holds Infinity
+        from anarx.datasets import synthetic_load_series
+
+        values = synthetic_load_series(n=400, seed=1).values * np.repeat(scale, 200)
+        cfg = RunConfig(n_nodes=2, h=4, train_len=200, test_len=200, learner="adaptive",
+                        alpha=0.9, normalization="none", freeze_test=True)
+        with pytest.raises(NumericalDivergence, match=f"the {segment} segment's RMSE"):
+            run_experiment(SeriesFrame(values), cfg)
+
     def test_rls_windup_fails_loudly(self):
         # forgetting-factor RLS on locally excited spline regressors blows
         # its covariance up; the run must fail with a typed error instead
@@ -592,6 +603,29 @@ class TestOnlineForecasterStep:
         assert np.array_equal(learner.w, w)
         assert np.array_equal(learner.P, P)
         assert np.isfinite(learner.P).all()
+
+    @pytest.mark.parametrize("long_run_sq,value", [(None, 1e160), (sys.float_info.max, 1e150)])
+    def test_evolving_step_past_the_float_range_raises_before_state_moves(
+            self, tmp_path, long_run_sq, value):
+        # a squared error, or a long-run sum, that is not finite would be
+        # saved as a file no load reads
+        from anarx.datasets import synthetic_load_series
+        from anarx.snapshot import snapshot_load, snapshot_save
+
+        series = synthetic_load_series(n=400, seed=1)
+        cfg = RunConfig(n_nodes=2, h=4, train_len=300, test_len=100, learner="adaptive",
+                        alpha=0.9, evolution="auto")
+        _, fc = build_forecaster(series, cfg)
+        for v in series.values[:150]:
+            fc.step(float(v))
+        if long_run_sq is not None:
+            fc.long_run_sq = long_run_sq
+        before = fc.state_dict()
+        with pytest.raises(NumericalDivergence, match="squared error"):
+            fc.step(value)
+        assert fc.state_dict() == before
+        snapshot_save(fc, tmp_path / "model.json")
+        assert snapshot_load(tmp_path / "model.json").state_dict() == before
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_learned_step_adds_the_forecasts_once(self, weighted, monkeypatch):

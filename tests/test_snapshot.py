@@ -29,7 +29,7 @@ from anarx.errors import (
 )
 from anarx.learning import packed
 from anarx.pipeline import build_forecaster, run_experiment
-from anarx.snapshot import _checksum, _encode
+from anarx.snapshot import _encode
 from conftest import assert_one_weight_block, unpacked
 
 
@@ -178,27 +178,6 @@ def _tampered_snapshot(tmp_path, weighted, learner, tamper, **kwargs):
     return path
 
 
-def _as_version_3(payload):
-    """A version-3 payload: each RLS covariance stored whole."""
-    for row in _learner_states(payload["model"]):
-        if "P" in row:
-            row["P"] = unpacked(row["P"])
-
-
-def _version_3_snapshot(tmp_path, fc, tamper=lambda p: None):
-    """``fc`` saved, rewritten as a version-3 file (its checksum over the
-    canonical payload), with ``tamper`` applied to the version-3
-    payload."""
-    path = tmp_path / "model.json"
-    snapshot_save(fc, path)
-    doc = json.loads(path.read_text())
-    _as_version_3(doc["payload"])
-    tamper(doc["payload"])
-    doc.update(version=3, sha256=_checksum(doc["payload"]))
-    path.write_text(json.dumps(doc, indent=1) + "\n")
-    return path
-
-
 def _drop_last(values):
     del values[-1]
 
@@ -284,33 +263,6 @@ def test_gaussian_center_that_is_not_finite_is_corrupt(tmp_path, capsys):
         snapshot_load(path)
     assert main(["snapshot", "show", "--snapshot", str(path)]) == 10
     assert "integrity: ok" not in capsys.readouterr().out
-
-
-def _nudge_off_diagonal(P):
-    # one ulp on one side of the diagonal
-    P[0][1] = float(np.nextafter(P[0][1], np.inf))
-
-
-@pytest.mark.parametrize("weighted,learner,tamper", [
-    (False, "rls", lambda p: _nudge_off_diagonal(p["model"]["stacked_state"]["P"])),
-    (True, "rls", lambda p: _nudge_off_diagonal(p["model"]["learner_states"][1]["P"])),
-])
-def test_asymmetric_covariance_with_valid_checksum_is_corrupt(tmp_path, weighted, learner, tamper):
-    # version 3 stored P whole; version 4 stores one triangle, which
-    # cannot be asymmetric
-    path = _version_3_snapshot(tmp_path, trained_forecaster(weighted=weighted, learner=learner),
-                               tamper)
-    with pytest.raises(CorruptSnapshot, match="exactly symmetric"):
-        snapshot_load(path)
-
-
-@pytest.mark.parametrize("weighted,learner", [(False, "rls"), (True, "rls"), (True, "adaptive")])
-def test_version_3_file_loads_and_continues_bit_for_bit(tmp_path, weighted, learner):
-    fc = trained_forecaster(weighted=weighted, learner=learner)
-    path = _version_3_snapshot(tmp_path, fc)
-    fc2 = snapshot_load(path)
-    stream = np.random.default_rng(1).uniform(5.0, 11.0, 100)
-    assert _step_with_n(fc, stream) == _step_with_n(fc2, stream)
 
 
 @pytest.mark.parametrize("tamper", [
@@ -427,15 +379,23 @@ def test_learner_settings_other_than_the_model_are_corrupt(
     assert "learner state" in captured.err
 
 
-def _assert_two_synapse_version_rejected(path, capsys, version):
+def _assert_rejected_with_the_remedy(path, capsys, version):
     from anarx.cli import main
 
-    with pytest.raises(VersionMismatch, match=f"version {version} uses the two-synapse"):
+    with pytest.raises(VersionMismatch, match=f"version {version} cannot be loaded"):
         snapshot_load(path)
-    assert main(["snapshot", "show", "--snapshot", str(path)]) == 9
-    captured = capsys.readouterr()
-    assert "integrity: ok" not in captured.out
-    assert "re-run `anarx snapshot save`" in captured.err
+    for command in (["snapshot", "show"], ["predict"]):
+        assert main([*command, "--snapshot", str(path)]) == 9
+        captured = capsys.readouterr()
+        assert "integrity: ok" not in captured.out
+        assert "re-run `anarx snapshot save` to write version 4" in captured.err
+
+
+def _checksum(payload):
+    """The digest versions 1-3 stored: SHA-256 of the canonical
+    re-encoding of the parsed payload."""
+    body = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("ascii")
+    return hashlib.sha256(body).hexdigest()
 
 
 def _relabel(path, version, drop_evolution=False):
@@ -453,7 +413,7 @@ def test_version_2_raises_version_mismatch(tmp_path, capsys, weighted, learner):
     path = tmp_path / "model.json"
     snapshot_save(trained_forecaster(weighted=weighted, learner=learner), path)
     _relabel(path, 2)
-    _assert_two_synapse_version_rejected(path, capsys, 2)
+    _assert_rejected_with_the_remedy(path, capsys, 2)
 
 
 @pytest.mark.parametrize("evolution", [None, "auto"])
@@ -462,7 +422,25 @@ def test_version_1_raises_version_mismatch(tmp_path, capsys, evolution):
     path = tmp_path / "model.json"
     snapshot_save(trained_forecaster(weighted=True, evolution=evolution, steps=200), path)
     _relabel(path, 1, drop_evolution=True)
-    _assert_two_synapse_version_rejected(path, capsys, 1)
+    _assert_rejected_with_the_remedy(path, capsys, 1)
+
+
+REFERENCE = Path(__file__).resolve().parent / "reference"
+
+
+@pytest.mark.parametrize("name", ["stacked_rls", "weighted_adaptive"])
+@pytest.mark.parametrize("version", [1, 2, 3])
+def test_version_before_4_exits_9_with_the_remedy(tmp_path, capsys, version, name):
+    # the committed files were written by the version-3 snapshot_save
+    # (commit 7bd67c5) 150 steps into synthetic_load_series(n=400,
+    # seed=7): stacked RLS at n = 2, h = 4, alpha = 0.99, and weighted
+    # independent adaptive at n = 3, h = 5, alpha = 0.9 with evolution
+    # "auto"; relabelled, they stand for versions 1 and 2
+    path = tmp_path / "model.json"
+    path.write_bytes((REFERENCE / f"snapshot_v3_{name}.json").read_bytes())
+    if version != 3:
+        _relabel(path, version, drop_evolution=version == 1)
+    _assert_rejected_with_the_remedy(path, capsys, version)
 
 
 def test_model_state_holds_one_grid_and_each_weight_once(tmp_path):
@@ -749,27 +727,6 @@ def test_report_copies_with_its_forecaster():
     twin = copy.deepcopy(report)
     assert twin.forecaster.model.state_dict() == report.forecaster.model.state_dict()
     assert twin.forecaster.model.learner.P is not report.forecaster.model.learner.P
-
-
-REFERENCE = Path(__file__).resolve().parent / "reference"
-
-
-@pytest.mark.parametrize("name", ["stacked_rls", "weighted_adaptive"])
-def test_committed_version_3_file_continues_bit_for_bit(capsys, name):
-    # written by the version-3 snapshot_save (commit 7bd67c5) 150 steps
-    # into synthetic_load_series(n=400, seed=7): stacked RLS at n = 2,
-    # h = 4, alpha = 0.99, and weighted independent adaptive at n = 3,
-    # h = 5, alpha = 0.9 with evolution "auto", which prunes a node in the
-    # continuation. Beside each, the next 100 values and the predictions
-    # the forecaster that version loaded made on them.
-    from anarx.cli import main
-
-    path = REFERENCE / f"snapshot_v3_{name}.json"
-    reference = json.loads((REFERENCE / f"snapshot_v3_{name}.next.json").read_text())
-    fc = snapshot_load(path)
-    assert [fc.step(v) for v in reference["values"]] == reference["predictions"]
-    assert main(["snapshot", "show", "--snapshot", str(path)]) == 0
-    assert capsys.readouterr().out.splitlines()[-2:] == ["format: v3", "integrity: ok"]
 
 
 def test_file_is_the_header_the_payload_bytes_and_a_newline(tmp_path):
