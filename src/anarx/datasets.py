@@ -1,74 +1,19 @@
-"""Benchmark series: a loader for the archived sunspot file and
-deterministic synthetic generators for protocol tests.
+"""The deterministic synthetic series that the benchmark, the scripts
+and the tests run on.
 
-The monthly sunspot benchmark needs the classic Zurich series (2820
-monthly means, 1749 through 1983). That file is public but not shipped
-here; ``scripts/fetch_sunspots.py`` downloads and validates it into
-``data/sunspot_monthly.csv`` (or point ANARX_DATA at a directory that
-already has it).
+The archived monthly sunspot series is read like any other CSV file,
+with ``load_csv`` (``anarx bench --data``); ``scripts/fetch_sunspots.py``
+fetches and validates it.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from .pipeline import SeriesFrame, load_csv
-
-SUNSPOT_FILENAME = "sunspot_monthly.csv"
-SUNSPOT_POINTS = 2820
+from .pipeline import SeriesFrame
 
 
-def _candidate_dirs() -> list:
-    dirs = []
-    env = os.environ.get("ANARX_DATA")
-    if env:
-        dirs.append(env)
-    here = os.path.dirname(os.path.abspath(__file__))
-    # repo layout: src/anarx/ -> repo root/data
-    dirs.append(os.path.join(here, "..", "..", "data"))
-    dirs.append(os.path.join(os.getcwd(), "data"))
-    return [os.path.abspath(d) for d in dirs]
-
-
-def sunspot_path() -> str | None:
-    """Path of the archived sunspot CSV, or None when absent."""
-    for d in _candidate_dirs():
-        path = os.path.join(d, SUNSPOT_FILENAME)
-        if os.path.isfile(path):
-            return path
-    return None
-
-
-def load_sunspots() -> SeriesFrame:
-    """Monthly Zurich sunspot numbers, 1749-1983 (2820 points).
-
-    Raises FileNotFoundError with fetch instructions when the archived
-    file is not present.
-    """
-    path = sunspot_path()
-    if path is None:
-        raise FileNotFoundError(
-            f"{SUNSPOT_FILENAME} not found; run scripts/fetch_sunspots.py or set "
-            "ANARX_DATA to a directory containing it"
-        )
-    frame = load_csv(path, column="Sunspots")
-    if len(frame) != SUNSPOT_POINTS:
-        raise ValueError(
-            f"{path}: expected {SUNSPOT_POINTS} monthly values, got {len(frame)}"
-        )
-    return SeriesFrame(frame.values, name="sunspot_monthly")
-
-
-def synthetic_load_series(
-    n: int = 5000,
-    seed: int = 7,
-    shift_every: int = 96 * 6,
-    shift_scale: float = 80.0,
-    noise: float = 9.0,
-    irregular_day_p: float = 0.3,
-) -> SeriesFrame:
+def synthetic_load_series(n: int = 5000, seed: int = 7) -> SeriesFrame:
     """Deterministic 15-minute power-demand-like series.
 
     Daily and weekly cycles on a slow seasonal drift, with day-to-day
@@ -89,43 +34,19 @@ def synthetic_load_series(
     cur_level = 0.0
     day_scale = 1.0
     for i in range(n):
-        if shift_every and i % shift_every == 0:
-            cur_level = shift_scale * rng.normal()
+        if i % (96 * 6) == 0:
+            cur_level = 80.0 * rng.normal()
         if i % 96 == 0:
             day_scale = 1.0
-            if rng.uniform() < irregular_day_p:
+            if rng.uniform() < 0.3:
                 day_scale += 0.45 * rng.uniform(-1.0, 1.0)
         level[i] = cur_level
         scale[i] = day_scale
     ar = np.empty(n)
     z = 0.0
-    eps = rng.normal(0.0, noise, size=n)
+    eps = rng.normal(0.0, 9.0, size=n)
     for i in range(n):
         z = 0.85 * z + eps[i]
         ar[i] = z
     values = base + scale * daily + weekly + level + ar
     return SeriesFrame(values, name="synthetic_load_15min")
-
-
-def synthetic_solar_cycle(n: int = 2820, seed: int = 11) -> SeriesFrame:
-    """Deterministic proxy with sunspot-like shape for protocol tests.
-
-    Quasi-periodic cycles of drifting length (~11 years of months) and
-    amplitude, rectified at zero, with multiplicative roughness. Only the
-    qualitative shape matters; this is not solar data.
-    """
-    rng = np.random.default_rng(seed)
-    values = np.empty(n)
-    phase = 0.0
-    cycle_len = 132.0
-    amp = 110.0
-    for i in range(n):
-        phase += 2.0 * np.pi / cycle_len
-        if phase >= 2.0 * np.pi:
-            phase -= 2.0 * np.pi
-            cycle_len = float(np.clip(132.0 + rng.normal(0.0, 14.0), 95.0, 170.0))
-            amp = float(np.clip(110.0 + rng.normal(0.0, 45.0), 45.0, 210.0))
-        base = amp * max(0.0, np.sin(phase / 2.0)) ** 1.6
-        rough = 1.0 + 0.18 * rng.normal()
-        values[i] = max(0.0, base * rough + 4.0 * abs(rng.normal()))
-    return SeriesFrame(values, name="synthetic_solar_cycle")

@@ -73,18 +73,19 @@ def load_csv(path, column=None) -> SeriesFrame:
 
     ``column`` may be a zero-based index (negative counts from the last
     cell), a header name, or None for the first column; anything else
-    (a float, a bool) raises ParseError. The file is
-    tokenized by :mod:`csv`, so a quoted cell may hold commas, and LF,
-    CRLF and CR line ends read alike. Rows whose cells are all blank are
-    skipped. A header row is detected by the first remaining row failing
-    to parse as a number in the chosen column; a named column always has
-    one. Each cell is parsed by ``float``, surrounding whitespace
-    allowed, and must be finite. Row numbers in errors are 1-based file
-    lines; a row whose quoted cell spans lines is cited by its last line.
+    (a float, a bool) raises ParseError. The file is read as UTF-8, a
+    leading byte-order mark ignored, and tokenized by :mod:`csv`, so a
+    quoted cell may hold commas, and LF, CRLF and CR line ends read
+    alike. Rows whose cells are all blank are skipped. A header row is
+    detected by the first remaining row failing to parse as a number in
+    the chosen column; a named column always has one. Each cell is
+    parsed by ``float``, surrounding whitespace allowed, and must be
+    finite. Row numbers in errors are 1-based file lines; a row whose
+    quoted cell spans lines is cited by its last line.
     """
     if not (column is None or isinstance(column, str) or is_integer(column)):
         raise ParseError(f"column must be a name or an integer index, got {column!r}")
-    with open(path, "r", newline="", encoding="utf-8") as fh:
+    with open(path, "r", newline="", encoding="utf-8-sig") as fh:
         rows = list(_data_rows(csv.reader(fh)))
     if not rows:
         raise EmptySeries(f"{path}: no data rows")
@@ -128,7 +129,7 @@ def _bad_row(path, idx: int, label, start: int) -> ParseError:
     """The error for the first row after the ``start`` leading data rows
     of ``path`` whose cell ``idx`` is missing, not a number or not finite.
     The file is read again, so that each row comes with its file line."""
-    with open(path, "r", newline="", encoding="utf-8") as fh:
+    with open(path, "r", newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         for row in islice(_data_rows(reader), start, None):
             line = reader.line_num
@@ -332,6 +333,7 @@ class OnlineForecaster:
     :meth:`step` in raw units): predict, check the prediction is finite,
     learn (or only observe when frozen), update the combiner, evolve.
 
+    ``combiner`` is None (a plain pool) or holds one weight per node.
     ``scale`` is None (model units are raw units) or the min-max
     normalization ``(lo, hi)``, two finite floats with lo < hi.
     ``evolution`` is None (off), ``"auto"`` (the default
@@ -360,6 +362,8 @@ class OnlineForecaster:
             scale = tuple(map(float, scale))
             if len(scale) != 2 or not -math.inf < scale[0] < scale[1] < math.inf:
                 raise ValueError(f"scale must be two finite floats lo < hi, got {scale}")
+        if combiner is not None and combiner.n != model.n:
+            raise ValueError(f"combiner has {combiner.n} weights, the pool has {model.n} nodes")
         self.model = model
         self.combiner = combiner
         self.scale = scale
@@ -456,8 +460,6 @@ class OnlineForecaster:
             return
         if self.evolution == "auto":
             long_run_rmse = math.sqrt(self.long_run_sq / self.learned_steps)
-            if long_run_rmse <= 0.0:
-                return
             self._policy.add_threshold = 1.5 * long_run_rmse
             self._policy.remove_threshold = 0.75 * long_run_rmse
         # summed oldest first on every step; a running sum would round
@@ -504,21 +506,20 @@ class OnlineForecaster:
         """Rebuild a forecaster from :meth:`state_dict` output.
 
         Raises CorruptSnapshot for a state no forecaster could have
-        saved: a combiner sized for another pool; an error window and a
-        contribution window of different lengths, or longer than the
-        policy window; negative squared errors; a learned-step count that
-        does not cover the window; contribution rows that are not one
-        value per node; or a number that is not a finite JSON number, or
-        a count that is not an integer in range (see :mod:`anarx.errors`).
-        The model, the combiner, the scale and the policy raise their own
-        errors. The forecaster holds a copy of the state's ``meta``, so it
-        shares nothing with the forecaster that saved the state.
+        saved: an error window and a contribution window of different
+        lengths, or longer than the policy window; negative squared
+        errors; a learned-step count that does not cover the window;
+        contribution rows that are not one value per node; or a number
+        that is not a finite JSON number, or a count that is not an
+        integer in range (see :mod:`anarx.errors`). The model, the
+        combiner, the scale and the policy raise their own errors, and
+        the constructor a ValueError for a combiner sized for another
+        pool or a bad scale. The forecaster holds a copy of the state's
+        ``meta``, so it shares nothing with the forecaster that saved the
+        state.
         """
         model = AnarxModel.from_state(state["model"])
         combiner = CombinerState.from_state(state["combiner"]) if state.get("combiner") else None
-        if combiner is not None and combiner.n != model.n:
-            raise CorruptSnapshot(
-                f"combiner has shape {combiner.c.shape}, the pool has {model.n} nodes")
         scale, saved = state.get("scale"), state["evolution"]
         policy = None if saved is None else saved["policy"]
         evolution = (policy if saved is None or policy == "auto"
@@ -757,5 +758,5 @@ def _parse(kind: str, value: str, key: str):
 
 
 def load_config(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_config_text(fh.read())

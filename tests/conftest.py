@@ -24,7 +24,7 @@ def reference_load_csv(path, column=None):
     whitespace is kept with its file line (the reader's ``line_num``
     after the row), and the rows are parsed in order, the first bad one
     raising."""
-    with open(path, "r", newline="", encoding="utf-8") as fh:
+    with open(path, "r", newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         rows = [(reader.line_num, row) for row in reader if any(cell.strip() for cell in row)]
     if not rows:

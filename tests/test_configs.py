@@ -1,9 +1,10 @@
 """The shipped config files must parse and drive full benchmark runs.
 
-The sunspot configs run here against a synthetic solar-cycle proxy of the
-same length and split; this checks the protocol end to end (warm-up,
-online test evaluation, runtime, report shape) without asserting the
-archived-data RMSE bands, which live in the acceptance suite.
+The sunspot configs run here against the synthetic load series cut to
+the sunspot file's length and split; this checks the protocol end to
+end (warm-up, online test evaluation, runtime, report shape) without
+asserting the archived-data RMSE bands, which live in the acceptance
+suite.
 """
 
 import os
@@ -11,7 +12,7 @@ import os
 import pytest
 
 from anarx import run_experiment
-from anarx.datasets import synthetic_load_series, synthetic_solar_cycle
+from anarx.datasets import synthetic_load_series
 from anarx.pipeline import load_config
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -31,8 +32,8 @@ def test_config_parses(name):
     assert cfg.training == ("independent" if cfg.weighted else "stacked")
 
 
-def test_sunspot_configs_run_on_solar_proxy():
-    series = synthetic_solar_cycle()
+def test_sunspot_configs_run_on_a_series_of_the_sunspot_length():
+    series = synthetic_load_series(n=2820)
     plain = run_experiment(series, config("sunspot_plain.cfg"))
     weighted = run_experiment(series, config("sunspot_weighted.cfg"))
     for report in (plain, weighted):

@@ -14,8 +14,9 @@ from anarx import RunConfig, SeriesFrame, load_csv, membership, normalize_minmax
 from anarx.combiner import CombinerState
 from anarx.errors import ConfigError, DegenerateRange, EmptySeries, NumericalDivergence, ParseError
 from anarx.learning import AdaptiveLearner, RlsLearner
-from anarx.model import AnarxModel, EvolutionPolicy
-from anarx.pipeline import StepRecord, build_forecaster, denormalize, parse_config_text
+from anarx.model import AnarxModel, EvolutionPolicy, build_anarx
+from anarx.pipeline import (OnlineForecaster, StepRecord, build_forecaster, denormalize,
+                            load_config, parse_config_text)
 from conftest import reference_load_csv
 
 
@@ -81,6 +82,21 @@ class TestLoadCsv:
         with pytest.raises(EmptySeries):
             load_csv(p)
 
+    # a UTF-8 byte-order mark glued to the first cell made it no number,
+    # so the first value was taken for a header, or no name matched
+    def test_byte_order_mark_before_a_headerless_file_is_ignored(self, tmp_path):
+        p = tmp_path / "v.csv"
+        p.write_bytes(b"\xef\xbb\xbf1.0\n2.0\n3.0\n")
+        assert np.array_equal(load_csv(p).values, [1.0, 2.0, 3.0])
+
+    def test_byte_order_mark_before_a_header_is_ignored(self, tmp_path):
+        p = tmp_path / "v.csv"
+        p.write_bytes(b"\xef\xbb\xbfload\n10\n20\n")
+        assert load_csv(p).name == "load"
+        frame = load_csv(p, column="load")
+        assert np.array_equal(frame.values, [10.0, 20.0])
+        assert frame.name == "load"
+
     @pytest.mark.parametrize("text, column, message", [
         # blank lines count, in every line ending
         ("load\n1.0\n\n2.0\nabc\n", None, "non-numeric cell 'abc' at row 5"),
@@ -125,9 +141,10 @@ BLANK_LINES = st.sampled_from(["", "  ", ",,", " , ", "\t", '""'])
 
 @st.composite
 def csv_files(draw):
-    """CSV text with a header or none, data rows of one to three cells
-    (some short, some bad), blank lines and mixed line ends, and a
-    column to read by index, negative index or name."""
+    """CSV text with a byte-order mark or none, a header or none, data
+    rows of one to three cells (some short, some bad), blank lines and
+    mixed line ends, and a column to read by index, negative index or
+    name."""
     ncols = draw(st.integers(1, 3))
     names = draw(st.lists(st.sampled_from(["load", "t", "Sunspots", "a b", "nan", "7"]),
                           min_size=ncols, max_size=ncols, unique=True))
@@ -148,6 +165,8 @@ def csv_files(draw):
         lines.append(",".join(cell(draw(BAD_CELLS if draw(st.integers(0, 19)) == 0 else NUMBERS))
                               for _ in range(width)))
     text = "".join(line + draw(st.sampled_from(["\n", "\r\n", "\r"])) for line in lines)
+    # a UTF-8 byte-order mark may lead the file
+    text = draw(st.sampled_from(["", "\ufeff"])) + text
     column = draw(st.one_of(st.none(), st.integers(-ncols - 1, ncols),
                             st.sampled_from(names + ["missing"])))
     return text, column
@@ -312,6 +331,12 @@ class TestParseConfig:
     def test_bad_line(self):
         with pytest.raises(ParseError):
             parse_config_text("n_nodes 2\n")
+
+    def test_byte_order_mark_before_a_config_file_is_ignored(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_bytes(b"\xef\xbb\xbfn_nodes = 3\nh = 4\ntrain_len = 50\ntest_len = 10\n")
+        cfg = load_config(p)
+        assert (cfg.n_nodes, cfg.h, cfg.train_len) == (3, 4, 50)
 
     # the numbers a config file may give, the ones that are not finite included
     NUMBERS = ["0", "0.05", "0.5", "1", "2", "-1", "nan", "inf", "-inf"]
@@ -539,6 +564,12 @@ class TestOnlineForecasterStep:
                         learner="adaptive", alpha=0.9)
         _, fc = build_forecaster(series, cfg)
         return series.values, fc
+
+    def test_combiner_sized_for_another_pool_is_rejected_at_construction(self):
+        # it was taken, and the first step raised NumericalDivergence
+        model = build_anarx(3, 4, 0.0, 1.0, learner="adaptive", training="independent")
+        with pytest.raises(ValueError, match="^combiner has 2 weights, the pool has 3 nodes$"):
+            OnlineForecaster(model, CombinerState(2))
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_input_rejected_and_state_kept(self, bad):
