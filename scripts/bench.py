@@ -1,17 +1,21 @@
 #!/usr/bin/env python3
 """Time the step end to end and write ``BENCH_steps.json``.
 
-Each case is ``run_experiment`` over a fixed-seed synthetic load series
-as long as its config's train and test segments, and its cost is a
-run's wall time over its steps in µs/step. A sample is the fastest of
-``REPEAT`` (5) back-to-back runs, so that a burst of the host slows one
-run and not the sample; the runs must all predict the same ŷ. Every
-case takes ``--runs`` samples (at least 5; the default 15 is what a
-committed file uses), the cases interleaved so that a slow spell of the
-machine reaches all of them, and the file gives the median and the
-interquartile range. BLAS runs on one thread.
+Every mode but ``--against`` runs one sampler. It takes ``--runs``
+samples of each of the mode's cases (at least 5; the default 15 is what
+a committed file uses), the cases interleaved so that a slow spell of
+the machine reaches all of them. A sample is the fastest of ``REPEAT``
+(5) back-to-back calls, so that a burst of the host slows one call and
+not the sample. After sampling, each case reads once what does not
+depend on time: a digest of what it computed, and a size. Per case the
+file gives the config, the median and the interquartile range of each
+timing over the runs, and those fields; every file records ``repeat``.
+BLAS runs on one thread.
 
-Cases:
+By default each case is ``run_experiment`` over a fixed-seed synthetic
+load series as long as its config's train and test segments, and its
+cost is a run's wall time over its steps in µs/step (``us_per_step``);
+the ``REPEAT`` runs of a sample must all predict the same ŷ. Cases:
 
 * ``load_plain``: ``configs/load_plain.cfg``, stacked adaptive, 2 nodes
   of h = 9;
@@ -37,42 +41,38 @@ Cases:
   evolving golden streams of ``tests/test_golden.py``, and the cost of
   evolution is their µs/step against their configs' with evolution off.
 
-Each case records a digest of its ŷ stream, so two files show whether
-two versions of the code predict the same bits.
+Each case records a digest of its ŷ stream (``y_hat_sha256``), so two
+files show whether two versions of the code predict the same bits.
+
+With ``--snapshot`` the script times snapshots instead and writes
+``BENCH_snapshot.json``. Its cases are the final forecasters of
+``run_experiment`` on ``rls_wide`` (one RLS row of 200 weights, so its
+file is mostly the covariance) and on the shipped ``load_weighted``
+config (the small file ``predict`` loads). Each sample saves the case's
+forecaster (``save_ms``) and loads the file again (``load_ms``). The file
+also gives the file size in ``bytes`` and a digest of the next 50
+predictions of the loaded forecaster.
+
+With ``--setup`` the script times what a run does before its first
+step, ``load_csv`` and then ``build_forecaster`` (``setup_ms``), and
+writes ``BENCH_setup.json``. Its cases are the shipped ``load_weighted``
+config on its 5000-row series and ``rls_wide`` on its 400-row series,
+each written as ``perfbench/workloads.py`` writes it: a ``load_mw``
+header and one ``repr`` float a line. The file also gives a digest of
+the values read, so two files show whether two versions parse the same
+bits.
 
 With ``--against REV`` the script times this checkout's ``src/``
 against REV's, extracted with ``git archive`` into a temporary
 directory, and writes ``BENCH_ab.json``. Within a file, a slow phase of
 the host can move every sample of one case; a pair cancels it. Each of
 the ``--runs`` samples is a pair of fresh processes, one per tree, in
-alternating order; each process runs this script's cases once, each
+alternating order; each process runs the default cases once, each
 case the fastest of ``REPEAT`` runs, on that tree's library. Per case
 the file gives both trees' µs/step, the median and the range of the
 pair ratios (REV's µs/step over this tree's, above 1 where this tree is
 faster), in how many pairs this tree was faster, both ŷ digests, and the
 largest |Δŷ| when they differ. The file is a measurement, not a gate.
-
-With ``--snapshot`` the script times snapshots instead and writes
-``BENCH_snapshot.json``. Its cases are the final forecasters of
-``run_experiment`` on ``rls_wide`` (one RLS row of 200 weights, so its
-file is mostly the covariance) and on the shipped ``load_weighted``
-config (the small file ``predict`` loads). Each run saves the case's
-forecaster and loads the file again; each of the two samples is the
-fastest of ``REPEAT`` (5) back-to-back calls, so that a burst of the
-host slows one call and not the sample. The file gives the median and the
-interquartile range of ``save_ms`` and ``load_ms`` over the runs, the
-file size in bytes, and a digest of the next 50 predictions of the
-loaded forecaster.
-
-With ``--setup`` the script times what a run does before its first
-step, ``load_csv`` and then ``build_forecaster``, and writes
-``BENCH_setup.json``. Its cases are the shipped ``load_weighted`` config
-on its 5000-row series and ``rls_wide`` on its 400-row series, each
-written as ``perfbench/workloads.py`` writes it: a ``load_mw`` header
-and one ``repr`` float a line. Each sample is the fastest of ``REPEAT``
-(5) back-to-back setups. The file gives the median and the interquartile
-range of ``setup_ms`` over the runs, and a digest of the values read, so
-two files show whether two versions parse the same bits.
 
     PYTHONPATH=src python3 scripts/bench.py [--runs N] [--out BENCH_steps.json]
     PYTHONPATH=src python3 scripts/bench.py --snapshot [--runs N] [--out BENCH_snapshot.json]
@@ -138,12 +138,21 @@ SETUP_CASES = {"load_weighted": shipped("load_weighted"), "rls_wide": WIDE}
 REPEAT = 5  # back-to-back calls per sample, the fastest kept
 
 
+def series_for(config):
+    """The fixed-seed synthetic series as long as ``config``'s run."""
+    return synthetic_load_series(n=config.train_len + config.test_len, seed=SEED)
+
+
+def y_hats(report) -> np.ndarray:
+    return np.array([s.y_hat for s in report.steps])
+
+
 def timed_run(config) -> tuple:
     """(µs/step, ŷ) of one sample, the fastest of ``REPEAT`` runs."""
-    series = synthetic_load_series(n=config.train_len + config.test_len, seed=SEED)
+    series = series_for(config)
     reports = []
     ms = best_ms(lambda: reports.append(run_experiment(series, config)))
-    streams = [np.array([s.y_hat for s in r.steps]) for r in reports]
+    streams = [y_hats(r) for r in reports]
     if len({digest(y_hat) for y_hat in streams}) != 1:
         raise RuntimeError(f"different ŷ streams in {REPEAT} runs of one config")
     return ms * 1e3 / len(streams[0]), streams[0]
@@ -163,14 +172,14 @@ def best_ms(call) -> float:
     return best * 1e3
 
 
-def spread(samples, digits: int = 2) -> dict:
+def spread(samples) -> dict:
     q1, median, q3 = np.percentile(samples, [25, 50, 75]).tolist()
-    return {"median": round(median, digits), "iqr": round(q3 - q1, digits), "runs": len(samples)}
+    return {"median": round(median, 4), "iqr": round(q3 - q1, 4), "runs": len(samples)}
 
 
 def environment() -> dict:
     return {"python": platform.python_version(), "numpy": np.__version__, "blas_threads": 1,
-            "series_seed": SEED}
+            "series_seed": SEED, "repeat": REPEAT}
 
 
 def write(result: dict, path: str) -> None:
@@ -179,74 +188,61 @@ def write(result: dict, path: str) -> None:
         fh.write("\n")
 
 
-def snapshot_bench(runs: int, out: str) -> None:
-    forecasters, nexts = {}, {}
-    for name, config in SNAPSHOT_CASES.items():
-        series = synthetic_load_series(n=config.train_len + config.test_len, seed=SEED)
-        forecasters[name] = run_experiment(series, config).forecaster
-        nexts[name] = series.values[-50:].tolist()
-    samples = {name: {"save_ms": [], "load_ms": []} for name in SNAPSHOT_CASES}
-    sizes, digests = {}, {}
-    with tempfile.TemporaryDirectory() as tmp:
-        for _ in range(runs):
-            for name, forecaster in forecasters.items():
-                path = os.path.join(tmp, f"{name}.json")
-                samples[name]["save_ms"].append(
-                    best_ms(lambda: snapshot_save(forecaster, path)))
-                samples[name]["load_ms"].append(best_ms(lambda: snapshot_load(path)))
-                sizes[name] = os.path.getsize(path)
-        for name in SNAPSHOT_CASES:
-            loaded = snapshot_load(os.path.join(tmp, f"{name}.json"))
-            y_hat = np.array([loaded.step(v) for v in nexts[name]])
-            digests[name] = hashlib.sha256(y_hat.tobytes()).hexdigest()
-    result = {
-        **environment(),
-        "repeat": REPEAT,
-        "cases": {
-            name: {
-                "config": SNAPSHOT_CASES[name].to_dict(),
-                "bytes": sizes[name],
-                **{key: spread(values, 4) for key, values in samples[name].items()},
-                "next_y_hat_sha256": digests[name],
-            }
-            for name in SNAPSHOT_CASES
-        },
-    }
-    write(result, out)
-    for name, case in result["cases"].items():
-        print(f"{name}: {case['bytes']} B, save {case['save_ms']}, load {case['load_ms']}")
+def step_case(config, path: str) -> tuple:
+    """The step: µs/step of ``run_experiment``, and a digest of its ŷ."""
+    return (lambda: {"us_per_step": timed_run(config)[0]},
+            lambda: {"y_hat_sha256": digest(y_hats(run_experiment(series_for(config), config)))})
 
 
-def setup_bench(runs: int, out: str) -> None:
-    samples = {name: [] for name in SETUP_CASES}
-    paths, digests = {}, {}
+def snapshot_case(config, path: str) -> tuple:
+    """A save and a load of the run's final forecaster, then the file
+    size and a digest of the loaded forecaster's next 50 predictions."""
+    series = series_for(config)
+    forecaster = run_experiment(series, config).forecaster
+
+    def save_and_load():
+        return {"save_ms": best_ms(lambda: snapshot_save(forecaster, path)),
+                "load_ms": best_ms(lambda: snapshot_load(path))}
+
+    def read():
+        loaded = snapshot_load(path)
+        y_hat = np.array([loaded.step(v) for v in series.values[-50:].tolist()])
+        return {"bytes": os.path.getsize(path), "next_y_hat_sha256": digest(y_hat)}
+    return save_and_load, read
+
+
+def setup_case(config, path: str) -> tuple:
+    """``load_csv`` then ``build_forecaster`` on the series written as
+    ``perfbench/workloads.py`` writes it, and a digest of the values read."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("load_mw\n" + "".join(f"{v!r}\n" for v in series_for(config).values.tolist()))
+    return (lambda: {"setup_ms": best_ms(lambda: build_forecaster(load_csv(path), config))},
+            lambda: {"values_sha256": digest(load_csv(path).values)})
+
+
+MODES = {"steps": (CASES, step_case), "snapshot": (SNAPSHOT_CASES, snapshot_case),
+         "setup": (SETUP_CASES, setup_case)}
+
+
+def sample_cases(cases: dict, case, runs: int, out: str) -> None:
+    """Sample every case of ``cases`` over ``runs`` interleaved rounds and
+    write ``out``. ``case(config, path)`` gives two calls: one sample, a
+    dict of timings, and what to read once after sampling, a dict of
+    fields. ``path`` is the case's file in a temporary directory."""
+    samples = {name: {} for name in cases}
     with tempfile.TemporaryDirectory() as tmp:
-        for name, config in SETUP_CASES.items():
-            paths[name] = os.path.join(tmp, f"{name}.csv")
-            series = synthetic_load_series(n=config.train_len + config.test_len, seed=SEED)
-            with open(paths[name], "w", encoding="utf-8") as fh:
-                fh.write("load_mw\n" + "".join(f"{v!r}\n" for v in series.values.tolist()))
+        calls = {name: case(config, os.path.join(tmp, name)) for name, config in cases.items()}
         for _ in range(runs):
-            for name, config in SETUP_CASES.items():
-                samples[name].append(
-                    best_ms(lambda: build_forecaster(load_csv(paths[name]), config)))
-        for name, path in paths.items():
-            digests[name] = digest(load_csv(path).values)
-    result = {
-        **environment(),
-        "repeat": REPEAT,
-        "cases": {
-            name: {
-                "config": SETUP_CASES[name].to_dict(),
-                "setup_ms": spread(samples[name], 4),
-                "values_sha256": digests[name],
-            }
-            for name in SETUP_CASES
-        },
-    }
-    write(result, out)
-    for name, case in result["cases"].items():
-        print(f"{name}: setup {case['setup_ms']}")
+            for name, (time_once, _) in calls.items():
+                for key, value in time_once().items():
+                    samples[name].setdefault(key, []).append(value)
+        reads = {name: read() for name, (_, read) in calls.items()}
+    write({**environment(), "cases": {
+        name: {"config": config.to_dict(),
+               **{key: spread(values) for key, values in samples[name].items()}, **reads[name]}
+        for name, config in cases.items()}}, out)
+    for name, timings in samples.items():
+        print(f"{name}: " + ", ".join(f"{key} {spread(values)}" for key, values in timings.items()))
 
 
 def sample(out: str) -> None:
@@ -301,7 +297,7 @@ def ab_bench(rev: str, runs: int, out: str) -> None:
             case["max_abs_dy"] = (float(np.max(np.abs(y_this - y_against)))
                                   if y_this.shape == y_against.shape else None)
         cases[name] = case
-    write({**environment(), "repeat": REPEAT, "against": rev, "against_commit": commit,
+    write({**environment(), "against": rev, "against_commit": commit,
            "cases": cases}, out)
     for name, case in cases.items():
         print(f"{name}: ratio {case['pair_ratio']['median']}, faster in {case['faster_in']}"
@@ -323,38 +319,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.runs < 5:
         parser.error("--runs must be at least 5")
-    if args.setup:
-        setup_bench(args.runs, args.out or os.path.join(ROOT, "BENCH_setup.json"))
-        return 0
-    if args.snapshot:
-        snapshot_bench(args.runs, args.out or os.path.join(ROOT, "BENCH_snapshot.json"))
-        return 0
     if args.against:
         ab_bench(args.against, args.runs, args.out or os.path.join(ROOT, "BENCH_ab.json"))
         return 0
-
-    times = {name: [] for name in CASES}
-    digests = {}
-    for _ in range(args.runs):
-        for name, config in CASES.items():
-            us, y_hat = timed_run(config)
-            times[name].append(us)
-            digests[name] = digest(y_hat)
-
-    result = {
-        **environment(),
-        "cases": {
-            name: {
-                "config": CASES[name].to_dict(),
-                "us_per_step": spread(times[name]),
-                "y_hat_sha256": digests[name],
-            }
-            for name in CASES
-        },
-    }
-    write(result, args.out or os.path.join(ROOT, "BENCH_steps.json"))
-    for name in CASES:
-        print(f"{name}: {result['cases'][name]['us_per_step']}")
+    mode = "snapshot" if args.snapshot else "setup" if args.setup else "steps"
+    cases, case = MODES[mode]
+    sample_cases(cases, case, args.runs, args.out or os.path.join(ROOT, f"BENCH_{mode}.json"))
     return 0
 
 

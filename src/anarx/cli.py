@@ -24,7 +24,7 @@ from .snapshot import VERSION, snapshot_load, snapshot_save
 log = logging.getLogger("anarx")
 
 EXIT_CODES = [
-    (FileNotFoundError, 3),
+    (OSError, 3),  # a missing file, a directory, an unreadable file
     (errors.ParseError, 4),
     (errors.EmptySeries, 5),
     (errors.DegenerateRange, 6),
@@ -90,19 +90,25 @@ def _cmd_bench(args) -> int:
 def _cmd_predict(args) -> int:
     forecaster = snapshot_load(args.snapshot)
     learn = not args.freeze
-    for lineno, line in enumerate(sys.stdin, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            value = float(line)
-        except ValueError:
-            raise errors.ParseError(f"stdin line {lineno}: non-numeric value {line!r}") from None
-        try:
-            pred = forecaster.step(value, learn=learn)
-        except errors.AnarxError as exc:
-            raise type(exc)(f"stdin line {lineno}: {exc}") from exc
-        print(repr(pred))
+    lineno = 0
+    try:
+        for lineno, line in enumerate(sys.stdin, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                value = float(line)
+            except ValueError:
+                raise errors.ParseError(
+                    f"stdin line {lineno}: non-numeric value {line!r}") from None
+            try:
+                pred = forecaster.step(value, learn=learn)
+            except errors.AnarxError as exc:
+                raise type(exc)(f"stdin line {lineno}: {exc}") from exc
+            print(repr(pred))
+    except UnicodeDecodeError as exc:
+        # stdin decodes in chunks: the bytes that failed follow line lineno
+        raise errors.not_text("stdin", exc, lineno) from None
     return 0
 
 

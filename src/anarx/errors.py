@@ -67,6 +67,15 @@ class CorruptSnapshot(AnarxError):
     """Snapshot file is truncated, malformed, or fails its checksum."""
 
 
+def not_text(where: str, exc: UnicodeDecodeError, lines_before: int = 0) -> ParseError:
+    """The error for input whose bytes do not decode: ``where`` names it
+    (a file or stdin), and the line of the first bad byte counts the
+    ``lines_before`` lines read before the bytes ``exc`` decoded."""
+    line = lines_before + len((exc.object[:exc.start] + b"x").splitlines())
+    return ParseError(f"{where} line {line}: byte {exc.object[exc.start]:#04x} "
+                      f"is not {exc.encoding} text")
+
+
 def is_integer(value) -> bool:
     """Whether ``value`` is an integer an index can hold: an int or an
     integral numpy scalar, not a bool, from ``-sys.maxsize - 1`` to

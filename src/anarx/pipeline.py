@@ -19,6 +19,7 @@ import os
 import time
 from collections import Counter, deque
 from collections.abc import Sequence
+from contextlib import suppress
 from dataclasses import asdict, dataclass, field, fields
 from itertools import islice
 from operator import itemgetter
@@ -38,6 +39,7 @@ from .errors import (
     ParseError,
     check_fields,
     is_integer,
+    not_text,
     read_count,
     read_float,
     read_floats,
@@ -81,12 +83,20 @@ def load_csv(path, column=None) -> SeriesFrame:
     the chosen column; a named column always has one. Each cell is
     parsed by ``float``, surrounding whitespace allowed, and must be
     finite. Row numbers in errors are 1-based file lines; a row whose
-    quoted cell spans lines is cited by its last line.
+    quoted cell spans lines is cited by its last line. Bytes that are
+    not UTF-8 and a cell longer than ``csv.field_size_limit()`` raise
+    ParseError too, naming their line.
     """
     if not (column is None or isinstance(column, str) or is_integer(column)):
         raise ParseError(f"column must be a name or an integer index, got {column!r}")
     with open(path, "r", newline="", encoding="utf-8-sig") as fh:
-        rows = list(_data_rows(csv.reader(fh)))
+        reader = csv.reader(fh)
+        try:
+            rows = list(_data_rows(reader))
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
+        except csv.Error as exc:  # a cell longer than csv.field_size_limit()
+            raise ParseError(f"{path}: row {reader.line_num}: {exc}") from None
     if not rows:
         raise EmptySeries(f"{path}: no data rows")
 
@@ -129,7 +139,9 @@ def _bad_row(path, idx: int, label, start: int) -> ParseError:
     """The error for the first row after the ``start`` leading data rows
     of ``path`` whose cell ``idx`` is missing, not a number or not finite.
     The file is read again, so that each row comes with its file line."""
-    with open(path, "r", newline="", encoding="utf-8-sig") as fh:
+    # the first pass read every row: a row that no longer reads is a change
+    with open(path, "r", newline="", encoding="utf-8-sig") as fh, \
+            suppress(UnicodeDecodeError, csv.Error):
         reader = csv.reader(fh)
         for row in islice(_data_rows(reader), start, None):
             line = reader.line_num
@@ -142,6 +154,17 @@ def _bad_row(path, idx: int, label, start: int) -> ParseError:
                 return ParseError(f"{path}: non-numeric cell {cell!r} at row {line}")
             if not math.isfinite(v):
                 return ParseError(f"{path}: non-finite value at row {line}")
+    return ParseError(f"{path}: changed while it was read")
+
+
+def _not_utf8(path) -> ParseError:
+    """The error for a file that is not UTF-8 text, naming the line of
+    its first bad byte."""
+    with open(path, "rb") as fh:
+        try:
+            fh.read().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return not_text(f"{path}:", exc)
     return ParseError(f"{path}: changed while it was read")
 
 
@@ -759,4 +782,8 @@ def _parse(kind: str, value: str, key: str):
 
 def load_config(path) -> RunConfig:
     with open(path, "r", encoding="utf-8-sig") as fh:
-        return parse_config_text(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
+    return parse_config_text(text)

@@ -58,7 +58,7 @@ def test_exit_code_mapping_is_pinned():
     # codes are stable per category; 11 (SingularCorrelation), 13 and 14
     # (ZeroRegressor, ZeroGain) are retired and stay unused
     assert [(etype.__name__, code) for etype, code in EXIT_CODES] == [
-        ("FileNotFoundError", 3),
+        ("OSError", 3),
         ("ParseError", 4),
         ("EmptySeries", 5),
         ("DegenerateRange", 6),
@@ -73,6 +73,8 @@ def test_exit_code_mapping_is_pinned():
         ("AnarxError", 20),
         ("ValueError", 21),
     ]
+    assert _exit_code(FileNotFoundError("x")) == 3
+    assert _exit_code(IsADirectoryError("x")) == 3
     assert _exit_code(errors.ConfigError("x")) == 4
     assert _exit_code(errors.AnarxError("x")) == 20
     assert _exit_code(RuntimeError("x")) == 70
@@ -147,6 +149,7 @@ class TestBench:
         ("q = 12", "'q'"),
         ("h = 1", "exceeds h = 1"),
         ("evolution_window = x", "'evolution_window'"),
+        ("weighted = maybe", "'weighted': expected boolean, got 'maybe'"),
         ("evolution = true\nevolution_window = 0", "evolution_window"),
         # 400 + 100 values asked of a 450-value series
         ("train_len = 400", "'train_len', 'test_len'"),
@@ -200,6 +203,39 @@ class TestBench:
             report.pop("wall_time_s")
             reports.append(report)
         assert reports[0] == reports[1]
+
+    def test_column_named_in_the_header_reads_the_default_column(self, tmp_path, data_csv,
+                                                                config_file, capsys):
+        named = tmp_path / "named.csv"
+        named.write_text("load_mw\n" + data_csv.read_text())
+        reports = []
+        for column in ([], ["--column", "load_mw"]):
+            assert main(["bench", "--config", str(config_file), "--data", str(named),
+                         *column]) == 0
+            report = json.loads(capsys.readouterr().out)
+            report.pop("wall_time_s")
+            reports.append(report)
+        assert reports[0] == reports[1]
+
+    # each exited 70, an untyped internal error
+    @pytest.mark.parametrize("flag", ["--config", "--data"])
+    def test_directory_path_exits_3_naming_it(self, tmp_path, data_csv, config_file, capsys,
+                                              flag):
+        paths = {"--config": str(config_file), "--data": str(data_csv), flag: str(tmp_path)}
+        assert main(["bench", *(arg for item in paths.items() for arg in item)]) == 3
+        assert str(tmp_path) in capsys.readouterr().err
+
+    # each exited 21, the code of a bare ValueError
+    @pytest.mark.parametrize("source", ["--config", "--data"])
+    def test_bytes_that_are_not_utf8_exit_4_naming_the_line(self, tmp_path, data_csv,
+                                                            config_file, capsys, source):
+        lines = {"--config": config_file, "--data": data_csv}[source].read_bytes().split(b"\n")
+        lines[2] += b"\xff"
+        bad = tmp_path / "bad"
+        bad.write_bytes(b"\n".join(lines))
+        paths = {"--config": str(config_file), "--data": str(data_csv), source: str(bad)}
+        assert main(["bench", *(arg for item in paths.items() for arg in item)]) == 4
+        assert capsys.readouterr().err == f"error: {bad}: line 3: byte 0xff is not utf-8 text\n"
 
     def test_unknown_flag_is_usage_error(self, data_csv, config_file):
         with pytest.raises(SystemExit) as exc:
@@ -318,6 +354,37 @@ class TestPredictAndSnapshot:
 
     def test_missing_snapshot_exit_code(self, tmp_path):
         assert main(["predict", "--snapshot", str(tmp_path / "none.json")]) == 3
+
+    def test_directory_as_snapshot_exits_3_naming_it(self, tmp_path, capsys):
+        # it exited 70, an untyped internal error
+        assert main(["predict", "--snapshot", str(tmp_path)]) == 3
+        assert str(tmp_path) in capsys.readouterr().err
+
+    def test_predict_skips_blank_and_whitespace_only_lines(self, tmp_path, data_csv,
+                                                          config_file, capsys, monkeypatch):
+        snap = tmp_path / "model.json"
+        assert main(["snapshot", "save", "--config", str(config_file), "--data", str(data_csv),
+                     "--out", str(snap)]) == 0
+        outs = []
+        for stdin in ("610.0\n640.0\n", "\n610.0\n  \n\t\n\n640.0\n \n"):
+            capsys.readouterr()
+            monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+            assert main(["predict", "--snapshot", str(snap)]) == 0
+            outs.append(capsys.readouterr().out)
+        assert len(outs[0].splitlines()) == 2
+        assert outs[1] == outs[0]
+
+    def test_stdin_that_is_not_utf8_exits_4_naming_the_line(self, tmp_path, data_csv,
+                                                           config_file, capsys, monkeypatch):
+        # strictly decoded stdin raised a bare UnicodeDecodeError: exit 21
+        snap = tmp_path / "model.json"
+        assert main(["snapshot", "save", "--config", str(config_file), "--data", str(data_csv),
+                     "--out", str(snap)]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+            io.BytesIO(b"610.0\n640.0\n6\xff0.0\n655.0\n"), encoding="utf-8", errors="strict"))
+        assert main(["predict", "--snapshot", str(snap)]) == 4
+        assert capsys.readouterr().err == "error: stdin line 3: byte 0xff is not utf-8 text\n"
 
     def test_freeze_test_in_config_gives_bench_and_snapshot_save_one_model(
             self, tmp_path, data_csv, capsys):

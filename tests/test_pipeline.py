@@ -1,4 +1,5 @@
 import copy
+import csv
 import json
 import logging
 import math
@@ -97,6 +98,22 @@ class TestLoadCsv:
         assert np.array_equal(frame.values, [10.0, 20.0])
         assert frame.name == "load"
 
+    # each raised a bare UnicodeDecodeError or csv.Error, an untyped exit
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path, end):
+        p = tmp_path / "v.csv"
+        p.write_bytes(f"load{end}1.0{end}".encode() + b"\xff\xfe2.0" + f"{end}3.0{end}".encode())
+        with pytest.raises(ParseError, match=f"^{re.escape(str(p))}: line 3: byte 0xff is not "
+                                             f"utf-8 text$"):
+            load_csv(p)
+
+    def test_cell_longer_than_the_csv_field_limit_names_its_row(self, tmp_path):
+        p = tmp_path / "v.csv"
+        p.write_text("load\n1.0\n" + "1" * (csv.field_size_limit() + 1) + "\n3.0\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(p))}: row 3: field larger than "
+                                             f"field limit"):
+            load_csv(p)
+
     @pytest.mark.parametrize("text, column, message", [
         # blank lines count, in every line ending
         ("load\n1.0\n\n2.0\nabc\n", None, "non-numeric cell 'abc' at row 5"),
@@ -182,6 +199,16 @@ def _outcome(load, path, column):
     return frame.values.dtype, frame.values.tobytes(), frame.name
 
 
+class TestSeriesFrame:
+    def test_one_value_is_too_few(self):
+        with pytest.raises(EmptySeries, match="needs at least 2 values, got 1"):
+            SeriesFrame([1.0])
+
+    def test_value_that_is_not_finite_is_named_by_index(self):
+        with pytest.raises(ParseError, match="non-finite value at index 1$"):
+            SeriesFrame([1.0, math.nan, 2.0])
+
+
 class TestNormalize:
     def test_full_range(self):
         frame, lo, hi = normalize_minmax(SeriesFrame(np.array([2.0, 4.0, 6.0])))
@@ -240,6 +267,8 @@ class TestRunConfig:
         pytest.param("alpha", 10**400, "must be a finite number", id="alpha-400-digits"),
         pytest.param("eta_lambda", -10**400, "must be a finite number",
                      id="eta_lambda-minus-400-digits"),
+        # and a count of the right kind out of its range
+        ("test_len", -1, "must be nonnegative, got -1"),
     ])
     def test_settings_of_the_wrong_kind_are_rejected(self, key, value, message):
         settings = dict(n_nodes=2, h=4, train_len=10, test_len=5, learner="adaptive", alpha=0.5)
@@ -324,13 +353,28 @@ class TestParseConfig:
                                 "evolution = true\n")
         assert cfg.evolution == "auto"
 
-    def test_unknown_key(self):
-        with pytest.raises(ParseError):
-            parse_config_text("n_nodes = 1\nh = 3\ntrain_len = 5\ntest_len = 1\nfoo = 1\n")
+    @pytest.mark.parametrize("text, message", [
+        ("foo = 1", "unknown config key 'foo'"),
+        ("evolution = true\nevolution_bogus = 1", "unknown evolution key 'evolution_bogus'"),
+    ])
+    def test_unknown_key(self, text, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config_text("n_nodes = 1\nh = 3\ntrain_len = 5\ntest_len = 1\n" + text)
 
     def test_bad_line(self):
         with pytest.raises(ParseError):
             parse_config_text("n_nodes 2\n")
+
+    def test_missing_required_key_is_incomplete(self):
+        with pytest.raises(ConfigError, match="^incomplete config: .*'h'"):
+            parse_config_text("n_nodes = 1\ntrain_len = 5\ntest_len = 1\n")
+
+    def test_bytes_that_are_not_utf8_in_a_config_file_name_their_line(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_bytes(b"n_nodes = 2\nh = 4\xff\ntrain_len = 50\ntest_len = 10\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(p))}: line 2: byte 0xff is not "
+                                             f"utf-8 text$"):
+            load_config(p)
 
     def test_byte_order_mark_before_a_config_file_is_ignored(self, tmp_path):
         p = tmp_path / "run.cfg"
@@ -570,6 +614,20 @@ class TestOnlineForecasterStep:
         model = build_anarx(3, 4, 0.0, 1.0, learner="adaptive", training="independent")
         with pytest.raises(ValueError, match="^combiner has 2 weights, the pool has 3 nodes$"):
             OnlineForecaster(model, CombinerState(2))
+
+    def test_sum_past_the_float_range_raises_numerical_divergence(self):
+        # math.fsum raises OverflowError where + would give inf; the step
+        # turns it into the typed error
+        model = build_anarx(2, 4, 0.0, 1.0, learner="adaptive", alpha=0.9,
+                            training="independent")
+        fc = OnlineForecaster(model, CombinerState(2))
+        for v in (0.2, 0.5, 0.7):
+            fc.step(v)
+        model.learner.w[:] = 1e308
+        fc.combiner.c = [1.0, 1.0]
+        with pytest.raises(NumericalDivergence, match=re.escape(
+                "a sum is no longer finite (intermediate overflow in fsum)")):
+            fc.step(0.4)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_input_rejected_and_state_kept(self, bad):

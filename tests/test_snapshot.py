@@ -140,6 +140,31 @@ def test_foreign_json_rejected(tmp_path):
         snapshot_load(path)
 
 
+def test_header_without_a_payload_is_corrupt(tmp_path):
+    path = tmp_path / "model.json"
+    snapshot_save(trained_forecaster(), path)
+    doc = json.loads(path.read_text())
+    del doc["payload"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CorruptSnapshot, match="missing payload or checksum$"):
+        snapshot_load(path)
+
+
+def test_save_whose_rename_fails_keeps_the_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "model.json"
+    snapshot_save(trained_forecaster(), path)
+    before = path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr("anarx.snapshot.os.replace", fail)
+    with pytest.raises(OSError, match="^rename failed$"):
+        snapshot_save(trained_forecaster(steps=100), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+
 def test_round_trip_after_structure_changes(tmp_path):
     # grown then pruned pool: learner state was resized twice before saving
     from anarx import OnlineForecaster, build_anarx
