@@ -91,8 +91,14 @@ def _cmd_predict(args) -> int:
     forecaster = snapshot_load(args.snapshot)
     learn = not args.freeze
     lineno = 0
+    stdin = sys.stdin
+    # stdin's bytes decoded a line at a time, so that each line before one
+    # that does not decode steps first (a text stream over no bytes is read
+    # as it is)
+    lines = ((line.decode(stdin.encoding) for line in stdin.buffer)
+             if hasattr(stdin, "buffer") else stdin)
     try:
-        for lineno, line in enumerate(sys.stdin, start=1):
+        for lineno, line in enumerate(lines, start=1):
             line = line.strip()
             if not line:
                 continue
@@ -107,7 +113,7 @@ def _cmd_predict(args) -> int:
                 raise type(exc)(f"stdin line {lineno}: {exc}") from exc
             print(repr(pred))
     except UnicodeDecodeError as exc:
-        # stdin decodes in chunks: the bytes that failed follow line lineno
+        # the line after line lineno failed to decode
         raise errors.not_text("stdin", exc, lineno) from None
     return 0
 

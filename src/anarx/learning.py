@@ -34,6 +34,12 @@ computes bit for bit what a one-row learner computes on the same inputs
 and the adaptive learner add ``error / gain * value`` to each fired
 weight, the bits a dense update gives it.
 
+``walk(rows, y, pred)`` is the step the model takes: ``rows`` is any
+iterable of regressors, built from the model's own supports, and the
+shapes are not checked. KWH and the adaptive learner walk the rows in
+the one loop their ``step`` runs after the check; RLS hands them to its
+``step``.
+
 ``step`` never rebinds ``w`` or the per-row state, so a caller holding
 views of them sees every update. ``resize(rows, cols)`` reallocates: it
 keeps the overlapping block and gives new coordinates zero weight and
@@ -140,38 +146,47 @@ class _RowBlock:
 
 class _Projection(_RowBlock):
     """KWH and the adaptive learner: each row moves along its regressor
-    by ``error / gain``, where the gain grows with the squared norm
-    (:meth:`_gain`); a row whose gain is at or below ``EPS_REG`` is
-    skipped with ``skip`` at the head of its reason.
+    by ``error / gain``, where the gain is the squared norm, or for the
+    adaptive learner its gain ``r`` after ``r <- alpha * r +`` the
+    squared norm; a row whose gain is at or below ``EPS_REG`` is skipped
+    with ``skip`` at the head of its reason.
 
-    After the shape check, :meth:`_project` takes each row in one loop:
-    its squared norm, summed as :meth:`predict` sums the prediction (left
-    to right from zero over one block, ``math.fsum`` of the block sums
-    over several), its gain, its error against ``pred``
-    (:meth:`predict` runs only when the caller passes none) and the
-    update of its fired weights.
+    :meth:`walk` is the one loop: it takes each row once, its squared
+    norm, summed as :meth:`predict` sums the prediction (left to right
+    from zero over one block, ``math.fsum`` of the block sums over
+    several), its gain, its error against ``pred`` and the update of its
+    fired weights. The model's step hands it the supports of its ring as
+    they are. The public ``step`` checks the shapes first, and predicts
+    when the caller passes no ``pred``.
     """
 
-    def _project(self, rows, y: float, pred) -> list:
-        """The step: add ``error / gain * value`` to each fired weight of
-        each row whose gain is above ``EPS_REG``; return the other rows as
-        skipped."""
-        self._check(rows)
-        if pred is None:
-            pred = self.predict(rows)
-        y = float(y)
-        skipped = []
-        w = self._flat
+    _r = None  # the adaptive learner's gains; KWH keeps none
+
+    def walk(self, rows, y: float, pred) -> list:
+        """Add ``error / gain * value`` to each fired weight of each row of
+        the iterable ``rows`` whose gain is above ``EPS_REG``; return the
+        others as ``(row, reason)``. Nothing is checked: the rows are
+        shaped as ``step`` checks them, and ``y`` is a float."""
+        w, r = self._flat, self._r
         cols = self.w.shape[1]
+        skipped = []
         for i, row in enumerate(rows):
             if len(row) == 1:
                 # fsum of one block's sum returns it: a sum from zero is never -0.0
-                sq_norm = 0.0
+                gain = 0.0
                 for v in row[0][1]:
-                    sq_norm += v * v
+                    gain += v * v
             else:
-                sq_norm = math.fsum([support_dot(values, 0, values) for _, values in row])
-            gain = self._gain(i, sq_norm)
+                # each block's support sum, as support_dot sums it
+                sums = []
+                for _, values in row:
+                    part = 0.0
+                    for v in values:
+                        part += v * v
+                    sums.append(part)
+                gain = math.fsum(sums)
+            if r is not None:
+                r[i] = gain = self.alpha * r[i] + gain
             if gain <= EPS_REG:
                 skipped.append((i, f"{self.skip} {gain} below {EPS_REG}"))
                 continue
@@ -185,6 +200,10 @@ class _Projection(_RowBlock):
                     c += 1
                 offset += width
         return skipped
+
+    def _step(self, rows, y: float, pred) -> list:
+        self._check(rows)
+        return self.walk(rows, float(y), self.predict(rows) if pred is None else pred)
 
 
 # how many gains every row keeps pending before all rows fold them into
@@ -362,6 +381,10 @@ class RlsLearner(_RowBlock):
         G *= V[:, :, None]
         return np.add.reduce(G, axis=1, initial=0.0)
 
+    def walk(self, rows, y: float, pred) -> list:
+        """The model's step: :meth:`step` on the iterable ``rows``."""
+        return self.step(list(rows), y, pred)
+
     def step(self, rows, y: float, pred=None) -> list:
         self._check(rows)
         k = len(rows)
@@ -436,11 +459,8 @@ class KwhLearner(_Projection):
     kind = "kwh"
     skip = "ZeroRegressor: squared regressor norm"
 
-    def _gain(self, i: int, sq_norm: float) -> float:
-        return sq_norm
-
     def step(self, rows, y: float, pred=None) -> list:
-        return self._project(rows, y, pred)
+        return self._step(rows, y, pred)
 
 
 class AdaptiveLearner(_Projection):
@@ -468,13 +488,8 @@ class AdaptiveLearner(_Projection):
         self.r = r
         self._r = memoryview(r)  # items as Python floats
 
-    def _gain(self, i: int, sq_norm: float) -> float:
-        r = self._r
-        r[i] = gain = self.alpha * r[i] + sq_norm
-        return gain
-
     def step(self, rows, y: float, pred=None) -> list:
-        return self._project(rows, y, pred)
+        return self._step(rows, y, pred)
 
     def resize(self, rows: int, cols: int) -> None:
         super().resize(rows, cols)

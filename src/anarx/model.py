@@ -25,7 +25,6 @@ import numpy as np
 
 from .errors import CorruptSnapshot, ParseError, check_fields, read_count, read_float, read_floats
 from .learning import make_learner
-from .numerics import support_dot
 from .membership import GaussianGrid, KnotGrid, build_gaussian_grid
 from .nodes import NeoFuzzyNode, WangMendelNode
 
@@ -183,14 +182,20 @@ class AnarxModel:
 
     def node_forecasts(self) -> list:
         """Every node's output at its lag; zero where the lag is unseen."""
-        # node l's support sum is node.forward of the lag's value with
-        # W[l], bit for bit; an unseen lag's support is empty and sums to
-        # zero. The learner's flat view holds W row after row.
+        # node l's support sum (support_dot, inlined) is node.forward of
+        # the lag's value with W[l], bit for bit; an unseen lag's support
+        # is empty and sums to zero. The learner's flat view holds W row
+        # after row.
         w, h = self.learner._flat, self._dim
         out = []
         offset = 0
         for start, values in self._ring[: self.n]:
-            out.append(support_dot(w, offset + start, values))
+            acc = 0.0
+            start += offset
+            for v in values:
+                acc += w[start] * v
+                start += 1
+            out.append(acc)
             offset += h
         return out
 
@@ -238,35 +243,37 @@ class AnarxModel:
         ``forecasts``; a caller that also has their ``fsum``, the model
         output, passes it as ``output``, and the stacked row takes it as
         its prediction.
+
+        The learner walks its rows over the ring's supports as they are
+        (``learner.walk``, see :mod:`anarx.learning`): no row list is
+        built and no shape checked. Its public ``step``, which checks,
+        computes the same bits from the same rows.
         """
-        support = self._fuzzify(float(y_new))
+        y = float(y_new)
+        # _fuzzify, inlined: one call fewer per step
+        if not math.isfinite(y):
+            raise ParseError(f"value {y!r} is not finite")
+        support = self.node.fuzzify(y)
         n = self.n
         m = min(n, len(self.delay_y))
         node_preds = self.node_forecasts() if forecasts is None else forecasts
 
         skipped = [(i, "lag not observed yet") for i in range(m, n)] if m < n else []
-        # A learner row spans ``span`` nodes: all n in stacked training,
-        # where the supports of unobserved lags are still empty, one in
-        # independent. Its regressor's blocks are those nodes' supports.
-        # Rows with an observed node learn; a skipped row skips its
-        # observed nodes. A row predicts the fsum of its nodes' forecasts
-        # (see anarx.numerics): its node's forecast for a one-node row,
-        # the model output for the stacked row. The learner is handed
-        # those, so it does not predict again.
-        learner = self.learner
-        span = n // len(learner.w)
-        if span == 1:
-            rows = [[support] for support in self._ring[:m]]
-            pred = node_preds[:m]
+        # In independent training row l walks node l's support, for the m
+        # observed nodes; in stacked training the one row walks all n
+        # supports (those of unobserved lags still empty) once a lag is
+        # observed, and its skip skips each observed node. A row predicts
+        # the fsum of its nodes' forecasts (see anarx.numerics): its node's
+        # forecast, or the model output for the stacked row; the learner is
+        # handed those, so it does not predict again.
+        if len(self.learner.w) == n:
+            skipped += self.learner.walk(zip(self._ring[:m]), y, node_preds)
         elif m:
-            rows = [self._ring[:n]]
             pred = [math.fsum(node_preds) if output is None else output]
-        else:
-            rows, pred = [], []
-        for row, reason in learner.step(rows, y_new, pred):
-            skipped.extend((i, reason) for i in range(row * span, min(row * span + span, m)))
+            for _, reason in self.learner.walk([self._ring[:n]], y, pred):
+                skipped += [(i, reason) for i in range(m)]
 
-        self.observe(y_new, support)
+        self.observe(y, support)
         return skipped
 
     # -- bookkeeping -----------------------------------------------------

@@ -384,7 +384,11 @@ class TestPredictAndSnapshot:
         monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
             io.BytesIO(b"610.0\n640.0\n6\xff0.0\n655.0\n"), encoding="utf-8", errors="strict"))
         assert main(["predict", "--snapshot", str(snap)]) == 4
-        assert capsys.readouterr().err == "error: stdin line 3: byte 0xff is not utf-8 text\n"
+        out, err = capsys.readouterr()
+        assert err == "error: stdin line 3: byte 0xff is not utf-8 text\n"
+        # the two lines before the bad byte each print their prediction
+        forecaster = snapshot_load(snap)
+        assert out.splitlines() == [repr(forecaster.step(610.0)), repr(forecaster.step(640.0))]
 
     def test_freeze_test_in_config_gives_bench_and_snapshot_save_one_model(
             self, tmp_path, data_csv, capsys):

@@ -320,6 +320,60 @@ class TestTrainStep:
         # alpha = 0: each gain is the row's squared norm, masked or not
         assert m.learner.r.tolist() == [1.0, 0.5] != r.tolist()
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from([("neo_fuzzy", 2), ("neo_fuzzy", 3), ("wang_mendel", 2)]),
+        learner=st.sampled_from(["kwh", "adaptive"]),
+        alpha=st.floats(0.0, 1.0),
+        training=st.sampled_from(["stacked", "independent"]),
+        n=st.integers(1, 4),
+        seen=st.integers(0, 5),
+        eps=st.sampled_from([EPS_REG, 0.3, 1.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_model_walk_equals_public_step_bit_for_bit(
+        self, kind, learner, alpha, training, n, seen, eps, seed
+    ):
+        # The model walks the learner's rows over its ring; the public
+        # step, on the rows built from the same supports (one per row in
+        # independent training, every node's in the one stacked row) and
+        # predicting for itself, must leave the same bits in w and r and
+        # skip the same rows. Fewer values seen than nodes is the warm-up,
+        # where the supports of unseen lags are empty; a raised threshold
+        # makes rows skip.
+        from anarx import learning
+
+        node_kind, q = kind
+        m = build_anarx(n, 4, 0.0, 1.0, q=q, node_kind=node_kind, training=training,
+                        learner=learner, alpha=alpha)
+        rng = np.random.default_rng(seed)
+        m.learner.w[:] = rng.normal(size=m.learner.w.shape)
+        for v in rng.uniform(-0.2, 1.2, seen).tolist():
+            m.observe(v)
+        twin = learning.make_learner(learner, m.learner.w.copy(), alpha=alpha)
+        if learner == "adaptive":
+            m.learner.r[:] = rng.uniform(0.0, 2.0, len(m.learner.r))
+            twin.r[:] = m.learner.r
+        y = float(rng.uniform(-0.5, 1.5))
+        k = min(n, seen)
+        ring = m._ring
+        if training == "independent" or n == 1:
+            rows = [[support] for support in ring[:k]]
+        else:
+            rows = [list(ring[:n])] if k else []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(learning, "EPS_REG", eps)
+            expected = twin.step(rows, y)
+            skipped = m.train_step(y)
+        # a skipped stacked row skips each of its observed nodes
+        span = n // len(twin.w)
+        expected = [(i, reason) for row, reason in expected
+                    for i in range(row * span, min(row * span + span, k))]
+        assert skipped == [(i, "lag not observed yet") for i in range(k, n)] + expected
+        assert _bits(m.learner.w) == _bits(twin.w)
+        if learner == "adaptive":
+            assert _bits(m.learner.r) == _bits(twin.r)
+
 
 class TestEvolve:
     def policy(self, **kw):

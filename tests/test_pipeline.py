@@ -736,15 +736,19 @@ class TestOnlineForecasterStep:
 
 
     @pytest.mark.parametrize("learner,weighted,learn,crossed", [
+        # the model walks a projection learner's rows itself (its public
+        # step is not crossed); RLS takes its rows through its step
         ("adaptive", True, True, ["AnarxModel.node_forecasts", "CombinerState.combine",
-                                  "AnarxModel.train_step", "AdaptiveLearner.step",
-                                  "AnarxModel.observe", "eval_bspline",
-                                  "CombinerState.optimal_step"]),
+                                  "AnarxModel.train_step", "AnarxModel.observe",
+                                  "eval_bspline", "CombinerState.optimal_step"]),
         ("adaptive", True, False, ["AnarxModel.node_forecasts", "CombinerState.combine",
                                    "AnarxModel.observe", "eval_bspline"]),
         ("rls", False, True, ["AnarxModel.node_forecasts", "AnarxModel.train_step",
                               "RlsLearner.step", "AnarxModel.observe", "eval_bspline"]),
-    ], ids=["learned_weighted", "frozen_weighted", "learned_stacked_rls"])
+        ("adaptive", False, True, ["AnarxModel.node_forecasts", "AnarxModel.train_step",
+                                   "AnarxModel.observe", "eval_bspline"]),
+    ], ids=["learned_weighted", "frozen_weighted", "learned_stacked_rls",
+            "learned_stacked_adaptive"])
     def test_step_crosses_every_layer_boundary_once(self, learner, weighted, learn, crossed,
                                                      monkeypatch):
         series = SeriesFrame(np.sin(np.arange(400) / 5.0) * 2.0 + 6.0)
