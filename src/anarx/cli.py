@@ -92,11 +92,15 @@ def _cmd_predict(args) -> int:
     learn = not args.freeze
     lineno = 0
     stdin = sys.stdin
-    # stdin's bytes decoded a line at a time, so that each line before one
-    # that does not decode steps first (a text stream over no bytes is read
-    # as it is)
-    lines = ((line.decode(stdin.encoding) for line in stdin.buffer)
-             if hasattr(stdin, "buffer") else stdin)
+    # stdin's bytes decoded a line at a time with its own error handler, so
+    # that under a strict one each line before the bad byte steps first. A
+    # stream with no bytes beneath, or whose newline is not the byte b"\n"
+    # (UTF-16), is read as it is.
+    buffer = getattr(stdin, "buffer", None)
+    if buffer is not None and "\n".encode(stdin.encoding) == b"\n":
+        lines = (line.decode(stdin.encoding, stdin.errors) for line in buffer)
+    else:
+        lines = stdin
     try:
         for lineno, line in enumerate(lines, start=1):
             line = line.strip()

@@ -177,14 +177,7 @@ class _Projection(_RowBlock):
                 for v in row[0][1]:
                     gain += v * v
             else:
-                # each block's support sum, as support_dot sums it
-                sums = []
-                for _, values in row:
-                    part = 0.0
-                    for v in values:
-                        part += v * v
-                    sums.append(part)
-                gain = math.fsum(sums)
+                gain = math.fsum([support_dot(values, 0, values) for _, values in row])
             if r is not None:
                 r[i] = gain = self.alpha * r[i] + gain
             if gain <= EPS_REG:

@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import CorruptSnapshot, ParseError, check_fields, read_count, read_float, read_floats
 from .learning import make_learner
+from .numerics import support_dot
 from .membership import GaussianGrid, KnotGrid, build_gaussian_grid
 from .nodes import NeoFuzzyNode, WangMendelNode
 
@@ -182,20 +183,14 @@ class AnarxModel:
 
     def node_forecasts(self) -> list:
         """Every node's output at its lag; zero where the lag is unseen."""
-        # node l's support sum (support_dot, inlined) is node.forward of
-        # the lag's value with W[l], bit for bit; an unseen lag's support
-        # is empty and sums to zero. The learner's flat view holds W row
-        # after row.
+        # node l's support sum is node.forward of the lag's value with
+        # W[l], bit for bit; an unseen lag's support is empty and sums to
+        # zero. The learner's flat view holds W row after row.
         w, h = self.learner._flat, self._dim
         out = []
         offset = 0
         for start, values in self._ring[: self.n]:
-            acc = 0.0
-            start += offset
-            for v in values:
-                acc += w[start] * v
-                start += 1
-            out.append(acc)
+            out.append(support_dot(w, offset + start, values))
             offset += h
         return out
 
@@ -250,10 +245,7 @@ class AnarxModel:
         computes the same bits from the same rows.
         """
         y = float(y_new)
-        # _fuzzify, inlined: one call fewer per step
-        if not math.isfinite(y):
-            raise ParseError(f"value {y!r} is not finite")
-        support = self.node.fuzzify(y)
+        support = self._fuzzify(y)
         n = self.n
         m = min(n, len(self.delay_y))
         node_preds = self.node_forecasts() if forecasts is None else forecasts

@@ -9,11 +9,9 @@ supports hold q values; a Wang-Mendel support holds all h, from column 0.
 There is one summation order. Every sum over one support runs left to
 right from zero on Python floats (:func:`support_dot`): a node forecast,
 and the share of a learner row's prediction and squared norm that one
-block holds. The model's node forecasts and the projection learners'
-walk write that loop inline, which saves a call per support. A sum
-over several supports, the model output over its node forecasts and a
-learner row over its blocks (the one row of stacked training), adds
-their support sums with ``math.fsum``. That sum is
+block holds. A sum over several supports, the model output over its
+node forecasts and a learner row over its blocks (the one row of stacked
+training), adds their support sums with ``math.fsum``. That sum is
 correctly rounded, so it does not depend on the number of terms or
 their order, and a zero-weight node that joins the pool moves no bit of
 it. A row of one block is its support sum as it is: ``fsum`` of one

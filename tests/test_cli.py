@@ -390,6 +390,37 @@ class TestPredictAndSnapshot:
         forecaster = snapshot_load(snap)
         assert out.splitlines() == [repr(forecaster.step(610.0)), repr(forecaster.step(640.0))]
 
+    @pytest.mark.parametrize("errors, message", [
+        ("replace", "error: stdin line 3: non-numeric value '6\ufffd0.0'\n"),
+        ("surrogateescape", "error: stdin line 3: non-numeric value '6\\udcff0.0'\n"),
+    ])
+    def test_stdin_error_handler_decides_what_a_bad_byte_reads_as(
+            self, tmp_path, data_csv, config_file, capsys, monkeypatch, errors, message):
+        snap = tmp_path / "model.json"
+        assert main(["snapshot", "save", "--config", str(config_file), "--data", str(data_csv),
+                     "--out", str(snap)]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+            io.BytesIO(b"610.0\n640.0\n6\xff0.0\n655.0\n"), encoding="utf-8", errors=errors))
+        assert main(["predict", "--snapshot", str(snap)]) == 4
+        out, err = capsys.readouterr()
+        assert err == message
+        forecaster = snapshot_load(snap)
+        assert out.splitlines() == [repr(forecaster.step(610.0)), repr(forecaster.step(640.0))]
+
+    def test_utf16_stdin_is_read_a_line_at_a_time(self, tmp_path, data_csv, config_file,
+                                                   capsys, monkeypatch):
+        snap = tmp_path / "model.json"
+        assert main(["snapshot", "save", "--config", str(config_file), "--data", str(data_csv),
+                     "--out", str(snap)]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+            io.BytesIO("610.0\n640.0\n".encode("utf-16")), encoding="utf-16", newline="\n"))
+        assert main(["predict", "--snapshot", str(snap)]) == 0
+        forecaster = snapshot_load(snap)
+        assert capsys.readouterr().out.splitlines() == [
+            repr(forecaster.step(610.0)), repr(forecaster.step(640.0))]
+
     def test_freeze_test_in_config_gives_bench_and_snapshot_save_one_model(
             self, tmp_path, data_csv, capsys):
         cfg = tmp_path / "frozen.cfg"
