@@ -135,7 +135,7 @@ def _cmd_snapshot_show(args) -> int:
     forecaster = snapshot_load(args.snapshot)
     model = forecaster.model
     print(f"nodes: {model.n} ({model.node.kind})")
-    print(f"training: {model.training}, learner: {model.learner_kind}, alpha: {model.alpha}")
+    print(f"training: {model.training}, learner: {model.learner.kind}, alpha: {model.alpha}")
     print(f"weighted: {forecaster.combiner is not None}")
     if forecaster.combiner is not None:
         print(f"c: {forecaster.combiner.c.tolist()}")
@@ -159,10 +159,10 @@ def _learner_health(model) -> str:
     has several (independent training). Empty for KWH, which keeps no
     gain state."""
     learner = model.learner
-    if model.learner_kind == "rls":
+    if learner.kind == "rls":
         diag = learner.covariance_diagonal()
         stats = {"trace(P)": diag.sum(axis=1).tolist(), "max diag(P)": diag.max(axis=1).tolist()}
-    elif model.learner_kind == "adaptive":
+    elif learner.kind == "adaptive":
         stats = {"r": learner.r.tolist()}
     else:
         return ""

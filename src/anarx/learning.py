@@ -44,8 +44,8 @@ the one loop their ``step`` runs after the check; RLS hands them to its
 views of them sees every update. ``resize(rows, cols)`` reallocates: it
 keeps the overlapping block and gives new coordinates zero weight and
 fresh state. ``row_state(i)`` and ``load_row(i, state)`` save and
-restore one row (RLS first folds every row's pending gains into its
-covariance, see :class:`RlsLearner`).
+restore one row's numbers, not the learner's settings (RLS first folds
+every row's pending gains into its covariance, see :class:`RlsLearner`).
 
 * :class:`RlsLearner` - exponentially weighted recursive least squares.
 * :class:`KwhLearner` - normalized one-step projection; the a-posteriori
@@ -81,7 +81,8 @@ class _RowBlock:
     """The weight block the learners share, and its bookkeeping.
 
     ``params`` names the constructor settings a learner kind takes
-    besides the weights; they are its :meth:`settings`.
+    besides the weights. A saved row holds its numbers only; the model
+    that builds the learner saves the settings once.
     """
 
     params: tuple = ()
@@ -127,15 +128,12 @@ class _RowBlock:
     def resize(self, rows: int, cols: int) -> None:
         self._bind(_resized(self.w, np.zeros((rows, cols))))
 
-    def settings(self) -> dict:
-        return {"kind": self.kind, **{name: getattr(self, name) for name in self.params}}
-
     def row_state(self, i: int) -> dict:
-        return {**self.settings(), "w": self.w[i].tolist()}
+        return {"w": self.w[i].tolist()}
 
     def load_row(self, i: int, state: dict) -> None:
-        """Restore row ``i`` from :meth:`row_state` output; the caller
-        checks that the state's settings are this learner's."""
+        """Restore row ``i`` from :meth:`row_state` output of a learner
+        of this kind and these settings."""
         w = np.array(read_floats(state["w"], f"row {i} weights"))
         if w.shape != self.w.shape[1:]:
             raise DimensionMismatch(
@@ -426,8 +424,7 @@ class RlsLearner(_RowBlock):
         _resized(P, self.P)
 
     def row_state(self, i: int) -> dict:
-        """Row ``i``'s weights and settings, and its covariance
-        :func:`packed`."""
+        """Row ``i``'s weights and its covariance :func:`packed`."""
         self._fold_pending()
         return {**super().row_state(i), "P": packed(self.P[i]).tolist()}
 
@@ -489,7 +486,7 @@ class AdaptiveLearner(_Projection):
         self._bind_r(_resized(self.r, np.zeros(rows)))
 
     def row_state(self, i: int) -> dict:
-        return {**self.settings(), "r": float(self.r[i]), "w": self.w[i].tolist()}
+        return {**super().row_state(i), "r": float(self.r[i])}
 
     def load_row(self, i: int, state: dict) -> None:
         r = read_float(state["r"], f"row {i} gain")

@@ -117,7 +117,6 @@ class AnarxModel:
         self._dim = self.node.dim
         self.n = n_nodes
         self.training = training
-        self.learner_kind = learner
         self.alpha = float(alpha)
         self.p0 = float(p0)
         self.delay_y: list = []
@@ -276,13 +275,15 @@ class AnarxModel:
         return self.node.synapses * self.W.size
 
     def state_dict(self) -> dict:
-        """The model's state, each number once: the grid of the pool, the
-        node count, the delay values and capacity, and the learner rows,
-        whose weights are the node weights and, for RLS, whose covariance
-        ``P`` is its packed upper triangle."""
+        """The model's state, each value once: the training wiring, the
+        learner kind and its settings ``alpha`` and ``p0``, the grid of
+        the pool, the node count, the delay values and capacity, and the
+        learner rows, which hold numbers only: the node weights ``w``,
+        the adaptive learner's gain ``r``, and the RLS covariance ``P``
+        as its packed upper triangle."""
         state = {
             "training": self.training,
-            "learner": self.learner_kind,
+            "learner": self.learner.kind,
             "alpha": self.alpha,
             "p0": self.p0,
             "node_kind": self.node.kind,
@@ -308,15 +309,16 @@ class AnarxModel:
     def from_state(cls, state: dict) -> "AnarxModel":
         """Rebuild a model from :meth:`state_dict` output.
 
-        Raises CorruptSnapshot when the learner state does not match the
-        model: rows for another node count (compared before the model is
-        built, so a forged count allocates nothing), or settings (kind,
-        alpha, p0) other than those the model builds its learner with;
-        when the delay capacity is below the node count or the delay
-        values; when a saved number is not a finite JSON number or a
-        saved count not an integer in range (see :mod:`anarx.errors`);
-        DimensionMismatch when a row is shaped for another pool; and
-        DegenerateActivation when a delay value cannot be fuzzified.
+        The learner is built from the model's own ``learner``, ``alpha``
+        and ``p0``, the one place they are saved, and each row loads its
+        numbers into it. Raises CorruptSnapshot when the learner rows are
+        for another node count (compared before the model is built, so a
+        forged count allocates nothing); when the delay capacity is below
+        the node count or the delay values; when a saved number is not a
+        finite JSON number or a saved count not an integer in range (see
+        :mod:`anarx.errors`); DimensionMismatch when a row is shaped for
+        another pool; and DegenerateActivation when a delay value cannot
+        be fuzzified.
         """
         grids = {node.kind: grid for grid, node in _NODE_TYPES.items()}
         node_kind = state["node_kind"]
@@ -332,15 +334,8 @@ class AnarxModel:
             raise CorruptSnapshot(f"node count {n_nodes}, but the learner rows hold {held:g}")
         model = cls(grid, n_nodes, training=state["training"], learner=state["learner"],
                     alpha=read_float(state["alpha"], "alpha"), p0=read_float(state["p0"], "p0"))
-        learner = model.learner
-        settings = learner.settings()
         for i, row in enumerate(rows):
-            saved = {key: row[key] for key in settings if key in row}
-            if saved != settings:
-                raise CorruptSnapshot(
-                    f"learner state {i} has settings {saved}, the model builds {settings}"
-                )
-            learner.load_row(i, row)
+            model.learner.load_row(i, row)
         delay = read_floats(state["delay_y"], "delay values")
         # the capacity covers the nodes and the delay values
         capacity = read_count(state["delay_capacity"], "delay capacity", max(model.n, len(delay)))

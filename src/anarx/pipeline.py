@@ -9,7 +9,6 @@ segments, in the units the model was trained in.
 
 from __future__ import annotations
 
-import copy
 import csv
 import io
 import json
@@ -372,13 +371,14 @@ class OnlineForecaster:
 
     The forecaster saves and restores itself, as its model and combiner
     do: :meth:`state_dict` is the payload a snapshot stores, and
-    :meth:`from_state` rebuilds the forecaster from it. The two counters
-    are not saved.
+    :meth:`from_state` rebuilds the forecaster from it. The state holds
+    each number and setting once. It does not hold the run that built
+    the forecaster (the ``bench`` report records that), nor the two
+    counters.
     """
 
     def __init__(self, model: AnarxModel, combiner: CombinerState | None = None,
-                 scale: tuple | None = None, meta: dict | None = None,
-                 evolution: EvolutionPolicy | str | None = None) -> None:
+                 scale: tuple | None = None, evolution: EvolutionPolicy | str | None = None) -> None:
         if not (evolution is None or evolution == "auto" or isinstance(evolution, EvolutionPolicy)):
             raise ValueError(f"evolution must be None, 'auto', or a policy, got {evolution!r}")
         if scale is not None:
@@ -392,7 +392,6 @@ class OnlineForecaster:
         self.scale = scale
         # a prediction's raw value is pred * span + lo, the prediction itself without a scale
         self._span, self._lo = (1.0, 0.0) if scale is None else (scale[1] - scale[0], scale[0])
-        self.meta = meta or {}
         self.evolution = evolution
         # the policy evolve applies: under "auto" the default policy, whose
         # two thresholds each learned step sets from the long-run RMSE
@@ -502,9 +501,9 @@ class OnlineForecaster:
 
     def state_dict(self) -> dict:
         """The forecaster's state: its model and combiner (None on a
-        plain pool) as they save themselves, the scale, a copy of the meta
-        and the evolution controller, None when evolution is off, otherwise the
-        policy (``"auto"`` or the policy's fields), the error window, the
+        plain pool) as they save themselves, the scale and the evolution
+        controller, None when evolution is off, otherwise the policy
+        (``"auto"`` or the policy's fields), the error window, the
         long-run squared-error sum, the learned-step count and the
         contribution window (``"contrib"``)."""
         evolution = self.evolution
@@ -520,7 +519,6 @@ class OnlineForecaster:
             "model": self.model.state_dict(),
             "combiner": self.combiner.state_dict() if self.combiner else None,
             "scale": list(self.scale) if self.scale else None,
-            "meta": copy.deepcopy(self.meta),
             "evolution": evolution,
         }
 
@@ -537,9 +535,7 @@ class OnlineForecaster:
         integer in range (see :mod:`anarx.errors`). The model, the
         combiner, the scale and the policy raise their own errors, and
         the constructor a ValueError for a combiner sized for another
-        pool or a bad scale. The forecaster holds a copy of the state's
-        ``meta``, so it shares nothing with the forecaster that saved the
-        state.
+        pool or a bad scale.
         """
         model = AnarxModel.from_state(state["model"])
         combiner = CombinerState.from_state(state["combiner"]) if state.get("combiner") else None
@@ -548,7 +544,7 @@ class OnlineForecaster:
         evolution = (policy if saved is None or policy == "auto"
                      else EvolutionPolicy.from_state(policy))
         forecaster = cls(model, combiner, None if scale is None else read_floats(scale, "scale"),
-                         copy.deepcopy(state.get("meta")), evolution)
+                         evolution)
         if saved is None:
             return forecaster
         window = read_floats(saved["err_window"], "error window")
@@ -608,8 +604,7 @@ def build_forecaster(series: SeriesFrame, config: RunConfig) -> tuple:
         alpha=config.alpha,
     )
     combiner = CombinerState(config.n_nodes, eta_lambda=config.eta_lambda) if config.weighted else None
-    meta = {"config": config.to_dict()}
-    return work, OnlineForecaster(model, combiner, scale, meta, evolution=config.evolution)
+    return work, OnlineForecaster(model, combiner, scale, evolution=config.evolution)
 
 
 def _rmse(ys: list, y_hat: list, segment: str) -> float:

@@ -1,7 +1,7 @@
 """Versioned, checksummed model snapshots.
 
 A file is one JSON object written as the bytes
-``{"format":"anarx-snapshot","version":4,"sha256":"<hex>","payload":``,
+``{"format":"anarx-snapshot","version":5,"sha256":"<hex>","payload":``,
 then the payload, then ``}`` and a newline. The payload is encoded
 once, compact and canonical (sorted keys, no spaces; floats round-trip
 exactly through repr), and ``sha256`` is the digest of those payload
@@ -15,14 +15,20 @@ anything is rebuilt.
 The payload is the forecaster's own state,
 :meth:`~anarx.pipeline.OnlineForecaster.state_dict`, and
 :meth:`~anarx.pipeline.OnlineForecaster.from_state` rebuilds the
-forecaster from it; this module holds the file format only. A payload
-that does not rebuild one consistent forecaster makes the file corrupt.
-A loaded forecaster reproduces the saved one bit for bit on any
-subsequent input sequence, structure changes included.
+forecaster from it; this module holds the file format only. The
+payload holds numbers and the settings that build the forecaster, each
+once; a saved learner row holds only its numbers. A payload that does
+not rebuild one consistent forecaster makes the file corrupt. A loaded
+forecaster reproduces the saved one bit for bit on any subsequent input
+sequence, structure changes included.
 
-Version 4 is the one format a load reads. A file of any other version,
-the older 1, 2 and 3 included, raises VersionMismatch; re-running
-``anarx snapshot save`` writes version 4.
+A save writes only a file a load reads: a state that holds a NaN or an
+infinity raises NumericalDivergence before any file is written, and the
+previous file stays as it was.
+
+Version 5 is the one format a load reads. A file of any other version,
+the older 1 to 4 included, raises VersionMismatch; re-running
+``anarx snapshot save`` writes version 5.
 """
 
 from __future__ import annotations
@@ -31,11 +37,11 @@ import hashlib
 import json
 import os
 
-from .errors import AnarxError, CorruptSnapshot, VersionMismatch
+from .errors import AnarxError, CorruptSnapshot, NumericalDivergence, VersionMismatch
 from .pipeline import OnlineForecaster
 
 FORMAT = "anarx-snapshot"
-VERSION = 4
+VERSION = 5
 
 
 def _header(sha256: str) -> bytes:
@@ -45,8 +51,13 @@ def _header(sha256: str) -> bytes:
 
 def _encode(payload: dict) -> bytes:
     """The file that holds ``payload``: the header, which names the
-    digest of the payload bytes, those bytes, ``}`` and a newline."""
-    body = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("ascii")
+    digest of the payload bytes, those bytes, ``}`` and a newline.
+    Raises NumericalDivergence if the payload holds a NaN or an infinity,
+    which no load reads back."""
+    try:
+        body = json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False).encode()
+    except ValueError as exc:
+        raise NumericalDivergence(f"the state holds a number that is not finite ({exc})") from None
     return _header(hashlib.sha256(body).hexdigest()) + body + b"}\n"
 
 

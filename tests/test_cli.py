@@ -261,7 +261,7 @@ class TestPredictAndSnapshot:
         out = capsys.readouterr().out
         assert "nodes: 2" in out and "integrity: ok" in out
         # the format is named last but one, so an old file shows as such
-        assert out.splitlines()[-2:] == ["format: v4", "integrity: ok"]
+        assert out.splitlines()[-2:] == ["format: v5", "integrity: ok"]
 
         import io
         monkeypatch.setattr("sys.stdin", io.StringIO("610.0\n640.0\n655.0\n"))

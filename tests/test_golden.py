@@ -238,19 +238,19 @@ def test_report_bytes_match_recorded_digests(name, evolution):
 # sha256 of the file snapshot_save writes of the final forecaster of each
 # run of REPORT_DIGESTS, and of rls_wide's run, over the golden series
 SNAPSHOT_DIGESTS = {
-    ("load_plain", "auto"): "a08c850fb969ea5a5af19ccb74c9beb19ca7e1532e8cc939714ab692ca3cae4c",
-    ("load_plain", "off"): "f97b3a4a152232493bba84dcf5467505a8924940b4d2f47d7a66d0ae974e9f24",
-    ("load_plain", "policy"): "2c0a5ef48e3878e9bc8fb03a26bb65c32dc80021a70229c80751e571342220b4",
-    ("load_weighted", "auto"): "b4745cd8ba2dfe90c463fd7b571bfc8e413050140ed1409f64e2a9d8d3c16392",
-    ("load_weighted", "off"): "487dda52218dd6b832ca570f3228de7ff1fa280a92b653a270ebfdd599318540",
-    ("load_weighted", "policy"): "c3d116cd4d1d333d2bd023f3c8351ca601dd5dba4a9f6b984aba22b3c8391cac",
-    ("rls_wide", "off"): "4249f19e9e1c21082f852e1e30986e7843f9c58a8dc7de926b3bedd0aa1be6b0",
-    ("sunspot_plain", "auto"): "858a8efaf57600741fef13d7ec3495aca8213a3d967f3ae15e5251bec11969f3",
-    ("sunspot_plain", "off"): "e9e945253121321ed1114405563b890890b3691c41ae6291fa513232a5039d60",
-    ("sunspot_plain", "policy"): "85f2941fa1f2fc3a1e495e16bc57b439be70a3996cb832df834d3fa1db4e0753",
-    ("sunspot_weighted", "auto"): "1871a10e6094885b94a9587781054612c955f3d3adcd3af86f9b58e398e4d0b3",
-    ("sunspot_weighted", "off"): "29ed605853d9a58770b81184a9cfd2606fedfd64026b1dadf84f122cb05e5216",
-    ("sunspot_weighted", "policy"): "65db322be489ddc539594ca6f7149d3786b83081a0b2949dbee855e6d7df3a56",
+    ("load_plain", "auto"): "159db27fb1b64c11845869c34e51b5e4442b1f061ba9a6004f4760dc2f5e83b4",
+    ("load_plain", "off"): "aa337726b4de2533dfad9fac8873fc60c2bea870b68512f59fd6e87ac7557cac",
+    ("load_plain", "policy"): "6f977817ac98e41f0dfe9dae89b4a4dde5fb4b16b6d7af5d18e84b4821a524c6",
+    ("load_weighted", "auto"): "ee83f801d5fd1a275bd94ac7880d86be8318b3fc078b8c56ae0ff439ab48c11c",
+    ("load_weighted", "off"): "eb37886af86659d0463097a8af2a051062cf88ad81b64544b3229f81ed20feb8",
+    ("load_weighted", "policy"): "3e9781980376576fcb037555de4b1f6db42980aaf7bd4ed21551e6f0f9ca5268",
+    ("rls_wide", "off"): "30e8fb9c32d7807ecd298f103735304ae7c6a1220f362da1dde33cae343bc9e8",
+    ("sunspot_plain", "auto"): "6cdeb1253f785b410c2f9c8bb1ba0f1f8ca20219066c8c915390e15275a5bb91",
+    ("sunspot_plain", "off"): "4365b88fd1a11634fe091b7ecd05476699ae264395d5867689f812850fea918b",
+    ("sunspot_plain", "policy"): "407b25a43e10a880958d749b3be57f5050921aa7876d0a10ef1607f4c10eb782",
+    ("sunspot_weighted", "auto"): "b8a0b724e5c92704997d1e2abffec6ed4caa135e655a293ca638c85cbafcbd40",
+    ("sunspot_weighted", "off"): "795aae5ee70800e1ed87614bd9841e99285ebe59dfb877792ed5d0cd43f360a4",
+    ("sunspot_weighted", "policy"): "a4f55eda87551f258adf8eef0dea442ca8ada39e5517debf68eae0c674c8c0ba",
 }
 
 
