@@ -62,6 +62,17 @@ header and one ``repr`` float a line. The file also gives a digest of
 the values read, so two files show whether two versions parse the same
 bits.
 
+With ``--count`` the script counts instead of timing and writes
+``BENCH_counts.json``. Each default case runs ``run_experiment`` once
+to warm up, then once under ``sys.settrace``, which counts the Python
+opcodes the ``anarx`` frames run and the calls into them, per step, in
+total and per module (``learning``, ``model``, ...). Code outside
+``anarx``, numpy's included, is not counted, so numpy's work shows only
+as the calls that reach it. A count repeats exactly on one Python
+version, so it is read from the one run, and it tells where a change
+moved the work as no timing on a noisy host can; it does not see time
+spent in C. Each case also records the counted run's ŷ digest.
+
 With ``--against REV`` the script times this checkout's ``src/``
 against REV's, extracted with ``git archive`` into a temporary
 directory, and writes ``BENCH_ab.json``. Within a file, a slow phase of
@@ -77,6 +88,7 @@ largest |Δŷ| when they differ. The file is a measurement, not a gate.
     PYTHONPATH=src python3 scripts/bench.py [--runs N] [--out BENCH_steps.json]
     PYTHONPATH=src python3 scripts/bench.py --snapshot [--runs N] [--out BENCH_snapshot.json]
     PYTHONPATH=src python3 scripts/bench.py --setup [--runs N] [--out BENCH_setup.json]
+    PYTHONPATH=src python3 scripts/bench.py --count [--out BENCH_counts.json]
     PYTHONPATH=src python3 scripts/bench.py --against REV [--runs N] [--out BENCH_ab.json]
 """
 
@@ -220,8 +232,60 @@ def setup_case(config, path: str) -> tuple:
             lambda: {"values_sha256": digest(load_csv(path).values)})
 
 
+def counted_run(config) -> dict:
+    """Opcodes and calls per step of one ``run_experiment`` after a
+    warm-up run, in total and per ``anarx`` module, and its ŷ digest."""
+    series = series_for(config)
+    run_experiment(series, config)
+    opcodes, calls, tracers = {}, {}, {}
+
+    def tracer_for(module):
+        # one counter cell per module, so an opcode costs one add
+        count = opcodes.setdefault(module, [0])
+
+        def local(frame, event, arg):
+            if event == "opcode":
+                count[0] += 1
+            return local
+        return local
+
+    def enter(frame, event, arg):
+        package, _, module = frame.f_globals.get("__name__", "").partition(".")
+        if package != "anarx":
+            return None
+        module = module or "__init__"
+        calls[module] = calls.get(module, 0) + 1
+        frame.f_trace_opcodes = True
+        if module not in tracers:
+            tracers[module] = tracer_for(module)
+        return tracers[module]
+
+    sys.settrace(enter)
+    try:
+        report = run_experiment(series, config)
+    finally:
+        sys.settrace(None)
+    y_hat = y_hats(report)  # reading the records runs anarx code too
+    steps = len(y_hat)
+
+    def per_step(count) -> float:
+        return round(count / steps, 2)
+    return {"steps": steps,
+            "opcodes_per_step": per_step(sum(count[0] for count in opcodes.values())),
+            "calls_per_step": per_step(sum(calls.values())),
+            "modules": {module: {"opcodes_per_step": per_step(opcodes[module][0]),
+                                 "calls_per_step": per_step(calls[module])}
+                        for module in sorted(calls)},
+            "y_hat_sha256": digest(y_hat)}
+
+
+def count_case(config, path: str) -> tuple:
+    """Nothing timed; the counts of :func:`counted_run`, read once."""
+    return (lambda: {}), (lambda: counted_run(config))
+
+
 MODES = {"steps": (CASES, step_case), "snapshot": (SNAPSHOT_CASES, snapshot_case),
-         "setup": (SETUP_CASES, setup_case)}
+         "setup": (SETUP_CASES, setup_case), "counts": (CASES, count_case)}
 
 
 def sample_cases(cases: dict, case, runs: int, out: str) -> None:
@@ -242,7 +306,9 @@ def sample_cases(cases: dict, case, runs: int, out: str) -> None:
                **{key: spread(values) for key, values in samples[name].items()}, **reads[name]}
         for name, config in cases.items()}}, out)
     for name, timings in samples.items():
-        print(f"{name}: " + ", ".join(f"{key} {spread(values)}" for key, values in timings.items()))
+        print(f"{name}: " + ", ".join([f"{key} {spread(values)}" for key, values in timings.items()]
+                                      + [f"{key} {value}" for key, value in reads[name].items()
+                                         if isinstance(value, (int, float))]))
 
 
 def sample(out: str) -> None:
@@ -312,17 +378,21 @@ def main(argv=None) -> int:
                       help="time snapshot save and load instead of the step")
     mode.add_argument("--setup", action="store_true",
                       help="time load_csv and build_forecaster instead of the step")
+    mode.add_argument("--count", action="store_true",
+                      help="count opcodes and calls per step instead of timing")
     mode.add_argument("--against", metavar="REV",
                       help="time this checkout's src/ against REV's in paired processes")
     parser.add_argument("--out", default=None, help="output file (default BENCH_steps.json, "
-                        "BENCH_snapshot.json, BENCH_setup.json or BENCH_ab.json)")
+                        "BENCH_snapshot.json, BENCH_setup.json, BENCH_counts.json "
+                        "or BENCH_ab.json)")
     args = parser.parse_args(argv)
     if args.runs < 5:
         parser.error("--runs must be at least 5")
     if args.against:
         ab_bench(args.against, args.runs, args.out or os.path.join(ROOT, "BENCH_ab.json"))
         return 0
-    mode = "snapshot" if args.snapshot else "setup" if args.setup else "steps"
+    mode = ("snapshot" if args.snapshot else "setup" if args.setup
+            else "counts" if args.count else "steps")
     cases, case = MODES[mode]
     sample_cases(cases, case, args.runs, args.out or os.path.join(ROOT, f"BENCH_{mode}.json"))
     return 0

@@ -24,6 +24,7 @@ from .snapshot import VERSION, snapshot_load, snapshot_save
 log = logging.getLogger("anarx")
 
 EXIT_CODES = [
+    (BrokenPipeError, 18),  # the reader of stdout went away
     (OSError, 3),  # a missing file, a directory, an unreadable file
     (errors.ParseError, 4),
     (errors.EmptySeries, 5),
@@ -66,7 +67,7 @@ def _column_arg(value: str | None):
         return value
 
 
-def _cmd_bench(args) -> int:
+def _cmd_bench(args) -> None:
     config = load_config(args.config)
     series = load_csv(args.data, _column_arg(args.column))
     report = run_experiment(series, config)
@@ -84,10 +85,9 @@ def _cmd_bench(args) -> int:
         f"params={report.parameter_count} time={report.wall_time_s:.3f}s",
         file=sys.stderr,
     )
-    return 0
 
 
-def _cmd_predict(args) -> int:
+def _cmd_predict(args) -> None:
     forecaster = snapshot_load(args.snapshot)
     learn = not args.freeze
     lineno = 0
@@ -119,19 +119,17 @@ def _cmd_predict(args) -> int:
     except UnicodeDecodeError as exc:
         # the line after line lineno failed to decode
         raise errors.not_text("stdin", exc, lineno) from None
-    return 0
 
 
-def _cmd_snapshot_save(args) -> int:
+def _cmd_snapshot_save(args) -> None:
     config = load_config(args.config)
     series = load_csv(args.data, _column_arg(args.column))
     # the forecaster `bench` streams, so both build the same model
     snapshot_save(run_experiment(series, config).forecaster, args.out)
     print(f"snapshot written to {args.out}", file=sys.stderr)
-    return 0
 
 
-def _cmd_snapshot_show(args) -> int:
+def _cmd_snapshot_show(args) -> None:
     forecaster = snapshot_load(args.snapshot)
     model = forecaster.model
     print(f"nodes: {model.n} ({model.node.kind})")
@@ -149,7 +147,6 @@ def _cmd_snapshot_show(args) -> int:
         print(f"evolution: {forecaster.evolution}, learned steps: {forecaster.learned_steps}")
     print(f"format: v{VERSION}")
     print("integrity: ok")
-    return 0
 
 
 def _learner_health(model) -> str:
@@ -211,9 +208,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return 0
     except Exception as exc:  # noqa: BLE001 - single funnel to exit codes
         code = _exit_code(exc)
+        if isinstance(exc, BrokenPipeError):
+            # nobody reads the output: stop without a word, with stdout on
+            # devnull so that the flush at exit has nothing to fail
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return code
         print(f"error: {exc}", file=sys.stderr)
         log.debug("fatal error", exc_info=True)
         return code

@@ -34,11 +34,11 @@ computes bit for bit what a one-row learner computes on the same inputs
 and the adaptive learner add ``error / gain * value`` to each fired
 weight, the bits a dense update gives it.
 
-``walk(rows, y, pred)`` is the step the model takes: ``rows`` is any
-iterable of regressors, built from the model's own supports, and the
-shapes are not checked. KWH and the adaptive learner walk the rows in
-the one loop their ``step`` runs after the check; RLS hands them to its
-``step``.
+``walk(rows, y, pred)`` is each learner's one update loop, and the
+step the model takes: ``rows`` is any iterable of regressors, built from
+the model's own supports, walked once, and the shapes are not checked.
+``step`` is :meth:`_check`, then :meth:`predict` when no ``pred`` is
+given, then ``walk``.
 
 ``step`` never rebinds ``w`` or the per-row state, so a caller holding
 views of them sees every update. ``resize(rows, cols)`` reallocates: it
@@ -125,6 +125,12 @@ class _RowBlock:
                     raise DimensionMismatch(
                         f"support of {len(values)} values at {start} overruns a block of {width}")
 
+    def _step(self, rows, y: float, pred) -> list:
+        """The public ``step``: the shapes checked, the rows predicted when
+        ``pred`` is None, then :meth:`walk`."""
+        self._check(rows)
+        return self.walk(rows, float(y), self.predict(rows) if pred is None else pred)
+
     def resize(self, rows: int, cols: int) -> None:
         self._bind(_resized(self.w, np.zeros((rows, cols))))
 
@@ -153,9 +159,7 @@ class _Projection(_RowBlock):
     norm, summed as :meth:`predict` sums the prediction (left to right
     from zero over one block, ``math.fsum`` of the block sums over
     several), its gain, its error against ``pred`` and the update of its
-    fired weights. The model's step hands it the supports of its ring as
-    they are. The public ``step`` checks the shapes first, and predicts
-    when the caller passes no ``pred``.
+    fired weights.
     """
 
     _r = None  # the adaptive learner's gains; KWH keeps none
@@ -191,10 +195,6 @@ class _Projection(_RowBlock):
                     c += 1
                 offset += width
         return skipped
-
-    def _step(self, rows, y: float, pred) -> list:
-        self._check(rows)
-        return self.walk(rows, float(y), self.predict(rows) if pred is None else pred)
 
 
 # how many gains every row keeps pending before all rows fold them into
@@ -276,7 +276,7 @@ class RlsLearner(_RowBlock):
 
     ``denom`` is positive while the covariance is positive definite.
     When a row's ``denom`` is not positive and finite (the covariance
-    lost definiteness to rounding, or wound up to overflow), ``step``
+    lost definiteness to rounding, or wound up to overflow), the step
     raises NumericalDivergence naming the row before any weight,
     covariance or pending gain moves, so the square root never turns it
     into nan.
@@ -358,8 +358,8 @@ class RlsLearner(_RowBlock):
                 padded_C += C[end - size : end] + [C[end - size] if size else i * cols] * pad
                 padded_V += V[end - size : end] + [0.0] * pad
             C, V = padded_C, padded_V
-        return (np.array(C, dtype=np.intp).reshape(len(rows), longest),
-                np.array(V).reshape(len(rows), longest))
+        return (np.array(C, dtype=np.intp).reshape(len(sizes), longest),
+                np.array(V).reshape(len(sizes), longest))
 
     def _gather(self, C: np.ndarray, V: np.ndarray, j: int) -> np.ndarray:
         """Each row's ``P phi`` and the ``U'phi`` of its first ``j`` gain
@@ -373,24 +373,20 @@ class RlsLearner(_RowBlock):
         return np.add.reduce(G, axis=1, initial=0.0)
 
     def walk(self, rows, y: float, pred) -> list:
-        """The model's step: :meth:`step` on the iterable ``rows``."""
-        return self.step(list(rows), y, pred)
-
-    def step(self, rows, y: float, pred=None) -> list:
-        self._check(rows)
-        k = len(rows)
-        if pred is None:
-            pred = self.predict(rows)
+        """Update the rows of the iterable ``rows``, which :meth:`_support`
+        walks once, against their predictions ``pred``. Nothing is
+        checked: the rows are shaped as ``step`` checks them, and ``y`` is
+        a float."""
         cols = self.w.shape[1]
         j = self.pending
         C, V = self._support(rows)
+        k = len(C)
         sums = self._gather(C, V, j)
         s = sums[:, :cols]
         # less the pending gains' share U(U'phi), which at j = 0 is +0.0
         # and so moves no bit
         s -= np.matmul(self.A[:k, :, cols : cols + j], sums[:, cols:, None])[:, :, 0]
         # D, the rate and sqrt(D) of each row on Python floats
-        y = float(y)
         base = self.alpha ** (j + 1)  # D is alpha^(j+1) + phi's
         scalars = []
         for i, (values, s_at) in enumerate(zip(V.tolist(), s.ravel()[C].tolist())):
@@ -416,6 +412,9 @@ class RlsLearner(_RowBlock):
             self._fold_pending()
         return []
 
+    def step(self, rows, y: float, pred=None) -> list:
+        return self._step(rows, y, pred)
+
     def resize(self, rows: int, cols: int) -> None:
         self._fold_pending()
         P = self.P
@@ -424,7 +423,11 @@ class RlsLearner(_RowBlock):
         _resized(P, self.P)
 
     def row_state(self, i: int) -> dict:
-        """Row ``i``'s weights and its covariance :func:`packed`."""
+        """Row ``i``'s weights and its covariance :func:`packed`. Every
+        row folds its pending gains first, off the ``FOLD_RANK`` schedule,
+        which rounds differently from the fold the schedule would have
+        made: the live learner and its saved copy go on bit for bit
+        alike, but not as a learner that was never saved."""
         self._fold_pending()
         return {**super().row_state(i), "P": packed(self.P[i]).tolist()}
 

@@ -167,18 +167,17 @@ def eval_bspline(grid: KnotGrid, u: float) -> tuple:
     if j > h - 1:
         j = h - 1
 
-    # Triangular recurrence over the q basis functions alive on span j.
+    # Triangular recurrence over the q basis functions alive on span j;
+    # each knot difference is taken where it is used.
     vals = [1.0]
-    left = [0.0]
-    right = [0.0]
     for r in range(1, q):
-        left.append(u - t[j + 1 - r])
-        right.append(t[j + r] - u)
         saved = 0.0
         for i in range(r):
-            share = vals[i] / (right[i + 1] + left[r - i])
-            vals[i] = saved + right[i + 1] * share
-            saved = left[r - i] * share
+            right = t[j + i + 1] - u
+            left = u - t[j + i + 1 - r]
+            share = vals[i] / (right + left)
+            vals[i] = saved + right * share
+            saved = left * share
         vals.append(saved)
     return j - q + 1, vals
 

@@ -3,6 +3,9 @@ import contextlib
 import csv
 import io
 import json
+import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -58,6 +61,7 @@ def test_exit_code_mapping_is_pinned():
     # codes are stable per category; 11 (SingularCorrelation), 13 and 14
     # (ZeroRegressor, ZeroGain) are retired and stay unused
     assert [(etype.__name__, code) for etype, code in EXIT_CODES] == [
+        ("BrokenPipeError", 18),
         ("OSError", 3),
         ("ParseError", 4),
         ("EmptySeries", 5),
@@ -75,6 +79,7 @@ def test_exit_code_mapping_is_pinned():
     ]
     assert _exit_code(FileNotFoundError("x")) == 3
     assert _exit_code(IsADirectoryError("x")) == 3
+    assert _exit_code(BrokenPipeError("x")) == 18
     assert _exit_code(errors.ConfigError("x")) == 4
     assert _exit_code(errors.AnarxError("x")) == 20
     assert _exit_code(RuntimeError("x")) == 70
@@ -420,6 +425,27 @@ class TestPredictAndSnapshot:
         forecaster = snapshot_load(snap)
         assert capsys.readouterr().out.splitlines() == [
             repr(forecaster.step(610.0)), repr(forecaster.step(640.0))]
+
+    def test_predict_into_a_closed_pipe_exits_18_quietly(self, tmp_path, data_csv, config_file):
+        # `anarx predict < values | head -1`: the reader goes after one line.
+        # A broken pipe was an OSError, exit 3 ("missing or unreadable
+        # file"), with "[Errno 32] Broken pipe" on stderr
+        snap = tmp_path / "model.json"
+        assert main(["snapshot", "save", "--config", str(config_file), "--data", str(data_csv),
+                     "--out", str(snap)]) == 0
+        # more predictions than a pipe holds, so the writer is still busy
+        values = "".join(f"{600.0 + i % 50}\n" for i in range(5000)).encode()
+        env = {**os.environ, "PYTHONPATH": str(Path(anarx.__file__).parent.parent)}
+        proc = subprocess.Popen([sys.executable, "-m", "anarx.cli", "predict", "--snapshot",
+                                 str(snap)], stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env=env)
+        proc.stdin.write(values)
+        proc.stdin.close()
+        assert math.isfinite(float(proc.stdout.readline()))
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 18
+        assert err == b""
 
     def test_freeze_test_in_config_gives_bench_and_snapshot_save_one_model(
             self, tmp_path, data_csv, capsys):

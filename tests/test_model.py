@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from anarx import (
@@ -323,7 +323,7 @@ class TestTrainStep:
     @settings(max_examples=300, deadline=None)
     @given(
         kind=st.sampled_from([("neo_fuzzy", 2), ("neo_fuzzy", 3), ("wang_mendel", 2)]),
-        learner=st.sampled_from(["kwh", "adaptive"]),
+        learner=st.sampled_from(["kwh", "adaptive", "rls"]),
         alpha=st.floats(0.0, 1.0),
         training=st.sampled_from(["stacked", "independent"]),
         n=st.integers(1, 4),
@@ -337,12 +337,15 @@ class TestTrainStep:
         # The model walks the learner's rows over its ring; the public
         # step, on the rows built from the same supports (one per row in
         # independent training, every node's in the one stacked row) and
-        # predicting for itself, must leave the same bits in w and r and
-        # skip the same rows. Fewer values seen than nodes is the warm-up,
-        # where the supports of unseen lags are empty; a raised threshold
-        # makes rows skip.
+        # predicting for itself, must leave the same bits in w, r and
+        # RLS's A (P and the gain columns) and pending count, and skip the
+        # same rows. Fewer values seen than nodes is the warm-up, where
+        # the supports of unseen lags are empty and RLS folds; a raised
+        # threshold makes projection rows skip.
         from anarx import learning
 
+        # RLS forgets by alpha in (0, 1]; a tiny alpha overflows P at a fold
+        assume(learner != "rls" or alpha >= 1e-3)
         node_kind, q = kind
         m = build_anarx(n, 4, 0.0, 1.0, q=q, node_kind=node_kind, training=training,
                         learner=learner, alpha=alpha)
@@ -350,20 +353,28 @@ class TestTrainStep:
         m.learner.w[:] = rng.normal(size=m.learner.w.shape)
         for v in rng.uniform(-0.2, 1.2, seen).tolist():
             m.observe(v)
-        twin = learning.make_learner(learner, m.learner.w.copy(), alpha=alpha)
+        twin = learning.make_learner(learner, m.learner.w.copy(), alpha=alpha,
+                                     p0=getattr(m.learner, "p0", 1e4))
         if learner == "adaptive":
             m.learner.r[:] = rng.uniform(0.0, 2.0, len(m.learner.r))
             twin.r[:] = m.learner.r
+        if learner == "rls":
+            # the same pending gains, small beside the prior
+            cols = m.learner.w.shape[1]
+            m.learner.pending = twin.pending = j = int(rng.integers(0, learning.FOLD_RANK))
+            m.learner.A[:, :, cols : cols + j] = rng.normal(size=(len(m.learner.w), cols, j))
+            twin.A[:] = m.learner.A
         y = float(rng.uniform(-0.5, 1.5))
         k = min(n, seen)
         ring = m._ring
         if training == "independent" or n == 1:
             rows = [[support] for support in ring[:k]]
         else:
-            rows = [list(ring[:n])] if k else []
+            # the stacked row walks once a lag is observed
+            rows = [list(ring[:n])] if k else None
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(learning, "EPS_REG", eps)
-            expected = twin.step(rows, y)
+            expected = [] if rows is None else twin.step(rows, y)
             skipped = m.train_step(y)
         # a skipped stacked row skips each of its observed nodes
         span = n // len(twin.w)
@@ -373,6 +384,9 @@ class TestTrainStep:
         assert _bits(m.learner.w) == _bits(twin.w)
         if learner == "adaptive":
             assert _bits(m.learner.r) == _bits(twin.r)
+        if learner == "rls":
+            assert _bits(m.learner.A) == _bits(twin.A)
+            assert m.learner.pending == twin.pending
 
 
 class TestEvolve:

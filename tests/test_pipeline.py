@@ -736,15 +736,15 @@ class TestOnlineForecasterStep:
 
 
     @pytest.mark.parametrize("learner,weighted,learn,crossed", [
-        # the model walks a projection learner's rows itself (its public
-        # step is not crossed); RLS takes its rows through its step
+        # the model walks every learner's rows itself (a learner's public
+        # step is not crossed)
         ("adaptive", True, True, ["AnarxModel.node_forecasts", "CombinerState.combine",
                                   "AnarxModel.train_step", "AnarxModel.observe",
                                   "eval_bspline", "CombinerState.optimal_step"]),
         ("adaptive", True, False, ["AnarxModel.node_forecasts", "CombinerState.combine",
                                    "AnarxModel.observe", "eval_bspline"]),
         ("rls", False, True, ["AnarxModel.node_forecasts", "AnarxModel.train_step",
-                              "RlsLearner.step", "AnarxModel.observe", "eval_bspline"]),
+                              "AnarxModel.observe", "eval_bspline"]),
         ("adaptive", False, True, ["AnarxModel.node_forecasts", "AnarxModel.train_step",
                                    "AnarxModel.observe", "eval_bspline"]),
     ], ids=["learned_weighted", "frozen_weighted", "learned_stacked_rls",
