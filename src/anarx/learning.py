@@ -43,9 +43,10 @@ given, then ``walk``.
 ``step`` never rebinds ``w`` or the per-row state, so a caller holding
 views of them sees every update. ``resize(rows, cols)`` reallocates: it
 keeps the overlapping block and gives new coordinates zero weight and
-fresh state. ``row_state(i)`` and ``load_row(i, state)`` save and
-restore one row's numbers, not the learner's settings (RLS first folds
-every row's pending gains into its covariance, see :class:`RlsLearner`).
+fresh state. ``state_dict()`` and ``load_state(state)`` save and restore
+the whole block's numbers, not the learner's settings, each as a list
+of rows. A save moves no state, and a loaded learner continues bit for
+bit as the saved one.
 
 * :class:`RlsLearner` - exponentially weighted recursive least squares.
 * :class:`KwhLearner` - normalized one-step projection; the a-posteriori
@@ -60,14 +61,26 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch, NumericalDivergence, read_float, read_floats
+from .errors import (CorruptSnapshot, DimensionMismatch, NumericalDivergence, read_count,
+                     read_floats)
 from .numerics import EPS_REG, support_dot
 
 
 def packed(P: np.ndarray) -> np.ndarray:
-    """The upper triangle of the square ``P``, row by row: each entry of
-    a symmetric ``P`` once, as a saved RLS row holds its covariance."""
-    return P[np.triu_indices(len(P))]
+    """The upper triangle of the square ``P``, or of each square of a
+    stack, row by row: each entry of a symmetric ``P`` once, as a saved
+    RLS row holds its covariance."""
+    return P[(..., *np.triu_indices(P.shape[-1]))]
+
+
+def _read_block(rows, what: str, shape: tuple) -> np.ndarray:
+    """The saved list of rows ``rows`` as an array of ``shape``, each row
+    read by :func:`read_floats`. Raises DimensionMismatch for another
+    shape."""
+    block = [read_floats(row, f"row {i} {what}") for i, row in enumerate(rows)]
+    if len(block) != shape[0] or any(len(row) != shape[1] for row in block):
+        raise DimensionMismatch(f"{what} must be {shape[0]} rows of {shape[1]} numbers")
+    return np.array(block)
 
 
 def _resized(old: np.ndarray, new: np.ndarray) -> np.ndarray:
@@ -81,7 +94,7 @@ class _RowBlock:
     """The weight block the learners share, and its bookkeeping.
 
     ``params`` names the constructor settings a learner kind takes
-    besides the weights. A saved row holds its numbers only; the model
+    besides the weights. A saved block holds its numbers only; the model
     that builds the learner saves the settings once.
     """
 
@@ -134,18 +147,13 @@ class _RowBlock:
     def resize(self, rows: int, cols: int) -> None:
         self._bind(_resized(self.w, np.zeros((rows, cols))))
 
-    def row_state(self, i: int) -> dict:
-        return {"w": self.w[i].tolist()}
+    def state_dict(self) -> dict:
+        return {"w": self.w.tolist()}
 
-    def load_row(self, i: int, state: dict) -> None:
-        """Restore row ``i`` from :meth:`row_state` output of a learner
-        of this kind and these settings."""
-        w = np.array(read_floats(state["w"], f"row {i} weights"))
-        if w.shape != self.w.shape[1:]:
-            raise DimensionMismatch(
-                f"row {i} has weights of shape {w.shape}, the learner needs {self.w.shape[1:]}"
-            )
-        self.w[i] = w
+    def load_state(self, state: dict) -> None:
+        """Restore the block from :meth:`state_dict` output of a learner
+        of this kind, these settings and this shape."""
+        self.w[:] = _read_block(state["w"], "weights", self.w.shape)
 
 
 class _Projection(_RowBlock):
@@ -266,13 +274,13 @@ class RlsLearner(_RowBlock):
     copies it into the other, so the product is exactly symmetric.
     Subtracting it and dividing by a power of ``alpha`` change ``P_ij``
     and ``P_ji`` by the same bits. ``resize`` only adds or drops matching
-    rows and columns, and ``load_row`` writes the saved upper triangle
+    rows and columns, and ``load_state`` writes the saved upper triangle
     into both triangles.
 
-    ``row_state``, ``resize`` and ``load_row`` fold every row first: they
-    read and write ``P`` with no gain pending, so a saved learner and the
-    live one continue bit for bit. :meth:`covariance_diagonal` reads the
-    covariance without folding.
+    ``resize`` folds every row first. :meth:`state_dict` and
+    :meth:`covariance_diagonal` read ``P`` and the pending gains as they
+    are, and ``load_state`` writes both back, so a save moves nothing
+    and a loaded learner continues bit for bit as the live one.
 
     ``denom`` is positive while the covariance is positive definite.
     When a row's ``denom`` is not positive and finite (the covariance
@@ -422,28 +430,31 @@ class RlsLearner(_RowBlock):
         self._bind_prior(rows, cols)
         _resized(P, self.P)
 
-    def row_state(self, i: int) -> dict:
-        """Row ``i``'s weights and its covariance :func:`packed`. Every
-        row folds its pending gains first, off the ``FOLD_RANK`` schedule,
-        which rounds differently from the fold the schedule would have
-        made: the live learner and its saved copy go on bit for bit
-        alike, but not as a learner that was never saved."""
-        self._fold_pending()
-        return {**super().row_state(i), "P": packed(self.P[i]).tolist()}
+    def state_dict(self) -> dict:
+        """The weights, each row's covariance :func:`packed`, each row's
+        pending gains ``U`` one after another, and their one count. No
+        gain is folded: ``P`` stays exactly symmetric while gains are
+        pending, so its triangle holds all of it."""
+        j = self.pending
+        return {**super().state_dict(), "P": packed(self.P).tolist(),
+                "U": self.U[:, :j].reshape(len(self.w), -1).tolist(), "pending": j}
 
-    def load_row(self, i: int, state: dict) -> None:
-        """Restore row ``i``: every row folds its pending gains, then row
-        ``i``'s weights and covariance are overwritten, the saved
-        triangle (see :func:`packed`) going into both triangles of ``P``."""
-        saved = np.array(read_floats(state["P"], f"row {i} covariance"))
-        upper = np.triu_indices(self.w.shape[1])
-        if len(saved) != len(upper[0]):
-            raise DimensionMismatch(f"covariance must be the {len(upper[0])} entries of a packed "
-                                    f"triangle, got {len(saved)}")
-        super().load_row(i, state)
-        self._fold_pending()
-        self.P[i][upper] = saved
-        self.P[i][upper[::-1]] = saved
+    def load_state(self, state: dict) -> None:
+        """Restore :meth:`state_dict` output: each saved triangle goes into
+        both triangles of its row's ``P``, and the pending gains beside
+        it. A count at or above ``FOLD_RANK`` is corrupt."""
+        rows, cols = self.w.shape
+        j = read_count(state["pending"], "pending gain count", 0)
+        if j >= FOLD_RANK:
+            raise CorruptSnapshot(f"pending gain count {j} is not below {FOLD_RANK}")
+        upper = np.triu_indices(cols)
+        P = _read_block(state["P"], "covariance", (rows, len(upper[0])))
+        U = _read_block(state["U"], "pending gains", (rows, j * cols))
+        super().load_state(state)
+        self.P[(..., *upper)] = P
+        self.P[(..., *upper[::-1])] = P
+        self.U[:, :j] = U.reshape(rows, j, cols)
+        self.pending = j
 
 
 class KwhLearner(_Projection):
@@ -488,15 +499,17 @@ class AdaptiveLearner(_Projection):
         super().resize(rows, cols)
         self._bind_r(_resized(self.r, np.zeros(rows)))
 
-    def row_state(self, i: int) -> dict:
-        return {**super().row_state(i), "r": float(self.r[i])}
+    def state_dict(self) -> dict:
+        return {**super().state_dict(), "r": self.r.tolist()}
 
-    def load_row(self, i: int, state: dict) -> None:
-        r = read_float(state["r"], f"row {i} gain")
-        if r < 0.0:
-            raise ValueError(f"row {i} has gain {r}, which must be nonnegative")
-        super().load_row(i, state)
-        self.r[i] = r
+    def load_state(self, state: dict) -> None:
+        r = read_floats(state["r"], "gains")
+        if len(r) != len(self.r):
+            raise DimensionMismatch(f"{len(r)} gains for {len(self.r)} learner rows")
+        if min(r) < 0.0:
+            raise ValueError(f"gain {min(r)} must be nonnegative")
+        super().load_state(state)
+        self.r[:] = r
 
 
 LEARNERS = {cls.kind: cls for cls in (RlsLearner, KwhLearner, AdaptiveLearner)}

@@ -277,32 +277,27 @@ class AnarxModel:
     def state_dict(self) -> dict:
         """The model's state, each value once: the training wiring, the
         learner kind and its settings ``alpha`` and ``p0``, the grid of
-        the pool, the node count, the delay values and capacity, and the
-        learner rows, which hold numbers only: the node weights ``w``,
-        the adaptive learner's gain ``r``, and the RLS covariance ``P``
-        as its packed upper triangle."""
-        state = {
+        the pool, the delay values and capacity, and the learner's block
+        (``learner.state_dict()``), which holds numbers only: the weight
+        rows ``w``, whose shape is the pool's, the adaptive learner's gains
+        ``r``, and the RLS covariances ``P``, as packed upper triangles,
+        with the pending gains ``U`` and their count ``pending``."""
+        return {
             "training": self.training,
             "learner": self.learner.kind,
             "alpha": self.alpha,
             "p0": self.p0,
             "node_kind": self.node.kind,
             "grid": self.node.grid.to_dict(),
-            "n_nodes": self.n,
             "delay_y": list(self.delay_y),
             "delay_capacity": len(self._ring),
+            "learner_state": self.learner.state_dict(),
         }
-        rows = [self.learner.row_state(i) for i in range(len(self.learner.w))]
-        if self.training == "stacked":
-            state["stacked_state"] = rows[0]
-        else:
-            state["learner_states"] = rows
-        return state
 
     def __reduce__(self):
-        # copy and pickle through the state, as a snapshot does (which
-        # folds pending RLS gains first): the learner's views of its
-        # weight block are memoryviews, which do neither
+        # copy and pickle through the state, as a snapshot does: the
+        # learner's views of its weight block are memoryviews, which do
+        # neither
         return (AnarxModel.from_state, (self.state_dict(),))
 
     @classmethod
@@ -310,13 +305,15 @@ class AnarxModel:
         """Rebuild a model from :meth:`state_dict` output.
 
         The learner is built from the model's own ``learner``, ``alpha``
-        and ``p0``, the one place they are saved, and each row loads its
-        numbers into it. Raises CorruptSnapshot when the learner rows are
-        for another node count (compared before the model is built, so a
-        forged count allocates nothing); when the delay capacity is below
-        the node count or the delay values; when a saved number is not a
-        finite JSON number or a saved count not an integer in range (see
-        :mod:`anarx.errors`); DimensionMismatch when a row is shaped for
+        and ``p0``, the one place they are saved, and loads its block.
+        The pool size is the block's shape: the width / h of the one
+        stacked row, or the row count in independent training. Raises
+        CorruptSnapshot when the weight rows hold no pool of h-wide nodes
+        (checked before the model is built, so rows that fix no pool
+        allocate nothing); when the delay capacity is below the node count or the
+        delay values; when a saved number is not a finite JSON number or
+        a saved count not an integer in range (see :mod:`anarx.errors`);
+        DimensionMismatch when the rest of the block is shaped for
         another pool; and DegenerateActivation when a delay value cannot
         be fuzzified.
         """
@@ -325,17 +322,14 @@ class AnarxModel:
         if node_kind not in grids:
             raise CorruptSnapshot(f"unknown node kind {node_kind!r}")
         grid = grids[node_kind].from_dict(state["grid"])
-        n_nodes = read_count(state["n_nodes"], "node count", 1)
+        w, h = state["learner_state"]["w"], grid.h
         stacked = state["training"] == "stacked"
-        rows = [state["stacked_state"]] if stacked else state["learner_states"]
-        # the stacked row's width, or the independent row count, is the pool size
-        held = len(rows[0]["w"]) / grid.h if stacked else len(rows)
-        if held != n_nodes:
-            raise CorruptSnapshot(f"node count {n_nodes}, but the learner rows hold {held:g}")
+        n_nodes = len(w[0]) // h if stacked and w else len(w)
+        if not n_nodes or (len(w), len(w[0])) != ((1, n_nodes * h) if stacked else (n_nodes, h)):
+            raise CorruptSnapshot(f"{len(w)} weight rows hold no pool of {h}-wide nodes")
         model = cls(grid, n_nodes, training=state["training"], learner=state["learner"],
                     alpha=read_float(state["alpha"], "alpha"), p0=read_float(state["p0"], "p0"))
-        for i, row in enumerate(rows):
-            model.learner.load_row(i, row)
+        model.learner.load_state(state["learner_state"])
         delay = read_floats(state["delay_y"], "delay values")
         # the capacity covers the nodes and the delay values
         capacity = read_count(state["delay_capacity"], "delay capacity", max(model.n, len(delay)))

@@ -18,7 +18,6 @@ import os
 import time
 from collections import Counter, deque
 from collections.abc import Sequence
-from contextlib import suppress
 from dataclasses import asdict, dataclass, field, fields
 from itertools import islice
 from operator import itemgetter
@@ -88,14 +87,12 @@ def load_csv(path, column=None) -> SeriesFrame:
     """
     if not (column is None or isinstance(column, str) or is_integer(column)):
         raise ParseError(f"column must be a name or an integer index, got {column!r}")
-    with open(path, "r", newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            rows = list(_data_rows(reader))
-        except UnicodeDecodeError:
-            raise _not_utf8(path) from None
-        except csv.Error as exc:  # a cell longer than csv.field_size_limit()
-            raise ParseError(f"{path}: row {reader.line_num}: {exc}") from None
+    text = _read_text(path)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        rows = list(_data_rows(reader))
+    except csv.Error as exc:  # a cell longer than csv.field_size_limit()
+        raise ParseError(f"{path}: row {reader.line_num}: {exc}") from None
     if not rows:
         raise EmptySeries(f"{path}: no data rows")
 
@@ -123,7 +120,7 @@ def load_csv(path, column=None) -> SeriesFrame:
         if not np.isfinite(values).all():
             raise ValueError  # a value that is not finite is a bad row too
     except (ValueError, IndexError):
-        raise _bad_row(path, idx, label, start) from None
+        raise _bad_row(text, path, idx, label, start) from None
     if len(values) < 2:
         raise EmptySeries(f"{path}: fewer than 2 data rows")
     return SeriesFrame(values, name=name or os.path.splitext(os.path.basename(str(path)))[0])
@@ -134,37 +131,34 @@ def _data_rows(reader):
     return (row for row in reader if row and (row[0].strip() or any(map(str.strip, row))))
 
 
-def _bad_row(path, idx: int, label, start: int) -> ParseError:
+def _read_text(path) -> str:
+    """The file ``path`` read once and decoded as UTF-8, a leading
+    byte-order mark dropped. Bytes that are not UTF-8 raise ParseError
+    naming the line of the first (the error's bytes omit the mark)."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise not_text(f"{path}:", exc) from None
+
+
+def _bad_row(text: str, path, idx: int, label, start: int) -> ParseError:
     """The error for the first row after the ``start`` leading data rows
-    of ``path`` whose cell ``idx`` is missing, not a number or not finite.
-    The file is read again, so that each row comes with its file line."""
-    # the first pass read every row: a row that no longer reads is a change
-    with open(path, "r", newline="", encoding="utf-8-sig") as fh, \
-            suppress(UnicodeDecodeError, csv.Error):
-        reader = csv.reader(fh)
-        for row in islice(_data_rows(reader), start, None):
-            line = reader.line_num
-            if not -len(row) <= idx < len(row):
-                return ParseError(f"{path}: row {line} has no column {label}")
-            cell = row[idx].strip()
-            try:
-                v = float(cell)
-            except ValueError:
-                return ParseError(f"{path}: non-numeric cell {cell!r} at row {line}")
-            if not math.isfinite(v):
-                return ParseError(f"{path}: non-finite value at row {line}")
-    return ParseError(f"{path}: changed while it was read")
-
-
-def _not_utf8(path) -> ParseError:
-    """The error for a file that is not UTF-8 text, naming the line of
-    its first bad byte."""
-    with open(path, "rb") as fh:
+    of ``path``'s ``text`` whose cell ``idx`` is missing, not a number or
+    not finite. The text is tokenized again, so that each row comes with
+    its file line."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    for row in islice(_data_rows(reader), start, None):
+        line = reader.line_num
+        if not -len(row) <= idx < len(row):
+            return ParseError(f"{path}: row {line} has no column {label}")
+        cell = row[idx].strip()
         try:
-            fh.read().decode("utf-8")
-        except UnicodeDecodeError as exc:
-            return not_text(f"{path}:", exc)
-    return ParseError(f"{path}: changed while it was read")
+            v = float(cell)
+        except ValueError:
+            return ParseError(f"{path}: non-numeric cell {cell!r} at row {line}")
+        if not math.isfinite(v):
+            return ParseError(f"{path}: non-finite value at row {line}")
 
 
 def normalize_minmax(series: SeriesFrame, fit_range=None):
@@ -776,9 +770,4 @@ def _parse(kind: str, value: str, key: str):
 
 
 def load_config(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError:
-            raise _not_utf8(path) from None
-    return parse_config_text(text)
+    return parse_config_text(_read_text(path))

@@ -1,7 +1,7 @@
 """Versioned, checksummed model snapshots.
 
 A file is one JSON object written as the bytes
-``{"format":"anarx-snapshot","version":5,"sha256":"<hex>","payload":``,
+``{"format":"anarx-snapshot","version":6,"sha256":"<hex>","payload":``,
 then the payload, then ``}`` and a newline. The payload is encoded
 once, compact and canonical (sorted keys, no spaces; floats round-trip
 exactly through repr), and ``sha256`` is the digest of those payload
@@ -17,8 +17,10 @@ The payload is the forecaster's own state,
 :meth:`~anarx.pipeline.OnlineForecaster.from_state` rebuilds the
 forecaster from it; this module holds the file format only. The
 payload holds numbers and the settings that build the forecaster, each
-once; a saved learner row holds only its numbers. A payload that does
-not rebuild one consistent forecaster makes the file corrupt. A loaded
+once; the learner's block, saved under one key in either training
+wiring, holds only its numbers, and its shape is the pool size. A
+payload that does not rebuild one consistent forecaster makes the file
+corrupt. A save moves no state of the saved forecaster, and a loaded
 forecaster reproduces the saved one bit for bit on any subsequent input
 sequence, structure changes included.
 
@@ -26,9 +28,10 @@ A save writes only a file a load reads: a state that holds a NaN or an
 infinity raises NumericalDivergence before any file is written, and the
 previous file stays as it was.
 
-Version 5 is the one format a load reads. A file of any other version,
-the older 1 to 4 included, raises VersionMismatch; re-running
-``anarx snapshot save`` writes version 5.
+Version 6 is the one format a load reads. A file of any other version,
+the older 1 to 5 included, raises VersionMismatch; re-running
+``anarx snapshot save`` writes version 6, and ``scripts/migrate_snapshot.py``
+rewrites a version-4 or -5 file as version 6.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .errors import AnarxError, CorruptSnapshot, NumericalDivergence, VersionMis
 from .pipeline import OnlineForecaster
 
 FORMAT = "anarx-snapshot"
-VERSION = 5
+VERSION = 6
 
 
 def _header(sha256: str) -> bytes:

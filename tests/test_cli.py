@@ -266,7 +266,7 @@ class TestPredictAndSnapshot:
         out = capsys.readouterr().out
         assert "nodes: 2" in out and "integrity: ok" in out
         # the format is named last but one, so an old file shows as such
-        assert out.splitlines()[-2:] == ["format: v5", "integrity: ok"]
+        assert out.splitlines()[-2:] == ["format: v6", "integrity: ok"]
 
         import io
         monkeypatch.setattr("sys.stdin", io.StringIO("610.0\n640.0\n655.0\n"))
@@ -530,17 +530,18 @@ class TestLearnerHealth:
 
     def test_stacked_rls_prints_trace_and_largest_diagonal(self, tmp_path, data_csv, capsys):
         model, health = self.show(tmp_path, data_csv, capsys, "learner = rls\nalpha = 1.0\n")
-        assert model.learner.P.shape[0] == 1
-        P = model.learner.P[0]
-        assert health == [f"learner health: trace(P) {float(np.trace(P))!r}, "
-                          f"max diag(P) {float(P.diagonal().max())!r}"]
+        # the loaded covariance, its pending gains included
+        (diag,) = model.learner.covariance_diagonal()
+        assert model.learner.pending > 0
+        assert health == [f"learner health: trace(P) {float(diag.sum())!r}, "
+                          f"max diag(P) {float(diag.max())!r}"]
 
     def test_independent_rls_prints_min_and_max_over_nodes(self, tmp_path, data_csv, capsys):
         model, health = self.show(tmp_path, data_csv, capsys,
                                   "learner = rls\nalpha = 1.0\nweighted = true\n")
         assert model.learner.P.shape[0] == model.n == 2
-        traces = [float(np.trace(P)) for P in model.learner.P]
-        diags = [float(P.diagonal().max()) for P in model.learner.P]
+        traces = [float(diag.sum()) for diag in model.learner.covariance_diagonal()]
+        diags = [float(diag.max()) for diag in model.learner.covariance_diagonal()]
         assert traces[0] != traces[1]
         assert health == [f"learner health: trace(P) min {min(traces)!r} max {max(traces)!r}, "
                           f"max diag(P) min {min(diags)!r} max {max(diags)!r}"]

@@ -238,19 +238,19 @@ def test_report_bytes_match_recorded_digests(name, evolution):
 # sha256 of the file snapshot_save writes of the final forecaster of each
 # run of REPORT_DIGESTS, and of rls_wide's run, over the golden series
 SNAPSHOT_DIGESTS = {
-    ("load_plain", "auto"): "159db27fb1b64c11845869c34e51b5e4442b1f061ba9a6004f4760dc2f5e83b4",
-    ("load_plain", "off"): "aa337726b4de2533dfad9fac8873fc60c2bea870b68512f59fd6e87ac7557cac",
-    ("load_plain", "policy"): "6f977817ac98e41f0dfe9dae89b4a4dde5fb4b16b6d7af5d18e84b4821a524c6",
-    ("load_weighted", "auto"): "ee83f801d5fd1a275bd94ac7880d86be8318b3fc078b8c56ae0ff439ab48c11c",
-    ("load_weighted", "off"): "eb37886af86659d0463097a8af2a051062cf88ad81b64544b3229f81ed20feb8",
-    ("load_weighted", "policy"): "3e9781980376576fcb037555de4b1f6db42980aaf7bd4ed21551e6f0f9ca5268",
-    ("rls_wide", "off"): "30e8fb9c32d7807ecd298f103735304ae7c6a1220f362da1dde33cae343bc9e8",
-    ("sunspot_plain", "auto"): "6cdeb1253f785b410c2f9c8bb1ba0f1f8ca20219066c8c915390e15275a5bb91",
-    ("sunspot_plain", "off"): "4365b88fd1a11634fe091b7ecd05476699ae264395d5867689f812850fea918b",
-    ("sunspot_plain", "policy"): "407b25a43e10a880958d749b3be57f5050921aa7876d0a10ef1607f4c10eb782",
-    ("sunspot_weighted", "auto"): "b8a0b724e5c92704997d1e2abffec6ed4caa135e655a293ca638c85cbafcbd40",
-    ("sunspot_weighted", "off"): "795aae5ee70800e1ed87614bd9841e99285ebe59dfb877792ed5d0cd43f360a4",
-    ("sunspot_weighted", "policy"): "a4f55eda87551f258adf8eef0dea442ca8ada39e5517debf68eae0c674c8c0ba",
+    ("load_plain", "auto"): "0af34163322d7a2a093af56ae1d7abab560ce301388d525831263a06a3d3e069",
+    ("load_plain", "off"): "53ede27a839e6dc9fda76e2d476272b4d0538168cab0fe01f1b38479ba85b368",
+    ("load_plain", "policy"): "b0599a9be4475411dbf55577cf148c3d0bb55c44f65fc9501bd5dc3c7b9a9b0b",
+    ("load_weighted", "auto"): "e678870a17609fd5580f18331d72b5d4de3f2e72a195416fdbb5a45ac6714097",
+    ("load_weighted", "off"): "ff8213c19616113a2d5dd9e56549c12b604d1c2f1403fc11ddb8133d09f29f9f",
+    ("load_weighted", "policy"): "7b5777cd1a79915ae65f5faa75f66bc666cbe73c465fb704ecf12504c3ce7311",
+    ("rls_wide", "off"): "745429ff3c6cddf5b1641b9b368ddf42aa056dd192af95d3c3b0c602df7f031b",
+    ("sunspot_plain", "auto"): "8168b04638bf41e2ef813b3c926e3937b81ba4072e4d581151f0dcbdcf1cc5fe",
+    ("sunspot_plain", "off"): "93789d50e49729d27ca4ed0eb278c8eb686899f87f583abd8e64b6be6e28d9bd",
+    ("sunspot_plain", "policy"): "58df7df0a67ba6c6cd343b8e2bec4c7c24402f91de920dfb49a77149fefb072b",
+    ("sunspot_weighted", "auto"): "dae0da2ee8050dafc7729afb6aa10ee0cd711fc5b3636e0315bdace766b23bbc",
+    ("sunspot_weighted", "off"): "fcd5abfee3a3ed5dc8a54e787c64a9828ea9cdba8b28a2a221b8b7db13f5f7c3",
+    ("sunspot_weighted", "policy"): "8e804fd91447c934071b3e69d9470601df063d939ea61cf3a2774d79d87015dc",
 }
 
 

@@ -17,6 +17,7 @@ from anarx import (
     make_learner,
 )
 from anarx import learning
+from anarx.learning import packed
 from anarx.errors import CorruptSnapshot, DimensionMismatch, NumericalDivergence
 from anarx.numerics import EPS_REG
 
@@ -48,9 +49,11 @@ class TestRls:
         assert predict(rls, [1.0, 0.0]) == 0.0
         assert rls.step(row(1.0, 0.0), 2.0) == []
         assert np.allclose(rls.w, [[1.0, 0.0]])
-        # reading the row folds its pending gain into P, which it gives
-        # as the packed upper triangle
-        assert np.allclose(rls.row_state(0)["P"], [0.5, 0.0, 1.0])
+        # the gain is pending beside P until it folds; the saved state
+        # gives P as the packed upper triangle
+        assert rls.pending == 1
+        rls._fold_pending()
+        assert np.allclose(rls.state_dict()["P"], [[0.5, 0.0, 1.0]])
 
     def test_matches_ols_small_batch(self):
         # well-conditioned samples; the diffuse-prior bias scales with
@@ -82,7 +85,7 @@ class TestRls:
         phi = np.array([0.5, 0.25])
         rls.step(supports(phi[None, :]), predict(rls, phi))
         assert np.array_equal(rls.w, [[1.0, -2.0]])
-        rls.row_state(0)
+        rls._fold_pending()
         assert not np.allclose(rls.P, P_before)
 
     def test_exponential_forgetting_tracks_regime_switch(self):
@@ -119,15 +122,15 @@ class TestRls:
         for y in rng.uniform(0.0, 1.0, 20).tolist():
             m.train_step(y)
         state = json.loads(json.dumps(m.state_dict()))
-        row = state["stacked_state"]
+        P = state["learner_state"]["P"]
         if bad == "asymmetric":
             # the state holds the packed upper triangle; a whole P, even
             # one off symmetric by a little, is not taken (a snapshot of
             # the format that stored P whole checks its symmetry)
-            row["P"] = unpacked(row["P"])
-            row["P"][0][2] += 1e-9
+            P[0] = unpacked(P[0])
+            P[0][0][2] += 1e-9
         else:
-            row["P"][3] = float(bad)  # P[1][1]
+            P[0][3] = float(bad)  # P[1][1]
         # a whole P is not a list of numbers, and NaN or inf not a finite one
         with pytest.raises(CorruptSnapshot):
             AnarxModel.from_state(state)
@@ -136,10 +139,10 @@ class TestRls:
     def test_from_state_rejects_packed_P_of_another_length(self, extra):
         m = build_anarx(1, 3, 0.0, 1.0, training="stacked", learner="rls")
         state = m.state_dict()
-        P = state["stacked_state"]["P"]
-        assert len(P) == 6
-        state["stacked_state"]["P"] = P[:-1] if extra < 0 else P + [0.0]
-        with pytest.raises(DimensionMismatch, match="the 6 entries of a packed triangle"):
+        P = state["learner_state"]["P"]
+        assert len(P[0]) == 6
+        P[0] = P[0][:-1] if extra < 0 else P[0] + [0.0]
+        with pytest.raises(DimensionMismatch, match="covariance must be 1 rows of 6 numbers"):
             AnarxModel.from_state(state)
 
     def test_dimension_mismatch(self):
@@ -241,11 +244,11 @@ def _bits(x) -> bytes:
 
 
 def _round_trip(learner):
-    """A fresh learner of the same settings, restored row by row from JSON."""
+    """A fresh learner of the same settings, restored from its state
+    through JSON."""
     fresh = make_learner(learner.kind, np.zeros(learner.w.shape),
                          alpha=getattr(learner, "alpha", 1.0), p0=getattr(learner, "p0", 1e4))
-    for i in range(len(learner.w)):
-        fresh.load_row(i, json.loads(json.dumps(learner.row_state(i))))
+    fresh.load_state(json.loads(json.dumps(learner.state_dict())))
     return fresh
 
 
@@ -379,7 +382,8 @@ class TestRlsDivergence:
         rls = RlsLearner(np.zeros((1, 2)), alpha=1.0, p0=3.0)
         rls.P[0, 1, 1] = float("inf")
         rls.step(row(1.0, 0.0), 1.0)
-        assert rls.row_state(0)["P"] == [0.75, 0.0, float("inf")]
+        rls._fold_pending()
+        assert packed(rls.P[0]).tolist() == [0.75, 0.0, float("inf")]
         with pytest.raises(NumericalDivergence):
             rls.step(row(1.0, 1.0), 1.0)
         assert not np.isnan(rls.P).any()
@@ -451,6 +455,11 @@ def test_batched_learner_is_rows_of_single_learners(data, kind, rows, cols, p0, 
                     assert _bits(batched.r[i]) == _bits(ref.r)
 
 
+def _row_state(state, i):
+    """Row ``i`` of an RLS block's state, with the rows' one count."""
+    return {key: value if key == "pending" else value[i] for key, value in state.items()}
+
+
 def _row_bits(learner, i):
     """Every bit of RLS row ``i``'s state: weights, P, pending gains."""
     j = learner.pending
@@ -496,7 +505,7 @@ def test_pending_rows_are_one_row_learners(data, rows, cols, rank, ops, alpha, p
                 if len(Phi) < rows:
                     assert batched.pending == 0
                     for single in singles:
-                        single.row_state(0)
+                        single._fold_pending()
             elif op == "resize":
                 rows = data.draw(st.integers(1, 5), label="rows")
                 cols = data.draw(st.integers(1, 14), label="cols")
@@ -506,12 +515,11 @@ def test_pending_rows_are_one_row_learners(data, rows, cols, rank, ops, alpha, p
                 for single in singles:
                     single.resize(1, cols)
             elif op == "read":
+                # a read folds nothing, and row i of the block's state is
+                # the state of row i's one-row learner
                 i = data.draw(st.integers(0, rows - 1), label="i")
-                assert batched.row_state(i) == singles[i].row_state(0)
-                # reading a row folds every row
-                assert batched.pending == 0
-                for single in singles:
-                    single.row_state(0)
+                want = _row_state(singles[i].state_dict(), 0)
+                assert _row_state(batched.state_dict(), i) == want
             else:
                 batched = _round_trip(batched)
                 singles = [_round_trip(single) for single in singles]
@@ -532,8 +540,8 @@ def test_pending_rows_are_one_row_learners(data, rows, cols, rank, ops, alpha, p
 )
 def test_saved_mid_block_continues_as_the_live_learner(data, rows, cols, rank, before, after,
                                                        alpha, p0):
-    # saving folds the live rows, so the live and the loaded learner hold
-    # the same state and stay bit-identical
+    # saving folds nothing: the loaded learner holds the live one's
+    # pending gains, and the two stay bit-identical
     with fold_rank(rank):
         live = RlsLearner(_w0(data, rows, cols), alpha=alpha, p0=p0)
 
@@ -545,8 +553,10 @@ def test_saved_mid_block_continues_as_the_live_learner(data, rows, cols, rank, b
 
         for _ in range(before):
             step(live)
+        held = [_row_bits(live, i) for i in range(rows)]
         loaded = _round_trip(live)
-        assert live.pending == loaded.pending == 0
+        assert [_row_bits(live, i) for i in range(rows)] == held
+        assert loaded.pending == live.pending
         for _ in range(after + 1):
             for i in range(rows):
                 assert _row_bits(live, i) == _row_bits(loaded, i)
@@ -583,7 +593,7 @@ def test_pending_row_agrees_with_the_textbook_step(data, cols, rank, steps, alph
             rls.step(supports(phi[None, :]), y)
             ref.step(phi, y)
             assert np.max(np.abs(rls.w[0] - ref.w)) <= PENDING_TOL * max(1.0, np.max(np.abs(ref.w)))
-        rls.row_state(0)
+        rls._fold_pending()
         assert np.max(np.abs(rls.P[0] - ref.P)) <= PENDING_TOL * np.max(np.abs(ref.P))
 
 
@@ -606,8 +616,7 @@ def test_covariance_diagonal_reads_without_folding(data, rows, cols, rank, steps
         stored = np.abs(rls.P.diagonal(axis1=1, axis2=2)).max(axis=1)
         diag = rls.covariance_diagonal()
         assert (_bits(rls.w), _bits(rls.P), _bits(rls.U), rls.pending) == state
-        for i in range(rows):
-            rls.row_state(i)
+        rls._fold_pending()
         # the read and the fold subtract the pending gains in another
         # order, so they agree to rounding of the stored diagonal
         folded = rls.P.diagonal(axis1=1, axis2=2)
@@ -819,9 +828,9 @@ class TestCommon:
         # the model's first step hands the learner no regressor
         learner = make_learner(kind, np.ones((2, 3)), alpha=0.9)
         learner.step(row(1.0, 0.5, 0.0), 1.0)
-        state = json.dumps([learner.row_state(i) for i in range(2)])
+        state = json.dumps(learner.state_dict())
         assert learner.step([], 2.0) == []
-        assert json.dumps([learner.row_state(i) for i in range(2)]) == state
+        assert json.dumps(learner.state_dict()) == state
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

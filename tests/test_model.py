@@ -104,20 +104,28 @@ class TestDelayLine:
             with pytest.raises(CorruptSnapshot, match="delay values must be finite"):
                 AnarxModel.from_state(bad)
 
-    @pytest.mark.parametrize("training", ["stacked", "independent"])
-    @pytest.mark.parametrize("n_nodes", [1, 3, 10**9])
-    def test_node_count_the_rows_do_not_hold_is_corrupt_before_the_build(
-            self, monkeypatch, training, n_nodes):
-        # the saved rows fix the pool size; a forged count fails before
-        # the model, or its learner, allocates anything
+    @pytest.mark.parametrize("training,tamper", [
+        pytest.param("stacked", lambda w: w[0].pop(), id="stacked-width-not-a-multiple-of-h"),
+        pytest.param("stacked", lambda w: w[0].__delitem__(slice(2, None)),
+                     id="stacked-width-below-h"),
+        pytest.param("stacked", lambda w: w.append(list(w[0])), id="stacked-two-rows"),
+        pytest.param("stacked", list.clear, id="stacked-no-row"),
+        pytest.param("independent", lambda w: w[0].pop(), id="independent-row-below-h"),
+        pytest.param("independent", list.clear, id="independent-no-row"),
+    ])
+    def test_weight_rows_that_hold_no_pool_are_corrupt_before_the_build(
+            self, monkeypatch, training, tamper):
+        # the saved weight rows fix the pool size (the stacked row's width
+        # / h, or the independent row count); rows that fix none fail
+        # before the model, or its learner, allocates anything
         state = small_model(n=2, training=training).state_dict()
-        state["n_nodes"] = n_nodes
+        tamper(state["learner_state"]["w"])
 
         def spy(*args, **kwargs):
             raise AssertionError("the model was built")
 
         monkeypatch.setattr(AnarxModel, "__init__", spy)
-        with pytest.raises(CorruptSnapshot, match=f"node count {n_nodes}, but"):
+        with pytest.raises(CorruptSnapshot, match="weight rows hold no pool of 3-wide nodes"):
             AnarxModel.from_state(state)
 
     @pytest.mark.parametrize("capacity", [1, 2, 3.0, True, None])
@@ -228,16 +236,21 @@ class TestTrainStep:
         for y in rng.uniform(0, 1, 10):
             m.train_step(float(y))
         before = m.W.copy()
-        states_before = [copy.deepcopy(m.learner.row_state(i)) for i in range(3)]
+        # with no gain pending, the step of two rows below folds a zero
+        # gain into row 0 and none into row 2
+        m.learner._fold_pending()
+        state_before = m.learner.state_dict()
         # step only row 1 (node 2) of the batched learner by hand; row 0
         # gets a zero-innovation regressor, row 2 none
         assert m.learner.step([[(0, [])], [m.node.fuzzify(0.5)]], 0.9) == []
         assert np.array_equal(m.W[0], before[0])
         assert np.array_equal(m.W[2], before[2])
         assert not np.array_equal(m.W[1], before[1])
-        assert m.learner.row_state(0) == states_before[0]
-        assert m.learner.row_state(2) == states_before[2]
-        assert m.learner.row_state(1)["P"] != states_before[1]["P"]
+        state = m.learner.state_dict()
+        for key in ("w", "P"):
+            assert state[key][0] == state_before[key][0]
+            assert state[key][2] == state_before[key][2]
+        assert state["P"][1] != state_before["P"][1]
 
     def test_warmup_determinism(self):
         rng = np.random.default_rng(5)

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import importlib.util
 import json
 import pickle
 from collections import deque
@@ -30,7 +31,7 @@ from anarx.errors import (
     ParseError,
     VersionMismatch,
 )
-from anarx.learning import packed
+from anarx.learning import FOLD_RANK, packed
 from anarx.pipeline import build_forecaster, run_experiment
 from anarx.snapshot import _encode, _header
 from conftest import assert_one_weight_block, unpacked
@@ -119,7 +120,7 @@ def test_checksum_tamper_detected(tmp_path):
     path = tmp_path / "model.json"
     snapshot_save(fc, path)
     doc = json.loads(path.read_text())
-    doc["payload"]["model"]["stacked_state"]["w"][0] += 1.0
+    doc["payload"]["model"]["learner_state"]["w"][0][0] += 1.0
     path.write_text(json.dumps(doc))
     with pytest.raises(CorruptSnapshot):
         snapshot_load(path)
@@ -220,13 +221,22 @@ def _drop_last(values):
 
 def _shrink_stacked(model):
     # consistent learner state, but one weight short of the pool
-    st = model["stacked_state"]
-    del st["w"][-1]
-    P = unpacked(st["P"])
+    st = model["learner_state"]
+    cols = len(st["w"][0])
+    del st["w"][0][-1]
+    P = unpacked(st["P"][0])
     del P[-1]
     for row in P:
         del row[-1]
-    st["P"] = packed(np.array(P)).tolist()
+    st["P"] = [packed(np.array(P)).tolist()]
+    st["U"] = [np.reshape(st["U"][0], (-1, cols))[:, :-1].ravel().tolist()]
+
+
+def _two_stacked_rows(block):
+    # a stacked block of two rows, each row's state doubled
+    for value in block.values():
+        if isinstance(value, list):
+            value.append(value[0])
 
 
 def _narrower_grid(model):
@@ -238,14 +248,14 @@ def _narrower_grid(model):
 
 @pytest.mark.parametrize("weighted,learner,tamper", [
     (True, "adaptive", lambda p: p["combiner"]["c"].append(0.0)),
-    (False, "rls", lambda p: p["model"].update(n_nodes=3)),
+    (False, "rls", lambda p: _two_stacked_rows(p["model"]["learner_state"])),
     (False, "rls", lambda p: _shrink_stacked(p["model"])),
-    (False, "rls", lambda p: _drop_last(p["model"]["stacked_state"]["P"])),
-    (True, "rls", lambda p: _drop_last(p["model"]["learner_states"][1]["P"])),
-    (True, "adaptive", lambda p: _drop_last(p["model"]["learner_states"])),
-    (True, "adaptive", lambda p: p["model"]["learner_states"].append(
-        p["model"]["learner_states"][0])),
-    (True, "kwh", lambda p: _drop_last(p["model"]["learner_states"][0]["w"])),
+    (False, "rls", lambda p: _drop_last(p["model"]["learner_state"]["P"][0])),
+    (True, "rls", lambda p: _drop_last(p["model"]["learner_state"]["P"][1])),
+    (True, "adaptive", lambda p: _drop_last(p["model"]["learner_state"]["w"])),
+    (True, "adaptive", lambda p: p["model"]["learner_state"]["w"].append(
+        p["model"]["learner_state"]["w"][0])),
+    (True, "kwh", lambda p: _drop_last(p["model"]["learner_state"]["w"][0])),
     (False, "kwh", lambda p: _narrower_grid(p["model"])),
     (False, "kwh", lambda p: p["scale"].append(1.0)),
     # the saved knots of the narrower grid match its four numbers, so
@@ -309,8 +319,25 @@ def test_gaussian_center_that_is_not_finite_is_corrupt(tmp_path, capsys):
 ])
 def test_packed_covariance_of_the_wrong_length_or_not_finite_is_corrupt(tmp_path, tamper):
     path = _tampered_snapshot(tmp_path, False, "rls",
-                              lambda p: tamper(p["model"]["stacked_state"]["P"]))
+                              lambda p: tamper(p["model"]["learner_state"]["P"][0]))
     with pytest.raises(CorruptSnapshot, match="covariance must"):
+        snapshot_load(path)
+
+
+@pytest.mark.parametrize("weighted,tamper", [
+    pytest.param(False, lambda b: b.update(pending=FOLD_RANK), id="count-at-fold-rank"),
+    pytest.param(False, lambda b: b.update(pending=-1), id="count-negative"),
+    pytest.param(False, lambda b: b.update(pending=b["pending"] + 1), id="count-above-the-gains"),
+    pytest.param(False, lambda b: _drop_last(b["U"][0]), id="gains-one-number-short"),
+    pytest.param(True, lambda b: _drop_last(b["U"]), id="gains-of-one-row-fewer"),
+    pytest.param(False, lambda b: b["U"][0].__setitem__(0, [0.0]), id="gain-not-a-number"),
+])
+def test_pending_gains_of_another_count_or_shape_are_corrupt(tmp_path, weighted, tamper):
+    # a live learner folds at FOLD_RANK pending gains, and each row holds
+    # the count's gains of one row's width
+    path = _tampered_snapshot(tmp_path, weighted, "rls",
+                              lambda p: tamper(p["model"]["learner_state"]))
+    with pytest.raises(CorruptSnapshot, match="pending gain"):
         snapshot_load(path)
 
 
@@ -330,17 +357,17 @@ NAN, INF = float("nan"), float("inf")
     # NaN weights, a NaN c and an infinite lam would make the first step
     # raise NumericalDivergence, an infinite r would freeze its row, and
     # no step makes r negative
-    pytest.param(False, "rls", lambda p: _set(p["model"]["stacked_state"]["w"], 0, NAN),
+    pytest.param(False, "rls", lambda p: _set(p["model"]["learner_state"]["w"][0], 0, NAN),
                  id="rls-w-nan"),
-    pytest.param(True, "adaptive", lambda p: _set(p["model"]["learner_states"][1]["w"], 2, NAN),
+    pytest.param(True, "adaptive", lambda p: _set(p["model"]["learner_state"]["w"][1], 2, NAN),
                  id="adaptive-w-nan"),
     pytest.param(True, "adaptive", lambda p: _set(p["combiner"]["c"], 0, NAN),
                  id="combiner-c-nan"),
     pytest.param(True, "adaptive", lambda p: _set(p["combiner"], "lam", INF),
                  id="combiner-lam-inf"),
-    pytest.param(True, "adaptive", lambda p: _set(p["model"]["learner_states"][0], "r", INF),
+    pytest.param(True, "adaptive", lambda p: _set(p["model"]["learner_state"]["r"], 0, INF),
                  id="adaptive-r-inf"),
-    pytest.param(True, "adaptive", lambda p: _set(p["model"]["learner_states"][0], "r", -1.0),
+    pytest.param(True, "adaptive", lambda p: _set(p["model"]["learner_state"]["r"], 0, -1.0),
                  id="adaptive-r-negative"),
     # an infinite RLS prior is the covariance of every node the pool
     # grows, whose first step then raises NumericalDivergence
@@ -385,7 +412,7 @@ def _assert_rejected_with_the_remedy(path, capsys, version):
         assert main([*command, "--snapshot", str(path)]) == 9
         captured = capsys.readouterr()
         assert "integrity: ok" not in captured.out
-        assert "re-run `anarx snapshot save` to write version 5" in captured.err
+        assert "re-run `anarx snapshot save` to write version 6" in captured.err
 
 
 def _checksum(payload):
@@ -425,18 +452,31 @@ def test_version_1_raises_version_mismatch(tmp_path, capsys, evolution):
 REFERENCE = Path(__file__).resolve().parent / "reference"
 
 
+# the runs of the committed files: 150 steps into
+# synthetic_load_series(n=400, seed=7), stacked RLS at n = 2, h = 4,
+# alpha = 0.99, and weighted independent adaptive at n = 3, h = 5,
+# alpha = 0.9 with evolution "auto"
+SAVED_RUNS = {
+    "stacked_rls": RunConfig(n_nodes=2, h=4, train_len=300, test_len=100, learner="rls",
+                             alpha=0.99),
+    "weighted_adaptive": RunConfig(n_nodes=3, h=5, train_len=300, test_len=100,
+                                   learner="adaptive", alpha=0.9, weighted=True,
+                                   training="independent", evolution="auto"),
+}
+
+
 @pytest.mark.parametrize("version,name", [
     *[(version, name) for version in (1, 2, 3) for name in ("stacked_rls", "weighted_adaptive")],
     (4, "weighted_adaptive"),
+    (5, "stacked_rls"),
 ])
-def test_version_before_5_exits_9_with_the_remedy(tmp_path, capsys, version, name):
+def test_version_before_6_exits_9_with_the_remedy(tmp_path, capsys, version, name):
     # the committed version-3 files were written by the version-3
-    # snapshot_save (commit 7bd67c5) 150 steps into
-    # synthetic_load_series(n=400, seed=7): stacked RLS at n = 2, h = 4,
-    # alpha = 0.99, and weighted independent adaptive at n = 3, h = 5,
-    # alpha = 0.9 with evolution "auto"; relabelled, they stand for
-    # versions 1 and 2. The version-4 file is the weighted adaptive run
-    # again, written by the version-4 snapshot_save (commit e69350b).
+    # snapshot_save (commit 7bd67c5) on the runs of SAVED_RUNS;
+    # relabelled, they stand for versions 1 and 2. The version-4 file is
+    # the weighted adaptive run again, written by the version-4
+    # snapshot_save (commit e69350b), and the version-5 file the stacked
+    # RLS run, written by the version-5 snapshot_save (commit 2064277).
     path = tmp_path / "model.json"
     path.write_bytes((REFERENCE / f"snapshot_v{max(version, 3)}_{name}.json").read_bytes())
     if version < 3:
@@ -444,39 +484,72 @@ def test_version_before_5_exits_9_with_the_remedy(tmp_path, capsys, version, nam
     _assert_rejected_with_the_remedy(path, capsys, version)
 
 
-def test_version_4_payload_rebuilds_as_version_5(tmp_path):
-    # the migration the README gives: a version-4 payload is the version-5
-    # one with the meta and each learner row's settings, which
-    # from_state does not read; rewritten, it continues as the run that
-    # saved it
-    doc = json.loads((REFERENCE / "snapshot_v4_weighted_adaptive.json").read_bytes())
-    path = tmp_path / "model.json"
-    snapshot_save(OnlineForecaster.from_state(doc["payload"]), path)
-    migrated = snapshot_load(path)
-    series = synthetic_load_series(n=400, seed=7)
-    cfg = RunConfig(n_nodes=3, h=5, train_len=300, test_len=100, learner="adaptive", alpha=0.9,
-                    weighted=True, training="independent", evolution="auto")
-    _, fc = build_forecaster(series, cfg)
-    values = series.values.tolist()
+def _migration():
+    """``scripts/migrate_snapshot.py`` as a module."""
+    spec = importlib.util.spec_from_file_location(
+        "migrate_snapshot", REFERENCE.parent.parent / "scripts" / "migrate_snapshot.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("version,name", [(4, "weighted_adaptive"), (5, "stacked_rls")])
+def test_version_4_and_5_files_convert_and_continue_as_their_runs(tmp_path, version, name):
+    # the conversion of scripts/migrate_snapshot.py: the rows become the
+    # block and the node count goes; the converted file continues as the
+    # run that saved the old one did after that save, and that save
+    # folded the pending RLS gains
+    old, new = REFERENCE / f"snapshot_v{version}_{name}.json", tmp_path / "model.json"
+    assert _migration().main([str(old), str(new)]) == 0
+    migrated = snapshot_load(new)
+    _, fc = build_forecaster(PROPERTY_SERIES, SAVED_RUNS[name])
+    values = PROPERTY_SERIES.values.tolist()
     for v in values[:150]:
         fc.step(v)
+    if name == "stacked_rls":
+        assert fc.model.learner.pending > 0
+        fc.model.learner._fold_pending()
     assert migrated.state_dict() == fc.state_dict()
     assert _step_with_n(migrated, values[150:]) == _step_with_n(fc, values[150:])
 
 
-def test_model_state_holds_one_grid_and_each_weight_once(tmp_path):
-    fc = trained_forecaster(weighted=True)
+def test_conversion_takes_only_a_checked_file_of_version_4_or_5(tmp_path, capsys):
+    migration = _migration()
+    data = (REFERENCE / "snapshot_v5_stacked_rls.json").read_bytes()
+    for bad in (data.replace(b'"version":5', b'"version":3'), data.replace(b"0.99", b"0.98", 1)):
+        with pytest.raises(ValueError):
+            migration.migrate(bad)
+    (tmp_path / "old.json").write_bytes(data[:-1])
+    assert migration.main([str(tmp_path / "old.json"), str(tmp_path / "new.json")]) == 1
+    assert "checksum mismatch" in capsys.readouterr().err
+    assert not (tmp_path / "new.json").exists()
+
+
+@pytest.mark.parametrize("weighted,learner", [(True, "adaptive"), (False, "rls")])
+def test_model_state_holds_one_grid_and_each_weight_once(tmp_path, weighted, learner):
+    fc = trained_forecaster(weighted=weighted, learner=learner)
     path = tmp_path / "model.json"
     snapshot_save(fc, path)
     model = json.loads(path.read_text())["payload"]["model"]
-    # the learner states are the only copy of the weights
+    # the learner's block, under one key in both wirings, is the only
+    # copy of the weights, and its shape the only record of the pool size
     assert sorted(model) == sorted([
-        "training", "learner", "alpha", "p0", "node_kind", "grid", "n_nodes", "delay_y",
-        "delay_capacity", "learner_states",
+        "training", "learner", "alpha", "p0", "node_kind", "grid", "delay_y",
+        "delay_capacity", "learner_state",
     ])
-    assert [len(ls["w"]) for ls in model["learner_states"]] == [4, 4]
-    # a row holds its numbers only; the model states the settings once
-    assert [sorted(ls) for ls in model["learner_states"]] == [["r", "w"]] * 2
+    # the block holds its numbers only; the model states the settings once
+    state = model["learner_state"]
+    if learner == "adaptive":
+        # two independent rows of 4 weights, and their two gains
+        assert sorted(state) == ["r", "w"]
+        assert [len(w) for w in state["w"]] == [4, 4] and len(state["r"]) == 2
+    else:
+        # one stacked row of 8 weights, its covariance as a packed
+        # triangle, and the gains pending after 249 learned steps
+        pending = 249 % FOLD_RANK
+        assert sorted(state) == ["P", "U", "pending", "w"] and state["pending"] == pending
+        assert [[len(row) for row in state[key]] for key in ("w", "P", "U")] == [
+            [8], [8 * 9 // 2], [8 * pending]]
 
 
 def test_failed_save_keeps_previous_file(tmp_path):
@@ -519,26 +592,24 @@ def test_save_writes_only_a_file_a_load_reads_property(tmp_path, weighted, scale
     # 1e154 a step's fsum can overflow after the learner moved, at 1e300
     # a step can return a finite value and leave NaN combiner weights.
     # After every step, returned or raised, a save either refuses the
-    # state and leaves no file, or writes one whose load steps the next
-    # value as the live forecaster does (the next save folds the live
-    # pool's pending RLS gains, so each load is compared once).
+    # state and leaves no file, or writes one whose load steps every
+    # later value as the live forecaster does.
     model = build_anarx(2, 8, 0.0, 2 * scale, learner=learner,
                         training="independent" if weighted else "stacked",
                         alpha=0.9 if learner == "adaptive" else 1.0)
     fc = OnlineForecaster(model, CombinerState(2) if weighted else None)
     path = tmp_path / "model.json"
     path.unlink(missing_ok=True)
-    twin = None
+    twins = []
     for value in np.random.default_rng(seed).uniform(0, 2 * scale, 30).tolist():
         want = _outcome(fc, value)
-        assert twin is None or _outcome(twin, value) == want
-        twin = None
+        assert [_outcome(twin, value) for twin in twins] == [want] * len(twins)
         try:
             snapshot_save(fc, path)
         except NumericalDivergence:
             assert list(tmp_path.iterdir()) == []
             continue
-        twin = snapshot_load(path)
+        twins.append(snapshot_load(path))
         path.unlink()
 
 
@@ -640,7 +711,7 @@ def _window_as_string(evolution):
     pytest.param(lambda p: _set(p["model"], "delay_y", "12"), id="delay_y"),
     pytest.param(lambda p: _window_as_string(p["evolution"]), id="err_window"),
     pytest.param(lambda p: _set(p["combiner"], "lam", "0"), id="lam"),
-    pytest.param(lambda p: _set(p["model"]["learner_states"][0], "r", "0"), id="r"),
+    pytest.param(lambda p: _set(p["model"]["learner_state"]["r"], 0, "0"), id="r"),
     pytest.param(lambda p: _set(p["evolution"], "long_run_sq", "0"), id="long_run_sq"),
     pytest.param(lambda p: _set(p["scale"], 0, "0"), id="scale"),
 ])
@@ -796,14 +867,14 @@ def test_file_is_the_header_the_payload_bytes_and_a_newline(tmp_path):
     snapshot_save(trained_forecaster(learner="rls"), path)
     data = path.read_bytes()
     doc = json.loads(data)
-    head = b'{"format":"anarx-snapshot","version":5,"sha256":"%s","payload":' % (
+    head = b'{"format":"anarx-snapshot","version":6,"sha256":"%s","payload":' % (
         doc["sha256"].encode())
     assert data.startswith(head) and data.endswith(b"}\n")
     body = data[len(head):-2]
     assert hashlib.sha256(body).hexdigest() == doc["sha256"]
     assert body == json.dumps(doc["payload"], sort_keys=True, separators=(",", ":")).encode()
     # P of the 8 weights is stored as its upper triangle, each entry once
-    assert len(doc["payload"]["model"]["stacked_state"]["P"]) == 8 * 9 // 2
+    assert [len(P) for P in doc["payload"]["model"]["learner_state"]["P"]] == [8 * 9 // 2]
 
 
 def _flip_a_payload_digit(data: bytes) -> bytes:
@@ -882,6 +953,33 @@ def test_round_trip_property(tmp_path, learner, pairing, n_nodes, steps):
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pairing=st.sampled_from(PAIRINGS), alpha=st.floats(0.9, 1.0), n_nodes=st.integers(1, 4),
+       h=st.integers(2, 12),
+       touches=st.dictionaries(st.integers(0, 119), st.sampled_from(["read", "copy", "reload"])))
+def test_a_save_moves_nothing_property(tmp_path, pairing, alpha, n_nodes, h, touches):
+    # At drawn steps of an RLS run the forecaster's state is read, the
+    # forecaster is deep-copied, or it is saved and replaced by its load.
+    # None of it moves a bit: it predicts as a twin that was never
+    # touched, pending RLS gains and all.
+    training, weighted = pairing
+    cfg = RunConfig(n_nodes=n_nodes, h=h, train_len=300, test_len=100, learner="rls",
+                    alpha=alpha, training=training, weighted=weighted)
+    fc, twin = (build_forecaster(PROPERTY_SERIES, cfg)[1] for _ in range(2))
+    path = tmp_path / "model.json"
+    for k, value in enumerate(PROPERTY_SERIES.values.tolist()[:120]):
+        touch = touches.get(k)
+        if touch == "read":
+            fc.state_dict()
+        elif touch == "copy":
+            copy.deepcopy(fc)
+        elif touch == "reload":
+            snapshot_save(fc, path)
+            fc = snapshot_load(path)
+        assert _outcome(fc, value) == _outcome(twin, value)
+    assert fc.state_dict() == twin.state_dict()
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(node_kind=st.sampled_from(["neo_fuzzy", "wang_mendel"]),
        learner=st.sampled_from(["rls", "kwh", "adaptive"]), pairing=st.sampled_from(PAIRINGS),
        learn=st.booleans(), steps=st.integers(0, 40), data=st.data())
@@ -890,8 +988,7 @@ def test_rejected_value_moves_no_state_property(tmp_path, node_kind, learner, pa
     # a step that raises a typed error moves no state: the forecaster
     # saves the same bytes, and goes on as a twin that never saw the
     # value. Every Wang-Mendel rule underflows at +-1e9; a neo-fuzzy grid
-    # clamps it. Both are saved at the same step, since a save folds
-    # pending RLS gains.
+    # clamps it.
     training, weighted = pairing
     bad = [NAN, INF, -INF] + ([1e9, -1e9] if node_kind == "wang_mendel" else [])
     value = data.draw(st.sampled_from(bad), label="value")
