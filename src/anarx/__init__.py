@@ -1,9 +1,11 @@
 """Online forecasting of non-stationary nonlinear series.
 
-An additive pool of per-lag fuzzy nodes (B-spline or Gaussian
-memberships), tuned sample by sample with recursive linear-in-parameter
-learners, optionally combined by a convexity-constrained adaptive
-ensemble. Ships a benchmarking CLI (``anarx``).
+An additive pool of per-lag neo-fuzzy nodes on one B-spline grid,
+tuned sample by sample with recursive linear-in-parameter learners,
+optionally combined by a convexity-constrained adaptive ensemble. Ships
+a benchmarking CLI (``anarx``). The standalone node classes of
+:mod:`anarx.nodes`, Wang-Mendel on Gaussian grids included, are a dense
+reference; no pool is built of them.
 """
 
 from .combiner import CombinerState

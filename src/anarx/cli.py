@@ -132,7 +132,7 @@ def _cmd_snapshot_save(args) -> None:
 def _cmd_snapshot_show(args) -> None:
     forecaster = snapshot_load(args.snapshot)
     model = forecaster.model
-    print(f"nodes: {model.n} ({model.node.kind})")
+    print(f"nodes: {model.n} (neo_fuzzy)")
     print(f"training: {model.training}, learner: {model.learner.kind}, alpha: {model.alpha}")
     print(f"weighted: {forecaster.combiner is not None}")
     if forecaster.combiner is not None:

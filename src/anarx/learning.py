@@ -46,7 +46,8 @@ keeps the overlapping block and gives new coordinates zero weight and
 fresh state. ``state_dict()`` and ``load_state(state)`` save and restore
 the whole block's numbers, not the learner's settings, each as a list
 of rows. A save moves no state, and a loaded learner continues bit for
-bit as the saved one.
+bit as the saved one. The static ``check_state(state, shape)`` checks
+the lengths of a saved block's rows before a learner is built for it.
 
 * :class:`RlsLearner` - exponentially weighted recursive least squares.
 * :class:`KwhLearner` - normalized one-step projection; the a-posteriori
@@ -73,14 +74,24 @@ def packed(P: np.ndarray) -> np.ndarray:
     return P[(..., *np.triu_indices(P.shape[-1]))]
 
 
+def _check_rows(rows, what: str, shape: tuple) -> None:
+    """Raise unless the saved list of rows ``rows`` is ``shape[0]`` lists
+    of ``shape[1]`` items: CorruptSnapshot (:func:`read_floats`) if a row
+    is not a list of numbers, DimensionMismatch otherwise. The rows are
+    read only when their lengths differ, so a saved block is checked
+    against a shape before anything of that shape is built."""
+    if len(rows) != shape[0] or any(type(row) is not list or len(row) != shape[1] for row in rows):
+        for i, row in enumerate(rows):
+            read_floats(row, f"row {i} {what}")
+        raise DimensionMismatch(f"{what} must be {shape[0]} rows of {shape[1]} numbers")
+
+
 def _read_block(rows, what: str, shape: tuple) -> np.ndarray:
     """The saved list of rows ``rows`` as an array of ``shape``, each row
-    read by :func:`read_floats`. Raises DimensionMismatch for another
-    shape."""
-    block = [read_floats(row, f"row {i} {what}") for i, row in enumerate(rows)]
-    if len(block) != shape[0] or any(len(row) != shape[1] for row in block):
-        raise DimensionMismatch(f"{what} must be {shape[0]} rows of {shape[1]} numbers")
-    return np.array(block)
+    read by :func:`read_floats`. Raises as :func:`_check_rows` for
+    another shape."""
+    _check_rows(rows, what, shape)
+    return np.array([read_floats(row, f"row {i} {what}") for i, row in enumerate(rows)])
 
 
 def _resized(old: np.ndarray, new: np.ndarray) -> np.ndarray:
@@ -149,6 +160,14 @@ class _RowBlock:
 
     def state_dict(self) -> dict:
         return {"w": self.w.tolist()}
+
+    @staticmethod
+    def check_state(state: dict, shape: tuple) -> None:
+        """Raise unless the rows of the saved block ``state`` have the
+        lengths that a learner of this kind and ``shape`` saves. Only
+        lengths are compared, so the model calls it before it builds the
+        learner. A projection learner saves its weights, whose shape the
+        model checks, and at most one gain per row: nothing to check."""
 
     def load_state(self, state: dict) -> None:
         """Restore the block from :meth:`state_dict` output of a learner
@@ -439,14 +458,29 @@ class RlsLearner(_RowBlock):
         return {**super().state_dict(), "P": packed(self.P).tolist(),
                 "U": self.U[:, :j].reshape(len(self.w), -1).tolist(), "pending": j}
 
-    def load_state(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output: each saved triangle goes into
-        both triangles of its row's ``P``, and the pending gains beside
-        it. A count at or above ``FOLD_RANK`` is corrupt."""
-        rows, cols = self.w.shape
+    @staticmethod
+    def check_state(state: dict, shape: tuple) -> int:
+        """The pending gain count of the saved block ``state`` of a (rows,
+        cols) learner. Raises CorruptSnapshot for a count at or above
+        ``FOLD_RANK``, and as :func:`_check_rows` unless the packed ``P``
+        and the gains ``U`` are rows of the lengths that shape saves. The
+        model calls it before it builds the learner, whose block ``A`` is
+        quadratic in cols, so a forged weight width beside a short ``P``
+        allocates nothing."""
+        rows, cols = shape
         j = read_count(state["pending"], "pending gain count", 0)
         if j >= FOLD_RANK:
             raise CorruptSnapshot(f"pending gain count {j} is not below {FOLD_RANK}")
+        _check_rows(state["P"], "covariance", (rows, cols * (cols + 1) // 2))
+        _check_rows(state["U"], "pending gains", (rows, j * cols))
+        return j
+
+    def load_state(self, state: dict) -> None:
+        """Restore :meth:`state_dict` output: each saved triangle goes into
+        both triangles of its row's ``P``, and the pending gains beside
+        it. A state that :meth:`check_state` rejects raises."""
+        rows, cols = self.w.shape
+        j = self.check_state(state, self.w.shape)
         upper = np.triu_indices(cols)
         P = _read_block(state["P"], "covariance", (rows, len(upper[0])))
         U = _read_block(state["U"], "pending gains", (rows, j * cols))
@@ -515,11 +549,16 @@ class AdaptiveLearner(_Projection):
 LEARNERS = {cls.kind: cls for cls in (RlsLearner, KwhLearner, AdaptiveLearner)}
 
 
+def learner_class(kind: str) -> type:
+    """The learner class of ``kind``; ValueError for an unknown kind."""
+    if kind not in LEARNERS:
+        raise ValueError(f"unknown learner kind {kind!r}")
+    return LEARNERS[kind]
+
+
 def make_learner(kind: str, weights, alpha: float = 1.0, p0: float = 1e4):
     """Build a learner over the (rows, cols) block ``weights``, which
     every step updates in place; each kind takes the settings it uses."""
-    if kind not in LEARNERS:
-        raise ValueError(f"unknown learner kind {kind!r}")
-    cls = LEARNERS[kind]
+    cls = learner_class(kind)
     given = {"alpha": alpha, "p0": p0}
     return cls(weights, **{name: given[name] for name in cls.params})

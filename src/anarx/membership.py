@@ -1,10 +1,11 @@
 """Membership-function grids and fuzzification of scalar inputs.
 
 Two grid families are provided: B-spline bases on a clamped knot vector
-(compact support, unity partition) and Gaussian bells (infinite support,
-no gaps). A grid is immutable after construction and evaluation writes
-nothing but its result, so grids can be shared freely across nodes and
-threads.
+(compact support, unity partition), the grid of every model pool, and
+Gaussian bells (infinite support, no gaps), which only the standalone
+reference nodes of :mod:`anarx.nodes` use and no snapshot saves. A grid
+is immutable after construction and evaluation writes nothing but its
+result, so grids can be shared freely across nodes and threads.
 """
 
 from __future__ import annotations
@@ -107,13 +108,6 @@ class GaussianGrid:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"GaussianGrid(h={self.h})"
-
-    def to_dict(self) -> dict:
-        return {"centers": self.centers.tolist(), "widths": self.widths.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GaussianGrid":
-        return cls(read_floats(d["centers"], "centers"), read_floats(d["widths"], "widths"))
 
 
 def build_gaussian_grid(lo: float, hi: float, h: int) -> GaussianGrid:

@@ -23,15 +23,21 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import membership
 from .errors import CorruptSnapshot, ParseError, check_fields, read_count, read_float, read_floats
-from .learning import make_learner
+from .learning import learner_class, make_learner
+from .membership import KnotGrid
 from .numerics import support_dot
-from .membership import GaussianGrid, KnotGrid, build_gaussian_grid
-from .nodes import NeoFuzzyNode, WangMendelNode
 
 
 # the ring entry of a lag not seen yet
 _UNSEEN = (0, ())
+
+# The paper's neo-fuzzy node has a synapse per input, y and x, each an
+# h-wide weight vector. With the lagged value fed to both, only the sum
+# of the two can be identified, so a node fits that sum as its one row
+# of weights; the paper's count of them is SYNAPSES per node.
+SYNAPSES = 2
 
 
 def _invalid_policy(key: str, message: str):
@@ -71,23 +77,22 @@ class EvolutionPolicy:
 
 
 class AnarxModel:
-    """Ordered pool of ``n`` per-lag nodes on one grid, with online learning.
+    """Ordered pool of ``n`` per-lag neo-fuzzy nodes on one B-spline
+    ``grid``, with online learning.
 
-    The grid's type sets the node kind (:data:`_NODE_TYPES`); ``node`` is
-    one node on the grid, which fuzzifies values and gives the kind, the
-    width ``dim`` and the paper's ``synapses``. Every observed value is
-    fuzzified once, before any state moves, into a ring of supports
-    (entry ``l - 1`` holds the support of the value seen ``l`` steps
-    ago, ``(0, ())`` before it is seen) kept beside the delay line
-    ``delay_y``, the values themselves, newest first. A value that is
-    not finite raises ParseError, and one no node can fuzzify
-    DegenerateActivation, from the step that receives it, and it enters
-    neither. The ring's length is the delay capacity: it
-    grows with the pool and never shrinks, and ``delay_y`` is no longer
-    than it.
+    A node is its row of ``grid.h`` weights; there is no node object.
+    Every observed value is fuzzified once, by
+    :func:`~anarx.membership.eval_bspline` before any state moves, into
+    a ring of supports (entry ``l - 1`` holds the support of the value
+    seen ``l`` steps ago, ``(0, ())`` before it is seen) kept beside the
+    delay line ``delay_y``, the values themselves, newest first. A value
+    that is not finite raises ParseError from the step that receives
+    it, and it enters neither. The ring's length is the delay capacity:
+    it grows with the pool and never shrinks, and ``delay_y`` is no
+    longer than it.
 
     The one ``learner``'s weight block, shaped by :meth:`_learner_shape`,
-    is the only copy of the pool's weights; ``W`` is its (n x dim) view,
+    is the only copy of the pool's weights; ``W`` is its (n x h) view,
     row ``l`` the weights of the node at lag ``l + 1``. That node
     forecasts the sum of its fired weights times the support of its lag
     (see :mod:`anarx.numerics`), and a learner row takes its nodes'
@@ -96,7 +101,7 @@ class AnarxModel:
 
     def __init__(
         self,
-        grid,
+        grid: KnotGrid,
         n_nodes: int,
         *,
         training: str = "stacked",
@@ -104,32 +109,31 @@ class AnarxModel:
         alpha: float = 1.0,
         p0: float = 1e4,
     ) -> None:
-        if type(grid) not in _NODE_TYPES:
-            raise ValueError(f"no node kind is built on a {type(grid).__name__}")
+        if type(grid) is not KnotGrid:
+            raise ValueError(f"a pool is built on a KnotGrid, not a {type(grid).__name__}")
         if n_nodes < 1:
             raise ValueError(f"n_nodes must be positive, got {n_nodes}")
         if training not in ("stacked", "independent"):
             raise ValueError(
                 f"training must be 'stacked' or 'independent', got {training!r}"
             )
-        self.node = _NODE_TYPES[type(grid)](grid)
-        # the node width, read once: the step reads it every time
-        self._dim = self.node.dim
+        self.grid = grid
+        # the grid width, read once: the step reads it every time
+        self._h = grid.h
         self.n = n_nodes
         self.training = training
         self.alpha = float(alpha)
         self.p0 = float(p0)
         self.delay_y: list = []
         self._ring = [_UNSEEN] * n_nodes
-        # A node fits the sum of its ``synapses`` tied weight vectors (see
-        # NeoFuzzyNode). Each has the prior p0 * I, so the sum has
-        # synapses * p0 * I; RLS on the sum then matches RLS on the tied
-        # vectors.
+        # A node fits the sum of its SYNAPSES tied weight vectors. Each has
+        # the prior p0 * I, so the sum has SYNAPSES * p0 * I; RLS on the sum
+        # then matches RLS on the tied vectors.
         self.learner = make_learner(
             learner,
             np.zeros(self._learner_shape()),
             alpha=self.alpha,
-            p0=self.node.synapses * self.p0,
+            p0=SYNAPSES * self.p0,
         )
 
     # -- structure ---------------------------------------------------
@@ -142,7 +146,7 @@ class AnarxModel:
     def _learner_shape(self) -> tuple:
         """(rows, cols) of the learner's weight block: one row over all
         node weights in stacked training, one row per node in independent."""
-        h = self._dim
+        h = self._h
         return (1, self.n * h) if self.training == "stacked" else (self.n, h)
 
     def add_node(self) -> None:
@@ -182,10 +186,10 @@ class AnarxModel:
 
     def node_forecasts(self) -> list:
         """Every node's output at its lag; zero where the lag is unseen."""
-        # node l's support sum is node.forward of the lag's value with
-        # W[l], bit for bit; an unseen lag's support is empty and sums to
-        # zero. The learner's flat view holds W row after row.
-        w, h = self.learner._flat, self._dim
+        # node l's support sum is NeoFuzzyNode.forward of the lag's value
+        # with W[l], bit for bit; an unseen lag's support is empty and sums
+        # to zero. The learner's flat view holds W row after row.
+        w, h = self.learner._flat, self._h
         out = []
         offset = 0
         for start, values in self._ring[: self.n]:
@@ -215,10 +219,10 @@ class AnarxModel:
 
     def _fuzzify(self, y: float) -> tuple:
         """``y``'s support. A value that is not finite raises ParseError,
-        before anything moves: the clamps of the grids pass NaN through."""
+        before anything moves: the grid's clamp passes NaN through."""
         if not math.isfinite(y):
             raise ParseError(f"value {y!r} is not finite")
-        return self.node.fuzzify(y)
+        return membership.eval_bspline(self.grid, y)
 
     # -- training --------------------------------------------------------
 
@@ -226,8 +230,7 @@ class AnarxModel:
         """One online step: fuzzify y_new, update the weights towards it,
         then shift the delay line. The step's prediction is
         :meth:`forward` before it. A y_new that is not finite raises
-        ParseError, and one no node can fuzzify DegenerateActivation,
-        before any weight or lag moves.
+        ParseError before any weight or lag moves.
 
         Returns (node index, reason) for each node whose update failed or
         was deferred: ``"lag not observed yet"``, or the learner error as
@@ -270,14 +273,15 @@ class AnarxModel:
     # -- bookkeeping -----------------------------------------------------
 
     def parameter_count(self) -> int:
-        """Weights in the paper's convention: ``synapses`` h-wide vectors
-        per node. The fitted weights are ``W.size``."""
-        return self.node.synapses * self.W.size
+        """Weights in the paper's convention: SYNAPSES h-wide vectors per
+        node. The fitted weights are ``W.size``."""
+        return SYNAPSES * self.W.size
 
     def state_dict(self) -> dict:
         """The model's state, each value once: the training wiring, the
-        learner kind and its settings ``alpha`` and ``p0``, the grid of
-        the pool, the delay values and capacity, and the learner's block
+        learner kind and its settings ``alpha`` and ``p0``, the node kind
+        (always ``"neo_fuzzy"``) and the grid of the pool, the delay values
+        and capacity, and the learner's block
         (``learner.state_dict()``), which holds numbers only: the weight
         rows ``w``, whose shape is the pool's, the adaptive learner's gains
         ``r``, and the RLS covariances ``P``, as packed upper triangles,
@@ -287,8 +291,8 @@ class AnarxModel:
             "learner": self.learner.kind,
             "alpha": self.alpha,
             "p0": self.p0,
-            "node_kind": self.node.kind,
-            "grid": self.node.grid.to_dict(),
+            "node_kind": "neo_fuzzy",
+            "grid": self.grid.to_dict(),
             "delay_y": list(self.delay_y),
             "delay_capacity": len(self._ring),
             "learner_state": self.learner.state_dict(),
@@ -308,25 +312,28 @@ class AnarxModel:
         and ``p0``, the one place they are saved, and loads its block.
         The pool size is the block's shape: the width / h of the one
         stacked row, or the row count in independent training. Raises
-        CorruptSnapshot when the weight rows hold no pool of h-wide nodes
-        (checked before the model is built, so rows that fix no pool
-        allocate nothing); when the delay capacity is below the node count or the
-        delay values; when a saved number is not a finite JSON number or
-        a saved count not an integer in range (see :mod:`anarx.errors`);
-        DimensionMismatch when the rest of the block is shaped for
-        another pool; and DegenerateActivation when a delay value cannot
-        be fuzzified.
+        CorruptSnapshot for a node kind other than ``"neo_fuzzy"``; when
+        the weight rows hold no pool of h-wide nodes; when the delay
+        capacity is below the node count or the delay values; when a
+        saved number is not a finite JSON number or a saved count not an
+        integer in range (see :mod:`anarx.errors`); and DimensionMismatch
+        when the rest of the block is shaped for another pool. The pool
+        and the lengths of the learner's saved rows are checked before
+        the model is built (``check_state`` of the learner kind), so a
+        state that fixes no pool, or a forged one whose weight width its
+        other rows do not match, allocates nothing.
         """
-        grids = {node.kind: grid for grid, node in _NODE_TYPES.items()}
-        node_kind = state["node_kind"]
-        if node_kind not in grids:
-            raise CorruptSnapshot(f"unknown node kind {node_kind!r}")
-        grid = grids[node_kind].from_dict(state["grid"])
+        if state["node_kind"] != "neo_fuzzy":
+            raise CorruptSnapshot(f"node kind {state['node_kind']!r} is not neo_fuzzy, "
+                                  "the one kind a pool holds")
+        grid = KnotGrid.from_dict(state["grid"])
         w, h = state["learner_state"]["w"], grid.h
         stacked = state["training"] == "stacked"
         n_nodes = len(w[0]) // h if stacked and w else len(w)
-        if not n_nodes or (len(w), len(w[0])) != ((1, n_nodes * h) if stacked else (n_nodes, h)):
+        shape = (1, n_nodes * h) if stacked else (n_nodes, h)
+        if not n_nodes or (len(w), len(w[0])) != shape:
             raise CorruptSnapshot(f"{len(w)} weight rows hold no pool of {h}-wide nodes")
+        learner_class(state["learner"]).check_state(state["learner_state"], shape)
         model = cls(grid, n_nodes, training=state["training"], learner=state["learner"],
                     alpha=read_float(state["alpha"], "alpha"), p0=read_float(state["p0"], "p0"))
         model.learner.load_state(state["learner_state"])
@@ -340,10 +347,6 @@ class AnarxModel:
         return model
 
 
-# the node kind each grid type builds
-_NODE_TYPES = {KnotGrid: NeoFuzzyNode, GaussianGrid: WangMendelNode}
-
-
 def build_anarx(
     n_nodes: int,
     h: int,
@@ -351,17 +354,12 @@ def build_anarx(
     hi: float,
     *,
     q: int = 2,
-    node_kind: str = "neo_fuzzy",
     training: str = "stacked",
     learner: str = "rls",
     alpha: float = 1.0,
     p0: float = 1e4,
 ) -> AnarxModel:
-    """Build a pool of ``n_nodes`` zero-weight nodes on one grid over [lo, hi]."""
-    if node_kind == "neo_fuzzy":
-        grid = KnotGrid(lo, hi, h, q)
-    elif node_kind == "wang_mendel":
-        grid = build_gaussian_grid(lo, hi, h)
-    else:
-        raise ValueError(f"unknown node kind {node_kind!r}")
-    return AnarxModel(grid, n_nodes, training=training, learner=learner, alpha=alpha, p0=p0)
+    """Build a pool of ``n_nodes`` zero-weight nodes on the grid
+    ``KnotGrid(lo, hi, h, q)``."""
+    return AnarxModel(KnotGrid(lo, hi, h, q), n_nodes, training=training, learner=learner,
+                      alpha=alpha, p0=p0)

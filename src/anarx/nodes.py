@@ -1,4 +1,11 @@
-"""Per-lag fuzzy nodes, each reduced to a linear-in-weights regressor.
+"""Standalone per-lag fuzzy nodes: the dense reference for the model.
+
+The model (:mod:`anarx.model`) holds no node object: its pool is one
+``KnotGrid``, a node count and one learner's weight block. A node here
+is one node on its own, a grid and an h-wide weight vector, that tests
+compare the pool with: the pool's forecast for lag ``l`` is
+:meth:`NeoFuzzyNode.forward` of the lag's value with the pool's row
+``W[l - 1]``, bit for bit.
 
 Both node kinds expose the same calls on the lagged value ``u``:
 ``fuzzify(u)`` returns the support of the fuzzified feature vector,
@@ -8,13 +15,13 @@ dense h-wide vector it stands for, the support scattered into zeros;
 values summed left to right from zero
 (:func:`~anarx.numerics.support_dot`), the sum the model's forecasts
 make. A neo-fuzzy support holds the q fired B-spline values, a
-Wang-Mendel support all h firing strengths. The model keeps one support
-per observed value in its regressor ring. Evaluation is pure given the
-weights; updating the weights of one node never touches another.
+Wang-Mendel support all h firing strengths. No pool is built of
+Wang-Mendel nodes: no config or snapshot can name them. Evaluation is
+pure given the weights.
 
 ``synapses`` is the number of h-wide weight vectors the paper counts per
-node (``AnarxModel.parameter_count``); see :class:`NeoFuzzyNode` for why
-a node fits fewer.
+node (:data:`anarx.model.SYNAPSES` for a neo-fuzzy node, the count the
+model's ``parameter_count`` uses).
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ import numpy as np
 
 from .errors import DegenerateActivation, DimensionMismatch
 from .membership import GaussianGrid, KnotGrid, eval_bspline, eval_gaussian
+from .model import SYNAPSES
 from .numerics import support_dot
 
 
@@ -47,14 +55,12 @@ class NeoFuzzyNode:
     """One nonlinear synapse on a B-spline grid.
 
     The output is piecewise polynomial in the input and exactly linear in
-    the weights. The paper's node has a synapse per input, y and x; with
-    the lagged value fed to both, only the sum of their weight vectors
-    can be identified, so the node fits that sum as its one synapse (a
-    neo-fuzzy neuron has one synapse per input, and each lag is one).
+    the weights. The node fits the sum of the paper's ``synapses`` tied
+    weight vectors as its one synapse (see :data:`anarx.model.SYNAPSES`).
     """
 
     kind = "neo_fuzzy"
-    synapses = 2
+    synapses = SYNAPSES
 
     def __init__(self, grid: KnotGrid, weights=None) -> None:
         self.grid = grid

@@ -3,8 +3,8 @@
 A neo-fuzzy node's B-spline memberships have compact support: a value
 fires only q of a grid's h functions, so the step works on supports. A
 support is ``(start, values)``: the first fired column and the fired
-membership values as Python floats, zero everywhere else. B-spline
-supports hold q values; a Wang-Mendel support holds all h, from column 0.
+membership values as Python floats, zero everywhere else. A B-spline
+support holds q values, and an unseen lag's support ``(0, ())`` none.
 
 There is one summation order. Every sum over one support runs left to
 right from zero on Python floats (:func:`support_dot`): a node forecast,

@@ -187,7 +187,7 @@ def denormalize(values, lo: float, hi: float):
 
 
 _CHOICES = {
-    "node_kind": ("neo_fuzzy", "wang_mendel"),
+    "node_kind": ("neo_fuzzy",),
     "learner": ("rls", "kwh", "adaptive"),
     "training": ("stacked", "independent"),
     "normalization": ("minmax", "none"),
@@ -237,8 +237,7 @@ class RunConfig:
                 _invalid(key, f"must be positive, got {getattr(self, key)}")
         if self.test_len < 0:
             _invalid("test_len", f"must be nonnegative, got {self.test_len}")
-        # q is the B-spline order, which only neo-fuzzy grids use
-        if self.node_kind == "neo_fuzzy" and self.q > self.h:
+        if self.q > self.h:
             _invalid("q", f"spline order {self.q} exceeds h = {self.h}")
         if self.learner == "rls" and not 0.0 < self.alpha <= 1.0:
             _invalid("alpha", f"rls needs alpha in (0, 1], got {self.alpha}")
@@ -411,11 +410,11 @@ class OnlineForecaster:
         prediction in raw units.
 
         A ``y_raw`` that is not finite in model units raises ParseError,
-        a prediction that is not finite in model or raw units, or in a
-        learned step of an evolving forecaster a squared error that
-        would make the long-run sum not finite, NumericalDivergence, and
-        a value no node can fuzzify DegenerateActivation, each before any
-        state moves, so the next value steps as if this one had not come.
+        and a prediction that is not finite in model or raw units, or in
+        a learned step of an evolving forecaster a squared error that
+        would make the long-run sum not finite, NumericalDivergence, each
+        before any state moves, so the next value steps as if this one
+        had not come.
         """
         y = self._to_model_units(y_raw)
         if not math.isfinite(y):
@@ -592,7 +591,6 @@ def build_forecaster(series: SeriesFrame, config: RunConfig) -> tuple:
         grid_lo,
         grid_hi,
         q=config.q,
-        node_kind=config.node_kind,
         training=config.training,
         learner=config.learner,
         alpha=config.alpha,

@@ -163,11 +163,10 @@ def assert_one_weight_block(model):
     one row per node, and the model output is the ``fsum`` of standalone
     nodes on those rows, each fed the value its lag observed."""
     assert np.shares_memory(model.W, model.learner.w)
-    assert model.W.shape == (model.n, model.node.dim)
-    node = type(model.node)
+    assert model.W.shape == (model.n, model.grid.h)
     observed = min(model.n, len(model.delay_y))
     assert model.forward() == math.fsum(
-        node(model.node.grid, model.W[l]).forward(model.delay_y[l]) for l in range(observed))
+        NeoFuzzyNode(model.grid, model.W[l]).forward(model.delay_y[l]) for l in range(observed))
 
 
 def unpacked(triangle) -> list:

@@ -14,8 +14,9 @@ from anarx import (
     KwhLearner,
     NeoFuzzyNode,
     build_anarx,
+    build_gaussian_grid,
 )
-from anarx.errors import CorruptSnapshot, DegenerateActivation, ParseError
+from anarx.errors import CorruptSnapshot, ParseError
 from anarx.numerics import EPS_REG
 from conftest import assert_one_weight_block, fold_rank
 
@@ -36,7 +37,7 @@ def _lag(m, l):
 def _node(m, l):
     """A standalone node on the pool's grid whose weights are the pool's
     row for lag ``l``."""
-    return type(m.node)(m.node.grid, m.W[l - 1])
+    return NeoFuzzyNode(m.grid, m.W[l - 1])
 
 
 class TestDelayLine:
@@ -176,7 +177,7 @@ class TestForward:
         rng = np.random.default_rng(0)
         m = small_model(n=3, h=4)
         for row in m.W:
-            row[:] = rng.normal(size=m.node.dim)
+            row[:] = rng.normal(size=m.grid.h)
         for v in rng.uniform(0, 1, 5):
             m.observe(v)
         assert abs(m.forward() - sum(m.node_forecasts())) <= 1e-12
@@ -189,7 +190,7 @@ class TestTrainStep:
         rng = np.random.default_rng(1)
         series = rng.uniform(0, 1, 60)
         m = small_model(n=1, training="stacked", learner="kwh")
-        ref_node = NeoFuzzyNode(m.node.grid)
+        ref_node = NeoFuzzyNode(m.grid)
         ref = KwhLearner(ref_node.weights[None, :])
         ref_node.weights = ref.w[0]
         prev = None
@@ -218,12 +219,13 @@ class TestTrainStep:
         w_ref = np.zeros(8)
         series = rng.uniform(0, 1, 80)
         hist = []
+        node = NeoFuzzyNode(m.grid)
         for y in series:
             y = float(y)
             # oracle: independently coded single-regression projection
             if len(hist) >= 1:
-                phi1 = m.node.regressor(hist[-1])
-                phi2 = m.node.regressor(hist[-2]) if len(hist) >= 2 else np.zeros(4)
+                phi1 = node.regressor(hist[-1])
+                phi2 = node.regressor(hist[-2]) if len(hist) >= 2 else np.zeros(4)
                 phi = np.concatenate([phi1, phi2])
                 w_ref = w_ref + (y - w_ref @ phi) / (phi @ phi) * phi
             m.train_step(y)
@@ -242,7 +244,7 @@ class TestTrainStep:
         state_before = m.learner.state_dict()
         # step only row 1 (node 2) of the batched learner by hand; row 0
         # gets a zero-innovation regressor, row 2 none
-        assert m.learner.step([[(0, [])], [m.node.fuzzify(0.5)]], 0.9) == []
+        assert m.learner.step([[(0, [])], [NeoFuzzyNode(m.grid).fuzzify(0.5)]], 0.9) == []
         assert np.array_equal(m.W[0], before[0])
         assert np.array_equal(m.W[2], before[2])
         assert not np.array_equal(m.W[1], before[1])
@@ -335,7 +337,7 @@ class TestTrainStep:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        kind=st.sampled_from([("neo_fuzzy", 2), ("neo_fuzzy", 3), ("wang_mendel", 2)]),
+        q=st.sampled_from([2, 3]),
         learner=st.sampled_from(["kwh", "adaptive", "rls"]),
         alpha=st.floats(0.0, 1.0),
         training=st.sampled_from(["stacked", "independent"]),
@@ -345,7 +347,7 @@ class TestTrainStep:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_model_walk_equals_public_step_bit_for_bit(
-        self, kind, learner, alpha, training, n, seen, eps, seed
+        self, q, learner, alpha, training, n, seen, eps, seed
     ):
         # The model walks the learner's rows over its ring; the public
         # step, on the rows built from the same supports (one per row in
@@ -359,9 +361,7 @@ class TestTrainStep:
 
         # RLS forgets by alpha in (0, 1]; a tiny alpha overflows P at a fold
         assume(learner != "rls" or alpha >= 1e-3)
-        node_kind, q = kind
-        m = build_anarx(n, 4, 0.0, 1.0, q=q, node_kind=node_kind, training=training,
-                        learner=learner, alpha=alpha)
+        m = build_anarx(n, 4, 0.0, 1.0, q=q, training=training, learner=learner, alpha=alpha)
         rng = np.random.default_rng(seed)
         m.learner.w[:] = rng.normal(size=m.learner.w.shape)
         for v in rng.uniform(-0.2, 1.2, seen).tolist():
@@ -434,7 +434,7 @@ class TestEvolve:
             old = m.W.copy()
             m.evolve(self.policy(), 0.9, contrib)
             assert m.n == 3
-            assert np.array_equal(m.W[2], np.zeros(m.node.dim))
+            assert np.array_equal(m.W[2], np.zeros(m.grid.h))
             assert m.forward() == pred_before
             assert np.array_equal(m.W[:2], old)
 
@@ -508,7 +508,7 @@ class TestEvolve:
                     assert abs(m.n - n) <= 1
                     if m.n != n:
                         contrib.clear()
-                assert m.learner.w.size == m.n * m.node.dim
+                assert m.learner.w.size == m.n * m.grid.h
                 assert len(m.learner.w) == (m.n if training == "independent" else 1)
                 assert len(m._ring) >= max(m.n, len(m.delay_y))
                 assert np.isfinite(m.forward())
@@ -517,8 +517,8 @@ class TestEvolve:
 def _dense_regressors(m):
     """Each node's h-wide regressor, built from the delay line; zero where
     the lag is unseen."""
-    h = m.node.dim
-    return np.array([np.zeros(h) if _lag(m, l) is None else m.node.regressor(_lag(m, l))
+    h, node = m.grid.h, NeoFuzzyNode(m.grid)
+    return np.array([np.zeros(h) if _lag(m, l) is None else node.regressor(_lag(m, l))
                      for l in range(1, m.n + 1)])
 
 
@@ -591,7 +591,7 @@ class TestArrayPool:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        kind=st.sampled_from([("neo_fuzzy", 2), ("neo_fuzzy", 3), ("wang_mendel", None)]),
+        q=st.sampled_from([2, 3]),
         h=st.sampled_from([3, 9]),
         training=st.sampled_from(["stacked", "independent"]),
         learner=st.sampled_from(["rls", "kwh", "adaptive"]),
@@ -599,16 +599,14 @@ class TestArrayPool:
         ops=st.lists(ops, max_size=40),
     )
     def test_forecasts_equal_node_forward_bit_for_bit(
-        self, kind, h, training, learner, n, ops
+        self, q, h, training, learner, n, ops
     ):
-        # The pool's support sums equal node.forward for every node kind
-        # and order. For q = 2 they, and every weight the learner moves,
-        # also equal the dense form's bits, in both trainings; RLS runs at
-        # rank 1 there, the textbook step the dense form takes.
-        node_kind, q = kind
+        # The pool's support sums equal NeoFuzzyNode.forward for every
+        # order. For q = 2 they, and every weight the learner moves, also
+        # equal the dense form's bits, in both trainings; RLS runs at rank
+        # 1 there, the textbook step the dense form takes.
         with fold_rank(1):
-            self.run_ops(build_anarx(n, h, 0.0, 1.0, q=q or 2, node_kind=node_kind,
-                                     training=training, learner=learner,
+            self.run_ops(build_anarx(n, h, 0.0, 1.0, q=q, training=training, learner=learner,
                                      alpha=0.9 if learner == "adaptive" else 1.0),
                          ops, dense=q == 2)
 
@@ -662,77 +660,60 @@ class TestArrayPool:
         m = small_model(n=3)
         m.train_step(0.4)
         m2 = AnarxModel.from_state(json.loads(json.dumps(m.state_dict())))
-        grid = m2.node.grid
-        assert grid.to_dict() == m.node.grid.to_dict()
+        grid = m2.grid
+        assert grid.to_dict() == m.grid.to_dict()
         assert_one_weight_block(m2)
         m2.add_node()
-        assert m2.node.grid is grid
+        assert m2.grid is grid
         assert_one_weight_block(m2)
 
-    def test_nodes_on_different_grids_rejected(self):
-        # the grid's type sets the node kind; nodes on different grids,
-        # or a grid's dict, are no grid
+    def test_a_pool_is_built_on_a_knot_grid_only(self):
+        # a Gaussian grid is no KnotGrid: the pool holds neo-fuzzy nodes only
         grid = KnotGrid(0.0, 1.0, 3, 2)
-        assert AnarxModel(grid, 2).node.grid is grid
+        assert AnarxModel(grid, 2).grid is grid
+        with pytest.raises(ValueError, match="built on a KnotGrid, not a GaussianGrid"):
+            AnarxModel(build_gaussian_grid(0.0, 1.0, 3), 2)
+
+    def test_nodes_on_different_grids_rejected(self):
+        # nodes on different grids, or a grid's dict, are no grid
+        grid = KnotGrid(0.0, 1.0, 3, 2)
         a = NeoFuzzyNode(grid)
         b = NeoFuzzyNode(KnotGrid(0.0, 2.0, 3, 2))
-        with pytest.raises(ValueError, match="no node kind"):
-            AnarxModel([a, b], 2)
-        with pytest.raises(ValueError, match="no node kind"):
-            AnarxModel(grid.to_dict(), 2)
-
-    @pytest.mark.parametrize("training", ["stacked", "independent"])
-    @pytest.mark.parametrize("learner", ["kwh", "rls", "adaptive"])
-    def test_unfuzzifiable_value_is_rejected_before_any_state_moves(self, learner, training):
-        # 1e9 underflows every Wang-Mendel rule: the learned and the frozen
-        # step that receive it raise and move nothing, and the model goes
-        # on as a twin that never saw it (both state dicts are taken at
-        # the same steps, since taking one folds pending RLS gains)
-        m, twin = (build_anarx(2, 4, 0.0, 1.0, node_kind="wang_mendel", learner=learner,
-                               training=training) for _ in range(2))
-        for y in (0.2, 0.5):
-            m.train_step(y)
-            twin.train_step(y)
-        before = json.dumps(m.state_dict())
-        twin.state_dict()
-        ring = list(m._ring)
-        for bad_step in (m.train_step, m.observe):
-            with pytest.raises(DegenerateActivation, match="underflowed at 1000000000.0"):
-                bad_step(1e9)
-            assert json.dumps(m.state_dict()) == before
-            assert m._ring == ring
-        for y in (0.7, 0.4, 0.9):
-            assert _bits(m.node_forecasts()) == _bits(twin.node_forecasts())
-            assert m.train_step(y) == twin.train_step(y)
-        assert _bits(m.W) == _bits(twin.W)
+        for not_a_grid in ([a, b], grid.to_dict()):
+            with pytest.raises(ValueError, match="built on a KnotGrid, not a"):
+                AnarxModel(not_a_grid, 2)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("training", ["stacked", "independent"])
     @pytest.mark.parametrize("learner", ["adaptive", "kwh", "rls"])
-    def test_value_that_is_not_finite_is_rejected_before_any_state_moves(self, learner, value):
+    def test_value_that_is_not_finite_is_rejected_before_any_state_moves(self, learner, training,
+                                                                         value):
         # the grid's clamps pass NaN through, so without the check the
-        # weights would learn it; the step that receives such a value
-        # raises, and the model goes on as a twin that never saw it
-        m, twin = (build_anarx(2, 4, 0.0, 1.0, learner=learner) for _ in range(2))
+        # weights would learn it; the learned and the frozen step that
+        # receive such a value raise and move nothing, in both trainings,
+        # and the model goes on as a twin that never saw it
+        m, twin = (build_anarx(2, 4, 0.0, 1.0, learner=learner, training=training)
+                   for _ in range(2))
         for y in (0.3, 0.6):
             m.train_step(y)
             twin.train_step(y)
         before = m.state_dict()
         twin.state_dict()
+        ring = list(m._ring)
         for bad_step in (m.train_step, m.observe):
             with pytest.raises(ParseError, match="not finite"):
                 bad_step(value)
             assert m.state_dict() == before
+            assert m._ring == ring
         for y in (0.4, 0.8, 0.1):
             assert _bits(m.node_forecasts()) == _bits(twin.node_forecasts())
             assert m.train_step(y) == twin.train_step(y)
         assert m.state_dict() == twin.state_dict()
 
-    def test_unfuzzifiable_delay_value_fails_the_load(self):
+    def test_loaded_model_fuzzifies_its_delay_line_again(self):
         # a loaded model fuzzifies its delay line again: after growth it
-        # forecasts and learns as the original does, and a delay value no
-        # node can fuzzify, at any lag, fails the rebuild
-        m = build_anarx(2, 4, 0.0, 1.0, node_kind="wang_mendel", learner="kwh",
-                        training="independent")
+        # forecasts and learns as the original does
+        m = build_anarx(2, 4, 0.0, 1.0, learner="kwh", training="independent")
         for y in (0.2, 0.5, 0.7):
             m.train_step(y)
         m.observe(0.9)
@@ -744,8 +725,3 @@ class TestArrayPool:
         m.train_step(0.4)
         loaded.train_step(0.4)
         assert _bits(loaded.W) == _bits(m.W)
-        for lag in range(len(state["delay_y"])):
-            bad = copy.deepcopy(state)
-            bad["delay_y"][lag] = 1e9
-            with pytest.raises(DegenerateActivation, match="underflowed at 1000000000.0"):
-                AnarxModel.from_state(bad)

@@ -497,25 +497,20 @@ class TestRunExperiment:
         test_errs = [abs(s.error) for s in report.steps[150:]]
         assert np.mean(test_errs) > 0.01
 
-    def test_wang_mendel_pipeline(self):
-        series = SeriesFrame(np.sin(np.arange(300) / 5.0) * 2.0 + 10.0)
-        cfg = RunConfig(n_nodes=2, h=5, train_len=220, test_len=80,
-                        node_kind="wang_mendel", learner="rls", alpha=1.0)
-        report = run_experiment(series, cfg)
-        assert report.rmse_test < 0.05
-        assert report.parameter_count == 5 * 2
+    def test_wang_mendel_config_is_rejected_naming_the_key(self, tmp_path, capsys):
+        # a pool is neo-fuzzy nodes only: a config that names another kind
+        # fails where it enters, exit 4, naming the key and the kind
+        from anarx.cli import main
 
-    def test_wang_mendel_weighted_pipeline(self):
-        rng = np.random.default_rng(6)
-        series = SeriesFrame(np.sin(np.arange(400) / 5.0) * 2.0 + 10.0
-                             + rng.normal(0, 0.05, 400))
-        cfg = RunConfig(n_nodes=2, h=5, train_len=300, test_len=100,
-                        node_kind="wang_mendel", learner="adaptive", alpha=0.9,
-                        weighted=True)
-        report = run_experiment(series, cfg)
-        assert report.parameter_count == 5 * 2 + 2
-        assert report.rmse_test < 0.2
-        assert report.steps[-1].c is not None
+        with pytest.raises(ConfigError, match="config key 'node_kind'.*'wang_mendel'"):
+            RunConfig(n_nodes=2, h=5, train_len=220, test_len=80, node_kind="wang_mendel")
+        cfg = tmp_path / "wm.cfg"
+        cfg.write_text("n_nodes = 2\nh = 5\ntrain_len = 100\ntest_len = 20\n"
+                       "node_kind = wang_mendel\n")
+        data = tmp_path / "series.csv"
+        data.write_text("\n".join(str(v) for v in np.sin(np.arange(120) / 5.0)) + "\n")
+        assert main(["bench", "--config", str(cfg), "--data", str(data)]) == 4
+        assert "config key 'node_kind'" in capsys.readouterr().err
 
     def test_evolution_adds_nodes_on_high_error(self):
         rng = np.random.default_rng(4)
@@ -529,17 +524,15 @@ class TestRunExperiment:
         assert report.steps[-1].n_active == report.extras["final_n"]
 
     def test_module_errors_carry_step_index(self):
-        # the step that receives a value no node can fuzzify raises, under
-        # its own index, with the node's message
-        from anarx.errors import DegenerateActivation
-
-        values = np.concatenate([np.sin(np.arange(200) / 4.0) * 0.4 + 0.5, [1e9, 0.5]])
-        cfg = RunConfig(n_nodes=1, h=4, train_len=150, test_len=52,
-                        node_kind="wang_mendel", learner="kwh", normalization="none")
-        with pytest.raises(DegenerateActivation) as err:
+        # the step whose squared error leaves the float range raises, under
+        # its own index, with the forecaster's message
+        values = np.concatenate([np.sin(np.arange(200) / 4.0) * 0.4 + 0.5, [1e200, 0.5]])
+        cfg = RunConfig(n_nodes=1, h=4, train_len=150, test_len=52, learner="kwh",
+                        normalization="none", evolution="auto")
+        with pytest.raises(NumericalDivergence) as err:
             run_experiment(SeriesFrame(values), cfg)
-        assert str(err.value) == "step 200: all rule activations underflowed at 1000000000.0"
-        assert type(err.value.__cause__) is DegenerateActivation
+        assert str(err.value) == "step 200: squared error inf leaves the float range"
+        assert type(err.value.__cause__) is NumericalDivergence
 
     @pytest.mark.parametrize("segment,scale", [("training", [1e300, 1e300]), ("test", [1.0, 1e300])])
     def test_rmse_past_the_float_range_raises_naming_the_segment(self, segment, scale):

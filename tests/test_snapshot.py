@@ -3,6 +3,7 @@ import hashlib
 import importlib.util
 import json
 import pickle
+import tracemalloc
 from collections import deque
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from anarx.datasets import synthetic_load_series
 from anarx.errors import (
     AnarxError,
     CorruptSnapshot,
-    DegenerateActivation,
+    DimensionMismatch,
     NumericalDivergence,
     ParseError,
     VersionMismatch,
@@ -37,13 +38,12 @@ from anarx.snapshot import _encode, _header
 from conftest import assert_one_weight_block, unpacked
 
 
-def trained_forecaster(weighted=False, learner="adaptive", evolution=None, steps=250,
-                       node_kind="neo_fuzzy"):
+def trained_forecaster(weighted=False, learner="adaptive", evolution=None, steps=250):
     rng = np.random.default_rng(0)
     series = SeriesFrame(np.sin(np.arange(300) / 6.0) * 3.0 + rng.normal(0, 0.2, 300) + 8.0)
     cfg = RunConfig(n_nodes=2, h=4, train_len=250, test_len=50,
                     learner=learner, alpha=0.9 if learner != "kwh" else 1.0,
-                    weighted=weighted, evolution=evolution, node_kind=node_kind)
+                    weighted=weighted, evolution=evolution)
     work, fc = build_forecaster(series, cfg)
     for k in range(steps):
         fc.step(float(series.values[k]))
@@ -282,33 +282,53 @@ def test_delay_value_that_is_not_finite_is_corrupt(tmp_path, capsys, value):
     assert "integrity: ok" not in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("lag", [0, 1])
-def test_delay_value_no_node_can_fuzzify_is_corrupt(tmp_path, capsys, lag):
-    # 1e9 underflows every Wang-Mendel rule, so no step takes it in;
-    # loaded, the model fuzzifies its delay line again and fails
+def _wang_mendel(model):
+    # the node kind and Gaussian grid a Wang-Mendel pool saved
+    model["node_kind"] = "wang_mendel"
+    model["grid"] = {"centers": [0.0, 1 / 3, 2 / 3, 1.0], "widths": [1 / 3] * 4}
+
+
+@pytest.mark.parametrize("tamper", [
+    pytest.param(_wang_mendel, id="wang-mendel"),
+    pytest.param(lambda model: model.update(node_kind="wang_mendel"), id="kind-only"),
+])
+def test_snapshot_of_a_wang_mendel_pool_is_corrupt(tmp_path, capsys, tamper):
+    # a pool is neo-fuzzy nodes only, and no save of this format writes
+    # another kind: such a file is corrupt (exit 10), not of another
+    # version (exit 9), and the message names the kind
     from anarx.cli import main
 
-    path = _tampered_snapshot(tmp_path, False, "adaptive",
-                              lambda p: p["model"]["delay_y"].__setitem__(lag, 1e9),
-                              steps=50, node_kind="wang_mendel")
-    with pytest.raises(CorruptSnapshot, match="underflowed at 1000000000.0"):
+    path = _tampered_snapshot(tmp_path, False, "adaptive", lambda p: tamper(p["model"]),
+                              steps=50)
+    with pytest.raises(CorruptSnapshot, match="node kind 'wang_mendel' is not neo_fuzzy"):
         snapshot_load(path)
     assert main(["snapshot", "show", "--snapshot", str(path)]) == 10
-    assert "integrity: ok" not in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "integrity: ok" not in captured.out
+    assert "'wang_mendel'" in captured.err
 
 
-def test_gaussian_center_that_is_not_finite_is_corrupt(tmp_path, capsys):
-    # NaN passes the grid's ordering check; loaded, the grid would fail
-    # only at the first step
+def test_forged_rls_width_is_rejected_before_its_covariance_is_built(tmp_path, capsys):
+    # a stacked row of 4,000 zeros fixes a pool of 1,000 nodes at h = 4,
+    # whose RLS block would take 4,000 x 4,032 floats (129 MB); the saved
+    # P and U are the trained pool's, so the learner kind's length check
+    # rejects the state before the block is allocated
     from anarx.cli import main
 
-    path = _tampered_snapshot(tmp_path, False, "adaptive",
-                              lambda p: p["model"]["grid"]["centers"].__setitem__(1, float("nan")),
-                              steps=50, node_kind="wang_mendel")
-    with pytest.raises(CorruptSnapshot, match="centers must be finite numbers"):
-        snapshot_load(path)
+    path = _tampered_snapshot(tmp_path, False, "rls",
+                              lambda p: _set(p["model"]["learner_state"], "w", [[0.0] * 4000]),
+                              steps=50)
+    payload = json.loads(path.read_text())["payload"]
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionMismatch, match="covariance must be"):
+            OnlineForecaster.from_state(payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
     assert main(["snapshot", "show", "--snapshot", str(path)]) == 10
-    assert "integrity: ok" not in capsys.readouterr().out
+    assert "covariance must be" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tamper", [
@@ -980,21 +1000,17 @@ def test_a_save_moves_nothing_property(tmp_path, pairing, alpha, n_nodes, h, tou
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(node_kind=st.sampled_from(["neo_fuzzy", "wang_mendel"]),
-       learner=st.sampled_from(["rls", "kwh", "adaptive"]), pairing=st.sampled_from(PAIRINGS),
+@given(learner=st.sampled_from(["rls", "kwh", "adaptive"]), pairing=st.sampled_from(PAIRINGS),
        learn=st.booleans(), steps=st.integers(0, 40), data=st.data())
-def test_rejected_value_moves_no_state_property(tmp_path, node_kind, learner, pairing, learn,
-                                                steps, data):
+def test_rejected_value_moves_no_state_property(tmp_path, learner, pairing, learn, steps, data):
     # a step that raises a typed error moves no state: the forecaster
     # saves the same bytes, and goes on as a twin that never saw the
-    # value. Every Wang-Mendel rule underflows at +-1e9; a neo-fuzzy grid
-    # clamps it.
+    # value. A value that is not finite is the one the step rejects; the
+    # grid clamps every finite one.
     training, weighted = pairing
-    bad = [NAN, INF, -INF] + ([1e9, -1e9] if node_kind == "wang_mendel" else [])
-    value = data.draw(st.sampled_from(bad), label="value")
-    error = DegenerateActivation if np.isfinite(value) else ParseError
+    value = data.draw(st.sampled_from([NAN, INF, -INF]), label="value")
     values = PROPERTY_SERIES.values.tolist()
-    cfg = RunConfig(n_nodes=2, h=5, train_len=300, test_len=100, node_kind=node_kind,
+    cfg = RunConfig(n_nodes=2, h=5, train_len=300, test_len=100,
                     learner=learner, training=training,
                     alpha=0.9 if learner == "adaptive" else 1.0, weighted=weighted)
     fc, twin = (build_forecaster(PROPERTY_SERIES, cfg)[1] for _ in range(2))
@@ -1005,7 +1021,7 @@ def test_rejected_value_moves_no_state_property(tmp_path, node_kind, learner, pa
     snapshot_save(fc, saved)
     snapshot_save(twin, twin_saved)
     before = saved.read_bytes()
-    with pytest.raises(error):
+    with pytest.raises(ParseError):
         fc.step(value, learn=learn)
     snapshot_save(fc, saved)
     assert saved.read_bytes() == before == twin_saved.read_bytes()
@@ -1028,14 +1044,12 @@ def _number_paths(node, path=()):
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(learner=st.sampled_from(["rls", "kwh", "adaptive"]), weighted=st.booleans(),
        evolution=st.sampled_from([None, "auto", BENCH_POLICY]),
-       node_kind=st.sampled_from(["neo_fuzzy", "wang_mendel"]),
        value=st.sampled_from([NAN, INF, -INF, 10**400]), data=st.data())
 def test_saved_number_that_is_not_finite_or_too_large_is_corrupt_property(
-        tmp_path, learner, weighted, evolution, node_kind, value, data):
+        tmp_path, learner, weighted, evolution, value, data):
     # no forecaster saves NaN, an infinity or an int no float or index can
     # hold, in place of any number or count of its state
-    fc = trained_forecaster(weighted=weighted, learner=learner, evolution=evolution, steps=60,
-                            node_kind=node_kind)
+    fc = trained_forecaster(weighted=weighted, learner=learner, evolution=evolution, steps=60)
     payload = json.loads(json.dumps(fc.state_dict()))
     paths = _number_paths(payload)
     *parents, key = data.draw(st.sampled_from(paths), label="path")
